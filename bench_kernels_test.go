@@ -156,3 +156,45 @@ func BenchmarkKernel_DDSp(b *testing.B) {
 		kernels.DDSp(acc, 0, 0, ad, bd, scr.SPA())
 	})
 }
+
+// finalizeSink keeps the assembled tile alive so the finalize is not
+// optimized away.
+var finalizeSink *mat.CSR
+
+// BenchmarkKernel_Finalize times a sparse target tile from first
+// contribution to CSR — kernel, per-row combine, assembly — which is what
+// one sparse result tile costs ATMULT. hyper and sparse receive a single
+// Gustavson contribution (single-run rows: the combine finds nothing to do
+// and the assembly is copies); multirun receives eight overlapping
+// contributions per row on the sparse class, the shape of a result tile fed
+// by many operand tile pairs, where every row is re-scattered. allocs/op is
+// the escaping result (CSR header, RowPtr, ColIdx, Val), nothing else.
+func BenchmarkKernel_Finalize(b *testing.B) {
+	for _, fc := range []struct {
+		name, class string
+		contribs    int
+	}{{"hyper", "hyper", 1}, {"sparse", "sparse", 1}, {"multirun", "sparse", 8}} {
+		kc := classByName(b, fc.class)
+		b.Run(fc.name, func(b *testing.B) {
+			_, _, as, bs := kc.operands()
+			scr := kernels.NewScratch()
+			run := func() {
+				acc := scr.Acc(kc.n, kc.n)
+				for c := 0; c < fc.contribs; c++ {
+					x, y := as, bs
+					if c%2 == 1 {
+						x, y = bs, as // a different product: runs overlap only in part
+					}
+					kernels.SpSpSp(acc, 0, 0, kernels.FullCSR(x), kernels.FullCSR(y), scr.SPA())
+				}
+				acc.CombineRows(0, kc.n, scr.SPA())
+				finalizeSink = acc.ToCSR()
+			}
+			run() // warm up the arena
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}

@@ -99,8 +99,8 @@ type MultStats struct {
 	EstimateTime time.Duration // density estimation + water level
 	OptimizeTime time.Duration // cost-model decisions (wall time, summed over tasks)
 	ConvertTime  time.Duration // just-in-time operand conversions
-	MultiplyTime time.Duration // kernel execution
-	FinalizeTime time.Duration // sparse accumulator → CSR materialization
+	MultiplyTime time.Duration // kernel execution (sparse targets: summed over the fan-out's row chunks)
+	FinalizeTime time.Duration // accumulated contributions → CSR: per-chunk combine (summed likewise) + leader assembly
 	VerifyTime   time.Duration // Freivalds result verification (opts.Verify)
 	WallTime     time.Duration // end-to-end operator time
 
@@ -537,7 +537,7 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 			case SpGEMMGustavson:
 				ct.outer = false
 			default:
-				ct.outer = cfg.Cost.PreferOuter(m, ct.k, n, rhoA, rhoB)
+				ct.outer = cfg.Cost.PreferOuter(m, ct.k, n, runDensity(ct), rhoB)
 			}
 			if ct.outer {
 				atomic.AddInt64(&stats.OuterKernelCalls, 1)
@@ -576,10 +576,12 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 		}
 		*out = Tile{Row0: rb.Lo, Col0: cb.Lo, Rows: m, Cols: n, Kind: mat.DenseKind, D: dHdr, NNZ: nnz}
 	} else {
+		// Each chunk of the fan-out stamps its own kernel and combine
+		// time (busy time, summed across workers); the leader adds the
+		// assembly of the combined rows into the result CSR.
 		acc := ws.scratch.Acc(m, n)
-		ws.curAcc = acc
+		ws.curAcc, ws.curMC = acc, mc
 		team.ParallelRows(m, sparseFn)
-		mc.mulNanos.Add(time.Since(t0).Nanoseconds())
 		t0 = time.Now()
 		csr := acc.ToCSR()
 		mc.finNanos.Add(time.Since(t0).Nanoseconds())
@@ -744,6 +746,31 @@ func regionDensity(est *density.Map, r0, r1, c0, c1 int) float64 {
 // overall density — the within-tile uniformity assumption of the atomic
 // block granularity.
 func windowDensityApprox(t *Tile) float64 { return t.Density() }
+
+// runDensity is the A-window density the outer-product crossover is asked
+// about. The merge kernel's cost per partial product grows with the number
+// of runs its output row merges, and a partial product lands in row i in
+// proportion to that row's length, so the run count that matters is the one
+// an average partial product sees, Σl²/Σl − 1 over the window's rows — equal
+// to the mean row length for uniformly random rows, far above it on skewed
+// (R-MAT) tiles whose few long rows carry most of the work. The mean is the
+// floor: rows more regular than random are no cheaper to merge than their
+// length. Row lengths are taken over the tile's full width (RowPtr alone)
+// and scaled by the caller's k, the within-tile uniformity assumption.
+func runDensity(ct *contribution) float64 {
+	rp := ct.aTile.Sp.RowPtr[ct.aR0 : ct.aR0+ct.mRows+1]
+	var sum, sumSq float64
+	for i := 0; i < ct.mRows; i++ {
+		l := float64(rp[i+1] - rp[i])
+		sum += l
+		sumSq += l * l
+	}
+	if sum == 0 {
+		return 0
+	}
+	runs := max(sum/float64(ct.mRows), sumSq/sum-1)
+	return runs / float64(ct.aTile.Cols)
+}
 
 // windowBytes estimates the bytes touched when reading an h×w window of a
 // tile.

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"atmatrix/internal/mat"
+	"atmatrix/internal/sched"
 )
 
 const tol = 1e-9
@@ -364,5 +368,46 @@ func TestATMULTChained(t *testing.T) {
 	want := mat.MulReference(mat.MulReference(ad, ad), ad)
 	if !dm.ToDense().EqualApprox(want, tol) {
 		t.Fatal("chained multiplication mismatch")
+	}
+}
+
+// TestScratchBytesCoversWorkerArenas: MultStats.ScratchBytes must not
+// report less than what the worker arenas of the topology that ran the
+// multiplication hold afterwards — the run storage of the sparse targets,
+// every worker's SPA (values and occupancy bitmap) and the contribution
+// buffers. kernels.TestScratchBytesCoversSliceCaps ties Scratch.Bytes to
+// the slice capacities; this ties the operator's figure to Scratch.Bytes.
+func TestScratchBytesCoversWorkerArenas(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	cfg := testConfig()
+	n := 300
+	a := mat.RandomCOO(rng, n, n, 3*n)
+	b := mat.RandomCOO(rng, n, n, 3*n)
+	stats := multAndCheck(t, cfg, DefaultMultOptions(), a, b, "scratch accounting")
+
+	var held atomic.Int64
+	queues := make([][]int32, cfg.Topology.Sockets)
+	for s := range queues {
+		queues[s] = []int32{int32(s)}
+	}
+	_, err := sched.NewPool(cfg.Topology).RunIndexedCtx(context.Background(), queues, func(team *sched.Team, _ int32) {
+		for w := 0; w < team.Workers; w++ {
+			slot := team.WorkerLocal(w)
+			if slot == nil {
+				continue
+			}
+			if ws, ok := (*slot).(*workerState); ok {
+				held.Add(ws.scratch.Bytes() + int64(cap(ws.contribs))*int64(unsafe.Sizeof(contribution{})))
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held.Load() == 0 {
+		t.Fatal("no persistent worker arena found: the test inspects nothing")
+	}
+	if stats.ScratchBytes < held.Load() {
+		t.Fatalf("MultStats.ScratchBytes = %d, the worker arenas hold %d", stats.ScratchBytes, held.Load())
 	}
 }

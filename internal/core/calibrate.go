@@ -73,14 +73,20 @@ func CalibrateCostModel() costmodel.Params {
 
 	// Outer-product crossover: time OuterSpSp against SpSpSp at two
 	// operating points — hypersparse (runs = ρA·k ≈ 0.5, where the merge
-	// kernel's tree-free fast paths should win) and mid-sparse (runs ≈ 4,
-	// where the loser-tree replay dominates) — and refit the outer cost
-	// curve from the measured ratios, expressed against the model's own
-	// Gustavson per-flop cost so only ratios matter. Clamps keep a
-	// degenerate measurement from inverting the curve (OuterAppend must
-	// stay below the Gustavson cost for the hypersparse class to ever be
-	// routed to the merge kernel, and MergeStep must stay positive so
-	// dense-ish tiles never are).
+	// kernel's tree-free fast paths should win) and runs ≈ 2, where the
+	// curves are measured to cross — and refit the outer cost curve from
+	// the measured ratios, expressed against the model's own Gustavson
+	// per-flop cost so only ratios matter. The curve is only ever asked on
+	// which side of Gustavson it lies, so it is fitted where that flips,
+	// not deep in the tree regime whose steeper growth a single log term
+	// cannot also follow. Both sides are timed until their rows are final
+	// (kernel + combine): Gustavson's flush pays the ordered emit of its
+	// scattered row, the merge kernel emits in order for free, and that
+	// difference is part of the crossover. Clamps keep a degenerate
+	// measurement from inverting the curve (OuterAppend must stay below the
+	// Gustavson cost for the hypersparse class to ever be routed to the
+	// merge kernel, and MergeStep must stay positive so dense-ish tiles
+	// never are).
 	{
 		const hn = 512
 		scr := kernels.NewScratch()
@@ -88,12 +94,14 @@ func CalibrateCostModel() costmodel.Params {
 			return timePerUnit(func() {
 				acc := scr.Acc(hn, hn)
 				kernels.SpSpSp(acc, 0, 0, kernels.FullCSR(as2), kernels.FullCSR(bs2), scr.SPA())
+				acc.CombineRows(0, hn, scr.SPA())
 			}, 1)
 		}
 		outerAt := func(as2, bs2 *mat.CSR) float64 {
 			return timePerUnit(func() {
 				acc := scr.Acc(hn, hn)
 				kernels.OuterSpSp(acc, 0, 0, kernels.FullCSR(as2), kernels.FullCSR(bs2), scr.Merge())
+				acc.CombineRows(0, hn, scr.SPA())
 			}, 1)
 		}
 		mk := func(rho float64) (*mat.CSR, *mat.CSR) {
@@ -106,10 +114,10 @@ func CalibrateCostModel() costmodel.Params {
 		if g := gustAt(hA, hB); g > 0 {
 			p.OuterAppend = clampRatio(outerAt(hA, hB)/g*gustCost, 0.5, gustCost-0.25)
 		}
-		mA, mB := mk(4.0 / hn) // runs ≈ 4/row
+		mA, mB := mk(2.0 / hn) // runs ≈ 2/row
 		if g := gustAt(mA, mB); g > 0 {
-			// OuterPerFlop(4) = OuterAppend + 2·MergeStep.
-			p.MergeStep = clampRatio((outerAt(mA, mB)/g*gustCost-p.OuterAppend)/2, 1, 32)
+			// OuterPerFlop(2) = OuterAppend + MergeStep.
+			p.MergeStep = clampRatio(outerAt(mA, mB)/g*gustCost-p.OuterAppend, 0.5, 32)
 		}
 	}
 	return p

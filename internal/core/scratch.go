@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"atmatrix/internal/kernels"
@@ -34,6 +35,7 @@ type workerState struct {
 	curTeam  *sched.Team
 	curD     *mat.Dense
 	curAcc   *kernels.SpAcc
+	curMC    *mulCtx
 	curEph   bool
 }
 
@@ -86,9 +88,17 @@ func (ws *workerState) rowFns() (dense, sparse func(lo, hi, worker int)) {
 			wst := stateFor(ws.curTeam, worker, ws.curEph)
 			acc := ws.curAcc
 			cts := ws.contribs
+			t0 := time.Now()
 			for i := range cts {
 				runSparseTarget(acc, &cts[i], lo, hi, wst.scratch)
 			}
+			// Combine this chunk's rows while they are still in this
+			// worker's cache: finalize runs team-parallel, and the leader is
+			// left with a prefix sum and copies (SpAcc.ToCSR).
+			t1 := time.Now()
+			acc.CombineRows(lo, hi, wst.scratch.SPA())
+			ws.curMC.mulNanos.Add(t1.Sub(t0).Nanoseconds())
+			ws.curMC.finNanos.Add(time.Since(t1).Nanoseconds())
 			// Worker 0 is the leader, whose scratch holds the shared
 			// accumulator: measuring it here would race with the other
 			// workers still flushing rows. The task's deferred sync runs
@@ -107,5 +117,5 @@ func (ws *workerState) rowFns() (dense, sparse func(lo, hi, worker int)) {
 func (ws *workerState) releaseContribs() {
 	clear(ws.contribs[:cap(ws.contribs)])
 	ws.contribs = ws.contribs[:0]
-	ws.curTeam, ws.curD, ws.curAcc = nil, nil, nil
+	ws.curTeam, ws.curD, ws.curAcc, ws.curMC = nil, nil, nil, nil
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 
+	"atmatrix/internal/kernels"
 	"atmatrix/internal/mat"
 )
 
@@ -120,5 +122,54 @@ func statsCounts(s *MultStats) map[string]int64 {
 	return map[string]int64{
 		"outer":     s.OuterKernelCalls,
 		"gustavson": s.GustavsonKernelCalls,
+	}
+}
+
+// TestSpGEMMChoiceWithinBound treats the cost model's claim as a property:
+// on the two sparse operand classes of the kernel benchmarks
+// (bench_kernels_test.go: hyper = 1024² at ρ 0.001, sparse = 256² at
+// ρ 0.05, generator seed 9) the algorithm the auto policy picks must take
+// at most 1.25× the time of the better of the two, each timed from the
+// first partial product to final rows (kernel + combine).
+func TestSpGEMMChoiceWithinBound(t *testing.T) {
+	cost := DefaultConfig().Cost
+	for _, class := range []struct {
+		name string
+		n    int
+		rho  float64
+	}{{"hyper", 1024, 0.001}, {"sparse", 256, 0.05}} {
+		rng := rand.New(rand.NewSource(9))
+		n := class.n
+		nnz := int(class.rho * float64(n) * float64(n))
+		as := mat.RandomCOO(rng, n, n, nnz).ToCSR()
+		bs := mat.RandomCOO(rng, n, n, nnz).ToCSR()
+		aTile := &Tile{Rows: n, Cols: n, Kind: mat.Sparse, Sp: as, NNZ: as.NNZ()}
+		ct := &contribution{aTile: aTile, mRows: n, k: n, nCols: n}
+		outer := cost.PreferOuter(n, n, n, runDensity(ct), bs.Density())
+
+		scr := kernels.NewScratch()
+		a, b := kernels.FullCSR(as), kernels.FullCSR(bs)
+		best := map[bool]time.Duration{}
+		for rep := 0; rep < 10; rep++ { // interleaved best-of-9 after a warm-up: robust on a shared host
+			for _, alg := range []bool{false, true} {
+				t0 := time.Now()
+				acc := scr.Acc(n, n)
+				if alg {
+					kernels.OuterSpSp(acc, 0, 0, a, b, scr.Merge())
+				} else {
+					kernels.SpSpSp(acc, 0, 0, a, b, scr.SPA())
+				}
+				acc.CombineRows(0, n, scr.SPA())
+				if d := time.Since(t0); rep > 0 && (best[alg] == 0 || d < best[alg]) {
+					best[alg] = d
+				}
+			}
+		}
+		chosen, other := best[outer], best[!outer]
+		t.Logf("%s: outer=%v chosen %v, alternative %v", class.name, outer, chosen, other)
+		if float64(chosen) > 1.25*float64(other) {
+			t.Errorf("%s class: auto policy picks outer=%v at %v, %.2f× the alternative's %v",
+				class.name, outer, chosen, float64(chosen)/float64(other), other)
+		}
 	}
 }

@@ -67,13 +67,21 @@ type Params struct {
 	// replay comparisons for R partial-product runs per output row. The
 	// intersection of OuterAppend + MergeStep·log2(R) with the Gustavson
 	// curve FlopSp + ScatterSp defines the outer-product crossover RunsOuter
-	// (≈1 stored element per A row with the default constants).
+	// (2 stored elements per A row with the default constants).
 	MergeStep float64
 }
 
 // Default returns constants fitted to the relative costs observed with the
 // pure-Go kernels in this repository. They yield ρ0^R = 0.25 — the value
 // the paper uses for its test system — and ρ0^W = 0.0625.
+//
+// OuterAppend and MergeStep are fitted to kernel + combine time, i.e. until
+// a contribution's rows are final: Gustavson's flush pays the ordered emit
+// of its scattered row while the merge kernel emits in order for free. On
+// uniformly random tiles of side 512–4096 the merge kernel then costs
+// 0.6–0.7× Gustavson up to one run per output row and breaks even between
+// 2 and 3, so the floor is ⅔ of the Gustavson per-flop cost and the curve
+// crosses it at 2 runs.
 func Default() Params {
 	return Params{
 		FlopDD:      1.0,
@@ -84,8 +92,8 @@ func Default() Params {
 		WriteSp:     16.0,
 		ScatterSp:   2.0,
 		ConvCell:    1.0,
-		OuterAppend: 5.0,
-		MergeStep:   11.0,
+		OuterAppend: 4.0,
+		MergeStep:   2.0,
 	}
 }
 
@@ -171,11 +179,14 @@ func (p Params) RunsOuter() float64 {
 // PreferOuter reports whether the outer-product merge kernel is modelled
 // faster than Gustavson for a sparse×sparse→sparse tile multiplication
 // C[m×n] += A[m×k]·B[k×n]. The decision depends on the expected number of
-// partial-product runs per output row, ρA·k: at or below ~1 almost every
-// output row is a single scaled B row (or a cheap two-run merge), and the
-// kernel wins by never touching the SPA; above it the per-element
-// loser-tree replay loses to the SPA scatter. Empty operands fall back to
-// Gustavson (both kernels are trivially cheap there).
+// partial-product runs per output row, ρA·k: up to ~2 most output rows are
+// a single scaled B row or a two-run merge, and the kernel wins by never
+// touching the SPA and never paying an ordered emit; above it the
+// per-element loser-tree replay loses to the SPA scatter. ρA is the density
+// that yields the run count a partial product actually meets — callers
+// with skewed rows pass a correspondingly higher value (core.runDensity).
+// Empty operands fall back to Gustavson (both kernels are trivially cheap
+// there).
 func (p Params) PreferOuter(m, k, n int, rhoA, rhoB float64) bool {
 	if rhoA <= 0 || rhoB <= 0 {
 		return false

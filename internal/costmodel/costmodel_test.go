@@ -164,14 +164,14 @@ func TestChooseKernelNeverWorseThanNoConversion(t *testing.T) {
 
 // TestOuterCrossover pins the structure of the outer-product SpGEMM cost
 // curve: the merge kernel is modelled cheaper exactly on the hypersparse
-// side of RunsOuter, the crossover sits near one run per output row (the
-// measured software crossover), and the curve is monotone in the run
-// count.
+// side of RunsOuter, the crossover sits between two and three runs per
+// output row (the measured software crossover once both kernels are timed
+// until their rows are final), and the curve is monotone in the run count.
 func TestOuterCrossover(t *testing.T) {
 	p := Default()
 	x := p.RunsOuter()
-	if x < 0.5 || x > 2 {
-		t.Fatalf("RunsOuter = %g, want within [0.5, 2] (measured crossover ≈1 run/row)", x)
+	if x < 1.5 || x > 3 {
+		t.Fatalf("RunsOuter = %g, want within [1.5, 3] (measured crossover 2–3 runs/row)", x)
 	}
 	n := 4096
 	// Below the crossover: ρA·k = x/2 runs per row.

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -633,7 +632,7 @@ func (e *exec) runRowStream(v *chainNode, mats []*core.ATMatrix) (*core.ATMatrix
 	if workers > nb {
 		workers = nb
 	}
-	scratchBytes := int64(workers) * 2 * int64(maxW) * 12 // vals + gen per SPA
+	scratchBytes := int64(workers) * 2 * kernels.SPABytes(maxW)
 	e.alloc(scratchBytes)
 	defer e.release(scratchBytes)
 
@@ -733,26 +732,14 @@ func spreadRow(spa *kernels.SPA, ri *matRows, r int, w float64) {
 	}
 }
 
-// flushStreamRow sorts the accumulated row and appends it to the band's
-// output piece.
+// flushStreamRow appends the accumulated row, ascending by column with
+// exact zeros dropped, to the band's output piece.
 //
 //atlint:hotpath
 func flushStreamRow(piece *bandPiece, r int, spa *kernels.SPA) {
-	touched := spa.Touched()
-	slices.Sort(touched)
-	kept := int32(0)
-	for _, c := range touched {
-		v := spa.Value(c)
-		if v == 0 {
-			continue
-		}
-		//atlint:ignore hotpath-alloc grow-only band output, amortized across all rows of the band
-		piece.cols = append(piece.cols, c)
-		//atlint:ignore hotpath-alloc grow-only band output, amortized across all rows of the band
-		piece.vals = append(piece.vals, v)
-		kept++
-	}
-	piece.rowNNZ[r] = kept
+	n0 := len(piece.cols)
+	piece.cols, piece.vals = spa.AppendSorted(piece.cols, piece.vals)
+	piece.rowNNZ[r] = int32(len(piece.cols) - n0)
 }
 
 // assemblePieces concatenates the band outputs into the final adaptive

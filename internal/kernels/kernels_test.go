@@ -189,21 +189,6 @@ func TestSparseTargetTileOffsets(t *testing.T) {
 	}
 }
 
-func TestSPAGenerationWrap(t *testing.T) {
-	spa := NewSPA(4)
-	spa.cur = ^uint32(0) - 1 // force an imminent wrap
-	spa.Reset(4)
-	spa.Add(1, 5)
-	spa.Reset(4) // wraps to 0 → hard reset path
-	if len(spa.Touched()) != 0 {
-		t.Fatal("touched not cleared across wrap")
-	}
-	spa.Add(1, 7)
-	if spa.Value(1) != 7 {
-		t.Fatalf("stale value after generation wrap: %g", spa.Value(1))
-	}
-}
-
 func TestSPAGrow(t *testing.T) {
 	spa := NewSPA(2)
 	spa.Reset(10)

@@ -6,7 +6,7 @@ import "math"
 // SpGEMM in the style of SpArch (Zhang et al., HPCA'20) for the
 // hypersparse×hypersparse tile class, where Gustavson's SPA pays a full
 // accumulator scatter (random accesses across the whole target width plus
-// a finalize sort of the scattered entries) for rows that only ever hold a
+// an ordered emit of the scattered entries) for rows that only ever hold a
 // handful of elements.
 //
 // The outer-product view: C = Σ_k A[·,k] ⊗ B[k,·]. Every stored element
@@ -16,8 +16,9 @@ import "math"
 // loser-tree merge — O(log R) comparisons per emitted element for R runs —
 // and emits strictly ascending, duplicate-combined columns straight into
 // the SpAcc contribution list. The output being sorted is itself part of
-// the win: the accumulation target's finalize sort degenerates to a
-// near-no-op on sorted runs.
+// the win: the accumulation target stores sorted runs, so the kernel pays
+// nothing for the ordered emit Gustavson's flush needs, and a row fed by a
+// single contribution is final as emitted.
 //
 // All merge state lives in the MergeScratch arena carved from the worker's
 // Scratch, so the kernel is allocation-free in steady state and passes the
@@ -183,6 +184,7 @@ func OuterSpSp(cAcc *SpAcc, cRow0, cCol0 int, a, b CSRWin, ms *MergeScratch) {
 		var alpha0 float64
 		var runs []mergeRun
 		live := 0
+		total := 0 // Σ run lengths: an upper bound on the row's output
 		for p := alo; p < ahi; p++ {
 			k := int(aIdx[p] - ac0)
 			var lo, hi int64
@@ -207,18 +209,28 @@ func OuterSpSp(cAcc *SpAcc, cRow0, cCol0 int, a, b CSRWin, ms *MergeScratch) {
 				runs[live] = mergeRun{pos: lo, end: hi, alpha: aVal[p]}
 			}
 			live++
+			total += int(hi - lo)
 		}
 		if live == 0 {
 			continue
 		}
-		run := cAcc.rows[cRow0+i]
+		// The row's output is written by index into storage reserved once
+		// for the upper bound; products that are exactly zero (explicit
+		// zeros in an operand, cancellation between runs, underflow) are
+		// dropped here, so every run in the target is zero-free.
+		row := &cAcc.rows[cRow0+i]
+		n0 := len(row.cols)
+		oc, ov := row.reserve(total)
+		w := n0
 		if live == 1 {
 			// Single-run fast path: a scaled copy, no tree.
 			for q := lo0; q < hi0; q++ {
-				//atlint:ignore hotpath-alloc grow-only contribution run, capacity retained across tiles by Scratch
-				run = append(run, spEntry{col: colIdx[q] - bc0, val: alpha0 * val[q]})
+				if v := alpha0 * val[q]; v != 0 {
+					oc[w], ov[w] = colIdx[q]-bc0, v
+					w++
+				}
 			}
-			cAcc.rows[cRow0+i] = run
+			row.commit(oc, ov, n0, w)
 			continue
 		}
 		if live == 2 {
@@ -243,48 +255,54 @@ func OuterSpSp(cAcc *SpAcc, cRow0, cCol0 int, a, b CSRWin, ms *MergeScratch) {
 					r0.pos++
 					r1.pos++
 				}
-				//atlint:ignore hotpath-alloc grow-only contribution run, capacity retained across tiles by Scratch
-				run = append(run, spEntry{col: col - bc0, val: sum})
+				if sum != 0 {
+					oc[w], ov[w] = col-bc0, sum
+					w++
+				}
 			}
 			for _, rn := range [2]*mergeRun{r0, r1} {
 				alpha := rn.alpha
 				for q := rn.pos; q < rn.end; q++ {
-					//atlint:ignore hotpath-alloc grow-only contribution run, capacity retained across tiles by Scratch
-					run = append(run, spEntry{col: colIdx[q] - bc0, val: alpha * val[q]})
+					if v := alpha * val[q]; v != 0 {
+						oc[w], ov[w] = colIdx[q]-bc0, v
+						w++
+					}
 				}
 			}
-			cAcc.rows[cRow0+i] = run
+			row.commit(oc, ov, n0, w)
 			continue
 		}
 		ms.build(live)
 		tree := ms.tree
 		for {
-			w := tree[0]
-			rn := &runs[w]
+			t := tree[0]
+			rn := &runs[t]
 			if rn.pos >= rn.end {
 				break // the minimum is exhausted ⇒ all runs are
 			}
 			col := colIdx[rn.pos]
 			sum := rn.alpha * val[rn.pos]
 			rn.pos++
-			ms.replay(w, live)
+			ms.replay(t, live)
 			// Combine duplicates: keep popping while the winner carries the
 			// same column. A run's own columns are strictly ascending, so
 			// only *other* runs can match.
 			for {
-				w = tree[0]
-				rn = &runs[w]
+				t = tree[0]
+				rn = &runs[t]
 				if rn.pos >= rn.end || colIdx[rn.pos] != col {
 					break
 				}
 				sum += rn.alpha * val[rn.pos]
 				rn.pos++
-				ms.replay(w, live)
+				ms.replay(t, live)
 			}
-			//atlint:ignore hotpath-alloc grow-only contribution run, capacity retained across tiles by Scratch
-			run = append(run, spEntry{col: col - bc0, val: sum})
+			if sum != 0 {
+				oc[w], ov[w] = col-bc0, sum
+				w++
+			}
 		}
-		cAcc.rows[cRow0+i] = run
+		row.commit(oc, ov, n0, w)
 	}
 	ms.colIdx, ms.val = nil, nil
 }

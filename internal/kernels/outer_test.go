@@ -12,8 +12,7 @@ import (
 // TestPropertyOuterSpSpMatchesGustavson cross-checks the outer-product
 // merge kernel against SpSpSp on randomized tiles: same algebra, and the
 // emitted rows must additionally be strictly sorted and duplicate-free
-// (SpSpSp's SPA only guarantees that after the finalize sort; OuterSpSp
-// promises it at emission).
+// as emitted, before any combine pass touches them.
 func TestPropertyOuterSpSpMatchesGustavson(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	f := func(seed int64) bool {
@@ -37,9 +36,9 @@ func TestPropertyOuterSpSpMatchesGustavson(t *testing.T) {
 		// Each emitted row must be strictly ascending (sorted, no dups)
 		// before any finalize pass touches it.
 		for i := range got.rows {
-			row := got.rows[i]
+			row := got.rows[i].cols
 			for p := 1; p < len(row); p++ {
-				if row[p].col <= row[p-1].col {
+				if row[p] <= row[p-1] {
 					t.Logf("seed %d: row %d not strictly ascending at %d", seed, i, p)
 					return false
 				}
@@ -101,7 +100,7 @@ func TestPropertyOuterSpSpWindowed(t *testing.T) {
 		}
 		// Offset margin must stay empty.
 		for i := 0; i < cRow0; i++ {
-			if len(got.rows[i]) != 0 {
+			if len(got.rows[i].cols) != 0 {
 				return false
 			}
 		}

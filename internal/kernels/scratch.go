@@ -5,7 +5,7 @@ import "atmatrix/internal/mat"
 // Scratch is the reusable arena owned by one persistent worker of the
 // scheduler runtime (§III-F's long-lived team workers). It bundles every
 // piece of transient state a tile-multiplication task needs — the SPA, the
-// sparse accumulation target's entry slices, dense conversion panels, and
+// sparse accumulation target's run storage, dense conversion panels, and
 // CSR conversion buffers — so that repeated ATMULT invocations stop paying
 // one allocation per tile per worker. All buffers grow monotonically and
 // are reused across tiles, phases, and whole Multiply calls; SpArch-style
@@ -96,9 +96,8 @@ func (s *Scratch) CSR(rows, cols int) *mat.CSR {
 // Bytes returns the arena's resident footprint — the scratch high-water
 // mark, since buffers only grow.
 func (s *Scratch) Bytes() int64 {
-	b := int64(cap(s.spa.vals))*8 + int64(cap(s.spa.gen))*4 + int64(cap(s.spa.touched))*4
-	b += s.acc.scratchBytes()
-	b += s.merge.bytes()
+	b := s.spa.bytes() + s.acc.scratchBytes() + s.merge.bytes()
+	b += int64(cap(s.panels)+cap(s.csrs)) * 8 // the arenas' pointer slices
 	for _, p := range s.panels {
 		b += int64(cap(p.Data)) * 8
 	}

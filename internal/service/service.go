@@ -732,7 +732,7 @@ func (m *Manager) execute(job *Job) (*Result, error) {
 		return nil, err
 	}
 	m.m.aggregate([]*core.MultStats{mst})
-	return m.finish(job, out, &Result{Wall: time.Since(t0)})
+	return m.finish(job, out, &Result{}, t0)
 }
 
 // executeEval runs an expression or chain job through the expression
@@ -758,7 +758,6 @@ func (m *Manager) executeEval(job *Job, operands []*core.ATMatrix, opts core.Mul
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Since(t0)
 	m.m.evalJobs.Add(1)
 	m.m.fusedStages.Add(int64(est.FusedStages))
 	if m.opts.Verify > 0 {
@@ -769,19 +768,20 @@ func (m *Manager) executeEval(job *Job, operands []*core.ATMatrix, opts core.Mul
 	summary := plan.Summary()
 	res := &Result{
 		ChainExpr:             summary.Order,
-		Wall:                  wall,
 		Plan:                  &summary,
 		Steps:                 est.Steps,
 		FusedStages:           est.FusedStages,
 		PlanTime:              plan.PlanTime,
 		PeakIntermediateBytes: est.PeakIntermediateBytes,
 	}
-	return m.finish(job, out, res)
+	return m.finish(job, out, res, t0)
 }
 
-// finish fills the shape fields of the result and stores the product in
-// the catalog when the request asked for it.
-func (m *Manager) finish(job *Job, out *core.ATMatrix, res *Result) (*Result, error) {
+// finish fills the shape fields of the result, stores the product in the
+// catalog when the request asked for it, and stamps Wall — last, so that it
+// covers everything the job did since t0 (verification, repartitioning and
+// the catalog write included), which is what the latency quantiles record.
+func (m *Manager) finish(job *Job, out *core.ATMatrix, res *Result, t0 time.Time) (*Result, error) {
 	res.Rows, res.Cols = out.Rows, out.Cols
 	res.NNZ, res.Bytes = out.NNZ(), out.Bytes()
 	res.TilesSparse, res.TilesDense = out.TileCount()
@@ -799,6 +799,7 @@ func (m *Manager) finish(job *Job, out *core.ATMatrix, res *Result) (*Result, er
 		res.Bytes = re.Bytes()
 		res.TilesSparse, res.TilesDense = re.TileCount()
 	}
+	res.Wall = time.Since(t0)
 	return res, nil
 }
 

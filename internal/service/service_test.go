@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -269,5 +270,49 @@ func TestConcurrentSubmits(t *testing.T) {
 	}
 	if mm.Completed != int64(accepted) {
 		t.Fatalf("completed = %d, want %d", mm.Completed, accepted)
+	}
+}
+
+// TestWallCoversWholeJob: Result.Wall (the reply's wall_ns, and with the
+// queue wait what the latency quantiles record) must cover everything a job
+// does after it leaves the queue — including the expression-level Freivalds
+// check of an eval job and the Repartition + catalog Put of a stored
+// product, both of which it used to stop short of.
+func TestWallCoversWholeJob(t *testing.T) {
+	for name, req := range map[string]Request{
+		"verified eval":  {Expr: "big'"},
+		"stored product": {A: "big", B: "big", Store: "bb"},
+	} {
+		// Outside Wall by design: admission, the queue wait (reported
+		// separately), acquiring the operand handles and the wake-up of
+		// Wait — microseconds against milliseconds of work, so a tenth of
+		// the job is the tolerance. The omission this guards against is
+		// systematic (a third of the job or more); a scheduling hiccup on a
+		// busy host is not, hence the best of three.
+		var report string
+		for attempt := 0; attempt < 3; attempt++ {
+			m := New(testCatalog(t), Options{Workers: 1, Verify: 2})
+			start := time.Now()
+			job, err := m.Submit(req)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			res, err := job.Wait()
+			elapsed := time.Since(start)
+			m.Close(5 * time.Second)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			slack := elapsed - res.Queue - res.Wall
+			if slack <= elapsed/10+time.Millisecond {
+				report = ""
+				break
+			}
+			report = fmt.Sprintf("Wall %v + Queue %v leave %v of the %v the caller waited unaccounted",
+				res.Wall, res.Queue, slack, elapsed)
+		}
+		if report != "" {
+			t.Errorf("%s: %s", name, report)
+		}
 	}
 }
