@@ -10,13 +10,14 @@ BENCHTIME ?= 1s
 # not a blocker.
 TOLERANCE ?= 25
 
-.PHONY: check fmt build test vet lint race chaos bench bench-kernels bench-eval bench-cluster bench-compare serve-smoke cluster-smoke
+.PHONY: check fmt build test vet lint race chaos bench bench-kernels bench-eval bench-compare serve-smoke cluster-smoke atload-build
 
 ## check: the pre-PR gate — formatting, static analysis (vet + atlint),
 ## build, full test suite, the concurrency stress tests under the race
 ## detector, the fault-injection chaos suite under the race detector, and
-## the multi-process cluster smoke.
-check: fmt lint build test race chaos cluster-smoke
+## the multi-process cluster smoke, and the benchmark driver's own build
+## and short tests (a separate module tier-1 never compiles).
+check: fmt lint build test race chaos cluster-smoke atload-build
 
 ## fmt: fail if any file is not gofmt-clean.
 fmt:
@@ -70,16 +71,6 @@ bench-eval:
 		| $(GO) run ./cmd/benchjson -o BENCH_eval.json
 	@echo "wrote BENCH_eval.json"
 
-## bench-cluster: one distributed multiply through a three-worker loopback
-## cluster, by shard reference vs with operands shipped inline — written to
-## BENCH_cluster.json. Each record carries the coordinator's streaming-merge
-## high-water mark as a mergePeakB/op entry under "extra". BENCHTIME=1x for
-## a quick smoke.
-bench-cluster:
-	$(GO) test -run '^$$' -bench '^BenchmarkCluster_' -benchtime=$(BENCHTIME) . \
-		| $(GO) run ./cmd/benchjson -o BENCH_cluster.json
-	@echo "wrote BENCH_cluster.json"
-
 ## bench-compare: diff the current BENCH_kernels.json / BENCH_eval.json
 ## against the committed baselines under bench/baselines/ and report
 ## regressions beyond TOLERANCE percent (ns/op and extra metrics; allocs/op
@@ -103,3 +94,10 @@ serve-smoke:
 ## harness.
 cluster-smoke:
 	ATSERVE_SMOKE=1 $(GO) test -race ./cmd/atserve -run 'TestClusterSmoke' -count=1 -v
+
+## atload-build: vet and short-test the benchmark driver. atload/ is its
+## own module (replace atmatrix => ../), so `go build ./...` and `go test
+## ./...` at the root never compile it; a change to a package it imports
+## is only known to keep it working once this has run. Offline, < 10 s.
+atload-build:
+	cd atload && $(GO) vet ./... && $(GO) test -short ./...

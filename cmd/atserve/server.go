@@ -272,10 +272,11 @@ func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		s.mgr.Unquarantine(name)
 		if s.coord != nil {
 			// Replicate the new matrix's tile-row shards across the cluster
-			// so multiplies reference them instead of shipping operands.
-			// Best-effort: an unsharded matrix still multiplies through the
-			// legacy wire-ship path, and the anti-entropy loop retries as
-			// workers come back.
+			// so multiplies find them in the workers' stores. Best-effort:
+			// a matrix left without a shard map is cut into ephemeral
+			// shards by each multiply that uses it, and the anti-entropy
+			// loop restores an under-replicated placement as workers come
+			// back.
 			s.coord.DropShards(r.Context(), name)
 			if serr := s.coord.ShardByName(r.Context(), name); serr != nil {
 				log.Printf("atserve: sharding %s across cluster: %v", name, serr)

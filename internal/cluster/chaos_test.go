@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -20,79 +22,108 @@ import (
 	"atmatrix/internal/sched"
 )
 
-// TestClusterChaosKillWorkerMidMultiply is the ISSUE's kill-9 drill: a
+// chaosOperands prepares one drill's operands on a coordinator: as given
+// and unnamed (cut into ephemeral shards per multiply), or — sharded —
+// loaded into a catalog and sharded at PUT time, the way production atserve
+// runs. Both must survive every drill identically.
+func chaosOperands(t *testing.T, coord *Coordinator, cfg core.Config, sharded bool, am, bm *core.ATMatrix) (aName, bName string, a, b *core.ATMatrix) {
+	t.Helper()
+	if !sharded {
+		return "", "", am, bm
+	}
+	cat := loadCatalog(t, cfg, map[string]*core.ATMatrix{"a": am, "b": bm})
+	coord.AttachCatalog(cat)
+	for _, name := range []string{"a", "b"} {
+		if err := coord.ShardByName(context.Background(), name); err != nil {
+			t.Fatalf("sharding %s: %v", name, err)
+		}
+	}
+	return "a", "b", acquireMatrix(t, cat, "a"), acquireMatrix(t, cat, "b")
+}
+
+// forEachTransport runs a drill once with unnamed operands and once with
+// operands sharded at PUT time.
+func forEachTransport(t *testing.T, drill func(t *testing.T, sharded bool)) {
+	t.Run("ephemeral", func(t *testing.T) { drill(t, false) })
+	t.Run("sharded", func(t *testing.T) { drill(t, true) })
+}
+
+// TestClusterChaosKillWorkerMidMultiply is the kill-9 drill: a
 // three-worker cluster loses one worker in the middle of a distributed
 // ATMULT — its connections are severed while it holds shard tasks — and
 // the multiply must still return a product byte-identical to single-node
 // execution (Freivalds on), with the victim's tile-rows accounted as
 // re-routed and no goroutine left behind.
 func TestClusterChaosKillWorkerMidMultiply(t *testing.T) {
-	cfg := testCfg()
-	sched.RuntimeFor(cfg.Topology) // pre-warm: its goroutines are not this test's leak
-	leakcheck.Check(t)
-	rng := rand.New(rand.NewSource(51))
-	a := partition(t, cfg, mat.RandomCOO(rng, 192, 128, 5000))
-	b := partition(t, cfg, mat.RandomCOO(rng, 128, 160, 4500))
+	forEachTransport(t, func(t *testing.T, sharded bool) {
+		cfg := testCfg()
+		sched.RuntimeFor(cfg.Topology) // pre-warm: its goroutines are not this test's leak
+		leakcheck.Check(t)
+		rng := rand.New(rand.NewSource(51))
+		am := partition(t, cfg, mat.RandomCOO(rng, 192, 128, 5000))
+		bm := partition(t, cfg, mat.RandomCOO(rng, 128, 160, 4500))
 
-	local, _, err := core.MultiplyOpt(a, b, cfg, core.DefaultMultOptions())
-	if err != nil {
-		t.Fatalf("local multiply: %v", err)
-	}
+		local, _, err := core.MultiplyOpt(am, bm, cfg, core.DefaultMultOptions())
+		if err != nil {
+			t.Fatalf("local multiply: %v", err)
+		}
 
-	hc := testClient(t)
-	// The victim's exec handler signals arrival and then hangs until the
-	// kill; the killer then severs every connection, kill-9 style, so the
-	// in-flight RPC dies at the transport layer.
-	started := make(chan struct{})
-	dead := make(chan struct{})
-	var once sync.Once
-	victimAddr, victimSrv := startWorker(t, cfg, func(inner http.Handler) http.Handler {
-		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/cluster/v1/exec" {
-				once.Do(func() { close(started) })
-				// Hold the RPC until the kill; dead closes strictly after
-				// the connections are severed, so nothing coherent is ever
-				// written back.
-				select {
-				case <-r.Context().Done():
-				case <-dead:
+		hc := testClient(t)
+		// The victim's exec handler signals arrival and then hangs until the
+		// kill; the killer then severs every connection, kill-9 style, so the
+		// in-flight RPC dies at the transport layer.
+		started := make(chan struct{})
+		dead := make(chan struct{})
+		var once sync.Once
+		victimAddr, victimSrv := startWorker(t, cfg, func(inner http.Handler) http.Handler {
+			return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/cluster/v1/exec" {
+					once.Do(func() { close(started) })
+					// Hold the RPC until the kill; dead closes strictly after
+					// the connections are severed, so nothing coherent is ever
+					// written back.
+					select {
+					case <-r.Context().Done():
+					case <-dead:
+					}
+					return
 				}
-				return
-			}
-			inner.ServeHTTP(rw, r)
+				inner.ServeHTTP(rw, r)
+			})
 		})
+		addr2, _ := startWorker(t, cfg, nil)
+		addr3, _ := startWorker(t, cfg, nil)
+
+		coord := NewCoordinator(cfg, shardedOptions(hc), []string{victimAddr, addr2, addr3})
+		defer coord.Close()
+		aName, bName, a, b := chaosOperands(t, coord, cfg, sharded, am, bm)
+
+		killed := make(chan struct{})
+		go func() {
+			defer close(killed)
+			<-started
+			_ = victimSrv.Close()
+			close(dead)
+		}()
+
+		opts := core.DefaultMultOptions()
+		opts.Verify = 2
+		dist, _, err := coord.Multiply(aName, bName, a, b, opts)
+		<-killed
+		if err != nil {
+			t.Fatalf("multiply with killed worker: %v", err)
+		}
+		if !bytes.Equal(serializeATM(t, dist), serializeATM(t, local)) {
+			t.Fatal("product after worker loss is not byte-identical to local execution")
+		}
+		s := coord.Stats()
+		if s.TilesRerouted == 0 {
+			t.Fatalf("stats = %+v, want re-routed tile-rows after the kill", s)
+		}
+		if s.RemoteMultiplies != 1 {
+			t.Fatalf("remote multiplies = %d, want 1", s.RemoteMultiplies)
+		}
 	})
-	addr2, _ := startWorker(t, cfg, nil)
-	addr3, _ := startWorker(t, cfg, nil)
-
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		<-started
-		_ = victimSrv.Close()
-		close(dead)
-	}()
-
-	coord := NewCoordinator(cfg, testOptions(hc), []string{victimAddr, addr2, addr3})
-	defer coord.Close()
-
-	opts := core.DefaultMultOptions()
-	opts.Verify = 2
-	dist, _, err := coord.Multiply("", "", a, b, opts)
-	<-killed
-	if err != nil {
-		t.Fatalf("multiply with killed worker: %v", err)
-	}
-	if !bytes.Equal(serializeATM(t, dist), serializeATM(t, local)) {
-		t.Fatal("product after worker loss is not byte-identical to local execution")
-	}
-	s := coord.Stats()
-	if s.TilesRerouted == 0 {
-		t.Fatalf("stats = %+v, want re-routed tile-rows after the kill", s)
-	}
-	if s.RemoteMultiplies != 1 {
-		t.Fatalf("remote multiplies = %d, want 1", s.RemoteMultiplies)
-	}
 }
 
 // TestClusterChaosAllWorkersDownFallsBackLocal points the coordinator at
@@ -147,49 +178,52 @@ func TestClusterChaosAllWorkersDownFallsBackLocal(t *testing.T) {
 // pathologically slow and checks that the hedge fires, the fast worker's
 // duplicate wins, and the product is still byte-identical.
 func TestClusterChaosHedgedStraggler(t *testing.T) {
-	cfg := testCfg()
-	sched.RuntimeFor(cfg.Topology) // pre-warm: its goroutines are not this test's leak
-	leakcheck.Check(t)
-	rng := rand.New(rand.NewSource(53))
-	a := partition(t, cfg, mat.RandomCOO(rng, 128, 96, 3000))
-	b := partition(t, cfg, mat.RandomCOO(rng, 96, 112, 2500))
+	forEachTransport(t, func(t *testing.T, sharded bool) {
+		cfg := testCfg()
+		sched.RuntimeFor(cfg.Topology) // pre-warm: its goroutines are not this test's leak
+		leakcheck.Check(t)
+		rng := rand.New(rand.NewSource(53))
+		am := partition(t, cfg, mat.RandomCOO(rng, 128, 96, 3000))
+		bm := partition(t, cfg, mat.RandomCOO(rng, 96, 112, 2500))
 
-	local, _, err := core.MultiplyOpt(a, b, cfg, core.DefaultMultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+		local, _, err := core.MultiplyOpt(am, bm, cfg, core.DefaultMultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	hc := testClient(t)
-	slowAddr, _ := startWorker(t, cfg, func(inner http.Handler) http.Handler {
-		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/cluster/v1/exec" {
-				select {
-				case <-time.After(3 * time.Second):
-				case <-r.Context().Done():
-					return
+		hc := testClient(t)
+		slowAddr, _ := startWorker(t, cfg, func(inner http.Handler) http.Handler {
+			return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/cluster/v1/exec" {
+					select {
+					case <-time.After(3 * time.Second):
+					case <-r.Context().Done():
+						return
+					}
 				}
-			}
-			inner.ServeHTTP(rw, r)
+				inner.ServeHTTP(rw, r)
+			})
 		})
+		fastAddr, _ := startWorker(t, cfg, nil)
+
+		opts := shardedOptions(hc)
+		opts.HedgeAfter = 20 * time.Millisecond
+		coord := NewCoordinator(cfg, opts, []string{slowAddr, fastAddr})
+		defer coord.Close()
+		aName, bName, a, b := chaosOperands(t, coord, cfg, sharded, am, bm)
+
+		dist, _, err := coord.Multiply(aName, bName, a, b, core.DefaultMultOptions())
+		if err != nil {
+			t.Fatalf("hedged multiply: %v", err)
+		}
+		if !bytes.Equal(serializeATM(t, dist), serializeATM(t, local)) {
+			t.Fatal("hedged product differs from local execution")
+		}
+		s := coord.Stats()
+		if s.HedgesSent == 0 || s.HedgedWins == 0 {
+			t.Fatalf("stats = %+v, want hedges sent and won", s)
+		}
 	})
-	fastAddr, _ := startWorker(t, cfg, nil)
-
-	opts := testOptions(hc)
-	opts.HedgeAfter = 20 * time.Millisecond
-	coord := NewCoordinator(cfg, opts, []string{slowAddr, fastAddr})
-	defer coord.Close()
-
-	dist, _, err := coord.Multiply("", "", a, b, core.DefaultMultOptions())
-	if err != nil {
-		t.Fatalf("hedged multiply: %v", err)
-	}
-	if !bytes.Equal(serializeATM(t, dist), serializeATM(t, local)) {
-		t.Fatal("hedged product differs from local execution")
-	}
-	s := coord.Stats()
-	if s.HedgesSent == 0 || s.HedgedWins == 0 {
-		t.Fatalf("stats = %+v, want hedges sent and won", s)
-	}
 }
 
 // TestClusterChaosCorruptTransferReroutes damages every product stream one
@@ -241,8 +275,9 @@ func TestClusterChaosAllTransfersCorruptSurfacesChecksum(t *testing.T) {
 	b := partition(t, cfg, mat.RandomCOO(rng, 64, 64, 1200))
 
 	hc := testClient(t)
-	addr1, _ := startWorker(t, cfg, corruptingWrapper())
-	addr2, _ := startWorker(t, cfg, corruptingWrapper())
+	workers := []*Worker{NewWorker(cfg), NewWorker(cfg)}
+	addr1, _ := serveWorker(t, workers[0], corruptingWrapper())
+	addr2, _ := serveWorker(t, workers[1], corruptingWrapper())
 
 	coord := NewCoordinator(cfg, testOptions(hc), []string{addr1, addr2})
 	defer coord.Close()
@@ -254,8 +289,74 @@ func TestClusterChaosAllTransfersCorruptSurfacesChecksum(t *testing.T) {
 	if !errors.Is(err, core.ErrChecksum) {
 		t.Fatalf("error %v does not carry core.ErrChecksum", err)
 	}
-	if s := coord.Stats(); s.LocalTasks != 0 {
+	s := coord.Stats()
+	if s.LocalTasks != 0 {
 		t.Fatalf("stats = %+v, corrupt transfers must not silently degrade to local tasks", s)
+	}
+	// Every worker was sent the operands' ephemeral shards before its
+	// product stream failed; the failed multiply must not leave them.
+	if s.ShardShips == 0 {
+		t.Fatalf("stats = %+v, want the unnamed operands uploaded before the failures", s)
+	}
+	if n := storedShards(workers); n != 0 {
+		t.Fatalf("workers hold %d shards after the failed multiply, want 0", n)
+	}
+}
+
+// TestClusterChaosCancelMidMultiplyDropsEphemeral cancels a multiply of
+// unnamed operands while its tasks execute — after the workers were sent
+// the ephemeral shards — and checks the multiply returns the context error
+// with the worker stores back at their pre-multiply size.
+func TestClusterChaosCancelMidMultiplyDropsEphemeral(t *testing.T) {
+	cfg := testCfg()
+	sched.RuntimeFor(cfg.Topology) // pre-warm: its goroutines are not this test's leak
+	leakcheck.Check(t)
+	rng := rand.New(rand.NewSource(61))
+	a := partition(t, cfg, mat.RandomCOO(rng, 96, 96, 2000))
+	b := partition(t, cfg, mat.RandomCOO(rng, 96, 96, 2000))
+
+	// An exec that finds its shards in the store hangs until the caller
+	// gives up; the 409 round that triggers the uploads passes through.
+	executing := make(chan struct{})
+	var once sync.Once
+	workers := []*Worker{NewWorker(cfg), NewWorker(cfg)}
+	var peers []string
+	for _, w := range workers {
+		w := w
+		addr, _ := serveWorker(t, w, func(inner http.Handler) http.Handler {
+			return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/cluster/v1/exec" && w.Store().Len() > 0 {
+					once.Do(func() { close(executing) })
+					// The server only notices the caller hanging up once
+					// the request body has been read.
+					_, _ = io.Copy(io.Discard, r.Body)
+					<-r.Context().Done()
+					return
+				}
+				inner.ServeHTTP(rw, r)
+			})
+		})
+		peers = append(peers, addr)
+	}
+	coord := NewCoordinator(cfg, testOptions(testClient(t)), peers)
+	defer coord.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-executing
+		cancel()
+	}()
+	opts := core.DefaultMultOptions()
+	opts.Ctx = ctx
+	if _, _, err := coord.Multiply("", "", a, b, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("multiply error = %v, want context.Canceled", err)
+	}
+	if coord.Stats().ShardShips == 0 {
+		t.Fatal("the multiply was cancelled before any shard was uploaded")
+	}
+	if n := storedShards(workers); n != 0 {
+		t.Fatalf("workers hold %d shards after the cancelled multiply, want 0", n)
 	}
 }
 

@@ -1,16 +1,23 @@
 // Package cluster distributes ATMULT across atserve processes: a
-// coordinator shards the left operand's tile-rows over worker nodes by the
+// coordinator shards each operand's tile-rows over worker nodes by the
 // paper's §III-F round-robin placement (sched.PlaceRoundRobin — the same
-// policy that homes tile-rows on sockets, lifted one level), ships
-// 2D-partitioned shard operands as CRC-footered .atm streams over HTTP,
-// and merges the disjoint partial products back into one band-grid result.
+// policy that homes tile-rows on sockets, lifted one level), uploads the
+// shards as CRC-footered .atm streams into the workers' shard stores,
+// executes one task per shard of the left operand by reference, and merges
+// the disjoint partial products back into one band-grid result.
 //
-// The sharding is bit-transparent: shard tiles are pre-split at the global
-// band cuts (never in the contraction direction), the coordinator ships
-// the globally derived write threshold (core.PlanWriteThreshold), and
-// every kernel accumulates per output cell in ascending contraction order
-// — so a distributed multiply produces a byte-identical .atm stream to a
-// local one, and the kill-9 chaos drill asserts exactly that.
+// There is one operand transport (proto.go): shard bytes reach a worker
+// only through a shard upload, and an exec request is a JSON header of
+// shard references and nothing else.
+//
+// The sharding is bit-transparent: shards carry whole original tiles,
+// never split at band cuts or in the contraction direction (a tile
+// spanning several bands rides in every shard it overlaps and the
+// redundant spill-over targets are filtered at assembly), the coordinator
+// ships the globally derived write threshold (core.PlanWriteThreshold),
+// and every kernel accumulates per output cell in ascending contraction
+// order — so a distributed multiply produces a byte-identical .atm stream
+// to a local one, and the kill-9 chaos drill asserts exactly that.
 //
 // Robustness is the point of the package. Each worker is a RemoteTeam —
 // the cluster-level analog of a sched.Team — with heartbeat-driven health
@@ -87,9 +94,6 @@ type Options struct {
 	// the straggler hedge. First success wins; the loser is cancelled.
 	// Zero disables hedging.
 	HedgeAfter time.Duration
-	// ColChunks is the number of column chunks of the 2D partition; zero
-	// derives it from the worker count (capped by the column-band count).
-	ColChunks int
 	// Replication is the shard replication factor R of the sharded
 	// catalog: every shard is shipped to its primary and R−1 ring
 	// successors (default 2). Capped by the worker count at placement
@@ -227,7 +231,7 @@ type Stats struct {
 	// the current shard maps; UnderReplicatedShards counts shards whose
 	// healthy durable holders are below the replication factor (the
 	// /healthz degradation signal); ShardShips/ShardShipBytes count shard
-	// uploads (placement, re-replication, inline cache fills);
+	// uploads (placement, re-replication, fills of missing references);
 	// ShardRefHits/ShardRefBytes count operand bytes that did NOT cross
 	// the wire because the worker resolved a reference from its store.
 	ShardedMatrices       int   `json:"sharded_matrices"`

@@ -11,17 +11,16 @@ import (
 
 	"atmatrix/internal/catalog"
 	"atmatrix/internal/core"
-	"atmatrix/internal/sched"
 )
 
 // Coordinator owns the worker registry, the replicated shard catalog and
 // the distribution of multiplications: plan globally (band grid + write
-// threshold), execute against pre-replicated catalog shards by reference
-// (falling back to the legacy per-multiply 2D wire-ship partition for
-// unsharded operands), dispatch with retries/re-routing/hedging, and merge
-// the streamed partial-product frames under a bounded reassembly window.
-// Install Multiply as service.Options.Distribute to put it behind the
-// admission queue.
+// threshold), cut one task per shard of the left operand, execute every
+// task by shard reference against the workers' stores (uploading a shard
+// only to a worker that reports it missing), dispatch with
+// retries/re-routing/hedging, and merge the streamed partial-product
+// frames under a bounded reassembly window. Install Multiply as
+// service.Options.Distribute to put it behind the admission queue.
 type Coordinator struct {
 	cfg  core.Config
 	opts Options
@@ -31,7 +30,8 @@ type Coordinator struct {
 
 	// Sharded-catalog state: the attached catalog (shard maps persist in
 	// its manifest), the in-memory map cache, and the opportunistic
-	// holder cache filled by inline exec transfers. Guarded by shardMu.
+	// holder cache filled when a worker executes against an uploaded
+	// missing shard. Guarded by shardMu.
 	shardMu      sync.Mutex
 	cat          *catalog.Catalog
 	shardMaps    map[string]*catalog.ShardMap
@@ -42,6 +42,10 @@ type Coordinator struct {
 
 	// gate is the streaming merge's bounded reassembly window.
 	gate *mergeGate
+
+	// ephemeralSeq numbers per-multiply shard maps; negated, it is their
+	// generation, which no catalog hands out.
+	ephemeralSeq atomic.Int64
 
 	remoteMultiplies atomic.Int64
 	localFallbacks   atomic.Int64
@@ -246,57 +250,40 @@ func (c *Coordinator) aliveTeams() []*RemoteTeam {
 	return alive
 }
 
-// task is one unit of distributed work: one shard of A × one span of B —
-// either resolved from the workers' shard stores by reference (the
-// sharded-catalog path) or pre-encoded wire payloads (the legacy
-// per-multiply partition). The shard matrices are kept for the
-// last-resort local execution.
+// task is one unit of distributed work: one shard of A × all of B, both
+// resolved from the workers' shard stores by reference. The shard matrices
+// are kept for the last-resort local execution.
 //
 // Shard tiles are the ORIGINAL tiles, never split at band cuts: the
 // dynamic optimizer's cost model reads whole-tile densities, so a split
 // tile would steer kernel and representation choices differently than the
 // local run and break bit-identity. A tile spanning several bands
 // therefore rides along into every shard overlapping it, the worker
-// redundantly computes the spilled-over targets, and keepRow/keepCol
-// restrict the returned product to the targets this task owns.
+// redundantly computes the spilled-over targets, and keepRow restricts
+// the returned product to the tile-rows this task owns. Nothing is
+// ever cut in the contraction direction — every worker runs the exact
+// contraction windows, kernels and accumulation order of the local
+// operator.
 type task struct {
 	owner      int // index into the alive-team snapshot
 	aMat, bMat *core.ATMatrix
-	aBytes     []byte
-	bBytes     []byte
-	// aRefs/bRefs resolve the operands from worker shard stores; holders
-	// records each referenced shard's durable replica set and src
-	// regenerates payloads for inline cache fills.
-	aRefs   []shardRef
-	bRefs   []shardRef
-	holders map[ShardKey]map[string]bool
-	src     *shardSource
-	nRows   int // tile-rows covered, the tiles_rerouted unit
-	// keepRow and keepCol hold the band Lo coordinates of the owned
-	// (tile-row × column-chunk) region; result tiles always sit exactly on
-	// band origins, so membership is exact.
+	// aRefs/bRefs resolve the operands from worker shard stores; src
+	// regenerates the payload of a shard a worker reports missing.
+	aRefs []shardRef
+	bRefs []shardRef
+	src   *shardSource
+	// keepRow holds the band Lo coordinates of the owned tile-rows (their
+	// count is the tiles_rerouted unit); result tiles always sit exactly on
+	// band origins, so membership is exact. Every task multiplies by whole
+	// B and so owns all of its column bands.
 	keepRow map[int]bool
-	keepCol map[int]bool
-}
-
-// keep reports whether a returned product tile belongs to this task's
-// owned region (rather than spill-over from a band-spanning shard tile).
-func (t *task) keep(tile *core.Tile) bool {
-	return t.keepRow[tile.Row0] && t.keepCol[tile.Col0]
-}
-
-// refs lists every shard reference the task's operands resolve through.
-func (t *task) refs() []shardRef {
-	out := make([]shardRef, 0, len(t.aRefs)+len(t.bRefs))
-	out = append(out, t.aRefs...)
-	out = append(out, t.bRefs...)
-	return out
 }
 
 // Multiply executes C = A·B across the cluster, falling back to local
 // execution when no workers can serve. The operand names select the
-// catalog shard maps ("" or an unsharded name falls back to wire-shipping
-// the operands). It satisfies the service.Options.Distribute contract.
+// catalog shard maps; an operand without a usable one ("" or an unsharded
+// name) is cut into ephemeral shards that live for this multiply only. It
+// satisfies the service.Options.Distribute contract.
 func (c *Coordinator) Multiply(aName, bName string, a, b *core.ATMatrix, opts core.MultOptions) (*core.ATMatrix, *core.MultStats, error) {
 	alive := c.aliveTeams()
 	if len(alive) == 0 ||
@@ -340,15 +327,11 @@ func (c *Coordinator) multiplyDistributed(aName, bName string, a, b *core.ATMatr
 		WriteThreshold: stats.WriteThreshold,
 		SpGEMM:         int(opts.SpGEMM),
 	}
-	tasks, err := c.buildShardTasks(aName, bName, a, b, alive)
+	src := newShardSource()
+	defer c.dropEphemeral(ctx, src)
+	tasks, err := c.buildShardTasks(aName, bName, a, b, alive, src)
 	if err != nil {
 		return nil, nil, err
-	}
-	if tasks == nil {
-		tasks, err = c.buildTasks(a, b, len(alive))
-		if err != nil {
-			return nil, nil, err
-		}
 	}
 	stats.EstimateTime = time.Since(t0)
 
@@ -397,9 +380,9 @@ func (c *Coordinator) multiplyDistributed(aName, bName string, a, b *core.ATMatr
 	}
 
 	// Merge: the per-frame filtering already restricted every partial to
-	// its task's owned disjoint (tile-row × column-chunk) region and
-	// re-homed the tiles — assembly is a band-grid sort, the same
-	// (Row0, Col0) order the local operator emits its result slots in.
+	// its task's owned disjoint tile-rows and re-homed the tiles —
+	// assembly is a band-grid sort, the same (Row0, Col0) order the local
+	// operator emits its result slots in.
 	var tiles []*core.Tile
 	for _, kept := range partials {
 		tiles = append(tiles, kept...)
@@ -425,146 +408,6 @@ func (c *Coordinator) multiplyDistributed(aName, bName string, a, b *core.ATMatr
 	}
 	stats.WallTime = time.Since(wallStart)
 	return out, stats, nil
-}
-
-// buildTasks cuts the operands into the legacy per-multiply 2D shard
-// grid: the round-robin owner of each of A's tile-rows
-// (sched.PlaceRoundRobin — placement and its dead-home routing live in
-// the scheduler, so the cluster provably shares the local §III-F policy)
-// crossed with contiguous column chunks of B, every operand wire-shipped.
-// This is the fallback for operands without catalog shard maps. Shards
-// carry whole original tiles (see task), so a band-spanning tile lands in
-// every shard it overlaps and nothing is ever cut in the contraction
-// direction — every worker runs the exact contraction windows, kernels
-// and accumulation order of the local operator.
-func (c *Coordinator) buildTasks(a, b *core.ATMatrix, workers int) ([]*task, error) {
-	rowBands := a.RowBands()
-	colBands := b.ColBands()
-	queues, ok := sched.PlaceRoundRobin(len(rowBands), workers, nil)
-	if !ok {
-		return nil, fmt.Errorf("cluster: no home for %d tile-rows", len(rowBands))
-	}
-
-	// Column chunks: contiguous runs of column bands, one per worker by
-	// default so the 2D grid gives re-routing and hedging sub-multiply
-	// granularity.
-	chunks := c.opts.ColChunks
-	if chunks <= 0 {
-		chunks = workers
-	}
-	if chunks > len(colBands) {
-		chunks = len(colBands)
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	chunkOf := func(band int) int { return band * chunks / len(colBands) }
-	bChunkTiles := make([][]*core.Tile, chunks)
-	for _, t := range b.Tiles {
-		first, last := bandRange(colBands, t.Col0, t.Col0+t.Cols)
-		for cc := chunkOf(first); cc <= chunkOf(last); cc++ {
-			bChunkTiles[cc] = append(bChunkTiles[cc], t)
-		}
-	}
-	bChunk := make([]*core.ATMatrix, chunks)
-	bBytes := make([][]byte, chunks)
-	keepCol := make([]map[int]bool, chunks)
-	for tj, band := range colBands {
-		cc := chunkOf(tj)
-		if keepCol[cc] == nil {
-			keepCol[cc] = make(map[int]bool)
-		}
-		keepCol[cc][band.Lo] = true
-	}
-	for cc, ts := range bChunkTiles {
-		if len(ts) == 0 {
-			continue
-		}
-		m, err := core.NewFromTiles(b.Rows, b.Cols, b.BAtomic, ts)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: building B chunk %d: %w", cc, err)
-		}
-		enc, err := encodeMatrix(m)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: encoding B chunk %d: %w", cc, err)
-		}
-		bChunk[cc], bBytes[cc] = m, enc
-	}
-
-	// A shards, one per worker owning at least one non-empty tile-row. A
-	// tile spanning several bands joins every owner's shard.
-	ownerOf := make(map[int]int, len(rowBands)) // band index -> owner
-	for w, q := range queues {
-		for _, ti := range q {
-			ownerOf[int(ti)] = w
-		}
-	}
-	aShardTiles := make([][]*core.Tile, workers)
-	rowsCovered := make([]map[int]bool, workers)
-	for _, t := range a.Tiles {
-		first, last := bandRange(rowBands, t.Row0, t.Row0+t.Rows)
-		seen := -1
-		for band := first; band <= last; band++ {
-			w := ownerOf[band]
-			if rowsCovered[w] == nil {
-				rowsCovered[w] = make(map[int]bool)
-			}
-			rowsCovered[w][band] = true
-			if w != seen {
-				aShardTiles[w] = append(aShardTiles[w], t)
-				seen = w
-			}
-		}
-	}
-	// Dedup: with >2 owners a tile can reach the same shard twice through
-	// non-adjacent bands; membership must be unique for NewFromTiles.
-	for w := range aShardTiles {
-		ts := aShardTiles[w]
-		uniq := ts[:0]
-		last := map[*core.Tile]bool{}
-		for _, t := range ts {
-			if !last[t] {
-				last[t] = true
-				uniq = append(uniq, t)
-			}
-		}
-		aShardTiles[w] = uniq
-	}
-
-	var tasks []*task
-	for w, ts := range aShardTiles {
-		if len(ts) == 0 {
-			continue
-		}
-		m, err := core.NewFromTiles(a.Rows, a.Cols, a.BAtomic, ts)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: building A shard %d: %w", w, err)
-		}
-		enc, err := encodeMatrix(m)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: encoding A shard %d: %w", w, err)
-		}
-		keepRow := make(map[int]bool, len(rowsCovered[w]))
-		for band := range rowsCovered[w] {
-			if ownerOf[band] == w {
-				keepRow[rowBands[band].Lo] = true
-			}
-		}
-		for cc := 0; cc < chunks; cc++ {
-			if bChunk[cc] == nil {
-				continue
-			}
-			tasks = append(tasks, &task{
-				owner: w,
-				aMat:  m, bMat: bChunk[cc],
-				aBytes: enc, bBytes: bBytes[cc],
-				nRows:   len(keepRow),
-				keepRow: keepRow,
-				keepCol: keepCol[cc],
-			})
-		}
-	}
-	return tasks, nil
 }
 
 // attemptResult is one exec attempt's outcome, tagged with the worker
@@ -617,16 +460,20 @@ func (c *Coordinator) runTask(ctx context.Context, alive []*RemoteTeam, hdr exec
 		tried[idx] = true
 		if idx != t.owner {
 			// The owner could not serve its tile-rows; account the move.
-			c.tilesRerouted.Add(int64(t.nRows))
+			c.tilesRerouted.Add(int64(len(t.keepRow)))
 		}
 
 		actx, cancel := context.WithCancel(ctx)
 		results := make(chan attemptResult, 2)
-		launched := 1
-		go func(i int) {
-			tiles, cn, err := c.execOnWorker(actx, alive[i], hdr, t)
-			results <- attemptResult{tiles: tiles, contribs: cn, err: err, idx: i}
-		}(idx)
+		launched := 0
+		launch := func(i int) {
+			launched++
+			go func() {
+				tiles, cn, err := c.execOnWorker(actx, alive[i], hdr, t)
+				results <- attemptResult{tiles: tiles, contribs: cn, err: err, idx: i}
+			}()
+		}
+		launch(idx)
 
 		var hedgeCh <-chan time.Time
 		var hedgeTimer *time.Timer
@@ -649,11 +496,7 @@ func (c *Coordinator) runTask(ctx context.Context, alive []*RemoteTeam, hdr exec
 				if h := next(); h >= 0 {
 					tried[h] = true
 					c.hedgesSent.Add(1)
-					launched++
-					go func(i int) {
-						tiles, cn, err := c.execOnWorker(actx, alive[i], hdr, t)
-						results <- attemptResult{tiles: tiles, contribs: cn, err: err, idx: i}
-					}(h)
+					launch(h)
 				}
 			}
 		}
@@ -662,7 +505,8 @@ func (c *Coordinator) runTask(ctx context.Context, alive []*RemoteTeam, hdr exec
 			hedgeTimer.Stop()
 		}
 		// Collect stragglers so no attempt goroutine outlives the
-		// multiply (their contexts are cancelled, so this is prompt).
+		// multiply (their contexts are cancelled, so this is prompt; only
+		// a shard upload already in flight runs to its end first).
 		for launched > 0 {
 			r := <-results
 			launched--
@@ -695,10 +539,11 @@ func (c *Coordinator) runTask(ctx context.Context, alive []*RemoteTeam, hdr exec
 }
 
 // keepTiles filters one batch of product tiles down to the task's owned
-// region and re-homes the survivors onto the topology's socket layout.
+// region (dropping spill-over from band-spanning shard tiles) and re-homes
+// the survivors onto the topology's socket layout.
 func (c *Coordinator) keepTiles(t *task, tiles []*core.Tile, into []*core.Tile) []*core.Tile {
 	for _, tile := range tiles {
-		if !t.keep(tile) {
+		if !t.keepRow[tile.Row0] {
 			continue
 		}
 		tile.Home = c.cfg.Topology.HomeOfTileRow(tile.Row0 / c.cfg.BAtomic)
@@ -710,15 +555,13 @@ func (c *Coordinator) keepTiles(t *task, tiles []*core.Tile, into []*core.Tile) 
 // execOnWorker runs the per-worker retry loop: transient failures re-send
 // to the same worker under capped exponential backoff; permanent ones
 // return immediately so the caller re-routes. Transport-level failures
-// count against the worker's health exactly like missed heartbeats.
-// Referenced shards the worker already holds travel as keys; the rest are
-// inlined — and a 409 cache miss triggers one immediate re-send per shard
-// with the missing payloads attached, which on success makes the worker a
-// (cached) holder for subsequent multiplies.
+// count against the worker's health exactly like missed heartbeats. A 409
+// cache miss is not a failure: the missing shards are uploaded to the
+// worker and the same reference-only exec is re-sent at once, bounded by
+// the reference count.
 func (c *Coordinator) execOnWorker(ctx context.Context, rt *RemoteTeam, hdr execHeader, t *task) ([]*core.Tile, int64, error) {
-	refs := t.refs()
-	forceInline := make(map[ShardKey]bool)
-	refills := 0
+	hdr.ARefs, hdr.BRefs = t.aRefs, t.bRefs
+	filled := make(map[ShardKey]bool)
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -726,26 +569,6 @@ func (c *Coordinator) execOnWorker(ctx context.Context, rt *RemoteTeam, hdr exec
 			if !sleepCtx(ctx, backoffDelay(c.opts.RetryBase, c.opts.RetryMax, attempt-1)) {
 				return nil, 0, ctx.Err()
 			}
-		}
-		hdr2 := hdr
-		hdr2.ARefs, hdr2.BRefs = t.aRefs, t.bRefs
-		var inlineData [][]byte
-		var refHits []shardRef
-		for _, ref := range refs {
-			if !forceInline[ref.ShardKey] &&
-				(t.holders[ref.ShardKey][rt.addr] || c.cachedHolder(ref.ShardKey, rt.addr)) {
-				refHits = append(refHits, ref)
-				continue
-			}
-			data, err := t.src.bytes(ref.ShardKey)
-			if err != nil {
-				// The coordinator cannot regenerate the shard to the
-				// recorded fingerprint: surface it (checksum failures reach
-				// the quarantine) rather than executing on divergent bytes.
-				return nil, 0, err
-			}
-			hdr2.Inline = append(hdr2.Inline, ref)
-			inlineData = append(inlineData, data)
 		}
 		var kept []*core.Tile
 		rctx, cancel := context.WithTimeout(ctx, c.opts.RPCTimeout)
@@ -755,16 +578,31 @@ func (c *Coordinator) execOnWorker(ctx context.Context, rt *RemoteTeam, hdr exec
 			kept = c.keepTiles(t, m.Tiles, kept)
 			return nil
 		}
-		contribs, err := rt.exec(rctx, hdr2, inlineData, t.aBytes, t.bBytes, acquire, onFrame)
+		contribs, err := rt.exec(rctx, hdr, acquire, onFrame)
 		cancel()
+		var mse *missingShardsError
+		if errors.As(err, &mse) {
+			// A cache miss, not a failure: upload what is missing and
+			// re-send at once. Every round must fill a reference this
+			// call had not filled before, which bounds the re-sends.
+			fresh, ferr := c.fillShards(ctx, rt, t.src, mse.keys, filled)
+			if ferr == nil && fresh {
+				attempt--
+				continue
+			}
+			if ferr != nil {
+				err = ferr
+			}
+		}
 		if err == nil {
 			c.observeHealth(rt, true)
-			for _, ref := range hdr2.Inline {
-				c.noteHolder(ref.ShardKey, rt.addr)
-			}
-			for _, ref := range refHits {
-				c.shardRefHits.Add(1)
-				c.shardRefBytes.Add(ref.Bytes)
+			for _, refs := range [][]shardRef{t.aRefs, t.bRefs} {
+				for _, ref := range refs {
+					if !filled[ref.ShardKey] {
+						c.shardRefHits.Add(1)
+						c.shardRefBytes.Add(ref.Bytes)
+					}
+				}
 			}
 			return kept, contribs, nil
 		}
@@ -772,23 +610,6 @@ func (c *Coordinator) execOnWorker(ctx context.Context, rt *RemoteTeam, hdr exec
 			// The parent was cancelled (hedge lost, multiply aborted):
 			// the failure says nothing about the worker.
 			return nil, 0, ctx.Err()
-		}
-		var mse *missingShardsError
-		if errors.As(err, &mse) && refills < len(refs) {
-			fresh := false
-			for _, k := range mse.keys {
-				if !forceInline[k] {
-					forceInline[k] = true
-					fresh = true
-				}
-			}
-			if fresh {
-				// A cache miss, not a failure: re-send immediately with
-				// the missing shards inlined. Bounded by the ref count.
-				refills++
-				attempt--
-				continue
-			}
 		}
 		var te *transportError
 		if errors.As(err, &te) {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,35 +9,30 @@ import (
 	"atmatrix/internal/core"
 )
 
-// The exec RPC body is a single frame:
+// The cluster wire has one operand transport. Operand bytes move only as
+// shard uploads — POST /cluster/v1/shards, a CRC-fingerprinted .atm stream
+// the worker verifies and keeps in its ShardStore — and POST
+// /cluster/v1/exec carries exactly one JSON execHeader: the global plan
+// parameters plus (name, generation, shard) references with the CRC/size
+// fingerprint the stored bytes must match. A worker that cannot resolve a
+// reference answers 409 with the missing keys; the coordinator PUTs those
+// shards to it and re-sends the same exec. The .atm streams carry their own
+// CRC-32C footers, so a flipped bit anywhere in a shard fails the upload
+// with core.ErrChecksum (or a typed core.TileError naming the damaged
+// tile) rather than producing a silently wrong shard product.
 //
-//	uint32 little-endian header length
-//	JSON execHeader
-//	for each header Inline entry, in order:
-//	    int64 payload length, then that many bytes of shard .atm stream
-//	int64 aLen, then aLen bytes of A-operand .atm stream (0 = resolve
-//	    the A operand from the header's a_refs against the shard store)
-//	int64 bLen, then bLen bytes of B-operand .atm stream (0 = from b_refs)
-//
-// Reference-first is the normal sharded-catalog path: operands that were
-// previously replicated to the worker travel as (name, generation, shard)
-// keys plus a CRC fingerprint instead of megabytes of tiles. Inline
-// payloads piggyback shard bytes the worker is missing (a 409 told the
-// coordinator so) and are durably stored before execution, turning the
-// retry into a cache fill. The .atm streams carry their own CRC-32C
-// footers, so a flipped bit anywhere in an operand payload fails the
-// decode with core.ErrChecksum (or a typed core.TileError naming the
-// damaged tile) rather than producing a silently wrong shard product.
-//
-// A successful response is the product streamed as length-prefixed
+// A successful exec response is the product streamed as length-prefixed
 // per-tile-row .atm frames (core.WriteTileRowFrames) — the coordinator
 // merges each frame as it arrives under its bounded reassembly window
 // instead of buffering whole shard products. Failures are JSON {"error",
 // "corrupt", "transient", "missing_shards"} with a matching status code.
 
-// ShardKey names one stored shard: a cataloged matrix name, the shard-map
-// generation it was cut under, and the shard index. Workers key their
-// stores by it; exec references and inventory reports carry it.
+// ShardKey names one stored shard: a matrix name, the shard-map generation
+// it was cut under, and the shard index. Workers key their stores by it;
+// exec references and inventory reports carry it. Catalog generations are
+// positive; a negative generation marks a shard cut for one multiply only
+// (an operand with no usable recorded map), dropped when that multiply
+// returns.
 type ShardKey struct {
 	Name  string `json:"name"`
 	Gen   int64  `json:"gen"`
@@ -48,6 +42,9 @@ type ShardKey struct {
 func (k ShardKey) String() string {
 	return fmt.Sprintf("%s@%d/%d", k.Name, k.Gen, k.Shard)
 }
+
+// ephemeral reports whether the shard lives for one multiply only.
+func (k ShardKey) ephemeral() bool { return k.Gen < 0 }
 
 // shardRef is a shard reference in an exec header: the key to look up plus
 // the CRC/size fingerprint the stored bytes must match — a worker holding
@@ -68,33 +65,31 @@ type shardRef struct {
 	TileIdx []int `json:"tile_idx,omitempty"`
 }
 
-// execHeader carries the coordinator's global plan parameters — the block
-// granularity the shard streams were partitioned at and the globally
-// derived write threshold (a worker deriving its own water level from a
-// shard-local density map would classify result tiles differently than a
-// local run, breaking byte-identity) — plus the operand shard references.
+// execHeader is the whole exec request: the coordinator's global plan
+// parameters — the block granularity the shards were partitioned at and
+// the globally derived write threshold (a worker deriving its own water
+// level from a shard-local density map would classify result tiles
+// differently than a local run, breaking byte-identity) — plus the shard
+// references each operand resolves through. Multiple refs assemble into
+// one operand (all of B's shards for a row-shard task).
 type execHeader struct {
-	BAtomic        int     `json:"b_atomic"`
-	WriteThreshold float64 `json:"write_threshold"`
-	SpGEMM         int     `json:"spgemm"`
-	// ARefs/BRefs resolve the corresponding operand from the worker's
-	// shard store when its inline length is zero. Multiple refs assemble
-	// into one operand (all of B's shards for a row-shard task).
-	ARefs []shardRef `json:"a_refs,omitempty"`
-	BRefs []shardRef `json:"b_refs,omitempty"`
-	// Inline declares shard payloads appended to the frame, in order —
-	// cache fills for references this worker was missing.
-	Inline []shardRef `json:"inline,omitempty"`
+	BAtomic        int        `json:"b_atomic"`
+	WriteThreshold float64    `json:"write_threshold"`
+	SpGEMM         int        `json:"spgemm"`
+	ARefs          []shardRef `json:"a_refs"`
+	BRefs          []shardRef `json:"b_refs"`
 }
 
 const (
+	// maxHeaderBytes bounds an encoded execHeader (exclusive) and the other
+	// JSON request bodies a worker decodes.
 	maxHeaderBytes  = 1 << 20
 	maxOperandBytes = int64(1) << 33
 )
 
 // encodeMatrix serializes a matrix to an in-memory .atm stream, so the
-// coordinator pays the encoding once per shard however many retries,
-// hedges and re-routes ship it.
+// coordinator pays the encoding once per shard however many workers it is
+// shipped to.
 func encodeMatrix(m *core.ATMatrix) ([]byte, error) {
 	var buf bytes.Buffer
 	if _, err := m.WriteTo(&buf); err != nil {
@@ -103,125 +98,55 @@ func encodeMatrix(m *core.ATMatrix) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// execFrameReader returns a reader over the full frame and its length.
-// aBytes/bBytes may be nil when the header references the operand instead;
-// inline payloads must match hdr.Inline one-to-one.
-func execFrameReader(hdr execHeader, inline [][]byte, aBytes, bBytes []byte) (io.Reader, int64, error) {
-	if len(inline) != len(hdr.Inline) {
-		return nil, 0, fmt.Errorf("cluster: %d inline payloads for %d declared refs", len(inline), len(hdr.Inline))
-	}
+// encodeExecHeader renders the exec request body.
+func encodeExecHeader(hdr execHeader) ([]byte, error) {
 	hj, err := json.Marshal(hdr)
 	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: encoding exec header: %w", err)
+		return nil, fmt.Errorf("cluster: encoding exec header: %w", err)
 	}
-	if len(hj) > maxHeaderBytes {
-		return nil, 0, fmt.Errorf("cluster: exec header %d bytes exceeds limit %d", len(hj), maxHeaderBytes)
+	if len(hj) >= maxHeaderBytes {
+		return nil, fmt.Errorf("cluster: exec header %d bytes reaches limit %d", len(hj), maxHeaderBytes)
 	}
-	pre := make([]byte, 0, 4+len(hj))
-	pre = binary.LittleEndian.AppendUint32(pre, uint32(len(hj)))
-	pre = append(pre, hj...)
-	parts := []io.Reader{bytes.NewReader(pre)}
-	total := int64(len(pre))
-	appendPayload := func(b []byte) {
-		var ln [8]byte
-		binary.LittleEndian.PutUint64(ln[:], uint64(len(b)))
-		lnCopy := ln
-		parts = append(parts, bytes.NewReader(lnCopy[:]))
-		total += 8
-		if len(b) > 0 {
-			parts = append(parts, bytes.NewReader(b))
-			total += int64(len(b))
-		}
-	}
-	for _, b := range inline {
-		appendPayload(b)
-	}
-	appendPayload(aBytes)
-	appendPayload(bBytes)
-	return io.MultiReader(parts...), total, nil
+	return hj, nil
 }
 
-// readExecFrame decodes one exec request into the header, the raw inline
-// shard payloads (order matching hdr.Inline), and the operand matrices —
-// nil where the frame declared a zero length, meaning the operand resolves
-// from the header's references. Operand streams are decoded through
-// length-bounded readers: core.ReadATMatrix buffers internally, so without
-// the explicit lengths the first decode would swallow bytes of the next
-// stream.
-func readExecFrame(r io.Reader) (execHeader, [][]byte, *core.ATMatrix, *core.ATMatrix, error) {
+// decodeExecHeader reads one exec request body — a single JSON object
+// shorter than maxHeaderBytes, never reading past that many bytes — and
+// rejects anything a coordinator would not send: a block size that is not
+// a power of two in range, an operand without references, and negative
+// shard indices, sizes or tile indices. The size bound also bounds every
+// slice the decode allocates (a tile index costs at least two bytes).
+func decodeExecHeader(r io.Reader) (execHeader, error) {
 	var hdr execHeader
-	var lenBuf [8]byte
-	if _, err := io.ReadFull(r, lenBuf[:4]); err != nil {
-		return hdr, nil, nil, nil, fmt.Errorf("cluster: reading frame header length: %w", err)
+	hj, err := io.ReadAll(io.LimitReader(r, maxHeaderBytes))
+	if err != nil {
+		return hdr, fmt.Errorf("cluster: reading exec header: %w", err)
 	}
-	hlen := binary.LittleEndian.Uint32(lenBuf[:4])
-	if hlen == 0 || hlen > maxHeaderBytes {
-		return hdr, nil, nil, nil, fmt.Errorf("cluster: absurd frame header length %d", hlen)
-	}
-	hj := make([]byte, hlen)
-	if _, err := io.ReadFull(r, hj); err != nil {
-		return hdr, nil, nil, nil, fmt.Errorf("cluster: reading frame header: %w", err)
+	if len(hj) == maxHeaderBytes {
+		return hdr, fmt.Errorf("cluster: exec header reaches limit %d", maxHeaderBytes)
 	}
 	if err := json.Unmarshal(hj, &hdr); err != nil {
-		return hdr, nil, nil, nil, fmt.Errorf("cluster: decoding frame header: %w", err)
+		return hdr, fmt.Errorf("cluster: decoding exec header: %w", err)
 	}
 	if hdr.BAtomic <= 0 || hdr.BAtomic > 1<<20 || hdr.BAtomic&(hdr.BAtomic-1) != 0 {
-		return hdr, nil, nil, nil, fmt.Errorf("cluster: frame header b_atomic %d not a power of two", hdr.BAtomic)
+		return hdr, fmt.Errorf("cluster: exec header b_atomic %d not a power of two in range", hdr.BAtomic)
 	}
-	readLen := func(which string) (int64, error) {
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return 0, fmt.Errorf("cluster: reading %s length: %w", which, err)
-		}
-		n := int64(binary.LittleEndian.Uint64(lenBuf[:]))
-		if n < 0 || n > maxOperandBytes {
-			return 0, fmt.Errorf("cluster: absurd %s length %d", which, n)
-		}
-		return n, nil
+	if len(hdr.ARefs) == 0 || len(hdr.BRefs) == 0 {
+		return hdr, fmt.Errorf("cluster: exec header references %d A and %d B shards, need both operands", len(hdr.ARefs), len(hdr.BRefs))
 	}
-	inline := make([][]byte, len(hdr.Inline))
-	for i, ref := range hdr.Inline {
-		n, err := readLen("inline shard")
-		if err != nil {
-			return hdr, nil, nil, nil, err
+	for _, refs := range [][]shardRef{hdr.ARefs, hdr.BRefs} {
+		for _, ref := range refs {
+			if ref.Shard < 0 || ref.Bytes < 0 {
+				return hdr, fmt.Errorf("cluster: exec header reference %s has negative shard or size %d", ref.ShardKey, ref.Bytes)
+			}
+			for _, idx := range ref.TileIdx {
+				if idx < 0 {
+					return hdr, fmt.Errorf("cluster: exec header reference %s has negative tile index %d", ref.ShardKey, idx)
+				}
+			}
 		}
-		if n == 0 {
-			return hdr, nil, nil, nil, fmt.Errorf("cluster: empty inline payload for shard %s", ref.ShardKey)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return hdr, nil, nil, nil, fmt.Errorf("cluster: reading inline shard %s: %w", ref.ShardKey, err)
-		}
-		inline[i] = buf
 	}
-	readOperand := func(which string) (*core.ATMatrix, error) {
-		n, err := readLen(which)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, nil
-		}
-		lr := io.LimitReader(r, n)
-		m, err := core.ReadATMatrix(lr)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: decoding %s: %w", which, err)
-		}
-		// Drain to the declared boundary so the next operand starts
-		// aligned even if the decoder's buffer stopped short of it.
-		if _, err := io.Copy(io.Discard, lr); err != nil {
-			return nil, fmt.Errorf("cluster: draining %s: %w", which, err)
-		}
-		return m, nil
-	}
-	am, err := readOperand("A shard")
-	if err != nil {
-		return hdr, nil, nil, nil, err
-	}
-	bm, err := readOperand("B chunk")
-	if err != nil {
-		return hdr, nil, nil, nil, err
-	}
-	return hdr, inline, am, bm, nil
+	return hdr, nil
 }
 
 // readLimited slurps a payload, rejecting anything over the limit.
@@ -239,14 +164,14 @@ func readLimited(r io.Reader, limit int64) ([]byte, error) {
 // rpcFailure is the JSON error body of a failed worker RPC.
 type rpcFailure struct {
 	Error string `json:"error"`
-	// Corrupt marks operand streams that failed their checksum or
-	// structural validation — the coordinator escalates these to the
-	// service layer's combination quarantine instead of retrying forever.
+	// Corrupt marks shard uploads that failed their checksum or structural
+	// validation — the coordinator escalates these to the service layer's
+	// combination quarantine instead of retrying forever.
 	Corrupt bool `json:"corrupt,omitempty"`
 	// Transient marks failures worth re-sending to the same worker.
 	Transient bool `json:"transient,omitempty"`
 	// MissingShards lists referenced shards the worker does not hold (or
-	// holds with the wrong fingerprint); the coordinator retries the same
-	// worker once with those payloads inlined.
+	// holds with the wrong fingerprint); the coordinator uploads them and
+	// re-sends the exec.
 	MissingShards []ShardKey `json:"missing_shards,omitempty"`
 }

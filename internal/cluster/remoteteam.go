@@ -81,8 +81,8 @@ func (e *remoteError) Transient() bool { return e.transient }
 
 // missingShardsError is a worker's 409 answer to an exec whose references
 // its store cannot satisfy: not a failure of the worker or the data, but
-// the protocol's cache-miss signal. The coordinator retries the same
-// worker immediately with the missing shards inlined.
+// the protocol's cache-miss signal. The coordinator uploads the missing
+// shards to that worker and re-sends the same exec.
 type missingShardsError struct {
 	addr string
 	keys []ShardKey
@@ -92,38 +92,62 @@ func (e *missingShardsError) Error() string {
 	return fmt.Sprintf("cluster: worker %s missing %d referenced shards", e.addr, len(e.keys))
 }
 
-// exec ships one shard task to the worker and streams the partial product
-// back through onFrame, one per-tile-row frame at a time; acquire gates
-// each frame's bytes against the coordinator's bounded merge window
-// before they are read off the socket. The four rpc.* fault sites cover
-// the failure matrix: rpc.send fails the request before it leaves,
-// rpc.conn fails the transport, rpc.recv fails the response path,
-// rpc.stream fails (or corrupts, via its error kind) an individual frame.
-func (rt *RemoteTeam) exec(ctx context.Context, hdr execHeader, inline [][]byte, aBytes, bBytes []byte, acquire func(n int) (func(), error), onFrame func(*core.ATMatrix) error) (int64, error) {
-	if err := faultinject.Do("rpc.send"); err != nil {
-		return 0, fmt.Errorf("cluster: sending exec to %s: %w", rt.addr, err)
+// call performs one RPC under the caller's deadline and returns the 200
+// response, whose body the caller closes; a transport failure or a non-200
+// answer comes back as the matching typed error.
+func (rt *RemoteTeam) call(ctx context.Context, method, path, contentType string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	body, n, err := execFrameReader(hdr, inline, aBytes, bBytes)
+	req, err := http.NewRequestWithContext(ctx, method, rt.addr+path, rd)
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("cluster: building %s %s: %w", method, path, err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rt.addr+"/cluster/v1/exec", body)
-	if err != nil {
-		return 0, fmt.Errorf("cluster: building exec request: %w", err)
-	}
-	req.ContentLength = n
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if err := faultinject.Do("rpc.conn"); err != nil {
-		return 0, &transportError{addr: rt.addr, err: err}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := rt.hc.Do(req)
 	if err != nil {
+		return nil, &transportError{addr: rt.addr, err: err}
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, decodeFailure(rt.addr, resp)
+	}
+	return resp, nil
+}
+
+// drain discards a short acknowledgement body so the connection is reused.
+func drain(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
+	resp.Body.Close()
+}
+
+// exec sends one shard task — references only, never operand bytes — to
+// the worker and streams the partial product back through onFrame, one
+// per-tile-row frame at a time; acquire gates each frame's bytes against
+// the coordinator's bounded merge window before they are read off the
+// socket. The four rpc.* fault sites cover the failure matrix: rpc.send
+// fails the request before it leaves, rpc.conn fails the transport,
+// rpc.recv fails the response path, rpc.stream fails (or corrupts, via its
+// error kind) an individual frame.
+func (rt *RemoteTeam) exec(ctx context.Context, hdr execHeader, acquire func(n int) (func(), error), onFrame func(*core.ATMatrix) error) (int64, error) {
+	if err := faultinject.Do("rpc.send"); err != nil {
+		return 0, fmt.Errorf("cluster: sending exec to %s: %w", rt.addr, err)
+	}
+	body, err := encodeExecHeader(hdr)
+	if err != nil {
+		return 0, err
+	}
+	if err := faultinject.Do("rpc.conn"); err != nil {
 		return 0, &transportError{addr: rt.addr, err: err}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, decodeFailure(rt.addr, resp)
+	resp, err := rt.call(ctx, http.MethodPost, "/cluster/v1/exec", "application/json", body)
+	if err != nil {
+		return 0, err
 	}
+	defer resp.Body.Close()
 	if err := faultinject.Do("rpc.recv"); err != nil {
 		return 0, fmt.Errorf("cluster: receiving product from %s: %w", rt.addr, err)
 	}
@@ -143,42 +167,25 @@ func (rt *RemoteTeam) exec(ctx context.Context, hdr execHeader, inline [][]byte,
 	return contribs, nil
 }
 
-// shipShard uploads one shard replica to the worker's store.
+// shipShard uploads one shard to the worker's store.
 func (rt *RemoteTeam) shipShard(ctx context.Context, key ShardKey, crc uint32, data []byte) error {
-	u := fmt.Sprintf("%s/cluster/v1/shards?name=%s&gen=%d&shard=%d&crc=%08x",
-		rt.addr, url.QueryEscape(key.Name), key.Gen, key.Shard, crc)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(data))
+	path := fmt.Sprintf("/cluster/v1/shards?name=%s&gen=%d&shard=%d&crc=%08x",
+		url.QueryEscape(key.Name), key.Gen, key.Shard, crc)
+	resp, err := rt.call(ctx, http.MethodPost, path, "application/octet-stream", data)
 	if err != nil {
-		return fmt.Errorf("cluster: building shard upload: %w", err)
+		return err
 	}
-	req.ContentLength = int64(len(data))
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		return &transportError{addr: rt.addr, err: err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeFailure(rt.addr, resp)
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
+	drain(resp)
 	return nil
 }
 
 // inventory fetches the worker's CRC-verified shard holdings.
 func (rt *RemoteTeam) inventory(ctx context.Context) ([]inventoryEntry, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.addr+"/cluster/v1/shards", nil)
+	resp, err := rt.call(ctx, http.MethodGet, "/cluster/v1/shards", "", nil)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: building inventory request: %w", err)
-	}
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		return nil, &transportError{addr: rt.addr, err: err}
+		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeFailure(rt.addr, resp)
-	}
 	var body struct {
 		Shards []inventoryEntry `json:"shards"`
 	}
@@ -198,20 +205,11 @@ func (rt *RemoteTeam) dropShards(ctx context.Context, name string, keys []ShardK
 	if err != nil {
 		return fmt.Errorf("cluster: encoding drop request: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rt.addr+"/cluster/v1/shards/drop", bytes.NewReader(payload))
+	resp, err := rt.call(ctx, http.MethodPost, "/cluster/v1/shards/drop", "application/json", payload)
 	if err != nil {
-		return fmt.Errorf("cluster: building drop request: %w", err)
+		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		return &transportError{addr: rt.addr, err: err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeFailure(rt.addr, resp)
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
+	drain(resp)
 	return nil
 }
 
@@ -226,7 +224,7 @@ func decodeFailure(addr string, resp *http.Response) error {
 		return &missingShardsError{addr: addr, keys: f.MissingShards}
 	}
 	if f.Corrupt {
-		// The worker's decoder rejected the shard stream we shipped: the
+		// The worker's store rejected the shard stream we uploaded: the
 		// transfer (or the coordinator's copy) is damaged. Surface the
 		// checksum sentinel so exhausted re-sends quarantine the operand
 		// combination instead of looping.
@@ -240,17 +238,12 @@ func decodeFailure(addr string, resp *http.Response) error {
 
 // heartbeat probes the worker's health endpoint.
 func (rt *RemoteTeam) heartbeat(ctx context.Context) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.addr+"/cluster/v1/health", nil)
+	resp, err := rt.call(ctx, http.MethodGet, "/cluster/v1/health", "", nil)
 	if err != nil {
 		return false
 	}
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-	return resp.StatusCode == http.StatusOK
+	drain(resp)
+	return true
 }
 
 // isTransient applies the PR 3 transient/permanent classification: any

@@ -14,18 +14,17 @@ import (
 	"atmatrix/internal/sched"
 )
 
-// Sharded catalog: instead of re-shipping operand bytes on every multiply,
-// the coordinator cuts each cataloged matrix into tile-row shards at PUT
-// time (the same §III-F round-robin placement the legacy per-multiply path
-// uses), ships every shard to its primary worker AND Replication−1 ring
-// successors, and records the resulting shard map durably in the catalog
-// manifest. Multiplies then reference shards by (name, generation, shard)
-// key; operand bytes cross the wire only as one-time cache fills for
-// workers that report a reference missing. The anti-entropy RepairPass
-// reconciles the recorded maps against worker-reported, CRC-verified
-// inventories: lost shards are re-replicated back to R from the
-// coordinator's durable copy, corrupt remote copies are dropped and
-// replaced, and a dead primary is re-homed onto a surviving replica.
+// Sharded catalog: the coordinator cuts each cataloged matrix into
+// tile-row shards at PUT time, ships every shard to its primary worker AND
+// Replication−1 ring successors, and records the resulting shard map
+// durably in the catalog manifest. An operand with no usable recorded map
+// is cut by the same function for the one multiply, under a generation no
+// catalog hands out, and its shards are dropped when the multiply returns.
+// The anti-entropy RepairPass reconciles the recorded maps against
+// worker-reported, CRC-verified inventories: lost shards are re-replicated
+// back to R from the coordinator's durable copy, corrupt remote copies are
+// dropped and replaced, and a dead primary is re-homed onto a surviving
+// replica.
 
 // mergeGate is the streaming merge's bounded reassembly window: a byte
 // semaphore every in-flight partial-product frame must pass before its
@@ -100,10 +99,10 @@ func bandRange(bands []core.Band, lo, hi int) (int, int) {
 }
 
 // collectShardTiles gathers the whole original tiles overlapping any of
-// the owned tile-row bands, in the matrix's canonical tile order — the
-// same whole-tile rule as the legacy 2D partitioner (a split tile would
-// steer the dynamic optimizer differently than a local run and break
-// byte-identity), and a deterministic order so a shard's serialized bytes
+// the owned tile-row bands, in the matrix's canonical tile order — whole
+// tiles, never split at band cuts (a split tile would steer the dynamic
+// optimizer differently than a local run and break byte-identity), and a
+// deterministic order so a shard's serialized bytes
 // regenerate to the same CRC on every pass. The second result holds each
 // collected tile's index in m.Tiles — the canonical-order key a worker
 // needs to splice several shards back together bit-identically.
@@ -139,14 +138,29 @@ func shardMatrixOf(m *core.ATMatrix, bands []int) (*core.ATMatrix, error) {
 
 // shardSlice serializes the shard of m owning the given bands. The result
 // is deterministic for unchanged matrix content, which is what lets the
-// shard map record a CRC once and every later regeneration (re-replication,
-// inline cache fills) verify against it.
+// shard map record a CRC once and every later regeneration verify against
+// it.
 func shardSlice(m *core.ATMatrix, bands []int) ([]byte, error) {
 	sm, err := shardMatrixOf(m, bands)
 	if err != nil {
 		return nil, err
 	}
 	return encodeMatrix(sm)
+}
+
+// regenShard re-serializes a recorded shard (for re-replication, or to
+// fill a worker that reports it missing), refusing bytes that no longer
+// hash to the recorded CRC — a damaged local copy must never be laundered
+// into the cluster as if it were the original.
+func regenShard(m *core.ATMatrix, key ShardKey, bands []int, crc uint32) ([]byte, error) {
+	data, err := shardSlice(m, bands)
+	if err != nil {
+		return nil, err
+	}
+	if got := core.ChecksumBytes(data); got != crc {
+		return nil, fmt.Errorf("cluster: regenerated shard %s hashes %08x, map records %08x: %w", key, got, crc, core.ErrChecksum)
+	}
+	return data, nil
 }
 
 // AttachCatalog hands the coordinator its shard-map store: recorded maps
@@ -206,57 +220,28 @@ func (c *Coordinator) observeHealth(rt *RemoteTeam, ok bool) State {
 	return now
 }
 
-// ShardByName shards a cataloged matrix by name (the PUT-time entry
-// point).
-func (c *Coordinator) ShardByName(ctx context.Context, name string) error {
-	c.shardMu.Lock()
-	cat := c.cat
-	c.shardMu.Unlock()
-	if cat == nil {
-		return fmt.Errorf("cluster: sharding %q: no catalog attached", name)
-	}
-	h, err := cat.Acquire(name)
-	if err != nil {
-		return err
-	}
-	defer h.Release()
-	return c.ShardMatrix(ctx, name, h.Matrix())
+// shardCut is one shard as cutShards produces it: its shard-map row (no
+// holders yet), its §III-F home among the workers it was cut for, and its
+// serialized stream.
+type shardCut struct {
+	meta catalog.ShardMeta
+	home int
+	data []byte
 }
 
-// ShardMatrix cuts m into tile-row shards by the §III-F round-robin
-// placement over the currently alive workers, ships each shard to its
-// primary and Replication−1 ring successors, and records the map durably.
-// Ship failures leave the shard under-replicated (RepairPass restores R);
-// only a placement where nothing shipped at all is an error.
-func (c *Coordinator) ShardMatrix(ctx context.Context, name string, m *core.ATMatrix) error {
-	if err := faultinject.Do("shard.place"); err != nil {
-		return fmt.Errorf("cluster: placing shards of %q: %w", name, err)
-	}
-	c.shardMu.Lock()
-	cat := c.cat
-	c.shardMu.Unlock()
-	if cat == nil {
-		return fmt.Errorf("cluster: sharding %q: no catalog attached", name)
-	}
-	if m.BAtomic != c.cfg.BAtomic {
-		return fmt.Errorf("cluster: sharding %q: block size %d does not match cluster's %d", name, m.BAtomic, c.cfg.BAtomic)
-	}
-	alive := c.aliveTeams()
-	if len(alive) == 0 {
-		return fmt.Errorf("cluster: sharding %q: no alive workers", name)
-	}
-	rowBands := m.RowBands()
-	queues, ok := sched.PlaceRoundRobin(len(rowBands), len(alive), nil)
+// cutShards is the one shard cut, shared by PUT-time placement and
+// per-multiply ephemeral maps: the §III-F round-robin placement of m's
+// tile-rows over the given number of workers (sched.PlaceRoundRobin —
+// placement lives in the scheduler, so the cluster provably shares the
+// local policy), one shard per worker owning at least one non-empty band,
+// serialized and fingerprinted. A matrix without tiles cuts into no shards.
+func cutShards(m *core.ATMatrix, workers int) ([]shardCut, error) {
+	nBands := len(m.RowBands())
+	queues, ok := sched.PlaceRoundRobin(nBands, workers, nil)
 	if !ok {
-		return fmt.Errorf("cluster: sharding %q: no home for %d tile-rows", name, len(rowBands))
+		return nil, fmt.Errorf("no home for %d tile-rows", nBands)
 	}
-	repl := c.opts.Replication
-	if repl > len(alive) {
-		repl = len(alive)
-	}
-	gen := cat.NextGeneration()
-	sm := &catalog.ShardMap{Generation: gen, Replication: repl}
-	shipped := 0
+	var cuts []shardCut
 	for w, q := range queues {
 		if len(q) == 0 {
 			continue
@@ -273,17 +258,68 @@ func (c *Coordinator) ShardMatrix(ctx context.Context, name string, m *core.ATMa
 		}
 		data, err := shardSlice(m, bands)
 		if err != nil {
-			return fmt.Errorf("cluster: sharding %q: %w", name, err)
+			return nil, err
 		}
-		id := len(sm.Shards)
-		meta := catalog.ShardMeta{
-			ID: id, Bands: bands,
-			CRC32C: core.ChecksumBytes(data), Bytes: int64(len(data)),
-		}
-		key := ShardKey{Name: name, Gen: gen, Shard: id}
+		cuts = append(cuts, shardCut{
+			meta: catalog.ShardMeta{
+				ID: len(cuts), Bands: bands,
+				CRC32C: core.ChecksumBytes(data), Bytes: int64(len(data)),
+			},
+			home: w,
+			data: data,
+		})
+	}
+	return cuts, nil
+}
+
+// ShardByName cuts a cataloged matrix into tile-row shards over the
+// currently alive workers (the PUT-time entry point), ships each shard to
+// its primary and Replication−1 ring successors, and records the map
+// durably. Ship failures leave the shard under-replicated (RepairPass
+// restores R); only a placement where nothing shipped at all is an error.
+func (c *Coordinator) ShardByName(ctx context.Context, name string) error {
+	if err := faultinject.Do("shard.place"); err != nil {
+		return fmt.Errorf("cluster: placing shards of %q: %w", name, err)
+	}
+	c.shardMu.Lock()
+	cat := c.cat
+	c.shardMu.Unlock()
+	if cat == nil {
+		return fmt.Errorf("cluster: sharding %q: no catalog attached", name)
+	}
+	h, err := cat.Acquire(name)
+	if err != nil {
+		return err
+	}
+	defer h.Release()
+	m := h.Matrix()
+	if m.BAtomic != c.cfg.BAtomic {
+		return fmt.Errorf("cluster: sharding %q: block size %d does not match cluster's %d", name, m.BAtomic, c.cfg.BAtomic)
+	}
+	alive := c.aliveTeams()
+	if len(alive) == 0 {
+		return fmt.Errorf("cluster: sharding %q: no alive workers", name)
+	}
+	cuts, err := cutShards(m, len(alive))
+	if err != nil {
+		return fmt.Errorf("cluster: sharding %q: %w", name, err)
+	}
+	if len(cuts) == 0 {
+		return fmt.Errorf("cluster: sharding %q: matrix has no tiles", name)
+	}
+	repl := c.opts.Replication
+	if repl > len(alive) {
+		repl = len(alive)
+	}
+	gen := cat.NextGeneration()
+	sm := &catalog.ShardMap{Generation: gen, Replication: repl}
+	shipped := 0
+	for _, cut := range cuts {
+		meta := cut.meta
+		key := ShardKey{Name: name, Gen: gen, Shard: meta.ID}
 		for r := 0; r < repl; r++ {
-			rt := alive[(w+r)%len(alive)]
-			if err := c.shipShard(ctx, rt, key, meta.CRC32C, data); err != nil {
+			rt := alive[(cut.home+r)%len(alive)]
+			if err := c.shipShard(ctx, rt, key, meta.CRC32C, cut.data); err != nil {
 				continue
 			}
 			meta.Replicas = append(meta.Replicas, rt.addr)
@@ -293,9 +329,6 @@ func (c *Coordinator) ShardMatrix(ctx context.Context, name string, m *core.ATMa
 			meta.Primary = meta.Replicas[0]
 		}
 		sm.Shards = append(sm.Shards, meta)
-	}
-	if len(sm.Shards) == 0 {
-		return fmt.Errorf("cluster: sharding %q: matrix has no tiles", name)
 	}
 	if shipped == 0 {
 		return fmt.Errorf("cluster: sharding %q: no shard could be placed on any worker", name)
@@ -326,7 +359,7 @@ func (c *Coordinator) shipShard(ctx context.Context, rt *RemoteTeam, key ShardKe
 
 // DropShards forgets a matrix's shard map and best-effort drops its
 // shards (every generation) from the workers — the DELETE-path
-// counterpart of ShardMatrix. Worker-side leftovers of unreachable nodes
+// counterpart of ShardByName. Worker-side leftovers of unreachable nodes
 // are harmless: their generation can never be referenced again.
 func (c *Coordinator) DropShards(ctx context.Context, name string) {
 	c.shardMu.Lock()
@@ -357,13 +390,15 @@ func (c *Coordinator) shardMapFor(name string) *catalog.ShardMap {
 	return c.shardMaps[name].Clone()
 }
 
-// noteHolder records that a worker verifiably holds a shard (it executed
-// against an inline fill of it) without promoting it to the durable
-// replica set — RepairPass does that after re-verifying the copy.
+// noteHolder records that a worker verifiably holds a shard of a recorded
+// map's current generation (its store accepted an upload of it) without
+// promoting it to the durable replica set — RepairPass does that after
+// re-verifying the copy. Ephemeral shards never match a recorded
+// generation and are not noted.
 func (c *Coordinator) noteHolder(key ShardKey, addr string) {
 	c.shardMu.Lock()
 	defer c.shardMu.Unlock()
-	if _, ok := c.shardMaps[key.Name]; !ok {
+	if sm, ok := c.shardMaps[key.Name]; !ok || sm.Generation != key.Gen {
 		return
 	}
 	set := c.cached[key]
@@ -372,14 +407,6 @@ func (c *Coordinator) noteHolder(key ShardKey, addr string) {
 		c.cached[key] = set
 	}
 	set[addr] = true
-}
-
-// cachedHolder reports whether a worker is believed to hold a shard from
-// an earlier inline fill.
-func (c *Coordinator) cachedHolder(key ShardKey, addr string) bool {
-	c.shardMu.Lock()
-	defer c.shardMu.Unlock()
-	return c.cached[key][addr]
 }
 
 // cachedHolders snapshots the opportunistic holder set of one shard.
@@ -481,10 +508,7 @@ func (c *Coordinator) repairOne(ctx context.Context, cat *catalog.Catalog, name 
 			h.Release()
 		}
 	}()
-	// regen rebuilds a shard's bytes from the catalog's durable copy,
-	// refusing to ship anything that no longer hashes to the recorded CRC
-	// — re-replication must never launder a damaged local copy into the
-	// cluster as if it were the original.
+	// regen rebuilds a shard's bytes from the catalog's durable copy.
 	regen := func(meta *catalog.ShardMeta) ([]byte, error) {
 		if h == nil {
 			hh, err := cat.Acquire(name)
@@ -493,16 +517,11 @@ func (c *Coordinator) repairOne(ctx context.Context, cat *catalog.Catalog, name 
 			}
 			h = hh
 		}
-		data, err := shardSlice(h.Matrix(), meta.Bands)
-		if err != nil {
-			return nil, err
-		}
-		if crc := core.ChecksumBytes(data); crc != meta.CRC32C {
+		data, err := regenShard(h.Matrix(), ShardKey{Name: name, Gen: sm.Generation, Shard: meta.ID}, meta.Bands, meta.CRC32C)
+		if errors.Is(err, core.ErrChecksum) {
 			c.shardCRCFailures.Add(1)
-			return nil, fmt.Errorf("cluster: regenerated shard %d of %q hashes %08x, map records %08x: %w",
-				meta.ID, name, crc, meta.CRC32C, core.ErrChecksum)
 		}
-		return data, nil
+		return data, err
 	}
 	repaired := 0
 	changed := false
@@ -544,8 +563,9 @@ func (c *Coordinator) repairOne(ctx context.Context, cat *catalog.Catalog, name 
 		for _, addr := range kept {
 			holder[addr] = true
 		}
-		// Promote verified opportunistic copies (inline exec fills) to
-		// full replicas — durability for free.
+		// Promote verified opportunistic copies (fills of workers that
+		// reported the shard missing) to full replicas — durability for
+		// free.
 		for _, addr := range c.cachedHolders(key) {
 			if holder[addr] {
 				continue
@@ -615,13 +635,16 @@ func (c *Coordinator) repairOne(ctx context.Context, cat *catalog.Catalog, name 
 	return repaired, changed, firstErr
 }
 
-// shardSource lazily regenerates shard payloads for inline cache fills,
-// paying each shard's encoding at most once per multiply and verifying
-// every regeneration against the shard map's recorded CRC.
+// shardSource regenerates shard payloads for workers that report a
+// reference missing, paying each shard's encoding at most once per
+// multiply and verifying every regeneration against the shard map's
+// recorded CRC. It also remembers which workers were sent an ephemeral
+// shard, the set the multiply's cleanup drops them from.
 type shardSource struct {
-	mu    sync.Mutex
-	specs map[ShardKey]shardSpec
-	cache map[ShardKey][]byte
+	mu       sync.Mutex
+	specs    map[ShardKey]shardSpec
+	cache    map[ShardKey][]byte
+	received map[*RemoteTeam]bool
 }
 
 type shardSpec struct {
@@ -632,8 +655,9 @@ type shardSpec struct {
 
 func newShardSource() *shardSource {
 	return &shardSource{
-		specs: make(map[ShardKey]shardSpec),
-		cache: make(map[ShardKey][]byte),
+		specs:    make(map[ShardKey]shardSpec),
+		cache:    make(map[ShardKey][]byte),
+		received: make(map[*RemoteTeam]bool),
 	}
 }
 
@@ -647,92 +671,143 @@ func (s *shardSource) bytes(key ShardKey) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: no source for shard %s", key)
 	}
-	data, err := shardSlice(spec.m, spec.bands)
+	data, err := regenShard(spec.m, key, spec.bands, spec.crc)
 	if err != nil {
 		return nil, err
-	}
-	if crc := core.ChecksumBytes(data); crc != spec.crc {
-		return nil, fmt.Errorf("cluster: regenerated shard %s hashes %08x, map records %08x: %w",
-			key, crc, spec.crc, core.ErrChecksum)
 	}
 	s.cache[key] = data
 	return data, nil
 }
 
-// buildShardTasks cuts tasks along the left operand's catalog shard map:
-// one task per shard, owned by the first alive holder, with the right
-// operand referenced shard-by-shard when it is sharded too (the worker
-// reassembles whole B from its store) and wire-shipped once otherwise.
-// Returns nil tasks when A is unsharded or the recorded map no longer
-// matches the matrix's band grid — the legacy per-multiply 2D partition
-// then takes over.
-func (c *Coordinator) buildShardTasks(aName, bName string, a, b *core.ATMatrix, alive []*RemoteTeam) ([]*task, error) {
-	aSM := c.shardMapFor(aName)
-	if aSM == nil || len(aSM.Shards) == 0 {
-		return nil, nil
+// fillShards uploads the shards a worker reported missing and reports
+// whether any of them had not been sent to it by this attempt before (the
+// caller's bound on re-sends). A worker whose store accepted a recorded
+// shard is a verified holder of it; RepairPass may promote it.
+func (c *Coordinator) fillShards(ctx context.Context, rt *RemoteTeam, src *shardSource, keys []ShardKey, filled map[ShardKey]bool) (bool, error) {
+	fresh := false
+	for _, key := range keys {
+		if filled[key] {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		data, err := src.bytes(key)
+		if err != nil {
+			// The coordinator cannot regenerate the shard to the recorded
+			// fingerprint: surface it (checksum failures reach the
+			// quarantine) rather than executing on divergent bytes.
+			return false, err
+		}
+		if key.ephemeral() {
+			src.mu.Lock()
+			src.received[rt] = true
+			src.mu.Unlock()
+		}
+		// An upload abandoned mid-flight could land after the multiply's
+		// cleanup drop, so it runs to its own deadline even when the
+		// attempt is cancelled (a lost hedge, an aborted multiply).
+		if err := c.shipShard(context.WithoutCancel(ctx), rt, key, src.specs[key].crc, data); err != nil {
+			return false, err
+		}
+		c.noteHolder(key, rt.addr)
+		filled[key], fresh = true, true
 	}
-	rowBands := a.RowBands()
-	for _, meta := range aSM.Shards {
+	return fresh, nil
+}
+
+// dropEphemeral removes a multiply's ephemeral shards from every worker
+// that was sent one. It runs on every outcome — success, failure,
+// cancellation — so it sheds the multiply's cancellation and takes a
+// fresh deadline.
+func (c *Coordinator) dropEphemeral(ctx context.Context, src *shardSource) {
+	if len(src.received) == 0 {
+		return
+	}
+	var keys []ShardKey
+	for key := range src.specs {
+		if key.ephemeral() {
+			keys = append(keys, key)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.opts.RPCTimeout)
+	defer cancel()
+	for rt := range src.received {
+		_ = rt.dropShards(ctx, "", keys)
+	}
+}
+
+// shardMapOf returns the map an operand's references are cut from: the
+// recorded catalog map when the name has one that fits the matrix's band
+// grid, otherwise an ephemeral map cut for this multiply — generation
+// negative (no catalog hands one out), homes in place of holders, so every
+// reference misses once and is filled. The ephemeral payloads seed the
+// source's cache; they were serialized to fingerprint them anyway.
+func (c *Coordinator) shardMapOf(name string, m *core.ATMatrix, src *shardSource, alive []*RemoteTeam) (*catalog.ShardMap, error) {
+	if sm := c.shardMapFor(name); sm != nil && len(sm.Shards) > 0 && shardMapFits(sm, len(m.RowBands())) {
+		return sm, nil
+	}
+	cuts, err := cutShards(m, len(alive))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: cutting ephemeral shards: %w", err)
+	}
+	sm := &catalog.ShardMap{Generation: -c.ephemeralSeq.Add(1)}
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	for _, cut := range cuts {
+		meta := cut.meta
+		meta.Primary = alive[cut.home].addr
+		sm.Shards = append(sm.Shards, meta)
+		src.cache[ShardKey{Name: name, Gen: sm.Generation, Shard: meta.ID}] = cut.data
+	}
+	return sm, nil
+}
+
+// shardMapFits reports whether every band a recorded map lists exists in
+// the matrix's current band grid.
+func shardMapFits(sm *catalog.ShardMap, nBands int) bool {
+	for _, meta := range sm.Shards {
 		for _, band := range meta.Bands {
-			if band < 0 || band >= len(rowBands) {
-				return nil, nil
+			if band < 0 || band >= nBands {
+				return false
 			}
 		}
 	}
-	colBands := b.ColBands()
-	keepCol := make(map[int]bool, len(colBands))
-	for _, band := range colBands {
-		keepCol[band.Lo] = true
+	return true
+}
+
+// buildShardTasks cuts tasks along the left operand's shard map: one task
+// per shard, owned by its primary (else the first alive replica, else any
+// worker), with the right operand referenced shard by shard — the worker
+// reassembles whole B from its store.
+func (c *Coordinator) buildShardTasks(aName, bName string, a, b *core.ATMatrix, alive []*RemoteTeam, src *shardSource) ([]*task, error) {
+	aSM, err := c.shardMapOf(aName, a, src, alive)
+	if err != nil {
+		return nil, err
 	}
+	bSM, err := c.shardMapOf(bName, b, src, alive)
+	if err != nil {
+		return nil, err
+	}
+	if len(aSM.Shards) == 0 || len(bSM.Shards) == 0 {
+		// An operand without tiles: the product has none either.
+		return nil, nil
+	}
+	rowBands := a.RowBands()
 	addrIdx := make(map[string]int, len(alive))
 	for i, rt := range alive {
 		addrIdx[rt.addr] = i
 	}
-	src := newShardSource()
-	holders := make(map[ShardKey]map[string]bool)
-	addrSet := func(addrs []string) map[string]bool {
-		set := make(map[string]bool, len(addrs))
-		for _, a := range addrs {
-			set[a] = true
-		}
-		return set
-	}
 
-	// B travels by reference when sharded (all of its shards reassemble
-	// the whole matrix on the worker), by wire otherwise.
 	var bRefs []shardRef
-	var bBytes []byte
-	if bSM := c.shardMapFor(bName); bSM != nil && len(bSM.Shards) > 0 {
-		bBands := b.RowBands()
-		valid := true
-		for _, meta := range bSM.Shards {
-			for _, band := range meta.Bands {
-				if band < 0 || band >= len(bBands) {
-					valid = false
-				}
-			}
-		}
-		if valid {
-			for _, meta := range bSM.Shards {
-				key := ShardKey{Name: bName, Gen: bSM.Generation, Shard: meta.ID}
-				// The worker reassembles whole B from all its shards; the
-				// canonical-order indices let it splice the interleaved
-				// tile-row slices back into the partitioner's emission
-				// order, which the accumulation order (and so bit-identity)
-				// depends on.
-				_, idx := collectShardTiles(b, meta.Bands)
-				bRefs = append(bRefs, shardRef{ShardKey: key, CRC: meta.CRC32C, Bytes: meta.Bytes, TileIdx: idx})
-				src.specs[key] = shardSpec{m: b, bands: meta.Bands, crc: meta.CRC32C}
-				holders[key] = addrSet(meta.Replicas)
-			}
-		}
-	}
-	if bRefs == nil {
-		enc, err := encodeMatrix(b)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: encoding right operand: %w", err)
-		}
-		bBytes = enc
+	for _, meta := range bSM.Shards {
+		key := ShardKey{Name: bName, Gen: bSM.Generation, Shard: meta.ID}
+		// The canonical-order indices let the worker splice the interleaved
+		// tile-row slices back into the partitioner's emission order, which
+		// the accumulation order (and so bit-identity) depends on.
+		_, idx := collectShardTiles(b, meta.Bands)
+		bRefs = append(bRefs, shardRef{ShardKey: key, CRC: meta.CRC32C, Bytes: meta.Bytes, TileIdx: idx})
+		src.specs[key] = shardSpec{m: b, bands: meta.Bands, crc: meta.CRC32C}
 	}
 
 	var tasks []*task
@@ -743,9 +818,6 @@ func (c *Coordinator) buildShardTasks(aName, bName string, a, b *core.ATMatrix, 
 			return nil, fmt.Errorf("cluster: rebuilding shard %d of %q: %w", meta.ID, aName, err)
 		}
 		src.specs[key] = shardSpec{m: a, bands: meta.Bands, crc: meta.CRC32C}
-		holders[key] = addrSet(meta.Replicas)
-		// Owner: the primary if alive, else the first alive replica, else
-		// any worker (it gets the shard inlined).
 		owner := -1
 		for _, addr := range append([]string{meta.Primary}, meta.Replicas...) {
 			if i, ok := addrIdx[addr]; ok {
@@ -763,14 +835,10 @@ func (c *Coordinator) buildShardTasks(aName, bName string, a, b *core.ATMatrix, 
 		tasks = append(tasks, &task{
 			owner: owner,
 			aMat:  aMat, bMat: b,
-			bBytes:  bBytes,
 			aRefs:   []shardRef{{ShardKey: key, CRC: meta.CRC32C, Bytes: meta.Bytes}},
 			bRefs:   bRefs,
-			holders: holders,
 			src:     src,
-			nRows:   len(meta.Bands),
 			keepRow: keepRow,
-			keepCol: keepCol,
 		})
 	}
 	return tasks, nil

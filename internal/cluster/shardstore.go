@@ -8,18 +8,19 @@ import (
 	"atmatrix/internal/core"
 )
 
-// ShardStore is a worker's replica holdings: CRC-verified shard operands
-// keyed by (name, generation, shard). The coordinator fills it at PUT time
-// (placement), during anti-entropy re-replication, and opportunistically
-// through inline exec payloads; exec requests then reference shards by key
-// instead of shipping operand bytes per multiply.
+// ShardStore is a worker's shard holdings: CRC-verified shard operands
+// keyed by (name, generation, shard), the only place operand bytes live on
+// a worker. The coordinator fills it by shard upload — at PUT time
+// (placement), during anti-entropy re-replication, and when an exec
+// reports a reference missing — and exec requests reference shards by key.
 //
 // The store keeps both the raw .atm bytes (the inventory scrub re-hashes
 // them, and re-serving them to a peer needs them verbatim) and the decoded
 // matrix (so repeated multiplies do not pay the decode). Memory is bounded
-// by the catalog admission policy upstream: a worker holds at most its
-// shard assignments of cataloged matrices, which the coordinator drops on
-// DELETE.
+// by the catalog admission policy upstream: a worker holds its shard
+// assignments of cataloged matrices, which the coordinator drops on
+// DELETE, plus the ephemeral shards of multiplies in flight, which the
+// coordinator drops when each returns.
 type ShardStore struct {
 	mu     sync.Mutex
 	shards map[ShardKey]*storedShard
@@ -61,9 +62,9 @@ func (s *ShardStore) Put(key ShardKey, wantCRC uint32, data []byte) error {
 // matrix resolves a reference: the stored shard must exist and match the
 // reference's CRC and size fingerprint. A stale holding (earlier
 // generation re-used the key — impossible by construction, but cheap to
-// check — or fingerprint drift) is dropped and reported missing, pushing
-// the coordinator down the inline-fill path instead of computing on wrong
-// bytes.
+// check — or fingerprint drift) is dropped and reported missing, so the
+// coordinator uploads the shard afresh instead of the worker computing on
+// wrong bytes.
 func (s *ShardStore) matrix(ref shardRef) (*core.ATMatrix, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

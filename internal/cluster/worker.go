@@ -14,10 +14,10 @@ import (
 // Worker executes shard multiplications on behalf of a coordinator. It is
 // plain HTTP handlers over the local ATMULT operator — a worker node runs
 // the same atserve binary with -role worker, and the same process can keep
-// serving its local catalog API. Besides executing, a worker holds shard
-// replicas in its ShardStore: exec requests reference previously
-// replicated operands by (name, generation, shard) key instead of
-// re-shipping bytes per multiply.
+// serving its local catalog API. A worker holds operand shards in its
+// ShardStore — HandleShardPut is the only handler that accepts operand
+// bytes — and exec requests reference them by (name, generation, shard)
+// key.
 type Worker struct {
 	cfg   core.Config
 	store *ShardStore
@@ -67,7 +67,7 @@ func (w *Worker) HandleShardPut(rw http.ResponseWriter, r *http.Request) {
 	gen, genErr := strconv.ParseInt(q.Get("gen"), 10, 64)
 	shard, shardErr := strconv.Atoi(q.Get("shard"))
 	crc, crcErr := strconv.ParseUint(q.Get("crc"), 16, 32)
-	if name == "" || genErr != nil || shardErr != nil || crcErr != nil {
+	if !q.Has("name") || genErr != nil || shardErr != nil || crcErr != nil {
 		writeFailure(rw, http.StatusBadRequest, rpcFailure{Error: "cluster: shard upload needs name, gen, shard and crc query parameters"})
 		return
 	}
@@ -126,14 +126,11 @@ func (w *Worker) HandleShardDrop(rw http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(rw, "{\"dropped\":%d}\n", dropped)
 }
 
-// HandleExec decodes one shard task, resolves referenced operands from the
-// shard store (storing any inline cache fills first), runs the local
-// ATMULT with the coordinator's shipped plan parameters and streams the
-// partial product back as length-prefixed per-tile-row frames. Corrupt
-// operand streams are rejected as 422 with the corrupt marker, so the
-// coordinator can distinguish "this transfer is damaged" from "this
-// worker is failing"; references the store cannot satisfy come back 409
-// with the missing keys, asking the coordinator to inline them.
+// HandleExec decodes one shard task, resolves both operands from the shard
+// store, runs the local ATMULT with the coordinator's shipped plan
+// parameters and streams the partial product back as length-prefixed
+// per-tile-row frames. References the store cannot satisfy come back 409
+// with the missing keys, asking the coordinator to upload them.
 func (w *Worker) HandleExec(rw http.ResponseWriter, r *http.Request) {
 	// Chaos hook: the injected error's kind steers the coordinator's
 	// failure handling — transient faults ask for a re-send (503),
@@ -142,33 +139,15 @@ func (w *Worker) HandleExec(rw http.ResponseWriter, r *http.Request) {
 		writeFailure(rw, failureStatus(err), rpcFailure{Error: err.Error(), Transient: isTransient(err)})
 		return
 	}
-	hdr, inline, am, bm, err := readExecFrame(r.Body)
+	hdr, err := decodeExecHeader(r.Body)
 	if err != nil {
-		f := rpcFailure{Error: err.Error(), Corrupt: isCorrupt(err)}
-		status := http.StatusBadRequest
-		if f.Corrupt {
-			status = http.StatusUnprocessableEntity
-		}
-		writeFailure(rw, status, f)
+		writeFailure(rw, http.StatusBadRequest, rpcFailure{Error: err.Error()})
 		return
 	}
-	for i, ref := range hdr.Inline {
-		if err := w.store.Put(ref.ShardKey, ref.CRC, inline[i]); err != nil {
-			writeFailure(rw, http.StatusUnprocessableEntity, rpcFailure{Error: err.Error(), Corrupt: true})
-			return
-		}
-	}
+	var operands [2]*core.ATMatrix
 	var missing []ShardKey
-	if am == nil {
-		am, missing, err = w.assemble(hdr.ARefs, missing)
-		if err != nil {
-			writeFailure(rw, http.StatusInternalServerError, rpcFailure{Error: err.Error()})
-			return
-		}
-	}
-	if bm == nil {
-		bm, missing, err = w.assemble(hdr.BRefs, missing)
-		if err != nil {
+	for i, refs := range [][]shardRef{hdr.ARefs, hdr.BRefs} {
+		if operands[i], missing, err = w.assemble(refs, missing); err != nil {
 			writeFailure(rw, http.StatusInternalServerError, rpcFailure{Error: err.Error()})
 			return
 		}
@@ -178,10 +157,6 @@ func (w *Worker) HandleExec(rw http.ResponseWriter, r *http.Request) {
 			Error:         fmt.Sprintf("cluster: %d referenced shards not in store", len(missing)),
 			MissingShards: missing,
 		})
-		return
-	}
-	if am == nil || bm == nil {
-		writeFailure(rw, http.StatusBadRequest, rpcFailure{Error: "cluster: exec frame carries neither operand bytes nor references"})
 		return
 	}
 	select {
@@ -199,7 +174,7 @@ func (w *Worker) HandleExec(rw http.ResponseWriter, r *http.Request) {
 		WriteThreshold: hdr.WriteThreshold,
 		SpGEMM:         core.SpGEMMPolicy(hdr.SpGEMM),
 	}
-	out, stats, err := core.MultiplyOpt(am, bm, cfg, opts)
+	out, stats, err := core.MultiplyOpt(operands[0], operands[1], cfg, opts)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The coordinator cancelled (hedge lost, deadline): nobody is
@@ -231,9 +206,6 @@ func (w *Worker) HandleExec(rw http.ResponseWriter, r *http.Request) {
 // bit-identical to the coordinator's copy. Dedup falls out for free: a
 // band-spanning tile rides in several shards under the same index.
 func (w *Worker) assemble(refs []shardRef, missing []ShardKey) (*core.ATMatrix, []ShardKey, error) {
-	if len(refs) == 0 {
-		return nil, missing, nil
-	}
 	ms := make([]*core.ATMatrix, 0, len(refs))
 	mrefs := make([]shardRef, 0, len(refs))
 	for _, ref := range refs {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -37,8 +39,9 @@ type zEntry struct {
 // blocks into larger tiles bottom-up — bounded by the maximum tile sizes
 // of Eqs. 1–2 — or materializes them where the density types diverge.
 //
-// The input should be deduplicated; Partition deduplicates defensively
-// since duplicate coordinates would corrupt the density accounting.
+// Duplicate coordinates are summed in input order and entries that are or
+// sum to zero are dropped — they would corrupt the density accounting. src
+// is not modified.
 func Partition(src *mat.COO, cfg Config) (*ATMatrix, *PartitionStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -49,19 +52,19 @@ func Partition(src *mat.COO, cfg Config) (*ATMatrix, *PartitionStats, error) {
 	if src.Rows <= 0 || src.Cols <= 0 {
 		return nil, nil, fmt.Errorf("core: cannot partition %d×%d matrix", src.Rows, src.Cols)
 	}
-	src = src.Clone()
-	src.Dedup()
 
 	stats := &PartitionStats{}
 	b := cfg.BAtomic
 
-	// Z-curve reordering (§II-C1).
+	// Z-curve reordering (§II-C1). The radix sort is stable, so equal
+	// coordinates end up adjacent in input order and fold in one pass.
 	t0 := time.Now()
 	ents := make([]zEntry, len(src.Ent))
 	for i, e := range src.Ent {
 		ents[i] = zEntry{z: morton.Encode(uint32(e.Row), uint32(e.Col)), e: e}
 	}
 	radixSortZ(ents, src.Rows, src.Cols)
+	ents = foldDuplicatesZ(ents)
 	stats.SortTime = time.Since(t0)
 
 	// ZBlockCnts: non-zero count per atomic block, Z-ordered over the
@@ -107,6 +110,23 @@ func Partition(src *mat.COO, cfg Config) (*ATMatrix, *PartitionStats, error) {
 	}
 	stats.BuildTime = time.Since(t0)
 	return p.out, stats, nil
+}
+
+// foldDuplicatesZ sums runs of equal Z-value (equal coordinates) of a
+// Z-sorted table in place, in table order, and drops entries whose value
+// is or sums to zero.
+func foldDuplicatesZ(ents []zEntry) []zEntry {
+	out := ents[:0]
+	for i := 0; i < len(ents); {
+		cur := ents[i]
+		for i++; i < len(ents) && ents[i].z == cur.z; i++ {
+			cur.e.Val += ents[i].e.Val
+		}
+		if cur.e.Val != 0 {
+			out = append(out, cur)
+		}
+	}
+	return out
 }
 
 const (
@@ -297,16 +317,8 @@ func (p *partitioner) buildTile(job matJob) *Tile {
 	zs, ze, nnz := job.zs, job.ze, job.nnz
 	b := p.cfg.BAtomic
 	br, bc := morton.Decode(zs)
-	sideBlocks := regionSide(ze - zs)
 	r0, c0 := int(br)*b, int(bc)*b
-	r1, c1 := r0+sideBlocks*b, c0+sideBlocks*b
-	if r1 > p.out.Rows {
-		r1 = p.out.Rows
-	}
-	if c1 > p.out.Cols {
-		c1 = p.out.Cols
-	}
-	h, w := r1-r0, c1-c0
+	h, w := p.clippedDims(zs, ze)
 
 	zLo := zs * uint64(b) * uint64(b)
 	zHi := ze * uint64(b) * uint64(b)
@@ -344,20 +356,26 @@ func (p *partitioner) buildTile(job matJob) *Tile {
 			}
 			return tmp[i].Col < tmp[j].Col
 		})
-		csr := mat.NewCSR(h, w)
-		csr.ColIdx = make([]int32, len(tmp))
-		csr.Val = make([]float64, len(tmp))
-		for i, e := range tmp {
-			csr.RowPtr[int(e.Row)-r0+1]++
-			csr.ColIdx[i] = e.Col - int32(c0)
-			csr.Val[i] = e.Val
-		}
-		for r := 0; r < h; r++ {
-			csr.RowPtr[r+1] += csr.RowPtr[r]
-		}
-		tile.Sp = csr
+		tile.Sp = csrFromSorted(tmp, r0, c0, h, w)
 	}
 	return tile
+}
+
+// csrFromSorted builds the h×w CSR tile at origin (r0, c0) from its
+// entries in row-major order, rebasing the coordinates.
+func csrFromSorted(ents []mat.Entry, r0, c0, h, w int) *mat.CSR {
+	csr := mat.NewCSR(h, w)
+	csr.ColIdx = make([]int32, len(ents))
+	csr.Val = make([]float64, len(ents))
+	for i, e := range ents {
+		csr.RowPtr[int(e.Row)-r0+1]++
+		csr.ColIdx[i] = e.Col - int32(c0)
+		csr.Val[i] = e.Val
+	}
+	for r := 0; r < h; r++ {
+		csr.RowPtr[r+1] += csr.RowPtr[r]
+	}
+	return csr
 }
 
 // PartitionFixed tiles the matrix into a naive fixed grid of
@@ -365,6 +383,7 @@ func (p *partitioner) buildTile(job matJob) *Tile {
 // Fig. 10 (steps 2–4) and attributes to fixed-block systems [15], [7].
 // With mixed=false every tile is sparse; with mixed=true tiles whose
 // density reaches ρ0^R are stored dense. Empty blocks produce no tile.
+// Duplicates and zeros are treated as in Partition; src is not modified.
 func PartitionFixed(src *mat.COO, cfg Config, mixed bool) (*ATMatrix, *PartitionStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -372,8 +391,6 @@ func PartitionFixed(src *mat.COO, cfg Config, mixed bool) (*ATMatrix, *Partition
 	if err := src.Validate(); err != nil {
 		return nil, nil, err
 	}
-	src = src.Clone()
-	src.Dedup()
 	stats := &PartitionStats{}
 	b := cfg.BAtomic
 
@@ -408,8 +425,17 @@ func PartitionFixed(src *mat.COO, cfg Config, mixed bool) (*ATMatrix, *Partition
 		r0, c0 := br*b, bc*b
 		r1, c1 := min(r0+b, src.Rows), min(c0+b, src.Cols)
 		h, w := r1-r0, c1-c0
+		// Row-major within the block; the bucketing and this sort are both
+		// stable, so duplicates fold in input order.
 		region := bucketed[lo:hi]
-		nnz := hi - lo
+		slices.SortStableFunc(region, func(x, y mat.Entry) int {
+			return cmp.Or(cmp.Compare(x.Row, y.Row), cmp.Compare(x.Col, y.Col))
+		})
+		region = mat.FoldSorted(region)
+		nnz := int64(len(region))
+		if nnz == 0 {
+			continue
+		}
 		tile := &Tile{Row0: r0, Col0: c0, Rows: h, Cols: w, NNZ: nnz, Home: cfg.Topology.HomeOfTileRow(br)}
 		if mixed && mat.Density(nnz, h, w) >= cfg.RhoRead {
 			tile.Kind = mat.DenseKind
@@ -420,25 +446,7 @@ func PartitionFixed(src *mat.COO, cfg Config, mixed bool) (*ATMatrix, *Partition
 			tile.D = d
 		} else {
 			tile.Kind = mat.Sparse
-			tmp := append([]mat.Entry(nil), region...)
-			sort.Slice(tmp, func(i, j int) bool {
-				if tmp[i].Row != tmp[j].Row {
-					return tmp[i].Row < tmp[j].Row
-				}
-				return tmp[i].Col < tmp[j].Col
-			})
-			csr := mat.NewCSR(h, w)
-			csr.ColIdx = make([]int32, len(tmp))
-			csr.Val = make([]float64, len(tmp))
-			for i, e := range tmp {
-				csr.RowPtr[int(e.Row)-r0+1]++
-				csr.ColIdx[i] = e.Col - int32(c0)
-				csr.Val[i] = e.Val
-			}
-			for r := 0; r < h; r++ {
-				csr.RowPtr[r+1] += csr.RowPtr[r]
-			}
-			tile.Sp = csr
+			tile.Sp = csrFromSorted(region, r0, c0, h, w)
 		}
 		out.addTile(tile)
 	}

@@ -2,7 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"atmatrix/internal/mat"
 )
@@ -67,6 +70,69 @@ func TestPartitionRoundTripRandom(t *testing.T) {
 		if !am.ToDense().EqualApprox(a.ToDense(), 0) {
 			t.Fatalf("trial %d: content mismatch", trial)
 		}
+	}
+
+	// Duplicates, cancellation and explicit zeros: a staging table carrying
+	// duplicate coordinates, a pair summing to exactly 0 and an explicit
+	// zero partitions tile for tile like its deduplicated form, under both
+	// partitioners, and is itself left bit-unchanged.
+	for trial := 0; trial < 6; trial++ {
+		rows, cols := 40+rng.Intn(200), 40+rng.Intn(200)
+		clean := mat.RandomCOO(rng, rows, cols, rows*cols/8)
+		// Keep two cells free for the entries that must vanish.
+		clean.Ent = slices.DeleteFunc(clean.Ent, func(e mat.Entry) bool { return e.Row == 0 && e.Col <= 1 })
+		dirty := clean.Clone()
+		for i := 0; i < len(clean.Ent); i += 3 {
+			// Split an entry in two: halves of a float64 sum back exactly.
+			e := clean.Ent[i]
+			dirty.Ent[i].Val = e.Val / 2
+			dirty.Append(int(e.Row), int(e.Col), e.Val/2)
+		}
+		dirty.Append(0, 0, 2.5)
+		dirty.Append(0, 0, -2.5)
+		dirty.Append(0, 1, 0)
+		rng.Shuffle(len(dirty.Ent), func(i, j int) { dirty.Ent[i], dirty.Ent[j] = dirty.Ent[j], dirty.Ent[i] })
+		before := dirty.Clone()
+
+		want, _, err := Partition(clean, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := Partition(dirty, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Tiles, want.Tiles) {
+			t.Fatalf("dedup trial %d: Partition of the duplicated table differs from its deduplicated form", trial)
+		}
+		wantFixed, _, err := PartitionFixed(clean, cfg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotFixed, _, err := PartitionFixed(dirty, cfg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotFixed.Tiles, wantFixed.Tiles) {
+			t.Fatalf("dedup trial %d: PartitionFixed of the duplicated table differs from its deduplicated form", trial)
+		}
+		if !reflect.DeepEqual(dirty, before) {
+			t.Fatalf("dedup trial %d: partitioning modified its input", trial)
+		}
+	}
+
+	// The phase timers account for the whole call: nothing substantial
+	// (a clone, a second sort) may run outside them.
+	big := mat.RandomCOO(rng, 4000, 4000, 300000)
+	rng.Shuffle(len(big.Ent), func(i, j int) { big.Ent[i], big.Ent[j] = big.Ent[j], big.Ent[i] })
+	t0 := time.Now()
+	_, stats, err := Partition(big, cfg)
+	wall := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Total() < wall*9/10 {
+		t.Fatalf("PartitionStats.Total() = %v covers less than 90%% of the %v the call took", stats.Total(), wall)
 	}
 }
 

@@ -75,26 +75,25 @@ func (a *COO) SortZOrder() {
 // Dedup combines duplicate coordinates by summing their values and drops
 // resulting explicit zeros. The receiver is left row-major sorted.
 func (a *COO) Dedup() {
-	if len(a.Ent) == 0 {
-		return
-	}
 	a.SortRowMajor()
-	out := a.Ent[:0]
-	cur := a.Ent[0]
-	for _, e := range a.Ent[1:] {
-		if e.Row == cur.Row && e.Col == cur.Col {
-			cur.Val += e.Val
-			continue
+	a.Ent = FoldSorted(a.Ent)
+}
+
+// FoldSorted sums runs of equal coordinates of a row-major sorted entry
+// slice in place, in slice order, and drops entries whose value is or sums
+// to zero.
+func FoldSorted(ents []Entry) []Entry {
+	out := ents[:0]
+	for i := 0; i < len(ents); {
+		cur := ents[i]
+		for i++; i < len(ents) && ents[i].Row == cur.Row && ents[i].Col == cur.Col; i++ {
+			cur.Val += ents[i].Val
 		}
 		if cur.Val != 0 {
 			out = append(out, cur)
 		}
-		cur = e
 	}
-	if cur.Val != 0 {
-		out = append(out, cur)
-	}
-	a.Ent = out
+	return out
 }
 
 // Clone returns a deep copy.
