@@ -39,7 +39,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/sched ./internal/core ./internal/catalog ./internal/service ./internal/cluster ./cmd/atserve -run 'Concurrent|Cancel|Scrub|Recover|Spill|Verify|Bitflip|Distributed'
+	$(GO) test -race ./internal/sched ./internal/core ./internal/catalog ./internal/service ./internal/cluster ./cmd/atserve -run 'Concurrent|Cancel|Scrub|Recover|Spill|Verify|Bitflip|Distributed|BytesIndependentOfExecutor'
 
 ## chaos: the fault-injection suite — injected kernel panics, hung tasks,
 ## transient failures, corrupt streams, double releases, bit flips, crash

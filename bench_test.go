@@ -353,27 +353,6 @@ func BenchmarkAblation_ColSearch(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_Stealing measures cross-team work stealing on a
-// skew-loaded multiplication (G9 concentrates work in few tile-rows).
-func BenchmarkAblation_Stealing(b *testing.B) {
-	f := getFixture(b, "G9")
-	for _, stealing := range []bool{false, true} {
-		name := "pinned"
-		if stealing {
-			name = "stealing"
-		}
-		cfg := f.cfg
-		cfg.Stealing = stealing
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Multiply(f.am, f.am, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_Runtime compares the persistent worker runtime (the
 // default) against the historical spawn-per-call ephemeral workers, on the
 // serving-loop workload of BenchmarkRepeatedMultiply. The persistent path

@@ -546,7 +546,7 @@ func (c *Coordinator) keepTiles(t *task, tiles []*core.Tile, into []*core.Tile) 
 		if !t.keepRow[tile.Row0] {
 			continue
 		}
-		tile.Home = c.cfg.Topology.HomeOfTileRow(tile.Row0 / c.cfg.BAtomic)
+		tile.Home = c.cfg.HomeOfRow(tile.Row0)
 		into = append(into, tile)
 	}
 	return into

@@ -216,28 +216,26 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 		denses: make([]mat.Dense, len(rowBands)*len(colBands)),
 	}
 
-	pool := sched.NewPool(cfg.Topology)
-	pool.Stealing = cfg.Stealing
-	pool.RowGrain = cfg.RowGrain
-	pool.Watchdog = opts.Watchdog
-	pool.Ephemeral = cfg.EphemeralWorkers
-	queues := make([][]int32, cfg.Topology.Sockets)
+	// The pairs with work, row-major over the band grid; a pair is homed
+	// with its A tile-row.
+	ncb := len(colBands)
+	pairs := make([]int32, 0, len(rowBands)*ncb)
 	for ti := range rowBands {
 		if len(aTilesPerBand[ti]) == 0 {
 			continue // structurally zero target tile-row
 		}
-		home := cfg.Topology.HomeOfTileRow(rowBands[ti].Lo / cfg.BAtomic)
 		for tj := range colBands {
-			if len(bTilesPerBand[tj]) == 0 {
-				continue
+			if len(bTilesPerBand[tj]) != 0 {
+				pairs = append(pairs, int32(ti*ncb+tj))
 			}
-			queues[int(home)] = append(queues[int(home)], int32(ti*len(colBands)+tj))
 		}
 	}
 	if err := opts.ctxErr(); err != nil {
 		return nil, nil, err
 	}
-	rs, runErr := pool.RunIndexedCtx(opts.Ctx, queues, mc.runPair)
+	rs, runErr := RunHomed(opts.Ctx, cfg, opts.Watchdog, len(pairs),
+		func(i int) int { return rowBands[int(pairs[i])/ncb].Lo },
+		func(team *sched.Team, i int) { mc.runPair(team, pairs[i]) })
 	stats.TasksStolen = rs.Stolen
 	stats.ScratchBytes = scratchFootprint.Load()
 	// A cancelled run may have skipped arbitrary pairs; the partial slot
@@ -247,11 +245,11 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 	}
 	if runErr != nil {
 		// A panicking tile task fails only this multiplication; annotate
-		// the scheduler's error with the target-tile coordinates the item
-		// id encodes.
+		// the scheduler's error with the target-tile coordinates of the
+		// pair it names.
 		var tpe *sched.TaskPanicError
-		if errors.As(runErr, &tpe) && tpe.Item >= 0 && len(colBands) > 0 {
-			ti, tj := int(tpe.Item)/len(colBands), int(tpe.Item)%len(colBands)
+		if errors.As(runErr, &tpe) {
+			ti, tj := int(pairs[tpe.Item])/ncb, int(pairs[tpe.Item])%ncb
 			return nil, nil, fmt.Errorf("core: ATMULT task panic at target tile (%d,%d) [rows %d–%d × cols %d–%d]: %w",
 				ti, tj, rowBands[ti].Lo, rowBands[ti].Hi, colBands[tj].Lo, colBands[tj].Hi, runErr)
 		}
@@ -590,9 +588,11 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 		}
 		*out = Tile{Row0: rb.Lo, Col0: cb.Lo, Rows: m, Cols: n, Kind: mat.Sparse, Sp: csr, NNZ: csr.NNZ()}
 	}
-	// First-touch policy: the result tile lives on the executing team's
-	// node, which by construction is the home of A's tile-row.
-	out.Home = team.Socket
+	// The tile is homed where its tile-row is placed, not where it was
+	// computed: Home is serialized, and which team ran the pair depends on
+	// timing. The allocation is charged to the team that made it, so a
+	// pair run away from home shows up in the NUMA statistics instead.
+	out.Home = cfg.HomeOfRow(rb.Lo)
 	stats.Numa.RecordAlloc(team.Socket, out.Bytes())
 }
 

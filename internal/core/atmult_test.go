@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
 
+	"atmatrix/internal/gen"
 	"atmatrix/internal/mat"
+	"atmatrix/internal/numa"
 	"atmatrix/internal/sched"
 )
 
@@ -339,12 +344,60 @@ func TestATMULTMixedGranularityOperands(t *testing.T) {
 	}
 }
 
-func TestATMULTStealing(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	cfg := testConfig()
-	cfg.Stealing = true
-	a := mat.RandomCOO(rng, 100, 100, 3000)
-	multAndCheck(t, cfg, DefaultMultOptions(), a, a, "stealing")
+// TestATMULTBytesIndependentOfExecutor: which team computes a pair is a
+// matter of timing — a team whose queue is dry takes what the others have
+// left — and must not show in the product. Ten runs of the same
+// multiplication serialize to the same bytes, and every result tile is
+// homed where its tile-row is placed, on skewed inputs that leave most
+// teams dry.
+func TestATMULTBytesIndependentOfExecutor(t *testing.T) {
+	var stolen int64
+	for _, tp := range []numa.Topology{{Sockets: 2, CoresPerSocket: 2}, {Sockets: 4, CoresPerSocket: 1}} {
+		for _, id := range []string{"G9", "R2"} {
+			spec, err := gen.Lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := spec.Generate(400.0 / float64(spec.Dim))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig()
+			cfg.Topology = tp
+			am, _, err := Partition(a, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first []byte
+			for run := 0; run < 10; run++ {
+				c, stats, err := MultiplyOpt(am, am, cfg, DefaultMultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				stolen += stats.TasksStolen
+				for _, tile := range c.Tiles {
+					if want := cfg.HomeOfRow(tile.Row0); tile.Home != want {
+						t.Fatalf("%s %dx%d run %d: tile at row %d homed on %d, its tile-row is placed on %d",
+							id, tp.Sockets, tp.CoresPerSocket, run, tile.Row0, tile.Home, want)
+					}
+				}
+				var buf bytes.Buffer
+				if _, err := c.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if run == 0 {
+					first = buf.Bytes()
+				} else if !bytes.Equal(first, buf.Bytes()) {
+					t.Fatalf("%s %dx%d: run %d serialized differently from run 0", id, tp.Sockets, tp.CoresPerSocket, run)
+				}
+			}
+		}
+	}
+	// On a single processor a leader can drain its queue before the others
+	// are scheduled at all.
+	if stolen == 0 && runtime.GOMAXPROCS(0) > 1 {
+		t.Fatal("no pair ever ran away from home: the test inspected nothing")
+	}
 }
 
 func TestATMULTChained(t *testing.T) {
@@ -385,12 +438,14 @@ func TestScratchBytesCoversWorkerArenas(t *testing.T) {
 	b := mat.RandomCOO(rng, n, n, 3*n)
 	stats := multAndCheck(t, cfg, DefaultMultOptions(), a, b, "scratch accounting")
 
+	// One item per team; each waits for all to have started, so every team
+	// is held by its own item and each arena is inspected exactly once.
 	var held atomic.Int64
-	queues := make([][]int32, cfg.Topology.Sockets)
-	for s := range queues {
-		queues[s] = []int32{int32(s)}
-	}
-	_, err := sched.NewPool(cfg.Topology).RunIndexedCtx(context.Background(), queues, func(team *sched.Team, _ int32) {
+	var arrived sync.WaitGroup
+	arrived.Add(cfg.Topology.Sockets)
+	_, err := RunHomed(context.Background(), cfg, 0, cfg.Topology.Sockets, func(i int) int { return i * cfg.BAtomic }, func(team *sched.Team, _ int) {
+		arrived.Done()
+		arrived.Wait()
 		for w := 0; w < team.Workers; w++ {
 			slot := team.WorkerLocal(w)
 			if slot == nil {

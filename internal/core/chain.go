@@ -277,6 +277,17 @@ func MultiplyChainOpt(chain []*ATMatrix, cfg Config, opts MultOptions) (*ATMatri
 	if err != nil {
 		return nil, nil, err
 	}
+	return ExecuteChain(chain, plan, cfg, opts)
+}
+
+// ExecuteChain multiplies the chain in the association order of a plan
+// made for it — by OptimizeChain, or by OptimizeChainMaps over estimated
+// maps of operands that did not exist yet when the order was chosen and
+// reported.
+func ExecuteChain(chain []*ATMatrix, plan *ChainPlan, cfg Config, opts MultOptions) (*ATMatrix, *ChainStats, error) {
+	if plan.n != len(chain) {
+		return nil, nil, fmt.Errorf("core: chain plan covers %d operands, chain has %d", plan.n, len(chain))
+	}
 	stats := &ChainStats{Plan: plan}
 	t0 := time.Now()
 	var live int64

@@ -159,7 +159,6 @@ func TestConcurrentMultiplyMixedConfigs(t *testing.T) {
 	cfgs[1].Topology.CoresPerSocket = 4
 	cfgs[1].RowGrain = 1
 	cfgs[2].EphemeralWorkers = true
-	cfgs[2].Stealing = true
 
 	var wg sync.WaitGroup
 	for _, c := range cfgs {

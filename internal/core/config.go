@@ -10,16 +10,19 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"atmatrix/internal/costmodel"
 	"atmatrix/internal/mat"
 	"atmatrix/internal/numa"
+	"atmatrix/internal/sched"
 )
 
 // Config carries the system-dependent tuning parameters of AT MATRIX and
@@ -51,9 +54,6 @@ type Config struct {
 	Topology numa.Topology
 	// Cost holds the kernel cost-model constants.
 	Cost costmodel.Params
-	// Stealing enables cross-team work stealing (extension; off
-	// reproduces the paper's strict socket pinning).
-	Stealing bool
 	// RowGrain is the minimum number of target-tile rows handed to each
 	// team worker during intra-tile parallelization; ranges shorter than
 	// 2·RowGrain run inline on the leader. It guards against the
@@ -128,6 +128,38 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative row grain %d", c.RowGrain)
 	}
 	return c.Topology.Validate()
+}
+
+// HomeOfRow returns the socket that owns matrix row `row`: the paper's
+// round-robin placement of tile-rows (§III-F) at b_atomic granularity. It is
+// the one homing rule — operand tiles, result tiles, the cluster's merged
+// product and every task queue go through it — so a different placement is
+// a change to this one function.
+func (c Config) HomeOfRow(row int) numa.Node {
+	return c.Topology.HomeOfTileRow(row / c.BAtomic)
+}
+
+// RunHomed runs fn(team, i) once for every item i in [0, n) on the
+// configuration's worker teams and returns when all have run. Item i is
+// queued on the team that homes matrix row rowOf(i) — the first row the
+// item works on — and runs there unless that team falls behind and a dry
+// one takes it (sched.Runtime.RunIndexedCtx); team tells fn which. A nil
+// ctx cannot be cancelled. A cancelled one stops the teams from picking up
+// further items; the caller learns that from ctx, not from the error, which
+// reports a failed run: *sched.TaskPanicError (its Item is i),
+// *sched.WatchdogError (a positive watchdog bounds every item) or
+// sched.ErrNoHealthyTeams.
+func RunHomed(ctx context.Context, cfg Config, watchdog time.Duration, n int, rowOf func(i int) int, fn func(team *sched.Team, i int)) (sched.RunStats, error) {
+	queues := make([][]int32, cfg.Topology.Sockets)
+	for i := 0; i < n; i++ {
+		home := cfg.HomeOfRow(rowOf(i))
+		queues[home] = append(queues[home], int32(i))
+	}
+	pool := sched.NewPool(cfg.Topology)
+	pool.RowGrain = cfg.RowGrain
+	pool.Watchdog = watchdog
+	pool.Ephemeral = cfg.EphemeralWorkers
+	return pool.RunIndexedCtx(ctx, queues, func(team *sched.Team, item int32) { fn(team, int(item)) })
 }
 
 // MaxDenseTileDim returns τ^d_max from Eq. 1: the dense tile side length

@@ -42,11 +42,8 @@ func (a *ATMatrix) Transpose() *ATMatrix {
 	return out
 }
 
-// MatVec computes y = A·x over the tiles, parallelized across the pool's
-// workers by tile. Tiles writing the same row range are disjoint in
-// columns, so partial results are accumulated per task into a private
-// buffer and merged — the classical tiled SpMV layout the paper's related
-// work (Vuduc) studies.
+// MatVec computes y = A·x over the tiles — the classical tiled SpMV layout
+// the paper's related work (Vuduc) studies.
 func (a *ATMatrix) MatVec(x []float64, cfg Config) ([]float64, error) {
 	if len(x) != a.Cols {
 		return nil, fmt.Errorf("core: MatVec dimension mismatch: %d columns, %d vector entries", a.Cols, len(x))
@@ -55,30 +52,21 @@ func (a *ATMatrix) MatVec(x []float64, cfg Config) ([]float64, error) {
 		return nil, err
 	}
 	y := make([]float64, a.Rows)
-	pool := sched.NewPool(cfg.Topology)
-	pool.RowGrain = cfg.RowGrain
-	pool.Ephemeral = cfg.EphemeralWorkers
-	// Group tiles by home so each team works node-locally; each task
-	// accumulates into a disjoint row range? Tiles in one tile-row share
-	// rows, so serialize per tile-row: build row-band tasks.
+	// Tiles in one tile-row share rows of y, so the unit of work is the row
+	// band: one item per band, run where the band's tiles live.
 	bands := a.RowBands()
-	queues := make([][]sched.Task, cfg.Topology.Sockets)
-	for _, band := range bands {
-		band := band
-		tiles := a.tilesInRowBand(band)
-		if len(tiles) == 0 {
-			continue
-		}
-		home := cfg.Topology.HomeOfTileRow(band.Lo / cfg.BAtomic)
-		queues[int(home)] = append(queues[int(home)], func(team *sched.Team) {
+	_, err := RunHomed(nil, cfg, 0, len(bands),
+		func(i int) int { return bands[i].Lo },
+		func(team *sched.Team, i int) {
+			band := bands[i]
+			tiles := a.tilesInRowBand(band)
 			team.ParallelRows(band.Len(), func(lo, hi, _ int) {
 				for _, t := range tiles {
 					tileMatVecRows(t, x, y, band.Lo+lo, band.Lo+hi)
 				}
 			})
 		})
-	}
-	if _, err := pool.Run(queues); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return y, nil

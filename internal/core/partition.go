@@ -286,21 +286,19 @@ func (p *partitioner) materialize(zs, ze uint64, nnz int64) {
 // in deterministic (recursion) order.
 func (p *partitioner) buildTiles() error {
 	tiles := make([]*Tile, len(p.jobs))
-	build := func(i int) { tiles[i] = p.buildTile(p.jobs[i]) }
 	if len(p.jobs) >= 4 && p.cfg.Topology.TotalCores() > 1 {
-		pool := sched.NewPool(p.cfg.Topology)
-		pool.Ephemeral = p.cfg.EphemeralWorkers
-		tasks := make([]sched.Task, len(p.jobs))
-		for i := range p.jobs {
-			i := i
-			tasks[i] = func(*sched.Team) { build(i) }
-		}
-		if _, err := pool.RunFlat(tasks); err != nil {
+		_, err := RunHomed(nil, p.cfg, 0, len(p.jobs),
+			func(i int) int {
+				br, _ := morton.Decode(p.jobs[i].zs)
+				return int(br) * p.cfg.BAtomic
+			},
+			func(_ *sched.Team, i int) { tiles[i] = p.buildTile(p.jobs[i]) })
+		if err != nil {
 			return err
 		}
 	} else {
 		for i := range p.jobs {
-			build(i)
+			tiles[i] = p.buildTile(p.jobs[i])
 		}
 	}
 	for _, t := range tiles {
@@ -332,7 +330,7 @@ func (p *partitioner) buildTile(job matJob) *Tile {
 	tile := &Tile{
 		Row0: r0, Col0: c0, Rows: h, Cols: w,
 		NNZ:  nnz,
-		Home: p.cfg.Topology.HomeOfTileRow(r0 / b),
+		Home: p.cfg.HomeOfRow(r0),
 	}
 	if p.kindOf(nnz, h, w) == mat.DenseKind {
 		tile.Kind = mat.DenseKind
@@ -436,7 +434,7 @@ func PartitionFixed(src *mat.COO, cfg Config, mixed bool) (*ATMatrix, *Partition
 		if nnz == 0 {
 			continue
 		}
-		tile := &Tile{Row0: r0, Col0: c0, Rows: h, Cols: w, NNZ: nnz, Home: cfg.Topology.HomeOfTileRow(br)}
+		tile := &Tile{Row0: r0, Col0: c0, Rows: h, Cols: w, NNZ: nnz, Home: cfg.HomeOfRow(r0)}
 		if mixed && mat.Density(nnz, h, w) >= cfg.RhoRead {
 			tile.Kind = mat.DenseKind
 			d := mat.NewDense(h, w)

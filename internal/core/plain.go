@@ -15,16 +15,7 @@ import (
 // as ATMULT but on the whole matrices, with rows split across all workers
 // of the pool.
 
-// flatTeams builds a pool treating every simulated core as one flat worker
-// set: plain kernels have no tile structure to pin to sockets.
-func flatTeams(cfg Config) (*sched.Pool, int) {
-	pool := sched.NewPool(cfg.Topology)
-	pool.RowGrain = cfg.RowGrain
-	pool.Ephemeral = cfg.EphemeralWorkers
-	return pool, cfg.Topology.TotalCores()
-}
-
-// rowChunks splits m rows into one task per worker.
+// rowChunks splits m rows into one chunk per worker.
 func rowChunks(m, workers int) []Band {
 	if workers > m {
 		workers = m
@@ -44,26 +35,33 @@ func rowChunks(m, workers int) []Band {
 	return out
 }
 
+// forRowChunks is the parallel loop all plain operators share: body runs
+// once per chunk of the m result rows, one chunk per simulated core. Plain
+// kernels have no tile structure; a chunk is homed by its first row like
+// everything else.
+func forRowChunks(cfg Config, m int, body func(team *sched.Team, rows Band)) error {
+	chunks := rowChunks(m, cfg.Topology.TotalCores())
+	_, err := RunHomed(nil, cfg, 0, len(chunks),
+		func(i int) int { return chunks[i].Lo },
+		func(team *sched.Team, i int) { body(team, chunks[i]) })
+	return err
+}
+
 // MulSpSpSp is the plain sparse × sparse → sparse baseline (Gustavson's
 // algorithm with a sparse accumulator), parallelized over row chunks.
 func MulSpSpSp(a, b *mat.CSR, cfg Config) (*mat.CSR, error) {
 	if a.Cols != b.Rows {
 		return nil, contractionErr(a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	pool, workers := flatTeams(cfg)
 	acc := kernels.NewSpAcc(a.Rows, b.Cols)
-	var tasks []sched.Task
-	for _, ch := range rowChunks(a.Rows, workers) {
-		ch := ch
-		tasks = append(tasks, func(team *sched.Team) {
-			// Tasks execute on the team leader, so its persistent scratch
-			// SPA is exclusively ours for the duration of the task.
-			spa := stateFor(team, 0, cfg.EphemeralWorkers).scratch.SPA()
-			aw := kernels.CSRWin{M: a, Row0: ch.Lo, Rows: ch.Len(), Cols: a.Cols}
-			kernels.SpSpSp(acc, ch.Lo, 0, aw, kernels.FullCSR(b), spa)
-		})
-	}
-	if _, err := pool.RunFlat(tasks); err != nil {
+	err := forRowChunks(cfg, a.Rows, func(team *sched.Team, ch Band) {
+		// Tasks execute on the team leader, so its persistent scratch SPA
+		// is exclusively ours for the duration of the task.
+		spa := stateFor(team, 0, cfg.EphemeralWorkers).scratch.SPA()
+		aw := kernels.CSRWin{M: a, Row0: ch.Lo, Rows: ch.Len(), Cols: a.Cols}
+		kernels.SpSpSp(acc, ch.Lo, 0, aw, kernels.FullCSR(b), spa)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return acc.ToCSR(), nil
@@ -74,17 +72,12 @@ func MulSpSpD(a, b *mat.CSR, cfg Config) (*mat.Dense, error) {
 	if a.Cols != b.Rows {
 		return nil, contractionErr(a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	pool, workers := flatTeams(cfg)
 	c := mat.NewDense(a.Rows, b.Cols)
-	var tasks []sched.Task
-	for _, ch := range rowChunks(a.Rows, workers) {
-		ch := ch
-		tasks = append(tasks, func(*sched.Team) {
-			aw := kernels.CSRWin{M: a, Row0: ch.Lo, Rows: ch.Len(), Cols: a.Cols}
-			kernels.SpSpD(c.Window(ch.Lo, ch.Hi, 0, c.Cols), aw, kernels.FullCSR(b))
-		})
-	}
-	if _, err := pool.RunFlat(tasks); err != nil {
+	err := forRowChunks(cfg, a.Rows, func(_ *sched.Team, ch Band) {
+		aw := kernels.CSRWin{M: a, Row0: ch.Lo, Rows: ch.Len(), Cols: a.Cols}
+		kernels.SpSpD(c.Window(ch.Lo, ch.Hi, 0, c.Cols), aw, kernels.FullCSR(b))
+	})
+	if err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -95,17 +88,12 @@ func MulSpDD(a *mat.CSR, b *mat.Dense, cfg Config) (*mat.Dense, error) {
 	if a.Cols != b.Rows {
 		return nil, contractionErr(a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	pool, workers := flatTeams(cfg)
 	c := mat.NewDense(a.Rows, b.Cols)
-	var tasks []sched.Task
-	for _, ch := range rowChunks(a.Rows, workers) {
-		ch := ch
-		tasks = append(tasks, func(*sched.Team) {
-			aw := kernels.CSRWin{M: a, Row0: ch.Lo, Rows: ch.Len(), Cols: a.Cols}
-			kernels.SpDD(c.Window(ch.Lo, ch.Hi, 0, c.Cols), aw, b)
-		})
-	}
-	if _, err := pool.RunFlat(tasks); err != nil {
+	err := forRowChunks(cfg, a.Rows, func(_ *sched.Team, ch Band) {
+		aw := kernels.CSRWin{M: a, Row0: ch.Lo, Rows: ch.Len(), Cols: a.Cols}
+		kernels.SpDD(c.Window(ch.Lo, ch.Hi, 0, c.Cols), aw, b)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -117,16 +105,11 @@ func MulDSpD(a *mat.Dense, b *mat.CSR, cfg Config) (*mat.Dense, error) {
 	if a.Cols != b.Rows {
 		return nil, contractionErr(a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	pool, workers := flatTeams(cfg)
 	c := mat.NewDense(a.Rows, b.Cols)
-	var tasks []sched.Task
-	for _, ch := range rowChunks(a.Rows, workers) {
-		ch := ch
-		tasks = append(tasks, func(*sched.Team) {
-			kernels.DSpD(c.Window(ch.Lo, ch.Hi, 0, c.Cols), a.Window(ch.Lo, ch.Hi, 0, a.Cols), kernels.FullCSR(b))
-		})
-	}
-	if _, err := pool.RunFlat(tasks); err != nil {
+	err := forRowChunks(cfg, a.Rows, func(_ *sched.Team, ch Band) {
+		kernels.DSpD(c.Window(ch.Lo, ch.Hi, 0, c.Cols), a.Window(ch.Lo, ch.Hi, 0, a.Cols), kernels.FullCSR(b))
+	})
+	if err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -137,16 +120,11 @@ func MulDDD(a, b *mat.Dense, cfg Config) (*mat.Dense, error) {
 	if a.Cols != b.Rows {
 		return nil, contractionErr(a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	pool, workers := flatTeams(cfg)
 	c := mat.NewDense(a.Rows, b.Cols)
-	var tasks []sched.Task
-	for _, ch := range rowChunks(a.Rows, workers) {
-		ch := ch
-		tasks = append(tasks, func(*sched.Team) {
-			kernels.DDD(c.Window(ch.Lo, ch.Hi, 0, c.Cols), a.Window(ch.Lo, ch.Hi, 0, a.Cols), b)
-		})
-	}
-	if _, err := pool.RunFlat(tasks); err != nil {
+	err := forRowChunks(cfg, a.Rows, func(_ *sched.Team, ch Band) {
+		kernels.DDD(c.Window(ch.Lo, ch.Hi, 0, c.Cols), a.Window(ch.Lo, ch.Hi, 0, a.Cols), b)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -292,11 +292,11 @@ func TestRunFig6(t *testing.T) {
 	if r.LocalBytes+r.RemoteBytes == 0 {
 		t.Fatal("no traffic recorded")
 	}
-	// With 4 sockets, A reads and C writes are local but B tile reads are
-	// remote ≈ 3/4 of the time: the overall local fraction must be
-	// strictly between the extremes.
-	if r.LocalFraction <= 0.25 || r.LocalFraction >= 1 {
-		t.Fatalf("local fraction %.3f outside (0.25, 1)", r.LocalFraction)
+	// With 4 sockets, B tile reads are remote ≈ 3/4 of the time, and so
+	// are the A reads and C writes of a pair a dry team took from its home:
+	// the overall local fraction must be strictly between the extremes.
+	if r.LocalFraction <= 0 || r.LocalFraction >= 1 {
+		t.Fatalf("local fraction %.3f outside (0, 1)", r.LocalFraction)
 	}
 	var allocTotal int64
 	for _, b := range r.AllocPerNode {

@@ -21,10 +21,11 @@ type Fig6Row struct {
 
 // RunFig6 multiplies the selected matrices (default R3) on the paper's
 // 4×10 topology and reports the placement statistics: with tile-rows
-// distributed round-robin and pairs pinned to the socket owning A's
-// tile-row, all A reads and C writes are node-local by construction,
-// while B tile reads hit remote nodes ≈ (sockets−1)/sockets of the time —
-// the trade-off Fig. 6 illustrates.
+// distributed round-robin, a pair run by the team owning A's tile-row
+// reads A and writes C node-locally while its B tile reads hit remote
+// nodes ≈ (sockets−1)/sockets of the time — the trade-off Fig. 6
+// illustrates. A pair taken by a dry team is charged to that team, so the
+// local fraction also carries the price of the load balancing.
 func RunFig6(o Options) ([]Fig6Row, error) {
 	if len(o.IDs) == 0 {
 		o.IDs = []string{"R3"}

@@ -367,15 +367,20 @@ func (e *exec) evalChain(v *chainNode) (*core.ATMatrix, bool, error) {
 	return out, true, nil
 }
 
-// runMaterialized executes the chain per-step in DP order through
-// core.MultiplyChainOpt — the unfused baseline and the fallback when the
-// planner rejects fusion.
+// runMaterialized executes the chain step by step in the order the planner
+// chose and reported (v.cplan) — the unfused baseline and the fallback when
+// the planner rejects fusion.
 func (e *exec) runMaterialized(v *chainNode, mats []*core.ATMatrix) (*core.ATMatrix, error) {
 	var out *core.ATMatrix
 	err := e.stage(v.label(), func() error {
-		result, cstats, merr := core.MultiplyChainOpt(mats, e.cfg, e.opts.Mult)
+		result, cstats, merr := core.ExecuteChain(mats, v.cplan, e.cfg, e.opts.Mult)
 		if merr != nil {
 			return merr
+		}
+		// Steps run in the plan's step order; name them by factor label
+		// like the reported order, not by chain position.
+		for s, name := range v.stepNames() {
+			cstats.StepInfos[s].Expr = name
 		}
 		// The chain's internal peak stacks on whatever else is live.
 		e.alloc(cstats.PeakIntermediateBytes)
@@ -492,34 +497,18 @@ func seedPanel(m *core.ATMatrix, dst []float64, w int, coef float64) {
 func (e *exec) applyPanel(m *core.ATMatrix, src, dst []float64, w int) error {
 	byBand := tilesByBlockRow(m)
 	b := m.BAtomic
-	queues := make([][]sched.Task, e.cfg.Topology.Sockets)
-	for br := 0; br < len(byBand); br++ {
-		br := br
-		tiles := byBand[br]
-		lo := br * b
-		hi := lo + b
-		if hi > m.Rows {
-			hi = m.Rows
-		}
-		if lo >= hi {
-			continue
-		}
-		home := int(e.cfg.Topology.HomeOfTileRow(br))
-		queues[home] = append(queues[home], func(team *sched.Team) {
+	_, err := core.RunHomed(e.opts.Mult.Ctx, e.cfg, e.opts.Mult.Watchdog, (m.Rows+b-1)/b,
+		func(br int) int { return br * b },
+		func(team *sched.Team, br int) {
+			lo, hi := br*b, min(br*b+b, m.Rows)
 			team.ParallelRows(hi-lo, func(rlo, rhi, _ int) {
 				zeroRows(dst, w, lo+rlo, lo+rhi)
-				for _, t := range tiles {
+				for _, t := range byBand[br] {
 					tilePanelRows(t, src, dst, w, lo+rlo, lo+rhi)
 				}
 			})
 		})
-	}
-	pool := sched.NewPool(e.cfg.Topology)
-	pool.RowGrain = e.cfg.RowGrain
-	pool.Ephemeral = e.cfg.EphemeralWorkers
-	pool.Stealing = e.cfg.Stealing
-	pool.Watchdog = e.opts.Mult.Watchdog
-	if _, err := pool.RunCtx(e.opts.Mult.Ctx, queues); err != nil {
+	if err != nil {
 		return err
 	}
 	return e.ctxErr()
@@ -644,16 +633,10 @@ func (e *exec) runRowStream(v *chainNode, mats []*core.ATMatrix) (*core.ATMatrix
 
 	t0 := time.Now()
 	err := e.stage(v.label(), func() error {
-		queues := make([][]sched.Task, e.cfg.Topology.Sockets)
-		for br := 0; br < nb; br++ {
-			br := br
-			lo := br * b
-			hi := lo + b
-			if hi > n {
-				hi = n
-			}
-			home := int(e.cfg.Topology.HomeOfTileRow(br))
-			queues[home] = append(queues[home], func(team *sched.Team) {
+		_, rerr := core.RunHomed(e.opts.Mult.Ctx, e.cfg, e.opts.Mult.Watchdog, nb,
+			func(br int) int { return br * b },
+			func(_ *sched.Team, br int) {
+				lo, hi := br*b, min(br*b+b, n)
 				sc := scratch.Get().(*streamScratch)
 				defer scratch.Put(sc)
 				piece := &pieces[br]
@@ -663,13 +646,7 @@ func (e *exec) runRowStream(v *chainNode, mats []*core.ATMatrix) (*core.ATMatrix
 					flushStreamRow(piece, i-lo, sc.a)
 				}
 			})
-		}
-		pool := sched.NewPool(e.cfg.Topology)
-		pool.RowGrain = e.cfg.RowGrain
-		pool.Ephemeral = e.cfg.EphemeralWorkers
-		pool.Stealing = e.cfg.Stealing
-		pool.Watchdog = e.opts.Mult.Watchdog
-		if _, rerr := pool.RunCtx(e.opts.Mult.Ctx, queues); rerr != nil {
+		if rerr != nil {
 			return rerr
 		}
 		return e.ctxErr()

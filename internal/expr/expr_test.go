@@ -182,6 +182,8 @@ func TestEvalMatchesReference(t *testing.T) {
 		"2*A*3*x",
 		"0.85*A*r + 0.15*r",
 		"-1*A*x",
+		"A'*(B+C)*A",
+		"(A+B)*C'*A'*x",
 	}
 	for _, src := range exprs {
 		node, err := Parse(src)
@@ -203,6 +205,13 @@ func TestEvalMatchesReference(t *testing.T) {
 			requireClose(t, label, got, want)
 			if st.Stages == 0 {
 				t.Errorf("%s: no stages recorded", label)
+			}
+			// A materialized chain runs in the order the plan reports: the
+			// chain's last step is the whole association order.
+			if _, chain := node.(*Mul); chain && materialize {
+				if last := st.Steps[len(st.Steps)-1].Expr; last != plan.Summary().Order {
+					t.Errorf("%s: executed %s, plan reported %s", label, last, plan.Summary().Order)
+				}
 			}
 		}
 	}

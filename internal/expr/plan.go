@@ -294,18 +294,30 @@ func (n *chainNode) label() string {
 	return s
 }
 
-// orderString renders the chosen association order with the factor labels
-// substituted for the DP's positional names.
-func (n *chainNode) orderString() string {
+// stepNames renders the plan's multiplication steps, in execution order,
+// with the factor labels substituted for the DP's positional names; the
+// last one is the whole chain's association order.
+func (n *chainNode) stepNames() []string {
 	names := map[[2]int]string{}
 	for i, f := range n.factors {
 		names[[2]int{i, i}] = f.label()
 	}
-	for _, st := range n.cplan.Steps() {
+	steps := n.cplan.Steps()
+	out := make([]string, len(steps))
+	for s, st := range steps {
 		i, k, j := st[0], st[1], st[2]
-		names[[2]int{i, j}] = "(" + names[[2]int{i, k}] + "·" + names[[2]int{k + 1, j}] + ")"
+		out[s] = "(" + names[[2]int{i, k}] + "·" + names[[2]int{k + 1, j}] + ")"
+		names[[2]int{i, j}] = out[s]
 	}
-	return names[[2]int{0, len(n.factors) - 1}]
+	return out
+}
+
+// orderString is the chosen association order of the whole chain.
+func (n *chainNode) orderString() string {
+	if steps := n.stepNames(); len(steps) > 0 {
+		return steps[len(steps)-1]
+	}
+	return n.factors[0].label()
 }
 
 // PlanExpr validates the expression against the bindings and lowers it to

@@ -44,7 +44,6 @@ func TestCancelStopsDrain(t *testing.T) {
 // phase: a cancelled context set before the run starts executes nothing.
 func TestCancelStopsStealing(t *testing.T) {
 	p := NewPool(numa.Topology{Sockets: 2, CoresPerSocket: 1})
-	p.Stealing = true
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var executed atomic.Int64
@@ -66,7 +65,7 @@ func TestCancelledRuntimeStaysUsable(t *testing.T) {
 	p.RunIndexedCtx(ctx, [][]int32{{0, 1}, {2, 3}}, func(team *Team, item int32) {})
 
 	var executed atomic.Int64
-	p.RunIndexed([][]int32{{0, 1}, {2, 3}}, func(team *Team, item int32) {
+	p.RunIndexedCtx(nil, [][]int32{{0, 1}, {2, 3}}, func(team *Team, item int32) {
 		executed.Add(1)
 	})
 	if n := executed.Load(); n != 4 {

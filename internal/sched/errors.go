@@ -12,12 +12,12 @@ import (
 // TaskPanicError reports a panic inside a task body. The scheduler recovers
 // the panic on the executing worker, so only the run that owned the task
 // fails — the worker teams and every other in-flight run keep going. Item
-// carries the task's item id for indexed runs (the tile-pair index a caller
-// can map back to tile coordinates); -1 for closure tasks.
+// carries the task's item id (for ATMULT, the tile-pair index the caller
+// maps back to tile coordinates).
 type TaskPanicError struct {
 	// Socket is the team that executed the panicking task.
 	Socket numa.Node
-	// Item is the item id of an indexed task, -1 for closure tasks.
+	// Item is the item id of the panicking task.
 	Item int32
 	// Value is the recovered panic value.
 	Value any
@@ -26,10 +26,7 @@ type TaskPanicError struct {
 }
 
 func (e *TaskPanicError) Error() string {
-	if e.Item >= 0 {
-		return fmt.Sprintf("sched: task panic on socket %d (item %d): %v", e.Socket, e.Item, e.Value)
-	}
-	return fmt.Sprintf("sched: task panic on socket %d: %v", e.Socket, e.Value)
+	return fmt.Sprintf("sched: task panic on socket %d (item %d): %v", e.Socket, e.Item, e.Value)
 }
 
 // WatchdogError reports that a task overran the run's per-task watchdog

@@ -28,17 +28,17 @@ func TestTaskPanicBecomesTypedError(t *testing.T) {
 	_, p := faultRuntime(t, 2, 4)
 	panicsBefore, _ := Counters()
 	ran := 0
-	queues := [][]Task{
+	queues := [][]func(*Team){
 		{func(team *Team) { ran++ }},
 		{func(team *Team) { panic("boom") }},
 	}
-	_, err := p.Run(queues)
+	_, err := runTasks(p, queues)
 	var tpe *TaskPanicError
 	if !errors.As(err, &tpe) {
 		t.Fatalf("Run error = %v, want *TaskPanicError", err)
 	}
-	if tpe.Item != -1 {
-		t.Errorf("closure task panic Item = %d, want -1", tpe.Item)
+	if tpe.Item != 1 {
+		t.Errorf("panic Item = %d, want 1 (the panicking task's id)", tpe.Item)
 	}
 	if tpe.Value != "boom" {
 		t.Errorf("panic Value = %v, want \"boom\"", tpe.Value)
@@ -51,11 +51,11 @@ func TestTaskPanicBecomesTypedError(t *testing.T) {
 	}
 	// The runtime survives: a healthy run on the same teams succeeds.
 	total := make([]int, 2)
-	healthy := [][]Task{
+	healthy := [][]func(*Team){
 		{func(team *Team) { total[0]++ }},
 		{func(team *Team) { total[1]++ }},
 	}
-	if _, err := p.Run(healthy); err != nil {
+	if _, err := runTasks(p, healthy); err != nil {
 		t.Fatalf("healthy run after panic failed: %v", err)
 	}
 	if total[0] != 1 || total[1] != 1 {
@@ -66,7 +66,7 @@ func TestTaskPanicBecomesTypedError(t *testing.T) {
 func TestIndexedTaskPanicCarriesItem(t *testing.T) {
 	_, p := faultRuntime(t, 2, 2)
 	queues := [][]int32{{0, 1, 2}, {3, 4, 5}}
-	_, err := p.RunIndexed(queues, func(team *Team, item int32) {
+	_, err := p.RunIndexedCtx(nil, queues, func(team *Team, item int32) {
 		if item == 4 {
 			panic("poisoned tile")
 		}
@@ -83,7 +83,7 @@ func TestIndexedTaskPanicCarriesItem(t *testing.T) {
 func TestFanoutHelperPanicIsolated(t *testing.T) {
 	_, p := faultRuntime(t, 1, 4)
 	for _, worker := range []int{0, 2} { // leader chunk and a helper chunk
-		_, err := p.Run([][]Task{{func(team *Team) {
+		_, err := runTasks(p, [][]func(*Team){{func(team *Team) {
 			team.ParallelRows(64, func(lo, hi, w int) {
 				if w == worker {
 					panic("chunk down")
@@ -100,7 +100,7 @@ func TestFanoutHelperPanicIsolated(t *testing.T) {
 		// The team's reusable barrier must have survived: a full fan-out
 		// over the same helpers still covers every row exactly once.
 		seen := make([]int32, 256)
-		if _, err := p.Run([][]Task{{func(team *Team) {
+		if _, err := runTasks(p, [][]func(*Team){{func(team *Team) {
 			team.ParallelRows(len(seen), func(lo, hi, w int) {
 				for i := lo; i < hi; i++ {
 					seen[i]++
@@ -121,11 +121,14 @@ func TestWatchdogDegradesTeamAndSelfHeals(t *testing.T) {
 	rt, p := faultRuntime(t, 2, 2)
 	p.Watchdog = 30 * time.Millisecond
 	release := make(chan struct{})
-	blocked := [][]Task{
-		{func(team *Team) { <-release }},
-		{},
+	started := make(chan struct{})
+	blocked := [][]func(*Team){
+		{func(team *Team) { close(started); <-release }},
+		// Keeps team 1 busy until team 0 holds the blocking task: a dry
+		// team would otherwise be free to take it.
+		{func(team *Team) { <-started }},
 	}
-	_, err := p.Run(blocked)
+	_, err := runTasks(p, blocked)
 	var wde *WatchdogError
 	if !errors.As(err, &wde) {
 		t.Fatalf("Run error = %v, want *WatchdogError", err)
@@ -143,7 +146,7 @@ func TestWatchdogDegradesTeamAndSelfHeals(t *testing.T) {
 	// While team 0 is stuck, new runs route its queue onto healthy teams
 	// and succeed.
 	ran := 0
-	if _, err := p.Run([][]Task{
+	if _, err := runTasks(p, [][]func(*Team){
 		{func(team *Team) { ran++ }},
 		{func(team *Team) { ran++ }},
 	}); err != nil {
@@ -161,7 +164,7 @@ func TestWatchdogDegradesTeamAndSelfHeals(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := p.Run([][]Task{{func(team *Team) {}}, {func(team *Team) {}}}); err != nil {
+	if _, err := runTasks(p, [][]func(*Team){{func(team *Team) {}}, {func(team *Team) {}}}); err != nil {
 		t.Fatalf("run after self-heal failed: %v", err)
 	}
 }
@@ -178,7 +181,10 @@ func TestWatchdogDegradedTeamHealsWithoutRedelivery(t *testing.T) {
 	blockedErr := make(chan error, 1)
 	// Run 1 wedges socket 0's leader.
 	go func() {
-		_, err := p.Run([][]Task{{func(team *Team) { close(started); <-release }}, {}})
+		_, err := runTasks(p, [][]func(*Team){
+			{func(team *Team) { close(started); <-release }},
+			{func(team *Team) { <-started }}, // team 1 must not take team 0's task
+		})
 		blockedErr <- err
 	}()
 	<-started
@@ -186,14 +192,14 @@ func TestWatchdogDegradedTeamHealsWithoutRedelivery(t *testing.T) {
 	// must go through the abandonable async path.
 	queuedErr := make(chan error, 1)
 	go func() {
-		_, err := p.Run([][]Task{{func(team *Team) {}}, {}})
+		_, err := runTasks(p, [][]func(*Team){{func(team *Team) {}}, {}})
 		queuedErr <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
 
 	wp := NewPool(p.Topology())
 	wp.Watchdog = 30 * time.Millisecond
-	_, err := wp.Run([][]Task{{func(team *Team) {}}, {func(team *Team) {}}})
+	_, err := runTasks(wp, [][]func(*Team){{func(team *Team) {}}, {func(team *Team) {}}})
 	var wde *WatchdogError
 	if !errors.As(err, &wde) {
 		t.Fatalf("watchdogged run error = %v, want *WatchdogError", err)
@@ -217,7 +223,7 @@ func TestWatchdogDegradedTeamHealsWithoutRedelivery(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := wp.Run([][]Task{{func(team *Team) {}}, {func(team *Team) {}}}); err != nil {
+	if _, err := runTasks(wp, [][]func(*Team){{func(team *Team) {}}, {func(team *Team) {}}}); err != nil {
 		t.Fatalf("run after heal failed: %v", err)
 	}
 }
@@ -232,7 +238,10 @@ func TestWatchdogIgnoresEarlierRunsTask(t *testing.T) {
 	started := make(chan struct{})
 	earlier := make(chan error, 1)
 	go func() {
-		_, err := p.Run([][]Task{{func(team *Team) { close(started); <-release }}, {}})
+		_, err := runTasks(p, [][]func(*Team){
+			{func(team *Team) { close(started); <-release }},
+			{func(team *Team) { <-started }}, // team 1 must not take team 0's task
+		})
 		earlier <- err
 	}()
 	<-started
@@ -247,7 +256,7 @@ func TestWatchdogIgnoresEarlierRunsTask(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		_, runErr = wp.Run([][]Task{{func(team *Team) {}}, {func(team *Team) {}}})
+		_, runErr = runTasks(wp, [][]func(*Team){{func(team *Team) {}}, {func(team *Team) {}}})
 	}()
 	// Free the leader well past the watchdog's first polls but well before
 	// a full deadline has elapsed since the run's dispatch.
@@ -269,10 +278,10 @@ func TestAllTeamsDegradedIsTransientError(t *testing.T) {
 	rt, p := faultRuntime(t, 1, 3)
 	p.Watchdog = 20 * time.Millisecond
 	release := make(chan struct{})
-	if _, err := p.Run([][]Task{{func(team *Team) { <-release }}}); err == nil {
+	if _, err := runTasks(p, [][]func(*Team){{func(team *Team) { <-release }}}); err == nil {
 		t.Fatal("expected watchdog failure")
 	}
-	_, err := p.Run([][]Task{{func(team *Team) {}}})
+	_, err := runTasks(p, [][]func(*Team){{func(team *Team) {}}})
 	if !errors.Is(err, ErrNoHealthyTeams) {
 		t.Fatalf("run with all teams degraded: error = %v, want ErrNoHealthyTeams", err)
 	}
@@ -288,7 +297,7 @@ func TestAllTeamsDegradedIsTransientError(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := p.Run([][]Task{{func(team *Team) {}}}); err != nil {
+	if _, err := runTasks(p, [][]func(*Team){{func(team *Team) {}}}); err != nil {
 		t.Fatalf("run after heal failed: %v", err)
 	}
 }
@@ -299,7 +308,7 @@ func TestInjectedPanicAtNthTask(t *testing.T) {
 		Site: "sched.task", Kind: faultinject.KindPanic, After: 4,
 	})()
 	items := [][]int32{{0, 1, 2, 3}, {4, 5, 6, 7}}
-	_, err := p.RunIndexed(items, func(team *Team, item int32) {})
+	_, err := p.RunIndexedCtx(nil, items, func(team *Team, item int32) {})
 	var tpe *TaskPanicError
 	if !errors.As(err, &tpe) {
 		t.Fatalf("error = %v, want *TaskPanicError", err)
@@ -308,7 +317,7 @@ func TestInjectedPanicAtNthTask(t *testing.T) {
 		t.Errorf("panic Value = %v, want *InjectedPanic at sched.task", tpe.Value)
 	}
 	faultinject.Disable()
-	if _, err := p.RunIndexed(items, func(team *Team, item int32) {}); err != nil {
+	if _, err := p.RunIndexedCtx(nil, items, func(team *Team, item int32) {}); err != nil {
 		t.Fatalf("run after disarming faults failed: %v", err)
 	}
 }
@@ -317,12 +326,12 @@ func TestEphemeralPoolPanicIsolated(t *testing.T) {
 	leakcheck.Check(t)
 	p := NewPool(topo(2, 2))
 	p.Ephemeral = true
-	_, err := p.Run([][]Task{{func(team *Team) { panic("ephemeral boom") }}})
+	_, err := runTasks(p, [][]func(*Team){{func(team *Team) { panic("ephemeral boom") }}})
 	var tpe *TaskPanicError
 	if !errors.As(err, &tpe) {
 		t.Fatalf("error = %v, want *TaskPanicError", err)
 	}
-	if _, err := p.Run([][]Task{{func(team *Team) {}}}); err != nil {
+	if _, err := runTasks(p, [][]func(*Team){{func(team *Team) {}}}); err != nil {
 		t.Fatalf("ephemeral run after panic failed: %v", err)
 	}
 }
@@ -332,7 +341,7 @@ func TestRuntimeCloseReleasesWorkers(t *testing.T) {
 	tp := topo(3, 3)
 	rt := RuntimeFor(tp)
 	p := NewPool(tp)
-	if _, err := p.Run([][]Task{
+	if _, err := runTasks(p, [][]func(*Team){
 		{func(team *Team) { team.ParallelRows(32, func(lo, hi, w int) {}) }},
 		{func(team *Team) {}},
 		{func(team *Team) {}},
@@ -346,7 +355,7 @@ func TestRuntimeCloseReleasesWorkers(t *testing.T) {
 	if rt2 == rt {
 		t.Fatal("RuntimeFor returned the closed runtime")
 	}
-	if _, err := p.Run([][]Task{{func(team *Team) {}}}); err != nil {
+	if _, err := runTasks(p, [][]func(*Team){{func(team *Team) {}}}); err != nil {
 		t.Fatalf("run on fresh runtime failed: %v", err)
 	}
 	rt2.Close()

@@ -13,7 +13,7 @@ import (
 
 // Runtime is the persistent incarnation of the two-level scheduler: it
 // starts Sockets × CoresPerSocket long-lived worker goroutines once and
-// serves every subsequent Run / ParallelRows over channels, the way the
+// serves every subsequent run and ParallelRows over channels, the way the
 // paper's SAP HANA task framework keeps socket-pinned worker teams alive
 // across operator invocations (§III-F). The spawn-per-call Pool of earlier
 // revisions paid a goroutine creation and a fresh stack for every tile of
@@ -33,8 +33,8 @@ import (
 // as soon as their leader finishes any request, the proof that the stuck
 // task has returned.
 //
-// Tasks must not call Run (directly or through a Pool) from inside a task:
-// the leader executing the outer task would never pick up the nested
+// Tasks must not start a run (directly or through a Pool) from inside a
+// task: the leader executing the outer task would never pick up the nested
 // request. None of the operators in this repository nest runs.
 type Runtime struct {
 	topo   numa.Topology
@@ -101,9 +101,6 @@ type rowJob struct {
 
 // RunOpts tunes one run on the persistent runtime.
 type RunOpts struct {
-	// Stealing enables cross-team work stealing once a team's own queue
-	// is drained.
-	Stealing bool
 	// Grain is the minimum number of rows per worker in ParallelRows
 	// (see Team.Grain).
 	Grain int
@@ -114,17 +111,16 @@ type RunOpts struct {
 	Watchdog time.Duration
 }
 
-// runReq is one Pool.Run handed to the leaders: the folded per-socket task
-// queues plus the shared drain/steal cursors. A request carries either
-// closure tasks (folded) or item ids executed through one shared function
-// (items + run) — the indexed form exists so that a caller with thousands
-// of homogeneous tasks per invocation does not allocate one closure each.
+// runReq is one run handed to the leaders: the per-socket queues of item
+// ids (folded onto the socket count), the one task function they execute
+// through — a caller with thousands of homogeneous tasks per invocation
+// allocates no closure per task — and the cursors every team shares:
+// next[s] is the next undrained entry of socket s's queue, advanced by the
+// home team and by any dry team taking the rest.
 type runReq struct {
-	folded   [][]Task
 	items    [][]int32
 	run      func(team *Team, item int32)
 	next     []atomic.Int64
-	stealing bool
 	grain    int
 	watchdog time.Duration
 	// dispatched is the UnixNano time the request was handed to the
@@ -195,28 +191,13 @@ func (req *runReq) markDone(s int) bool {
 	return true
 }
 
-// queueLen returns the length of socket s's folded queue.
-func (req *runReq) queueLen(s int) int {
-	if req.run != nil {
-		return len(req.items[s])
-	}
-	return len(req.folded[s])
-}
-
-// exec runs entry i of socket s's queue on the given team.
-func (req *runReq) exec(s, i int, team *Team) {
-	if req.run != nil {
-		req.run(team, req.items[s][i])
-		return
-	}
-	req.folded[s][i](team)
-}
-
-// safeExec is exec behind the panic boundary: a panicking task (or an
-// injected fault) is converted into a *TaskPanicError that fails only this
-// request. Panics surfacing from ParallelRows helper chunks arrive as
-// *fanoutPanic values carrying the original goroutine's stack.
+// safeExec runs entry i of socket s's queue on the given team behind the
+// panic boundary: a panicking task (or an injected fault) is converted into
+// a *TaskPanicError that fails only this request. Panics surfacing from
+// ParallelRows helper chunks arrive as *fanoutPanic values carrying the
+// original goroutine's stack.
 func (req *runReq) safeExec(s, i int, team *Team) {
+	item := req.items[s][i]
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -226,10 +207,6 @@ func (req *runReq) safeExec(s, i int, team *Team) {
 		if fp, ok := p.(*fanoutPanic); ok {
 			p, stack = fp.value, fp.stack
 		}
-		item := int32(-1)
-		if req.run != nil {
-			item = req.items[s][i]
-		}
 		taskPanics.Add(1)
 		req.fail(&TaskPanicError{Socket: team.Socket, Item: item, Value: p, Stack: stack})
 	}()
@@ -238,10 +215,10 @@ func (req *runReq) safeExec(s, i int, team *Team) {
 		// surfaces as a (recovered) panic.
 		panic(err)
 	}
-	req.exec(s, i, team)
+	req.run(team, item)
 }
 
-// RunStats reports scheduling counters of one Run call.
+// RunStats reports scheduling counters of one run.
 type RunStats struct {
 	// Stolen is the number of tasks executed by a team other than the one
 	// owning the task's home queue.
@@ -337,36 +314,30 @@ func (r *Runtime) Close() {
 	}
 }
 
-// RunCtx executes the queues on the persistent teams: queues[s] holds the
-// tasks affine to socket s, every task runs exactly once (unless the run is
-// cancelled or fails), and the call blocks until all teams finished. A nil
-// ctx means an uncancellable run. Concurrent RunCtx calls on the same
-// runtime are safe; their tasks are serialized per leader, which bounds the
-// process-wide parallelism to the topology — the point of a persistent
-// worker pool. A non-nil error reports the run's first failure: a
-// *TaskPanicError, a *WatchdogError, or ErrNoHealthyTeams. Cancellation is
-// reported by the caller inspecting ctx, not through the returned error
-// (the same contract as Pool.RunCtx).
-func (r *Runtime) RunCtx(ctx context.Context, queues [][]Task, opts RunOpts) (RunStats, error) {
-	s := len(r.teams)
-	folded := make([][]Task, s)
-	for i, q := range queues {
-		folded[i%s] = append(folded[i%s], q...)
-	}
-	return r.dispatch(&runReq{folded: folded, stealing: opts.Stealing, grain: opts.Grain, watchdog: opts.Watchdog, ctx: ctx})
+// RunIndexedCtx executes queues of item ids through one shared task
+// function on the persistent teams: queues[s] holds the items homed on
+// socket s (indexes beyond the socket count fold back round-robin). Every
+// team drains its own queue first and then whatever is left in the others',
+// so every item runs exactly once — on its home team while that team keeps
+// up, on a dry one otherwise — unless the run is cancelled or fails, and the
+// call blocks until all teams finished. A nil ctx means an uncancellable
+// run. Concurrent calls on the same runtime are safe; their tasks are
+// serialized per leader, which bounds the process-wide parallelism to the
+// topology — the point of a persistent worker pool. A non-nil error reports
+// the run's first failure: a *TaskPanicError, a *WatchdogError, or
+// ErrNoHealthyTeams. Cancellation is reported by the caller inspecting ctx,
+// not through the returned error.
+func (r *Runtime) RunIndexedCtx(ctx context.Context, queues [][]int32, run func(team *Team, item int32), opts RunOpts) (RunStats, error) {
+	return r.dispatch(&runReq{items: foldQueues(queues, len(r.teams)), run: run, grain: opts.Grain, watchdog: opts.Watchdog, ctx: ctx})
 }
 
-// RunIndexedCtx executes queues of item ids through one shared task
-// function, with the same placement, stealing and completion semantics as
-// RunCtx. It is the allocation-free bulk form: a multiplication enqueues
-// one int32 per tile pair instead of one closure per pair.
-func (r *Runtime) RunIndexedCtx(ctx context.Context, queues [][]int32, run func(team *Team, item int32), opts RunOpts) (RunStats, error) {
-	s := len(r.teams)
+// foldQueues folds queue i onto socket i mod s.
+func foldQueues(queues [][]int32, s int) [][]int32 {
 	folded := make([][]int32, s)
 	for i, q := range queues {
 		folded[i%s] = append(folded[i%s], q...)
 	}
-	return r.dispatch(&runReq{items: folded, run: run, stealing: opts.Stealing, grain: opts.Grain, watchdog: opts.Watchdog, ctx: ctx})
+	return folded
 }
 
 func (r *Runtime) dispatch(req *runReq) (RunStats, error) {
@@ -393,13 +364,8 @@ func (r *Runtime) dispatch(req *runReq) (RunStats, error) {
 				continue
 			}
 			dst := healthy[s%len(healthy)]
-			if req.run != nil {
-				req.items[dst] = append(req.items[dst], req.items[s]...)
-				req.items[s] = nil
-			} else {
-				req.folded[dst] = append(req.folded[dst], req.folded[s]...)
-				req.folded[s] = nil
-			}
+			req.items[dst] = append(req.items[dst], req.items[s]...)
+			req.items[s] = nil
 			req.finished[s].Store(true)
 		}
 	}
@@ -504,35 +470,32 @@ func (r *Runtime) watchdogLoop(req *runReq, participants []int) {
 	}
 }
 
-// leaderLoop is the per-socket leader: for every request it drains the
-// local queue, optionally steals from the other sockets round-robin, and
-// signals completion. Tasks run on the leader goroutine itself; only
-// ParallelRows fans out to the helpers.
+// leaderLoop is the per-socket leader. For every request it drains its own
+// socket's queue — the paper's placement (§III-F): a pair runs where its A
+// tile-row lives — and then, instead of idling while another team still has
+// a backlog, what is left in the other sockets' queues, round-robin from
+// its neighbour on. Quadtree cuts routinely home most tile-rows of a matrix
+// on one socket, so strict pinning leaves the other teams idle for most of
+// a multiplication (EXPERIMENTS.md, "Dry teams take the rest"); the remote
+// reads a taken task costs show up in numa.Stats, not in the result, whose
+// tiles are homed by placement (core.Config.HomeOfRow). Tasks run on the
+// leader goroutine itself; only ParallelRows fans out to the helpers.
 func (r *Runtime) leaderLoop(t *workerTeam) {
 	defer close(t.leaderDone)
 	sock := int(t.socket)
 	for req := range t.leaderCh {
 		team := &Team{Socket: t.socket, Workers: t.size, Grain: req.grain, home: t}
-		for !req.aborted() && !req.finished[sock].Load() {
-			i := int(req.next[sock].Add(1) - 1)
-			if i >= req.queueLen(sock) {
-				break
-			}
-			t.taskStart.Store(time.Now().UnixNano())
-			req.safeExec(sock, i, team)
-			t.taskStart.Store(0)
-		}
-		if req.stealing {
-			for off := 1; off < len(r.teams); off++ {
-				victim := (sock + off) % len(r.teams)
-				for !req.aborted() && !req.finished[sock].Load() {
-					i := int(req.next[victim].Add(1) - 1)
-					if i >= req.queueLen(victim) {
-						break
-					}
-					t.taskStart.Store(time.Now().UnixNano())
-					req.safeExec(victim, i, team)
-					t.taskStart.Store(0)
+		for off := 0; off < len(r.teams); off++ {
+			victim := (sock + off) % len(r.teams)
+			for !req.aborted() && !req.finished[sock].Load() {
+				i := int(req.next[victim].Add(1) - 1)
+				if i >= len(req.items[victim]) {
+					break
+				}
+				t.taskStart.Store(time.Now().UnixNano())
+				req.safeExec(victim, i, team)
+				t.taskStart.Store(0)
+				if off > 0 {
 					req.stolen.Add(1)
 				}
 			}

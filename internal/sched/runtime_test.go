@@ -16,13 +16,13 @@ import (
 func TestRuntimeGoroutinesStableAcrossRuns(t *testing.T) {
 	p := NewPool(topo(2, 3))
 	warm := func() {
-		queues := make([][]Task, 2)
+		queues := make([][]func(*Team), 2)
 		for s := range queues {
-			queues[s] = []Task{func(team *Team) {
+			queues[s] = []func(*Team){func(team *Team) {
 				team.ParallelRows(64, func(lo, hi, w int) {})
 			}}
 		}
-		p.Run(queues)
+		runTasks(p, queues)
 	}
 	warm() // first call starts the workers
 	before := runtime.NumGoroutine()
@@ -42,8 +42,8 @@ func TestRuntimeGoroutinesStableAcrossRuns(t *testing.T) {
 // arenas rely on.
 func TestWorkerLocalPersistsAcrossRuns(t *testing.T) {
 	p := NewPool(topo(1, 2))
-	run := func(f Task) {
-		p.Run([][]Task{{f}})
+	run := func(f func(*Team)) {
+		runTasks(p, [][]func(*Team){{f}})
 	}
 	run(func(team *Team) {
 		*team.WorkerLocal(0) = "kept"
@@ -67,13 +67,12 @@ func TestWorkerLocalNilForAdHocTeams(t *testing.T) {
 }
 
 // TestRunStatsStolenCount checks the stolen-task counter: all work homed on
-// socket 0 of a 4-socket pool with stealing on must report at least one
-// steal (the other three leaders have nothing local).
+// socket 0 of a 4-socket pool must report at least one steal (the other
+// three leaders have nothing local).
 func TestRunStatsStolenCount(t *testing.T) {
 	p := NewPool(topo(4, 1))
-	p.Stealing = true
 	var block = make(chan struct{})
-	queues := make([][]Task, 4)
+	queues := make([][]func(*Team), 4)
 	// The first task parks socket 0's leader so the other leaders must
 	// steal the rest.
 	queues[0] = append(queues[0], func(*Team) { <-block })
@@ -82,7 +81,7 @@ func TestRunStatsStolenCount(t *testing.T) {
 	}
 	done := make(chan RunStats)
 	go func() {
-		rs, _ := p.Run(queues)
+		rs, _ := runTasks(p, queues)
 		done <- rs
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -91,21 +90,8 @@ func TestRunStatsStolenCount(t *testing.T) {
 	if rs.Stolen == 0 {
 		t.Fatal("no tasks counted as stolen")
 	}
-	if rs.Stolen > 32 {
+	if rs.Stolen > int64(len(queues[0])) {
 		t.Fatalf("stolen = %d, more than the queue holds", rs.Stolen)
-	}
-}
-
-// TestRunStatsNoStealWithoutFlag checks that strict socket pinning (the
-// paper's default) never reports steals.
-func TestRunStatsNoStealWithoutFlag(t *testing.T) {
-	p := NewPool(topo(2, 1))
-	queues := make([][]Task, 2)
-	for i := 0; i < 16; i++ {
-		queues[i%2] = append(queues[i%2], func(*Team) {})
-	}
-	if rs, _ := p.Run(queues); rs.Stolen != 0 {
-		t.Fatalf("stolen = %d without stealing enabled", rs.Stolen)
 	}
 }
 
@@ -120,7 +106,7 @@ func TestRunIndexedExecutesEveryItemOnce(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			queues[i%3] = append(queues[i%3], int32(i))
 		}
-		p.RunIndexed(queues, func(_ *Team, item int32) { counts[item].Add(1) })
+		p.RunIndexedCtx(nil, queues, func(_ *Team, item int32) { counts[item].Add(1) })
 		for i := range counts {
 			if counts[i].Load() != 1 {
 				t.Fatalf("ephemeral=%v: item %d ran %d times", ephemeral, i, counts[i].Load())
@@ -129,17 +115,16 @@ func TestRunIndexedExecutesEveryItemOnce(t *testing.T) {
 	}
 }
 
-// TestRunIndexedStealing loads one socket and requires stealing to finish
-// and count the moved items.
+// TestRunIndexedStealing loads one socket and requires the dry teams to
+// finish and count the items they took.
 func TestRunIndexedStealing(t *testing.T) {
 	p := NewPool(topo(3, 1))
-	p.Stealing = true
 	var n atomic.Int32
 	queues := make([][]int32, 3)
 	for i := 0; i < 90; i++ {
 		queues[0] = append(queues[0], int32(i))
 	}
-	rs, _ := p.RunIndexed(queues, func(*Team, int32) { n.Add(1) })
+	rs, _ := p.RunIndexedCtx(nil, queues, func(*Team, int32) { n.Add(1) })
 	if n.Load() != 90 {
 		t.Fatalf("ran %d items, want 90", n.Load())
 	}
@@ -221,7 +206,7 @@ func TestEphemeralPoolRuns(t *testing.T) {
 	p := NewPool(topo(2, 2))
 	p.Ephemeral = true
 	var n atomic.Int32
-	queues := make([][]Task, 2)
+	queues := make([][]func(*Team), 2)
 	for i := 0; i < 10; i++ {
 		queues[i%2] = append(queues[i%2], func(team *Team) {
 			if team.WorkerLocal(0) != nil {
@@ -230,7 +215,7 @@ func TestEphemeralPoolRuns(t *testing.T) {
 			team.ParallelRows(8, func(lo, hi, w int) { n.Add(int32(hi - lo)) })
 		})
 	}
-	p.Run(queues)
+	runTasks(p, queues)
 	if n.Load() != 80 {
 		t.Fatalf("covered %d rows, want 80", n.Load())
 	}

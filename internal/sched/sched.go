@@ -7,12 +7,19 @@
 // avoids last-level-cache pollution from unrelated tiles, which is the
 // paper's stated reason for this resource split.
 //
-// Since the persistent-runtime rework, teams are long-lived: a process-wide
-// Runtime per topology keeps Sockets × CoresPerSocket worker goroutines
-// alive across calls (see runtime.go), mirroring the paper's reliance on
-// SAP HANA's resident task framework. Pool remains the one-shot façade all
-// operators use; it routes into the shared Runtime unless Ephemeral
-// restores the historical spawn-per-call behavior for ablations.
+// There is one scheduling policy and it deviates from the paper in one
+// stated way: the paper pins a pair strictly to the socket owning its A
+// tile-row; here a team whose own queue is dry takes what is left in the
+// other teams' queues (Runtime.leaderLoop says why, EXPERIMENTS.md has the
+// numbers). There is one way to run work: queues of item ids through one
+// task function, RunIndexedCtx.
+//
+// Teams are long-lived: a process-wide Runtime per topology keeps
+// Sockets × CoresPerSocket worker goroutines alive across calls (see
+// runtime.go), mirroring the paper's reliance on SAP HANA's resident task
+// framework. Pool is the one-shot façade; it routes into the shared Runtime
+// unless Ephemeral selects the spawn-per-call baseline of the runtime
+// ablation.
 package sched
 
 import (
@@ -23,11 +30,6 @@ import (
 
 	"atmatrix/internal/numa"
 )
-
-// Task is one unit of inter-tile work: the computation of a single target
-// tile C_{ti,tj}. It receives the team executing it so it can fan out its
-// row range across the team's workers.
-type Task func(team *Team)
 
 // Team is a group of workers bound to one simulated socket.
 type Team struct {
@@ -148,16 +150,10 @@ func (t *Team) ParallelRows(n int, f func(lo, hi, worker int)) {
 	}
 }
 
-// Pool runs per-team task queues. It is a thin adapter over the shared
-// persistent Runtime of its topology; constructing a Pool is free and every
-// current caller keeps its one-Pool-per-operator usage unchanged.
+// Pool runs per-team queues of item ids. It is a thin adapter over the
+// shared persistent Runtime of its topology; constructing a Pool is free.
 type Pool struct {
 	topo numa.Topology
-	// Stealing enables cross-team work stealing once a team's own queue
-	// is drained. The paper pins pairs strictly to the socket owning the
-	// A tile-row; stealing is an extension evaluated in the ablation
-	// benchmarks.
-	Stealing bool
 	// RowGrain is the minimum number of rows per worker handed to
 	// Team.ParallelRows (see Team.Grain).
 	RowGrain int
@@ -168,7 +164,7 @@ type Pool struct {
 	// Ephemeral pools ignore the knob.
 	Watchdog time.Duration
 	// Ephemeral restores the historical spawn-per-call scheduler: every
-	// Run starts fresh goroutines and no persistent worker state is
+	// run starts fresh goroutines and no persistent worker state is
 	// reused. It exists as the ablation baseline for the persistent
 	// runtime and the per-worker scratch arenas.
 	Ephemeral bool
@@ -185,58 +181,23 @@ func NewPool(topo numa.Topology) *Pool {
 // Topology returns the pool's topology.
 func (p *Pool) Topology() numa.Topology { return p.topo }
 
-// Run executes the queues: queues[s] holds the tasks affine to socket s.
-// It blocks until every task has run exactly once (or the run failed). The
-// error, when non-nil, is the run's first failure: a *TaskPanicError for a
-// recovered task panic, a *WatchdogError for a task that overran the
-// pool's watchdog, or ErrNoHealthyTeams. Queue indexes beyond the socket
-// count are folded back round-robin.
-func (p *Pool) Run(queues [][]Task) (RunStats, error) { return p.RunCtx(nil, queues) }
-
-// RunCtx is Run with a cancellation context: a cancelled ctx stops the
-// teams from picking up further tasks (in-flight tasks always finish). A
-// nil ctx means an uncancellable run. Cancellation is reported by the
-// caller inspecting ctx, not through the returned error.
-func (p *Pool) RunCtx(ctx context.Context, queues [][]Task) (RunStats, error) {
-	if !p.Ephemeral {
-		return RuntimeFor(p.topo).RunCtx(ctx, queues, p.runOpts())
-	}
-	s := p.topo.Sockets
-	folded := make([][]Task, s)
-	for i, q := range queues {
-		folded[i%s] = append(folded[i%s], q...)
-	}
-	return p.runEphemeral(&runReq{folded: folded, stealing: p.Stealing, grain: p.RowGrain, ctx: ctx})
-}
-
-// RunIndexed executes queues of item ids through one shared task function
-// (see Runtime.RunIndexedCtx); queues[s] holds the items affine to socket
-// s.
-func (p *Pool) RunIndexed(queues [][]int32, run func(team *Team, item int32)) (RunStats, error) {
-	return p.RunIndexedCtx(nil, queues, run)
-}
-
-// RunIndexedCtx is RunIndexed with a cancellation context (see RunCtx).
+// RunIndexedCtx executes queues of item ids through one shared task
+// function (see Runtime.RunIndexedCtx); queues[s] holds the items homed on
+// socket s, and queue indexes beyond the socket count are folded back
+// round-robin. It blocks until every item has run exactly once (or the run
+// failed or was cancelled).
 func (p *Pool) RunIndexedCtx(ctx context.Context, queues [][]int32, run func(team *Team, item int32)) (RunStats, error) {
 	if !p.Ephemeral {
-		return RuntimeFor(p.topo).RunIndexedCtx(ctx, queues, run, p.runOpts())
+		return RuntimeFor(p.topo).RunIndexedCtx(ctx, queues, run, RunOpts{Grain: p.RowGrain, Watchdog: p.Watchdog})
 	}
-	s := p.topo.Sockets
-	folded := make([][]int32, s)
-	for i, q := range queues {
-		folded[i%s] = append(folded[i%s], q...)
-	}
-	return p.runEphemeral(&runReq{items: folded, run: run, stealing: p.Stealing, grain: p.RowGrain, ctx: ctx})
-}
-
-func (p *Pool) runOpts() RunOpts {
-	return RunOpts{Stealing: p.Stealing, Grain: p.RowGrain, Watchdog: p.Watchdog}
+	return p.runEphemeral(&runReq{items: foldQueues(queues, p.topo.Sockets), run: run, grain: p.RowGrain, ctx: ctx})
 }
 
 // runEphemeral is the pre-runtime implementation: one goroutine per socket
-// per call, teams without persistent backing. Task panics are isolated the
-// same way as on the persistent runtime; the watchdog is not enforced
-// (ephemeral teams exist only as the ablation baseline).
+// per call, teams without persistent backing, the same home-first-then-the-
+// rest drain as Runtime.leaderLoop. Task panics are isolated the same way as
+// on the persistent runtime; the watchdog is not enforced (ephemeral teams
+// exist only as the ablation baseline).
 func (p *Pool) runEphemeral(req *runReq) (RunStats, error) {
 	s := p.topo.Sockets
 	req.next = make([]atomic.Int64, s)
@@ -246,48 +207,24 @@ func (p *Pool) runEphemeral(req *runReq) (RunStats, error) {
 		go func(sock int) {
 			defer wg.Done()
 			team := &Team{Socket: numa.Node(sock), Workers: p.topo.CoresPerSocket, Grain: p.RowGrain}
-			// Drain the local queue first.
-			for {
-				if req.aborted() {
-					return
-				}
-				i := int(req.next[sock].Add(1) - 1)
-				if i >= req.queueLen(sock) {
-					break
-				}
-				req.safeExec(sock, i, team)
-			}
-			if !p.Stealing {
-				return
-			}
-			// Steal round-robin from the other sockets.
-			for off := 1; off < s; off++ {
+			for off := 0; off < s; off++ {
 				victim := (sock + off) % s
 				for {
 					if req.aborted() {
 						return
 					}
 					i := int(req.next[victim].Add(1) - 1)
-					if i >= req.queueLen(victim) {
+					if i >= len(req.items[victim]) {
 						break
 					}
 					req.safeExec(victim, i, team)
-					req.stolen.Add(1)
+					if off > 0 {
+						req.stolen.Add(1)
+					}
 				}
 			}
 		}(sock)
 	}
 	wg.Wait()
 	return RunStats{Stolen: req.stolen.Load()}, req.firstErr()
-}
-
-// RunFlat distributes a flat task list round-robin across sockets and
-// runs it; a convenience for callers without placement information.
-func (p *Pool) RunFlat(tasks []Task) (RunStats, error) {
-	queues := make([][]Task, p.topo.Sockets)
-	for i, t := range tasks {
-		s := i % p.topo.Sockets
-		queues[s] = append(queues[s], t)
-	}
-	return p.Run(queues)
 }

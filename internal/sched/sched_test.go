@@ -10,15 +10,29 @@ import (
 
 func topo(s, c int) numa.Topology { return numa.Topology{Sockets: s, CoresPerSocket: c} }
 
+// runTasks runs queues of closures on p: the k-th task over all queues
+// becomes item id k, executed through one dispatching run function.
+func runTasks(p *Pool, queues [][]func(*Team)) (RunStats, error) {
+	var tasks []func(*Team)
+	items := make([][]int32, len(queues))
+	for s, q := range queues {
+		for _, f := range q {
+			items[s] = append(items[s], int32(len(tasks)))
+			tasks = append(tasks, f)
+		}
+	}
+	return p.RunIndexedCtx(nil, items, func(team *Team, item int32) { tasks[item](team) })
+}
+
 func TestRunExecutesEveryTaskOnce(t *testing.T) {
 	p := NewPool(topo(3, 2))
 	var counts [30]atomic.Int32
-	queues := make([][]Task, 3)
+	queues := make([][]func(*Team), 3)
 	for i := 0; i < 30; i++ {
 		i := i
 		queues[i%3] = append(queues[i%3], func(*Team) { counts[i].Add(1) })
 	}
-	p.Run(queues)
+	runTasks(p, queues)
 	for i := range counts {
 		if counts[i].Load() != 1 {
 			t.Fatalf("task %d ran %d times", i, counts[i].Load())
@@ -28,15 +42,14 @@ func TestRunExecutesEveryTaskOnce(t *testing.T) {
 
 func TestRunWithStealing(t *testing.T) {
 	p := NewPool(topo(4, 1))
-	p.Stealing = true
 	var n atomic.Int32
-	// Load all the work onto one socket; stealing must still complete it
-	// all exactly once.
-	queues := make([][]Task, 4)
+	// Load all the work onto one socket; the dry teams taking the rest
+	// must still complete it all exactly once.
+	queues := make([][]func(*Team), 4)
 	for i := 0; i < 100; i++ {
 		queues[0] = append(queues[0], func(*Team) { n.Add(1) })
 	}
-	p.Run(queues)
+	runTasks(p, queues)
 	if n.Load() != 100 {
 		t.Fatalf("ran %d tasks, want 100", n.Load())
 	}
@@ -45,11 +58,11 @@ func TestRunWithStealing(t *testing.T) {
 func TestRunFoldsExtraQueues(t *testing.T) {
 	p := NewPool(topo(2, 1))
 	var n atomic.Int32
-	queues := make([][]Task, 5) // more queues than sockets
+	queues := make([][]func(*Team), 5) // more queues than sockets
 	for i := range queues {
-		queues[i] = []Task{func(*Team) { n.Add(1) }}
+		queues[i] = []func(*Team){func(*Team) { n.Add(1) }}
 	}
-	p.Run(queues)
+	runTasks(p, queues)
 	if n.Load() != 5 {
 		t.Fatalf("ran %d tasks, want 5", n.Load())
 	}
@@ -59,10 +72,16 @@ func TestTeamSocketAssignment(t *testing.T) {
 	p := NewPool(topo(3, 2))
 	var mu sync.Mutex
 	seen := map[numa.Node]bool{}
-	queues := make([][]Task, 3)
+	// Every task waits for all three to have started, so each team is
+	// held by its own and none is free to take another's.
+	var arrived sync.WaitGroup
+	arrived.Add(3)
+	queues := make([][]func(*Team), 3)
 	for s := 0; s < 3; s++ {
 		want := numa.Node(s)
-		queues[s] = []Task{func(team *Team) {
+		queues[s] = []func(*Team){func(team *Team) {
+			arrived.Done()
+			arrived.Wait()
 			if team.Socket != want {
 				t.Errorf("task on socket %d, want %d", team.Socket, want)
 			}
@@ -74,7 +93,7 @@ func TestTeamSocketAssignment(t *testing.T) {
 			mu.Unlock()
 		}}
 	}
-	p.Run(queues)
+	runTasks(p, queues)
 	if len(seen) != 3 {
 		t.Fatalf("saw %d sockets, want 3", len(seen))
 	}
@@ -128,16 +147,33 @@ func TestParallelRowsWorkerIDsDisjoint(t *testing.T) {
 	}
 }
 
-func TestRunFlat(t *testing.T) {
-	p := NewPool(topo(2, 2))
-	var n atomic.Int32
-	tasks := make([]Task, 9)
-	for i := range tasks {
-		tasks[i] = func(*Team) { n.Add(1) }
-	}
-	p.RunFlat(tasks)
-	if n.Load() != 9 {
-		t.Fatalf("ran %d, want 9", n.Load())
+// TestLoneItemRunsOnce: with a single item homed on socket 0 of a 2-socket
+// pool both teams go for it — its own and the dry one — and exactly one of
+// them gets it, whichever that is.
+func TestLoneItemRunsOnce(t *testing.T) {
+	for _, ephemeral := range []bool{false, true} {
+		p := NewPool(topo(2, 1))
+		p.Ephemeral = ephemeral
+		for rep := 0; rep < 200; rep++ {
+			var ran atomic.Int32
+			var by atomic.Int32
+			rs, err := p.RunIndexedCtx(nil, [][]int32{{7}, nil}, func(team *Team, item int32) {
+				if item != 7 {
+					t.Errorf("ran item %d, want 7", item)
+				}
+				ran.Add(1)
+				by.Store(int32(team.Socket))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ran.Load() != 1 {
+				t.Fatalf("ephemeral=%v: the item ran %d times, want 1", ephemeral, ran.Load())
+			}
+			if rs.Stolen != int64(by.Load()) {
+				t.Fatalf("ephemeral=%v: ran on socket %d but Stolen = %d", ephemeral, by.Load(), rs.Stolen)
+			}
+		}
 	}
 }
 
