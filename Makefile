@@ -39,7 +39,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/sched ./internal/core ./internal/catalog ./internal/service ./internal/cluster ./cmd/atserve -run 'Concurrent|Cancel|Scrub|Recover|Spill|Verify|Bitflip|Distributed|BytesIndependentOfExecutor'
+	$(GO) test -race ./internal/sched ./internal/core ./internal/catalog ./internal/service ./internal/cluster ./cmd/atserve -run 'Concurrent|Cancel|Scrub|Recover|Spill|Verify|Bitflip|Distributed|BytesIndependentOfExecutor|Golden|MatchesOldRoute'
 
 ## chaos: the fault-injection suite — injected kernel panics, hung tasks,
 ## transient failures, corrupt streams, double releases, bit flips, crash
@@ -63,9 +63,11 @@ bench-kernels:
 	@echo "wrote BENCH_kernels.json"
 
 ## bench-eval: the expression-engine acceptance numbers — fused vs
-## materialized on the 3-term sparse chain and on pow(A,10)*x — written to
-## BENCH_eval.json. Each record carries peak intermediate bytes as a
-## peakB/op entry under "extra". BENCHTIME=1x for a quick smoke.
+## materialized on the 3-term sparse chain and on pow(A,10)*x — and the
+## three layout-build sites a request pays for (a sum inside an
+## expression, the repartition of a stored product, an upload), written to
+## BENCH_eval.json. The expression records carry peak intermediate bytes
+## as a peakB/op entry under "extra". BENCHTIME=1x for a quick smoke.
 bench-eval:
 	$(GO) test -run '^$$' -bench '^BenchmarkEval_' -benchtime=$(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -o BENCH_eval.json

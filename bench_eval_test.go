@@ -14,7 +14,9 @@ import (
 
 	"atmatrix/internal/core"
 	"atmatrix/internal/expr"
+	"atmatrix/internal/gen"
 	"atmatrix/internal/mat"
+	"atmatrix/internal/numa"
 	"atmatrix/internal/rmat"
 )
 
@@ -94,4 +96,95 @@ func BenchmarkEval_PowVec(b *testing.B) {
 	b.Run("materialized", func(b *testing.B) {
 		runEval(b, "pow(A,10)*x", bind, cfg, expr.Options{Materialize: true})
 	})
+}
+
+// The three benchmarks below time layout building where a server request
+// pays for it: a sum inside an expression, the repartition of a product
+// that is stored, and the partition of an upload. They run at the
+// benchmark server's configuration (atload: -paper -b-atomic 64 -sockets 2
+// -cores 1) on its operands (Table I stand-ins, seed 1).
+
+func serverCfg() core.Config {
+	cfg := core.PaperConfig()
+	cfg.BAtomic = 64
+	cfg.Topology = numa.Topology{Sockets: 2, CoresPerSocket: 1}
+	return cfg
+}
+
+// serverStandIn generates the stand-in id as atload does for seed 1.
+func serverStandIn(b *testing.B, id string, variant int64, scale float64) *mat.COO {
+	b.Helper()
+	s, err := gen.Lookup(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Seed += 1000 + 50*variant
+	coo, err := s.Generate(scale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return coo
+}
+
+func mustPartition(b *testing.B, coo *mat.COO, cfg core.Config) *core.ATMatrix {
+	b.Helper()
+	m, _, err := core.Partition(coo, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
+// BenchmarkEval_GramAdd: 0.5*A'*A+0.5*A on the R8 stand-in — eval_chain's
+// gram_add request; the sum of the gram product and the operand is built
+// by core.Add.
+func BenchmarkEval_GramAdd(b *testing.B) {
+	cfg := serverCfg()
+	bind := map[string]*core.ATMatrix{"A": mustPartition(b, serverStandIn(b, "R8", 0, 1.0/16), cfg)}
+	b.ReportAllocs()
+	const src = "0.5*A'*A+0.5*A"
+	if _, _, _, err := expr.Eval(src, bind, cfg, expr.Options{}); err != nil { // first-use costs stay out of allocs/op
+		b.Fatal(err)
+	}
+	runEval(b, src, bind, cfg, expr.Options{})
+}
+
+// BenchmarkEval_StoreRepartition: Repartition of T1·T2 for two R2-class
+// matrices at 1/32 — what ingest_store's mult_store request does to its
+// product before the catalog takes it (≈ 92 % dense, band tiles → one).
+func BenchmarkEval_StoreRepartition(b *testing.B) {
+	cfg := serverCfg()
+	t1 := mustPartition(b, serverStandIn(b, "R2", 1, 1.0/32), cfg)
+	t2 := mustPartition(b, serverStandIn(b, "R2", 2, 1.0/32), cfg)
+	prod, _, err := core.Multiply(t1, t2, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := prod.Repartition(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEval_Upload: Partition of an upload whose entries arrive in no
+// particular order — the dense-ish R2 and the hypersparse R9 stand-in.
+func BenchmarkEval_Upload(b *testing.B) {
+	cfg := serverCfg()
+	for _, id := range []string{"R2", "R9"} {
+		coo := serverStandIn(b, id, 0, 1.0/16)
+		rand.New(rand.NewSource(3)).Shuffle(len(coo.Ent), func(i, j int) {
+			coo.Ent[i], coo.Ent[j] = coo.Ent[j], coo.Ent[i]
+		})
+		b.Run(id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := core.Partition(coo, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -39,7 +39,7 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.BAtomic = 32
 
-	// Partition: Z-order sort → ZBlockCnts → recursive quadtree.
+	// Partition: row-major staging → ZBlockCnts → recursive quadtree.
 	am, pstats, err := core.Partition(a, cfg)
 	if err != nil {
 		log.Fatal(err)

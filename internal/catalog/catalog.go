@@ -296,7 +296,7 @@ func (c *Catalog) Load(name string, format Format, r io.Reader, pin bool) (Info,
 		if am.BAtomic != c.cfg.BAtomic {
 			// A foreign block size would be rejected by every multiply;
 			// rebuild the layout at the catalog's granularity.
-			re, _, err := core.Partition(am.ToCOO(), c.cfg)
+			re, _, err := am.Repartition(c.cfg)
 			if err != nil {
 				return Info{}, err
 			}

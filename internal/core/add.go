@@ -6,9 +6,9 @@ import (
 	"atmatrix/internal/mat"
 )
 
-// Add computes A + B over two AT MATRICES of the same shape and returns
-// the sum, re-partitioned adaptively: the merged staging table runs
-// through the full quadtree pipeline so the result's physical layout
+// Add computes αA + βB over two AT MATRICES of the same shape. The rows of
+// both operands are gathered and summed into one stage (stageSum), which
+// runs through the full quadtree pipeline, so the result's physical layout
 // reflects the combined topology (summed regions can cross the density
 // turnaround in either direction). Scalar weights support the common
 // αA + βB update patterns of iterative solvers.
@@ -16,11 +16,7 @@ func Add(a, b *ATMatrix, alpha, beta float64, cfg Config) (*ATMatrix, error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return nil, fmt.Errorf("core: Add shape mismatch: %d×%d vs %d×%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	merged := mat.NewCOO(a.Rows, a.Cols)
-	appendScaled(merged, a, alpha)
-	appendScaled(merged, b, beta)
-	merged.Dedup()
-	out, _, err := Partition(merged, cfg)
+	out, _, err := buildLayout(a.Rows, a.Cols, cfg, (*partitioner).quadtree, func() (*mat.CSR, error) { return stageSum(a, b, alpha, beta, cfg) })
 	return out, err
 }
 
@@ -32,31 +28,6 @@ func (a *ATMatrix) Scale(s float64) {
 			t.D.Scale(s)
 		} else {
 			t.Sp.Scale(s)
-		}
-	}
-}
-
-func appendScaled(dst *mat.COO, a *ATMatrix, w float64) {
-	if w == 0 {
-		return
-	}
-	for _, t := range a.Tiles {
-		if t.Kind == mat.Sparse {
-			for r := 0; r < t.Rows; r++ {
-				lo, hi := t.Sp.RowRange(r)
-				for p := lo; p < hi; p++ {
-					dst.Append(t.Row0+r, t.Col0+int(t.Sp.ColIdx[p]), w*t.Sp.Val[p])
-				}
-			}
-			continue
-		}
-		for r := 0; r < t.Rows; r++ {
-			row := t.D.RowSlice(r)
-			for c, v := range row {
-				if v != 0 {
-					dst.Append(t.Row0+r, t.Col0+c, w*v)
-				}
-			}
 		}
 	}
 }

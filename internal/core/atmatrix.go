@@ -301,8 +301,13 @@ func (a *ATMatrix) ToCOO() *mat.COO {
 	return out
 }
 
-// ToCSR converts the whole matrix to a single CSR structure.
-func (a *ATMatrix) ToCSR() *mat.CSR { return a.ToCOO().ToCSR() }
+// ToCSR converts the whole matrix to a single CSR structure (the row
+// gather of Repartition, on the calling goroutine); stored zeros drop out.
+func (a *ATMatrix) ToCSR() *mat.CSR {
+	var b rowBlock
+	a.rowGatherer()(0, a.Rows, &b)
+	return joinBlocks(a.Rows, a.Cols, []rowBlock{b})
+}
 
 // ToDense materializes the whole matrix densely. Use only for small
 // matrices (tests, examples).

@@ -139,7 +139,7 @@ func TestSelfTransposeSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := Multiply(am, am.Transpose(), cfg)
+	d, _, err := Multiply(am, am.Transpose(cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

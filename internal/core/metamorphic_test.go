@@ -104,9 +104,9 @@ func TestMetamorphicTransposeProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lhs := ab.Transpose()
+	lhs := ab.Transpose(cfg)
 
-	rhs, _, err := Multiply(bm.Transpose(), am.Transpose(), cfg)
+	rhs, _, err := Multiply(bm.Transpose(cfg), am.Transpose(cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

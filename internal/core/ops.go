@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"atmatrix/internal/mat"
-	"atmatrix/internal/numa"
 	"atmatrix/internal/sched"
 )
 
@@ -14,29 +13,22 @@ import (
 
 // Transpose returns Aᵀ as an AT MATRIX. Each tile is transposed in place
 // of its mirrored bounding box; the tile kinds are preserved (density is
-// invariant under transposition). Tile homes are re-derived from the new
-// tile-rows so the round-robin distribution policy of §III-F still holds;
-// the socket count is recovered from the existing home tags.
-func (a *ATMatrix) Transpose() *ATMatrix {
+// invariant under transposition). Tile homes follow the new tile-rows, by
+// the configuration's one placement rule.
+func (a *ATMatrix) Transpose(cfg Config) *ATMatrix {
 	out := newATMatrix(a.Cols, a.Rows, a.BAtomic)
-	sockets := 1
-	for _, t := range a.Tiles {
-		if int(t.Home)+1 > sockets {
-			sockets = int(t.Home) + 1
-		}
-	}
 	for _, t := range a.Tiles {
 		nt := &Tile{
 			Row0: t.Col0, Col0: t.Row0,
 			Rows: t.Cols, Cols: t.Rows,
 			Kind: t.Kind, NNZ: t.NNZ,
+			Home: cfg.HomeOfRow(t.Col0),
 		}
 		if t.Kind == mat.DenseKind {
 			nt.D = t.D.Transpose()
 		} else {
 			nt.Sp = t.Sp.Transpose()
 		}
-		nt.Home = numa.Node((nt.Row0 / a.BAtomic) % sockets)
 		out.addTile(nt)
 	}
 	return out
@@ -106,7 +98,11 @@ func tileMatVecRows(t *Tile, x, y []float64, r0, r1 int) {
 // Repartition rebuilds the AT MATRIX with the full quadtree partitioning —
 // useful to compact a multiplication result (whose tiles follow the
 // operand band grid) into the optimal adaptive layout before it enters
-// further multiplications.
+// further multiplications, and cheap enough to serve as a deep copy. The
+// rows are gathered straight out of the tiles (rowGatherer); the result
+// serializes to the bytes partitioning a.ToCOO() gives.
 func (a *ATMatrix) Repartition(cfg Config) (*ATMatrix, *PartitionStats, error) {
-	return Partition(a.ToCOO(), cfg)
+	return buildLayout(a.Rows, a.Cols, cfg, (*partitioner).quadtree, func() (*mat.CSR, error) {
+		return stageBlocks(a.Rows, a.Cols, cfg, a.rowGatherer())
+	})
 }

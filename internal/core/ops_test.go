@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"atmatrix/internal/mat"
+	"atmatrix/internal/numa"
 )
 
 func TestATMatrixTranspose(t *testing.T) {
@@ -18,7 +19,7 @@ func TestATMatrixTranspose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := am.Transpose()
+	at := am.Transpose(cfg)
 	if err := at.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestATMatrixTranspose(t *testing.T) {
 		t.Fatal("transpose content mismatch")
 	}
 	// Double transpose is the identity on content.
-	if !at.Transpose().ToDense().EqualApprox(am.ToDense(), 0) {
+	if !at.Transpose(cfg).ToDense().EqualApprox(am.ToDense(), 0) {
 		t.Fatal("double transpose mismatch")
 	}
 	// Kinds are preserved tile-for-tile (density is symmetric).
@@ -37,6 +38,40 @@ func TestATMatrixTranspose(t *testing.T) {
 	sp2, d2 := at.TileCount()
 	if sp1 != sp2 || d1 != d2 {
 		t.Fatalf("tile kinds changed: (%d,%d) vs (%d,%d)", sp1, d1, sp2, d2)
+	}
+}
+
+// TestTransposeHomesByConfig: every tile of a transpose sits where the
+// configuration's placement rule puts its first row — also when the source
+// tiles all carry home 0, from which no socket count could be recovered.
+func TestTransposeHomesByConfig(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	cfg := testConfig() // 2×2
+	src, err := genHeterogeneous(rng, 144)
+	if err != nil {
+		t.Fatal(err)
+	}
+	am, _, err := Partition(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, allZero := range []bool{false, true} {
+		if allZero {
+			for _, tile := range am.Tiles {
+				tile.Home = 0
+			}
+		}
+		at := am.Transpose(cfg)
+		homes := map[numa.Node]bool{}
+		for _, tile := range at.Tiles {
+			if want := cfg.HomeOfRow(tile.Row0); tile.Home != want {
+				t.Fatalf("tile at row %d homed on %d, want %d", tile.Row0, tile.Home, want)
+			}
+			homes[tile.Home] = true
+		}
+		if len(homes) != cfg.Topology.Sockets {
+			t.Fatalf("transpose uses %d of %d sockets", len(homes), cfg.Topology.Sockets)
+		}
 	}
 }
 
@@ -48,7 +83,7 @@ func TestATMatrixTransposeNonSquare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := am.Transpose()
+	at := am.Transpose(cfg)
 	if at.Rows != 60 || at.Cols != 100 {
 		t.Fatalf("transpose shape %d×%d", at.Rows, at.Cols)
 	}

@@ -5,20 +5,19 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"time"
 
 	"atmatrix/internal/mat"
 	"atmatrix/internal/morton"
+	"atmatrix/internal/numa"
 	"atmatrix/internal/sched"
 )
 
 // PartitionStats records the duration of the partitioning components shown
-// in Fig. 7 of the paper: the preceding Z-ordering sort, the creation of
-// the ZBlockCnts array, and the recursive partitioning routine including
-// tile materialization.
+// in Fig. 7 of the paper: ordering the staging table, creating ZBlockCnts,
+// and the recursive partitioning routine including tile materialization.
 type PartitionStats struct {
-	SortTime  time.Duration // Z-curve reordering of the staging table
+	SortTime  time.Duration // producing the row-major staging: radix sort + fold of an upload, row gather or merge otherwise
 	CountTime time.Duration // ZBlockCnts single pass
 	BuildTime time.Duration // quadtree recursion + tile materialization
 }
@@ -26,107 +25,103 @@ type PartitionStats struct {
 // Total returns the end-to-end partitioning time.
 func (s PartitionStats) Total() time.Duration { return s.SortTime + s.CountTime + s.BuildTime }
 
-// zEntry pairs a staging entry with its precomputed Z-value.
-type zEntry struct {
-	z uint64
-	e mat.Entry
-}
-
 // Partition converts a raw staging matrix into an AT MATRIX using the
-// recursive quadtree partitioning of Alg. 1: the elements are reordered
-// along the Z-curve, per-atomic-block non-zero counts are collected in a
-// single pass, and the quadtree recursion melts homogeneous neighbor
-// blocks into larger tiles bottom-up — bounded by the maximum tile sizes
-// of Eqs. 1–2 — or materializes them where the density types diverge.
+// recursive quadtree partitioning of Alg. 1: per-atomic-block non-zero
+// counts are collected in a single pass, and the quadtree recursion melts
+// homogeneous neighbor blocks into larger tiles bottom-up — bounded by the
+// maximum tile sizes of Eqs. 1–2 — or materializes them where the density
+// types diverge. The table is staged row-major rather than along the
+// Z-curve of §II-C1: only the counts need that order (see staging.go).
 //
 // Duplicate coordinates are summed in input order and entries that are or
 // sum to zero are dropped — they would corrupt the density accounting. src
 // is not modified.
 func Partition(src *mat.COO, cfg Config) (*ATMatrix, *PartitionStats, error) {
+	return buildLayout(src.Rows, src.Cols, cfg, (*partitioner).quadtree, func() (*mat.CSR, error) { return stageCOO(src) })
+}
+
+// PartitionRows is Partition for a producer that already holds the matrix
+// row-major, as consecutive blocks of rows: block i carries nnz[i][k]
+// entries for its k-th row, back to back in col[i]/val[i], columns strictly
+// ascending, no zero values. The slices are read, not kept.
+func PartitionRows(rows, cols int, nnz, col [][]int32, val [][]float64, cfg Config) (*ATMatrix, *PartitionStats, error) {
+	return buildLayout(rows, cols, cfg, (*partitioner).quadtree, func() (*mat.CSR, error) {
+		blocks := make([]rowBlock, len(nnz))
+		for i := range blocks {
+			blocks[i] = rowBlock{nnz: nnz[i], col: col[i], val: val[i]}
+		}
+		s := joinBlocks(rows, cols, blocks)
+		if err := s.Validate(); err != nil {
+			return nil, fmt.Errorf("core: staged rows: %w", err)
+		}
+		if slices.Contains(s.Val, 0) {
+			return nil, fmt.Errorf("core: staged rows store a zero")
+		}
+		return s, nil
+	})
+}
+
+// buildLayout is the one routine behind every layout build: stage produces
+// the rows (its duration is SortTime), one pass counts them per atomic
+// block, plan turns the counts into tile boxes — it only *plans* — and the
+// boxes are cut out of the stage, one task per tile on the worker teams.
+func buildLayout(rows, cols int, cfg Config, plan func(*partitioner) []tileBox, stage func() (*mat.CSR, error)) (*ATMatrix, *PartitionStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if err := src.Validate(); err != nil {
-		return nil, nil, err
+	if rows <= 0 || cols <= 0 {
+		return nil, nil, fmt.Errorf("core: cannot partition %d×%d matrix", rows, cols)
 	}
-	if src.Rows <= 0 || src.Cols <= 0 {
-		return nil, nil, fmt.Errorf("core: cannot partition %d×%d matrix", src.Rows, src.Cols)
-	}
-
 	stats := &PartitionStats{}
-	b := cfg.BAtomic
-
-	// Z-curve reordering (§II-C1). The radix sort is stable, so equal
-	// coordinates end up adjacent in input order and fold in one pass.
 	t0 := time.Now()
-	ents := make([]zEntry, len(src.Ent))
-	for i, e := range src.Ent {
-		ents[i] = zEntry{z: morton.Encode(uint32(e.Row), uint32(e.Col)), e: e}
-	}
-	radixSortZ(ents, src.Rows, src.Cols)
-	ents = foldDuplicatesZ(ents)
-	stats.SortTime = time.Since(t0)
-
-	// ZBlockCnts: non-zero count per atomic block, Z-ordered over the
-	// padded square block grid; -1 marks blocks outside the matrix
-	// bounds (§II-C2).
-	t0 = time.Now()
-	side := morton.SideLen(src.Rows, src.Cols)
-	gridSide := side / b
-	if gridSide < 1 {
-		gridSide = 1
-	}
-	cnts := make([]int64, uint64(gridSide)*uint64(gridSide))
-	for zb := range cnts {
-		br, bc := morton.Decode(uint64(zb))
-		if int(br)*b >= src.Rows || int(bc)*b >= src.Cols {
-			cnts[zb] = -1
-		}
-	}
-	for i := range ents {
-		e := ents[i].e
-		zb := morton.Encode(uint32(int(e.Row)/b), uint32(int(e.Col)/b))
-		cnts[zb]++
-	}
-	stats.CountTime = time.Since(t0)
-
-	// Recursive quadtree partitioning (Alg. 1). The recursion itself is
-	// cheap; it only *plans* the tiles. The expensive materialization
-	// (copy + reorder into CSR or arrays) is embarrassingly parallel per
-	// tile, so the collected jobs run on the worker pool afterwards.
-	t0 = time.Now()
-	p := &partitioner{
-		cfg:  cfg,
-		cnts: cnts,
-		ents: ents,
-		out:  newATMatrix(src.Rows, src.Cols, b),
-	}
-	status, nnz := p.rec(0, uint64(len(cnts)))
-	if status == stForward {
-		p.materialize(0, uint64(len(cnts)), nnz)
-	}
-	if err := p.buildTiles(); err != nil {
+	s, err := stage()
+	if err != nil {
 		return nil, nil, err
+	}
+	stats.SortTime = time.Since(t0)
+	t0 = time.Now()
+	p := &partitioner{cfg: cfg, cnts: zBlockCounts(s, cfg.BAtomic), out: newATMatrix(rows, cols, cfg.BAtomic)}
+	stats.CountTime = time.Since(t0)
+	t0 = time.Now()
+	boxes := plan(p)
+	tiles := make([]*Tile, len(boxes))
+	_, err = RunHomed(nil, cfg, 0, len(boxes),
+		func(i int) int { return boxes[i].r0 },
+		func(_ *sched.Team, i int) { tiles[i] = cutTile(s, boxes[i], cfg.HomeOfRow(boxes[i].r0)) })
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, t := range tiles {
+		p.out.addTile(t) // in plan order
 	}
 	stats.BuildTime = time.Since(t0)
 	return p.out, stats, nil
 }
 
-// foldDuplicatesZ sums runs of equal Z-value (equal coordinates) of a
-// Z-sorted table in place, in table order, and drops entries whose value
-// is or sums to zero.
-func foldDuplicatesZ(ents []zEntry) []zEntry {
-	out := ents[:0]
-	for i := 0; i < len(ents); {
-		cur := ents[i]
-		for i++; i < len(ents) && ents[i].z == cur.z; i++ {
-			cur.e.Val += ents[i].e.Val
-		}
-		if cur.e.Val != 0 {
-			out = append(out, cur)
+// zBlockCounts returns ZBlockCnts: the non-zero count per atomic block,
+// Z-ordered over the padded square block grid, -1 for blocks outside the
+// matrix (§II-C2). A row's ascending columns are counted a block-run at a time.
+func zBlockCounts(s *mat.CSR, b int) []int64 {
+	gridSide := max(1, morton.SideLen(s.Rows, s.Cols)/b)
+	cnts := make([]int64, uint64(gridSide)*uint64(gridSide))
+	for zb := range cnts {
+		br, bc := morton.Decode(uint64(zb))
+		if int(br)*b >= s.Rows || int(bc)*b >= s.Cols {
+			cnts[zb] = -1
 		}
 	}
-	return out
+	shift := bits.TrailingZeros(uint(b))
+	for r := 0; r < s.Rows; r++ {
+		for p, end := s.RowRange(r); p < end; {
+			bc := int(s.ColIdx[p]) >> shift
+			q := p + 1
+			for limit := (bc + 1) << shift; q < end && int(s.ColIdx[q]) < limit; q++ {
+			}
+			cnts[morton.Encode(uint32(r>>shift), uint32(bc))] += q - p
+			p = q
+		}
+	}
+	return cnts
 }
 
 const (
@@ -136,17 +131,10 @@ const (
 )
 
 type partitioner struct {
-	cfg  Config
-	cnts []int64
-	ents []zEntry
-	out  *ATMatrix
-	jobs []matJob
-}
-
-// matJob is one planned tile materialization.
-type matJob struct {
-	zs, ze uint64
-	nnz    int64
+	cfg   Config
+	cnts  []int64
+	out   *ATMatrix
+	boxes []tileBox // planned tiles, in recursion order
 }
 
 // clippedDims returns the in-bounds height and width of the block-space
@@ -272,108 +260,66 @@ func (p *partitioner) rec(zs, ze uint64) (int, int64) {
 }
 
 // materialize plans one tile for the block-space Z-range [zs, ze); empty
-// regions produce no tile. The actual payload construction happens in
-// buildTiles.
+// regions produce no tile. buildLayout cuts the payloads afterwards.
 func (p *partitioner) materialize(zs, ze uint64, nnz int64) {
-	if nnz == 0 {
-		return
+	if nnz > 0 {
+		p.boxes = append(p.boxes, p.box(zs, ze, nnz))
 	}
-	p.jobs = append(p.jobs, matJob{zs: zs, ze: ze, nnz: nnz})
 }
 
-// buildTiles executes the planned materializations — in parallel across
-// the pool's workers when there is enough work — and registers the tiles
-// in deterministic (recursion) order.
-func (p *partitioner) buildTiles() error {
-	tiles := make([]*Tile, len(p.jobs))
-	if len(p.jobs) >= 4 && p.cfg.Topology.TotalCores() > 1 {
-		_, err := RunHomed(nil, p.cfg, 0, len(p.jobs),
-			func(i int) int {
-				br, _ := morton.Decode(p.jobs[i].zs)
-				return int(br) * p.cfg.BAtomic
-			},
-			func(_ *sched.Team, i int) { tiles[i] = p.buildTile(p.jobs[i]) })
-		if err != nil {
-			return err
-		}
-	} else {
-		for i := range p.jobs {
-			tiles[i] = p.buildTile(p.jobs[i])
-		}
-	}
-	for _, t := range tiles {
-		p.out.addTile(t)
-	}
-	return nil
+// tileBox is one planned tile: its bounding box, entry count and kind.
+type tileBox struct {
+	r0, c0, h, w int
+	nnz          int64
+	kind         mat.Kind
 }
 
-// buildTile materializes one planned tile: because an element's Z-value
-// is its block's Z-value times b² plus its in-block Z-value, the region's
-// elements form a contiguous range of the Z-sorted staging table located
-// with binary search.
-func (p *partitioner) buildTile(job matJob) *Tile {
-	zs, ze, nnz := job.zs, job.ze, job.nnz
-	b := p.cfg.BAtomic
+// box returns the tile the Z-range [zs, ze) with nnz entries becomes.
+func (p *partitioner) box(zs, ze uint64, nnz int64) tileBox {
 	br, bc := morton.Decode(zs)
-	r0, c0 := int(br)*b, int(bc)*b
 	h, w := p.clippedDims(zs, ze)
+	return tileBox{r0: int(br) * p.cfg.BAtomic, c0: int(bc) * p.cfg.BAtomic, h: h, w: w, nnz: nnz, kind: p.kindOf(nnz, h, w)}
+}
 
-	zLo := zs * uint64(b) * uint64(b)
-	zHi := ze * uint64(b) * uint64(b)
-	lo := sort.Search(len(p.ents), func(i int) bool { return p.ents[i].z >= zLo })
-	hi := sort.Search(len(p.ents), func(i int) bool { return p.ents[i].z >= zHi })
-	region := p.ents[lo:hi]
-	if int64(len(region)) != nnz {
-		panic(fmt.Sprintf("core: materialize nnz mismatch: range holds %d, counts say %d", len(region), nnz))
+// quadtree plans the adaptive layout: the tiles of Alg. 1.
+func (p *partitioner) quadtree() []tileBox {
+	if status, nnz := p.rec(0, uint64(len(p.cnts))); status == stForward {
+		p.materialize(0, uint64(len(p.cnts)), nnz)
 	}
+	return p.boxes
+}
 
-	tile := &Tile{
-		Row0: r0, Col0: c0, Rows: h, Cols: w,
-		NNZ:  nnz,
-		Home: p.cfg.HomeOfRow(r0),
-	}
-	if p.kindOf(nnz, h, w) == mat.DenseKind {
-		tile.Kind = mat.DenseKind
-		d := mat.NewDense(h, w)
-		for i := range region {
-			e := region[i].e
-			d.Set(int(e.Row)-r0, int(e.Col)-c0, e.Val)
-		}
-		tile.D = d
-	} else {
-		tile.Kind = mat.Sparse
-		// Copy and reorder the region row-major, then build CSR with
-		// rebased, per-row sorted column ids.
-		tmp := make([]mat.Entry, len(region))
-		for i := range region {
-			tmp[i] = region[i].e
-		}
-		sort.Slice(tmp, func(i, j int) bool {
-			if tmp[i].Row != tmp[j].Row {
-				return tmp[i].Row < tmp[j].Row
+// cutTile materializes one planned tile: each row is the column range
+// [c0, c0+w) of the staged row — a CSR tile rebases it, a dense one scatters it.
+func cutTile(s *mat.CSR, bx tileBox, home numa.Node) *Tile {
+	tile := &Tile{Row0: bx.r0, Col0: bx.c0, Rows: bx.h, Cols: bx.w, Kind: bx.kind, NNZ: bx.nnz, Home: home}
+	var n int64
+	if bx.kind == mat.DenseKind {
+		tile.D = mat.NewDense(bx.h, bx.w)
+		for r := 0; r < bx.h; r++ {
+			lo, hi := s.ColSpan(bx.r0+r, int32(bx.c0), int32(bx.c0+bx.w))
+			row := tile.D.RowSlice(r)
+			for p := lo; p < hi; p++ {
+				row[int(s.ColIdx[p])-bx.c0] = s.Val[p]
 			}
-			return tmp[i].Col < tmp[j].Col
-		})
-		tile.Sp = csrFromSorted(tmp, r0, c0, h, w)
+			n += hi - lo
+		}
+	} else {
+		tile.Sp = &mat.CSR{Rows: bx.h, Cols: bx.w, RowPtr: make([]int64, bx.h+1), ColIdx: make([]int32, bx.nnz), Val: make([]float64, bx.nnz)}
+		for r := 0; r < bx.h; r++ {
+			lo, hi := s.ColSpan(bx.r0+r, int32(bx.c0), int32(bx.c0+bx.w))
+			for i, c := range s.ColIdx[lo:hi] {
+				tile.Sp.ColIdx[n+int64(i)] = c - int32(bx.c0)
+			}
+			copy(tile.Sp.Val[n:], s.Val[lo:hi])
+			n += hi - lo
+			tile.Sp.RowPtr[r+1] = n
+		}
+	}
+	if n != bx.nnz {
+		panic(fmt.Sprintf("core: tile (%d,%d) holds %d entries, counts say %d", bx.r0, bx.c0, n, bx.nnz))
 	}
 	return tile
-}
-
-// csrFromSorted builds the h×w CSR tile at origin (r0, c0) from its
-// entries in row-major order, rebasing the coordinates.
-func csrFromSorted(ents []mat.Entry, r0, c0, h, w int) *mat.CSR {
-	csr := mat.NewCSR(h, w)
-	csr.ColIdx = make([]int32, len(ents))
-	csr.Val = make([]float64, len(ents))
-	for i, e := range ents {
-		csr.RowPtr[int(e.Row)-r0+1]++
-		csr.ColIdx[i] = e.Col - int32(c0)
-		csr.Val[i] = e.Val
-	}
-	for r := 0; r < h; r++ {
-		csr.RowPtr[r+1] += csr.RowPtr[r]
-	}
-	return csr
 }
 
 // PartitionFixed tiles the matrix into a naive fixed grid of
@@ -383,71 +329,17 @@ func csrFromSorted(ents []mat.Entry, r0, c0, h, w int) *mat.CSR {
 // density reaches ρ0^R are stored dense. Empty blocks produce no tile.
 // Duplicates and zeros are treated as in Partition; src is not modified.
 func PartitionFixed(src *mat.COO, cfg Config, mixed bool) (*ATMatrix, *PartitionStats, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := src.Validate(); err != nil {
-		return nil, nil, err
-	}
-	stats := &PartitionStats{}
-	b := cfg.BAtomic
-
-	t0 := time.Now()
-	out := newATMatrix(src.Rows, src.Cols, b)
-	// Bucket entries by block (block-row-major) with a counting sort.
-	nBlocks := out.BR * out.BC
-	cnt := make([]int64, nBlocks+1)
-	for _, e := range src.Ent {
-		blk := int(e.Row)/b*out.BC + int(e.Col)/b
-		cnt[blk+1]++
-	}
-	stats.CountTime = time.Since(t0)
-
-	t0 = time.Now()
-	for i := 0; i < nBlocks; i++ {
-		cnt[i+1] += cnt[i]
-	}
-	bucketed := make([]mat.Entry, len(src.Ent))
-	next := append([]int64(nil), cnt[:nBlocks]...)
-	for _, e := range src.Ent {
-		blk := int(e.Row)/b*out.BC + int(e.Col)/b
-		bucketed[next[blk]] = e
-		next[blk]++
-	}
-	for blk := 0; blk < nBlocks; blk++ {
-		lo, hi := cnt[blk], cnt[blk+1]
-		if lo == hi {
-			continue
+	grid := func(p *partitioner) []tileBox {
+		for z, nnz := range p.cnts {
+			p.materialize(uint64(z), uint64(z)+1, nnz) // nothing for an empty (0) or out-of-bounds (-1) block
 		}
-		br, bc := blk/out.BC, blk%out.BC
-		r0, c0 := br*b, bc*b
-		r1, c1 := min(r0+b, src.Rows), min(c0+b, src.Cols)
-		h, w := r1-r0, c1-c0
-		// Row-major within the block; the bucketing and this sort are both
-		// stable, so duplicates fold in input order.
-		region := bucketed[lo:hi]
-		slices.SortStableFunc(region, func(x, y mat.Entry) int {
-			return cmp.Or(cmp.Compare(x.Row, y.Row), cmp.Compare(x.Col, y.Col))
-		})
-		region = mat.FoldSorted(region)
-		nnz := int64(len(region))
-		if nnz == 0 {
-			continue
-		}
-		tile := &Tile{Row0: r0, Col0: c0, Rows: h, Cols: w, NNZ: nnz, Home: cfg.HomeOfRow(r0)}
-		if mixed && mat.Density(nnz, h, w) >= cfg.RhoRead {
-			tile.Kind = mat.DenseKind
-			d := mat.NewDense(h, w)
-			for _, e := range region {
-				d.Set(int(e.Row)-r0, int(e.Col)-c0, e.Val)
+		if !mixed {
+			for i := range p.boxes {
+				p.boxes[i].kind = mat.Sparse
 			}
-			tile.D = d
-		} else {
-			tile.Kind = mat.Sparse
-			tile.Sp = csrFromSorted(region, r0, c0, h, w)
 		}
-		out.addTile(tile)
+		slices.SortFunc(p.boxes, func(x, y tileBox) int { return cmp.Or(cmp.Compare(x.r0, y.r0), cmp.Compare(x.c0, y.c0)) })
+		return p.boxes // block-row-major
 	}
-	stats.BuildTime = time.Since(t0)
-	return out, stats, nil
+	return buildLayout(src.Rows, src.Cols, cfg, grid, func() (*mat.CSR, error) { return stageCOO(src) })
 }

@@ -164,7 +164,7 @@ func TestTopologyWideAspectRatios(t *testing.T) {
 		a := mat.RandomCOO(rng, rows, cols, rows*cols/10+1)
 		am := partitionAndVerify(t, a, cfg)
 		// Multiply with the transpose to exercise both orientations.
-		c, _, err := Multiply(am, am.Transpose(), cfg)
+		c, _, err := Multiply(am, am.Transpose(cfg), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ type Fig7Row struct {
 	RelativeTotal float64       // partition total / mult time
 }
 
-// RunFig7 measures, per matrix, the Z-ordering sort, the ZBlockCnts pass,
+// RunFig7 measures, per matrix, the staging sort, the ZBlockCnts pass,
 // and the recursion+materialization — and compares their sum with one
 // traditional sparse multiplication. The paper's claim: the partitioning
 // cost stays below one multiplication except for R8-like cases (large

@@ -176,7 +176,7 @@ func (e *exec) evalTranspose(v *transNode) (*core.ATMatrix, bool, error) {
 	var out *core.ATMatrix
 	t0 := time.Now()
 	err = e.stage(v.label(), func() error {
-		out = x.Transpose()
+		out = x.Transpose(e.cfg)
 		return nil
 	})
 	if err != nil {
@@ -566,19 +566,19 @@ func tilePanelRows(t *core.Tile, src, dst []float64, w, r0, r1 int) {
 	}
 }
 
-// panelToMatrix partitions the final panel into an adaptive AT MATRIX.
+// panelToMatrix partitions the final panel into an adaptive AT MATRIX: the
+// panel is row-major already, so its non-zeros are one piece.
 func panelToMatrix(buf []float64, rows, w int, cfg core.Config) (*core.ATMatrix, error) {
-	coo := mat.NewCOO(rows, w)
+	piece := bandPiece{rowNNZ: make([]int32, rows), cols: make([]int32, 0, rows*w), vals: make([]float64, 0, rows*w)}
 	for r := 0; r < rows; r++ {
-		base := r * w
-		for c := 0; c < w; c++ {
-			if v := buf[base+c]; v != 0 {
-				coo.Append(r, c, v)
+		for c, v := range buf[r*w : (r+1)*w] {
+			if v != 0 {
+				piece.cols, piece.vals = append(piece.cols, int32(c)), append(piece.vals, v)
+				piece.rowNNZ[r]++
 			}
 		}
 	}
-	out, _, err := core.Partition(coo, cfg)
-	return out, err
+	return assemblePieces([]bandPiece{piece}, rows, w, cfg)
 }
 
 // ---------------------------------------------------------------------
@@ -656,7 +656,7 @@ func (e *exec) runRowStream(v *chainNode, mats []*core.ATMatrix) (*core.ATMatrix
 	}
 	e.stats.FusedStages += len(mats) - 1
 
-	out, err := assemblePieces(pieces, n, mats[len(mats)-1].Cols, b, e.cfg)
+	out, err := assemblePieces(pieces, n, mats[len(mats)-1].Cols, e.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -720,26 +720,14 @@ func flushStreamRow(piece *bandPiece, r int, spa *kernels.SPA) {
 }
 
 // assemblePieces concatenates the band outputs into the final adaptive
-// AT MATRIX.
-func assemblePieces(pieces []bandPiece, rows, cols, b int, cfg core.Config) (*core.ATMatrix, error) {
-	var nnz int64
-	for i := range pieces {
-		nnz += int64(len(pieces[i].cols))
+// AT MATRIX. Every piece holds its rows in order with ascending, zero-free
+// columns (flushStreamRow) — the form core.PartitionRows cuts tiles from.
+func assemblePieces(pieces []bandPiece, rows, cols int, cfg core.Config) (*core.ATMatrix, error) {
+	nnz, col, val := make([][]int32, len(pieces)), make([][]int32, len(pieces)), make([][]float64, len(pieces))
+	for i, p := range pieces {
+		nnz[i], col[i], val[i] = p.rowNNZ, p.cols, p.vals
 	}
-	coo := mat.NewCOO(rows, cols)
-	coo.Ent = make([]mat.Entry, 0, nnz)
-	for bi := range pieces {
-		p := &pieces[bi]
-		base := bi * b
-		q := 0
-		for r, cnt := range p.rowNNZ {
-			for k := 0; k < int(cnt); k++ {
-				coo.Append(base+r, int(p.cols[q]), p.vals[q])
-				q++
-			}
-		}
-	}
-	out, _, err := core.Partition(coo, cfg)
+	out, _, err := core.PartitionRows(rows, cols, nnz, col, val, cfg)
 	return out, err
 }
 

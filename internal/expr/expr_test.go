@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -52,6 +53,15 @@ func testBindings(t *testing.T, cfg core.Config) map[string]*core.ATMatrix {
 	put("x", mat.RandomCOO(rng, n, 8, n*4))
 	put("r", mat.RandomCOO(rng, n, 1, n))
 	return bind
+}
+
+func atmBytes(t *testing.T, m *core.ATMatrix) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // ---------------------------------------------------------------------
@@ -166,8 +176,12 @@ func TestEvalMatchesReference(t *testing.T) {
 	cfg := testCfg()
 	bind := testBindings(t, cfg)
 	dense := denseBindings(bind)
+	// Fused chains whose returned layout is pinned byte for byte, see below.
+	pinned := map[string]string{"A*A*A": "row-stream", "A*B*C": "row-stream", "pow(A,3)*x": "panel", "A*B*C*x": "panel"}
 	exprs := []string{
 		"A*B",
+		"A*A*A",
+		"pow(A,3)*x",
 		"A*B*C",
 		"A*B*x",
 		"A*B*C*x",
@@ -203,6 +217,22 @@ func TestEvalMatchesReference(t *testing.T) {
 				label += " [" + plan.Summary().Fusion + "]"
 			}
 			requireClose(t, label, got, want)
+			// A fused chain sums in another order than the materialized one,
+			// so values are compared within tolerance — but the layout it
+			// hands back must be, byte for byte, what partitioning its own
+			// entries from a staging table gives.
+			if fusion, pin := pinned[src]; pin && !materialize {
+				if plan.Summary().Fusion != fusion {
+					t.Fatalf("%s: fusion %s, want %s", label, plan.Summary().Fusion, fusion)
+				}
+				ref, _, err := core.Partition(got.ToCOO(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(atmBytes(t, got), atmBytes(t, ref)) {
+					t.Errorf("%s: layout differs from Partition(out.ToCOO())", label)
+				}
+			}
 			if st.Stages == 0 {
 				t.Errorf("%s: no stages recorded", label)
 			}

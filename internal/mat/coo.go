@@ -62,9 +62,9 @@ func (a *COO) SortRowMajor() {
 	})
 }
 
-// SortZOrder orders entries along the Z-curve (Morton order), the
-// locality-preserving layout the quadtree partitioner recurses on
-// (paper §II-C1).
+// SortZOrder orders entries along the Z-curve (Morton order), the order the
+// paper brings its staging table into (§II-C1). core's partitioner stages
+// row-major and keeps only the per-block counts in this order.
 func (a *COO) SortZOrder() {
 	sort.Slice(a.Ent, func(i, j int) bool {
 		return morton.Encode(uint32(a.Ent[i].Row), uint32(a.Ent[i].Col)) <
