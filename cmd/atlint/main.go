@@ -1,10 +1,8 @@
 // Command atlint runs the repo-specific static-analysis suite
 // (internal/lint) over the module: allocation-free hot paths, lock
-// discipline, context threading, fault-site registration, error wrapping,
-// 64-bit atomic alignment, wire-bounded allocation, goroutine termination,
-// field/lock consistency and metric-name manifests. It exits non-zero when
-// any diagnostic survives suppression, so it gates make lint / make check
-// / CI.
+// discipline, context threading, fault-site registration and error
+// wrapping. It exits non-zero when any diagnostic survives suppression, so
+// it gates make lint / make check / CI.
 //
 // Usage:
 //
@@ -32,7 +30,6 @@ import (
 
 	"atmatrix/internal/faultinject"
 	"atmatrix/internal/lint"
-	"atmatrix/internal/metricnames"
 )
 
 func main() {
@@ -76,11 +73,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 3
 	}
 
-	// The manifests the faultsite and metriccheck analyzers validate
-	// against are the ones compiled into this binary — atlint lives in the
-	// same module, so the two cannot drift.
+	// The manifest the faultsite analyzer validates against is the one
+	// compiled into this binary — atlint lives in the same module, so the
+	// two cannot drift.
 	runner := lint.NewRunner(faultinject.SiteSet(), lint.All()...)
-	runner.Metrics = metricnames.Set()
 	var diags []lint.Diagnostic
 	for _, pkg := range pkgs {
 		diags = append(diags, runner.Package(pkg)...)

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -229,4 +232,56 @@ func tryServeCoord(t *testing.T, cfg core.Config, addr string) (*cluster.Coordin
 		s.shutdown(time.Second)
 	})
 	return coord, srv, ln.Addr().String(), nil
+}
+
+// TestMetricsSeriesWellFormed scrapes a coordinator-role server — the role
+// that emits every series handleMetrics knows — and checks what a name
+// manifest used to: every line is one well-formed atserve_* series and no
+// series is emitted twice. handleMetrics' p(name, v) list is the only
+// place a name is written, so this is the only place one can be wrong.
+func TestMetricsSeriesWellFormed(t *testing.T) {
+	cfg := testConfig()
+	addr, _ := startClusterWorker(t, cfg)
+	coord := cluster.NewCoordinator(cfg, cluster.Options{HeartbeatPeriod: -1, RepairPeriod: -1}, []string{addr})
+	s, err := newServer(serverConfig{cfg: cfg, opts: service.Options{}, maxUpload: 1 << 30, coord: coord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.shutdown(30 * time.Second)
+	})
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	series := regexp.MustCompile(`^atserve_[a-z0-9_]+(\{[^}]*\})?$`)
+	seen := map[string]bool{}
+	clusterSeries := 0
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		name, value, ok := strings.Cut(sc.Text(), " ")
+		if !ok || !series.MatchString(name) {
+			t.Errorf("malformed series line %q", sc.Text())
+			continue
+		}
+		if _, err := strconv.ParseFloat(value, 64); err != nil {
+			t.Errorf("series %s has non-numeric value %q", name, value)
+		}
+		if seen[name] {
+			t.Errorf("series %s emitted twice", name)
+		}
+		seen[name] = true
+		if strings.HasPrefix(name, "atserve_cluster_") {
+			clusterSeries++
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) == 0 || clusterSeries == 0 {
+		t.Fatalf("scraped %d series, %d of them atserve_cluster_*: not a coordinator's /metrics", len(seen), clusterSeries)
+	}
 }

@@ -22,7 +22,7 @@ func testConfig() core.Config {
 	return cfg
 }
 
-func testMatrix(t *testing.T, seed int64, dim, nnz int) *core.ATMatrix {
+func testMatrix(t testing.TB, seed int64, dim, nnz int) *core.ATMatrix {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	am, _, err := core.Partition(mat.RandomCOO(rng, dim, dim, nnz), testConfig())

@@ -58,6 +58,24 @@ type manifestFile struct {
 	Entries []manifestEntry `json:"entries"`
 }
 
+// encodeManifest renders the on-disk form of the manifest.
+func encodeManifest(mf manifestFile) ([]byte, error) {
+	data, err := json.MarshalIndent(mf, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("catalog: encoding manifest: %w", err)
+	}
+	return append(data, '\n'), nil
+}
+
+// decodeManifest parses the bytes of a manifest file.
+func decodeManifest(data []byte) (manifestFile, error) {
+	var mf manifestFile
+	if err := json.Unmarshal(data, &mf); err != nil {
+		return mf, fmt.Errorf("catalog: corrupt manifest: %w", err)
+	}
+	return mf, nil
+}
+
 // Open returns a catalog backed by dataDir (created if absent); an empty
 // dataDir yields a memory-only catalog identical to New. Opening does not
 // read existing state — call Recover to rebuild from a previous run's
@@ -144,11 +162,10 @@ func (c *Catalog) flushManifest() error {
 	}
 	c.mu.Unlock()
 	sort.Slice(mf.Entries, func(i, j int) bool { return mf.Entries[i].Name < mf.Entries[j].Name })
-	data, err := json.MarshalIndent(&mf, "", "  ")
+	data, err := encodeManifest(mf)
 	if err != nil {
-		return fmt.Errorf("catalog: encoding manifest: %w", err)
+		return err
 	}
-	data = append(data, '\n')
 	_, err = core.WriteFileAtomic(filepath.Join(c.dataDir, manifestName), func(w io.Writer) (int64, error) {
 		n, err := w.Write(data)
 		return int64(n), err
@@ -161,8 +178,9 @@ func (c *Catalog) flushManifest() error {
 
 // reload reads a spilled entry's backing file back into memory, verifying
 // the footer checksum against the manifest record and the stream content
-// against the footer. The caller owns the entry's loading channel; the
-// durability fields it reads are immutable once set.
+// against the footer. The caller owns the entry's loading channel, which
+// serializes reloads; the durability fields read here (file, crc) are
+// immutable once the entry is persisted, so they are read without c.mu.
 func (c *Catalog) reload(e *entry) (*core.ATMatrix, error) {
 	if err := faultinject.Do("catalog.reload"); err != nil {
 		return nil, fmt.Errorf("catalog: reloading %q: %w", e.name, err)
@@ -172,18 +190,18 @@ func (c *Catalog) reload(e *entry) (*core.ATMatrix, error) {
 		// guards against future states.
 		return nil, fmt.Errorf("catalog: reloading %q: %w (no durable copy)", e.name, ErrNotFound)
 	}
-	path := filepath.Join(c.dataDir, e.file) //atlint:ignore racefield e.file is immutable once the entry is persisted; the loading channel serializes reloads
+	path := filepath.Join(c.dataDir, e.file)
 	crc, _, err := core.FileChecksum(path)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: reloading %q: %w", e.name, err)
 	}
 	if crc != e.crc {
 		return nil, fmt.Errorf("catalog: reloading %q: %w: file %s has footer %08x, manifest recorded %08x",
-			e.name, core.ErrChecksum, e.file, crc, e.crc) //atlint:ignore racefield durability fields are immutable once the entry is persisted
+			e.name, core.ErrChecksum, e.file, crc, e.crc)
 	}
 	m, err := core.ReadATMatrixFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("catalog: reloading %q from %s: %w", e.name, e.file, err) //atlint:ignore racefield durability fields are immutable once the entry is persisted
+		return nil, fmt.Errorf("catalog: reloading %q from %s: %w", e.name, e.file, err)
 	}
 	m.SealChecksums()
 	return m, nil
@@ -245,9 +263,9 @@ func (c *Catalog) Recover() (RecoverStats, error) {
 	if err != nil {
 		return rs, fmt.Errorf("catalog: reading manifest: %w", err)
 	}
-	var mf manifestFile
-	if err := json.Unmarshal(data, &mf); err != nil {
-		return rs, fmt.Errorf("catalog: corrupt manifest: %w", err)
+	mf, err := decodeManifest(data)
+	if err != nil {
+		return rs, err
 	}
 	known := make(map[string]bool, len(mf.Entries))
 	var pinned []string

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"atmatrix/internal/core"
@@ -383,6 +385,105 @@ func corruptingWrapper() func(http.Handler) http.Handler {
 			rw.WriteHeader(rec.Code)
 			_, _ = rw.Write(body)
 		})
+	}
+}
+
+// truncatingWrapper lets the worker compute its reply and then dies half-way
+// through sending it: the connection is aborted inside the first frame's
+// tile payload, as a kill -9, a reset or an expired deadline would.
+func truncatingWrapper() func(http.Handler) http.Handler {
+	return func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/cluster/v1/exec" {
+				inner.ServeHTTP(rw, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			inner.ServeHTTP(rec, r)
+			body := rec.Body.Bytes()
+			for k, vs := range rec.Header() {
+				for _, v := range vs {
+					rw.Header().Add(k, v)
+				}
+			}
+			rw.WriteHeader(rec.Code)
+			if rec.Code != http.StatusOK || len(body) < 8 {
+				_, _ = rw.Write(body)
+				return
+			}
+			_, _ = rw.Write(body[:4+binary.LittleEndian.Uint32(body[:4])/2])
+			rw.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		})
+	}
+}
+
+// TestClusterChaosTruncatedReplyFallsBackLocal runs a one-worker cluster
+// whose every product stream dies mid-frame. A dead stream is a transport
+// failure, not corruption, whatever tile the decoder was in when the bytes
+// stopped: with no other candidate the coordinator must execute the shard
+// itself and return the exact product.
+func TestClusterChaosTruncatedReplyFallsBackLocal(t *testing.T) {
+	cfg := testCfg()
+	sched.RuntimeFor(cfg.Topology) // pre-warm: its goroutines are not this test's leak
+	leakcheck.Check(t)
+	rng := rand.New(rand.NewSource(57))
+	a := partition(t, cfg, mat.RandomCOO(rng, 96, 80, 2200))
+	b := partition(t, cfg, mat.RandomCOO(rng, 80, 96, 2000))
+
+	local, _, err := core.MultiplyOpt(a, b, cfg, core.DefaultMultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	worker := NewWorker(cfg)
+	addr, _ := serveWorker(t, worker, truncatingWrapper())
+
+	coord := NewCoordinator(cfg, testOptions(testClient(t)), []string{addr})
+	defer coord.Close()
+
+	dist, _, err := coord.Multiply("", "", a, b, core.DefaultMultOptions())
+	if err != nil {
+		t.Fatalf("multiply with every reply cut mid-frame: %v (corrupt: %v)", err, isCorrupt(err))
+	}
+	if !bytes.Equal(serializeATM(t, dist), serializeATM(t, local)) {
+		t.Fatal("degraded product differs from local execution")
+	}
+	s := coord.Stats()
+	if s.LocalTasks == 0 || s.ShardShips == 0 {
+		t.Fatalf("stats = %+v, want shards shipped, replies lost and the tasks executed locally", s)
+	}
+	if n := worker.Store().Len(); n != 0 {
+		t.Fatalf("worker holds %d shards after the multiply, want 0", n)
+	}
+}
+
+// TestStreamFailureIsNotCorrupt pins the classification the drill above
+// depends on, at the function that makes it: a product stream that ends or
+// fails inside a frame is not corrupt; one with a flipped bit is.
+func TestStreamFailureIsNotCorrupt(t *testing.T) {
+	cfg := testCfg()
+	m := partition(t, cfg, mat.RandomCOO(rand.New(rand.NewSource(58)), 64, 64, 1200))
+	var buf bytes.Buffer
+	if _, err := m.WriteTileRowFrames(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	half := 4 + int(binary.LittleEndian.Uint32(data[:4]))/2
+	nop := func(*core.ATMatrix) error { return nil }
+
+	err := core.ReadTileRowFrames(bytes.NewReader(data[:half]), nil, nop)
+	if err == nil || isCorrupt(err) {
+		t.Fatalf("stream cut mid-frame: error = %v, want a non-corrupt failure", err)
+	}
+	reset := &net.OpError{Op: "read", Err: errors.New("connection reset by peer")}
+	err = core.ReadTileRowFrames(io.MultiReader(bytes.NewReader(data[:half]), iotest.ErrReader(reset)), nil, nop)
+	if !errors.Is(err, reset) || isCorrupt(err) {
+		t.Fatalf("stream reset mid-frame: error = %v, want the non-corrupt transport error", err)
+	}
+	data[half] ^= 0x01
+	if err := core.ReadTileRowFrames(bytes.NewReader(data), nil, nop); !isCorrupt(err) {
+		t.Fatalf("flipped bit: error = %v, want corrupt", err)
 	}
 }
 

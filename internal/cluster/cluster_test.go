@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"atmatrix/internal/alloccheck"
 	"atmatrix/internal/core"
+	"atmatrix/internal/leakcheck"
 	"atmatrix/internal/mat"
 	"atmatrix/internal/sched"
 )
@@ -226,8 +228,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 // FuzzDecodeExecHeader throws arbitrary bytes at the one decoder a worker
 // exposes to exec requests: it must not panic, must not read past
-// maxHeaderBytes, and whatever it accepts must satisfy the bounds the
-// worker relies on.
+// maxHeaderBytes or allocate more than 256·len(data) + 64 KiB (a three-byte
+// "{}," costs one 72-byte shardRef in a slice whose every growth step is
+// charged: ≈ 140× measured on 100 000 of them), and
+// whatever it accepts must satisfy the bounds the worker relies on and
+// survive its own encoder unchanged.
 func FuzzDecodeExecHeader(f *testing.F) {
 	good, err := encodeExecHeader(realExecHeader())
 	if err != nil {
@@ -242,7 +247,11 @@ func FuzzDecodeExecHeader(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cr := &countingReader{r: bytes.NewReader(data)}
-		hdr, err := decodeExecHeader(cr)
+		var hdr execHeader
+		var err error
+		alloccheck.Bound(t, len(data), 256, 64<<10, func() {
+			hdr, err = decodeExecHeader(cr)
+		})
 		if cr.n > maxHeaderBytes {
 			t.Fatalf("decoder read %d bytes, limit %d", cr.n, maxHeaderBytes)
 		}
@@ -267,6 +276,17 @@ func FuzzDecodeExecHeader(f *testing.F) {
 					t.Fatalf("accepted negative tile index in %+v", ref)
 				}
 			}
+		}
+		canon, err := encodeExecHeader(hdr)
+		if err != nil {
+			t.Fatalf("cannot re-encode accepted header: %v", err)
+		}
+		back, err := decodeExecHeader(bytes.NewReader(canon))
+		if err != nil {
+			t.Fatalf("cannot re-read own header: %v\n%s", err, canon)
+		}
+		if again, _ := encodeExecHeader(back); !bytes.Equal(again, canon) {
+			t.Fatalf("header is not stable under its own encoder:\n%s\n--- vs ---\n%s", canon, again)
 		}
 	})
 }
@@ -507,6 +527,7 @@ func TestCoordinatorRegisterIdempotent(t *testing.T) {
 // TestCoordinatorHeartbeatMarksDead runs the real heartbeat loop against
 // one live worker and one dead address and waits for the states to settle.
 func TestCoordinatorHeartbeatMarksDead(t *testing.T) {
+	leakcheck.Check(t) // Close must stop the loop it started
 	cfg := testCfg()
 	hc := testClient(t)
 	addr, _ := startWorker(t, cfg, nil)

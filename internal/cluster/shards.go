@@ -190,7 +190,9 @@ func (c *Coordinator) AttachCatalog(cat *catalog.Catalog) {
 // immediately when a worker transitions to Dead (the kick channel) so
 // failover does not wait out the period.
 func (c *Coordinator) repairLoop(ctx context.Context) {
-	defer close(c.repairDone) //atlint:ignore racefield the channel is written under shardMu before this goroutine is spawned; the spawn is the happens-before edge
+	// repairDone is written under shardMu before this goroutine is spawned;
+	// the spawn is the happens-before edge.
+	defer close(c.repairDone)
 	ticker := time.NewTicker(c.opts.RepairPeriod)
 	defer ticker.Stop()
 	for {

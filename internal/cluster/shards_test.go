@@ -455,3 +455,25 @@ func TestMergeGateWindow(t *testing.T) {
 	}
 	relBig()
 }
+
+// TestRepairLoopStopsClean runs the real anti-entropy loop — every other
+// test disables it and calls RepairPass directly — until it has completed
+// a pass on its own timer, then closes the coordinator: Close must stop the
+// goroutine AttachCatalog started.
+func TestRepairLoopStopsClean(t *testing.T) {
+	leakcheck.Check(t)
+	cfg := testCfg()
+	opts := testOptions(testClient(t))
+	opts.RepairPeriod = 5 * time.Millisecond
+	coord := NewCoordinator(cfg, opts, nil)
+	coord.AttachCatalog(loadCatalog(t, cfg, nil))
+	deadline := time.Now().Add(5 * time.Second)
+	for coord.Stats().RepairPasses == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("repair loop never ran a pass")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	coord.Close()
+	coord.Close() // idempotent
+}

@@ -290,6 +290,10 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 	stats.ConvertTime = time.Duration(mc.convNanos.Load())
 	stats.MultiplyTime = time.Duration(mc.mulNanos.Load())
 	stats.FinalizeTime = time.Duration(mc.finNanos.Load())
+	stats.Contributions = mc.contributions.Load()
+	stats.Conversions = mc.conversions.Load()
+	stats.OuterKernelCalls = mc.outerCalls.Load()
+	stats.GustavsonKernelCalls = mc.gustavsonCalls.Load()
 
 	// Chaos hook: an armed bitflip rule silently corrupts one result value
 	// at the accumulation boundary, modeling a wrong product handed back by
@@ -413,6 +417,9 @@ type mulCtx struct {
 	denses []mat.Dense
 
 	optNanos, convNanos, mulNanos, finNanos atomic.Int64
+	// The MultStats counters every pair task bumps; copied into stats once
+	// the run has returned.
+	contributions, conversions, outerCalls, gustavsonCalls atomic.Int64
 }
 
 // runPair dispatches one pair id (row-major over the band grid) to
@@ -499,7 +506,7 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 	if len(contribs) == 0 {
 		return
 	}
-	atomic.AddInt64(&stats.Contributions, int64(len(contribs)))
+	mc.contributions.Add(int64(len(contribs)))
 
 	// Decide the physical representation of the target tile from its
 	// *final* estimated density (Alg. 2 line 6).
@@ -538,9 +545,9 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 				ct.outer = cfg.Cost.PreferOuter(m, ct.k, n, runDensity(ct), rhoB)
 			}
 			if ct.outer {
-				atomic.AddInt64(&stats.OuterKernelCalls, 1)
+				mc.outerCalls.Add(1)
 			} else {
-				atomic.AddInt64(&stats.GustavsonKernelCalls, 1)
+				mc.gustavsonCalls.Add(1)
 			}
 		}
 		mc.optNanos.Add(time.Since(t0).Nanoseconds())
@@ -669,7 +676,7 @@ func (mc *mulCtx) resolveOperand(ct *contribution, isA bool, want mat.Kind, scr 
 		}
 	}
 	mc.convNanos.Add(time.Since(t0).Nanoseconds())
-	atomic.AddInt64(&mc.stats.Conversions, 1)
+	mc.conversions.Add(1)
 }
 
 // convCache memoizes full-tile sparse→dense conversions for one ATMULT

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"atmatrix/internal/density"
@@ -363,10 +362,7 @@ func executeChain(chain []*ATMatrix, plan *ChainPlan, cfg Config, opts MultOptio
 	}
 	nnz := out.NNZ()
 	kernels := ""
-	// The kernel-call counters are updated with atomic adds by the tile
-	// workers; read them the same way even though the workers have joined.
-	gust := atomic.LoadInt64(&mstats.GustavsonKernelCalls)
-	outer := atomic.LoadInt64(&mstats.OuterKernelCalls)
+	gust, outer := mstats.GustavsonKernelCalls, mstats.OuterKernelCalls
 	if gust > 0 || outer > 0 {
 		kernels = fmt.Sprintf("gustavson×%d outer×%d", gust, outer)
 	}

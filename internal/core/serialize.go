@@ -143,7 +143,14 @@ func (a *ATMatrix) WriteTo(w io.Writer) (int64, error) {
 // chunked and allocations grow incrementally, so a corrupt or hostile
 // header cannot force an allocation larger than the actual stream.
 func ReadATMatrix(r io.Reader) (*ATMatrix, error) {
-	cr := &crcReader{r: bufio.NewReaderSize(r, 1<<20), crc: crc32.New(castagnoli)}
+	return readATMatrix(bufio.NewReaderSize(r, 1<<20))
+}
+
+// readATMatrix is ReadATMatrix on a caller-owned buffer, so a caller that
+// decodes many streams in a row (ReadTileRowFrames) can reuse one buffer and
+// see how much of it the decoder left unread.
+func readATMatrix(br *bufio.Reader) (*ATMatrix, error) {
+	cr := &crcReader{r: br, crc: crc32.New(castagnoli)}
 	magic := make([]byte, len(atMagic))
 	if _, err := io.ReadFull(cr, magic); err != nil {
 		return nil, fmt.Errorf("core: reading magic: %w", err)
@@ -172,7 +179,11 @@ func ReadATMatrix(r io.Reader) (*ATMatrix, error) {
 	if nTiles > br2*bc2 {
 		return nil, fmt.Errorf("core: header claims %d tiles for a %d-block grid", nTiles, br2*bc2)
 	}
-	out := newATMatrix(int(rows), int(cols), int(bAtomic))
+	// Tiles are collected first and indexed only once the footer has
+	// verified: the block index is sized by the header (up to 1 GiB at the
+	// grid bound above), so a corrupt or truncated stream must fail before
+	// it is allocated.
+	var tiles []*Tile
 	for ti := int64(0); ti < nTiles; ti++ {
 		var meta [4]int64
 		if err := binary.Read(cr, binary.LittleEndian, meta[:]); err != nil {
@@ -235,7 +246,7 @@ func ReadATMatrix(r io.Reader) (*ATMatrix, error) {
 		default:
 			return nil, tileErr(ti, r0, c0, "unknown kind %d", kind)
 		}
-		out.addTile(t)
+		tiles = append(tiles, t)
 	}
 	// The footer itself is not part of the checksummed bytes.
 	want := cr.crc.Sum32()
@@ -245,6 +256,10 @@ func ReadATMatrix(r io.Reader) (*ATMatrix, error) {
 	}
 	if got := binary.LittleEndian.Uint32(foot[:]); got != want {
 		return nil, fmt.Errorf("%w: stream %08x, computed %08x", ErrChecksum, got, want)
+	}
+	out := newATMatrix(int(rows), int(cols), int(bAtomic))
+	for _, t := range tiles {
+		out.addTile(t)
 	}
 	if err := out.Validate(); err != nil {
 		return nil, err
@@ -276,48 +291,50 @@ func FileChecksum(path string) (crc uint32, size int64, err error) {
 	return binary.LittleEndian.Uint32(foot[:]), st.Size(), nil
 }
 
-// readSlice reads n fixed-size little-endian elements through a bounded
-// chunk buffer. The destination grows incrementally, so a hostile length
-// field cannot allocate more than the stream actually delivers (plus one
-// bounded chunk); a short stream fails with io.ErrUnexpectedEOF.
-func readSlice[T any](r io.Reader, n int64, size int, dec func([]byte) T) ([]T, error) {
+// chunkBytes is the unit in which the decoder reads payload slices; a
+// multiple of every element size used.
+const chunkBytes = 1 << 16
+
+// readSlice reads n fixed-size little-endian elements through the reader's
+// bounded chunk buffer. The destination grows incrementally, so a hostile
+// length field cannot allocate more than the stream actually delivers (plus
+// one bounded chunk); a short stream fails with io.ErrUnexpectedEOF.
+func readSlice[T any](r *crcReader, n int64, size int, dec func([]byte) T) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("core: negative element count %d", n)
 	}
-	const chunkBytes = 1 << 16 // multiple of every element size used
 	initCap := n
 	if initCap > chunkBytes/int64(size) {
 		initCap = chunkBytes / int64(size)
 	}
 	out := make([]T, 0, initCap)
-	var buf [chunkBytes]byte
 	for int64(len(out)) < n {
 		want := (n - int64(len(out))) * int64(size)
 		if want > chunkBytes {
 			want = chunkBytes
 		}
-		if _, err := io.ReadFull(r, buf[:want]); err != nil {
+		if _, err := io.ReadFull(r, r.chunk[:want]); err != nil {
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, err
 		}
 		for off := int64(0); off < want; off += int64(size) {
-			out = append(out, dec(buf[off:off+int64(size)]))
+			out = append(out, dec(r.chunk[off:off+int64(size)]))
 		}
 	}
 	return out, nil
 }
 
-func readInt64s(r io.Reader, n int64) ([]int64, error) {
+func readInt64s(r *crcReader, n int64) ([]int64, error) {
 	return readSlice(r, n, 8, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) })
 }
 
-func readInt32s(r io.Reader, n int64) ([]int32, error) {
+func readInt32s(r *crcReader, n int64) ([]int32, error) {
 	return readSlice(r, n, 4, func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) })
 }
 
-func readFloat64s(r io.Reader, n int64) ([]float64, error) {
+func readFloat64s(r *crcReader, n int64) ([]float64, error) {
 	return readSlice(r, n, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
 }
 
@@ -335,10 +352,12 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// crcReader feeds every byte it delivers to the running CRC.
+// crcReader feeds every byte it delivers to the running CRC. chunk is
+// readSlice's staging buffer: one per decode, not one per slice.
 type crcReader struct {
-	r   *bufio.Reader
-	crc hash.Hash32
+	r     *bufio.Reader
+	crc   hash.Hash32
+	chunk [chunkBytes]byte
 }
 
 func (c *crcReader) Read(p []byte) (int, error) {

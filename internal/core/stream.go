@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -27,10 +28,6 @@ import (
 // memory. Each frame carries its own CRC-32C footer — a flipped bit fails
 // that frame's decode with ErrChecksum without waiting for the end of the
 // response.
-
-// maxFrameBytes bounds a single frame against corrupt or hostile length
-// prefixes; it matches the cluster layer's per-operand cap.
-const maxFrameBytes = int64(1) << 33
 
 // WriteTileRowFrames serializes the matrix as a tile-row frame stream:
 // tiles sharing a Row0 form one frame, frames are emitted in ascending
@@ -76,15 +73,60 @@ func (a *ATMatrix) WriteTileRowFrames(w io.Writer) (int64, error) {
 	return total + 4, nil
 }
 
+// frameReader is one frame's source: the stream capped at the frame's
+// declared length. It also remembers why the stream stopped inside a frame
+// (a transport error, or EOF with bytes still owed), because the decoder
+// reports whatever it was reading at the time — "tile 3: values" — and a
+// dead connection must not pass for a corrupt tile.
+type frameReader struct {
+	r   io.Reader
+	n   int64 // bytes of the frame not yet read
+	err error // why the stream failed inside a frame; nil while it has not
+}
+
+func (f *frameReader) Read(p []byte) (int, error) {
+	if f.err != nil {
+		return 0, f.err
+	}
+	if f.n <= 0 {
+		// The decoder wants more than the frame declared.
+		return 0, io.ErrUnexpectedEOF
+	}
+	if int64(len(p)) > f.n {
+		p = p[:f.n]
+	}
+	n, err := f.r.Read(p)
+	f.n -= int64(n)
+	if errors.Is(err, io.EOF) {
+		if f.n == 0 {
+			return n, nil
+		}
+		err = io.ErrUnexpectedEOF
+	}
+	f.err = err
+	return n, err
+}
+
 // ReadTileRowFrames consumes a tile-row frame stream, invoking fn on each
-// decoded frame. acquire, when non-nil, is called with the frame's byte
-// length before the frame is read from r and must return a release
+// decoded frame. acquire, when non-nil, is called with the frame's declared
+// byte length before the frame is read from r and must return a release
 // function — the bounded-reassembly-window hook: blocking in acquire
 // stops the read loop, which stops draining r, which backpressures the
 // sender. The release runs after fn returns, whatever fn did. fn errors
 // abort the stream.
+//
+// The declared length is a limit, never an allocation size: each frame is
+// decoded straight off r through a reader capped at that length, and the
+// decoder grows its slices in bounded chunks, so a peer that declares 4 GiB
+// and sends seven bytes costs seven bytes. A frame whose matrix ends before
+// the declared length, or runs past it, fails as the decoder reports it
+// (TileError, ErrChecksum). A stream that ends or fails inside a frame is a
+// plain read error (io.ErrUnexpectedEOF or the stream's own) with no decoder
+// error in its chain: nothing says the bytes that did arrive were bad.
 func ReadTileRowFrames(r io.Reader, acquire func(n int) (func(), error), fn func(*ATMatrix) error) error {
 	var lenb [4]byte
+	frame := frameReader{r: r}
+	br := bufio.NewReaderSize(&frame, chunkBytes) // readSlice's unit: full chunks bypass the buffer
 	for {
 		if _, err := io.ReadFull(r, lenb[:]); err != nil {
 			if errors.Is(err, io.EOF) {
@@ -96,9 +138,6 @@ func ReadTileRowFrames(r io.Reader, acquire func(n int) (func(), error), fn func
 		if n == 0 {
 			return nil
 		}
-		if n > maxFrameBytes {
-			return fmt.Errorf("core: absurd frame length %d", n)
-		}
 		release := func() {}
 		if acquire != nil {
 			var err error
@@ -108,16 +147,17 @@ func ReadTileRowFrames(r io.Reader, acquire func(n int) (func(), error), fn func
 		}
 		err := func() error {
 			defer release()
-			buf := make([]byte, n)
-			if _, err := io.ReadFull(r, buf); err != nil {
-				if errors.Is(err, io.EOF) {
-					err = io.ErrUnexpectedEOF
-				}
-				return fmt.Errorf("core: reading %d-byte frame: %w", n, err)
+			frame.n = n
+			br.Reset(&frame)
+			m, err := readATMatrix(br)
+			if frame.err != nil {
+				return fmt.Errorf("core: reading %d-byte frame: %w", n, frame.err)
 			}
-			m, err := ReadATMatrix(bytes.NewReader(buf))
 			if err != nil {
-				return fmt.Errorf("core: decoding frame: %w", err)
+				return fmt.Errorf("core: decoding %d-byte frame: %w", n, err)
+			}
+			if left := frame.n + int64(br.Buffered()); left > 0 {
+				return fmt.Errorf("core: %d-byte frame has %d bytes after its matrix", n, left)
 			}
 			return fn(m)
 		}()

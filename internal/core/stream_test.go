@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"atmatrix/internal/alloccheck"
 	"atmatrix/internal/mat"
 )
 
@@ -150,5 +151,125 @@ func TestTileRowFramesAcquireError(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want the acquire failure", err)
+	}
+}
+
+// hostileFrame is a frame header declaring 2 GiB followed by three bytes:
+// the smallest input that made the reader allocate what a peer declared.
+var hostileFrame = []byte{0xff, 0xff, 0xff, 0x7f, 0x01, 0x02, 0x03}
+
+// TestTileRowFramesLengthIsNotAnAllocation pins the frame reader's memory
+// to what the stream delivers: a declared length buys nothing by itself,
+// whether it opens the stream or follows real frames (which must still
+// reach fn before the stream fails).
+func TestTileRowFramesLengthIsNotAnAllocation(t *testing.T) {
+	var err error
+	alloccheck.Bound(t, len(hostileFrame), 0, 1<<20, func() {
+		err = ReadTileRowFrames(bytes.NewReader(hostileFrame), nil, func(*ATMatrix) error {
+			t.Fatal("fn called on a frame that never arrived")
+			return nil
+		})
+	})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("2 GiB frame of 3 bytes: error = %v, want unexpected EOF", err)
+	}
+
+	m, _ := streamTestMatrix(t, 45)
+	var buf bytes.Buffer
+	if _, err := m.WriteTileRowFrames(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	if err := ReadTileRowFrames(bytes.NewReader(buf.Bytes()), nil, func(*ATMatrix) error { want++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	// Replace the terminator with a frame declaring 4 GiB - 1.
+	data := append(buf.Bytes()[:buf.Len()-4:buf.Len()-4], 0xff, 0xff, 0xff, 0xff, 'A', 'T')
+	got := 0
+	alloccheck.Bound(t, len(data), 16, 1<<20, func() {
+		err = ReadTileRowFrames(bytes.NewReader(data), nil, func(*ATMatrix) error { got++; return nil })
+	})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("4 GiB frame after %d real ones: error = %v, want unexpected EOF", want, err)
+	}
+	if got != want || want == 0 {
+		t.Fatalf("fn saw %d frames before the oversized one, want %d", got, want)
+	}
+}
+
+// TestTileRowFramesTrailingBytes rejects a frame whose declared length
+// runs past its matrix: the bytes in between belong to nobody.
+func TestTileRowFramesTrailingBytes(t *testing.T) {
+	m, _ := streamTestMatrix(t, 46)
+	var buf bytes.Buffer
+	if _, err := m.WriteTileRowFrames(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	n := binary.LittleEndian.Uint32(data[:4])
+	padded := binary.LittleEndian.AppendUint32(nil, n+3)
+	padded = append(padded, data[4:4+n]...)
+	padded = append(padded, 0, 0, 0)
+	padded = append(padded, data[4+n:]...)
+	err := ReadTileRowFrames(bytes.NewReader(padded), nil, func(*ATMatrix) error {
+		t.Fatal("fn called on a padded frame")
+		return nil
+	})
+	if err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("padded frame error = %v, want a trailing-bytes failure", err)
+	}
+}
+
+// failAfter delivers the first n bytes of data and then fails with err, the
+// way a reset connection or an expired deadline does.
+type failAfter struct {
+	data []byte
+	n    int
+	err  error
+}
+
+func (f *failAfter) Read(p []byte) (int, error) {
+	if f.n == 0 {
+		return 0, f.err
+	}
+	n := copy(p, f.data[:f.n])
+	f.data, f.n = f.data[n:], f.n-n
+	return n, nil
+}
+
+// TestTileRowFramesStreamFailureIsNotADecodeError keeps "the stream stopped"
+// apart from "the bytes were bad": a stream cut or failing inside a frame —
+// header, tile metadata or payload — is a plain read error, never the
+// TileError of whatever the decoder was reading (the cluster treats that as
+// corruption and refuses to fall back), and never a bare io.EOF. A frame
+// whose own declared length cuts its matrix short is the peer's bytes being
+// wrong, and stays a decoder error.
+func TestTileRowFramesStreamFailureIsNotADecodeError(t *testing.T) {
+	m, _ := streamTestMatrix(t, 47)
+	var buf bytes.Buffer
+	if _, err := m.WriteTileRowFrames(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	frameLen := int(binary.LittleEndian.Uint32(data[:4]))
+	nop := func(*ATMatrix) error { return nil }
+	reset := errors.New("connection reset by peer")
+	var te *TileError
+	for _, cut := range []int{4 + 3, 4 + 40, 4 + 60, 4 + frameLen/2, 4 + frameLen - 2} {
+		err := ReadTileRowFrames(bytes.NewReader(data[:cut]), nil, nop)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) || errors.As(err, &te) || errors.Is(err, ErrChecksum) {
+			t.Fatalf("stream cut at byte %d: error = %v, want a plain unexpected EOF", cut, err)
+		}
+		err = ReadTileRowFrames(&failAfter{data: data, n: cut, err: reset}, nil, nop)
+		if !errors.Is(err, reset) || errors.As(err, &te) || errors.Is(err, ErrChecksum) {
+			t.Fatalf("stream reset at byte %d: error = %v, want the plain transport error", cut, err)
+		}
+	}
+
+	short := binary.LittleEndian.AppendUint32(nil, uint32(frameLen/2))
+	short = append(short, data[4:]...)
+	err := ReadTileRowFrames(bytes.NewReader(short), nil, nop)
+	if !errors.As(err, &te) || !errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+		t.Fatalf("frame declared shorter than its matrix: error = %v, want a TileError carrying unexpected EOF", err)
 	}
 }

@@ -3,8 +3,9 @@
 // parsed with go/parser, type-checked with go/types against export data
 // produced by `go list -export` (see loader.go), and walked by a small set
 // of analyzers that enforce conventions no compiler checks — allocation-free
-// hot paths, lock discipline, context threading, fault-site registration,
-// error wrapping, and 64-bit atomic alignment.
+// hot paths, lock discipline, context threading, fault-site registration
+// and error wrapping. What a compiler, go vet, the race detector, leakcheck
+// or a fuzz target can check is left to them (DESIGN.md §8).
 //
 // Diagnostics can be suppressed line by line with a comment of the form
 //
@@ -64,16 +65,10 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Sizes32 is the 32-bit (GOARCH=386) size model used by atomicalign.
-	Sizes32 types.Sizes
 	// Sites is the fault-site manifest the faultsite analyzer validates
 	// Do/Bitflip literals against; nil disables the membership check
 	// (the manifest itself is still checked for duplicates).
 	Sites map[string]bool
-	// Metrics is the metric-name manifest the metriccheck analyzer
-	// validates atserve_* literals against; nil disables the membership
-	// check (the manifest itself is still checked for duplicates).
-	Metrics map[string]bool
 	// Shared accumulates cross-package facts for Finish hooks.
 	Shared *Shared
 
@@ -103,47 +98,28 @@ type Shared struct {
 	// declaration positions; populated when the faultinject package is
 	// among the analyzed set.
 	ManifestPos map[string]token.Position
-	// UsedMetrics maps each atserve_* metric literal to the positions of
-	// its uses outside the manifest package.
-	UsedMetrics map[string][]token.Position
-	// MetricManifestPos maps manifest entries (metricnames.Names) to their
-	// declaration positions; populated when the metricnames package is
-	// among the analyzed set.
-	MetricManifestPos map[string]token.Position
 }
 
 // Runner applies a set of analyzers to packages, handling suppression
 // comments and cross-package Finish hooks. One Runner is one lint run.
 type Runner struct {
 	Analyzers []*Analyzer
-	// Sites, Metrics and Sizes32 are copied into every Pass. Metrics is a
-	// plain field (not a NewRunner parameter) so fixture runs can leave it
-	// nil to disable membership checking.
-	Sites   map[string]bool
-	Metrics map[string]bool
-	Sizes32 types.Sizes
+	// Sites is copied into every Pass.
+	Sites map[string]bool
 
 	shared  *Shared
 	ignores map[string]map[int][]string // file -> line -> suppressed analyzer names
 }
 
-// NewRunner returns a Runner over the given analyzers with the standard
-// 32-bit size model. sites may be nil to disable fault-site membership
-// checking (fixtures inject their own).
+// NewRunner returns a Runner over the given analyzers. sites may be nil to
+// disable fault-site membership checking (fixtures inject their own).
 func NewRunner(sites map[string]bool, analyzers ...*Analyzer) *Runner {
-	sizes := types.SizesFor("gc", "386")
-	if sizes == nil {
-		sizes = &types.StdSizes{WordSize: 4, MaxAlign: 4}
-	}
 	return &Runner{
 		Analyzers: analyzers,
 		Sites:     sites,
-		Sizes32:   sizes,
 		shared: &Shared{
-			UsedSites:         make(map[string][]token.Position),
-			ManifestPos:       make(map[string]token.Position),
-			UsedMetrics:       make(map[string][]token.Position),
-			MetricManifestPos: make(map[string]token.Position),
+			UsedSites:   make(map[string][]token.Position),
+			ManifestPos: make(map[string]token.Position),
 		},
 		ignores: make(map[string]map[int][]string),
 	}
@@ -160,9 +136,7 @@ func (r *Runner) Package(pkg *Package) []Diagnostic {
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			Sizes32:  r.Sizes32,
 			Sites:    r.Sites,
-			Metrics:  r.Metrics,
 			Shared:   r.shared,
 			analyzer: a,
 			report:   func(d Diagnostic) { diags = append(diags, d) },
@@ -288,10 +262,5 @@ func All() []*Analyzer {
 		CtxFlow,
 		FaultSite,
 		ErrWrap,
-		AtomicAlign,
-		UnboundedAlloc,
-		GoroLeak,
-		RaceField,
-		MetricCheck,
 	}
 }

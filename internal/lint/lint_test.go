@@ -25,8 +25,7 @@ func testLoader(t *testing.T) *Loader {
 	t.Helper()
 	loaderOnce.Do(func() {
 		loaderVal, loaderErr = NewLoader("../..",
-			"./...", "fmt", "sync", "sync/atomic", "context", "errors", "io",
-			"bufio", "encoding/binary", "encoding/json")
+			"./...", "fmt", "sync", "context", "errors", "io")
 	})
 	if loaderErr != nil {
 		t.Fatalf("loader: %v", loaderErr)
@@ -37,7 +36,7 @@ func testLoader(t *testing.T) *Loader {
 // runFixture analyzes one fixture package with one analyzer and compares
 // the rendered diagnostics (package pass + Finish pass) against the
 // golden file testdata/<name>.golden.
-func runFixture(t *testing.T, a *Analyzer, name, importPath string, sites, metrics map[string]bool) {
+func runFixture(t *testing.T, a *Analyzer, name, importPath string, sites map[string]bool) {
 	t.Helper()
 	loader := testLoader(t)
 	dir := filepath.Join("testdata", "src", name)
@@ -49,7 +48,6 @@ func runFixture(t *testing.T, a *Analyzer, name, importPath string, sites, metri
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
 	runner := NewRunner(sites, a)
-	runner.Metrics = metrics
 	diags := runner.Package(pkg)
 	diags = append(diags, runner.Finish()...)
 
@@ -76,15 +74,15 @@ func runFixture(t *testing.T, a *Analyzer, name, importPath string, sites, metri
 }
 
 func TestHotpathAlloc(t *testing.T) {
-	runFixture(t, HotpathAlloc, "hotpath", "", nil, nil)
+	runFixture(t, HotpathAlloc, "hotpath", "", nil)
 }
 
 func TestLockCheck(t *testing.T) {
-	runFixture(t, LockCheck, "lockcheck", "", nil, nil)
+	runFixture(t, LockCheck, "lockcheck", "", nil)
 }
 
 func TestCtxFlow(t *testing.T) {
-	runFixture(t, CtxFlow, "ctxflow", "", nil, nil)
+	runFixture(t, CtxFlow, "ctxflow", "", nil)
 }
 
 func TestFaultSite(t *testing.T) {
@@ -92,7 +90,7 @@ func TestFaultSite(t *testing.T) {
 	// it triggers must be swallowed by the //atlint:ignore line.
 	runFixture(t, FaultSite, "faultsite", "", map[string]bool{
 		"known.site": true,
-	}, nil)
+	})
 }
 
 // TestFaultSiteManifest impersonates the real manifest package path so the
@@ -101,43 +99,11 @@ func TestFaultSiteManifest(t *testing.T) {
 	runFixture(t, FaultSite, "sitesdup", "atmatrix/internal/faultinject", map[string]bool{
 		"a.site": true,
 		"b.site": true,
-	}, nil)
-}
-
-func TestErrWrap(t *testing.T) {
-	runFixture(t, ErrWrap, "errwrap", "", nil, nil)
-}
-
-func TestAtomicAlign(t *testing.T) {
-	runFixture(t, AtomicAlign, "atomicalign", "", nil, nil)
-}
-
-func TestUnboundedAlloc(t *testing.T) {
-	runFixture(t, UnboundedAlloc, "unboundedalloc", "", nil, nil)
-}
-
-func TestGoroLeak(t *testing.T) {
-	runFixture(t, GoroLeak, "goroleak", "", nil, nil)
-}
-
-func TestRaceField(t *testing.T) {
-	runFixture(t, RaceField, "racefield", "", nil, nil)
-}
-
-func TestMetricCheck(t *testing.T) {
-	// "atserve_suppressed_total" is deliberately absent: the unknown-metric
-	// finding it triggers must be swallowed by the //atlint:ignore line.
-	runFixture(t, MetricCheck, "metriccheck", "", nil, map[string]bool{
-		"atserve_jobs_accepted_total": true,
-		"atserve_job_latency_seconds": true,
-		"atserve_queue_depth":         true,
 	})
 }
 
-// TestMetricManifest impersonates the real manifest package path so the
-// duplicate, malformed-name and never-emitted (Finish) checks fire.
-func TestMetricManifest(t *testing.T) {
-	runFixture(t, MetricCheck, "metricsdup", "atmatrix/internal/metricnames", nil, nil)
+func TestErrWrap(t *testing.T) {
+	runFixture(t, ErrWrap, "errwrap", "", nil)
 }
 
 // TestRepoIsClean runs the full suite over the real module, pinning the
@@ -153,33 +119,23 @@ func TestRepoIsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	sites := map[string]bool{}
-	metrics := map[string]bool{}
-	// Use the real manifests by loading them through the analyzed packages:
-	// the faultsite/metriccheck analyzers validate against Pass.Sites and
-	// Pass.Metrics, which the atlint driver populates from
-	// faultinject.SiteSet() and metricnames.Set(). Tests cannot import
-	// those packages here without creating an import cycle for the
-	// linter's own analysis, so read the manifests from the loaded type
-	// information instead.
+	// Use the real manifest by loading it through the analyzed packages:
+	// the faultsite analyzer validates against Pass.Sites, which the atlint
+	// driver populates from faultinject.SiteSet(). Tests cannot import that
+	// package here without creating an import cycle for the linter's own
+	// analysis, so read the manifest from the loaded type information
+	// instead.
 	for _, pkg := range pkgs {
-		switch pkg.ImportPath {
-		case "atmatrix/internal/faultinject":
+		if pkg.ImportPath == "atmatrix/internal/faultinject" {
 			r := NewRunner(nil, FaultSite)
 			r.Package(pkg)
 			// collectManifest filled the shared manifest positions.
 			for site := range r.shared.ManifestPos {
 				sites[site] = true
 			}
-		case "atmatrix/internal/metricnames":
-			r := NewRunner(nil, MetricCheck)
-			r.Package(pkg)
-			for name := range r.shared.MetricManifestPos {
-				metrics[name] = true
-			}
 		}
 	}
 	runner := NewRunner(sites, All()...)
-	runner.Metrics = metrics
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		diags = append(diags, runner.Package(pkg)...)

@@ -5,12 +5,16 @@ import (
 	"strings"
 	"testing"
 
+	"atmatrix/internal/alloccheck"
 	"atmatrix/internal/mat"
 )
 
 // FuzzReadMatrixMarket checks that arbitrary input never panics the
-// parser and that everything it accepts is structurally valid and
-// round-trips.
+// parser or makes it allocate more than 128·len(input) + 2 MiB (a
+// four-byte "2 1\n" line costs its string, its fields and up to two
+// entries in a slice whose every growth step is charged: ≈ 56× measured;
+// the fixed part is the 1 MiB read buffer), and that everything it accepts
+// is structurally valid and round-trips.
 func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.5\n")
 	f.Add("%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 5\n3 3 1\n")
@@ -20,7 +24,11 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("")
 	f.Add("%%MatrixMarket")
 	f.Fuzz(func(t *testing.T, input string) {
-		a, err := ReadMatrixMarket(strings.NewReader(input))
+		var a *mat.COO
+		var err error
+		alloccheck.Bound(t, len(input), 128, 2<<20, func() {
+			a, err = ReadMatrixMarket(strings.NewReader(input))
+		})
 		if err != nil {
 			return
 		}
@@ -41,7 +49,11 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary checks the binary COO reader against arbitrary bytes.
+// FuzzReadBinary checks the binary COO reader against arbitrary bytes:
+// never a panic, heap bytes ≤ 16·len(input) + 4 MiB (the 1 MiB read buffer
+// and one 65 536-entry chunk, staged twice by encoding/binary), and an
+// accepted stream re-serializes to the bytes it was read from — all of
+// them but the footer, which a legacy stream does not carry.
 func FuzzReadBinary(f *testing.F) {
 	var buf bytes.Buffer
 	seed := mat.NewCOO(3, 3)
@@ -54,12 +66,23 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("ATMCOO1\n"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, input []byte) {
-		a, err := ReadBinary(bytes.NewReader(input))
+		var a *mat.COO
+		var err error
+		alloccheck.Bound(t, len(input), 16, 4<<20, func() {
+			a, err = ReadBinary(bytes.NewReader(input))
+		})
 		if err != nil {
 			return
 		}
 		if verr := a.Validate(); verr != nil {
 			t.Fatalf("accepted invalid matrix: %v", verr)
+		}
+		var back bytes.Buffer
+		if werr := WriteBinary(&back, a); werr != nil {
+			t.Fatalf("cannot re-serialize accepted matrix: %v", werr)
+		}
+		if body := back.Bytes()[:back.Len()-4]; !bytes.HasPrefix(input, body) {
+			t.Fatalf("accepted %d bytes that re-serialize to %d different ones", len(input), len(body))
 		}
 	})
 }

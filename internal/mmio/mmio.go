@@ -85,6 +85,10 @@ func ReadMatrixMarket(r io.Reader) (*mat.COO, error) {
 	if rows < 0 || cols < 0 || rows > 1<<31 || cols > 1<<31 {
 		return nil, fmt.Errorf("mmio: unreasonable dimensions %d×%d", rows, cols)
 	}
+	if symmetry != "general" && rows != cols {
+		// The mirrored entry (c, r) of a non-square matrix is out of bounds.
+		return nil, fmt.Errorf("mmio: %s matrix must be square, header says %d×%d", symmetry, rows, cols)
+	}
 	out := mat.NewCOO(rows, cols)
 
 	if layout == "array" {

@@ -331,7 +331,8 @@ func TestEphemeralPoolPanicIsolated(t *testing.T) {
 	if !errors.As(err, &tpe) {
 		t.Fatalf("error = %v, want *TaskPanicError", err)
 	}
-	if _, err := runTasks(p, [][]func(*Team){{func(team *Team) {}}}); err != nil {
+	// An ephemeral team has no parked helpers: its fan-out spawns per call.
+	if _, err := runTasks(p, [][]func(*Team){{func(team *Team) { team.ParallelRows(32, func(lo, hi, w int) {}) }}}); err != nil {
 		t.Fatalf("ephemeral run after panic failed: %v", err)
 	}
 }

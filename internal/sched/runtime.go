@@ -265,8 +265,9 @@ func RuntimeFor(topo numa.Topology) *Runtime {
 	return r
 }
 
-// Topology returns the runtime's topology.
-func (r *Runtime) Topology() numa.Topology { return r.topo } //atlint:ignore racefield topo is set once in ForTopology before the Runtime escapes; runtimeMu guards the registry, not the field
+// Topology returns the runtime's topology. topo is set once in ForTopology
+// before the Runtime escapes; runtimeMu guards the registry, not the field.
+func (r *Runtime) Topology() numa.Topology { return r.topo }
 
 // DegradedSockets returns the sockets currently marked degraded by a
 // watchdog, in ascending order.
