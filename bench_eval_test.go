@@ -188,3 +188,50 @@ func BenchmarkEval_Upload(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEval_Verify: the Freivalds check (-verify 2) of A·A as the
+// server runs it after a multiply — the product is built once, then
+// verified through the team sweeper — on the benchmark's largest dense
+// (R3), hypersparse (R9) and skewed (G9) operands.
+func BenchmarkEval_Verify(b *testing.B) {
+	cfg := serverCfg()
+	for _, id := range []string{"G9", "R3", "R9"} {
+		a := mustPartition(b, serverStandIn(b, id, 0, 1.0/16), cfg)
+		c, _, err := core.Multiply(a, a, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := core.VerifyProductOn(core.TeamSweeper(nil, cfg, 0), a, a, c, 2, int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEval_VerifyExpr: the expression-level check of eval_chain's
+// powvec request, pow(G9,10)*x — eleven panel sweeps where the
+// one-vector-at-a-time walk made thirty-three.
+func BenchmarkEval_VerifyExpr(b *testing.B) {
+	cfg := serverCfg()
+	g9 := mustPartition(b, serverStandIn(b, "G9", 0, 1.0/16), cfg)
+	bind := map[string]*core.ATMatrix{
+		"G9": g9,
+		"x":  core.FromDense(mat.RandomDense(rand.New(rand.NewSource(7)), g9.Rows, 8), cfg.BAtomic),
+	}
+	out, plan, _, err := expr.Eval("pow(G9,10)*x", bind, cfg, expr.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("powvec", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := expr.VerifyOn(core.TeamSweeper(nil, cfg, 0), plan.Expr, bind, out, 2, int64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

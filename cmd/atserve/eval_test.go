@@ -45,9 +45,13 @@ func TestEvalEndpoint(t *testing.T) {
 	}
 
 	// Happy path: a fused 3-term chain, stored for reuse.
+	verifyBefore := metricValue(t, ts.URL, "atserve_mult_verify_seconds_total")
 	resp, out := eval(t, ts.URL, map[string]any{"expr": "a*b*c", "store": "abc"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("eval a*b*c: status %d (%v), want 200", resp.StatusCode, out)
+	}
+	if v := metricValue(t, ts.URL, "atserve_mult_verify_seconds_total"); v <= verifyBefore {
+		t.Errorf("atserve_mult_verify_seconds_total = %v after a verified eval, %v before: expression verification is not counted", v, verifyBefore)
 	}
 	plan, ok := out["plan"].(map[string]any)
 	if !ok {

@@ -401,7 +401,7 @@ func (c *Coordinator) multiplyDistributed(aName, bName string, a, b *core.ATMatr
 	stats.TargetTiles = int64(len(tiles))
 	if opts.Verify > 0 {
 		t0 := time.Now()
-		if err := core.VerifyProduct(a, b, out, opts.Verify, verifySeq.Add(1)); err != nil {
+		if err := core.VerifyProductOn(core.TeamSweeper(ctx, c.cfg, opts.Watchdog), a, b, out, opts.Verify, verifySeq.Add(1)); err != nil {
 			return nil, nil, err
 		}
 		stats.VerifyTime = time.Since(t0)

@@ -28,6 +28,12 @@ type ATMatrix struct {
 
 	mapOnce sync.Once
 	dmap    *density.Map
+	// coarse caches DensityMapAt's aggregations of dmap, one per block size
+	// asked for (in practice one or two: the estimation grids of the
+	// products and expressions the matrix takes part in). Like dmap the
+	// maps are built on first use and then shared: callers only read them.
+	coarseMu sync.Mutex
+	coarse   []*density.Map
 
 	// tileSums holds one CRC-32C per tile payload, set by SealChecksums at
 	// store admission and re-verified by the background scrubber.
@@ -229,13 +235,32 @@ func (a *ATMatrix) DensityMap() *density.Map {
 // negligible — the paper observes the estimate growing to 5% of runtime
 // for hypersparse R9 precisely because its cost is dimension- rather than
 // nnz-driven (§IV-D).
+//
+// The returned map is cached on the matrix and shared between callers; it
+// must not be modified.
 func (a *ATMatrix) DensityMapAt(block int) *density.Map {
 	fine := a.DensityMap()
 	if block <= a.BAtomic {
 		return fine
 	}
-	coarse := density.NewMap(a.Rows, a.Cols, block)
-	ratio := block / a.BAtomic
+	a.coarseMu.Lock()
+	defer a.coarseMu.Unlock()
+	for _, m := range a.coarse {
+		if m.Block == block {
+			return m
+		}
+	}
+	m := coarsen(fine, block)
+	a.coarse = append(a.coarse, m)
+	return m
+}
+
+// coarsen aggregates a density map to a block size that is a multiple of
+// its own: every coarse cell is the area-weighted mean of the cells it
+// covers.
+func coarsen(fine *density.Map, block int) *density.Map {
+	coarse := density.NewMap(fine.Rows, fine.Cols, block)
+	ratio := block / fine.Block
 	areas := make([]float64, coarse.BR*coarse.BC)
 	for i := 0; i < fine.BR; i++ {
 		ci := i / ratio

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"atmatrix/internal/density"
@@ -94,6 +96,71 @@ func TestATMatrixDensityMapMatchesExact(t *testing.T) {
 	// Cached: same pointer on second call.
 	if am.DensityMap() != got {
 		t.Fatal("density map not cached")
+	}
+}
+
+// TestDensityMapAtCached: the coarse maps DensityMapAt caches are, bit for
+// bit, the aggregation every multiply used to redo — on every benchmark
+// operand, at every grid from 2·b_atomic up to the coarsest one the product
+// estimator or the expression planner picks.
+func TestDensityMapAtCached(t *testing.T) {
+	checkCoarseMaps(t, "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "G9")
+}
+
+// TestConcurrentDensityMapAt: concurrent first callers get one shared map
+// (the race detector runs this one).
+func TestConcurrentDensityMapAt(t *testing.T) { checkCoarseMaps(t, "R9") }
+
+func checkCoarseMaps(t *testing.T, ids ...string) {
+	cfg := benchLayoutConfig()
+	for _, id := range ids {
+		am, _, err := Partition(benchStandIn(t, id), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fine := am.DensityMap()
+		for block := 2 * cfg.BAtomic; cells(am.Rows, am.Cols, block/2) > 1<<12; block *= 2 {
+			// The aggregation as MultiplyOpt ran it per call.
+			want := density.NewMap(am.Rows, am.Cols, block)
+			ratio := block / am.BAtomic
+			areas := make([]float64, len(want.Rho))
+			for i := 0; i < fine.BR; i++ {
+				for j := 0; j < fine.BC; j++ {
+					area := float64(fine.CellArea(i, j))
+					want.Rho[i/ratio*want.BC+j/ratio] += fine.At(i, j) * area
+					areas[i/ratio*want.BC+j/ratio] += area
+				}
+			}
+			for idx := range want.Rho {
+				if areas[idx] > 0 {
+					want.Rho[idx] /= areas[idx]
+				}
+			}
+
+			got := make([]*density.Map, 8)
+			var wg sync.WaitGroup
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[g] = am.DensityMapAt(block)
+				}()
+			}
+			wg.Wait()
+			for _, m := range got {
+				if m != got[0] {
+					t.Fatalf("%s block %d: concurrent callers got different maps", id, block)
+				}
+			}
+			if got[0].BR != want.BR || got[0].BC != want.BC || got[0].Block != block {
+				t.Fatalf("%s block %d: grid %d×%d@%d, want %d×%d", id, block, got[0].BR, got[0].BC, got[0].Block, want.BR, want.BC)
+			}
+			for idx, v := range want.Rho {
+				if math.Float64bits(got[0].Rho[idx]) != math.Float64bits(v) {
+					t.Fatalf("%s block %d cell %d: cached %g, recomputed %g", id, block, idx, got[0].Rho[idx], v)
+				}
+			}
+		}
 	}
 }
 

@@ -42,8 +42,10 @@ type MultOptions struct {
 	Watchdog time.Duration
 	// Verify, when positive, runs that many Freivalds rounds over the
 	// assembled result and fails the multiplication with a *VerifyError
-	// (matching ErrVerifyFailed) when C ≠ A·B. Each round is three O(nnz)
-	// matrix-vector products; a wrong product escapes k rounds with
+	// (matching ErrVerifyFailed) when C ≠ A·B. The rounds' probes sweep A,
+	// B and the result together, two rounds per sweep, on the worker teams;
+	// the cost is O(stored cells) — non-zeros of sparse tiles, every cell
+	// of dense ones — per round. A wrong product escapes k rounds with
 	// probability at most 2^-k. Zero disables verification.
 	Verify int
 	// SpGEMM selects the sparse×sparse→sparse algorithm. The default
@@ -256,33 +258,27 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 		return nil, nil, fmt.Errorf("core: ATMULT run failed: %w", runErr)
 	}
 
-	// Assemble the result AT MATRIX: compact the produced slots into
-	// exact-size backing arrays so the (mostly empty) pair grid is not
-	// pinned by the result's tiles.
-	produced, denseProduced := 0, 0
+	// Assemble the result AT MATRIX: every produced slot is copied out of
+	// the (mostly empty) pair grid into a tile of its own, so the grid is
+	// not pinned by the result — and so nothing that points at one tile
+	// pins the rest. The second matters for memory, not for correctness: a
+	// pointer left in a dead stack slot of a long-lived goroutine is live
+	// to the collector when it scans a preempted frame conservatively, and
+	// with all tiles in one backing array such a pointer kept a whole
+	// dropped product (83 MB for G9·G9) alive through the next cycle,
+	// doubling the heap goal (DESIGN.md §7).
+	produced := 0
 	for i := range mc.tiles {
-		if mc.tiles[i].NNZ > 0 {
-			produced++
-			if mc.tiles[i].Kind == mat.DenseKind {
-				denseProduced++
-			}
-		}
-	}
-	tilesOut := make([]Tile, 0, produced)
-	densesOut := make([]mat.Dense, 0, denseProduced)
-	for i := range mc.tiles {
-		t := mc.tiles[i]
-		if t.NNZ == 0 {
+		if mc.tiles[i].NNZ == 0 {
 			continue
 		}
+		t := mc.tiles[i]
 		if t.Kind == mat.DenseKind {
-			densesOut = append(densesOut, *t.D)
-			t.D = &densesOut[len(densesOut)-1]
+			d := *t.D
+			t.D = &d
 		}
-		tilesOut = append(tilesOut, t)
-	}
-	for i := range tilesOut {
-		c.addTile(&tilesOut[i])
+		c.addTile(&t)
+		produced++
 	}
 	stats.TargetTiles = int64(produced)
 
@@ -303,7 +299,7 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 	}
 	if opts.Verify > 0 {
 		t0 := time.Now()
-		if err := VerifyProduct(a, b, c, opts.Verify, verifySeq.Add(1)); err != nil {
+		if err := VerifyProductOn(TeamSweeper(opts.Ctx, cfg, opts.Watchdog), a, b, c, opts.Verify, verifySeq.Add(1)); err != nil {
 			return nil, nil, err
 		}
 		stats.VerifyTime = time.Since(t0)

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"math"
-	"math/rand"
 
 	"atmatrix/internal/core"
 )
@@ -12,112 +11,114 @@ import (
 // generalizes to *applying the expression tree* to x — products apply
 // right-to-left, transposes flip the application direction ((E)ᵀ·x pushes
 // a transposed application into E), sums add the branch applications, and
-// pow applies its base k times. Every application is O(nnz) in the
-// operands, so verification never materializes anything the fused
-// executor avoided materializing — which is the point: it independently
-// checks the fused result against the *operands*, not against another
-// execution of the same plan.
+// pow applies its base k times. Every application is one sweep of an
+// operand's stored cells, so verification never materializes anything the
+// fused executor avoided materializing — which is the point: it
+// independently checks the fused result against the *operands*, not against
+// another execution of the same plan.
 
 // Verify runs k Freivalds rounds of result against the expression over
-// the bindings. On failure it returns a *core.VerifyError (matching
-// core.ErrVerifyFailed), so callers classify it exactly like a failed
-// product verification.
+// the bindings, on the calling goroutine. On failure it returns a
+// *core.VerifyError (matching core.ErrVerifyFailed), so callers classify it
+// exactly like a failed product verification.
 func Verify(n Node, bind map[string]*core.ATMatrix, result *core.ATMatrix, k int, seed int64) error {
-	if k <= 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	x := make([]float64, result.Cols)
-	w := make([]float64, result.Rows)
-
-	// Magnitude reference: |expr|·1 bounds every ±1 probe row, scaling
-	// the comparison tolerance like core.VerifyProduct does. The error of
-	// a deep expression accumulates over its stages, so the relative
-	// tolerance additionally grows with the probe depth.
-	for i := range x {
-		x[i] = 1
-	}
-	rowBound := applyVec(n, bind, x, false, true)
-	depth := nodeDepth(n)
-	relTol := 1e-9 * float64(depth)
-
-	for round := 1; round <= k; round++ {
-		for i := range x {
-			x[i] = float64(rng.Intn(2)*2 - 1) // ±1
-		}
-		z := applyVec(n, bind, x, false, false)
-		result.MulVecSeq(x, w, false)
-		for i := range z {
-			tol := relTol*rowBound[i] + 1e-12
-			if d := math.Abs(z[i] - w[i]); d > tol || math.IsNaN(d) {
-				return &core.VerifyError{Round: round, Row: i, Got: w[i], Want: z[i], Tol: tol}
-			}
-		}
-	}
-	return nil
+	return VerifyOn(core.Sweeper{}, n, bind, result, k, seed)
 }
 
-// applyVec applies the expression (or its transpose, with trans) to x in
-// O(total nnz) per stage. With absVal every operand entry and scalar
-// enters by magnitude, producing the row-bound vector.
-func applyVec(n Node, bind map[string]*core.ATMatrix, x []float64, trans, absVal bool) []float64 {
+// VerifyOn is Verify with the matrix sweeps run by s (see
+// core.VerifyProductOn for what else it can then return). The k probes
+// travel through the tree as one panel with the magnitude column |expr|·1,
+// which bounds every probe row and scales the comparison tolerance like
+// core.VerifyProduct does; the error of a deep expression accumulates over
+// its stages, so the relative tolerance additionally grows with the probe
+// depth.
+func VerifyOn(s core.Sweeper, n Node, bind map[string]*core.ATMatrix, result *core.ATMatrix, k int, seed int64) error {
+	relTol := 1e-9 * float64(nodeDepth(n))
+	return s.Freivalds(result, k, seed, relTol, func(x core.Panel) (core.Panel, error) {
+		return applyProbes(s, n, bind, x, false)
+	})
+}
+
+// applyProbes applies the expression (or its transpose, with trans) to the
+// probe panel x: one sweep per operand occurrence. Column 0 is the
+// magnitude column — every operand entry and scalar enters it by absolute
+// value and a difference adds. x is only read.
+func applyProbes(s core.Sweeper, n Node, bind map[string]*core.ATMatrix, x core.Panel, trans bool) (core.Panel, error) {
 	switch v := n.(type) {
 	case *Ident:
 		m := bind[v.Name]
+		rows := m.Rows
 		if trans {
-			dst := make([]float64, m.Cols)
-			m.MulVecTransSeq(x, dst, absVal)
-			return dst
+			rows = m.Cols
 		}
-		dst := make([]float64, m.Rows)
-		m.MulVecSeq(x, dst, absVal)
-		return dst
+		out := core.NewPanel(rows)
+		return out, s.Mul(m, trans, x, out)
 	case *Scale:
-		out := applyVec(v.X, bind, x, trans, absVal)
-		s := v.S
-		if absVal {
-			s = math.Abs(s)
+		out, err := applyProbes(s, v.X, bind, x, trans)
+		if err != nil {
+			return out, err
 		}
-		for i := range out {
-			out[i] *= s
-		}
-		return out
-	case *Mul:
-		if !trans {
-			// (F1·…·Fm)·x applies right-to-left.
-			cur := x
-			for i := len(v.Factors) - 1; i >= 0; i-- {
-				cur = applyVec(v.Factors[i], bind, cur, false, absVal)
+		for j := 0; j < out.Width(); j++ {
+			sc := v.S
+			if j == 0 {
+				sc = math.Abs(sc)
 			}
-			return cur
+			col := out.Col(j)
+			for i := range col {
+				col[i] *= sc
+			}
 		}
-		// (F1·…·Fm)ᵀ·x = Fmᵀ·…·F1ᵀ·x applies left-to-right transposed.
+		return out, nil
+	case *Mul:
+		// (F1·…·Fm)·x applies right-to-left; the transpose,
+		// Fmᵀ·…·F1ᵀ·x, left-to-right with every factor transposed.
 		cur := x
-		for i := 0; i < len(v.Factors); i++ {
-			cur = applyVec(v.Factors[i], bind, cur, true, absVal)
+		for i := range v.Factors {
+			f := v.Factors[i]
+			if !trans {
+				f = v.Factors[len(v.Factors)-1-i]
+			}
+			var err error
+			if cur, err = applyProbes(s, f, bind, cur, trans); err != nil {
+				return cur, err
+			}
 		}
-		return cur
+		return cur, nil
 	case *Add:
-		l := applyVec(v.L, bind, x, trans, absVal)
-		r := applyVec(v.R, bind, x, trans, absVal)
-		sign := 1.0
-		if v.Sub && !absVal {
-			sign = -1
+		l, err := applyProbes(s, v.L, bind, x, trans)
+		if err != nil {
+			return l, err
 		}
-		for i := range l {
-			l[i] += sign * r[i]
+		r, err := applyProbes(s, v.R, bind, x, trans)
+		if err != nil {
+			return l, err
 		}
-		return l
+		for j := 0; j < l.Width(); j++ {
+			lc, rc := l.Col(j), r.Col(j)
+			if v.Sub && j > 0 {
+				for i := range lc {
+					lc[i] -= rc[i]
+				}
+			} else {
+				for i := range lc {
+					lc[i] += rc[i]
+				}
+			}
+		}
+		return l, nil
 	case *Transpose:
-		return applyVec(v.X, bind, x, !trans, absVal)
+		return applyProbes(s, v.X, bind, x, !trans)
 	case *Pow:
 		cur := x
 		for i := 0; i < v.K; i++ {
-			cur = applyVec(v.X, bind, cur, trans, absVal)
+			var err error
+			if cur, err = applyProbes(s, v.X, bind, cur, trans); err != nil {
+				return cur, err
+			}
 		}
-		return cur
+		return cur, nil
 	}
-	panic("expr: applyVec: unknown node")
+	panic("expr: applyProbes: unknown node")
 }
 
 // nodeDepth counts the longest multiplication path through the tree (a

@@ -761,9 +761,13 @@ func (m *Manager) executeEval(job *Job, operands []*core.ATMatrix, opts core.Mul
 	m.m.evalJobs.Add(1)
 	m.m.fusedStages.Add(int64(est.FusedStages))
 	if m.opts.Verify > 0 {
-		if err := expr.Verify(plan.Expr, bind, out, m.opts.Verify, rand.Int63()); err != nil {
+		v0 := time.Now()
+		sweeps := core.TeamSweeper(job.ctx, m.cfg, m.opts.Watchdog)
+		if err := expr.VerifyOn(sweeps, plan.Expr, bind, out, m.opts.Verify, rand.Int63()); err != nil {
 			return nil, err
 		}
+		// Counted with the products' Freivalds time: it is the same check.
+		m.m.aggregate([]*core.MultStats{{VerifyTime: time.Since(v0)}})
 	}
 	summary := plan.Summary()
 	res := &Result{

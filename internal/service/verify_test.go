@@ -2,10 +2,14 @@ package service
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
+	"time"
 
 	"atmatrix/internal/core"
 	"atmatrix/internal/faultinject"
+	"atmatrix/internal/mat"
 )
 
 // TestVerifyCatchesBitflipRetriesOnceThenPermanent is the verify
@@ -112,6 +116,72 @@ func TestVerifyChainMultiplication(t *testing.T) {
 	}
 	if mm.VerifyFailed != 0 || mm.Completed != 1 {
 		t.Fatalf("metrics = {verify_failed:%d completed:%d}, want 0/1", mm.VerifyFailed, mm.Completed)
+	}
+	requireZeroRefs(t, m)
+}
+
+// TestVerifyServesNonFiniteProduct: a correct product that holds an
+// infinity is served — one execution, no retry, no verify failure — where
+// it used to be retried once and then refused as systematic corruption.
+func TestVerifyServesNonFiniteProduct(t *testing.T) {
+	m := chaosManager(t, Options{Verify: 2, RetryBase: 1, RetryMax: 2})
+	const n = 48
+	coo := mat.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		coo.Append(i, i, float64(i%5)+1)
+		coo.Append(i, (i+7)%n, -0.25)
+	}
+	coo.Append(3, 3, math.Inf(1))
+	inf, _, err := core.Partition(coo, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.cat.Put("inf", inf, false); err != nil {
+		t.Fatal(err)
+	}
+	job, err := m.Submit(Request{A: "inf", B: "inf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(); err != nil {
+		t.Fatalf("product with an infinite entry: %v", err)
+	}
+	if mm := m.Metrics(); mm.VerifyFailed != 0 || mm.Retries != 0 || mm.Completed != 1 {
+		t.Fatalf("metrics = {verify_failed:%d retries:%d completed:%d}, want 0/0/1", mm.VerifyFailed, mm.Retries, mm.Completed)
+	}
+	requireZeroRefs(t, m)
+}
+
+// TestVerifyDeadlineIsNotAVerifyFailure: a deadline that lands anywhere in
+// a verified job — the team-swept Freivalds check included, which a
+// cancellation leaves with half-filled panels — cancels it; it is never
+// reported, retried or counted as a failed verification.
+func TestVerifyDeadlineIsNotAVerifyFailure(t *testing.T) {
+	m := chaosManager(t, Options{Verify: 2, RetryBase: 1, RetryMax: 2})
+	// 768² and dense: the product is above the sweeper's team cut-off.
+	wide, _, err := core.Partition(mat.RandomCOO(rand.New(rand.NewSource(3)), 768, 768, 60000), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.cat.Put("wide", wide, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []Request{{A: "wide", B: "wide"}, {Expr: "wide*wide'+wide"}} {
+		for timeout := 500 * time.Microsecond; timeout < time.Minute; timeout *= 2 {
+			req.Timeout = timeout
+			job, err := m.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := job.Wait(); err == nil {
+				break // longer deadlines only finish too
+			} else if classify(err) != failCanceled {
+				t.Fatalf("%+v: %v, want a deadline error", req, err)
+			}
+		}
+	}
+	if mm := m.Metrics(); mm.VerifyFailed != 0 || mm.Failed != 0 || mm.Retries != 0 || mm.Completed != 2 {
+		t.Fatalf("metrics = {verify_failed:%d failed:%d retries:%d completed:%d}, want 0/0/0/2", mm.VerifyFailed, mm.Failed, mm.Retries, mm.Completed)
 	}
 	requireZeroRefs(t, m)
 }
