@@ -85,10 +85,11 @@ bench-kernels:
 	@echo "wrote BENCH_kernels.json"
 
 ## bench-eval: the expression-engine acceptance numbers — fused vs
-## materialized on the 3-term sparse chain and on pow(A,10)*x — the three
-## layout-build sites a request pays for (a sum inside an expression, the
-## repartition of a stored product, an upload) and the Freivalds check of
-## a product and of an expression as the server runs it, written to
+## materialized on the 3-term sparse chain and on pow(A,10)*x — the layout
+## builds a request pays for (a sum inside an expression, the repartition
+## of a stored product, an upload, the assembly of a row-streamed chain),
+## planning alone for eval_chain's three requests, and the Freivalds check
+## of a product and of an expression as the server runs it, written to
 ## BENCH_eval.json. The expression records carry peak intermediate bytes
 ## as a peakB/op entry under "extra". BENCHTIME=1x for a quick smoke.
 bench-eval:

@@ -235,3 +235,67 @@ func BenchmarkEval_VerifyExpr(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkEval_Plan: expr.PlanExpr alone — the density estimates, the
+// association DP or the right-to-left panel pricing, the row-stream gate —
+// for eval_chain's three requests on the seed-1 stand-ins, parsed once.
+func BenchmarkEval_Plan(b *testing.B) {
+	cfg := serverCfg()
+	bind := map[string]*core.ATMatrix{}
+	for _, id := range []string{"R8", "R9", "G9"} {
+		bind[id] = mustPartition(b, serverStandIn(b, id, 0, 1.0/16), cfg)
+	}
+	bind["x"] = core.FromDense(mat.RandomDense(rand.New(rand.NewSource(7)), bind["G9"].Rows, 8), cfg.BAtomic)
+	for _, c := range []struct{ name, src string }{
+		{"chain3", "R9*R9*R9"},
+		{"powvec", "pow(G9,10)*x"},
+		{"gram_add", "0.5*R8'*R8+0.5*R8"},
+	} {
+		node, err := expr.Parse(c.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := expr.PlanExpr(node, bind, cfg, expr.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEval_Assemble: PartitionRows of the rows of R9·R9, handed over
+// in blocks of b_atomic rows — what a row-streamed chain pays to turn its
+// band pieces into an AT MATRIX (expr's assemblePieces): the staging join,
+// the block counts and the quadtree over a grid that is almost empty.
+func BenchmarkEval_Assemble(b *testing.B) {
+	cfg := serverCfg()
+	r9 := mustPartition(b, serverStandIn(b, "R9", 0, 1.0/16), cfg)
+	sq, _, err := core.Multiply(r9, r9, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	csr := sq.ToCSR()
+	var nnz, col [][]int32
+	var val [][]float64
+	for lo := 0; lo < csr.Rows; lo += cfg.BAtomic {
+		hi := min(lo+cfg.BAtomic, csr.Rows)
+		n := make([]int32, hi-lo)
+		for r := lo; r < hi; r++ {
+			n[r-lo] = int32(csr.RowPtr[r+1] - csr.RowPtr[r])
+		}
+		nnz = append(nnz, n)
+		col = append(col, csr.ColIdx[csr.RowPtr[lo]:csr.RowPtr[hi]])
+		val = append(val, csr.Val[csr.RowPtr[lo]:csr.RowPtr[hi]])
+	}
+	b.Run("R9sq", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := core.PartitionRows(csr.Rows, csr.Cols, nnz, col, val, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

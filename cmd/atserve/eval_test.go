@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"testing"
 	"time"
 
 	"atmatrix/internal/faultinject"
 	"atmatrix/internal/leakcheck"
+	"atmatrix/internal/mat"
+	"atmatrix/internal/mmio"
 	"atmatrix/internal/sched"
 	"atmatrix/internal/service"
 )
@@ -79,6 +82,28 @@ func TestEvalEndpoint(t *testing.T) {
 	})
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("bound eval: status %d (%v)", resp3.StatusCode, out3)
+	}
+
+	// A skinny right end makes a panel chain: the reply names the order
+	// the panel executor runs in — right to left — not an association the
+	// DP would have picked for matrices that are never formed.
+	var xbuf bytes.Buffer
+	if err := mmio.WriteBinary(&xbuf, mat.RandomCOO(rand.New(rand.NewSource(93)), 64, 4, 128)); err != nil {
+		t.Fatal(err)
+	}
+	if resp := upload(t, ts.URL, "x", &xbuf); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload x: status %d", resp.StatusCode)
+	} else {
+		resp.Body.Close()
+	}
+	for src, order := range map[string]string{"x'*a*x": "(x'·(a·x))", "pow(a,3)*b*x": "(pow(a,3)·(b·x))"} {
+		resp, out := eval(t, ts.URL, map[string]any{"expr": src})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("eval %s: status %d (%v), want 200", src, resp.StatusCode, out)
+		}
+		if plan, _ := out["plan"].(map[string]any); plan["fusion"] != "panel" || plan["order"] != order {
+			t.Errorf("eval %s: plan echo %v, want fusion panel in order %s", src, plan, order)
+		}
 	}
 
 	// Typed client errors.

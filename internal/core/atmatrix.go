@@ -233,8 +233,9 @@ func (a *ATMatrix) DensityMap() *density.Map {
 // (a power-of-two multiple of BAtomic). ATMULT coarsens the estimation
 // grid for very high-dimension matrices so that the estimator cost stays
 // negligible — the paper observes the estimate growing to 5% of runtime
-// for hypersparse R9 precisely because its cost is dimension- rather than
-// nnz-driven (§IV-D).
+// for hypersparse R9 because its cost follows the grid dimensions rather
+// than the nnz (§IV-D); density.EstimateProduct visits only non-empty cell
+// pairs, which leaves the grid scans as the dimension-driven part.
 //
 // The returned map is cached on the matrix and shared between callers; it
 // must not be modified.

@@ -831,10 +831,11 @@ func cells(m, n, block int) int {
 }
 
 // estimateProductDensity builds the product density map at the coarsened
-// estimation grid: the estimator's cost is O(gridRows·gridK·gridCols),
-// independent of nnz, and at b_atomic resolution would dominate
-// hypersparse multiplications of very high-dimension operands (the R9
-// effect of §IV-D), so the grid doubles until it fits the cell cap.
+// estimation grid: over full maps the estimator costs
+// O(gridRows·gridK·gridCols) whatever the nnz, and even its scans of an
+// almost empty grid at b_atomic resolution would weigh on hypersparse
+// multiplications of very high-dimension operands (the R9 effect of
+// §IV-D), so the grid doubles until it fits the cell cap.
 func estimateProductDensity(a, b *ATMatrix, cfg Config) *density.Map {
 	const gridCellCap = 1 << 13
 	estBlock := cfg.BAtomic

@@ -65,7 +65,8 @@ func (p *ChainPlan) Steps() [][3]int {
 }
 
 // EstMap returns the estimated density map of the subchain product [i, j]
-// (nil when the plan was built without maps, i.e. a single operand).
+// (nil when the plan holds none for it: a right-to-left plan estimates
+// only the suffixes [i, n-1]).
 func (p *ChainPlan) EstMap(i, j int) *density.Map {
 	if p.maps == nil {
 		return nil
@@ -170,13 +171,12 @@ func OptimizeChainMaps(leaves []*density.Map, cfg Config) (*ChainPlan, error) {
 			bestK := i
 			var bestMap *density.Map
 			for k := i; k < j; k++ {
-				left, right := maps[i][k], maps[k+1][j]
-				stepCost := estimatedMultCost(left, right, cfg)
+				stepCost, est := EstimatedMultCost(maps[i][k], maps[k+1][j], cfg)
 				total := cost[i][k] + cost[k+1][j] + stepCost
 				if best < 0 || total < best {
 					best = total
 					bestK = k
-					bestMap = density.EstimateProduct(left, right)
+					bestMap = est
 				}
 			}
 			cost[i][j] = best
@@ -190,7 +190,8 @@ func OptimizeChainMaps(leaves []*density.Map, cfg Config) (*ChainPlan, error) {
 }
 
 // chainEstBlock picks a shared estimation grid: coarse enough that the
-// O(n³) DP with O(grid³) estimations stays negligible.
+// O(n³) DP stays negligible even over full maps, whose estimations cost
+// O(grid³).
 func chainEstBlock(chain []*ATMatrix, cfg Config) int {
 	const cap = 1 << 12
 	block := cfg.BAtomic
@@ -209,18 +210,34 @@ func chainEstBlock(chain []*ATMatrix, cfg Config) int {
 	}
 }
 
-// EstimatedMultCost exposes the DP's per-product cost evaluation so
-// internal/expr can compare alternative association orders (e.g. the
-// left-associated order its row-streaming fusion requires) against the
-// DP optimum before committing to a fused execution.
-func EstimatedMultCost(a, b *density.Map, cfg Config) float64 {
-	return estimatedMultCost(a, b, cfg)
+// RightToLeftPlan is the plan of a chain whose executor runs it in one
+// order only — A0·(A1·(…·An-1)) — and has priced that order itself: cost is
+// its summed step costs and suffix[i] the estimated map of Ai·…·An-1
+// (suffix[n-1] the last operand's own), which EstMap(i, n-1) returns.
+func RightToLeftPlan(suffix []*density.Map, cost float64) *ChainPlan {
+	n := len(suffix)
+	maps := make([][]*density.Map, n)
+	splits := make([][]int, n)
+	for i := range maps {
+		maps[i] = make([]*density.Map, n)
+		maps[i][n-1] = suffix[i]
+		splits[i] = make([]int, n)
+		for j := i + 1; j < n; j++ {
+			splits[i][j] = i
+		}
+	}
+	plan := &ChainPlan{Cost: cost, splits: splits, maps: maps, n: n}
+	plan.Expression = plan.render(0, n-1)
+	return plan
 }
 
-// estimatedMultCost evaluates the cost model for one candidate product at
+// EstimatedMultCost evaluates the cost model for one candidate product at
 // the map-level average densities, with the target kind picked by the
-// write threshold.
-func estimatedMultCost(a, b *density.Map, cfg Config) float64 {
+// write threshold. Pricing a product needs its estimated density map, and
+// whoever prices one goes on to multiply by it — the DP, and internal/expr
+// when it prices the one order a fused executor can run — so the map is
+// returned with the cost rather than estimated twice.
+func EstimatedMultCost(a, b *density.Map, cfg Config) (float64, *density.Map) {
 	rhoA := mapMeanDensity(a)
 	rhoB := mapMeanDensity(b)
 	est := density.EstimateProduct(a, b)
@@ -228,7 +245,7 @@ func estimatedMultCost(a, b *density.Map, cfg Config) float64 {
 	kindA := kindFor(rhoA, cfg.RhoRead)
 	kindB := kindFor(rhoB, cfg.RhoRead)
 	kindC := kindFor(rhoC, cfg.RhoWrite)
-	return cfg.Cost.Mult(kindA, kindB, kindC, a.Rows, a.Cols, b.Cols, rhoA, rhoB, rhoC)
+	return cfg.Cost.Mult(kindA, kindB, kindC, a.Rows, a.Cols, b.Cols, rhoA, rhoB, rhoC), est
 }
 
 // kindFor classifies a density against a threshold.

@@ -137,9 +137,9 @@ func TestGoldenLayoutDigests(t *testing.T) {
 }
 
 // refPartition rebuilds the layout the Z-sorting pipeline gives src: the
-// deduplicated table is counted per atomic block in Z-order, the quadtree
-// recursion plans the tiles, and each tile is filled from the entries
-// inside its bounding box.
+// deduplicated table is counted per atomic block in Z-order, the full
+// quadtree descent (refQuadtree) plans the tiles, and each tile is filled
+// from the entries inside its bounding box.
 func refPartition(t testing.TB, src *mat.COO, cfg Config) *ATMatrix {
 	t.Helper()
 	// Dedup, with a sort that does not go through reflection (the race
@@ -153,17 +153,11 @@ func refPartition(t testing.TB, src *mat.COO, cfg Config) *ATMatrix {
 		grid = 1
 	}
 	cnts := make([]int64, grid*grid)
-	for zb := range cnts {
-		br, bc := morton.Decode(uint64(zb))
-		if int(br)*b >= c.Rows || int(bc)*b >= c.Cols {
-			cnts[zb] = -1
-		}
-	}
 	for _, e := range c.Ent {
 		cnts[morton.Encode(uint32(int(e.Row)/b), uint32(int(e.Col)/b))]++
 	}
 	p := &partitioner{cfg: cfg, cnts: cnts, out: newATMatrix(c.Rows, c.Cols, b)}
-	for _, bx := range p.quadtree() {
+	for _, bx := range refQuadtree(p) {
 		r0, c0, h, w := bx.r0, bx.c0, bx.h, bx.w
 		lo := sort.Search(len(c.Ent), func(i int) bool { return int(c.Ent[i].Row) >= r0 })
 		hi := sort.Search(len(c.Ent), func(i int) bool { return int(c.Ent[i].Row) >= r0+h })

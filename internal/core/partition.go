@@ -99,17 +99,12 @@ func buildLayout(rows, cols int, cfg Config, plan func(*partitioner) []tileBox, 
 }
 
 // zBlockCounts returns ZBlockCnts: the non-zero count per atomic block,
-// Z-ordered over the padded square block grid, -1 for blocks outside the
-// matrix (§II-C2). A row's ascending columns are counted a block-run at a time.
+// Z-ordered over the padded square block grid (§II-C2). Blocks outside the
+// matrix count nothing; the recursion tells them from their position. A
+// row's ascending columns are counted a block-run at a time.
 func zBlockCounts(s *mat.CSR, b int) []int64 {
 	gridSide := max(1, morton.SideLen(s.Rows, s.Cols)/b)
 	cnts := make([]int64, uint64(gridSide)*uint64(gridSide))
-	for zb := range cnts {
-		br, bc := morton.Decode(uint64(zb))
-		if int(br)*b >= s.Rows || int(bc)*b >= s.Cols {
-			cnts[zb] = -1
-		}
-	}
 	shift := bits.TrailingZeros(uint(b))
 	for r := 0; r < s.Rows; r++ {
 		for p, end := s.RowRange(r); p < end; {
@@ -124,6 +119,42 @@ func zBlockCounts(s *mat.CSR, b int) []int64 {
 	return cnts
 }
 
+// occupancy summarizes the counts per quadtree level, SMASH's hierarchical
+// bitmap used as an index: bit q of level l ≥ 1 is set when the Z-range
+// [q·4^l, (q+1)·4^l) holds an entry. Level 0 is the counts themselves.
+func occupancy(cnts []int64) [][]uint64 {
+	occ := make([][]uint64, 1, bits.Len(uint(len(cnts)))/2+1) // len(cnts) = 4^(levels-1)
+	for n := len(cnts) / 4; n > 0; n /= 4 {
+		occ = append(occ, make([]uint64, (n+63)/64))
+	}
+	markOccupied(cnts, occ)
+	return occ
+}
+
+// markOccupied fills the levels bottom-up: the first from the counts, four
+// to a bit, every further one from the four bits below it.
+//
+//atlint:hotpath
+func markOccupied(cnts []int64, occ [][]uint64) {
+	for l := 1; l < len(occ); l++ {
+		level, n := occ[l], len(cnts)>>(2*l)
+		if l == 1 {
+			for q := 0; q < n; q++ {
+				if cnts[4*q]|cnts[4*q+1]|cnts[4*q+2]|cnts[4*q+3] != 0 {
+					level[q>>6] |= 1 << (q & 63)
+				}
+			}
+			continue
+		}
+		below := occ[l-1]
+		for q := 0; q < n; q++ {
+			if below[q>>4]>>(4*q&63)&0xF != 0 {
+				level[q>>6] |= 1 << (q & 63)
+			}
+		}
+	}
+}
+
 const (
 	stOOB = iota
 	stForward
@@ -133,6 +164,7 @@ const (
 type partitioner struct {
 	cfg   Config
 	cnts  []int64
+	occ   [][]uint64 // which quadrants of each level hold entries; quadtree builds it
 	out   *ATMatrix
 	boxes []tileBox // planned tiles, in recursion order
 }
@@ -188,13 +220,29 @@ func (p *partitioner) fits(kind mat.Kind, nnz int64, h, w int) bool {
 // rec implements RECQTPART (Alg. 1) over the Z-ordered block-count array:
 // it returns OOB for fully out-of-bounds regions, FORWARD with the region
 // nnz when the region is homogeneous and may still be melted into a larger
-// tile by the caller, and MATERIALIZED once tiles have been emitted.
+// tile by the caller, and MATERIALIZED once tiles have been emitted. Only
+// quadrants that hold entries are descended into. A quadrant whose origin
+// lies outside the matrix is outside it altogether. An empty one emits no
+// tile at any depth, so all the descent decides is its status — FORWARD
+// when the quadrant fits as one empty tile, else MATERIALIZED: fits is
+// monotone in the clipped dimension, so a quadrant that fits has only
+// sub-quadrants that fit (all of one kind, the kind of density 0) and melts
+// level by level, and one that does not fit ends materialized whatever its
+// sub-quadrants returned.
 func (p *partitioner) rec(zs, ze uint64) (int, int64) {
+	if br, bc := morton.Decode(zs); int(br)*p.cfg.BAtomic >= p.out.Rows || int(bc)*p.cfg.BAtomic >= p.out.Cols {
+		return stOOB, 0
+	}
 	if ze-zs == 1 {
-		if p.cnts[zs] < 0 {
-			return stOOB, 0
-		}
 		return stForward, p.cnts[zs]
+	}
+	level := (bits.Len64(ze-zs) - 1) / 2
+	if q := zs >> (2 * level); p.occ[level][q>>6]>>(q&63)&1 == 0 {
+		h, w := p.clippedDims(zs, ze)
+		if p.fits(p.kindOf(0, h, w), 0, h, w) {
+			return stForward, 0
+		}
+		return stMaterialized, 0
 	}
 	stride := (ze - zs) / 4
 	type child struct {
@@ -283,6 +331,7 @@ func (p *partitioner) box(zs, ze uint64, nnz int64) tileBox {
 
 // quadtree plans the adaptive layout: the tiles of Alg. 1.
 func (p *partitioner) quadtree() []tileBox {
+	p.occ = occupancy(p.cnts)
 	if status, nnz := p.rec(0, uint64(len(p.cnts))); status == stForward {
 		p.materialize(0, uint64(len(p.cnts)), nnz)
 	}
@@ -331,7 +380,7 @@ func cutTile(s *mat.CSR, bx tileBox, home numa.Node) *Tile {
 func PartitionFixed(src *mat.COO, cfg Config, mixed bool) (*ATMatrix, *PartitionStats, error) {
 	grid := func(p *partitioner) []tileBox {
 		for z, nnz := range p.cnts {
-			p.materialize(uint64(z), uint64(z)+1, nnz) // nothing for an empty (0) or out-of-bounds (-1) block
+			p.materialize(uint64(z), uint64(z)+1, nnz) // nothing for an empty block, in bounds or out
 		}
 		if !mixed {
 			for i := range p.boxes {

@@ -26,10 +26,19 @@ import (
 // only read. It is a stable LSD radix sort over the significant bytes of
 // row<<bits(cols)|col, so equal coordinates keep their input order. One scan
 // takes every digit's histogram; a digit all keys share costs no pass.
+// Input that is row-major already — generated operands, most files — is
+// found out by a scan that stops at the first inversion, and only copied.
 func sortRowMajor(src []mat.Entry, rows, cols int) []mat.Entry {
 	n := len(src)
 	colBits := bits.Len(uint(cols - 1))
 	key := func(e mat.Entry) uint64 { return uint64(e.Row)<<colBits | uint64(e.Col) }
+	sorted := true
+	for i := 1; i < n && sorted; i++ {
+		sorted = key(src[i-1]) <= key(src[i])
+	}
+	if sorted {
+		return slices.Clone(src)
+	}
 	passes := (bits.Len(uint(rows-1)) + colBits + 7) / 8
 	var count [8][256]int
 	for _, e := range src {
@@ -38,7 +47,7 @@ func sortRowMajor(src []mat.Entry, rows, cols int) []mat.Entry {
 		}
 	}
 	cur, spare := src, []mat.Entry(nil)
-	for p := 0; p < passes && n > 1; p++ {
+	for p := 0; p < passes; p++ {
 		cnt, shift := &count[p], 8*p
 		if cnt[byte(key(src[0])>>shift)] == n {
 			continue
@@ -59,9 +68,6 @@ func sortRowMajor(src []mat.Entry, rows, cols int) []mat.Entry {
 		if spare, cur = cur, dst; &spare[0] == &src[0] {
 			spare = nil
 		}
-	}
-	if n == 0 || &cur[0] == &src[0] {
-		return slices.Clone(src)
 	}
 	return cur
 }

@@ -7,6 +7,12 @@
 // b×b atomic block, holding the block's population density. Within a block
 // the density is approximated as uniform — the block is the unit of
 // granularity below which no heterogeneity is resolved (paper §II-B).
+//
+// A Map is a plain dense grid; it carries no index. EstimateProduct builds
+// the one it needs — B's non-empty cells per block row — per call, which
+// costs one scan of B's grid, and then touches only pairs of non-empty
+// cells, so estimating over the almost empty grid of a hypersparse matrix
+// costs what its few occupied cells cost.
 package density
 
 import (
@@ -154,6 +160,12 @@ func (m *Map) fromCounts(cnt []int64) {
 	}
 }
 
+// saturatedLog is −56·ln 2, the argument at and below which math.Expm1
+// returns exactly −1 (its own "filter out huge argument" threshold): a cell
+// whose log-survival sum has got there is ρ̂ = 1 whatever is still added,
+// because every further term is ≤ 0.
+const saturatedLog = -56 * math.Ln2
+
 // EstimateProduct propagates block densities of A (m×k) and B (k×n)
 // through the multiplication and returns the estimated density map of
 // C = A·B. Modelling every element as an independent Bernoulli variable
@@ -163,9 +175,16 @@ func (m *Map) fromCounts(cnt []int64) {
 //
 //	ρ̂_ij = 1 − Π_κ (1 − ρ^A_iκ · ρ^B_κj)^{w_κ}.
 //
-// The cost is independent of nnz — it depends only on the grid dimensions,
-// which the paper reports as negligible (< 0.1% of ATMULT runtime) except
-// for hypersparse very-high-dimension matrices.
+// The product is taken Gustavson-style over block rows: B's non-empty cells
+// are indexed per block row once, and each non-empty (i,κ) of A adds
+// w_κ·log1p(−ρρ) to the row accumulator of every non-empty (κ,j). The cost
+// is two scans of the operand grids plus Σ_κ nnzcol_A(κ)·nnzrow_B(κ) cell
+// pairs — the product of the grid dimensions only for full maps, and a few
+// hundred pairs for the banded hypersparse operands the paper singles out
+// (§IV-D), whose grids are almost empty. κ ascends within every cell's sum
+// and a saturated cell (see saturatedLog) is the only one skipped, so the
+// result is bit for bit the sum taken cell by cell. Densities are expected
+// in [0, 1].
 func EstimateProduct(a, b *Map) *Map {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("density: contraction mismatch %d vs %d", a.Cols, b.Rows))
@@ -174,34 +193,55 @@ func EstimateProduct(a, b *Map) *Map {
 		panic(fmt.Sprintf("density: block size mismatch %d vs %d", a.Block, b.Block))
 	}
 	c := NewMap(a.Rows, b.Cols, a.Block)
-	kBlocks := a.BC
-	for i := 0; i < c.BR; i++ {
-		for j := 0; j < c.BC; j++ {
-			// Accumulate log-survival to stay numerically stable for
-			// many small probabilities.
-			logZero := 0.0
-			for kb := 0; kb < kBlocks; kb++ {
-				ra := a.At(i, kb)
-				rb := b.At(kb, j)
-				if ra == 0 || rb == 0 {
-					continue
-				}
-				p := ra * rb
-				_, w := a.CellDims(i, kb)
-				if p >= 1 {
-					logZero = math.Inf(-1)
-					break
-				}
-				logZero += float64(w) * math.Log1p(-p)
+	// B's non-empty cells: block row κ owns bCol/bRho[bRow[κ]:bRow[κ+1]].
+	bRow := make([]int32, b.BR+1)
+	bCol := make([]int32, 0, len(b.Rho))
+	bRho := make([]float64, 0, len(b.Rho))
+	for kb := 0; kb < b.BR; kb++ {
+		for j, rho := range b.Rho[kb*b.BC : (kb+1)*b.BC] {
+			if rho != 0 {
+				bCol, bRho = append(bCol, int32(j)), append(bRho, rho)
 			}
-			rho := -math.Expm1(logZero)
-			if rho == 0 {
-				rho = 0 // normalize the -0.0 that -Expm1(0) produces
-			}
-			c.Set(i, j, rho)
 		}
+		bRow[kb+1] = int32(len(bCol))
+	}
+	for i := 0; i < c.BR; i++ {
+		propagateRow(c.Rho[i*c.BC:(i+1)*c.BC], a, i, bRow, bCol, bRho)
 	}
 	return c
+}
+
+// propagateRow fills block row i of the product estimate: acc arrives zero,
+// collects the log-survival sums of the row and leaves as densities.
+//
+//atlint:hotpath
+func propagateRow(acc []float64, a *Map, i int, bRow, bCol []int32, bRho []float64) {
+	for kb, ra := range a.Rho[i*a.BC : (i+1)*a.BC] {
+		lo, hi := bRow[kb], bRow[kb+1]
+		if ra == 0 || lo == hi {
+			continue
+		}
+		_, wk := a.CellDims(i, kb)
+		w := float64(wk)
+		for p := lo; p < hi; p++ {
+			j := bCol[p]
+			if acc[j] <= saturatedLog {
+				continue
+			}
+			if pr := ra * bRho[p]; pr >= 1 {
+				acc[j] = math.Inf(-1)
+			} else {
+				acc[j] += w * math.Log1p(-pr)
+			}
+		}
+	}
+	for j, logZero := range acc {
+		rho := -math.Expm1(logZero)
+		if rho == 0 {
+			rho = 0 // normalize the -0.0 that -Expm1(0) produces
+		}
+		acc[j] = rho
+	}
 }
 
 // Transpose returns the density map of the transposed matrix: cell (i,j)

@@ -12,9 +12,10 @@ import (
 // replaces it with the probabilistic density-map estimator because "the
 // exact non-zero structure can only be found through the actual execution
 // of the multiplication" (§III-D) — the symbolic pass costs
-// O(flops) = O(N_nz^A · N_nz^B / k) while the estimator costs only
-// O(grid³), independent of nnz. Both are provided here so the trade-off
-// is measurable (BenchmarkAblation_EstimatorVsSymbolic).
+// O(flops) = O(N_nz^A · N_nz^B / k) while the estimator is the same
+// Gustavson pass over the block grid — at most O(grid³) cell pairs, and
+// only the non-empty ones. Both are provided here so the trade-off is
+// measurable (BenchmarkAblation_EstimatorVsSymbolic).
 
 // SymbolicNNZ returns the exact per-row non-zero counts of C = A·B and
 // their total, without computing any values.

@@ -22,7 +22,9 @@ import (
 //     n×w panel streamed through the operand tiles. Two flat buffers are
 //     double-buffered across steps — pow(A,k)·x runs k applications with
 //     zero per-step allocation — so the peak intermediate footprint is
-//     2·maxRows·w·8 bytes regardless of chain length or k.
+//     2·maxRows·w·8 bytes regardless of chain length or k. The chain is
+//     planned in that order too (planPanel): there is no association to
+//     choose, and no power of A to estimate that is never formed.
 //   - FusionRowStream: ≥ 3 wide factors. Result rows are produced one at
 //     a time by chained Gustavson passes (two ping-pong SPAs per worker),
 //     so no intermediate matrix is ever materialized or repartitioned.
@@ -45,9 +47,10 @@ const DefaultPanelMaxWidth = 32
 // not see, hence the allowance above 1.0.
 const fuseCostSlack = 1.5
 
-// powEstCap bounds the number of density-map self-products used to
-// estimate pow(A,k) fill: the estimate converges quickly (it is monotone
-// non-decreasing and bounded by 1), so large exponents stop early.
+// powEstCap bounds the number of density-map products used to estimate
+// the fill of pow(A,k), or of A applied k times to a panel: the estimate
+// converges quickly (it is monotone non-decreasing and bounded by 1), so
+// large exponents stop early.
 const powEstCap = 64
 
 // maxPowExpand bounds the exponent up to which a pow() factor inside a
@@ -488,8 +491,9 @@ func powEst(m *density.Map, k int) *density.Map {
 }
 
 // lowerChain flattens the factors of a product, hoists scalar factors into
-// the chain coefficient, runs the association DP over the factor density
-// maps, and picks the fusion strategy.
+// the chain coefficient, and picks the fusion strategy: a skinny right end
+// makes a panel chain, planned in its one order; anything else goes through
+// the association DP over the factor density maps and the row-stream gate.
 func (p *planner) lowerChain(m *Mul) (planNode, error) {
 	coef := 1.0
 	var factors []chainFactor
@@ -537,19 +541,18 @@ func (p *planner) lowerChain(m *Mul) (planNode, error) {
 	}
 
 	// Panel fusion keeps pow() factors symbolic (the executor applies the
-	// base k times); every other strategy first unrolls small exponents
-	// into repeated chain leaves, so that the association DP — not a
-	// blind materialization of A^k — decides how the power combines with
-	// its neighbors. (With a skinny right end the DP associates right-to-
-	// left and every intermediate stays skinny; that is the honest
-	// materialized baseline for pow(A,k)·x.)
-	fusion := FusionNone
+	// base k times) and has one order to run in; every other strategy
+	// first unrolls small exponents into repeated chain leaves, so that
+	// the association DP — not a blind materialization of A^k — decides
+	// how the power combines with its neighbors. (With a skinny right end
+	// the DP associates right-to-left and every intermediate stays skinny;
+	// that is the honest materialized baseline for pow(A,k)·x.)
 	last := factors[len(factors)-1]
 	if !p.opts.Materialize && last.pow <= 1 && last.cols() <= p.opts.panelWidth() {
-		fusion = FusionPanel
-	} else {
-		factors = expandPows(factors)
+		cplan := p.planPanel(factors)
+		return &chainNode{factors: factors, coef: coef, cplan: cplan, fusion: FusionPanel, est: cplan.EstMap(0, len(factors)-1)}, nil
 	}
+	factors = expandPows(factors)
 	leaves := make([]*density.Map, len(factors))
 	for i, f := range factors {
 		if f.pow > 1 {
@@ -562,12 +565,37 @@ func (p *planner) lowerChain(m *Mul) (planNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(factors)
-	cn := &chainNode{factors: factors, coef: coef, cplan: cplan, fusion: fusion, est: cplan.EstMap(0, n-1)}
-	if fusion == FusionNone && !p.opts.Materialize {
+	cn := &chainNode{factors: factors, coef: coef, cplan: cplan, est: cplan.EstMap(0, len(factors)-1)}
+	if !p.opts.Materialize {
 		cn.fusion = p.rowStreamGate(cn, leaves)
 	}
 	return cn, nil
+}
+
+// planPanel plans a panel chain in the only order runPanel evaluates it:
+// right to left, one application at a time. Each application of factor i
+// to the panel estimated so far is priced like any product and replaces
+// the estimate, so the chain's cost, estimate and reported order describe
+// what runs — a skinny map per step, never a power of a square one. A pow
+// factor's estimate is held after powEstCap applications; the rest are
+// priced at the last one's cost.
+func (p *planner) planPanel(factors []chainFactor) *core.ChainPlan {
+	n := len(factors)
+	suffix := make([]*density.Map, n)
+	est := factors[n-1].node.estMap()
+	suffix[n-1] = est
+	cost := 0.0
+	for i := n - 2; i >= 0; i-- {
+		a, step := factors[i].node.estMap(), 0.0
+		for rep := 0; rep < max(1, factors[i].pow); rep++ {
+			if rep < powEstCap {
+				step, est = core.EstimatedMultCost(a, est, p.cfg)
+			}
+			cost += step
+		}
+		suffix[i] = est
+	}
+	return core.RightToLeftPlan(suffix, cost)
 }
 
 // expandPows unrolls pow() factors with small exponents into repeated
@@ -602,8 +630,9 @@ func (p *planner) rowStreamGate(cn *chainNode, leaves []*density.Map) Fusion {
 	leftCost := 0.0
 	acc := leaves[0]
 	for i := 1; i < len(leaves); i++ {
-		leftCost += core.EstimatedMultCost(acc, leaves[i], p.cfg)
-		acc = density.EstimateProduct(acc, leaves[i])
+		var step float64
+		step, acc = core.EstimatedMultCost(acc, leaves[i], p.cfg)
+		leftCost += step
 	}
 	if leftCost <= fuseCostSlack*cn.cplan.Cost || math.IsNaN(leftCost) {
 		return FusionRowStream
