@@ -13,7 +13,7 @@ TOLERANCE ?= 25
 # fuzz-smoke budget per target.
 FUZZTIME ?= 5s
 
-.PHONY: check fmt build test vet lint race chaos fuzz-smoke bench bench-kernels bench-eval bench-compare serve-smoke cluster-smoke atload-build
+.PHONY: check fmt build test vet lint race chaos fuzz-smoke bench bench-kernels bench-eval bench-compare serve-smoke cluster-smoke atload-build size
 
 ## check: the pre-PR gate — formatting, static analysis (vet + atlint),
 ## build, full test suite, the lock-bearing packages under the race
@@ -127,3 +127,9 @@ cluster-smoke:
 ## is only known to keep it working once this has run. Offline, < 10 s.
 atload-build:
 	cd atload && $(GO) vet ./... && $(GO) test -short ./...
+
+## size: print the root module's non-test Go line count, the number
+## ROADMAP aim 2 tracks: every tracked .go file except _test.go files,
+## testdata/ and atload/ (a module of its own). A report, not a gate.
+size:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e 'testdata/' -e '^atload/' | xargs cat | wc -l

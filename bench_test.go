@@ -7,7 +7,6 @@ package atmatrix
 // code at the recorded scale of EXPERIMENTS.md.
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -402,139 +401,9 @@ func BenchmarkRMATGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkExt_Retiling measures the future-work extension of §IV-C: re-
-// tiling the left operand to the right operand's row bands before a mixed
-// multiplication, avoiding the implicit column slicing of A. B is a
-// *partitioned* dense matrix (the paper's Fig. 9 R7 situation), so the
-// un-retiled A — a single huge sparse tile — is column-sliced per band.
-func BenchmarkExt_Retiling(b *testing.B) {
-	f := getFixture(b, "R7") // the paper's slicing-overhead case
-	rng := rand.New(rand.NewSource(2))
-	k := f.coo.Rows
-	n := 256
-	fullCOO := mat.RandomDense(rng, k, n).ToCOO()
-	fullPart, _, err := core.Partition(fullCOO, f.cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fullAT := fullPart
-	b.Run("sliced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Multiply(f.am, fullAT, f.cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("retiled", func(b *testing.B) {
-		re := core.RetileToMatch(f.am, fullAT)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Multiply(re, fullAT, f.cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkCalibrate measures the cost-model calibration hook itself.
 func BenchmarkCalibrate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		core.CalibrateCostModel()
-	}
-}
-
-// BenchmarkAblation_EstimatorVsSymbolic quantifies §III-D's trade-off:
-// the probabilistic density-map estimator costs O(grid³) independent of
-// nnz, while the exact symbolic SpGEMM phase costs O(flops).
-func BenchmarkAblation_EstimatorVsSymbolic(b *testing.B) {
-	f := getFixture(b, "R3")
-	dm := f.am.DensityMap()
-	b.Run("estimator", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			density.EstimateProduct(dm, dm)
-		}
-	})
-	b.Run("symbolic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := density.SymbolicMap(f.csr, f.csr, f.cfg.BAtomic); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_RowVsColGustavson compares the row-based Gustavson
-// baseline with the column-based MATLAB variant (§V-B).
-func BenchmarkAblation_RowVsColGustavson(b *testing.B) {
-	f := getFixture(b, "R3")
-	csc := mat.CSCFromCSR(f.csr)
-	b.Run("row-csr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.MulSpSpSp(f.csr, f.csr, f.cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("col-csc", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mat.MulCSC(csc, csc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkSpMV compares matrix-vector multiplication over the plain CSR,
-// the AT MATRIX, and the dense representation — the workload for which
-// Vuduc observed CSR to be hard to beat (§II-A2), motivating CSR as the
-// sparse tile payload.
-func BenchmarkSpMV(b *testing.B) {
-	f := getFixture(b, "R3")
-	x := make([]float64, f.csr.Cols)
-	for i := range x {
-		x[i] = float64(i%7) - 3
-	}
-	b.Run("csr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f.csr.MatVec(x)
-		}
-	})
-	b.Run("atmatrix", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := f.am.MatVec(x, f.cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dense", func(b *testing.B) {
-		d := f.csr.ToDense()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d.MatVec(x)
-		}
-	})
-}
-
-// BenchmarkSpMV_BCSR extends the SpMV comparison with the fixed
-// micro-blocked BCSR representation of §V-A/§V-C. On matrices without
-// small dense blocks the fill-in overhead dominates — the contrast the
-// paper draws between microscopic register blocking and its macroscopic
-// adaptive tiles.
-func BenchmarkSpMV_BCSR(b *testing.B) {
-	f := getFixture(b, "R3")
-	x := make([]float64, f.csr.Cols)
-	for i := range x {
-		x[i] = float64(i%5) - 2
-	}
-	for _, blk := range [][2]int{{2, 2}, {3, 3}, {4, 4}} {
-		bc, err := mat.BCSRFromCSR(f.csr, blk[0], blk[1])
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("%dx%d(fill %.1fx)", blk[0], blk[1], bc.FillRatio()), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bc.MatVec(x)
-			}
-		})
 	}
 }

@@ -69,18 +69,6 @@ func (c *Catalog) SetShardMap(name string, sm *ShardMap) error {
 	return c.flushManifest()
 }
 
-// ShardMapOf returns a copy of the named matrix's shard map, or false when
-// the matrix is absent or unsharded.
-func (c *Catalog) ShardMapOf(name string) (*ShardMap, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[name]
-	if !ok || e.gone || e.shards == nil {
-		return nil, false
-	}
-	return e.shards.Clone(), true
-}
-
 // ShardMaps snapshots every recorded shard map by matrix name — the
 // coordinator's recovery source after a restart.
 func (c *Catalog) ShardMaps() map[string]*ShardMap {

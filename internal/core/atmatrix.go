@@ -59,6 +59,22 @@ func newATMatrix(rows, cols, bAtomic int) *ATMatrix {
 	return a
 }
 
+// NewFromTiles assembles an AT MATRIX of the given dimensions directly
+// from already-partitioned tiles, sharing their payloads. Callers that
+// carve shards out of a partitioned matrix or merge disjoint partial
+// products back together use this instead of re-running the partitioner;
+// the structural invariants are validated.
+func NewFromTiles(rows, cols, bAtomic int, tiles []*Tile) (*ATMatrix, error) {
+	out := newATMatrix(rows, cols, bAtomic)
+	for _, t := range tiles {
+		out.addTile(t)
+	}
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // addTile registers a tile and indexes the atomic blocks it covers.
 func (a *ATMatrix) addTile(t *Tile) {
 	idx := int32(len(a.Tiles))

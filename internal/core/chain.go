@@ -19,7 +19,7 @@ import (
 // operand densities, which must be *propagated* through intermediate
 // results rather than assumed.
 //
-// MultiplyChain runs the classical matrix-chain dynamic program, but with
+// MultiplyChainOpt runs the classical matrix-chain dynamic program, but with
 // the cost of each candidate product taken from the kernel cost model
 // evaluated at the *estimated* intermediate densities (density maps are
 // propagated with the SpMacho product estimator), then executes the
@@ -279,15 +279,10 @@ func (p *ChainPlan) render(i, j int) string {
 	return "(" + p.render(i, k) + "·" + p.render(k+1, j) + ")"
 }
 
-// MultiplyChain optimizes and executes A0·A1·…·An-1 with ATMULT,
-// repartitioning intermediates so later steps see adaptive layouts.
-func MultiplyChain(chain []*ATMatrix, cfg Config) (*ATMatrix, *ChainStats, error) {
-	return MultiplyChainOpt(chain, cfg, DefaultMultOptions())
-}
-
-// MultiplyChainOpt is MultiplyChain with explicit per-step multiplication
-// options; in particular opts.Ctx cancels the chain between (and inside)
-// the individual ATMULT steps.
+// MultiplyChainOpt optimizes and executes A0·A1·…·An-1 with ATMULT,
+// repartitioning intermediates so later steps see adaptive layouts. opts
+// applies to every step; in particular opts.Ctx cancels the chain between
+// (and inside) the individual ATMULT steps.
 func MultiplyChainOpt(chain []*ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *ChainStats, error) {
 	plan, err := OptimizeChain(chain, cfg)
 	if err != nil {

@@ -32,7 +32,7 @@ func chainOf(t *testing.T, cfg Config, dims []int, dens []float64, seed int64) [
 func TestChainMatchesReference(t *testing.T) {
 	cfg := testConfig()
 	chain := chainOf(t, cfg, []int{40, 60, 30, 50}, []float64{0.1, 0.2, 0.15}, 111)
-	got, stats, err := MultiplyChain(chain, cfg)
+	got, stats, err := MultiplyChainOpt(chain, cfg, DefaultMultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestChainMatchesReference(t *testing.T) {
 func TestChainSingleOperand(t *testing.T) {
 	cfg := testConfig()
 	chain := chainOf(t, cfg, []int{30, 30}, []float64{0.1}, 112)
-	got, stats, err := MultiplyChain(chain, cfg)
+	got, stats, err := MultiplyChainOpt(chain, cfg, DefaultMultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +62,13 @@ func TestChainSingleOperand(t *testing.T) {
 
 func TestChainRejectsBadInput(t *testing.T) {
 	cfg := testConfig()
-	if _, _, err := MultiplyChain(nil, cfg); err == nil {
+	if _, _, err := MultiplyChainOpt(nil, cfg, DefaultMultOptions()); err == nil {
 		t.Fatal("empty chain accepted")
 	}
 	rng := rand.New(rand.NewSource(113))
 	a, _, _ := Partition(mat.RandomCOO(rng, 10, 20, 30), cfg)
 	b, _, _ := Partition(mat.RandomCOO(rng, 30, 10, 30), cfg)
-	if _, _, err := MultiplyChain([]*ATMatrix{a, b}, cfg); err == nil {
+	if _, _, err := MultiplyChainOpt([]*ATMatrix{a, b}, cfg, DefaultMultOptions()); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -89,7 +89,7 @@ func TestChainOrderMatters(t *testing.T) {
 	if plan.Expression != "(A0·(A1·A2))" {
 		t.Fatalf("plan = %s, want (A0·(A1·A2))", plan.Expression)
 	}
-	got, _, err := MultiplyChain(chain, cfg)
+	got, _, err := MultiplyChainOpt(chain, cfg, DefaultMultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestChainPlanCostConsistent(t *testing.T) {
 		t.Fatalf("expression %q misses operands", plan.Expression)
 	}
 	// Execute and verify numerically.
-	got, stats, err := MultiplyChain(chain, cfg)
+	got, stats, err := MultiplyChainOpt(chain, cfg, DefaultMultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestChainLong(t *testing.T) {
 	dims := []int{30, 40, 20, 50, 25, 35, 30}
 	dens := []float64{0.2, 0.15, 0.25, 0.1, 0.2, 0.15}
 	chain := chainOf(t, cfg, dims, dens, 116)
-	got, stats, err := MultiplyChain(chain, cfg)
+	got, stats, err := MultiplyChainOpt(chain, cfg, DefaultMultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

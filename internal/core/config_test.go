@@ -109,3 +109,22 @@ func TestDetectLLCPositive(t *testing.T) {
 		t.Fatal("DetectLLC returned non-positive size")
 	}
 }
+
+func TestCalibrateCostModel(t *testing.T) {
+	p := CalibrateCostModel()
+	if p.FlopDD != 1.0 {
+		t.Fatalf("FlopDD = %g, want normalized 1.0", p.FlopDD)
+	}
+	if p.FlopSp < 1.5 || p.FlopSp > 16 {
+		t.Fatalf("FlopSp = %g outside clamp", p.FlopSp)
+	}
+	if p.FlopMixed < p.FlopSp {
+		t.Fatal("calibration inverted the conversion zone")
+	}
+	if p.RhoRead() <= 0 || p.RhoRead() > 1 {
+		t.Fatalf("calibrated ρ0^R = %g invalid", p.RhoRead())
+	}
+	if p.WriteSp <= p.WriteD {
+		t.Fatal("write asymmetry lost in calibration")
+	}
+}

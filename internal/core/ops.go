@@ -1,15 +1,10 @@
 package core
 
-import (
-	"fmt"
-
-	"atmatrix/internal/mat"
-	"atmatrix/internal/sched"
-)
+import "atmatrix/internal/mat"
 
 // This file rounds out the AT MATRIX operator surface beyond
-// multiplication: transposition, tiled matrix-vector multiplication, and
-// re-partitioning (compaction) of multiplication results.
+// multiplication: transposition and re-partitioning (compaction) of
+// multiplication results.
 
 // Transpose returns Aᵀ as an AT MATRIX. Each tile is transposed in place
 // of its mirrored bounding box; the tile kinds are preserved (density is
@@ -32,67 +27,6 @@ func (a *ATMatrix) Transpose(cfg Config) *ATMatrix {
 		out.addTile(nt)
 	}
 	return out
-}
-
-// MatVec computes y = A·x over the tiles — the classical tiled SpMV layout
-// the paper's related work (Vuduc) studies.
-func (a *ATMatrix) MatVec(x []float64, cfg Config) ([]float64, error) {
-	if len(x) != a.Cols {
-		return nil, fmt.Errorf("core: MatVec dimension mismatch: %d columns, %d vector entries", a.Cols, len(x))
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	y := make([]float64, a.Rows)
-	// Tiles in one tile-row share rows of y, so the unit of work is the row
-	// band: one item per band, run where the band's tiles live.
-	bands := a.RowBands()
-	_, err := RunHomed(nil, cfg, 0, len(bands),
-		func(i int) int { return bands[i].Lo },
-		func(team *sched.Team, i int) {
-			band := bands[i]
-			tiles := a.tilesInRowBand(band)
-			team.ParallelRows(band.Len(), func(lo, hi, _ int) {
-				for _, t := range tiles {
-					tileMatVecRows(t, x, y, band.Lo+lo, band.Lo+hi)
-				}
-			})
-		})
-	if err != nil {
-		return nil, err
-	}
-	return y, nil
-}
-
-// tileMatVecRows accumulates rows [r0, r1) (matrix coordinates) of one
-// tile's contribution into y.
-func tileMatVecRows(t *Tile, x, y []float64, r0, r1 int) {
-	lo, hi := r0-t.Row0, r1-t.Row0
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > t.Rows {
-		hi = t.Rows
-	}
-	if t.Kind == mat.DenseKind {
-		for r := lo; r < hi; r++ {
-			row := t.D.RowSlice(r)
-			var s float64
-			for c, v := range row {
-				s += v * x[t.Col0+c]
-			}
-			y[t.Row0+r] += s
-		}
-		return
-	}
-	for r := lo; r < hi; r++ {
-		plo, phi := t.Sp.RowRange(r)
-		var s float64
-		for p := plo; p < phi; p++ {
-			s += t.Sp.Val[p] * x[t.Col0+int(t.Sp.ColIdx[p])]
-		}
-		y[t.Row0+r] += s
-	}
 }
 
 // Repartition rebuilds the AT MATRIX with the full quadtree partitioning —

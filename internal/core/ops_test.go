@@ -102,53 +102,6 @@ func TestATMatrixTransposeNonSquare(t *testing.T) {
 	}
 }
 
-func TestATMatrixMatVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(93))
-	cfg := testConfig()
-	src, err := genHeterogeneous(rng, 160)
-	if err != nil {
-		t.Fatal(err)
-	}
-	am, _, err := Partition(src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, am.Cols)
-	for i := range x {
-		x[i] = rng.Float64()*2 - 1
-	}
-	got, err := am.MatVec(x, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := src.ToCSR().MatVec(x)
-	for i := range want {
-		if d := got[i] - want[i]; d > 1e-9 || d < -1e-9 {
-			t.Fatalf("MatVec[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	if _, err := am.MatVec(make([]float64, 3), cfg); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-}
-
-func TestATMatrixMatVecEmpty(t *testing.T) {
-	cfg := testConfig()
-	am, _, err := Partition(mat.NewCOO(20, 30), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := am.MatVec(make([]float64, 30), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range y {
-		if v != 0 {
-			t.Fatalf("y[%d] = %g on empty matrix", i, v)
-		}
-	}
-}
-
 func TestRepartitionCompactsResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	cfg := testConfig()

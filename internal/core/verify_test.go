@@ -356,6 +356,67 @@ func TestFreivaldsMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestATMatrixMatVec: core's one AT MATRIX × panel kernel computes y = A·x
+// on a matrix of dense and sparse tiles — a probe column through A, the
+// magnitude column through |A| — as a plain CSR MatVec does.
+func TestATMatrixMatVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	cfg := testConfig()
+	src, err := genHeterogeneous(rng, 160)
+	if err != nil {
+		t.Fatal(err)
+	}
+	am, _, err := Partition(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp, d := am.TileCount(); sp == 0 || d == 0 {
+		t.Fatalf("want both tile kinds, got %d sparse and %d dense", sp, d)
+	}
+	in, out := NewPanel(am.Cols), NewPanel(am.Rows)
+	ones, x := in.Col(0), in.Col(1)
+	for i := range x {
+		ones[i] = 1
+		x[i] = rng.Float64()*2 - 1
+	}
+	if err := (Sweeper{}).Mul(am, false, in, out); err != nil {
+		t.Fatal(err)
+	}
+	csr := src.ToCSR()
+	abs := csr.Clone()
+	for i, v := range abs.Val {
+		abs.Val[i] = math.Abs(v)
+	}
+	for j, want := range [][]float64{abs.MatVec(ones), csr.MatVec(x), make([]float64, am.Rows)} {
+		got := out.Col(j)
+		for i := range want {
+			if d := got[i] - want[i]; d > 1e-9 || d < -1e-9 {
+				t.Fatalf("column %d row %d = %g, want %g", j, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestATMatrixMatVecEmpty(t *testing.T) {
+	cfg := testConfig()
+	am, _, err := Partition(mat.NewCOO(20, 30), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, out := NewPanel(30), NewPanel(20)
+	for i := range in.data {
+		in.data[i] = 1
+	}
+	if err := (Sweeper{}).Mul(am, false, in, out); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range out.data {
+		if v != 0 {
+			t.Fatalf("y[%d] = %g on empty matrix", i, v)
+		}
+	}
+}
+
 // TestVerifyPanelsIndependentOfExecutor: the panels are the same bits
 // whether the caller sweeps or the teams do, whatever the topology and the
 // worker runtime — every row is summed by one goroutine in Tiles order.

@@ -129,6 +129,23 @@ func TestEstimateAccuracyOnRandomMatrices(t *testing.T) {
 	}
 }
 
+// TestSymbolicBoundsEstimator: the probabilistic estimator should be
+// close to the exact structure of a self-product on uniform inputs — the
+// accuracy the optimizer relies on, measured against the block map of the
+// product itself.
+func TestSymbolicBoundsEstimator(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	n := 160
+	a := mat.RandomCOO(rng, n, n, n*n/15)
+	ad := a.ToDense()
+	exact := FromDense(mat.MulReference(ad, ad), 32)
+	dm := FromCOO(a, 32)
+	est := EstimateProduct(dm, dm)
+	if d := MaxAbsDiff(est, exact); d > 0.08 {
+		t.Fatalf("estimator error vs exact structure %g > 0.08", d)
+	}
+}
+
 func TestEstimateDetectsDenseBlocks(t *testing.T) {
 	// A has a fully dense upper-left block; A·A must be estimated dense
 	// there and empty in untouched regions.

@@ -30,21 +30,3 @@ func ExampleEstimateProduct() {
 	// UR block: ρ̂ = 0.000
 	// LR block: ρ̂ = 0.016
 }
-
-// ExampleSymbolicNNZ contrasts the exact symbolic structure count with
-// the estimate: the symbolic pass costs O(flops), the estimator O(grid³).
-func ExampleSymbolicNNZ() {
-	a := mat.NewCOO(4, 4)
-	a.Append(0, 1, 2) // A[0,1]
-	a.Append(1, 2, 3) // A[1,2]
-	a.Append(1, 3, 5) // A[1,3]
-	csr := a.ToCSR()
-	rowNNZ, total, err := density.SymbolicNNZ(csr, csr)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println(rowNNZ, total) // row 0 reaches A[1,*] → 2 entries
-	// Output:
-	// [2 0 0 0] 2
-}

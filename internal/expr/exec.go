@@ -492,10 +492,10 @@ func seedPanel(m *core.ATMatrix, dst []float64, w int, coef float64) {
 	}
 }
 
-// applyPanel computes dst = m · src over the panel, parallelized across
-// block-rows of m with node-affine task queues, mirroring MatVec.
+// applyPanel computes dst = m · src over the panel, one RunHomed item per
+// block-row of m, run where the block-row's tiles live.
 func (e *exec) applyPanel(m *core.ATMatrix, src, dst []float64, w int) error {
-	byBand := tilesByBlockRow(m)
+	byBand := indexRows(m).byBlockRow
 	b := m.BAtomic
 	_, err := core.RunHomed(e.opts.Mult.Ctx, e.cfg, e.opts.Mult.Watchdog, (m.Rows+b-1)/b,
 		func(br int) int { return br * b },
@@ -752,10 +752,4 @@ func indexRows(m *core.ATMatrix) *matRows {
 		}
 	}
 	return ri
-}
-
-// tilesByBlockRow is indexRows for the panel path, returning the raw
-// index.
-func tilesByBlockRow(m *core.ATMatrix) [][]*core.Tile {
-	return indexRows(m).byBlockRow
 }

@@ -17,7 +17,7 @@ import (
 // pow() factors, nested sums — via core.OptimizeChainMaps), and each chain
 // additionally picks a *fusion strategy*:
 //
-//   - FusionPanel: the rightmost factor is skinny (≤ PanelMaxWidth
+//   - FusionPanel: the rightmost factor is skinny (≤ DefaultPanelMaxWidth
 //     columns), so the whole chain evaluates right-to-left as a dense
 //     n×w panel streamed through the operand tiles. Two flat buffers are
 //     double-buffered across steps — pow(A,k)·x runs k applications with
@@ -87,19 +87,10 @@ type Options struct {
 	// Materialize disables fusion: every chain executes per-step through
 	// core.MultiplyChainOpt. The benchmark baseline.
 	Materialize bool
-	// PanelMaxWidth overrides DefaultPanelMaxWidth when positive.
-	PanelMaxWidth int
 	// Mult carries the per-step multiplication options (context,
 	// watchdog, SpGEMM policy) for materialized steps; fused stages honor
 	// Mult.Ctx between stages.
 	Mult core.MultOptions
-}
-
-func (o Options) panelWidth() int {
-	if o.PanelMaxWidth > 0 {
-		return o.PanelMaxWidth
-	}
-	return DefaultPanelMaxWidth
 }
 
 // Plan is an executable lowering of one expression against a set of
@@ -548,7 +539,7 @@ func (p *planner) lowerChain(m *Mul) (planNode, error) {
 	// the DP associates right-to-left and every intermediate stays skinny;
 	// that is the honest materialized baseline for pow(A,k)·x.)
 	last := factors[len(factors)-1]
-	if !p.opts.Materialize && last.pow <= 1 && last.cols() <= p.opts.panelWidth() {
+	if !p.opts.Materialize && last.pow <= 1 && last.cols() <= DefaultPanelMaxWidth {
 		cplan := p.planPanel(factors)
 		return &chainNode{factors: factors, coef: coef, cplan: cplan, fusion: FusionPanel, est: cplan.EstMap(0, len(factors)-1)}, nil
 	}

@@ -44,33 +44,3 @@ func PlaceRoundRobin(n, homes int, alive func(int) bool) ([][]int32, bool) {
 	}
 	return queues, true
 }
-
-// ReassignQueue moves the queue of a failed home onto the alive survivors
-// round-robin (item order preserved, survivors visited in ring order
-// starting after the failed home) and returns how many items moved. It is
-// the mid-run complement of PlaceRoundRobin: placement routes around homes
-// known dead up front, reassignment drains a home that died while holding
-// work. With no alive survivor nothing moves and the caller must execute
-// the queue itself.
-func ReassignQueue(queues [][]int32, from int, alive func(int) bool) int {
-	if from < 0 || from >= len(queues) || len(queues[from]) == 0 {
-		return 0
-	}
-	var survivors []int
-	for off := 1; off < len(queues); off++ {
-		h := (from + off) % len(queues)
-		if alive == nil || alive(h) {
-			survivors = append(survivors, h)
-		}
-	}
-	if len(survivors) == 0 {
-		return 0
-	}
-	moved := len(queues[from])
-	for i, item := range queues[from] {
-		dst := survivors[i%len(survivors)]
-		queues[dst] = append(queues[dst], item)
-	}
-	queues[from] = nil
-	return moved
-}

@@ -38,29 +38,3 @@ func TestPlaceRoundRobinNoHomeAlive(t *testing.T) {
 		t.Fatal("placement reported ok with zero homes")
 	}
 }
-
-func TestReassignQueueSpreadsOverSurvivors(t *testing.T) {
-	queues := [][]int32{{0, 3}, {1, 4, 7}, {2, 5}}
-	moved := ReassignQueue(queues, 1, func(h int) bool { return h != 1 })
-	if moved != 3 {
-		t.Fatalf("moved = %d, want 3", moved)
-	}
-	if len(queues[1]) != 0 {
-		t.Fatalf("failed home still holds %v", queues[1])
-	}
-	// Survivors visited in ring order starting after home 1: 2, 0, 2.
-	want := [][]int32{{0, 3, 4}, nil, {2, 5, 1, 7}}
-	if !reflect.DeepEqual(queues, want) {
-		t.Fatalf("queues = %v, want %v", queues, want)
-	}
-}
-
-func TestReassignQueueNoSurvivor(t *testing.T) {
-	queues := [][]int32{{0}, {1, 2}}
-	if moved := ReassignQueue(queues, 1, func(h int) bool { return false }); moved != 0 {
-		t.Fatalf("moved = %d with no survivors", moved)
-	}
-	if len(queues[1]) != 2 {
-		t.Fatal("queue mutated despite no survivors")
-	}
-}
