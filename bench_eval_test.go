@@ -9,6 +9,8 @@ package atmatrix
 // peakB/op metric so benchjson can record it next to ns/op.
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -16,6 +18,7 @@ import (
 	"atmatrix/internal/expr"
 	"atmatrix/internal/gen"
 	"atmatrix/internal/mat"
+	"atmatrix/internal/mmio"
 	"atmatrix/internal/numa"
 	"atmatrix/internal/rmat"
 )
@@ -298,4 +301,58 @@ func BenchmarkEval_Assemble(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEval_Codec: the binary codec every stream goes through — an .atm
+// stream written and read back (catalog write-through and reload, shard
+// bodies), the binary COO upload written and read, and the per-tile seals
+// the catalog and the workers verify — on the dense R3, the hypersparse R9
+// and ingest_store's T1 (the R2 stand-in at 1/32).
+func BenchmarkEval_Codec(b *testing.B) {
+	cfg := serverCfg()
+	type operand struct {
+		coo      *mat.COO
+		m        *core.ATMatrix
+		atm, bin []byte
+	}
+	ops := map[string]*operand{}
+	for _, c := range []struct {
+		id, src string
+		variant int64
+		scale   float64
+	}{{"R3", "R3", 0, 1.0 / 16}, {"R9", "R9", 0, 1.0 / 16}, {"T1", "R2", 1, 1.0 / 32}} {
+		op := &operand{coo: serverStandIn(b, c.src, c.variant, c.scale)}
+		op.m = mustPartition(b, op.coo, cfg)
+		var atm, bin bytes.Buffer
+		if _, err := op.m.WriteTo(&atm); err != nil {
+			b.Fatal(err)
+		}
+		if err := mmio.WriteBinary(&bin, op.coo); err != nil {
+			b.Fatal(err)
+		}
+		op.atm, op.bin = atm.Bytes(), bin.Bytes()
+		ops[c.id] = op
+	}
+	for _, step := range []struct {
+		name string
+		run  func(*operand) error
+	}{
+		{"atm_write", func(op *operand) error { _, err := op.m.WriteTo(io.Discard); return err }},
+		{"atm_read", func(op *operand) error { _, err := core.ReadATMatrix(bytes.NewReader(op.atm)); return err }},
+		{"coo_write", func(op *operand) error { return mmio.WriteBinary(io.Discard, op.coo) }},
+		{"coo_read", func(op *operand) error { _, err := mmio.ReadBinary(bytes.NewReader(op.bin)); return err }},
+		{"seal", func(op *operand) error { op.m.SealChecksums(); return nil }},
+	} {
+		for _, id := range []string{"R3", "R9", "T1"} {
+			op := ops[id]
+			b.Run(step.name+"/"+id, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := step.run(op); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

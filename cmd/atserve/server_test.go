@@ -233,12 +233,11 @@ func TestServeE2E(t *testing.T) {
 	}
 }
 
-// TestServeCorruptUpload verifies the typed serialization errors surface
-// as 422 at the HTTP layer.
+// TestServeCorruptUpload: an upload of either binary format whose stream
+// fails verification — a flipped payload bit, a foreign magic, a footer cut
+// off — answers 422 and quarantines the name.
 func TestServeCorruptUpload(t *testing.T) {
 	s, ts := newTestServer(t, 0, service.Options{})
-
-	// Round-trip a valid ATM stream, then flip a payload byte.
 	coo, err := rmat.Generate(64, 640, rmat.Uniform(), 7)
 	if err != nil {
 		t.Fatal(err)
@@ -247,21 +246,38 @@ func TestServeCorruptUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := am.WriteTo(&buf); err != nil {
+	var atm, bin bytes.Buffer
+	if _, err := am.WriteTo(&atm); err != nil {
 		t.Fatal(err)
 	}
-	bad := buf.Bytes()
-	bad[len(bad)-10] ^= 0x01
-	resp, err := http.Post(ts.URL+"/v1/matrices?name=corrupt&format=atm",
-		"application/octet-stream", bytes.NewReader(bad))
-	if err != nil {
+	if err := mmio.WriteBinary(&bin, coo); err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("corrupt upload: status %d (%s), want 422", resp.StatusCode, body)
+	for format, good := range map[string][]byte{"atm": atm.Bytes(), "coo": bin.Bytes()} {
+		flipped := append([]byte(nil), good...)
+		flipped[len(flipped)-10] ^= 0x01
+		magic := append([]byte(nil), good...)
+		magic[0] ^= 0xff
+		for what, bad := range map[string][]byte{
+			"flipped payload byte": flipped,
+			"bad magic":            magic,
+			"footer cut off":       good[:len(good)-4],
+		} {
+			name := strings.ReplaceAll(format+"-"+what, " ", "-")
+			resp, err := http.Post(ts.URL+"/v1/matrices?name="+name+"&format="+format,
+				"application/octet-stream", bytes.NewReader(bad))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Errorf("%s upload with %s: status %d (%s), want 422", format, what, resp.StatusCode, body)
+			}
+			if _, ok := s.mgr.Quarantined()[name]; !ok {
+				t.Errorf("%s upload with %s: %q not quarantined", format, what, name)
+			}
+		}
 	}
 }
 

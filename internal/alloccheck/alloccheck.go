@@ -10,6 +10,11 @@ import (
 	"testing"
 )
 
+// The bound of every decoder on internal/mmio's codec: slices grown as their
+// bytes arrive and per-tile structs (factor); read buffer, chunk and one
+// chunk of initial capacity per slice in flight (fixed).
+const DecodeFactor, DecodeFixed = 16, 2 << 20
+
 // Bound runs decode and fails the test if the heap bytes allocated while it
 // ran exceed factor·inputLen + fixed. The count is runtime.MemStats.TotalAlloc,
 // which is cumulative and process-wide: garbage counts (a slice grown by

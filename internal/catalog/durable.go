@@ -16,6 +16,7 @@ import (
 
 	"atmatrix/internal/core"
 	"atmatrix/internal/faultinject"
+	"atmatrix/internal/mmio"
 )
 
 // Durable backing store. Layout of the data directory:
@@ -118,12 +119,12 @@ func (c *Catalog) persist(e *entry, m *core.ATMatrix) error {
 	defer c.persisting.Add(-1)
 	file := c.fileFor(e.name)
 	path := filepath.Join(c.dataDir, file)
-	if _, err := m.WriteFile(path); err != nil {
-		return err
-	}
-	crc, size, err := core.FileChecksum(path)
+	var crc uint32
+	size, err := core.WriteFileAtomic(path, func(w io.Writer) (n int64, err error) {
+		n, crc, err = m.Encode(w)
+		return n, err
+	})
 	if err != nil {
-		os.Remove(path)
 		return err
 	}
 	c.mu.Lock()
@@ -177,8 +178,8 @@ func (c *Catalog) flushManifest() error {
 }
 
 // reload reads a spilled entry's backing file back into memory, verifying
-// the footer checksum against the manifest record and the stream content
-// against the footer. The caller owns the entry's loading channel, which
+// the content against its footer and the footer against the manifest before
+// returning it. The caller owns the entry's loading channel, which
 // serializes reloads; the durability fields read here (file, crc) are
 // immutable once the entry is persisted, so they are read without c.mu.
 func (c *Catalog) reload(e *entry) (*core.ATMatrix, error) {
@@ -190,18 +191,13 @@ func (c *Catalog) reload(e *entry) (*core.ATMatrix, error) {
 		// guards against future states.
 		return nil, fmt.Errorf("catalog: reloading %q: %w (no durable copy)", e.name, ErrNotFound)
 	}
-	path := filepath.Join(c.dataDir, e.file)
-	crc, _, err := core.FileChecksum(path)
+	m, crc, err := core.ReadATMatrixFile(filepath.Join(c.dataDir, e.file))
 	if err != nil {
-		return nil, fmt.Errorf("catalog: reloading %q: %w", e.name, err)
+		return nil, fmt.Errorf("catalog: reloading %q from %s: %w", e.name, e.file, err)
 	}
 	if crc != e.crc {
 		return nil, fmt.Errorf("catalog: reloading %q: %w: file %s has footer %08x, manifest recorded %08x",
 			e.name, core.ErrChecksum, e.file, crc, e.crc)
-	}
-	m, err := core.ReadATMatrixFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: reloading %q from %s: %w", e.name, e.file, err)
 	}
 	m.SealChecksums()
 	return m, nil
@@ -292,6 +288,11 @@ func (c *Catalog) Recover() (RecoverStats, error) {
 		}
 		if me.Shards != nil {
 			for cur := c.gen.Load(); cur < me.Shards.Generation && !c.gen.CompareAndSwap(cur, me.Shards.Generation); cur = c.gen.Load() {
+			}
+			// Fingerprints taken over stream and footer are all mmio.Residue:
+			// drop a map of them; the matrix gets ephemeral shards instead.
+			if len(me.Shards.Shards) > 0 && me.Shards.Shards[0].CRC32C == mmio.Residue {
+				e.shards = nil
 			}
 		}
 		if me.Rows > 0 && me.Cols > 0 {

@@ -377,7 +377,7 @@ func TestConcurrentSaveDeleteRace(t *testing.T) {
 		}
 		switch {
 		case errs[0] == nil:
-			if _, err := core.ReadATMatrixFile(dst); err != nil {
+			if _, _, err := core.ReadATMatrixFile(dst); err != nil {
 				t.Fatalf("iter %d: save reported success but file unreadable: %v", iter, err)
 			}
 		case errors.Is(errs[0], ErrNotFound):

@@ -137,7 +137,7 @@ func TestSaveWritesLoadableFile(t *testing.T) {
 	if n == 0 {
 		t.Fatal("Save reported 0 bytes")
 	}
-	back, err := core.ReadATMatrixFile(path)
+	back, _, err := core.ReadATMatrixFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,10 @@ package catalog
 import "fmt"
 
 // ShardMap records how one cataloged matrix is sharded across cluster
-// workers: which tile-row bands each shard owns, the CRC-32C fingerprint
-// of the shard's .atm stream (the coordinator regenerates shard bytes from
-// its local copy deterministically, so the fingerprint identifies content,
-// not a file), and the durable replica set holding it. The coordinator
+// workers: which tile-row bands each shard owns, the fingerprint of the
+// shard's .atm stream — its CRC-32C footer; the coordinator regenerates
+// shard bytes from its local copy deterministically, so it identifies
+// content, not a file — and the durable replica set holding it. The coordinator
 // builds and maintains it; the catalog only stores it — in memory and,
 // on a durable catalog, in the manifest, so a restarting coordinator
 // recovers the placement without re-shipping every shard.

@@ -1,20 +1,18 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"atmatrix/internal/core"
 )
 
 // The cluster wire has one operand transport. Operand bytes move only as
-// shard uploads — POST /cluster/v1/shards, a CRC-fingerprinted .atm stream
-// the worker verifies and keeps in its ShardStore — and POST
+// shard uploads — POST /cluster/v1/shards, an .atm stream fingerprinted by
+// its CRC-32C footer, which the worker decodes, verifies and keeps in its
+// ShardStore — and POST
 // /cluster/v1/exec carries exactly one JSON execHeader: the global plan
 // parameters plus (name, generation, shard) references with the CRC/size
-// fingerprint the stored bytes must match. A worker that cannot resolve a
+// fingerprint the stored shard must match. A worker that cannot resolve a
 // reference answers 409 with the missing keys; the coordinator PUTs those
 // shards to it and re-sends the same exec. The .atm streams carry their own
 // CRC-32C footers, so a flipped bit anywhere in a shard fails the upload
@@ -47,9 +45,9 @@ func (k ShardKey) String() string {
 func (k ShardKey) ephemeral() bool { return k.Gen < 0 }
 
 // shardRef is a shard reference in an exec header: the key to look up plus
-// the CRC/size fingerprint the stored bytes must match — a worker holding
-// stale or damaged bytes under the right key reports the shard missing
-// rather than computing on them.
+// the CRC/size fingerprint the stored shard must match — a worker holding
+// a stale shard under the right key reports it missing rather than
+// computing on it.
 type shardRef struct {
 	ShardKey
 	CRC   uint32 `json:"crc32c"`
@@ -86,17 +84,6 @@ const (
 	maxHeaderBytes  = 1 << 20
 	maxOperandBytes = int64(1) << 33
 )
-
-// encodeMatrix serializes a matrix to an in-memory .atm stream, so the
-// coordinator pays the encoding once per shard however many workers it is
-// shipped to.
-func encodeMatrix(m *core.ATMatrix) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
 
 // encodeExecHeader renders the exec request body.
 func encodeExecHeader(hdr execHeader) ([]byte, error) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -136,29 +137,31 @@ func shardMatrixOf(m *core.ATMatrix, bands []int) (*core.ATMatrix, error) {
 	return core.NewFromTiles(m.Rows, m.Cols, m.BAtomic, tiles)
 }
 
-// shardSlice serializes the shard of m owning the given bands. The result
-// is deterministic for unchanged matrix content, which is what lets the
-// shard map record a CRC once and every later regeneration verify against
-// it.
-func shardSlice(m *core.ATMatrix, bands []int) ([]byte, error) {
+// shardSlice serializes the shard of m owning the given bands in memory, once
+// however many workers it is shipped to, and returns its footer CRC. Both are
+// deterministic for unchanged matrix content, which lets the shard map record
+// a fingerprint once and every later regeneration verify against it.
+func shardSlice(m *core.ATMatrix, bands []int) ([]byte, uint32, error) {
 	sm, err := shardMatrixOf(m, bands)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return encodeMatrix(sm)
+	var buf bytes.Buffer
+	_, crc, err := sm.Encode(&buf)
+	return buf.Bytes(), crc, err
 }
 
 // regenShard re-serializes a recorded shard (for re-replication, or to
-// fill a worker that reports it missing), refusing bytes that no longer
-// hash to the recorded CRC — a damaged local copy must never be laundered
-// into the cluster as if it were the original.
+// fill a worker that reports it missing), refusing bytes whose footer no
+// longer matches the recorded fingerprint — a damaged local copy must never
+// be laundered into the cluster as if it were the original.
 func regenShard(m *core.ATMatrix, key ShardKey, bands []int, crc uint32) ([]byte, error) {
-	data, err := shardSlice(m, bands)
+	data, got, err := shardSlice(m, bands)
 	if err != nil {
 		return nil, err
 	}
-	if got := core.ChecksumBytes(data); got != crc {
-		return nil, fmt.Errorf("cluster: regenerated shard %s hashes %08x, map records %08x: %w", key, got, crc, core.ErrChecksum)
+	if got != crc {
+		return nil, fmt.Errorf("cluster: regenerated shard %s has footer %08x, map records %08x: %w", key, got, crc, core.ErrChecksum)
 	}
 	return data, nil
 }
@@ -258,14 +261,14 @@ func cutShards(m *core.ATMatrix, workers int) ([]shardCut, error) {
 			// compute — the shard map simply does not list them.
 			continue
 		}
-		data, err := shardSlice(m, bands)
+		data, crc, err := shardSlice(m, bands)
 		if err != nil {
 			return nil, err
 		}
 		cuts = append(cuts, shardCut{
 			meta: catalog.ShardMeta{
 				ID: len(cuts), Bands: bands,
-				CRC32C: core.ChecksumBytes(data), Bytes: int64(len(data)),
+				CRC32C: crc, Bytes: int64(len(data)),
 			},
 			home: w,
 			data: data,

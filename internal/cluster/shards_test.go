@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -315,10 +317,10 @@ func TestShardCRCMismatchSurfacesChecksum(t *testing.T) {
 	}
 }
 
-// TestRepairPassDropsCorruptRemoteCopy plants a bit-flipped shard copy on
-// a worker: the anti-entropy pass's CRC-verified inventory must catch the
-// rot, drop the damaged remote copy, and re-replicate a fresh one, with
-// the corruption visible in the stats.
+// TestRepairPassDropsCorruptRemoteCopy flips a bit in a matrix a worker
+// stores and multiplies: the anti-entropy pass's seal-verified inventory
+// must catch the rot, drop the damaged remote copy, and re-replicate a
+// fresh one, with the corruption visible in the stats.
 func TestRepairPassDropsCorruptRemoteCopy(t *testing.T) {
 	cfg := testCfg()
 	rng := rand.New(rand.NewSource(74))
@@ -361,14 +363,13 @@ func TestRepairPassDropsCorruptRemoteCopy(t *testing.T) {
 		}
 	}
 
-	// Flip one byte inside some stored shard replica of "a".
+	// Flip one bit in some stored shard replica of "a".
 	corrupted := false
 	for _, w := range workers {
 		w.store.mu.Lock()
 		for key, ss := range w.store.shards {
 			if key.Name == "a" && !corrupted {
-				ss.data[len(ss.data)/2] ^= 0x10
-				corrupted = true
+				corrupted = ss.m.FlipOneBit()
 			}
 		}
 		w.store.mu.Unlock()
@@ -476,4 +477,104 @@ func TestRepairLoopStopsClean(t *testing.T) {
 	}
 	coord.Close()
 	coord.Close() // idempotent
+}
+
+// TestShardFingerprintsDiffer: the fingerprint a shard map records is the
+// shard stream's footer CRC, so different shards of one matrix record
+// different values — not the one constant a CRC over the footer too would
+// give every stream.
+func TestShardFingerprintsDiffer(t *testing.T) {
+	cfg := testCfg()
+	m := partition(t, cfg, mat.RandomCOO(rand.New(rand.NewSource(75)), 128, 96, 3000))
+	cuts, err := cutShards(m, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cuts) < 2 {
+		t.Fatalf("%d shards, want several", len(cuts))
+	}
+	seen := map[uint32]int{}
+	for _, c := range cuts {
+		if prev, ok := seen[c.meta.CRC32C]; ok {
+			t.Fatalf("shards %d and %d both record %08x", prev, c.meta.ID, c.meta.CRC32C)
+		}
+		seen[c.meta.CRC32C] = c.meta.ID
+	}
+}
+
+// TestRegenShardRefusesDamagedCopy: a bit flipped in the coordinator's copy
+// of a matrix changes the regenerated shard's footer, so regenShard refuses
+// to ship it instead of laundering it into the cluster.
+func TestRegenShardRefusesDamagedCopy(t *testing.T) {
+	cfg := testCfg()
+	m := partition(t, cfg, mat.RandomCOO(rand.New(rand.NewSource(76)), 96, 96, 2000))
+	cuts, err := cutShards(m, 1)
+	if err != nil || len(cuts) != 1 {
+		t.Fatalf("cutShards: %d cuts, %v", len(cuts), err)
+	}
+	meta := cuts[0].meta
+	key := ShardKey{Name: "a", Gen: 1, Shard: meta.ID}
+	if _, err := regenShard(m, key, meta.Bands, meta.CRC32C); err != nil {
+		t.Fatalf("intact copy: %v", err)
+	}
+	if !m.FlipOneBit() {
+		t.Fatal("nothing to flip")
+	}
+	if data, err := regenShard(m, key, meta.Bands, meta.CRC32C); !errors.Is(err, core.ErrChecksum) {
+		t.Fatalf("damaged copy: %d bytes, error %v, want core.ErrChecksum", len(data), err)
+	}
+}
+
+// TestRecoverResidueManifest recovers a durable catalog written before shard
+// fingerprints were footer CRCs (testdata/compat: one matrix, a two-shard
+// map whose every shard records mmio.Residue). The map identifies nothing,
+// so it is dropped: a coordinator over the recovered catalog cuts ephemeral
+// shards, multiplies byte-identically to local and counts no CRC failure.
+func TestRecoverResidueManifest(t *testing.T) {
+	cfg := testCfg()
+	dir := t.TempDir()
+	for _, name := range []string{"manifest.json", "ca978112ca1bbdca-1.atm"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "compat", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat, err := catalog.Open(cfg, 0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cat.Close)
+	if rs, err := cat.Recover(); err != nil || rs.Registered != 1 {
+		t.Fatalf("recover: %+v, %v", rs, err)
+	}
+	if maps := cat.ShardMaps(); len(maps) != 0 {
+		t.Fatalf("recovered shard maps %v, want the residue map dropped", maps)
+	}
+	a := acquireMatrix(t, cat, "a")
+	local, _, err := core.MultiplyOpt(a, a, cfg, core.DefaultMultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc := testClient(t)
+	addr1, _ := startWorker(t, cfg, nil)
+	addr2, _ := startWorker(t, cfg, nil)
+	coord := NewCoordinator(cfg, shardedOptions(hc), []string{addr1, addr2})
+	defer coord.Close()
+	coord.AttachCatalog(cat)
+	dist, _, err := coord.Multiply("a", "a", a, a, core.DefaultMultOptions())
+	if err != nil {
+		t.Fatalf("multiply over the recovered catalog: %v", err)
+	}
+	if !bytes.Equal(serializeATM(t, dist), serializeATM(t, local)) {
+		t.Fatal("product over the recovered catalog is not byte-identical to local execution")
+	}
+	if _, err := coord.RepairPass(context.Background()); err != nil {
+		t.Fatalf("repair pass: %v", err)
+	}
+	if s := coord.Stats(); s.ShardCRCFailures != 0 || s.RemoteMultiplies != 1 {
+		t.Fatalf("stats = %+v, want one remote multiply and no CRC failure", s)
+	}
 }

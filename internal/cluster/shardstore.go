@@ -3,33 +3,33 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sync"
 
 	"atmatrix/internal/core"
 )
 
-// ShardStore is a worker's shard holdings: CRC-verified shard operands
-// keyed by (name, generation, shard), the only place operand bytes live on
-// a worker. The coordinator fills it by shard upload — at PUT time
+// ShardStore is a worker's shard holdings: verified shard operands keyed
+// by (name, generation, shard), the only place operand bytes live on a
+// worker. The coordinator fills it by shard upload — at PUT time
 // (placement), during anti-entropy re-replication, and when an exec
 // reports a reference missing — and exec requests reference shards by key.
 //
-// The store keeps both the raw .atm bytes (the inventory scrub re-hashes
-// them, and re-serving them to a peer needs them verbatim) and the decoded
-// matrix (so repeated multiplies do not pay the decode). Memory is bounded
-// by the catalog admission policy upstream: a worker holds its shard
-// assignments of cataloged matrices, which the coordinator drops on
-// DELETE, plus the ephemeral shards of multiplies in flight, which the
-// coordinator drops when each returns.
+// The store keeps the decoded, sealed matrix the worker multiplies and the
+// fingerprint (footer CRC and size) of the stream it arrived as; the raw
+// bytes are not kept. Memory is bounded by the catalog admission policy
+// upstream: a worker holds its shard assignments of cataloged matrices,
+// which the coordinator drops on DELETE, plus the ephemeral shards of
+// multiplies in flight, which the coordinator drops when each returns.
 type ShardStore struct {
 	mu     sync.Mutex
 	shards map[ShardKey]*storedShard
 }
 
 type storedShard struct {
-	data []byte
-	crc  uint32
-	m    *core.ATMatrix
+	crc   uint32
+	bytes int64
+	m     *core.ATMatrix
 }
 
 // NewShardStore returns an empty store.
@@ -37,24 +37,24 @@ func NewShardStore() *ShardStore {
 	return &ShardStore{shards: make(map[ShardKey]*storedShard)}
 }
 
-// Put verifies and stores one shard. The bytes must hash to wantCRC and
-// decode as a valid ATMAT1 stream — a corrupt upload is rejected (wrapped
-// in core.ErrChecksum for the transport's corrupt classification) and
-// never stored, so the store only ever holds shards that were good on
+// Put verifies and stores one shard. The bytes must decode as a valid
+// ATMAT1 stream whose footer is wantCRC — a corrupt upload is rejected
+// (carrying core.ErrChecksum for the transport's corrupt classification)
+// and never stored, so the store only ever holds shards that were good on
 // arrival. Re-putting an existing key overwrites it (idempotent
 // re-replication).
 func (s *ShardStore) Put(key ShardKey, wantCRC uint32, data []byte) error {
-	if got := core.ChecksumBytes(data); got != wantCRC {
-		return fmt.Errorf("cluster: shard %s upload: %w: payload hashes %08x, expected %08x",
-			key, core.ErrChecksum, got, wantCRC)
-	}
-	m, err := core.ReadATMatrix(bytes.NewReader(data))
+	m, crc, err := core.DecodeATMatrix(bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("cluster: shard %s upload: %w", key, err)
 	}
+	if crc != wantCRC {
+		return fmt.Errorf("cluster: shard %s upload: %w: footer %08x, expected %08x",
+			key, core.ErrChecksum, crc, wantCRC)
+	}
 	m.SealChecksums()
 	s.mu.Lock()
-	s.shards[key] = &storedShard{data: data, crc: wantCRC, m: m}
+	s.shards[key] = &storedShard{crc: crc, bytes: int64(len(data)), m: m}
 	s.mu.Unlock()
 	return nil
 }
@@ -72,47 +72,35 @@ func (s *ShardStore) matrix(ref shardRef) (*core.ATMatrix, bool) {
 	if !ok {
 		return nil, false
 	}
-	if st.crc != ref.CRC || int64(len(st.data)) != ref.Bytes {
+	if st.crc != ref.CRC || st.bytes != ref.Bytes {
 		delete(s.shards, ref.ShardKey)
 		return nil, false
 	}
 	return st.m, true
 }
 
-// Drop removes every generation and shard of a matrix name, returning how
-// many entries were dropped.
-func (s *ShardStore) Drop(name string) int {
+// Drop removes every generation and shard of a matrix name (unless name is
+// empty) and the given keys (anti-entropy cleanup of stale or corrupt
+// holdings), returning how many entries were dropped.
+func (s *ShardStore) Drop(name string, keys []ShardKey) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
+	n := len(s.shards)
 	for k := range s.shards {
-		if k.Name == name {
+		if name != "" && k.Name == name {
 			delete(s.shards, k)
-			n++
 		}
 	}
-	return n
-}
-
-// DropKeys removes specific shards (anti-entropy cleanup of stale or
-// corrupt holdings).
-func (s *ShardStore) DropKeys(keys []ShardKey) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
 	for _, k := range keys {
-		if _, ok := s.shards[k]; ok {
-			delete(s.shards, k)
-			n++
-		}
+		delete(s.shards, k)
 	}
-	return n
+	return n - len(s.shards)
 }
 
-// inventoryEntry is one shard's row in a worker's inventory report. CRC32C
-// is recomputed over the stored bytes at report time — the same
-// trust-nothing posture as the catalog scrubber — so silent in-memory
-// corruption surfaces as a fingerprint mismatch the coordinator's
+// inventoryEntry is one shard's row in a worker's inventory report: the
+// fingerprint of the shard the worker holds, re-verified at report time —
+// the same trust-nothing posture as the catalog scrubber — so silent
+// in-memory corruption surfaces as a fingerprint mismatch the coordinator's
 // anti-entropy pass can act on.
 type inventoryEntry struct {
 	ShardKey
@@ -120,7 +108,10 @@ type inventoryEntry struct {
 	Bytes  int64  `json:"bytes"`
 }
 
-// Inventory reports current holdings with freshly recomputed checksums.
+// Inventory reports current holdings. Each shard's tile seals are
+// re-verified on the matrix the worker multiplies; one that fails reports
+// the fingerprint of what it now holds — its stream re-encoded — which no
+// shard map records.
 func (s *ShardStore) Inventory() []inventoryEntry {
 	s.mu.Lock()
 	snap := make(map[ShardKey]*storedShard, len(s.shards))
@@ -130,11 +121,11 @@ func (s *ShardStore) Inventory() []inventoryEntry {
 	s.mu.Unlock()
 	out := make([]inventoryEntry, 0, len(snap))
 	for k, st := range snap {
-		out = append(out, inventoryEntry{
-			ShardKey: k,
-			CRC32C:   core.ChecksumBytes(st.data),
-			Bytes:    int64(len(st.data)),
-		})
+		e := inventoryEntry{ShardKey: k, CRC32C: st.crc, Bytes: st.bytes}
+		if st.m.VerifyChecksums() >= 0 {
+			e.Bytes, e.CRC32C, _ = st.m.Encode(io.Discard)
+		}
+		out = append(out, e)
 	}
 	return out
 }

@@ -57,8 +57,8 @@ func (w *Worker) HandleHealth(rw http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(rw, `{"status":"ok"}`)
 }
 
-// HandleShardPut stores one replicated shard. The payload must hash to the
-// declared CRC and decode as a valid ATMAT1 stream; anything else is
+// HandleShardPut stores one replicated shard. The payload must decode as a
+// valid ATMAT1 stream whose footer is the declared CRC; anything else is
 // rejected 422 with the corrupt marker so the coordinator's quarantine
 // path sees it.
 func (w *Worker) HandleShardPut(rw http.ResponseWriter, r *http.Request) {
@@ -86,7 +86,7 @@ func (w *Worker) HandleShardPut(rw http.ResponseWriter, r *http.Request) {
 }
 
 // HandleShardInventory reports the store's holdings with freshly
-// recomputed checksums — the anti-entropy pass's ground truth.
+// re-verified fingerprints — the anti-entropy pass's ground truth.
 func (w *Worker) HandleShardInventory(rw http.ResponseWriter, r *http.Request) {
 	inv := w.store.Inventory()
 	sort.Slice(inv, func(i, j int) bool {
@@ -115,15 +115,8 @@ func (w *Worker) HandleShardDrop(rw http.ResponseWriter, r *http.Request) {
 		writeFailure(rw, http.StatusBadRequest, rpcFailure{Error: fmt.Sprintf("cluster: decoding drop request: %v", err)})
 		return
 	}
-	dropped := 0
-	if req.Name != "" {
-		dropped += w.store.Drop(req.Name)
-	}
-	if len(req.Keys) > 0 {
-		dropped += w.store.DropKeys(req.Keys)
-	}
 	rw.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(rw, "{\"dropped\":%d}\n", dropped)
+	fmt.Fprintf(rw, "{\"dropped\":%d}\n", w.store.Drop(req.Name, req.Keys))
 }
 
 // HandleExec decodes one shard task, resolves both operands from the shard

@@ -66,12 +66,13 @@ func (a *ATMatrix) WriteFile(path string) (int64, error) {
 }
 
 // ReadATMatrixFile reads an AT MATRIX from a file written by WriteFile (or
-// any ATMAT1 stream on disk).
-func ReadATMatrixFile(path string) (*ATMatrix, error) {
+// any ATMAT1 stream on disk) and returns it with its verified footer
+// CRC-32C.
+func ReadATMatrixFile(path string) (*ATMatrix, uint32, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
-	return ReadATMatrix(f)
+	return DecodeATMatrix(f)
 }

@@ -52,7 +52,7 @@ func TestWriteFileRoundTrip(t *testing.T) {
 	if fi.Size() != n {
 		t.Fatalf("WriteFile reported %d bytes, file has %d", n, fi.Size())
 	}
-	back, err := ReadATMatrixFile(path)
+	back, _, err := ReadATMatrixFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestWriteFileCrashLeavesOldContentIntact(t *testing.T) {
 	}
 	// The destination still holds the previous, checksum-valid stream and
 	// no temp file was left behind.
-	back, err := ReadATMatrixFile(path)
+	back, _, err := ReadATMatrixFile(path)
 	if err != nil {
 		t.Fatalf("destination torn after aborted overwrite: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestReadATMatrixFileRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadATMatrixFile(path); !errors.Is(err, ErrChecksum) {
+	if _, _, err := ReadATMatrixFile(path); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupt file error = %v, want ErrChecksum", err)
 	}
 }

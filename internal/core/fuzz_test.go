@@ -12,17 +12,6 @@ import (
 	"atmatrix/internal/mat"
 )
 
-// The decoder's allocation bound, asserted by every fuzz body below: heap
-// bytes ≤ decodeAllocFactor·len(input) + decodeAllocFixed. The factor
-// covers element slices grown by append (each step is charged) and the
-// per-tile structs; the fixed part is ReadATMatrix's 1 MiB read buffer, the
-// 64 KiB chunk and one 64 KiB initial capacity per slice of the tile in
-// flight.
-const (
-	decodeAllocFactor = 16
-	decodeAllocFixed  = 2 << 20
-)
-
 func fuzzSeedMatrix(f *testing.F) *ATMatrix {
 	f.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -34,7 +23,8 @@ func fuzzSeedMatrix(f *testing.F) *ATMatrix {
 }
 
 // FuzzReadATMatrix checks the AT MATRIX deserializer against arbitrary
-// bytes: it must never panic or allocate beyond the bound above, and
+// bytes: it must never panic or allocate beyond the codec decoders' bound
+// (alloccheck.DecodeFactor, DecodeFixed), and
 // anything it accepts must satisfy the structural invariants and
 // re-serialize to the bytes it was read from.
 func FuzzReadATMatrix(f *testing.F) {
@@ -55,7 +45,7 @@ func FuzzReadATMatrix(f *testing.F) {
 		var got *ATMatrix
 		var err error
 		r := bytes.NewReader(input)
-		alloccheck.Bound(t, len(input), decodeAllocFactor, decodeAllocFixed, func() {
+		alloccheck.Bound(t, len(input), alloccheck.DecodeFactor, alloccheck.DecodeFixed, func() {
 			got, err = ReadATMatrix(r)
 		})
 		if err != nil {
@@ -96,7 +86,7 @@ func FuzzReadTileRowFrames(f *testing.F) {
 		var frames []*ATMatrix
 		var err error
 		r := bytes.NewReader(input)
-		alloccheck.Bound(t, len(input), decodeAllocFactor, decodeAllocFixed, func() {
+		alloccheck.Bound(t, len(input), alloccheck.DecodeFactor, alloccheck.DecodeFixed, func() {
 			err = ReadTileRowFrames(r, nil, func(m *ATMatrix) error {
 				frames = append(frames, m)
 				return nil

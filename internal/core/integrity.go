@@ -1,12 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
-	"hash"
-	"hash/crc32"
 	"math"
 
 	"atmatrix/internal/mat"
+	"atmatrix/internal/mmio"
 )
 
 // In-memory integrity: a matrix admitted into a long-lived store carries a
@@ -22,9 +20,10 @@ import (
 // store); the sums are carried by the matrix and re-checked with
 // VerifyChecksums.
 func (a *ATMatrix) SealChecksums() {
+	w := mmio.NewWriter(nil)
 	sums := make([]uint32, len(a.Tiles))
 	for i, t := range a.Tiles {
-		sums[i] = t.payloadCRC()
+		sums[i] = t.payloadSum(w)
 	}
 	a.tileSums = sums
 }
@@ -40,8 +39,9 @@ func (a *ATMatrix) VerifyChecksums() int {
 	if a.tileSums == nil || len(a.tileSums) != len(a.Tiles) {
 		return -1
 	}
+	w := mmio.NewWriter(nil)
 	for i, t := range a.Tiles {
-		if t.payloadCRC() != a.tileSums[i] {
+		if t.payloadSum(w) != a.tileSums[i] {
 			return i
 		}
 	}
@@ -84,63 +84,11 @@ func (a *ATMatrix) FlipOneBit() bool {
 	return false
 }
 
-// payloadCRC hashes the tile's payload arrays (structure and values) with
-// CRC-32C.
-func (t *Tile) payloadCRC() uint32 {
-	h := crc32.New(castagnoli)
-	if t.Kind == mat.Sparse {
-		crcInt64s(h, t.Sp.RowPtr)
-		crcInt32s(h, t.Sp.ColIdx)
-		crcFloat64s(h, t.Sp.Val)
-	} else {
-		for r := 0; r < t.Rows; r++ {
-			crcFloat64s(h, t.D.RowSlice(r))
-		}
-	}
-	return h.Sum32()
-}
-
-// The crc*s helpers feed fixed-size little-endian encodings through a
-// bounded stack chunk, so hashing never allocates proportionally to the
-// payload.
-
-const crcChunk = 1 << 12
-
-func crcInt64s(h hash.Hash32, xs []int64) {
-	var buf [crcChunk]byte
-	n := 0
-	for _, x := range xs {
-		binary.LittleEndian.PutUint64(buf[n:], uint64(x))
-		if n += 8; n == crcChunk {
-			h.Write(buf[:n])
-			n = 0
-		}
-	}
-	h.Write(buf[:n])
-}
-
-func crcInt32s(h hash.Hash32, xs []int32) {
-	var buf [crcChunk]byte
-	n := 0
-	for _, x := range xs {
-		binary.LittleEndian.PutUint32(buf[n:], uint32(x))
-		if n += 4; n == crcChunk {
-			h.Write(buf[:n])
-			n = 0
-		}
-	}
-	h.Write(buf[:n])
-}
-
-func crcFloat64s(h hash.Hash32, xs []float64) {
-	var buf [crcChunk]byte
-	n := 0
-	for _, x := range xs {
-		binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(x))
-		if n += 8; n == crcChunk {
-			h.Write(buf[:n])
-			n = 0
-		}
-	}
-	h.Write(buf[:n])
+// payloadSum is the CRC-32C of the tile's payload: the bytes WriteTo writes
+// for it after its kind, home and nnz, hashed by the codec writer w.
+func (t *Tile) payloadSum(w *mmio.Writer) uint32 {
+	w.Reset(nil)
+	t.writePayload(w)
+	_, crc, _ := w.Footer()
+	return crc
 }

@@ -3,21 +3,18 @@ package core
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
-	"math"
-	"os"
 
 	"atmatrix/internal/mat"
+	"atmatrix/internal/mmio"
 	"atmatrix/internal/numa"
 )
 
 // Serialization of a partitioned AT MATRIX: a database system keeps the
 // partitioned physical layout, so reloading must not repeat the
-// partitioning work. The format is a little-endian stream:
+// partitioning work. The format follows the framing rule of internal/mmio's
+// codec:
 //
 //	magic "ATMAT1\n\x00" (8 bytes)
 //	int64 rows, cols, bAtomic, nTiles
@@ -30,26 +27,13 @@ import (
 //
 // The footer lets a server distinguish a corrupt upload (ErrChecksum) from
 // a well-formed stream, and ErrBadMagic a stream that never was an AT
-// MATRIX; both are detectable with errors.Is.
+// MATRIX. Both are the codec's sentinels, so errors.Is matches them on a
+// damaged binary COO stream as well.
 
 const atMagic = "ATMAT1\n\x00"
 
-var (
-	// ErrBadMagic reports a stream that does not start with the AT MATRIX
-	// magic — it is some other file format entirely.
-	ErrBadMagic = errors.New("core: bad AT MATRIX magic")
-	// ErrChecksum reports a stream whose CRC-32C footer does not match its
-	// content: the bytes were damaged after WriteTo produced them.
-	ErrChecksum = errors.New("core: AT MATRIX checksum mismatch")
-)
-
-// castagnoli is the CRC-32C polynomial table shared by writer and reader.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// ChecksumBytes fingerprints a byte slice with the same CRC-32C the ATMAT1
-// footer uses. The cluster layer checksums serialized shard streams with it
-// so a shard's identity is its content, wherever the bytes sit.
-func ChecksumBytes(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
+// ErrBadMagic and ErrChecksum are the codec's sentinels under core's names.
+var ErrBadMagic, ErrChecksum = mmio.ErrBadMagic, mmio.ErrChecksum
 
 // TileError identifies the tile at which decoding an AT MATRIX stream
 // failed: its ordinal in stream order and — once the bounds were readable —
@@ -81,103 +65,101 @@ func tileErr(ti int64, row0, col0 int, format string, args ...any) error {
 // WriteTo serializes the AT MATRIX. It returns the number of bytes
 // written, including the trailing CRC-32C footer.
 func (a *ATMatrix) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	cw := &countingWriter{w: bw, crc: crc32.New(castagnoli)}
-	if _, err := cw.Write([]byte(atMagic)); err != nil {
-		return cw.n, fmt.Errorf("core: writing magic: %w", err)
+	n, _, err := a.Encode(w)
+	return n, err
+}
+
+// Encode is WriteTo that also returns the stream's footer CRC-32C: the
+// fingerprint the catalog manifest and the cluster shard maps record.
+func (a *ATMatrix) Encode(w io.Writer) (n int64, crc uint32, err error) {
+	return encode(mmio.NewWriter(w), a.Rows, a.Cols, a.BAtomic, a.Tiles)
+}
+
+// encode writes the stream of a matrix with the given tiles through a
+// caller-owned codec writer. WriteTileRowFrames calls it once per tile-row,
+// with one writer, and builds no matrix for a frame.
+func encode(w *mmio.Writer, rows, cols, bAtomic int, tiles []*Tile) (int64, uint32, error) {
+	w.String(atMagic)
+	for _, v := range [...]int{rows, cols, bAtomic, len(tiles)} {
+		w.Int64(int64(v))
 	}
-	hdr := []int64{int64(a.Rows), int64(a.Cols), int64(a.BAtomic), int64(len(a.Tiles))}
-	if err := binary.Write(cw, binary.LittleEndian, hdr); err != nil {
-		return cw.n, fmt.Errorf("core: writing header: %w", err)
-	}
-	for ti, t := range a.Tiles {
-		meta := []int64{int64(t.Row0), int64(t.Col0), int64(t.Rows), int64(t.Cols)}
-		if err := binary.Write(cw, binary.LittleEndian, meta); err != nil {
-			return cw.n, fmt.Errorf("core: tile %d bounds: %w", ti, err)
+	for _, t := range tiles {
+		for _, v := range [...]int{t.Row0, t.Col0, t.Rows, t.Cols} {
+			w.Int64(int64(v))
 		}
-		if err := binary.Write(cw, binary.LittleEndian, uint8(t.Kind)); err != nil {
-			return cw.n, fmt.Errorf("core: tile %d kind: %w", ti, err)
-		}
-		if err := binary.Write(cw, binary.LittleEndian, int32(t.Home)); err != nil {
-			return cw.n, fmt.Errorf("core: tile %d home: %w", ti, err)
-		}
+		w.Uint8(uint8(t.Kind))
+		w.Int32(int32(t.Home))
 		if t.Kind == mat.Sparse {
-			if err := binary.Write(cw, binary.LittleEndian, t.NNZ); err != nil {
-				return cw.n, fmt.Errorf("core: tile %d nnz: %w", ti, err)
-			}
-			if err := binary.Write(cw, binary.LittleEndian, t.Sp.RowPtr); err != nil {
-				return cw.n, fmt.Errorf("core: tile %d row pointers: %w", ti, err)
-			}
-			if err := binary.Write(cw, binary.LittleEndian, t.Sp.ColIdx); err != nil {
-				return cw.n, fmt.Errorf("core: tile %d columns: %w", ti, err)
-			}
-			if err := binary.Write(cw, binary.LittleEndian, t.Sp.Val); err != nil {
-				return cw.n, fmt.Errorf("core: tile %d values: %w", ti, err)
-			}
-			continue
+			w.Int64(t.NNZ)
 		}
-		// Dense payloads may carry a stride; write compact rows.
-		for r := 0; r < t.Rows; r++ {
-			if err := binary.Write(cw, binary.LittleEndian, t.D.RowSlice(r)); err != nil {
-				return cw.n, fmt.Errorf("core: tile %d row %d: %w", ti, r, err)
-			}
-		}
+		t.writePayload(w)
 	}
-	// The footer is the checksum of everything before it, so it is written
-	// past the hashing writer.
-	sum := cw.crc.Sum32()
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], sum)
-	if _, err := bw.Write(foot[:]); err != nil {
-		return cw.n, fmt.Errorf("core: writing checksum: %w", err)
+	n, crc, err := w.Footer()
+	if err != nil {
+		return n, crc, fmt.Errorf("core: writing AT MATRIX: %w", err)
 	}
-	cw.n += 4
-	if err := bw.Flush(); err != nil {
-		return cw.n, fmt.Errorf("core: flushing: %w", err)
+	return n, crc, nil
+}
+
+// writePayload writes the tile's payload arrays, the part of its stream
+// after the kind, home and nnz fields. Dense payloads may carry a stride;
+// their rows are written compact.
+func (t *Tile) writePayload(w *mmio.Writer) {
+	if t.Kind == mat.Sparse {
+		w.Int64s(t.Sp.RowPtr)
+		w.Int32s(t.Sp.ColIdx)
+		w.Float64s(t.Sp.Val)
+		return
 	}
-	return cw.n, nil
+	for r := 0; r < t.Rows; r++ {
+		w.Float64s(t.D.RowSlice(r))
+	}
 }
 
 // ReadATMatrix deserializes an AT MATRIX written by WriteTo, verifies the
-// CRC-32C footer and validates the structural invariants. Payload reads are
-// chunked and allocations grow incrementally, so a corrupt or hostile
+// CRC-32C footer and validates the structural invariants. The codec's
+// reader grows every slice as its bytes arrive, so a corrupt or hostile
 // header cannot force an allocation larger than the actual stream.
 func ReadATMatrix(r io.Reader) (*ATMatrix, error) {
-	return readATMatrix(bufio.NewReaderSize(r, 1<<20))
+	m, _, err := DecodeATMatrix(r)
+	return m, err
 }
 
-// readATMatrix is ReadATMatrix on a caller-owned buffer, so a caller that
-// decodes many streams in a row (ReadTileRowFrames) can reuse one buffer and
-// see how much of it the decoder left unread.
-func readATMatrix(br *bufio.Reader) (*ATMatrix, error) {
-	cr := &crcReader{r: br, crc: crc32.New(castagnoli)}
-	magic := make([]byte, len(atMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, fmt.Errorf("core: reading magic: %w", err)
+// DecodeATMatrix is ReadATMatrix that also returns the stream's verified
+// footer CRC-32C, its fingerprint.
+func DecodeATMatrix(r io.Reader) (*ATMatrix, uint32, error) {
+	return readATMatrix(mmio.NewReader(bufio.NewReaderSize(r, mmio.ChunkBytes)))
+}
+
+func le64(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
+
+// readATMatrix decodes one stream through a caller-owned codec reader, so a
+// caller that decodes many streams in a row (ReadTileRowFrames) keeps one
+// buffer and knows where each stream ended.
+func readATMatrix(cr *mmio.Reader) (*ATMatrix, uint32, error) {
+	if err := cr.Magic(atMagic); err != nil {
+		return nil, 0, err
 	}
-	if string(magic) != atMagic {
-		return nil, fmt.Errorf("%w: %q", ErrBadMagic, magic)
+	hdr, err := cr.Next(32)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: reading header: %w", err)
 	}
-	var hdr [4]int64
-	if err := binary.Read(cr, binary.LittleEndian, hdr[:]); err != nil {
-		return nil, fmt.Errorf("core: reading header: %w", err)
-	}
-	rows, cols, bAtomic, nTiles := hdr[0], hdr[1], hdr[2], hdr[3]
+	rows, cols, bAtomic, nTiles := le64(hdr), le64(hdr[8:]), le64(hdr[16:]), le64(hdr[24:])
 	if rows <= 0 || cols <= 0 || bAtomic <= 0 || nTiles < 0 ||
 		rows > 1<<31 || cols > 1<<31 || bAtomic > 1<<31 {
-		return nil, fmt.Errorf("core: invalid header %v", hdr)
+		return nil, 0, fmt.Errorf("core: invalid header %d×%d, b_atomic %d, %d tiles", rows, cols, bAtomic, nTiles)
 	}
 	if bAtomic&(bAtomic-1) != 0 {
-		return nil, fmt.Errorf("core: b_atomic %d not a power of two", bAtomic)
+		return nil, 0, fmt.Errorf("core: b_atomic %d not a power of two", bAtomic)
 	}
 	// Bound the block-index allocation against corrupt headers.
 	br2 := (rows + bAtomic - 1) / bAtomic
 	bc2 := (cols + bAtomic - 1) / bAtomic
 	if br2*bc2 > 1<<28 {
-		return nil, fmt.Errorf("core: header implies an absurd %d-block grid", br2*bc2)
+		return nil, 0, fmt.Errorf("core: header implies an absurd %d-block grid", br2*bc2)
 	}
 	if nTiles > br2*bc2 {
-		return nil, fmt.Errorf("core: header claims %d tiles for a %d-block grid", nTiles, br2*bc2)
+		return nil, 0, fmt.Errorf("core: header claims %d tiles for a %d-block grid", nTiles, br2*bc2)
 	}
 	// Tiles are collected first and indexed only once the footer has
 	// verified: the block index is sized by the header (up to 1 GiB at the
@@ -185,185 +167,71 @@ func readATMatrix(br *bufio.Reader) (*ATMatrix, error) {
 	// it is allocated.
 	var tiles []*Tile
 	for ti := int64(0); ti < nTiles; ti++ {
-		var meta [4]int64
-		if err := binary.Read(cr, binary.LittleEndian, meta[:]); err != nil {
-			return nil, tileErr(ti, -1, -1, "bounds: %w", err)
-		}
-		r0, c0 := int(meta[0]), int(meta[1])
-		var kind uint8
-		if err := binary.Read(cr, binary.LittleEndian, &kind); err != nil {
-			return nil, tileErr(ti, r0, c0, "kind: %w", err)
-		}
-		var home int32
-		if err := binary.Read(cr, binary.LittleEndian, &home); err != nil {
-			return nil, tileErr(ti, r0, c0, "home: %w", err)
+		th, err := cr.Next(37)
+		if err != nil {
+			return nil, 0, tileErr(ti, -1, -1, "header: %w", err)
 		}
 		t := &Tile{
-			Row0: r0, Col0: c0,
-			Rows: int(meta[2]), Cols: int(meta[3]),
-			Kind: mat.Kind(kind), Home: numa.Node(home),
+			Row0: int(le64(th)), Col0: int(le64(th[8:])),
+			Rows: int(le64(th[16:])), Cols: int(le64(th[24:])),
+			Kind: mat.Kind(th[32]), Home: numa.Node(int32(binary.LittleEndian.Uint32(th[33:]))),
 		}
 		if t.Rows <= 0 || t.Cols <= 0 ||
 			t.Row0 < 0 || t.Col0 < 0 ||
 			t.Row0+t.Rows > int(rows) || t.Col0+t.Cols > int(cols) {
-			return nil, tileErr(ti, r0, c0, "bounds %v outside matrix", meta)
+			return nil, 0, tileErr(ti, t.Row0, t.Col0, "bounds %d×%d outside matrix", t.Rows, t.Cols)
 		}
 		switch t.Kind {
 		case mat.Sparse:
-			var nnz int64
-			if err := binary.Read(cr, binary.LittleEndian, &nnz); err != nil {
-				return nil, tileErr(ti, r0, c0, "nnz: %w", err)
+			b, err := cr.Next(8)
+			if err != nil {
+				return nil, 0, tileErr(ti, t.Row0, t.Col0, "nnz: %w", err)
 			}
+			nnz := le64(b)
 			if nnz < 0 || nnz > int64(t.Rows)*int64(t.Cols) {
-				return nil, tileErr(ti, r0, c0, "impossible nnz %d", nnz)
+				return nil, 0, tileErr(ti, t.Row0, t.Col0, "impossible nnz %d", nnz)
 			}
-			rowPtr, err := readInt64s(cr, int64(t.Rows)+1)
+			rowPtr, err := cr.Int64s(int64(t.Rows) + 1)
 			if err != nil {
-				return nil, tileErr(ti, r0, c0, "row pointers: %w", err)
+				return nil, 0, tileErr(ti, t.Row0, t.Col0, "row pointers: %w", err)
 			}
-			colIdx, err := readInt32s(cr, nnz)
+			colIdx, err := cr.Int32s(nnz)
 			if err != nil {
-				return nil, tileErr(ti, r0, c0, "columns: %w", err)
+				return nil, 0, tileErr(ti, t.Row0, t.Col0, "columns: %w", err)
 			}
-			val, err := readFloat64s(cr, nnz)
+			val, err := cr.Float64s(nnz)
 			if err != nil {
-				return nil, tileErr(ti, r0, c0, "values: %w", err)
+				return nil, 0, tileErr(ti, t.Row0, t.Col0, "values: %w", err)
 			}
 			csr := &mat.CSR{Rows: t.Rows, Cols: t.Cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 			if err := csr.Validate(); err != nil {
-				return nil, tileErr(ti, r0, c0, "payload: %w", err)
+				return nil, 0, tileErr(ti, t.Row0, t.Col0, "payload: %w", err)
 			}
 			t.Sp = csr
 			t.NNZ = nnz
 		case mat.DenseKind:
-			data, err := readFloat64s(cr, int64(t.Rows)*int64(t.Cols))
+			data, err := cr.Float64s(int64(t.Rows) * int64(t.Cols))
 			if err != nil {
-				return nil, tileErr(ti, r0, c0, "payload: %w", err)
+				return nil, 0, tileErr(ti, t.Row0, t.Col0, "payload: %w", err)
 			}
 			d := &mat.Dense{Rows: t.Rows, Cols: t.Cols, Stride: t.Cols, Data: data}
 			t.D = d
 			t.NNZ = d.NNZ()
 		default:
-			return nil, tileErr(ti, r0, c0, "unknown kind %d", kind)
+			return nil, 0, tileErr(ti, t.Row0, t.Col0, "unknown kind %d", t.Kind)
 		}
 		tiles = append(tiles, t)
 	}
-	// The footer itself is not part of the checksummed bytes.
-	want := cr.crc.Sum32()
-	var foot [4]byte
-	if _, err := io.ReadFull(cr.r, foot[:]); err != nil {
-		return nil, fmt.Errorf("core: reading checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(foot[:]); got != want {
-		return nil, fmt.Errorf("%w: stream %08x, computed %08x", ErrChecksum, got, want)
+	crc, err := cr.Footer()
+	if err != nil {
+		return nil, 0, err
 	}
 	out := newATMatrix(int(rows), int(cols), int(bAtomic))
 	for _, t := range tiles {
 		out.addTile(t)
 	}
 	if err := out.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
-}
-
-// FileChecksum returns the CRC-32C footer and total size of an .atm file
-// without parsing it. The footer covers every preceding byte, so it
-// identifies the stream's exact content — the cheap fingerprint the
-// catalog manifest records and cross-checks on reload.
-func FileChecksum(path string) (crc uint32, size int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, err
-	}
-	if st.Size() < int64(len(atMagic))+4 {
-		return 0, st.Size(), fmt.Errorf("%w: %s is %d bytes, shorter than magic+footer", ErrBadMagic, path, st.Size())
-	}
-	var foot [4]byte
-	if _, err := f.ReadAt(foot[:], st.Size()-4); err != nil {
-		return 0, st.Size(), fmt.Errorf("core: reading checksum footer of %s: %w", path, err)
-	}
-	return binary.LittleEndian.Uint32(foot[:]), st.Size(), nil
-}
-
-// chunkBytes is the unit in which the decoder reads payload slices; a
-// multiple of every element size used.
-const chunkBytes = 1 << 16
-
-// readSlice reads n fixed-size little-endian elements through the reader's
-// bounded chunk buffer. The destination grows incrementally, so a hostile
-// length field cannot allocate more than the stream actually delivers (plus
-// one bounded chunk); a short stream fails with io.ErrUnexpectedEOF.
-func readSlice[T any](r *crcReader, n int64, size int, dec func([]byte) T) ([]T, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("core: negative element count %d", n)
-	}
-	initCap := n
-	if initCap > chunkBytes/int64(size) {
-		initCap = chunkBytes / int64(size)
-	}
-	out := make([]T, 0, initCap)
-	for int64(len(out)) < n {
-		want := (n - int64(len(out))) * int64(size)
-		if want > chunkBytes {
-			want = chunkBytes
-		}
-		if _, err := io.ReadFull(r, r.chunk[:want]); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		for off := int64(0); off < want; off += int64(size) {
-			out = append(out, dec(r.chunk[off:off+int64(size)]))
-		}
-	}
-	return out, nil
-}
-
-func readInt64s(r *crcReader, n int64) ([]int64, error) {
-	return readSlice(r, n, 8, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) })
-}
-
-func readInt32s(r *crcReader, n int64) ([]int32, error) {
-	return readSlice(r, n, 4, func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) })
-}
-
-func readFloat64s(r *crcReader, n int64) ([]float64, error) {
-	return readSlice(r, n, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
-}
-
-// countingWriter tracks bytes written and feeds them to the running CRC.
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	crc hash.Hash32
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.crc.Write(p[:n])
-	return n, err
-}
-
-// crcReader feeds every byte it delivers to the running CRC. chunk is
-// readSlice's staging buffer: one per decode, not one per slice.
-type crcReader struct {
-	r     *bufio.Reader
-	crc   hash.Hash32
-	chunk [chunkBytes]byte
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.crc.Write(p[:n])
-	}
-	return n, err
+	return out, crc, nil
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
 	"atmatrix/internal/mat"
+	"atmatrix/internal/mmio"
 )
 
 func TestSerializeRoundTrip(t *testing.T) {
@@ -141,9 +143,13 @@ func TestSerializeChecksum(t *testing.T) {
 	if _, err := ReadATMatrix(bytes.NewReader(bad)); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("silent payload corruption: got %v, want ErrChecksum", err)
 	}
-	// A truncated footer is an I/O-shaped error, not a checksum mismatch.
-	if _, err := ReadATMatrix(bytes.NewReader(data[:len(data)-2])); err == nil || errors.Is(err, ErrChecksum) {
-		t.Fatalf("truncated footer: got %v, want non-checksum read error", err)
+	// A stream whose footer is short or missing cannot be verified: it
+	// fails like a wrong footer, never as a bare end of stream.
+	for _, cut := range []int{2, 4} {
+		_, err := ReadATMatrix(bytes.NewReader(data[:len(data)-cut]))
+		if !errors.Is(err, ErrChecksum) || errors.Is(err, io.EOF) {
+			t.Fatalf("footer cut by %d bytes: got %v, want ErrChecksum", cut, err)
+		}
 	}
 }
 
@@ -177,5 +183,82 @@ func TestSerializeHostileNNZ(t *testing.T) {
 	bad[off+1] = 0x10 // 4096 little-endian
 	if _, err := ReadATMatrix(bytes.NewReader(bad)); err == nil {
 		t.Fatal("hostile nnz accepted")
+	}
+}
+
+// TestCodecAllocsConstant: encoding a stream and sealing a matrix allocate
+// the codec writer (and the seal slice) and nothing per tile, row or
+// element.
+func TestCodecAllocsConstant(t *testing.T) {
+	small, _, err := Partition(mat.RandomCOO(rand.New(rand.NewSource(135)), 8, 8, 20), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, _, err := Partition(standIn(t, "R3"), benchLayoutConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		run  func(m *ATMatrix)
+	}{
+		{"WriteTo", 2, func(m *ATMatrix) { m.WriteTo(io.Discard) }},
+		{"SealChecksums", 3, func(m *ATMatrix) { m.SealChecksums() }},
+		{"VerifyChecksums", 2, func(m *ATMatrix) { m.VerifyChecksums() }},
+	} {
+		got := [2]float64{}
+		for i, m := range []*ATMatrix{small, big} {
+			got[i] = testing.AllocsPerRun(5, func() { c.run(m) })
+		}
+		if got[0] != got[1] || got[1] > c.max {
+			t.Errorf("%s: %v allocs on %d and %d tiles, want the same ≤ %v", c.name, got, len(small.Tiles), len(big.Tiles), c.max)
+		}
+	}
+}
+
+// TestSentinelsSharedAcrossFormats: a damaged or foreign stream of either
+// binary format matches the one ErrChecksum / ErrBadMagic pair, under its
+// core and its mmio name alike.
+func TestSentinelsSharedAcrossFormats(t *testing.T) {
+	coo := mat.RandomCOO(rand.New(rand.NewSource(136)), 40, 40, 300)
+	am, _, err := Partition(coo, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var atm, bin bytes.Buffer
+	if _, err := am.WriteTo(&atm); err != nil {
+		t.Fatal(err)
+	}
+	if err := mmio.WriteBinary(&bin, coo); err != nil {
+		t.Fatal(err)
+	}
+	decoders := map[string]struct {
+		data []byte
+		read func([]byte) error
+	}{
+		"atm": {atm.Bytes(), func(b []byte) error { _, err := ReadATMatrix(bytes.NewReader(b)); return err }},
+		"coo": {bin.Bytes(), func(b []byte) error { _, err := mmio.ReadBinary(bytes.NewReader(b)); return err }},
+	}
+	for name, d := range decoders {
+		flipped := append([]byte(nil), d.data...)
+		flipped[len(flipped)-6] ^= 0x01
+		magic := append([]byte(nil), d.data...)
+		magic[0] ^= 0xff
+		for _, c := range []struct {
+			what     string
+			in       []byte
+			sentinel []error
+		}{
+			{"flipped payload bit", flipped, []error{ErrChecksum, mmio.ErrChecksum}},
+			{"bad magic", magic, []error{ErrBadMagic, mmio.ErrBadMagic}},
+		} {
+			err := d.read(c.in)
+			for _, want := range c.sentinel {
+				if !errors.Is(err, want) {
+					t.Errorf("%s, %s: error %v does not match %v", name, c.what, err, want)
+				}
+			}
+		}
 	}
 }

@@ -1,13 +1,14 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
+
+	"atmatrix/internal/mmio"
 )
 
 // Framed streaming of an AT MATRIX, one tile-row at a time. Where WriteTo
@@ -46,13 +47,11 @@ func (a *ATMatrix) WriteTileRowFrames(w io.Writer) (int64, error) {
 	var total int64
 	var buf bytes.Buffer
 	var lenb [4]byte
+	enc := mmio.NewWriter(&buf)
 	for _, r0 := range rows {
-		frame, err := NewFromTiles(a.Rows, a.Cols, a.BAtomic, byRow[r0])
-		if err != nil {
-			return total, fmt.Errorf("core: framing tile-row %d: %w", r0, err)
-		}
 		buf.Reset()
-		if _, err := frame.WriteTo(&buf); err != nil {
+		enc.Reset(&buf)
+		if _, _, err := encode(enc, a.Rows, a.Cols, a.BAtomic, byRow[r0]); err != nil {
 			return total, fmt.Errorf("core: encoding tile-row %d frame: %w", r0, err)
 		}
 		binary.LittleEndian.PutUint32(lenb[:], uint32(buf.Len()))
@@ -126,7 +125,7 @@ func (f *frameReader) Read(p []byte) (int, error) {
 func ReadTileRowFrames(r io.Reader, acquire func(n int) (func(), error), fn func(*ATMatrix) error) error {
 	var lenb [4]byte
 	frame := frameReader{r: r}
-	br := bufio.NewReaderSize(&frame, chunkBytes) // readSlice's unit: full chunks bypass the buffer
+	dec := mmio.NewReader(&frame)
 	for {
 		if _, err := io.ReadFull(r, lenb[:]); err != nil {
 			if errors.Is(err, io.EOF) {
@@ -148,16 +147,16 @@ func ReadTileRowFrames(r io.Reader, acquire func(n int) (func(), error), fn func
 		err := func() error {
 			defer release()
 			frame.n = n
-			br.Reset(&frame)
-			m, err := readATMatrix(br)
+			dec.Reset(&frame)
+			m, _, err := readATMatrix(dec)
 			if frame.err != nil {
 				return fmt.Errorf("core: reading %d-byte frame: %w", n, frame.err)
 			}
 			if err != nil {
 				return fmt.Errorf("core: decoding %d-byte frame: %w", n, err)
 			}
-			if left := frame.n + int64(br.Buffered()); left > 0 {
-				return fmt.Errorf("core: %d-byte frame has %d bytes after its matrix", n, left)
+			if frame.n > 0 {
+				return fmt.Errorf("core: %d-byte frame has %d bytes after its matrix", n, frame.n)
 			}
 			return fn(m)
 		}()

@@ -3,6 +3,12 @@
 // draws its real-world matrices from, plus a compact binary COO format for
 // fast reloading of generated matrices.
 //
+// It also owns the system's one binary codec (codec.go): Writer and Reader
+// implement the framing every binary stream follows — the binary COO here,
+// and core's .atm files, tile-row frames and cluster shard bodies — with one
+// CRC-32C footer rule, one bounded decoder and the one ErrChecksum /
+// ErrBadMagic pair.
+//
 // Supported MatrixMarket variants: `matrix coordinate real|integer|pattern
 // general|symmetric|skew-symmetric` and `matrix array real general`.
 // Symmetric inputs are expanded to their full (general) form on read,
@@ -14,8 +20,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -184,113 +190,72 @@ func WriteMatrixMarket(w io.Writer, a *mat.COO) error {
 // binaryMagic identifies the compact binary COO format.
 const binaryMagic = "ATMCOO1\n"
 
-var (
-	// ErrBadMagic reports a stream that does not start with the binary COO
-	// magic — it is some other file format entirely.
-	ErrBadMagic = errors.New("mmio: bad binary COO magic")
-	// ErrChecksum reports a binary COO stream whose CRC-32C footer does not
-	// match its content: the bytes were damaged in transfer or at rest.
-	ErrChecksum = errors.New("mmio: binary COO checksum mismatch")
-)
-
-// cooCastagnoli is the CRC-32C table for the binary COO footer.
-var cooCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // WriteBinary writes the compact binary COO representation: a magic
 // string, little-endian int64 rows/cols/nnz, then packed
 // <int32,int32,float64> triples — exactly the Table I "Bin. Size" layout —
-// followed by a CRC-32C footer over every preceding byte, mirroring the
-// .atm tile-stream codec so uploads shipped over a wire are
-// corruption-detectable end to end.
+// followed by the codec's CRC-32C footer, so uploads shipped over a wire
+// are corruption-detectable end to end.
 func WriteBinary(w io.Writer, a *mat.COO) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	crc := crc32.New(cooCastagnoli)
-	hw := io.MultiWriter(bw, crc)
-	if _, err := io.WriteString(hw, binaryMagic); err != nil {
-		return fmt.Errorf("mmio: writing magic: %w", err)
+	cw := NewWriter(w)
+	cw.String(binaryMagic)
+	cw.Int64(int64(a.Rows))
+	cw.Int64(int64(a.Cols))
+	cw.Int64(int64(len(a.Ent)))
+	putSlice(cw, a.Ent, 16, putEntries)
+	if _, _, err := cw.Footer(); err != nil {
+		return fmt.Errorf("mmio: writing binary COO: %w", err)
 	}
-	hdr := [3]int64{int64(a.Rows), int64(a.Cols), int64(len(a.Ent))}
-	if err := binary.Write(hw, binary.LittleEndian, hdr[:]); err != nil {
-		return fmt.Errorf("mmio: writing binary header: %w", err)
-	}
-	for _, e := range a.Ent {
-		if err := binary.Write(hw, binary.LittleEndian, e); err != nil {
-			return fmt.Errorf("mmio: writing binary entry: %w", err)
-		}
-	}
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], crc.Sum32())
-	if _, err := bw.Write(foot[:]); err != nil {
-		return fmt.Errorf("mmio: writing checksum: %w", err)
-	}
-	return bw.Flush()
+	return nil
 }
 
-// ReadBinary reads the compact binary COO representation. When the stream
-// carries the CRC-32C footer it is verified (mismatch fails with
-// ErrChecksum); footer-less streams written before the footer existed still
-// load — the entry payload is self-delimiting, so the reader distinguishes
-// the two by whether bytes follow the last entry.
+// ReadBinary reads the compact binary COO representation and verifies its
+// footer: a damaged stream fails with ErrChecksum, one that is no binary
+// COO with ErrBadMagic.
 func ReadBinary(r io.Reader) (*mat.COO, error) {
-	crc := crc32.New(cooCastagnoli)
-	br := bufio.NewReaderSize(r, 1<<20)
-	hr := io.TeeReader(br, crc)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(hr, magic); err != nil {
-		return nil, fmt.Errorf("mmio: reading magic: %w", err)
+	cr := NewReader(bufio.NewReaderSize(r, ChunkBytes))
+	if err := cr.Magic(binaryMagic); err != nil {
+		return nil, err
 	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("%w: %q", ErrBadMagic, magic)
-	}
-	var hdr [3]int64
-	if err := binary.Read(hr, binary.LittleEndian, hdr[:]); err != nil {
+	hdr, err := cr.Int64s(3)
+	if err != nil {
 		return nil, fmt.Errorf("mmio: reading binary header: %w", err)
 	}
 	rows, cols, nnz := hdr[0], hdr[1], hdr[2]
-	if rows < 0 || cols < 0 || nnz < 0 || rows > 1<<31 || cols > 1<<31 {
-		return nil, fmt.Errorf("mmio: invalid header %v", hdr)
+	if rows < 0 || cols < 0 || nnz < 0 || rows > 1<<31 || cols > 1<<31 || nnz > rows*cols {
+		return nil, fmt.Errorf("mmio: invalid header: %d entries for a %d×%d matrix", nnz, rows, cols)
 	}
-	if nnz > rows*cols {
-		return nil, fmt.Errorf("mmio: header claims %d entries for a %d×%d matrix", nnz, rows, cols)
+	ent, err := getSlice(cr, nnz, 16, getEntries)
+	if err != nil {
+		return nil, fmt.Errorf("mmio: reading binary entries: %w", err)
 	}
-	out := &mat.COO{Rows: int(rows), Cols: int(cols)}
-	// Allocate incrementally rather than trusting the header, so a
-	// corrupt nnz cannot force a huge allocation before the (short)
-	// stream runs out.
-	const chunk = 1 << 16
-	for read := int64(0); read < nnz; {
-		n := nnz - read
-		if n > chunk {
-			n = chunk
-		}
-		buf := make([]mat.Entry, n)
-		if err := binary.Read(hr, binary.LittleEndian, buf); err != nil {
-			return nil, fmt.Errorf("mmio: reading binary entries: %w", err)
-		}
-		out.Ent = append(out.Ent, buf...)
-		read += n
+	if _, err := cr.Footer(); err != nil {
+		return nil, err
 	}
-	// The footer is the checksum of everything before it, so it is read
-	// past the hashing reader. Clean EOF here means a legacy footer-less
-	// stream.
-	want := crc.Sum32()
-	var foot [4]byte
-	if _, err := io.ReadFull(br, foot[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			if err := out.Validate(); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		return nil, fmt.Errorf("%w: truncated footer: %v", ErrChecksum, err)
-	}
-	if got := binary.LittleEndian.Uint32(foot[:]); got != want {
-		return nil, fmt.Errorf("%w: stream %08x, computed %08x", ErrChecksum, got, want)
-	}
+	out := &mat.COO{Rows: int(rows), Cols: int(cols), Ent: ent}
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+func putEntries(b []byte, es []mat.Entry) {
+	for i, e := range es {
+		p := b[16*i : 16*i+16]
+		binary.LittleEndian.PutUint32(p, uint32(e.Row))
+		binary.LittleEndian.PutUint32(p[4:], uint32(e.Col))
+		binary.LittleEndian.PutUint64(p[8:], math.Float64bits(e.Val))
+	}
+}
+
+func getEntries(dst []mat.Entry, b []byte) {
+	for i := range dst {
+		p := b[16*i : 16*i+16]
+		dst[i] = mat.Entry{
+			Row: int32(binary.LittleEndian.Uint32(p)),
+			Col: int32(binary.LittleEndian.Uint32(p[4:])),
+			Val: math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
+		}
+	}
 }
 
 func readLine(br *bufio.Reader) (string, error) {

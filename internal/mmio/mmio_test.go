@@ -3,6 +3,8 @@ package mmio
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -223,22 +225,21 @@ func TestBinaryChecksumDetectsBitflip(t *testing.T) {
 	}
 }
 
-func TestBinaryLegacyFooterlessStreamLoads(t *testing.T) {
+// TestBinaryFooterlessStreamRefused: every binary COO stream carries its
+// footer, so one that ends right after its last entry is refused as
+// unverifiable, exactly like one whose footer is wrong.
+func TestBinaryFooterlessStreamRefused(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := mat.RandomCOO(rng, 10, 10, 20)
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	// Streams written before the footer existed end right after the last
-	// entry; they must still load, just without corruption detection.
-	legacy := buf.Bytes()[:buf.Len()-4]
-	back, err := ReadBinary(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Ent) != len(a.Ent) {
-		t.Fatal("legacy stream round trip lost entries")
+	for _, cut := range []int{4, 1} {
+		_, err := ReadBinary(bytes.NewReader(buf.Bytes()[:buf.Len()-cut]))
+		if !errors.Is(err, ErrChecksum) || errors.Is(err, io.EOF) {
+			t.Fatalf("footer cut by %d bytes: error %v, want ErrChecksum", cut, err)
+		}
 	}
 }
 
@@ -265,5 +266,39 @@ func TestEmptyMatrixRoundTrips(t *testing.T) {
 	}
 	if back.NNZ() != 0 || back.Cols != 5 {
 		t.Fatal("empty binary round trip failed")
+	}
+}
+
+// TestBinaryAllocsConstant: WriteBinary allocates the codec writer and
+// nothing per entry.
+func TestBinaryAllocsConstant(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	var got [2]float64
+	for i, nnz := range []int{1, 50000} {
+		a := mat.RandomCOO(rng, 1000, 1000, nnz)
+		got[i] = testing.AllocsPerRun(5, func() {
+			if err := WriteBinary(io.Discard, a); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got[0] != got[1] || got[1] > 2 {
+		t.Fatalf("WriteBinary allocates %v for 1 and 50 000 entries, want the same ≤ 2", got)
+	}
+}
+
+// TestResidue: CRC-32C over a whole framed stream, footer included, is the
+// same constant for every stream — which is why the footer, not that, is
+// the stream's fingerprint.
+func TestResidue(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, nnz := range []int{0, 1, 700} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, mat.RandomCOO(rng, 40, 30, nnz)); err != nil {
+			t.Fatal(err)
+		}
+		if got := crc32.Checksum(buf.Bytes(), castagnoli); got != Residue {
+			t.Fatalf("%d entries: CRC-32C over stream and footer %08x, want %08x", nnz, got, uint32(Residue))
+		}
 	}
 }
