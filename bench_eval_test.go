@@ -356,3 +356,47 @@ func BenchmarkEval_Codec(b *testing.B) {
 		}
 	}
 }
+
+// benchMultiply times MultiplyOpt of a·b as the server runs it: default
+// options with two Freivalds rounds, at the benchmark server's
+// configuration.
+func benchMultiply(b *testing.B, x, y *core.ATMatrix) {
+	cfg, opts := serverCfg(), core.DefaultMultOptions()
+	opts.Verify = 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.MultiplyOpt(x, y, cfg, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEval_MultDense: mult_dense's three requests, A·A on the R1, R2
+// and R3 stand-ins — dense targets fed by DSpD and SpSpD windows.
+func BenchmarkEval_MultDense(b *testing.B) {
+	for _, id := range []string{"R1", "R2", "R3"} {
+		a := mustPartition(b, serverStandIn(b, id, 0, 1.0/16), serverCfg())
+		b.Run(id, func(b *testing.B) { benchMultiply(b, a, a) })
+	}
+}
+
+// BenchmarkEval_IngestProducts: ingest_store's two products on the R2
+// stand-in at 1/32 (B0, T1, T2 are variants 1–3): mult_store's T1·T2, and
+// mult_read's TP·B0, where TP is T1·T2 repartitioned — one 696-row dense
+// tile, the tall-window case of DSpD.
+func BenchmarkEval_IngestProducts(b *testing.B) {
+	cfg := serverCfg()
+	b0 := mustPartition(b, serverStandIn(b, "R2", 1, 1.0/32), cfg)
+	t1 := mustPartition(b, serverStandIn(b, "R2", 2, 1.0/32), cfg)
+	t2 := mustPartition(b, serverStandIn(b, "R2", 3, 1.0/32), cfg)
+	prod, _, err := core.Multiply(t1, t2, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tp, _, err := prod.Repartition(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("store", func(b *testing.B) { benchMultiply(b, t1, t2) })
+	b.Run("read", func(b *testing.B) { benchMultiply(b, tp, b0) })
+}

@@ -120,6 +120,21 @@ func BenchmarkKernel_SpSpD(b *testing.B) {
 	benchDenseTarget(b, []string{"sparse", "hyper"}, func(c, ad, bd *mat.Dense, as, bs *mat.CSR) {
 		kernels.SpSpD(c, kernels.FullCSR(as), kernels.FullCSR(bs))
 	})
+	// cols: the sparse class through SpSpDCols, A held as a column view
+	// built once outside the loop, as ATMULT builds one per row band and
+	// multiplication.
+	kc := classByName(b, "sparse")
+	b.Run("cols", func(b *testing.B) {
+		_, _, as, bs := kc.operands()
+		v := kernels.NewColView(as, 0, kc.n)
+		c := mat.NewDense(kc.n, kc.n)
+		kernels.SpSpDCols(c, v, 0, 0, kernels.FullCSR(bs)) // warm up
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			kernels.SpSpDCols(c, v, 0, 0, kernels.FullCSR(bs))
+		}
+	})
 }
 
 func BenchmarkKernel_SpSpSp(b *testing.B) {

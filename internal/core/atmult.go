@@ -453,6 +453,8 @@ type contribution struct {
 	aD, bD   mat.Dense
 	aKind    mat.Kind
 	bKind    mat.Kind
+	// aView, when set, holds A's row band by column, for SpSpDCols.
+	aView *kernels.ColView
 
 	// outer routes this contribution (sparse×sparse into a sparse target
 	// only) to the outer-product multiway-merge kernel instead of
@@ -551,6 +553,16 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 
 		mc.resolveOperand(ct, true, kindA, ws.scratch)
 		mc.resolveOperand(ct, false, kindB, ws.scratch)
+		// A sparse A tile feeding a dense target is read through its row
+		// band's column view; building one is conversion time, not a
+		// conversion.
+		if targetKind == mat.DenseKind && kindA == mat.Sparse && kindB == mat.Sparse && ct.aTile.Kind == mat.Sparse {
+			t0 := time.Now()
+			var hit bool
+			if ct.aView, hit = mc.cache.view(ct.aTile, ct.aR0, ct.aR0+m); !hit {
+				mc.convNanos.Add(time.Since(t0).Nanoseconds())
+			}
+		}
 
 		// Simulated NUMA accounting: the team reads both operand
 		// windows from their home nodes.
@@ -675,49 +687,70 @@ func (mc *mulCtx) resolveOperand(ct *contribution, isA bool, want mat.Kind, scr 
 	mc.conversions.Add(1)
 }
 
-// convCache memoizes full-tile sparse→dense conversions for one ATMULT
-// invocation. Each tile owns a sync.Once entry, so concurrent teams
-// neither serialize on a global lock during the (potentially large)
-// conversion nor duplicate it and throw one copy away — the map mutex is
-// held only for the entry lookup. Very large tiles are not cached to bound
-// the extra memory.
+// convCache memoizes, for one ATMULT invocation, the full-tile
+// sparse→dense conversions and the column views of sparse tiles' row
+// bands. Each entry owns a sync.Once, so concurrent teams neither
+// serialize on a global lock during the (potentially large) build nor
+// duplicate it and throw one copy away — the map mutex is held only for
+// the entry lookup. Very large tiles are not converted through the cache,
+// to bound the extra memory; a view holds O(nnz) and always is.
 type convCache struct {
 	mu      sync.Mutex
-	entries map[*Tile]*convEntry
+	entries map[convKey]*convEntry
 	maxTile int64
 }
 
-// convEntry is the per-tile shard: the first caller through the Once runs
-// the conversion, everyone else blocks only on this tile's entry.
+// convKey names one memoized form: a tile's dense form (row0 < 0) or the
+// column view of its row band starting at tile-local row row0.
+type convKey struct {
+	t    *Tile
+	row0 int
+}
+
+// convEntry is the per-key shard: the first caller through the Once runs
+// the build, everyone else blocks only on this entry.
 type convEntry struct {
 	once sync.Once
 	d    *mat.Dense
+	v    *kernels.ColView
 }
 
 func newConvCache() *convCache {
-	return &convCache{entries: make(map[*Tile]*convEntry), maxTile: 64 << 20}
+	return &convCache{entries: make(map[convKey]*convEntry), maxTile: 64 << 20}
 }
 
-// dense returns the dense form of a sparse tile and whether it came from
-// the cache (false on the call that performed the conversion). Exactly one
-// conversion runs per cached tile, however many teams ask concurrently.
-func (c *convCache) dense(t *Tile) (*mat.Dense, bool) {
-	if mat.DenseBytes(t.Rows, t.Cols) > c.maxTile {
-		return t.Sp.ToDense(), false
-	}
+// do runs build once per key, however many teams ask concurrently, and
+// reports whether an earlier call ran it.
+func (c *convCache) do(k convKey, build func(e *convEntry)) (*convEntry, bool) {
 	c.mu.Lock()
-	e := c.entries[t]
+	e := c.entries[k]
 	if e == nil {
 		e = &convEntry{}
-		c.entries[t] = e
+		c.entries[k] = e
 	}
 	c.mu.Unlock()
 	hit := true
 	e.once.Do(func() {
-		e.d = t.Sp.ToDense()
+		build(e)
 		hit = false
 	})
+	return e, hit
+}
+
+// dense returns the dense form of a sparse tile and whether it was cached.
+func (c *convCache) dense(t *Tile) (*mat.Dense, bool) {
+	if mat.DenseBytes(t.Rows, t.Cols) > c.maxTile {
+		return t.Sp.ToDense(), false
+	}
+	e, hit := c.do(convKey{t, -1}, func(e *convEntry) { e.d = t.Sp.ToDense() })
 	return e.d, hit
+}
+
+// view returns the column view of a sparse tile's row band [r0, r1) and
+// whether it was cached.
+func (c *convCache) view(t *Tile, r0, r1 int) (*kernels.ColView, bool) {
+	e, hit := c.do(convKey{t, r0}, func(e *convEntry) { e.v = kernels.NewColView(t.Sp, r0, r1) })
+	return e.v, hit
 }
 
 // regionDensity aggregates the estimated map over a pixel region as the
@@ -791,6 +824,8 @@ func windowBytes(t *Tile, h, w int) int64 {
 func runDenseTarget(cw *mat.Dense, ct *contribution, lo, hi int) {
 	aSp, aD := sliceA(ct, lo, hi)
 	switch {
+	case ct.aView != nil:
+		kernels.SpSpDCols(cw, ct.aView, lo, ct.aC0, ct.bSp)
 	case ct.aKind == mat.Sparse && ct.bKind == mat.Sparse:
 		kernels.SpSpD(cw, aSp, ct.bSp)
 	case ct.aKind == mat.Sparse && ct.bKind == mat.DenseKind:

@@ -65,8 +65,8 @@ func (p *ChainPlan) Steps() [][3]int {
 }
 
 // EstMap returns the estimated density map of the subchain product [i, j]
-// (nil when the plan holds none for it: a right-to-left plan estimates
-// only the suffixes [i, n-1]).
+// (nil when the plan holds none for it: a one-order plan estimates only
+// its suffixes [i, n-1] or its prefixes [0, j]).
 func (p *ChainPlan) EstMap(i, j int) *density.Map {
 	if p.maps == nil {
 		return nil
@@ -215,20 +215,41 @@ func chainEstBlock(chain []*ATMatrix, cfg Config) int {
 // its summed step costs and suffix[i] the estimated map of Ai·…·An-1
 // (suffix[n-1] the last operand's own), which EstMap(i, n-1) returns.
 func RightToLeftPlan(suffix []*density.Map, cost float64) *ChainPlan {
-	n := len(suffix)
-	maps := make([][]*density.Map, n)
-	splits := make([][]int, n)
-	for i := range maps {
-		maps[i] = make([]*density.Map, n)
-		maps[i][n-1] = suffix[i]
-		splits[i] = make([]int, n)
+	return oneOrderPlan(suffix, cost, true)
+}
+
+// LeftToRightPlan is the plan of a chain whose executor runs it in the
+// other order only — ((A0·A1)·…)·An-1: cost is its summed step costs and
+// prefix[j] the estimated map of A0·…·Aj (prefix[0] the first operand's
+// own), which EstMap(0, j) returns.
+func LeftToRightPlan(prefix []*density.Map, cost float64) *ChainPlan {
+	return oneOrderPlan(prefix, cost, false)
+}
+
+// oneOrderPlan builds the plan of a chain associated entirely to one side
+// from the maps of its suffixes (rightToLeft) or of its prefixes.
+func oneOrderPlan(ends []*density.Map, cost float64, rightToLeft bool) *ChainPlan {
+	n := len(ends)
+	p := &ChainPlan{Cost: cost, maps: make([][]*density.Map, n), splits: make([][]int, n), n: n}
+	mapRows, splitRows := make([]*density.Map, n*n), make([]int, n*n)
+	for i := range p.maps {
+		p.maps[i], p.splits[i] = mapRows[i*n:(i+1)*n], splitRows[i*n:(i+1)*n]
 		for j := i + 1; j < n; j++ {
-			splits[i][j] = i
+			p.splits[i][j] = j - 1
+			if rightToLeft {
+				p.splits[i][j] = i
+			}
 		}
 	}
-	plan := &ChainPlan{Cost: cost, splits: splits, maps: maps, n: n}
-	plan.Expression = plan.render(0, n-1)
-	return plan
+	for i, m := range ends {
+		if rightToLeft {
+			p.maps[i][n-1] = m
+		} else {
+			p.maps[0][i] = m
+		}
+	}
+	p.Expression = p.render(0, n-1)
+	return p
 }
 
 // EstimatedMultCost evaluates the cost model for one candidate product at

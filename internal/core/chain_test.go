@@ -282,3 +282,20 @@ func TestRightToLeftPlan(t *testing.T) {
 		t.Fatalf("single-operand plan %q with %d steps", one.Expression, len(one.Steps()))
 	}
 }
+
+// TestLeftToRightPlan: the plan shape a row-streamed chain is reported in.
+func TestLeftToRightPlan(t *testing.T) {
+	prefix := []*density.Map{density.NewMap(4, 1, 8), density.NewMap(4, 2, 8), density.NewMap(4, 3, 8), density.NewMap(4, 4, 8)}
+	plan := LeftToRightPlan(prefix, 42)
+	if plan.Expression != "(((A0·A1)·A2)·A3)" || plan.Cost != 42 || plan.Len() != 4 {
+		t.Fatalf("plan %s, cost %v, len %d", plan.Expression, plan.Cost, plan.Len())
+	}
+	if want := [][3]int{{0, 0, 1}, {0, 1, 2}, {0, 2, 3}}; !slices.Equal(plan.Steps(), want) {
+		t.Fatalf("steps %v, want %v", plan.Steps(), want)
+	}
+	for j, m := range prefix {
+		if plan.EstMap(0, j) != m {
+			t.Fatalf("EstMap(0, %d) is not prefix[%d]", j, j)
+		}
+	}
+}

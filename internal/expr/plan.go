@@ -608,7 +608,9 @@ func expandPows(factors []chainFactor) []chainFactor {
 
 // rowStreamGate accepts row-streaming fusion for a wide chain when the
 // cost model prices the left-associated order (the only order row
-// streaming can run) within fuseCostSlack of the DP optimum.
+// streaming can run) within fuseCostSlack of the DP optimum. When it does,
+// the chain's plan becomes that order at that price, so the reply reports
+// what runs.
 func (p *planner) rowStreamGate(cn *chainNode, leaves []*density.Map) Fusion {
 	if len(cn.factors) < 3 {
 		return FusionNone
@@ -619,13 +621,15 @@ func (p *planner) rowStreamGate(cn *chainNode, leaves []*density.Map) Fusion {
 		}
 	}
 	leftCost := 0.0
-	acc := leaves[0]
+	prefix := make([]*density.Map, len(leaves))
+	prefix[0] = leaves[0]
 	for i := 1; i < len(leaves); i++ {
 		var step float64
-		step, acc = core.EstimatedMultCost(acc, leaves[i], p.cfg)
+		step, prefix[i] = core.EstimatedMultCost(prefix[i-1], leaves[i], p.cfg)
 		leftCost += step
 	}
 	if leftCost <= fuseCostSlack*cn.cplan.Cost || math.IsNaN(leftCost) {
+		cn.cplan = core.LeftToRightPlan(prefix, leftCost)
 		return FusionRowStream
 	}
 	return FusionNone

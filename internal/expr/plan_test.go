@@ -186,6 +186,28 @@ func TestPanelPlanHoldsEstimateAfterCap(t *testing.T) {
 	}
 }
 
+// TestRowStreamPlanIsWhatRuns: a row-streamed chain reports the order it
+// runs in, left to right, and the gate's price of that order — not the DP's
+// order and cost. Replacing the plan moves no byte of the result: the digest
+// (CRC-32 of WriteTo) was recorded when the reply still echoed the DP.
+func TestRowStreamPlanIsWhatRuns(t *testing.T) {
+	bind, cfg := serverBindings(t)
+	out, plan, _, err := Eval("R9*R9*R9", bind, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r9 := plan.root.(*chainNode).factors[0].node.estMap()
+	step1, sq := core.EstimatedMultCost(r9, r9, cfg)
+	step2, _ := core.EstimatedMultCost(sq, r9, cfg)
+	s := plan.Summary()
+	if s.Fusion != "row-stream" || s.Order != "((R9·R9)·R9)" || s.EstimatedCost != step1+step2 {
+		t.Errorf("summary %s %s at %v, want row-stream ((R9·R9)·R9) at %v", s.Fusion, s.Order, s.EstimatedCost, step1+step2)
+	}
+	if got := crc32.ChecksumIEEE(atmBytes(t, out)); got != 0x1fb98c1e {
+		t.Errorf("result digest 0x%08x, the parent's is 0x1fb98c1e", got)
+	}
+}
+
 // TestRowStreamGateVerdictUnchanged: the gate prices the left-associated
 // order from the maps the cost function returns; its verdict is the one
 // separate estimate calls give.

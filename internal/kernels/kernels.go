@@ -64,22 +64,10 @@ func FullCSR(m *mat.CSR) CSRWin {
 	return CSRWin{M: m, Rows: m.Rows, Cols: m.Cols}
 }
 
-// Validate checks that the window lies inside its matrix.
-func (w CSRWin) Validate() error {
-	if w.Row0 < 0 || w.Col0 < 0 || w.Row0+w.Rows > w.M.Rows || w.Col0+w.Cols > w.M.Cols {
-		return fmt.Errorf("kernels: CSR window [%d+%d,%d+%d] outside %d×%d",
-			w.Row0, w.Rows, w.Col0, w.Cols, w.M.Rows, w.M.Cols)
-	}
-	return nil
-}
-
 // NNZ counts the stored elements inside the window.
 func (w CSRWin) NNZ() int64 {
 	return w.M.NNZInWindow(w.Row0, w.Row0+w.Rows, int32(w.Col0), int32(w.Col0+w.Cols))
 }
-
-// Density returns the window's population density.
-func (w CSRWin) Density() float64 { return mat.Density(w.NNZ(), w.Rows, w.Cols) }
 
 // RowSlice returns the window narrowed to window rows [lo, hi),
 // preserving a previously built column index.
@@ -92,22 +80,6 @@ func (w CSRWin) RowSlice(lo, hi int) CSRWin {
 		out.spanHi = w.spanHi[lo:hi]
 	}
 	return out
-}
-
-// row returns the column indices and values of window row r (indices NOT
-// yet rebased; subtract Col0). Full-width windows — the common case when a
-// tile lies entirely inside the contraction range — skip the binary
-// column search.
-func (w CSRWin) row(r int) ([]int32, []float64) {
-	if w.spanLo != nil {
-		lo, hi := w.spanLo[r], w.spanHi[r]
-		return w.M.ColIdx[lo:hi], w.M.Val[lo:hi]
-	}
-	if w.Col0 == 0 && w.Cols == w.M.Cols {
-		return w.M.Row(w.Row0 + r)
-	}
-	lo, hi := w.M.ColSpan(w.Row0+r, int32(w.Col0), int32(w.Col0+w.Cols))
-	return w.M.ColIdx[lo:hi], w.M.Val[lo:hi]
 }
 
 // rowsOf hoists the window's hot fields into a small accessor so inner
@@ -171,12 +143,6 @@ func (a *rowsOf) spanSlow(r int) (int64, int64) {
 	return a.m.ColSpan(a.row0+r, a.c0, a.c1)
 }
 
-// Materialize copies the window into a standalone CSR matrix with rebased
-// coordinates.
-func (w CSRWin) Materialize() *mat.CSR {
-	return w.M.SubMatrix(w.Row0, w.Row0+w.Rows, int32(w.Col0), int32(w.Col0+w.Cols))
-}
-
 // ToDense materializes the window as a dense array (the sparse→dense
 // just-in-time conversion of the dynamic optimizer, §III-C).
 func (w CSRWin) ToDense() *mat.Dense {
@@ -189,8 +155,9 @@ func (w CSRWin) ToDense() *mat.Dense {
 // shape (shared by ToDense and the scratch-arena variant).
 func (w CSRWin) fillDense(d *mat.Dense) {
 	c0 := int32(w.Col0)
+	ar := w.rows()
 	for r := 0; r < w.Rows; r++ {
-		cols, vals := w.row(r)
+		cols, vals := ar.row(r)
 		row := d.RowSlice(r)
 		for p, c := range cols {
 			row[c-c0] = vals[p]
@@ -214,7 +181,7 @@ func (w CSRWin) fillDense(d *mat.Dense) {
 // an all-zero block avoids the B-row traffic entirely, while a block with
 // any non-zero runs the full axpy4 — multiplying the (rare, for dense
 // tiles) zero scalars through is cheaper than re-introducing a per-scalar
-// branch into the blocked path (see the bench note on zeroSkipGranularity).
+// branch into the blocked path (DESIGN.md §4d has the measurements).
 //
 //atlint:hotpath
 func DDD(c, a, b *mat.Dense) {
@@ -290,16 +257,65 @@ func SpDD(c *mat.Dense, a CSRWin, b *mat.Dense) {
 
 // DSpD computes c += a·b for dense a, sparse b (dspd_gemm) — one of the
 // kernels the paper notes vendors offer no reference implementation for.
-// The A row is consumed in 4-blocks with a hoisted all-zero test (one
-// branch per four scalars instead of one per scalar); each contributing
-// scalar scatters its B row through the unrolled scatter4. Unlike DDD, a
-// per-scalar zero test is kept inside non-zero blocks: a zero A scalar
-// here would still pay the full sparse-row fetch and scatter, which is
-// far more than a predictable branch (see zeroSkipGranularity).
+// Windows of at most contractionMajorRows rows walk A by column
+// (dspdCols); taller ones walk it by row (dspdRows). Both add every output
+// element's products in ascending k, so the two give the same bits.
 //
 //atlint:hotpath
 func DSpD(c *mat.Dense, a *mat.Dense, b CSRWin) {
 	checkDims(c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
+	if a.Rows <= contractionMajorRows {
+		dspdCols(c, a, b)
+		return
+	}
+	dspdRows(c, a, b)
+}
+
+// contractionMajorRows is the tallest window DSpD walks by column. Every
+// DSpD window ATMULT forms on R1–R3 and G9 fits; ingest_store's 696-row
+// TP·B0 tile does not, and there the column walk, which sweeps the whole
+// target once per k, loses 2–3× (DESIGN.md §4d has the sweep).
+const contractionMajorRows = 128
+
+// dspdCols is DSpD's contraction-major walk: one B-row lookup per k.
+//
+//atlint:hotpath
+func dspdCols(c *mat.Dense, a *mat.Dense, b CSRWin) {
+	bc0 := int32(b.Col0)
+	br := b.rows()
+	for k := 0; k < a.Cols; k++ {
+		bcols, bvals := br.row(k)
+		if len(bcols) == 0 {
+			continue
+		}
+		long := len(bcols) >= scatterUnrollMin
+		for i := 0; i < a.Rows; i++ {
+			av := a.Data[i*a.Stride+k]
+			if av == 0 {
+				continue
+			}
+			crow := c.RowSlice(i)
+			if long {
+				scatter4(crow, bcols, bvals, av, bc0)
+				continue
+			}
+			for q, bcol := range bcols {
+				crow[bcol-bc0] += av * bvals[q]
+			}
+		}
+	}
+}
+
+// dspdRows is DSpD's row walk. The A row is consumed in 4-blocks with a
+// hoisted all-zero test (one branch per four scalars instead of one per
+// scalar); each contributing scalar scatters its B row through the
+// unrolled scatter4. Unlike DDD, a per-scalar zero test is kept inside
+// non-zero blocks: a zero A scalar here would still pay the full
+// sparse-row fetch and scatter, which is far more than a predictable
+// branch (DESIGN.md §4d).
+//
+//atlint:hotpath
+func dspdRows(c *mat.Dense, a *mat.Dense, b CSRWin) {
 	bc0 := int32(b.Col0)
 	br := b.rows()
 	for i := 0; i < a.Rows; i++ {
@@ -376,24 +392,6 @@ func SpSpD(c *mat.Dense, a, b CSRWin) {
 // scatter loop inline instead of calling the unrolled scatter4: for the
 // few-element rows of hypersparse tiles the call overhead dominates.
 const scatterUnrollMin = 8
-
-// zeroSkipGranularity documents the measured zero-skip trade-off behind
-// the block structure of DDD and DSpD (satellite fix of ISSUE 6):
-//
-//	                   per-scalar skip      per-4-block skip
-//	DDD  dense tile    11.5 ms/op (old)     ~5.7 ms/op — branch removed
-//	                                        from the axpy path entirely
-//	DDD  5% stored     0.56 ms/op (old)     ~0.53 ms/op — all-zero blocks
-//	                                        dominate, one branch per 4
-//	DSpD dense tile    15.2 ms/op (old)     kept per-scalar *inside*
-//	                                        non-zero blocks: a zero scalar
-//	                                        saves a whole row fetch+scatter
-//
-// In short: for DDD the per-scalar branch costs more than multiplying
-// zeros through axpy4, so only the block-level test remains; for DSpD the
-// work guarded per scalar (a sparse row fetch and scatter) is large, so
-// the per-scalar test stays underneath the hoisted block test.
-const zeroSkipGranularity = 4
 
 // --- Sparse-target kernels ------------------------------------------------
 //
