@@ -352,9 +352,10 @@ func BenchmarkAblation_ColSearch(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_Runtime compares the persistent worker runtime (the
-// default) against the historical spawn-per-call ephemeral workers, on the
-// serving-loop workload of BenchmarkRepeatedMultiply. The persistent path
+// BenchmarkAblation_Runtime compares the persistent per-worker scratch
+// arenas (the default) against throwaway scratch per task
+// (EphemeralWorkers), both on the same persistent worker teams, on the
+// serving-loop workload of BenchmarkRepeatedMultiply. The persistent side
 // should win on both allocs/op and wall time.
 func BenchmarkAblation_Runtime(b *testing.B) {
 	f := getFixture(b, "R3")

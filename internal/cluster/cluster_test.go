@@ -153,7 +153,7 @@ func TestHealthStateMachine(t *testing.T) {
 // two-shard B with its canonical-order tile indices.
 func realExecHeader() execHeader {
 	return execHeader{
-		BAtomic: 8, WriteThreshold: 0.25, SpGEMM: 1,
+		BAtomic: 8, WriteThreshold: 0.25,
 		ARefs: []shardRef{{ShardKey: ShardKey{Name: "a", Gen: 7, Shard: 1}, CRC: 0xfeedbeef, Bytes: 4096}},
 		BRefs: []shardRef{
 			{ShardKey: ShardKey{Name: "b", Gen: -3, Shard: 0}, CRC: 1, Bytes: 100, TileIdx: []int{0, 2, 3}},

@@ -325,7 +325,6 @@ func (c *Coordinator) multiplyDistributed(aName, bName string, a, b *core.ATMatr
 	hdr := execHeader{
 		BAtomic:        c.cfg.BAtomic,
 		WriteThreshold: stats.WriteThreshold,
-		SpGEMM:         int(opts.SpGEMM),
 	}
 	src := newShardSource()
 	defer c.dropEphemeral(ctx, src)

@@ -73,7 +73,6 @@ type shardRef struct {
 type execHeader struct {
 	BAtomic        int        `json:"b_atomic"`
 	WriteThreshold float64    `json:"write_threshold"`
-	SpGEMM         int        `json:"spgemm"`
 	ARefs          []shardRef `json:"a_refs"`
 	BRefs          []shardRef `json:"b_refs"`
 }

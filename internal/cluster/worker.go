@@ -165,7 +165,6 @@ func (w *Worker) HandleExec(rw http.ResponseWriter, r *http.Request) {
 		DynOpt:         true,
 		Ctx:            r.Context(),
 		WriteThreshold: hdr.WriteThreshold,
-		SpGEMM:         core.SpGEMMPolicy(hdr.SpGEMM),
 	}
 	out, stats, err := core.MultiplyOpt(operands[0], operands[1], cfg, opts)
 	if err != nil {

@@ -207,21 +207,6 @@ func (a *ATMatrix) tilesInRowBand(b Band) []*Tile {
 	return out
 }
 
-// tilesInColBand returns the tiles whose column extent contains the band.
-func (a *ATMatrix) tilesInColBand(b Band) []*Tile {
-	seen := map[int32]bool{}
-	var out []*Tile
-	col := b.Lo
-	for br := 0; br < a.BR; br++ {
-		idx := a.blockIdx[br*a.BC+col/a.BAtomic]
-		if idx >= 0 && !seen[idx] {
-			seen[idx] = true
-			out = append(out, a.Tiles[idx])
-		}
-	}
-	return out
-}
-
 // DensityMap returns the exact atomic-block density map of the matrix,
 // computed once and cached. For an input operand this reuses the
 // ZBlockCnts information of the partitioning phase conceptually; for a

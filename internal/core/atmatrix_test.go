@@ -240,29 +240,6 @@ func TestLayoutString(t *testing.T) {
 	}
 }
 
-func TestTileConverted(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	csr := mat.RandomCOO(rng, 20, 20, 100).ToCSR()
-	tile := &Tile{Rows: 20, Cols: 20, Kind: mat.Sparse, Sp: csr, NNZ: csr.NNZ()}
-	if err := tile.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	dense := tile.Converted()
-	if dense.Kind != mat.DenseKind || dense.NNZ != tile.NNZ {
-		t.Fatal("sparse→dense conversion wrong")
-	}
-	if err := dense.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	back := dense.Converted()
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !back.Sp.ToDense().EqualApprox(csr.ToDense(), 0) {
-		t.Fatal("round-trip conversion lost data")
-	}
-}
-
 func TestTileBytesAccounting(t *testing.T) {
 	csr := mat.NewCSR(10, 10)
 	sp := &Tile{Rows: 10, Cols: 10, Kind: mat.Sparse, Sp: csr}

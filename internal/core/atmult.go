@@ -48,13 +48,6 @@ type MultOptions struct {
 	// of dense ones — per round. A wrong product escapes k rounds with
 	// probability at most 2^-k. Zero disables verification.
 	Verify int
-	// SpGEMM selects the sparse×sparse→sparse algorithm. The default
-	// (SpGEMMAuto) asks the cost model per contribution: hypersparse
-	// operand windows (expected partial-product runs per output row ≤ the
-	// calibrated crossover) go to the outer-product multiway-merge kernel,
-	// everything else to Gustavson. The forced settings exist for
-	// benchmarks and ablations.
-	SpGEMM SpGEMMPolicy
 	// WriteThreshold, when positive, replaces the water-level derivation
 	// with a precomputed effective write threshold ρ_D^W. The water level
 	// depends on the whole density map, so a shard of a matrix derives a
@@ -65,21 +58,6 @@ type MultOptions struct {
 	// Zero keeps the local derivation.
 	WriteThreshold float64
 }
-
-// SpGEMMPolicy selects the algorithm used for sparse×sparse→sparse tile
-// contributions.
-type SpGEMMPolicy int
-
-const (
-	// SpGEMMAuto routes each contribution by the cost model's
-	// outer-product crossover (costmodel.PreferOuter).
-	SpGEMMAuto SpGEMMPolicy = iota
-	// SpGEMMGustavson forces the row-form SPA kernel (SpSpSp).
-	SpGEMMGustavson
-	// SpGEMMOuter forces the outer-product multiway-merge kernel
-	// (OuterSpSp).
-	SpGEMMOuter
-)
 
 // ctxErr returns the cancellation state of the options' context.
 func (o MultOptions) ctxErr() error {
@@ -113,8 +91,8 @@ type MultStats struct {
 	ScratchBytes  int64 // process-wide persistent worker-scratch high-water mark
 
 	// Kernel-choice counts for sparse×sparse→sparse contributions: how
-	// many were routed to the outer-product merge kernel vs. Gustavson
-	// (by the cost model under SpGEMMAuto, or by the forced policy).
+	// many the cost model routed to the outer-product merge kernel vs.
+	// Gustavson.
 	OuterKernelCalls     int64
 	GustavsonKernelCalls int64
 
@@ -458,8 +436,7 @@ type contribution struct {
 
 	// outer routes this contribution (sparse×sparse into a sparse target
 	// only) to the outer-product multiway-merge kernel instead of
-	// Gustavson — decided once per contribution by the cost model or the
-	// SpGEMM policy override.
+	// Gustavson — decided once per contribution by the cost model.
 	outer bool
 }
 
@@ -530,18 +507,11 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 			kindA, kindB = plan.KindA, plan.KindB
 		}
 		// Algorithm choice for sparse×sparse→sparse: outer-product merge
-		// vs. Gustavson, per the cost model's crossover (or the forced
-		// policy). Decided here, once per contribution, so every row slice
-		// of the fan-out runs the same kernel.
+		// vs. Gustavson, per the cost model's crossover. Decided here, once
+		// per contribution, so every row slice of the fan-out runs the same
+		// kernel.
 		if targetKind == mat.Sparse && kindA == mat.Sparse && kindB == mat.Sparse {
-			switch opts.SpGEMM {
-			case SpGEMMOuter:
-				ct.outer = true
-			case SpGEMMGustavson:
-				ct.outer = false
-			default:
-				ct.outer = cfg.Cost.PreferOuter(m, ct.k, n, runDensity(ct), rhoB)
-			}
+			ct.outer = cfg.Cost.PreferOuter(m, ct.k, n, runDensity(ct), rhoB)
 			if ct.outer {
 				mc.outerCalls.Add(1)
 			} else {

@@ -447,11 +447,7 @@ func TestScratchBytesCoversWorkerArenas(t *testing.T) {
 		arrived.Done()
 		arrived.Wait()
 		for w := 0; w < team.Workers; w++ {
-			slot := team.WorkerLocal(w)
-			if slot == nil {
-				continue
-			}
-			if ws, ok := (*slot).(*workerState); ok {
+			if ws, ok := (*team.WorkerLocal(w)).(*workerState); ok {
 				held.Add(ws.scratch.Bytes() + int64(cap(ws.contribs))*int64(unsafe.Sizeof(contribution{})))
 			}
 		}
@@ -464,5 +460,70 @@ func TestScratchBytesCoversWorkerArenas(t *testing.T) {
 	}
 	if stats.ScratchBytes < held.Load() {
 		t.Fatalf("MultStats.ScratchBytes = %d, the worker arenas hold %d", stats.ScratchBytes, held.Load())
+	}
+}
+
+// TestEphemeralScratchNotRetained: under EphemeralWorkers every task and
+// fan-out chunk works in a throwaway arena, so however large the products
+// grow, the persistent scratch high-water mark MultStats.ScratchBytes
+// reports stays where it was. The topology is private to this test: a
+// persistent arena on it would start empty and show up as growth.
+func TestEphemeralScratchNotRetained(t *testing.T) {
+	rng := rand.New(rand.NewSource(98))
+	cfg := testConfig()
+	cfg.Topology = numa.Topology{Sockets: 3, CoresPerSocket: 2}
+	cfg.EphemeralWorkers = true
+	t.Cleanup(sched.RuntimeFor(cfg.Topology).Close)
+	var first int64
+	for i, n := range []int{64, 200, 400} {
+		a := mat.RandomCOO(rng, n, n, 4*n)
+		stats := multAndCheck(t, cfg, DefaultMultOptions(), a, a, "ephemeral scratch")
+		if i == 0 {
+			first = stats.ScratchBytes
+		} else if stats.ScratchBytes != first {
+			t.Fatalf("%d×%d: ScratchBytes %d, was %d after the first ephemeral multiply", n, n, stats.ScratchBytes, first)
+		}
+	}
+}
+
+// TestEphemeralMultiplyStartsNoGoroutine: the ephemeral ablation runs on the
+// persistent teams like every other multiplication, so once those are up
+// the goroutine count never rises during a multiply — not even while it is
+// in flight.
+func TestEphemeralMultiplyStartsNoGoroutine(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	cfg := testConfig()
+	cfg.EphemeralWorkers = true
+	am, _, err := Partition(mat.RandomCOO(rng, 300, 300, 3000), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multiply := func() {
+		if _, _, err := Multiply(am, am, cfg); err != nil {
+			t.Error(err)
+		}
+	}
+	multiply() // starts the runtime's workers
+	before := runtime.NumGoroutine()
+	stop, peak := make(chan struct{}), make(chan int)
+	go func() {
+		top := 0
+		for {
+			select {
+			case <-stop:
+				peak <- top
+				return
+			default:
+			}
+			top = max(top, runtime.NumGoroutine())
+			runtime.Gosched()
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		multiply()
+	}
+	close(stop)
+	if p := <-peak; p > before+1 { // +1: the sampler
+		t.Fatalf("goroutines rose during ephemeral multiplies: %d warm, peak %d", before, p)
 	}
 }

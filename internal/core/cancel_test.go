@@ -85,9 +85,9 @@ func TestConcurrentCancelDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestConcurrentCancelEphemeralWorkersReturn cancels a multiply running on
-// the ephemeral (spawn-per-call) scheduler and asserts the spawned workers
-// all exit — the goroutine count returns to its baseline.
+// TestConcurrentCancelEphemeralWorkersReturn cancels a multiply running with
+// throwaway scratch (EphemeralWorkers) and asserts it returns and leaves no
+// goroutine behind — the count returns to its baseline.
 func TestConcurrentCancelEphemeralWorkersReturn(t *testing.T) {
 	a, cfg := cancelOperand(t, 3)
 	cfg.EphemeralWorkers = true
@@ -111,7 +111,7 @@ func TestConcurrentCancelEphemeralWorkersReturn(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled ephemeral multiply did not return")
 	}
-	// The per-call goroutines must be gone shortly after the call returns.
+	// Nothing the call started may outlive it.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

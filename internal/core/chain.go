@@ -125,7 +125,7 @@ func OptimizeChain(chain []*ATMatrix, cfg Config) (*ChainPlan, error) {
 	}
 	// Leaf density maps on a coarse shared grid so the DP stays cheap for
 	// long chains.
-	block := chainEstBlock(chain, cfg)
+	block := EstBlock(chain, cfg)
 	leaves := make([]*density.Map, n)
 	for i := range chain {
 		leaves[i] = chain[i].DensityMapAt(block)
@@ -189,16 +189,17 @@ func OptimizeChainMaps(leaves []*density.Map, cfg Config) (*ChainPlan, error) {
 	return plan, nil
 }
 
-// chainEstBlock picks a shared estimation grid: coarse enough that the
-// O(n³) DP stays negligible even over full maps, whose estimations cost
-// O(grid³).
-func chainEstBlock(chain []*ATMatrix, cfg Config) int {
+// EstBlock picks the density-estimation grid a chain or expression over ms
+// shares: the smallest power-of-two multiple of b_atomic keeping every
+// matrix's grid at or under 2^12 cells, coarse enough that the O(n³) DP
+// stays negligible even over full maps, whose estimations cost O(grid³).
+func EstBlock(ms []*ATMatrix, cfg Config) int {
 	const cap = 1 << 12
 	block := cfg.BAtomic
 	for {
 		ok := true
-		for i := range chain {
-			if cells(chain[i].Rows, chain[i].Cols, block) > cap {
+		for _, m := range ms {
+			if cells(m.Rows, m.Cols, block) > cap {
 				ok = false
 				break
 			}

@@ -237,7 +237,7 @@ func TestChainDPUnchangedByReturnedEstimate(t *testing.T) {
 		"A*B*C":   {abc, bench},
 		"5-chain": {chainOf(t, small, []int{100, 20, 150, 10, 80, 120}, []float64{0.1, 0.3, 0.02, 0.5, 0.1}, 117), small},
 	} {
-		block := chainEstBlock(c.chain, c.cfg)
+		block := EstBlock(c.chain, c.cfg)
 		leaves := make([]*density.Map, len(c.chain))
 		for i, m := range c.chain {
 			leaves[i] = m.DensityMapAt(block)

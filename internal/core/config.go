@@ -60,9 +60,10 @@ type Config struct {
 	// over-parallelization the paper notes for small, very sparse blocks.
 	// Zero or one means no constraint; DefaultConfig uses DefaultRowGrain.
 	RowGrain int
-	// EphemeralWorkers disables the persistent worker runtime and the
-	// per-worker scratch arenas, restoring the historical spawn-per-call
-	// scheduler. It exists as the baseline for the runtime-reuse ablation
+	// EphemeralWorkers gives every task and fan-out chunk a throwaway
+	// scratch arena instead of its worker's persistent one; the tasks still
+	// run on the same persistent teams, under the same watchdog and panic
+	// boundary. It exists as the baseline for the scratch-reuse ablation
 	// (BenchmarkAblation_Runtime); production paths leave it false.
 	EphemeralWorkers bool
 }
@@ -155,11 +156,8 @@ func RunHomed(ctx context.Context, cfg Config, watchdog time.Duration, n int, ro
 		home := cfg.HomeOfRow(rowOf(i))
 		queues[home] = append(queues[home], int32(i))
 	}
-	pool := sched.NewPool(cfg.Topology)
-	pool.RowGrain = cfg.RowGrain
-	pool.Watchdog = watchdog
-	pool.Ephemeral = cfg.EphemeralWorkers
-	return pool.RunIndexedCtx(ctx, queues, func(team *sched.Team, item int32) { fn(team, int(item)) })
+	return sched.RuntimeFor(cfg.Topology).RunIndexedCtx(ctx, queues, func(team *sched.Team, item int32) { fn(team, int(item)) },
+		sched.RunOpts{Grain: cfg.RowGrain, Watchdog: watchdog})
 }
 
 // MaxDenseTileDim returns τ^d_max from Eq. 1: the dense tile side length

@@ -106,14 +106,24 @@ func TestProductGoldenDigests(t *testing.T) {
 		got := productGolden{crc32.ChecksumIEEE(layoutBytes(t, c)),
 			st.Contributions, st.Conversions, st.OuterKernelCalls, st.GustavsonKernelCalls, st.TargetTiles}
 		if want, ok := productGoldens[key]; !ok || got != want {
-			t.Errorf("%q: {0x%08x, %d, %d, %d, %d, %d}, // golden %+v", key,
+			t.Errorf("%q (ephemeral %v): {0x%08x, %d, %d, %d, %d, %d}, // golden %+v", key, cfg.EphemeralWorkers,
 				got.crc, got.contribs, got.convs, got.outer, got.gust, got.targets, want)
 		}
 		return c
 	}
-	for _, topo := range []numa.Topology{{Sockets: 2, CoresPerSocket: 1}, {Sockets: 2, CoresPerSocket: 2}} {
+	// Throwaway scratch arenas (EphemeralWorkers) must not move a bit of any
+	// product: the 2×2 products run a second time under them.
+	for _, run := range []struct {
+		topo      numa.Topology
+		ephemeral bool
+	}{
+		{numa.Topology{Sockets: 2, CoresPerSocket: 1}, false},
+		{numa.Topology{Sockets: 2, CoresPerSocket: 2}, false},
+		{numa.Topology{Sockets: 2, CoresPerSocket: 2}, true},
+	} {
+		topo := run.topo
 		cfg := benchLayoutConfig()
-		cfg.Topology = topo
+		cfg.Topology, cfg.EphemeralWorkers = topo, run.ephemeral
 		for seed := int64(1); seed <= 2; seed++ {
 			prefix := fmt.Sprintf("%dx%d/%d/", topo.Sockets, topo.CoresPerSocket, seed)
 			for _, id := range []string{"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "G9"} {

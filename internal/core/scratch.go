@@ -46,21 +46,20 @@ type workerState struct {
 var scratchFootprint atomic.Int64
 
 // stateFor returns the worker state for the given team-local worker index:
-// the persistent runtime-owned state when available, or a fresh throwaway
-// one in ephemeral mode (the ablation baseline, which reproduces the
-// historical allocate-per-task behavior) and for ad-hoc teams.
+// the one parked in the worker's runtime slot, or a fresh throwaway one in
+// ephemeral mode (the ablation baseline, which reproduces the historical
+// allocate-per-task behavior).
 func stateFor(team *sched.Team, worker int, ephemeral bool) *workerState {
-	if !ephemeral {
-		if slot := team.WorkerLocal(worker); slot != nil {
-			ws, ok := (*slot).(*workerState)
-			if !ok {
-				ws = &workerState{scratch: kernels.NewScratch(), persistent: true}
-				*slot = ws
-			}
-			return ws
-		}
+	if ephemeral {
+		return &workerState{scratch: kernels.NewScratch()}
 	}
-	return &workerState{scratch: kernels.NewScratch()}
+	slot := team.WorkerLocal(worker)
+	ws, ok := (*slot).(*workerState)
+	if !ok {
+		ws = &workerState{scratch: kernels.NewScratch(), persistent: true}
+		*slot = ws
+	}
+	return ws
 }
 
 // syncFootprint folds the state's current resident size into the global

@@ -45,79 +45,6 @@ func TestSpGEMMAutoDispatch(t *testing.T) {
 	}
 }
 
-// TestSpGEMMForcedPolicies: the MultOptions override pins every
-// sparse×sparse contribution to the requested algorithm, in both
-// directions, with identical results.
-func TestSpGEMMForcedPolicies(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	cfg := testConfig()
-	// ρ = 0.01 keeps the product below the write threshold: the result
-	// tiles stay sparse, so the policy actually has kernels to pin.
-	n := 192
-	a := mat.RandomCOO(rng, n, n, n*n/100)
-	b := mat.RandomCOO(rng, n, n, n*n/100)
-
-	opts := DefaultMultOptions()
-	opts.SpGEMM = SpGEMMOuter
-	stats := multAndCheck(t, cfg, opts, a, b, "forced outer")
-	if stats.OuterKernelCalls == 0 || stats.GustavsonKernelCalls != 0 {
-		t.Fatalf("SpGEMMOuter not honored: %+v", statsCounts(stats))
-	}
-
-	opts.SpGEMM = SpGEMMGustavson
-	stats = multAndCheck(t, cfg, opts, a, b, "forced gustavson")
-	if stats.GustavsonKernelCalls == 0 || stats.OuterKernelCalls != 0 {
-		t.Fatalf("SpGEMMGustavson not honored: %+v", statsCounts(stats))
-	}
-}
-
-// TestSpGEMMOuterMatchesGustavsonEndToEnd runs the same randomized
-// multiplications under both forced policies and cross-checks the
-// assembled results — the end-to-end analogue of the kernel-level
-// property test.
-func TestSpGEMMOuterMatchesGustavsonEndToEnd(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	cfg := testConfig()
-	for trial := 0; trial < 6; trial++ {
-		m := 16 + rng.Intn(150)
-		k := 16 + rng.Intn(150)
-		n := 16 + rng.Intn(150)
-		a := mat.RandomCOO(rng, m, k, rng.Intn(m*k/8+1))
-		b := mat.RandomCOO(rng, k, n, rng.Intn(k*n/8+1))
-		outer := DefaultMultOptions()
-		outer.SpGEMM = SpGEMMOuter
-		gust := DefaultMultOptions()
-		gust.SpGEMM = SpGEMMGustavson
-		co := multAndCheckResult(t, cfg, outer, a, b, "e2e outer")
-		cg := multAndCheckResult(t, cfg, gust, a, b, "e2e gustavson")
-		if !co.ToDense().EqualApprox(cg.ToDense(), tol) {
-			t.Fatalf("trial %d: forced-outer result differs from forced-gustavson", trial)
-		}
-	}
-}
-
-// multAndCheckResult is multAndCheck returning the product matrix.
-func multAndCheckResult(t *testing.T, cfg Config, opts MultOptions, a, b *mat.COO, label string) *ATMatrix {
-	t.Helper()
-	am, _, err := Partition(a, cfg)
-	if err != nil {
-		t.Fatalf("%s: partition A: %v", label, err)
-	}
-	bm, _, err := Partition(b, cfg)
-	if err != nil {
-		t.Fatalf("%s: partition B: %v", label, err)
-	}
-	cm, _, err := MultiplyOpt(am, bm, cfg, opts)
-	if err != nil {
-		t.Fatalf("%s: multiply: %v", label, err)
-	}
-	want := mat.MulReference(a.ToDense(), b.ToDense())
-	if !cm.ToDense().EqualApprox(want, tol) {
-		t.Fatalf("%s: result differs from reference", label)
-	}
-	return cm
-}
-
 func statsCounts(s *MultStats) map[string]int64 {
 	return map[string]int64{
 		"outer":     s.OuterKernelCalls,

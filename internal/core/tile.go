@@ -110,19 +110,3 @@ func (t *Tile) ToCSR() *mat.CSR {
 	}
 	return t.D.ToCSR()
 }
-
-// Converted returns a new tile with the same bounds and content in the
-// other representation — the just-in-time conversion primitive of the
-// dynamic optimizer (§III-C).
-func (t *Tile) Converted() *Tile {
-	out := &Tile{Row0: t.Row0, Col0: t.Col0, Rows: t.Rows, Cols: t.Cols, NNZ: t.NNZ, Home: t.Home}
-	if t.Kind == mat.Sparse {
-		out.Kind = mat.DenseKind
-		out.D = t.Sp.ToDense()
-	} else {
-		out.Kind = mat.Sparse
-		out.Sp = t.D.ToCSR()
-		out.NNZ = out.Sp.NNZ()
-	}
-	return out
-}

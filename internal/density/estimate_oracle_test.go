@@ -78,8 +78,8 @@ func checkAgainstRef(t *testing.T, name string, a, b *Map) *Map {
 const oracleBAtomic = 64
 
 // gridPick doubles the block from b_atomic until a dim×dim grid has at
-// most limit cells — the rule core.estimateProductDensity (limit 2^13),
-// core.chainEstBlock and expr.estBlock (both 2^12) pick their grids by.
+// most limit cells — the rule core.estimateProductDensity (limit 2^13) and
+// core.EstBlock (2^12, chains and expressions) pick their grids by.
 func gridPick(dim, limit int) int {
 	block := oracleBAtomic
 	for ((dim+block-1)/block)*((dim+block-1)/block) > limit {

@@ -88,7 +88,7 @@ type Options struct {
 	// core.MultiplyChainOpt. The benchmark baseline.
 	Materialize bool
 	// Mult carries the per-step multiplication options (context,
-	// watchdog, SpGEMM policy) for materialized steps; fused stages honor
+	// watchdog) for materialized steps; fused stages honor
 	// Mult.Ctx between stages.
 	Mult core.MultOptions
 }
@@ -335,12 +335,14 @@ func PlanExpr(root Node, bind map[string]*core.ATMatrix, cfg core.Config, opts O
 	if err != nil {
 		return nil, err
 	}
+	var ms []*core.ATMatrix
 	for _, name := range Vars(root) {
 		if bind[name].BAtomic != cfg.BAtomic {
 			return nil, fmt.Errorf("%w: matrix %q has block size %d, want %d", ErrInvalid, name, bind[name].BAtomic, cfg.BAtomic)
 		}
+		ms = append(ms, bind[name])
 	}
-	pl := &planner{bind: bind, cfg: cfg, opts: opts, block: estBlock(root, bind, cfg)}
+	pl := &planner{bind: bind, cfg: cfg, opts: opts, block: core.EstBlock(ms, cfg)}
 	node, err := pl.lower(root)
 	if err != nil {
 		return nil, err
@@ -377,30 +379,6 @@ func overridePow(n Node, k int) Node {
 		return &Pow{X: overridePow(v.X, k), K: k}
 	}
 	return n
-}
-
-// estBlock picks the shared density-estimation grid: the smallest
-// power-of-two multiple of b_atomic keeping every bound matrix's grid at
-// or under 2^12 cells, mirroring core's chain estimation grid.
-func estBlock(root Node, bind map[string]*core.ATMatrix, cfg core.Config) int {
-	const cap = 1 << 12
-	block := cfg.BAtomic
-	for {
-		ok := true
-		for _, name := range Vars(root) {
-			m := bind[name]
-			br := (m.Rows + block - 1) / block
-			bc := (m.Cols + block - 1) / block
-			if br*bc > cap {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return block
-		}
-		block *= 2
-	}
 }
 
 type planner struct {

@@ -217,9 +217,6 @@ func TestSpAccAddDense(t *testing.T) {
 	if out.At(1, 2) != 1 || out.At(2, 3) != 2 {
 		t.Fatal("AddDense misplaced values")
 	}
-	if acc.Pending() != 2 {
-		t.Fatalf("Pending = %d", acc.Pending())
-	}
 }
 
 func TestCSRWinToDense(t *testing.T) {

@@ -280,16 +280,6 @@ func (s *SpAcc) scratchBytes() int64 {
 	return b
 }
 
-// Pending returns the total number of buffered contributions, an upper
-// bound on the final nnz.
-func (s *SpAcc) Pending() int64 {
-	var n int64
-	for i := range s.rows {
-		n += int64(len(s.rows[i].cols))
-	}
-	return n
-}
-
 // AddDense accumulates an already-computed dense block at tile offset
 // (r0, c0); used when a tile is converted from a dense intermediate.
 func (s *SpAcc) AddDense(d *mat.Dense, r0, c0 int) {

@@ -3,8 +3,6 @@ package mat
 import (
 	"fmt"
 	"sort"
-
-	"atmatrix/internal/morton"
 )
 
 // Entry is one element of the COO staging table: coordinates and value.
@@ -59,16 +57,6 @@ func (a *COO) SortRowMajor() {
 			return a.Ent[i].Row < a.Ent[j].Row
 		}
 		return a.Ent[i].Col < a.Ent[j].Col
-	})
-}
-
-// SortZOrder orders entries along the Z-curve (Morton order), the order the
-// paper brings its staging table into (§II-C1). core's partitioner stages
-// row-major and keeps only the per-block counts in this order.
-func (a *COO) SortZOrder() {
-	sort.Slice(a.Ent, func(i, j int) bool {
-		return morton.Encode(uint32(a.Ent[i].Row), uint32(a.Ent[i].Col)) <
-			morton.Encode(uint32(a.Ent[j].Row), uint32(a.Ent[j].Col))
 	})
 }
 

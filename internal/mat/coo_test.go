@@ -3,8 +3,6 @@ package mat
 import (
 	"math/rand"
 	"testing"
-
-	"atmatrix/internal/morton"
 )
 
 func TestCOOAppendAndValidate(t *testing.T) {
@@ -40,19 +38,6 @@ func TestCOODedup(t *testing.T) {
 	want.Set(0, 2, 1)
 	if !got.EqualApprox(want, 0) {
 		t.Fatalf("Dedup result mismatch:\n%v\nwant\n%v", got.Data, want.Data)
-	}
-}
-
-func TestCOOSortZOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := RandomCOO(rng, 100, 130, 500)
-	a.SortZOrder()
-	for i := 1; i < len(a.Ent); i++ {
-		zi := morton.Encode(uint32(a.Ent[i-1].Row), uint32(a.Ent[i-1].Col))
-		zj := morton.Encode(uint32(a.Ent[i].Row), uint32(a.Ent[i].Col))
-		if zi > zj {
-			t.Fatalf("Z-order violated at %d: %d > %d", i, zi, zj)
-		}
 	}
 }
 

@@ -164,31 +164,6 @@ func (a *CSR) Transpose() *CSR {
 	return t
 }
 
-// SubMatrix extracts the rectangular region rows [r0,r1) × cols [c0,c1) as
-// a new CSR matrix with rebased coordinates. Column spans are located with
-// binary search per row.
-func (a *CSR) SubMatrix(r0, r1 int, c0, c1 int32) *CSR {
-	out := NewCSR(r1-r0, int(c1-c0))
-	var nnz int64
-	for r := r0; r < r1; r++ {
-		lo, hi := a.ColSpan(r, c0, c1)
-		nnz += hi - lo
-		out.RowPtr[r-r0+1] = nnz
-	}
-	out.ColIdx = make([]int32, nnz)
-	out.Val = make([]float64, nnz)
-	var q int64
-	for r := r0; r < r1; r++ {
-		lo, hi := a.ColSpan(r, c0, c1)
-		for p := lo; p < hi; p++ {
-			out.ColIdx[q] = a.ColIdx[p] - c0
-			out.Val[q] = a.Val[p]
-			q++
-		}
-	}
-	return out
-}
-
 // NNZInWindow counts stored elements in rows [r0,r1) × cols [c0,c1).
 func (a *CSR) NNZInWindow(r0, r1 int, c0, c1 int32) int64 {
 	var nnz int64

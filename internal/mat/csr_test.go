@@ -68,29 +68,6 @@ func TestCSRColSpan(t *testing.T) {
 	}
 }
 
-func TestCSRSubMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := RandomCOO(rng, 40, 50, 600).ToCSR()
-	d := a.ToDense()
-	for trial := 0; trial < 50; trial++ {
-		r0 := rng.Intn(a.Rows)
-		r1 := r0 + rng.Intn(a.Rows-r0)
-		c0 := rng.Intn(a.Cols)
-		c1 := c0 + rng.Intn(a.Cols-c0)
-		sub := a.SubMatrix(r0, r1, int32(c0), int32(c1))
-		if err := sub.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		want := d.Window(r0, r1, c0, c1)
-		if !sub.ToDense().EqualApprox(want.Clone(), 0) {
-			t.Fatalf("trial %d: SubMatrix(%d,%d,%d,%d) mismatch", trial, r0, r1, c0, c1)
-		}
-		if n := a.NNZInWindow(r0, r1, int32(c0), int32(c1)); n != sub.NNZ() {
-			t.Fatalf("trial %d: NNZInWindow = %d, want %d", trial, n, sub.NNZ())
-		}
-	}
-}
-
 func TestCSRTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := RandomCOO(rng, 33, 21, 200).ToCSR()

@@ -12,27 +12,26 @@ import (
 // faultRuntime starts a leak-checked runtime on a topology private to the
 // calling test and tears it down (before the leak assertion, cleanups being
 // LIFO) when the test ends.
-func faultRuntime(t *testing.T, sockets, cores int) (*Runtime, *Pool) {
+func faultRuntime(t *testing.T, sockets, cores int) *Runtime {
 	t.Helper()
 	leakcheck.Check(t)
-	tp := topo(sockets, cores)
-	rt := RuntimeFor(tp)
+	rt := RuntimeFor(topo(sockets, cores))
 	t.Cleanup(rt.Close)
-	return rt, NewPool(tp)
+	return rt
 }
 
 // transient mirrors the service layer's failure classifier marker.
 type transient interface{ Transient() bool }
 
 func TestTaskPanicBecomesTypedError(t *testing.T) {
-	_, p := faultRuntime(t, 2, 4)
+	rt := faultRuntime(t, 2, 4)
 	panicsBefore, _ := Counters()
 	ran := 0
 	queues := [][]func(*Team){
 		{func(team *Team) { ran++ }},
 		{func(team *Team) { panic("boom") }},
 	}
-	_, err := runTasks(p, queues)
+	_, err := runTasks(rt, queues)
 	var tpe *TaskPanicError
 	if !errors.As(err, &tpe) {
 		t.Fatalf("Run error = %v, want *TaskPanicError", err)
@@ -55,7 +54,7 @@ func TestTaskPanicBecomesTypedError(t *testing.T) {
 		{func(team *Team) { total[0]++ }},
 		{func(team *Team) { total[1]++ }},
 	}
-	if _, err := runTasks(p, healthy); err != nil {
+	if _, err := runTasks(rt, healthy); err != nil {
 		t.Fatalf("healthy run after panic failed: %v", err)
 	}
 	if total[0] != 1 || total[1] != 1 {
@@ -64,13 +63,13 @@ func TestTaskPanicBecomesTypedError(t *testing.T) {
 }
 
 func TestIndexedTaskPanicCarriesItem(t *testing.T) {
-	_, p := faultRuntime(t, 2, 2)
+	rt := faultRuntime(t, 2, 2)
 	queues := [][]int32{{0, 1, 2}, {3, 4, 5}}
-	_, err := p.RunIndexedCtx(nil, queues, func(team *Team, item int32) {
+	_, err := rt.RunIndexedCtx(nil, queues, func(team *Team, item int32) {
 		if item == 4 {
 			panic("poisoned tile")
 		}
-	})
+	}, RunOpts{})
 	var tpe *TaskPanicError
 	if !errors.As(err, &tpe) {
 		t.Fatalf("RunIndexed error = %v, want *TaskPanicError", err)
@@ -81,9 +80,9 @@ func TestIndexedTaskPanicCarriesItem(t *testing.T) {
 }
 
 func TestFanoutHelperPanicIsolated(t *testing.T) {
-	_, p := faultRuntime(t, 1, 4)
+	rt := faultRuntime(t, 1, 4)
 	for _, worker := range []int{0, 2} { // leader chunk and a helper chunk
-		_, err := runTasks(p, [][]func(*Team){{func(team *Team) {
+		_, err := runTasks(rt, [][]func(*Team){{func(team *Team) {
 			team.ParallelRows(64, func(lo, hi, w int) {
 				if w == worker {
 					panic("chunk down")
@@ -100,7 +99,7 @@ func TestFanoutHelperPanicIsolated(t *testing.T) {
 		// The team's reusable barrier must have survived: a full fan-out
 		// over the same helpers still covers every row exactly once.
 		seen := make([]int32, 256)
-		if _, err := runTasks(p, [][]func(*Team){{func(team *Team) {
+		if _, err := runTasks(rt, [][]func(*Team){{func(team *Team) {
 			team.ParallelRows(len(seen), func(lo, hi, w int) {
 				for i := lo; i < hi; i++ {
 					seen[i]++
@@ -118,8 +117,8 @@ func TestFanoutHelperPanicIsolated(t *testing.T) {
 }
 
 func TestWatchdogDegradesTeamAndSelfHeals(t *testing.T) {
-	rt, p := faultRuntime(t, 2, 2)
-	p.Watchdog = 30 * time.Millisecond
+	rt := faultRuntime(t, 2, 2)
+	wd := RunOpts{Watchdog: 30 * time.Millisecond}
 	release := make(chan struct{})
 	started := make(chan struct{})
 	blocked := [][]func(*Team){
@@ -128,7 +127,7 @@ func TestWatchdogDegradesTeamAndSelfHeals(t *testing.T) {
 		// team would otherwise be free to take it.
 		{func(team *Team) { <-started }},
 	}
-	_, err := runTasks(p, blocked)
+	_, err := runTasksOpts(rt, wd, blocked)
 	var wde *WatchdogError
 	if !errors.As(err, &wde) {
 		t.Fatalf("Run error = %v, want *WatchdogError", err)
@@ -146,7 +145,7 @@ func TestWatchdogDegradesTeamAndSelfHeals(t *testing.T) {
 	// While team 0 is stuck, new runs route its queue onto healthy teams
 	// and succeed.
 	ran := 0
-	if _, err := runTasks(p, [][]func(*Team){
+	if _, err := runTasksOpts(rt, wd, [][]func(*Team){
 		{func(team *Team) { ran++ }},
 		{func(team *Team) { ran++ }},
 	}); err != nil {
@@ -164,7 +163,7 @@ func TestWatchdogDegradesTeamAndSelfHeals(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := runTasks(p, [][]func(*Team){{func(team *Team) {}}, {func(team *Team) {}}}); err != nil {
+	if _, err := runTasksOpts(rt, wd, [][]func(*Team){{func(team *Team) {}}, {func(team *Team) {}}}); err != nil {
 		t.Fatalf("run after self-heal failed: %v", err)
 	}
 }
@@ -175,13 +174,13 @@ func TestWatchdogDegradesTeamAndSelfHeals(t *testing.T) {
 // healing must not depend on the leader ever seeing that request — the
 // leader finishing any request is the proof of life.
 func TestWatchdogDegradedTeamHealsWithoutRedelivery(t *testing.T) {
-	rt, p := faultRuntime(t, 2, 2)
+	rt := faultRuntime(t, 2, 2)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	blockedErr := make(chan error, 1)
 	// Run 1 wedges socket 0's leader.
 	go func() {
-		_, err := runTasks(p, [][]func(*Team){
+		_, err := runTasks(rt, [][]func(*Team){
 			{func(team *Team) { close(started); <-release }},
 			{func(team *Team) { <-started }}, // team 1 must not take team 0's task
 		})
@@ -192,14 +191,13 @@ func TestWatchdogDegradedTeamHealsWithoutRedelivery(t *testing.T) {
 	// must go through the abandonable async path.
 	queuedErr := make(chan error, 1)
 	go func() {
-		_, err := runTasks(p, [][]func(*Team){{func(team *Team) {}}, {}})
+		_, err := runTasks(rt, [][]func(*Team){{func(team *Team) {}}, {}})
 		queuedErr <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
 
-	wp := NewPool(p.Topology())
-	wp.Watchdog = 30 * time.Millisecond
-	_, err := runTasks(wp, [][]func(*Team){{func(team *Team) {}}, {func(team *Team) {}}})
+	wd := RunOpts{Watchdog: 30 * time.Millisecond}
+	_, err := runTasksOpts(rt, wd, [][]func(*Team){{func(team *Team) {}}, {func(team *Team) {}}})
 	var wde *WatchdogError
 	if !errors.As(err, &wde) {
 		t.Fatalf("watchdogged run error = %v, want *WatchdogError", err)
@@ -223,7 +221,7 @@ func TestWatchdogDegradedTeamHealsWithoutRedelivery(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := runTasks(wp, [][]func(*Team){{func(team *Team) {}}, {func(team *Team) {}}}); err != nil {
+	if _, err := runTasksOpts(rt, wd, [][]func(*Team){{func(team *Team) {}}, {func(team *Team) {}}}); err != nil {
 		t.Fatalf("run after heal failed: %v", err)
 	}
 }
@@ -233,12 +231,12 @@ func TestWatchdogDegradedTeamHealsWithoutRedelivery(t *testing.T) {
 // run's own dispatch, so a legitimate long task belonging to an earlier run
 // must not degrade a healthy team out from under a freshly dispatched run.
 func TestWatchdogIgnoresEarlierRunsTask(t *testing.T) {
-	rt, p := faultRuntime(t, 2, 2)
+	rt := faultRuntime(t, 2, 2)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	earlier := make(chan error, 1)
 	go func() {
-		_, err := runTasks(p, [][]func(*Team){
+		_, err := runTasks(rt, [][]func(*Team){
 			{func(team *Team) { close(started); <-release }},
 			{func(team *Team) { <-started }}, // team 1 must not take team 0's task
 		})
@@ -250,13 +248,12 @@ func TestWatchdogIgnoresEarlierRunsTask(t *testing.T) {
 	// watchdog's very first poll.
 	time.Sleep(450 * time.Millisecond)
 
-	wp := NewPool(p.Topology())
-	wp.Watchdog = 400 * time.Millisecond
+	wd := RunOpts{Watchdog: 400 * time.Millisecond}
 	done := make(chan struct{})
 	var runErr error
 	go func() {
 		defer close(done)
-		_, runErr = runTasks(wp, [][]func(*Team){{func(team *Team) {}}, {func(team *Team) {}}})
+		_, runErr = runTasksOpts(rt, wd, [][]func(*Team){{func(team *Team) {}}, {func(team *Team) {}}})
 	}()
 	// Free the leader well past the watchdog's first polls but well before
 	// a full deadline has elapsed since the run's dispatch.
@@ -275,13 +272,13 @@ func TestWatchdogIgnoresEarlierRunsTask(t *testing.T) {
 }
 
 func TestAllTeamsDegradedIsTransientError(t *testing.T) {
-	rt, p := faultRuntime(t, 1, 3)
-	p.Watchdog = 20 * time.Millisecond
+	rt := faultRuntime(t, 1, 3)
+	wd := RunOpts{Watchdog: 20 * time.Millisecond}
 	release := make(chan struct{})
-	if _, err := runTasks(p, [][]func(*Team){{func(team *Team) { <-release }}}); err == nil {
+	if _, err := runTasksOpts(rt, wd, [][]func(*Team){{func(team *Team) { <-release }}}); err == nil {
 		t.Fatal("expected watchdog failure")
 	}
-	_, err := runTasks(p, [][]func(*Team){{func(team *Team) {}}})
+	_, err := runTasksOpts(rt, wd, [][]func(*Team){{func(team *Team) {}}})
 	if !errors.Is(err, ErrNoHealthyTeams) {
 		t.Fatalf("run with all teams degraded: error = %v, want ErrNoHealthyTeams", err)
 	}
@@ -297,18 +294,18 @@ func TestAllTeamsDegradedIsTransientError(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := runTasks(p, [][]func(*Team){{func(team *Team) {}}}); err != nil {
+	if _, err := runTasksOpts(rt, wd, [][]func(*Team){{func(team *Team) {}}}); err != nil {
 		t.Fatalf("run after heal failed: %v", err)
 	}
 }
 
 func TestInjectedPanicAtNthTask(t *testing.T) {
-	_, p := faultRuntime(t, 2, 2)
+	rt := faultRuntime(t, 2, 2)
 	defer faultinject.Enable(1, faultinject.Rule{
 		Site: "sched.task", Kind: faultinject.KindPanic, After: 4,
 	})()
 	items := [][]int32{{0, 1, 2, 3}, {4, 5, 6, 7}}
-	_, err := p.RunIndexedCtx(nil, items, func(team *Team, item int32) {})
+	_, err := rt.RunIndexedCtx(nil, items, func(team *Team, item int32) {}, RunOpts{})
 	var tpe *TaskPanicError
 	if !errors.As(err, &tpe) {
 		t.Fatalf("error = %v, want *TaskPanicError", err)
@@ -317,23 +314,8 @@ func TestInjectedPanicAtNthTask(t *testing.T) {
 		t.Errorf("panic Value = %v, want *InjectedPanic at sched.task", tpe.Value)
 	}
 	faultinject.Disable()
-	if _, err := p.RunIndexedCtx(nil, items, func(team *Team, item int32) {}); err != nil {
+	if _, err := rt.RunIndexedCtx(nil, items, func(team *Team, item int32) {}, RunOpts{}); err != nil {
 		t.Fatalf("run after disarming faults failed: %v", err)
-	}
-}
-
-func TestEphemeralPoolPanicIsolated(t *testing.T) {
-	leakcheck.Check(t)
-	p := NewPool(topo(2, 2))
-	p.Ephemeral = true
-	_, err := runTasks(p, [][]func(*Team){{func(team *Team) { panic("ephemeral boom") }}})
-	var tpe *TaskPanicError
-	if !errors.As(err, &tpe) {
-		t.Fatalf("error = %v, want *TaskPanicError", err)
-	}
-	// An ephemeral team has no parked helpers: its fan-out spawns per call.
-	if _, err := runTasks(p, [][]func(*Team){{func(team *Team) { team.ParallelRows(32, func(lo, hi, w int) {}) }}}); err != nil {
-		t.Fatalf("ephemeral run after panic failed: %v", err)
 	}
 }
 
@@ -341,8 +323,7 @@ func TestRuntimeCloseReleasesWorkers(t *testing.T) {
 	leakcheck.Check(t)
 	tp := topo(3, 3)
 	rt := RuntimeFor(tp)
-	p := NewPool(tp)
-	if _, err := runTasks(p, [][]func(*Team){
+	if _, err := runTasks(rt, [][]func(*Team){
 		{func(team *Team) { team.ParallelRows(32, func(lo, hi, w int) {}) }},
 		{func(team *Team) {}},
 		{func(team *Team) {}},
@@ -356,7 +337,7 @@ func TestRuntimeCloseReleasesWorkers(t *testing.T) {
 	if rt2 == rt {
 		t.Fatal("RuntimeFor returned the closed runtime")
 	}
-	if _, err := runTasks(p, [][]func(*Team){{func(team *Team) {}}}); err != nil {
+	if _, err := runTasks(rt2, [][]func(*Team){{func(team *Team) {}}}); err != nil {
 		t.Fatalf("run on fresh runtime failed: %v", err)
 	}
 	rt2.Close()

@@ -1,8 +1,8 @@
 package sched
 
 // This file lifts the §III-F placement policy out of the concrete socket
-// scheduler so both levels of the system share one rule. Locally, Pool
-// homes tile-rows on socket teams round-robin and dispatch refolds the
+// scheduler so both levels of the system share one rule. Locally, the
+// Runtime homes tile-rows on socket teams round-robin and dispatch refolds the
 // queues of degraded teams onto healthy ones; one level up, the cluster
 // coordinator (internal/cluster) homes catalog tile-rows on worker nodes —
 // its RemoteTeams — and reroutes the queues of dead workers onto the

@@ -15,11 +15,10 @@ import (
 // starts Sockets × CoresPerSocket long-lived worker goroutines once and
 // serves every subsequent run and ParallelRows over channels, the way the
 // paper's SAP HANA task framework keeps socket-pinned worker teams alive
-// across operator invocations (§III-F). The spawn-per-call Pool of earlier
-// revisions paid a goroutine creation and a fresh stack for every tile of
-// every multiplication; the Runtime pays one channel handoff instead, and —
-// more importantly — gives every worker a stable identity that per-worker
-// scratch arenas can key off (see Team.WorkerLocal).
+// across operator invocations (§III-F). A run or a fan-out costs one channel
+// handoff, not a goroutine, and every worker has a stable identity that
+// per-worker scratch arenas key off (see Team.WorkerLocal). It is the only
+// scheduler.
 //
 // The runtime is also the process's panic domain boundary: a panic inside a
 // task body (including its ParallelRows fan-out) is recovered on the worker,
@@ -33,9 +32,9 @@ import (
 // as soon as their leader finishes any request, the proof that the stuck
 // task has returned.
 //
-// Tasks must not start a run (directly or through a Pool) from inside a
-// task: the leader executing the outer task would never pick up the nested
-// request. None of the operators in this repository nest runs.
+// Tasks must not start a run from inside a task: the leader executing the
+// outer task would never pick up the nested request. None of the operators
+// in this repository nest runs.
 type Runtime struct {
 	topo   numa.Topology
 	teams  []*workerTeam
@@ -265,7 +264,7 @@ func RuntimeFor(topo numa.Topology) *Runtime {
 	return r
 }
 
-// Topology returns the runtime's topology. topo is set once in ForTopology
+// Topology returns the runtime's topology. topo is set once in RuntimeFor
 // before the Runtime escapes; runtimeMu guards the registry, not the field.
 func (r *Runtime) Topology() numa.Topology { return r.topo }
 

@@ -11,10 +11,11 @@ import (
 )
 
 // TestRuntimeGoroutinesStableAcrossRuns checks the point of the persistent
-// runtime: repeated Run calls reuse the resident workers instead of
-// spawning per call.
+// runtime: runs and their row fan-outs are served by the resident workers,
+// so the goroutine count never rises above its warm level — not even while
+// a run is in flight.
 func TestRuntimeGoroutinesStableAcrossRuns(t *testing.T) {
-	p := NewPool(topo(2, 3))
+	rt := RuntimeFor(topo(2, 3))
 	warm := func() {
 		queues := make([][]func(*Team), 2)
 		for s := range queues {
@@ -22,28 +23,49 @@ func TestRuntimeGoroutinesStableAcrossRuns(t *testing.T) {
 				team.ParallelRows(64, func(lo, hi, w int) {})
 			}}
 		}
-		runTasks(p, queues)
+		runTasks(rt, queues)
 	}
 	warm() // first call starts the workers
 	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		warm()
+	peak := peakGoroutines(func() {
+		for i := 0; i < 50; i++ {
+			warm()
+		}
+	})
+	if peak > before+1 { // +1: the sampler
+		t.Fatalf("goroutines rose during runs: %d warm, peak %d", before, peak)
 	}
-	// Give any stray spawned goroutines a moment to show up.
-	time.Sleep(10 * time.Millisecond)
-	after := runtime.NumGoroutine()
-	if after > before {
-		t.Fatalf("goroutines grew across runs: %d -> %d", before, after)
-	}
+}
+
+// peakGoroutines runs f while a sampler polls the goroutine count and
+// returns the highest count seen, the sampler included.
+func peakGoroutines(f func()) int {
+	stop, peak := make(chan struct{}), make(chan int)
+	go func() {
+		top := 0
+		for {
+			select {
+			case <-stop:
+				peak <- top
+				return
+			default:
+			}
+			top = max(top, runtime.NumGoroutine())
+			runtime.Gosched()
+		}
+	}()
+	f()
+	close(stop)
+	return <-peak
 }
 
 // TestWorkerLocalPersistsAcrossRuns checks that a value parked in a worker
 // slot survives subsequent Run calls — the property the per-worker scratch
 // arenas rely on.
 func TestWorkerLocalPersistsAcrossRuns(t *testing.T) {
-	p := NewPool(topo(1, 2))
+	rt := RuntimeFor(topo(1, 2))
 	run := func(f func(*Team)) {
-		runTasks(p, [][]func(*Team){{f}})
+		runTasks(rt, [][]func(*Team){{f}})
 	}
 	run(func(team *Team) {
 		*team.WorkerLocal(0) = "kept"
@@ -57,20 +79,11 @@ func TestWorkerLocalPersistsAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestWorkerLocalNilForAdHocTeams checks the documented fallback for teams
-// without persistent backing.
-func TestWorkerLocalNilForAdHocTeams(t *testing.T) {
-	team := &Team{Workers: 2}
-	if team.WorkerLocal(0) != nil {
-		t.Fatal("ad-hoc team returned a non-nil worker slot")
-	}
-}
-
 // TestRunStatsStolenCount checks the stolen-task counter: all work homed on
 // socket 0 of a 4-socket pool must report at least one steal (the other
 // three leaders have nothing local).
 func TestRunStatsStolenCount(t *testing.T) {
-	p := NewPool(topo(4, 1))
+	rt := RuntimeFor(topo(4, 1))
 	var block = make(chan struct{})
 	queues := make([][]func(*Team), 4)
 	// The first task parks socket 0's leader so the other leaders must
@@ -81,7 +94,7 @@ func TestRunStatsStolenCount(t *testing.T) {
 	}
 	done := make(chan RunStats)
 	go func() {
-		rs, _ := runTasks(p, queues)
+		rs, _ := runTasks(rt, queues)
 		done <- rs
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -98,19 +111,15 @@ func TestRunStatsStolenCount(t *testing.T) {
 // TestRunIndexedExecutesEveryItemOnce mirrors TestRunExecutesEveryTaskOnce
 // for the allocation-free indexed form.
 func TestRunIndexedExecutesEveryItemOnce(t *testing.T) {
-	for _, ephemeral := range []bool{false, true} {
-		p := NewPool(topo(3, 2))
-		p.Ephemeral = ephemeral
-		var counts [40]atomic.Int32
-		queues := make([][]int32, 3)
-		for i := 0; i < 40; i++ {
-			queues[i%3] = append(queues[i%3], int32(i))
-		}
-		p.RunIndexedCtx(nil, queues, func(_ *Team, item int32) { counts[item].Add(1) })
-		for i := range counts {
-			if counts[i].Load() != 1 {
-				t.Fatalf("ephemeral=%v: item %d ran %d times", ephemeral, i, counts[i].Load())
-			}
+	var counts [40]atomic.Int32
+	queues := make([][]int32, 3)
+	for i := 0; i < 40; i++ {
+		queues[i%3] = append(queues[i%3], int32(i))
+	}
+	RuntimeFor(topo(3, 2)).RunIndexedCtx(nil, queues, func(_ *Team, item int32) { counts[item].Add(1) }, RunOpts{})
+	for i := range counts {
+		if counts[i].Load() != 1 {
+			t.Fatalf("item %d ran %d times", i, counts[i].Load())
 		}
 	}
 }
@@ -118,13 +127,13 @@ func TestRunIndexedExecutesEveryItemOnce(t *testing.T) {
 // TestRunIndexedStealing loads one socket and requires the dry teams to
 // finish and count the items they took.
 func TestRunIndexedStealing(t *testing.T) {
-	p := NewPool(topo(3, 1))
+	rt := RuntimeFor(topo(3, 1))
 	var n atomic.Int32
 	queues := make([][]int32, 3)
 	for i := 0; i < 90; i++ {
 		queues[0] = append(queues[0], int32(i))
 	}
-	rs, _ := p.RunIndexedCtx(nil, queues, func(*Team, int32) { n.Add(1) })
+	rs, _ := rt.RunIndexedCtx(nil, queues, func(*Team, int32) { n.Add(1) }, RunOpts{})
 	if n.Load() != 90 {
 		t.Fatalf("ran %d items, want 90", n.Load())
 	}
@@ -137,29 +146,28 @@ func TestRunIndexedStealing(t *testing.T) {
 // Grain=8, a 20-row range may use at most 2 workers (chunks of ≥8 rows)
 // and a 15-row range must run inline.
 func TestParallelRowsGrainCapsWorkers(t *testing.T) {
-	team := &Team{Workers: 4, Grain: 8}
-
 	var mu sync.Mutex
 	workers := map[int]bool{}
-	team.ParallelRows(20, func(lo, hi, w int) {
-		if hi-lo < 8 {
-			t.Errorf("chunk [%d,%d) shorter than grain", lo, hi)
-		}
-		mu.Lock()
-		workers[w] = true
-		mu.Unlock()
+	inlineCalls := 0
+	withTeam(t, 4, 8, func(team *Team) {
+		team.ParallelRows(20, func(lo, hi, w int) {
+			if hi-lo < 8 {
+				t.Errorf("chunk [%d,%d) shorter than grain", lo, hi)
+			}
+			mu.Lock()
+			workers[w] = true
+			mu.Unlock()
+		})
+		team.ParallelRows(15, func(lo, hi, w int) {
+			inlineCalls++
+			if lo != 0 || hi != 15 || w != 0 {
+				t.Errorf("expected inline execution, got [%d,%d) on worker %d", lo, hi, w)
+			}
+		})
 	})
 	if len(workers) > 2 {
 		t.Fatalf("used %d workers, want ≤ 2 with grain 8 over 20 rows", len(workers))
 	}
-
-	inlineCalls := 0
-	team.ParallelRows(15, func(lo, hi, w int) {
-		inlineCalls++
-		if lo != 0 || hi != 15 || w != 0 {
-			t.Fatalf("expected inline execution, got [%d,%d) on worker %d", lo, hi, w)
-		}
-	})
 	if inlineCalls != 1 {
 		t.Fatalf("inline range invoked %d times", inlineCalls)
 	}
@@ -172,14 +180,14 @@ func TestParallelRowsBalancedChunks(t *testing.T) {
 	for _, tc := range []struct{ n, workers int }{
 		{17, 4}, {100, 3}, {5, 4}, {31, 8}, {9, 2},
 	} {
-		team := &Team{Workers: tc.workers}
-		var mu = make(chan struct{}, 1)
-		mu <- struct{}{}
+		var mu sync.Mutex
 		var sizes []int
-		team.ParallelRows(tc.n, func(lo, hi, w int) {
-			<-mu
-			sizes = append(sizes, hi-lo)
-			mu <- struct{}{}
+		withTeam(t, tc.workers, 0, func(team *Team) {
+			team.ParallelRows(tc.n, func(lo, hi, w int) {
+				mu.Lock()
+				sizes = append(sizes, hi-lo)
+				mu.Unlock()
+			})
 		})
 		mn, mx := tc.n, 0
 		total := 0
@@ -198,26 +206,6 @@ func TestParallelRowsBalancedChunks(t *testing.T) {
 		if mx-mn > 1 {
 			t.Fatalf("n=%d w=%d: unbalanced chunks %v", tc.n, tc.workers, sizes)
 		}
-	}
-}
-
-// TestEphemeralPoolRuns checks the ablation path end to end.
-func TestEphemeralPoolRuns(t *testing.T) {
-	p := NewPool(topo(2, 2))
-	p.Ephemeral = true
-	var n atomic.Int32
-	queues := make([][]func(*Team), 2)
-	for i := 0; i < 10; i++ {
-		queues[i%2] = append(queues[i%2], func(team *Team) {
-			if team.WorkerLocal(0) != nil {
-				t.Error("ephemeral team has persistent worker slots")
-			}
-			team.ParallelRows(8, func(lo, hi, w int) { n.Add(int32(hi - lo)) })
-		})
-	}
-	runTasks(p, queues)
-	if n.Load() != 80 {
-		t.Fatalf("covered %d rows, want 80", n.Load())
 	}
 }
 

@@ -17,19 +17,12 @@
 // Teams are long-lived: a process-wide Runtime per topology keeps
 // Sockets × CoresPerSocket worker goroutines alive across calls (see
 // runtime.go), mirroring the paper's reliance on SAP HANA's resident task
-// framework. Pool is the one-shot façade; it routes into the shared Runtime
-// unless Ephemeral selects the spawn-per-call baseline of the runtime
-// ablation.
+// framework. It is the only way work runs on the teams: every Team a task
+// receives is one of its leaders', and no call spawns a goroutine per run or
+// per fan-out.
 package sched
 
-import (
-	"context"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"atmatrix/internal/numa"
-)
+import "atmatrix/internal/numa"
 
 // Team is a group of workers bound to one simulated socket.
 type Team struct {
@@ -44,22 +37,17 @@ type Team struct {
 	// over-parallelize — the hazard the paper notes for small blocks.
 	Grain int
 
-	// home links a runtime-backed team to its persistent workers; nil for
-	// ad-hoc teams (tests, ephemeral pools), which fall back to spawning.
+	// home links the team to its persistent workers.
 	home *workerTeam
 }
 
 // WorkerLocal returns a pointer to the persistent storage slot of the given
-// team-local worker index, or nil when the team is not backed by the
-// persistent runtime. The slot is owned exclusively by the goroutine
-// executing that worker's ParallelRows chunk (worker 0 additionally owns it
-// for the whole task, since tasks run on the leader), so callers may use it
-// without locking; the runtime's channel and WaitGroup handoffs order all
-// accesses across goroutines.
+// team-local worker index, in [0, Workers). The slot is owned exclusively
+// by the goroutine executing that worker's ParallelRows chunk (worker 0
+// additionally owns it for the whole task, since tasks run on the leader),
+// so callers may use it without locking; the runtime's channel and
+// WaitGroup handoffs order all accesses across goroutines.
 func (t *Team) WorkerLocal(worker int) *any {
-	if t.home == nil || worker < 0 || worker >= len(t.home.locals) {
-		return nil
-	}
 	return &t.home.locals[worker]
 }
 
@@ -93,38 +81,13 @@ func (t *Team) ParallelRows(n int, f func(lo, hi, worker int)) {
 	if rem > 0 {
 		first++
 	}
-	if t.home != nil {
-		// Persistent path: hand chunks 1..w-1 to the team's resident
-		// helpers, run chunk 0 on the leader, then wait on the reusable
-		// barrier. No goroutine is created. A panic in any chunk —
-		// including the leader's own — is deferred past the barrier so the
-		// reusable WaitGroup is never abandoned mid-count, then re-raised
-		// for the task-level recovery to convert into a TaskPanicError.
-		wg := &t.home.wg
-		wg.Add(w - 1)
-		lo := first
-		for i := 1; i < w; i++ {
-			sz := base
-			if i < rem {
-				sz++
-			}
-			t.home.jobCh <- rowJob{lo: lo, hi: lo + sz, worker: i, f: f, wg: wg}
-			lo += sz
-		}
-		leaderP := runChunk(f, 0, first, 0)
-		wg.Wait()
-		if fp := t.home.fanoutPanic.Swap(nil); fp != nil {
-			panic(fp)
-		}
-		if leaderP != nil {
-			panic(leaderP)
-		}
-		return
-	}
-	// Ad-hoc path (tests, ephemeral pools): spawn per call as before, with
-	// the same panic-past-the-barrier discipline.
-	var wg sync.WaitGroup
-	var shared atomic.Pointer[fanoutPanic]
+	// Hand chunks 1..w-1 to the team's resident helpers, run chunk 0 on the
+	// leader, then wait on the reusable barrier. No goroutine is created. A
+	// panic in any chunk — including the leader's own — is deferred past the
+	// barrier so the reusable WaitGroup is never abandoned mid-count, then
+	// re-raised for the task-level recovery to convert into a
+	// TaskPanicError.
+	wg := &t.home.wg
 	wg.Add(w - 1)
 	lo := first
 	for i := 1; i < w; i++ {
@@ -132,99 +95,15 @@ func (t *Team) ParallelRows(n int, f func(lo, hi, worker int)) {
 		if i < rem {
 			sz++
 		}
-		go func(lo, hi, worker int) {
-			defer wg.Done()
-			if fp := runChunk(f, lo, hi, worker); fp != nil {
-				shared.CompareAndSwap(nil, fp)
-			}
-		}(lo, lo+sz, i)
+		t.home.jobCh <- rowJob{lo: lo, hi: lo + sz, worker: i, f: f, wg: wg}
 		lo += sz
 	}
 	leaderP := runChunk(f, 0, first, 0)
 	wg.Wait()
-	if fp := shared.Load(); fp != nil {
+	if fp := t.home.fanoutPanic.Swap(nil); fp != nil {
 		panic(fp)
 	}
 	if leaderP != nil {
 		panic(leaderP)
 	}
-}
-
-// Pool runs per-team queues of item ids. It is a thin adapter over the
-// shared persistent Runtime of its topology; constructing a Pool is free.
-type Pool struct {
-	topo numa.Topology
-	// RowGrain is the minimum number of rows per worker handed to
-	// Team.ParallelRows (see Team.Grain).
-	RowGrain int
-	// Watchdog, when positive, is the per-task deadline: a task running
-	// longer marks its team degraded and fails the run with a
-	// *WatchdogError instead of blocking the caller forever. Zero
-	// disables the watchdog. Only the persistent runtime enforces it;
-	// Ephemeral pools ignore the knob.
-	Watchdog time.Duration
-	// Ephemeral restores the historical spawn-per-call scheduler: every
-	// run starts fresh goroutines and no persistent worker state is
-	// reused. It exists as the ablation baseline for the persistent
-	// runtime and the per-worker scratch arenas.
-	Ephemeral bool
-}
-
-// NewPool returns a pool over the given topology.
-func NewPool(topo numa.Topology) *Pool {
-	if err := topo.Validate(); err != nil {
-		panic(err)
-	}
-	return &Pool{topo: topo}
-}
-
-// Topology returns the pool's topology.
-func (p *Pool) Topology() numa.Topology { return p.topo }
-
-// RunIndexedCtx executes queues of item ids through one shared task
-// function (see Runtime.RunIndexedCtx); queues[s] holds the items homed on
-// socket s, and queue indexes beyond the socket count are folded back
-// round-robin. It blocks until every item has run exactly once (or the run
-// failed or was cancelled).
-func (p *Pool) RunIndexedCtx(ctx context.Context, queues [][]int32, run func(team *Team, item int32)) (RunStats, error) {
-	if !p.Ephemeral {
-		return RuntimeFor(p.topo).RunIndexedCtx(ctx, queues, run, RunOpts{Grain: p.RowGrain, Watchdog: p.Watchdog})
-	}
-	return p.runEphemeral(&runReq{items: foldQueues(queues, p.topo.Sockets), run: run, grain: p.RowGrain, ctx: ctx})
-}
-
-// runEphemeral is the pre-runtime implementation: one goroutine per socket
-// per call, teams without persistent backing, the same home-first-then-the-
-// rest drain as Runtime.leaderLoop. Task panics are isolated the same way as
-// on the persistent runtime; the watchdog is not enforced (ephemeral teams
-// exist only as the ablation baseline).
-func (p *Pool) runEphemeral(req *runReq) (RunStats, error) {
-	s := p.topo.Sockets
-	req.next = make([]atomic.Int64, s)
-	var wg sync.WaitGroup
-	for sock := 0; sock < s; sock++ {
-		wg.Add(1)
-		go func(sock int) {
-			defer wg.Done()
-			team := &Team{Socket: numa.Node(sock), Workers: p.topo.CoresPerSocket, Grain: p.RowGrain}
-			for off := 0; off < s; off++ {
-				victim := (sock + off) % s
-				for {
-					if req.aborted() {
-						return
-					}
-					i := int(req.next[victim].Add(1) - 1)
-					if i >= len(req.items[victim]) {
-						break
-					}
-					req.safeExec(victim, i, team)
-					if off > 0 {
-						req.stolen.Add(1)
-					}
-				}
-			}
-		}(sock)
-	}
-	wg.Wait()
-	return RunStats{Stolen: req.stolen.Load()}, req.firstErr()
 }
