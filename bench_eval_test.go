@@ -400,3 +400,13 @@ func BenchmarkEval_IngestProducts(b *testing.B) {
 	b.Run("store", func(b *testing.B) { benchMultiply(b, t1, t2) })
 	b.Run("read", func(b *testing.B) { benchMultiply(b, tp, b0) })
 }
+
+// BenchmarkEval_MultSparse: mult_sparse's four requests, A·A on the R7, R8,
+// R9 and G9 stand-ins — sparse targets, where SpGEMM and the row pass that
+// finishes every result row do the work.
+func BenchmarkEval_MultSparse(b *testing.B) {
+	for _, id := range []string{"R7", "R8", "R9", "G9"} {
+		a := mustPartition(b, serverStandIn(b, id, 0, 1.0/16), serverCfg())
+		b.Run(id, func(b *testing.B) { benchMultiply(b, a, a) })
+	}
+}

@@ -177,13 +177,14 @@ func BenchmarkKernel_DDSp(b *testing.B) {
 var finalizeSink *mat.CSR
 
 // BenchmarkKernel_Finalize times a sparse target tile from first
-// contribution to CSR — kernel, per-row combine, assembly — which is what
-// one sparse result tile costs ATMULT. hyper and sparse receive a single
-// Gustavson contribution (single-run rows: the combine finds nothing to do
-// and the assembly is copies); multirun receives eight overlapping
-// contributions per row on the sparse class, the shape of a result tile fed
-// by many operand tile pairs, where every row is re-scattered. allocs/op is
-// the escaping result (CSR header, RowPtr, ColIdx, Val), nothing else.
+// contribution to CSR — one row pass, then assembly — which is what one
+// sparse result tile costs ATMULT. hyper and sparse receive a single
+// Gustavson contribution (every row scattered and emitted once); multirun
+// receives eight overlapping contributions per row on the sparse class, the
+// shape of a result tile fed by many operand tile pairs, where seven of
+// them go through the second SPA and are folded into the row total.
+// allocs/op is the escaping result (CSR header, RowPtr, ColIdx, Val),
+// nothing else.
 func BenchmarkKernel_Finalize(b *testing.B) {
 	for _, fc := range []struct {
 		name, class string
@@ -193,16 +194,18 @@ func BenchmarkKernel_Finalize(b *testing.B) {
 		b.Run(fc.name, func(b *testing.B) {
 			_, _, as, bs := kc.operands()
 			scr := kernels.NewScratch()
+			terms := make([]kernels.Term, fc.contribs)
+			for c := range terms {
+				x, y := as, bs
+				if c%2 == 1 {
+					x, y = bs, as // a different product: rows overlap only in part
+				}
+				terms[c] = kernels.Term{A: kernels.FullCSR(x), B: kernels.FullCSR(y)}
+			}
 			run := func() {
 				acc := scr.Acc(kc.n, kc.n)
-				for c := 0; c < fc.contribs; c++ {
-					x, y := as, bs
-					if c%2 == 1 {
-						x, y = bs, as // a different product: runs overlap only in part
-					}
-					kernels.SpSpSp(acc, 0, 0, kernels.FullCSR(x), kernels.FullCSR(y), scr.SPA())
-				}
-				acc.CombineRows(0, kc.n, scr.SPA())
+				acc.Split(1)
+				acc.Pass(0, 0, kc.n, terms, scr)
 				finalizeSink = acc.ToCSR()
 			}
 			run() // warm up the arena

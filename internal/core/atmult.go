@@ -79,8 +79,8 @@ type MultStats struct {
 	EstimateTime time.Duration // density estimation + water level
 	OptimizeTime time.Duration // cost-model decisions (wall time, summed over tasks)
 	ConvertTime  time.Duration // just-in-time operand conversions
-	MultiplyTime time.Duration // kernel execution (sparse targets: summed over the fan-out's row chunks)
-	FinalizeTime time.Duration // accumulated contributions → CSR: per-chunk combine (summed likewise) + leader assembly
+	MultiplyTime time.Duration // kernel execution; sparse targets: the row passes, emit of every finished row included, summed over the fan-out's row chunks
+	FinalizeTime time.Duration // sparse targets: the leader's assembly of the finished rows into the result CSR
 	VerifyTime   time.Duration // Freivalds result verification (opts.Verify)
 	WallTime     time.Duration // end-to-end operator time
 
@@ -424,20 +424,18 @@ type contribution struct {
 	// against the column band (valid when bTile is sparse).
 	bWin kernels.CSRWin
 
-	// Resolved operands after optimization: exactly one of each pair is
-	// set. Dense operands are compact copies or shared windows, held as
-	// value headers so resolving a window never heap-allocates.
-	aSp, bSp kernels.CSRWin
-	aD, bD   mat.Dense
-	aKind    mat.Kind
-	bKind    mat.Kind
+	// Term holds the resolved operands after optimization: for each of A
+	// and B either the sparse window or the dense one is set. Dense
+	// operands are compact copies or shared windows, held as value headers
+	// so resolving a window never heap-allocates. Term.Outer routes a
+	// sparse×sparse contribution into a sparse target to the
+	// outer-product merge kernel instead of Gustavson — decided once per
+	// contribution by the cost model.
+	kernels.Term
+	aKind mat.Kind
+	bKind mat.Kind
 	// aView, when set, holds A's row band by column, for SpSpDCols.
 	aView *kernels.ColView
-
-	// outer routes this contribution (sparse×sparse into a sparse target
-	// only) to the outer-product multiway-merge kernel instead of
-	// Gustavson — decided once per contribution by the cost model.
-	outer bool
 }
 
 // multiplyPair computes one target tile C_{ti,tj} (Alg. 2 lines 6–10) into
@@ -511,8 +509,8 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 		// per contribution, so every row slice of the fan-out runs the same
 		// kernel.
 		if targetKind == mat.Sparse && kindA == mat.Sparse && kindB == mat.Sparse {
-			ct.outer = cfg.Cost.PreferOuter(m, ct.k, n, runDensity(ct), rhoB)
-			if ct.outer {
+			ct.Outer = cfg.Cost.PreferOuter(m, ct.k, n, runDensity(ct), rhoB)
+			if ct.Outer {
 				mc.outerCalls.Add(1)
 			} else {
 				mc.gustavsonCalls.Add(1)
@@ -559,10 +557,14 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 		}
 		*out = Tile{Row0: rb.Lo, Col0: cb.Lo, Rows: m, Cols: n, Kind: mat.DenseKind, D: dHdr, NNZ: nnz}
 	} else {
-		// Each chunk of the fan-out stamps its own kernel and combine
-		// time (busy time, summed across workers); the leader adds the
-		// assembly of the combined rows into the result CSR.
+		// One row pass per chunk of the fan-out, each into its own segment
+		// and stamping its own time (busy time, summed across workers); the
+		// leader adds the assembly of the finished rows into the result CSR.
+		for i := range contribs {
+			ws.terms = append(ws.terms, contribs[i].Term)
+		}
 		acc := ws.scratch.Acc(m, n)
+		acc.Split(team.Workers)
 		ws.curAcc, ws.curMC = acc, mc
 		team.ParallelRows(m, sparseFn)
 		t0 = time.Now()
@@ -582,11 +584,11 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 }
 
 // resolveOperand fills the kernel operand fields of a contribution for the
-// requested representation, converting the referenced window when it
-// differs from the tile's stored kind. Ad-hoc window conversions land in
-// the task's scratch arena (valid until the task ends); full-tile dense
-// conversions go through the shared cache instead, because they outlive
-// the task.
+// requested representation, converting a sparse window to dense when the
+// optimizer asks for it (costmodel.ChooseKernel never proposes the reverse).
+// Ad-hoc window conversions land in the task's scratch arena (valid until
+// the task ends); full-tile dense conversions go through the shared cache
+// instead, because they outlive the task.
 func (mc *mulCtx) resolveOperand(ct *contribution, isA bool, want mat.Kind, scr *kernels.Scratch) {
 	var tile *Tile
 	var r0, c0, rows, cols int
@@ -603,55 +605,42 @@ func (mc *mulCtx) resolveOperand(ct *contribution, isA bool, want mat.Kind, scr 
 		if !isA && want == mat.Sparse {
 			// Use the pre-indexed (tile × column band) window, narrowed
 			// to the contraction range.
-			ct.bSp = ct.bWin.RowSlice(r0, r0+rows)
+			ct.B = ct.bWin.RowSlice(r0, r0+rows)
 			return
 		}
 		sp, d := tile.window(r0, r0+rows, c0, c0+cols)
 		if isA {
-			ct.aSp, ct.aD = sp, d
+			ct.A, ct.AD = sp, d
 		} else {
-			ct.bSp, ct.bD = sp, d
+			ct.B, ct.BD = sp, d
 		}
 		return
 	}
+	// sparse → dense conversion. A full-tile conversion is cached and shared
+	// across all pairs touching the tile (the same tile recurs once per
+	// target band); partial windows are converted ad hoc.
 	t0 := time.Now()
-	if want == mat.DenseKind {
-		// sparse → dense conversion. A full-tile conversion is cached
-		// and shared across all pairs touching the tile (the same tile
-		// recurs once per target band); partial windows are converted
-		// ad hoc.
-		var d *mat.Dense
-		if r0 == 0 && c0 == 0 && rows == tile.Rows && cols == tile.Cols {
-			var hit bool
-			d, hit = mc.cache.dense(tile)
-			if hit {
-				// Cache hits cost nothing; don't count a conversion.
-				if isA {
-					ct.aD = *d
-				} else {
-					ct.bD = *d
-				}
-				return
+	var d *mat.Dense
+	if r0 == 0 && c0 == 0 && rows == tile.Rows && cols == tile.Cols {
+		var hit bool
+		d, hit = mc.cache.dense(tile)
+		if hit {
+			// Cache hits cost nothing; don't count a conversion.
+			if isA {
+				ct.AD = *d
+			} else {
+				ct.BD = *d
 			}
-		} else {
-			win := kernels.CSRWin{M: tile.Sp, Row0: r0, Col0: c0, Rows: rows, Cols: cols}
-			d = win.ToDenseScratch(scr)
-		}
-		if isA {
-			ct.aD = *d
-		} else {
-			ct.bD = *d
+			return
 		}
 	} else {
-		// dense → sparse window copy, built in the scratch CSR arena
-		dw := tile.D.View(r0, r0+rows, c0, c0+cols)
-		csr := kernels.DenseToCSRScratch(&dw, scr)
-		win := kernels.FullCSR(csr)
-		if isA {
-			ct.aSp = win
-		} else {
-			ct.bSp = win
-		}
+		win := kernels.CSRWin{M: tile.Sp, Row0: r0, Col0: c0, Rows: rows, Cols: cols}
+		d = win.ToDenseScratch(scr)
+	}
+	if isA {
+		ct.AD = *d
+	} else {
+		ct.BD = *d
 	}
 	mc.convNanos.Add(time.Since(t0).Nanoseconds())
 	mc.conversions.Add(1)
@@ -795,38 +784,15 @@ func runDenseTarget(cw *mat.Dense, ct *contribution, lo, hi int) {
 	aSp, aD := sliceA(ct, lo, hi)
 	switch {
 	case ct.aView != nil:
-		kernels.SpSpDCols(cw, ct.aView, lo, ct.aC0, ct.bSp)
+		kernels.SpSpDCols(cw, ct.aView, lo, ct.aC0, ct.B)
 	case ct.aKind == mat.Sparse && ct.bKind == mat.Sparse:
-		kernels.SpSpD(cw, aSp, ct.bSp)
+		kernels.SpSpD(cw, aSp, ct.B)
 	case ct.aKind == mat.Sparse && ct.bKind == mat.DenseKind:
-		kernels.SpDD(cw, aSp, &ct.bD)
+		kernels.SpDD(cw, aSp, &ct.BD)
 	case ct.aKind == mat.DenseKind && ct.bKind == mat.Sparse:
-		kernels.DSpD(cw, &aD, ct.bSp)
+		kernels.DSpD(cw, &aD, ct.B)
 	default:
-		kernels.DDD(cw, &aD, &ct.bD)
-	}
-}
-
-// runSparseTarget executes one contribution into the sparse accumulator
-// rows [lo, hi). It draws the SPA or the merge arena from the executing
-// worker's scratch, depending on the contribution's algorithm choice.
-//
-//atlint:hotpath
-func runSparseTarget(acc *kernels.SpAcc, ct *contribution, lo, hi int, scr *kernels.Scratch) {
-	aSp, aD := sliceA(ct, lo, hi)
-	switch {
-	case ct.aKind == mat.Sparse && ct.bKind == mat.Sparse:
-		if ct.outer {
-			kernels.OuterSpSp(acc, lo, 0, aSp, ct.bSp, scr.Merge())
-		} else {
-			kernels.SpSpSp(acc, lo, 0, aSp, ct.bSp, scr.SPA())
-		}
-	case ct.aKind == mat.Sparse && ct.bKind == mat.DenseKind:
-		kernels.SpDSp(acc, lo, 0, aSp, &ct.bD, scr.SPA())
-	case ct.aKind == mat.DenseKind && ct.bKind == mat.Sparse:
-		kernels.DSpSp(acc, lo, 0, &aD, ct.bSp, scr.SPA())
-	default:
-		kernels.DDSp(acc, lo, 0, &aD, &ct.bD, scr.SPA())
+		kernels.DDD(cw, &aD, &ct.BD)
 	}
 }
 
@@ -868,8 +834,8 @@ func PlanWriteThreshold(a, b *ATMatrix, cfg Config) float64 {
 //atlint:hotpath
 func sliceA(ct *contribution, lo, hi int) (kernels.CSRWin, mat.Dense) {
 	if ct.aKind == mat.Sparse {
-		w := ct.aSp
+		w := ct.A
 		return kernels.CSRWin{M: w.M, Row0: w.Row0 + lo, Col0: w.Col0, Rows: hi - lo, Cols: w.Cols}, mat.Dense{}
 	}
-	return kernels.CSRWin{}, ct.aD.View(lo, hi, 0, ct.aD.Cols)
+	return kernels.CSRWin{}, ct.AD.View(lo, hi, 0, ct.AD.Cols)
 }

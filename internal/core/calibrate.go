@@ -79,10 +79,10 @@ func CalibrateCostModel() costmodel.Params {
 	// per-flop cost so only ratios matter. The curve is only ever asked on
 	// which side of Gustavson it lies, so it is fitted where that flips,
 	// not deep in the tree regime whose steeper growth a single log term
-	// cannot also follow. Both sides are timed until their rows are final
-	// (kernel + combine): Gustavson's flush pays the ordered emit of its
-	// scattered row, the merge kernel emits in order for free, and that
-	// difference is part of the crossover. Clamps keep a degenerate
+	// cannot also follow. Both sides are timed until their rows are final,
+	// which a one-contribution kernel call leaves them: Gustavson pays the
+	// ordered emit of its scattered row, the merge kernel emits in order for
+	// free, and that difference is part of the crossover. Clamps keep a degenerate
 	// measurement from inverting the curve (OuterAppend must stay below the
 	// Gustavson cost for the hypersparse class to ever be routed to the
 	// merge kernel, and MergeStep must stay positive so dense-ish tiles
@@ -94,14 +94,12 @@ func CalibrateCostModel() costmodel.Params {
 			return timePerUnit(func() {
 				acc := scr.Acc(hn, hn)
 				kernels.SpSpSp(acc, 0, 0, kernels.FullCSR(as2), kernels.FullCSR(bs2), scr.SPA())
-				acc.CombineRows(0, hn, scr.SPA())
 			}, 1)
 		}
 		outerAt := func(as2, bs2 *mat.CSR) float64 {
 			return timePerUnit(func() {
 				acc := scr.Acc(hn, hn)
 				kernels.OuterSpSp(acc, 0, 0, kernels.FullCSR(as2), kernels.FullCSR(bs2), scr.Merge())
-				acc.CombineRows(0, hn, scr.SPA())
 			}, 1)
 		}
 		mk := func(rho float64) (*mat.CSR, *mat.CSR) {

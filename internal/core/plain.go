@@ -36,14 +36,14 @@ func rowChunks(m, workers int) []Band {
 }
 
 // forRowChunks is the parallel loop all plain operators share: body runs
-// once per chunk of the m result rows, one chunk per simulated core. Plain
-// kernels have no tile structure; a chunk is homed by its first row like
-// everything else.
-func forRowChunks(cfg Config, m int, body func(team *sched.Team, rows Band)) error {
+// once per chunk i of the m result rows, one chunk per simulated core (at
+// most TotalCores). Plain kernels have no tile structure; a chunk is homed
+// by its first row like everything else.
+func forRowChunks(cfg Config, m int, body func(team *sched.Team, i int, rows Band)) error {
 	chunks := rowChunks(m, cfg.Topology.TotalCores())
 	_, err := RunHomed(nil, cfg, 0, len(chunks),
 		func(i int) int { return chunks[i].Lo },
-		func(team *sched.Team, i int) { body(team, chunks[i]) })
+		func(team *sched.Team, i int) { body(team, i, chunks[i]) })
 	return err
 }
 
@@ -54,12 +54,13 @@ func MulSpSpSp(a, b *mat.CSR, cfg Config) (*mat.CSR, error) {
 		return nil, contractionErr(a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	acc := kernels.NewSpAcc(a.Rows, b.Cols)
-	err := forRowChunks(cfg, a.Rows, func(team *sched.Team, ch Band) {
-		// Tasks execute on the team leader, so its persistent scratch SPA
-		// is exclusively ours for the duration of the task.
-		spa := stateFor(team, 0, cfg.EphemeralWorkers).scratch.SPA()
-		aw := kernels.CSRWin{M: a, Row0: ch.Lo, Rows: ch.Len(), Cols: a.Cols}
-		kernels.SpSpSp(acc, ch.Lo, 0, aw, kernels.FullCSR(b), spa)
+	acc.Split(cfg.Topology.TotalCores())
+	terms := []kernels.Term{{A: kernels.FullCSR(a), B: kernels.FullCSR(b)}}
+	err := forRowChunks(cfg, a.Rows, func(team *sched.Team, i int, ch Band) {
+		// Tasks execute on the team leader, so its persistent scratch is
+		// exclusively ours for the duration of the task; each chunk writes
+		// its own segment.
+		acc.Pass(i, ch.Lo, ch.Hi, terms, stateFor(team, 0, cfg.EphemeralWorkers).scratch)
 	})
 	if err != nil {
 		return nil, err
@@ -73,7 +74,7 @@ func MulSpSpD(a, b *mat.CSR, cfg Config) (*mat.Dense, error) {
 		return nil, contractionErr(a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	c := mat.NewDense(a.Rows, b.Cols)
-	err := forRowChunks(cfg, a.Rows, func(_ *sched.Team, ch Band) {
+	err := forRowChunks(cfg, a.Rows, func(_ *sched.Team, _ int, ch Band) {
 		aw := kernels.CSRWin{M: a, Row0: ch.Lo, Rows: ch.Len(), Cols: a.Cols}
 		kernels.SpSpD(c.Window(ch.Lo, ch.Hi, 0, c.Cols), aw, kernels.FullCSR(b))
 	})
@@ -89,7 +90,7 @@ func MulSpDD(a *mat.CSR, b *mat.Dense, cfg Config) (*mat.Dense, error) {
 		return nil, contractionErr(a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	c := mat.NewDense(a.Rows, b.Cols)
-	err := forRowChunks(cfg, a.Rows, func(_ *sched.Team, ch Band) {
+	err := forRowChunks(cfg, a.Rows, func(_ *sched.Team, _ int, ch Band) {
 		aw := kernels.CSRWin{M: a, Row0: ch.Lo, Rows: ch.Len(), Cols: a.Cols}
 		kernels.SpDD(c.Window(ch.Lo, ch.Hi, 0, c.Cols), aw, b)
 	})
@@ -106,7 +107,7 @@ func MulDSpD(a *mat.Dense, b *mat.CSR, cfg Config) (*mat.Dense, error) {
 		return nil, contractionErr(a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	c := mat.NewDense(a.Rows, b.Cols)
-	err := forRowChunks(cfg, a.Rows, func(_ *sched.Team, ch Band) {
+	err := forRowChunks(cfg, a.Rows, func(_ *sched.Team, _ int, ch Band) {
 		kernels.DSpD(c.Window(ch.Lo, ch.Hi, 0, c.Cols), a.Window(ch.Lo, ch.Hi, 0, a.Cols), kernels.FullCSR(b))
 	})
 	if err != nil {
@@ -121,7 +122,7 @@ func MulDDD(a, b *mat.Dense, cfg Config) (*mat.Dense, error) {
 		return nil, contractionErr(a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	c := mat.NewDense(a.Rows, b.Cols)
-	err := forRowChunks(cfg, a.Rows, func(_ *sched.Team, ch Band) {
+	err := forRowChunks(cfg, a.Rows, func(_ *sched.Team, _ int, ch Band) {
 		kernels.DDD(c.Window(ch.Lo, ch.Hi, 0, c.Cols), a.Window(ch.Lo, ch.Hi, 0, a.Cols), b)
 	})
 	if err != nil {

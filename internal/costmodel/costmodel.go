@@ -229,8 +229,8 @@ type Plan struct {
 // CSR cannot beat streaming the dense representation directly (a dense
 // row is the degenerate best case of every sparse inner loop), and the
 // conversions the paper observes in its evaluation (§IV-D) are all
-// sparse→dense. The reverse direction remains supported by the kernels
-// and by Tile.Converted for callers that want it.
+// sparse→dense. ATMULT relies on this: it has no dense→sparse operand
+// conversion.
 func (p Params) ChooseKernel(kindA, kindB, kindC mat.Kind, m, k, n int, rhoA, rhoB, rhoC float64) Plan {
 	best := Plan{Cost: -1}
 	for _, ka := range alternatives(kindA) {

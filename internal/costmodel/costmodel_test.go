@@ -162,6 +162,30 @@ func TestChooseKernelNeverWorseThanNoConversion(t *testing.T) {
 	}
 }
 
+// TestChooseKernelKeepsDenseOperandsDense pins the invariant ATMULT's
+// operand resolution relies on: the optimizer may upgrade a sparse operand
+// to dense but never proposes the reverse, so a dense operand reaches the
+// kernels dense whatever the kinds, shapes and densities.
+func TestChooseKernelKeepsDenseOperandsDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		kinds := [2]mat.Kind{mat.Sparse, mat.DenseKind}
+		ka, kb, kc := kinds[r.Intn(2)], kinds[r.Intn(2)], kinds[r.Intn(2)]
+		m, k, n := 1+r.Intn(4096), 1+r.Intn(4096), 1+r.Intn(4096)
+		ra, rb, rc := r.Float64(), r.Float64(), r.Float64()
+		if r.Intn(3) == 0 { // hypersparse, where a sparse form would be cheapest
+			ra, rb, rc = ra/1000, rb/1000, rc/1000
+		}
+		plan := Default().ChooseKernel(ka, kb, kc, m, k, n, ra, rb, rc)
+		return (ka != mat.DenseKind || plan.KindA == mat.DenseKind) &&
+			(kb != mat.DenseKind || plan.KindB == mat.DenseKind)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rng}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestOuterCrossover pins the structure of the outer-product SpGEMM cost
 // curve: the merge kernel is modelled cheaper exactly on the hypersparse
 // side of RunsOuter, the crossover sits between two and three runs per

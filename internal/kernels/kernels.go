@@ -395,118 +395,144 @@ const scatterUnrollMin = 8
 
 // --- Sparse-target kernels ------------------------------------------------
 //
-// The sparse target is a SpAcc covering the whole result tile; the kernel
-// writes the window at tile offset (cRow0, cCol0). Rows are accumulated via
-// the SPA and flushed once per row (Gustavson / sparse accumulator
-// approach, §III-A).
+// The sparse target is a SpAcc covering the whole result tile, written in
+// row passes (SpAcc.Pass): each row is summed over all its contributions —
+// in the SPA (Gustavson / sparse accumulator approach, §III-A) or by the
+// outer-product merge — and emitted once. The kernels below are the
+// one-contribution case: they write the window's rows at tile offset
+// (cRow0, cCol0), each row once.
 
-// SpSpSp computes cAcc[window] += a·b for sparse operands (spspsp_gemm,
-// the classical Gustavson algorithm and the paper's baseline).
+// Term is one contribution to the rows of a sparse target: a referenced
+// window of A times one of B (§III-B). An operand is the sparse window when
+// its M is set, the dense one otherwise; Outer routes a sparse×sparse term
+// to the outer-product merge kernel instead of Gustavson.
+type Term struct {
+	A, B   CSRWin
+	AD, BD mat.Dense
+	Outer  bool
+}
+
+// termKind names the five sparse-target kernels.
+type termKind uint8
+
+const (
+	spspTerm  termKind = iota // SpSpSp
+	spdTerm                   // SpDSp
+	dspTerm                   // DSpSp
+	ddTerm                    // DDSp
+	outerTerm                 // OuterSpSp
+)
+
+// termRows is a term as a pass reads it: the window accessors hoisted once
+// per pass, B's columns rebased into the target.
+type termRows struct {
+	ar, br rowsOf
+	ad, bd *mat.Dense
+	ac0    int32 // A window's first column: A column ac0+k meets B window row k
+	bc0    int32 // sparse B column c lands in target column c−bc0
+	c0     int32 // dense B column j lands in target column c0+j
+	kind   termKind
+}
+
+// newTermRows prepares a term whose window columns start at target column
+// c0. An operand is sparse when its window's M is set.
+func newTermRows(a, b CSRWin, ad, bd *mat.Dense, outer bool, c0 int) termRows {
+	t := termRows{ad: ad, bd: bd, ac0: int32(a.Col0), bc0: int32(b.Col0) - int32(c0), c0: int32(c0)}
+	if a.M != nil {
+		t.ar = a.rows()
+	}
+	if b.M != nil {
+		t.br = b.rows()
+	}
+	switch {
+	case a.M != nil && b.M != nil && outer:
+		t.kind = outerTerm
+	case a.M != nil && b.M != nil:
+		t.kind = spspTerm
+	case a.M != nil:
+		t.kind = spdTerm
+	case b.M != nil:
+		t.kind = dspTerm
+	default:
+		t.kind = ddTerm
+	}
+	return t
+}
+
+// scatter adds window row i of a Gustavson-family term into spa.
 //
 //atlint:hotpath
+func (t *termRows) scatter(i int, spa *SPA) {
+	ac0, bc0, c0 := t.ac0, t.bc0, t.c0
+	switch t.kind {
+	case spspTerm:
+		acols, avals := t.ar.row(i)
+		for p, acol := range acols {
+			av := avals[p]
+			bcols, bvals := t.br.row(int(acol - ac0))
+			for q, bcol := range bcols {
+				spa.Add(bcol-bc0, av*bvals[q])
+			}
+		}
+	case spdTerm:
+		acols, avals := t.ar.row(i)
+		for p, acol := range acols {
+			av := avals[p]
+			for j, bv := range t.bd.RowSlice(int(acol - ac0)) {
+				if bv != 0 {
+					spa.Add(c0+int32(j), av*bv)
+				}
+			}
+		}
+	case dspTerm:
+		for k, av := range t.ad.RowSlice(i) {
+			if av == 0 {
+				continue
+			}
+			bcols, bvals := t.br.row(k)
+			for q, bcol := range bcols {
+				spa.Add(bcol-bc0, av*bvals[q])
+			}
+		}
+	default:
+		for k, av := range t.ad.RowSlice(i) {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range t.bd.RowSlice(k) {
+				if bv != 0 {
+					spa.Add(c0+int32(j), av*bv)
+				}
+			}
+		}
+	}
+}
+
+// SpSpSp computes cAcc[window] = a·b for sparse operands (spspsp_gemm,
+// the classical Gustavson algorithm and the paper's baseline).
 func SpSpSp(cAcc *SpAcc, cRow0, cCol0 int, a, b CSRWin, spa *SPA) {
 	checkAccDims(cAcc, cRow0, cCol0, a.Rows, a.Cols, b.Rows, b.Cols)
-	ac0 := int32(a.Col0)
-	bc0 := int32(b.Col0) - int32(cCol0) // rebase directly into tile coords
-	ar := a.rows()
-	br := b.rows()
-	for i := 0; i < a.Rows; i++ {
-		acols, avals := ar.row(i)
-		if len(acols) == 0 {
-			continue
-		}
-		spa.Reset(cAcc.Cols)
-		for p, acol := range acols {
-			av := avals[p]
-			bcols, bvals := br.row(int(acol - ac0))
-			for q, bcol := range bcols {
-				spa.Add(bcol-bc0, av*bvals[q])
-			}
-		}
-		cAcc.FlushRow(cRow0+i, spa)
-	}
+	cAcc.single(cRow0, a.Rows, newTermRows(a, b, nil, nil, false, cCol0), spa, nil)
 }
 
-// SpDSp computes cAcc[window] += a·b for sparse a, dense b (spdsp_gemm).
-//
-//atlint:hotpath
+// SpDSp computes cAcc[window] = a·b for sparse a, dense b (spdsp_gemm).
 func SpDSp(cAcc *SpAcc, cRow0, cCol0 int, a CSRWin, b *mat.Dense, spa *SPA) {
 	checkAccDims(cAcc, cRow0, cCol0, a.Rows, a.Cols, b.Rows, b.Cols)
-	ac0 := int32(a.Col0)
-	ar := a.rows()
-	for i := 0; i < a.Rows; i++ {
-		acols, avals := ar.row(i)
-		if len(acols) == 0 {
-			continue
-		}
-		spa.Reset(cAcc.Cols)
-		for p, acol := range acols {
-			av := avals[p]
-			brow := b.RowSlice(int(acol - ac0))
-			for j, bv := range brow {
-				if bv != 0 {
-					spa.Add(int32(cCol0+j), av*bv)
-				}
-			}
-		}
-		cAcc.FlushRow(cRow0+i, spa)
-	}
+	cAcc.single(cRow0, a.Rows, newTermRows(a, CSRWin{}, nil, b, false, cCol0), spa, nil)
 }
 
-// DSpSp computes cAcc[window] += a·b for dense a, sparse b (dspsp_gemm).
-//
-//atlint:hotpath
+// DSpSp computes cAcc[window] = a·b for dense a, sparse b (dspsp_gemm).
 func DSpSp(cAcc *SpAcc, cRow0, cCol0 int, a *mat.Dense, b CSRWin, spa *SPA) {
 	checkAccDims(cAcc, cRow0, cCol0, a.Rows, a.Cols, b.Rows, b.Cols)
-	bc0 := int32(b.Col0) - int32(cCol0)
-	br := b.rows()
-	for i := 0; i < a.Rows; i++ {
-		arow := a.RowSlice(i)
-		spa.Reset(cAcc.Cols)
-		any := false
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			bcols, bvals := br.row(k)
-			for q, bcol := range bcols {
-				spa.Add(bcol-bc0, av*bvals[q])
-				any = true
-			}
-		}
-		if any {
-			cAcc.FlushRow(cRow0+i, spa)
-		}
-	}
+	cAcc.single(cRow0, a.Rows, newTermRows(CSRWin{}, b, a, nil, false, cCol0), spa, nil)
 }
 
-// DDSp computes cAcc[window] += a·b for dense operands into a sparse
-// target (ddsp_gemm). It exists for completeness of the eightfold model;
-// the cost-based optimizer essentially never picks it.
-//
-//atlint:hotpath
+// DDSp computes cAcc[window] = a·b for dense operands into a sparse target
+// (ddsp_gemm). It exists for completeness of the eightfold model; the
+// cost-based optimizer essentially never picks it.
 func DDSp(cAcc *SpAcc, cRow0, cCol0 int, a, b *mat.Dense, spa *SPA) {
 	checkAccDims(cAcc, cRow0, cCol0, a.Rows, a.Cols, b.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.RowSlice(i)
-		spa.Reset(cAcc.Cols)
-		any := false
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.RowSlice(k)
-			for j, bv := range brow {
-				if bv != 0 {
-					spa.Add(int32(cCol0+j), av*bv)
-					any = true
-				}
-			}
-		}
-		if any {
-			cAcc.FlushRow(cRow0+i, spa)
-		}
-	}
+	cAcc.single(cRow0, a.Rows, newTermRows(CSRWin{}, CSRWin{}, a, b, false, cCol0), spa, nil)
 }
 
 // axpy computes y += alpha·x over equal-length slices, with a pure-add

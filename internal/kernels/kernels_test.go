@@ -132,8 +132,8 @@ func TestReferencedWindows(t *testing.T) {
 }
 
 // TestAccumulation checks C' = C + A·B semantics: repeated kernel calls
-// into the same target must sum, including mixed dense/sparse-target
-// contributions at tile offsets.
+// into a dense target must sum, and so must the contributions of one row
+// pass into a sparse target, mixed sparse and dense operands included.
 func TestAccumulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	m, k, n := 20, 25, 30
@@ -149,10 +149,9 @@ func TestAccumulation(t *testing.T) {
 		t.Fatal("dense-target accumulation mismatch")
 	}
 
-	spa := NewSPA(n)
 	acc := NewSpAcc(m, n)
-	SpSpSp(acc, 0, 0, FullCSR(as1), FullCSR(bs1), spa)
-	SpDSp(acc, 0, 0, FullCSR(as2), bd2, spa)
+	acc.Split(1)
+	acc.Pass(0, 0, m, []Term{{A: FullCSR(as1), B: FullCSR(bs1)}, {A: FullCSR(as2), BD: *bd2}}, NewScratch())
 	if !acc.ToDense().EqualApprox(want, tol) {
 		t.Fatal("sparse-target accumulation mismatch")
 	}
@@ -193,26 +192,30 @@ func TestSPAGrow(t *testing.T) {
 }
 
 func TestSpAccDropsCancellation(t *testing.T) {
+	// Row 0 receives 5 and then −5 in column 2 from two contributions.
+	b := &mat.CSR{Rows: 1, Cols: 4, RowPtr: []int64{0, 1}, ColIdx: []int32{2}, Val: []float64{1}}
+	plus := &mat.CSR{Rows: 1, Cols: 1, RowPtr: []int64{0, 1}, ColIdx: []int32{0}, Val: []float64{5}}
+	minus := &mat.CSR{Rows: 1, Cols: 1, RowPtr: []int64{0, 1}, ColIdx: []int32{0}, Val: []float64{-5}}
 	acc := NewSpAcc(1, 4)
-	spa := NewSPA(4)
-	spa.Reset(4)
-	spa.Add(2, 5)
-	acc.FlushRow(0, spa)
-	spa.Reset(4)
-	spa.Add(2, -5)
-	acc.FlushRow(0, spa)
+	acc.Split(1)
+	acc.Pass(0, 0, 1, []Term{{A: FullCSR(plus), B: FullCSR(b)}, {A: FullCSR(minus), B: FullCSR(b)}}, NewScratch())
 	csr := acc.ToCSR()
 	if csr.NNZ() != 0 {
 		t.Fatalf("cancelled entry kept: nnz=%d", csr.NNZ())
 	}
 }
 
+// TestSpAccAddDense: a dense block lands in a sparse target at its tile
+// offset (the identity times the block, through DDSp).
 func TestSpAccAddDense(t *testing.T) {
 	acc := NewSpAcc(4, 4)
 	d := mat.NewDense(2, 2)
 	d.Set(0, 0, 1)
 	d.Set(1, 1, 2)
-	acc.AddDense(d, 1, 2)
+	id := mat.NewDense(2, 2)
+	id.Set(0, 0, 1)
+	id.Set(1, 1, 1)
+	DDSp(acc, 1, 2, id, d, NewSPA(4))
 	out := acc.ToDense()
 	if out.At(1, 2) != 1 || out.At(2, 3) != 2 {
 		t.Fatal("AddDense misplaced values")
@@ -234,10 +237,38 @@ func TestCSRWinToDense(t *testing.T) {
 }
 
 func TestKernelDimensionPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"DDD": func() { DDD(mat.NewDense(2, 2), mat.NewDense(2, 3), mat.NewDense(4, 2)) },
+		"Pass": func() {
+			acc := NewSpAcc(2, 2)
+			acc.Split(1)
+			acc.Pass(0, 0, 2, []Term{{AD: *mat.NewDense(2, 3), BD: *mat.NewDense(4, 2)}}, NewScratch())
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: dimension mismatch did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestSparseTargetRowsWrittenOnce: a kernel call on rows an earlier call
+// wrote panics instead of overwriting or silently dropping them — several
+// contributions to a row are terms of one row pass.
+func TestSparseTargetRowsWrittenOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	_, _, as, bs := randomOperands(rng, 6, 5, 4, 0.5, 0.5)
+	acc := NewSpAcc(8, 4)
+	SpSpSp(acc, 0, 0, FullCSR(as), FullCSR(bs), NewSPA(4))
+	SpSpSp(acc, 6, 0, CSRWin{M: as, Rows: 2, Cols: 5}, FullCSR(bs), NewSPA(4)) // rows 6–7: disjoint
 	defer func() {
 		if recover() == nil {
-			t.Fatal("dimension mismatch did not panic")
+			t.Fatal("a second write of rows 5–6 did not panic")
 		}
 	}()
-	DDD(mat.NewDense(2, 2), mat.NewDense(2, 3), mat.NewDense(4, 2))
+	SpSpSp(acc, 5, 0, CSRWin{M: as, Rows: 2, Cols: 5}, FullCSR(bs), NewSPA(4))
 }

@@ -1,6 +1,9 @@
 package kernels
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file implements the ninth tile kernel, OuterSpSp: an outer-product
 // SpGEMM in the style of SpArch (Zhang et al., HPCA'20) for the
@@ -15,10 +18,9 @@ import "math"
 // stored elements of A row i. OuterSpSp combines those runs with a k-way
 // loser-tree merge — O(log R) comparisons per emitted element for R runs —
 // and emits strictly ascending, duplicate-combined columns straight into
-// the SpAcc contribution list. The output being sorted is itself part of
-// the win: the accumulation target stores sorted runs, so the kernel pays
-// nothing for the ordered emit Gustavson's flush needs, and a row fed by a
-// single contribution is final as emitted.
+// the target's segment. The output being sorted is itself part of the win:
+// the kernel pays nothing for the ordered emit Gustavson's SPA needs, and a
+// row no other contribution reaches is final as merged (SpAcc.pass).
 //
 // All merge state lives in the MergeScratch arena carved from the worker's
 // Scratch, so the kernel is allocation-free in steady state and passes the
@@ -135,35 +137,40 @@ func (ms *MergeScratch) replay(j int32, r int) {
 	tree[0] = w
 }
 
-// OuterSpSp computes cAcc[window] += a·b for sparse operands with the
+// OuterSpSp computes cAcc[window] = a·b for sparse operands with the
 // outer-product multiway-merge algorithm (outerspsp_gemm). It is
 // algebraically interchangeable with SpSpSp; the cost model routes the
 // hypersparse×hypersparse tile class here (costmodel.PreferOuter), where
 // the per-row loser tree is small and the merge beats the SPA's wide
-// scatter. Each emitted row lands in the accumulation target as one
-// strictly ascending, duplicate-free sorted run.
-//
-//atlint:hotpath
+// scatter. Each row is written as merged: strictly ascending and
+// duplicate-free, with no ordered emit.
 func OuterSpSp(cAcc *SpAcc, cRow0, cCol0 int, a, b CSRWin, ms *MergeScratch) {
 	checkAccDims(cAcc, cRow0, cCol0, a.Rows, a.Cols, b.Rows, b.Cols)
-	ac0 := int32(a.Col0)
-	bc0 := int32(b.Col0) - int32(cCol0) // rebase directly into tile coords
-	ar := a.rows()
-	br := b.rows()
-	aIdx, aVal := a.M.ColIdx, a.M.Val
-	colIdx, val := b.M.ColIdx, b.M.Val
+	cAcc.single(cRow0, a.Rows, newTermRows(a, b, nil, nil, true, cCol0), nil, ms)
+}
+
+// merge appends window rows [i0, i1) of an outer-product term to g, back to
+// back, and stores each row's length in lens.
+//
+//atlint:hotpath
+func (ms *MergeScratch) merge(t *termRows, i0, i1 int, g *accSeg, lens []int32) {
+	ar, br := &t.ar, &t.br
+	ac0, bc0 := t.ac0, t.bc0
+	aIdx, aVal := ar.m.ColIdx, ar.m.Val
+	colIdx, val := br.m.ColIdx, br.m.Val
 	ms.colIdx, ms.val = colIdx, val
 	// Span lookups are open-coded (rowsOf.span is beyond the inlining
 	// budget, and a call per row plus one per stored element is measurable
 	// on hypersparse tiles). Each window's access form — pre-indexed,
 	// full-width, or column-searched — is hoisted into locals here.
 	aSpanLo, aSpanHi := ar.spanLo, ar.spanHi
-	aRp := a.M.RowPtr[a.Row0:]
+	aRp := ar.m.RowPtr[ar.row0:]
 	aFull := ar.full
 	bSpanLo, bSpanHi := br.spanLo, br.spanHi
-	bRp := b.M.RowPtr[b.Row0:]
+	bRp := br.m.RowPtr[br.row0:]
 	bFull := br.full
-	for i := 0; i < a.Rows; i++ {
+	for i := i0; i < i1; i++ {
+		lens[i-i0] = 0
 		var alo, ahi int64
 		if aSpanLo != nil {
 			alo, ahi = aSpanLo[i], aSpanHi[i]
@@ -214,13 +221,13 @@ func OuterSpSp(cAcc *SpAcc, cRow0, cCol0 int, a, b CSRWin, ms *MergeScratch) {
 		if live == 0 {
 			continue
 		}
-		// The row's output is written by index into storage reserved once
-		// for the upper bound; products that are exactly zero (explicit
-		// zeros in an operand, cancellation between runs, underflow) are
-		// dropped here, so every run in the target is zero-free.
-		row := &cAcc.rows[cRow0+i]
-		n0 := len(row.cols)
-		oc, ov := row.reserve(total)
+		// The row's output is written by index into segment storage
+		// reserved once for the upper bound; products that are exactly zero
+		// (explicit zeros in an operand, cancellation between runs,
+		// underflow) are dropped here, so every merged row is zero-free.
+		n0 := len(g.cols)
+		oc := slices.Grow(g.cols, total)[:n0+total]
+		ov := slices.Grow(g.vals, total)[:n0+total]
 		w := n0
 		if live == 1 {
 			// Single-run fast path: a scaled copy, no tree.
@@ -230,7 +237,7 @@ func OuterSpSp(cAcc *SpAcc, cRow0, cCol0 int, a, b CSRWin, ms *MergeScratch) {
 					w++
 				}
 			}
-			row.commit(oc, ov, n0, w)
+			g.cols, g.vals, lens[i-i0] = oc[:w], ov[:w], int32(w-n0)
 			continue
 		}
 		if live == 2 {
@@ -269,7 +276,7 @@ func OuterSpSp(cAcc *SpAcc, cRow0, cCol0 int, a, b CSRWin, ms *MergeScratch) {
 					}
 				}
 			}
-			row.commit(oc, ov, n0, w)
+			g.cols, g.vals, lens[i-i0] = oc[:w], ov[:w], int32(w-n0)
 			continue
 		}
 		ms.build(live)
@@ -302,7 +309,7 @@ func OuterSpSp(cAcc *SpAcc, cRow0, cCol0 int, a, b CSRWin, ms *MergeScratch) {
 				w++
 			}
 		}
-		row.commit(oc, ov, n0, w)
+		g.cols, g.vals, lens[i-i0] = oc[:w], ov[:w], int32(w-n0)
 	}
 	ms.colIdx, ms.val = nil, nil
 }

@@ -11,8 +11,8 @@ import (
 
 // TestPropertyOuterSpSpMatchesGustavson cross-checks the outer-product
 // merge kernel against SpSpSp on randomized tiles: same algebra, and the
-// emitted rows must additionally be strictly sorted and duplicate-free
-// as emitted, before any combine pass touches them.
+// rows must additionally be strictly sorted and duplicate-free as merged
+// (ToCSR copies them as they are).
 func TestPropertyOuterSpSpMatchesGustavson(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	f := func(seed int64) bool {
@@ -33,19 +33,10 @@ func TestPropertyOuterSpSpMatchesGustavson(t *testing.T) {
 		got := NewSpAcc(m, n)
 		OuterSpSp(got, 0, 0, FullCSR(as), FullCSR(bs), NewMergeScratch())
 
-		// Each emitted row must be strictly ascending (sorted, no dups)
-		// before any finalize pass touches it.
-		for i := range got.rows {
-			row := got.rows[i].cols
-			for p := 1; p < len(row); p++ {
-				if row[p] <= row[p-1] {
-					t.Logf("seed %d: row %d not strictly ascending at %d", seed, i, p)
-					return false
-				}
-			}
-		}
+		// Validate requires every row strictly ascending (sorted, no dups).
 		gc, wc := got.ToCSR(), want.ToCSR()
-		if gc.Validate() != nil || wc.Validate() != nil {
+		if err := gc.Validate(); err != nil || wc.Validate() != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		return gc.ToDense().EqualApprox(wc.ToDense(), 1e-10)
@@ -55,10 +46,10 @@ func TestPropertyOuterSpSpMatchesGustavson(t *testing.T) {
 	}
 }
 
-// TestPropertyOuterSpSpWindowed exercises the cRow0/cCol0 offset paths and
-// windowed (column-restricted) operand views, accumulating several
-// contributions into one oversized target — exactly how ATMULT's k-loop
-// drives the kernel.
+// TestPropertyOuterSpSpWindowed exercises the target offset paths and
+// windowed (column-restricted) operand views, summing two merge
+// contributions in one row pass into an oversized target — exactly how
+// ATMULT's k-loop drives the kernel.
 func TestPropertyOuterSpSpWindowed(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	f := func(seed int64) bool {
@@ -84,12 +75,11 @@ func TestPropertyOuterSpSpWindowed(t *testing.T) {
 		// Embed the result in a larger target at a random offset.
 		cRow0, cCol0 := r.Intn(4), r.Intn(4)
 		got := NewSpAcc(cRow0+rows, cCol0+cols)
-		ms := NewMergeScratch()
-		OuterSpSp(got, cRow0, cCol0, aw1, bw1, ms)
-		OuterSpSp(got, cRow0, cCol0, aw2, bw2, ms)
+		passAt(got, cRow0, cCol0, rows, []Term{{A: aw1, B: bw1, Outer: true}, {A: aw2, B: bw2, Outer: true}}, NewScratch())
 
 		want := mat.MulReference(a.ToDense(), b.ToDense())
-		gd := got.ToCSR().ToDense()
+		gc := got.ToCSR()
+		gd := gc.ToDense()
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
 				d := gd.At(cRow0+i, cCol0+j) - want.At(i, j)
@@ -99,16 +89,24 @@ func TestPropertyOuterSpSpWindowed(t *testing.T) {
 			}
 		}
 		// Offset margin must stay empty.
-		for i := 0; i < cRow0; i++ {
-			if len(got.rows[i].cols) != 0 {
-				return false
-			}
-		}
-		return true
+		return gc.RowPtr[cRow0] == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
 		t.Error(err)
 	}
+}
+
+// passAt is Pass at a tile offset: window rows [0, rows) of the terms land
+// at target row r0 and their columns at target column c0, in a new segment.
+func passAt(acc *SpAcc, r0, c0, rows int, terms []Term, scr *Scratch) {
+	ts := make([]termRows, len(terms))
+	for i := range terms {
+		t := &terms[i]
+		ts[i] = newTermRows(t.A, t.B, &t.AD, &t.BD, t.Outer, c0)
+	}
+	n := len(acc.segs)
+	acc.Split(n + 1)
+	acc.pass(&acc.segs[n], r0, 0, rows, &rowPass{total: &scr.spa, part: &scr.part, ms: &scr.merge, terms: ts})
 }
 
 // TestOuterSpSpScratchReuse runs the kernel repeatedly through one worker

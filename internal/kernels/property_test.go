@@ -108,9 +108,9 @@ func TestPropertyIndexedWindowsEquivalent(t *testing.T) {
 	}
 }
 
-// TestPropertySpAccLinearity: accumulating X then Y equals accumulating
-// the concatenated contributions — the basis for the k-loop accumulation
-// in ATMULT.
+// TestPropertySpAccLinearity: a row pass over contributions X and Y equals
+// the sum of the two products — the basis for the k-loop accumulation in
+// ATMULT.
 func TestPropertySpAccLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	f := func(seed int64) bool {
@@ -119,11 +119,9 @@ func TestPropertySpAccLinearity(t *testing.T) {
 		a1 := mat.RandomCOO(r, m, k, r.Intn(m*k+1)).ToCSR()
 		a2 := mat.RandomCOO(r, m, k, r.Intn(m*k+1)).ToCSR()
 		b := mat.RandomCOO(r, k, n, r.Intn(k*n+1)).ToCSR()
-		spa := NewSPA(n)
-
 		both := NewSpAcc(m, n)
-		SpSpSp(both, 0, 0, FullCSR(a1), FullCSR(b), spa)
-		SpSpSp(both, 0, 0, FullCSR(a2), FullCSR(b), spa)
+		both.Split(1)
+		both.Pass(0, 0, m, []Term{{A: FullCSR(a1), B: FullCSR(b)}, {A: FullCSR(a2), B: FullCSR(b)}}, NewScratch())
 
 		want := mat.MulReference(a1.ToDense(), b.ToDense())
 		want.AddDense(mat.MulReference(a2.ToDense(), b.ToDense()))

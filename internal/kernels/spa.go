@@ -14,6 +14,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -134,7 +135,7 @@ func (p *SPA) EmitSorted(cols []int32, vals []float64) int {
 
 // AppendSorted appends the current row to cols/vals as EmitSorted yields it
 // and returns the extended slices. Growth is the callers' grow-only storage
-// (accumulator rows, band outputs) and amortizes to zero across rows.
+// (accumulator segments, band outputs) and amortizes to zero across rows.
 //
 //atlint:hotpath
 func (p *SPA) AppendSorted(cols []int32, vals []float64) ([]int32, []float64) {
@@ -155,188 +156,227 @@ func (p *SPA) bytes() int64 {
 	return int64(cap(p.vals))*8 + int64(cap(p.occ))*8 + int64(cap(p.touched))*4
 }
 
-// accRow is one target row of a sparse accumulation target: the
-// concatenation, in contribution order, of the sorted runs flushed into it.
-// Every run is strictly ascending and free of exact zeros, so a row whose
-// concatenation is itself strictly ascending — the single-run case, and
-// every multi-run row whose runs happen not to interleave — is already
-// final. unsorted records that some run started at or below the column its
-// predecessor ended on; only those rows need combining.
-type accRow struct {
-	cols     []int32
-	vals     []float64
-	unsorted bool
-}
-
-// reserve returns the row's storage extended by n writable entries, for
-// producers that know an upper bound on their run and write it by index.
-// Capacity is grow-only and is retained across tiles by the owning Scratch.
-func (r *accRow) reserve(n int) ([]int32, []float64) {
-	need := len(r.cols) + n
-	return slices.Grow(r.cols, n)[:need], slices.Grow(r.vals, n)[:need]
-}
-
-// commit installs cols/vals — the row's storage with one more run appended,
-// truncated to the w entries in use — as the row's new contents; n0 is the
-// row length before the run.
+// addRun adds a sorted, zero-free run — a row the merge kernel wrote — into
+// the current row.
 //
 //atlint:hotpath
-func (r *accRow) commit(cols []int32, vals []float64, n0, w int) {
-	r.cols, r.vals = cols[:w], vals[:w]
-	if n0 > 0 && w > n0 && cols[n0] <= cols[n0-1] {
-		r.unsorted = true
+func (p *SPA) addRun(cols []int32, vals []float64) {
+	vals = vals[:len(cols)]
+	for q, c := range cols {
+		p.Add(c, vals[q])
 	}
 }
 
-// SpAcc is a sparse accumulation target for one result tile: the tile is
-// written accumulatively by multiple tile-multiplications (§III-C), each
-// appending one sorted run per row, and the runs of a row are combined once
-// at finalization — by CombineRows inside the row fan-out that produced
-// them, or by ToCSR for rows nobody combined. Rows are independent, which
-// is what lets ATMULT split a tile's row range across team workers without
-// locking.
+// fold adds q's non-zero entries into the current row and resets q: one
+// later contribution's partial row joins the row total. A zero partial sum
+// is skipped, as the run it used to be emitted as dropped it.
+//
+//atlint:hotpath
+func (p *SPA) fold(q *SPA) {
+	src := q.vals
+	for _, c := range q.touched {
+		if v := src[c]; v != 0 {
+			p.Add(c, v)
+		}
+	}
+	q.Reset(q.width)
+}
+
+// SpAcc is the sparse accumulation target for one result tile, which
+// multiple tile multiplications write accumulatively (§III-C). It is
+// written in row passes (Pass): a pass sums each of its rows over all the
+// row's contributions and emits it once, ascending and without exact zeros,
+// into the pass's segment — one contiguous grow-only buffer holding the
+// pass's rows back to back. ToCSR is then a prefix sum over the row lengths
+// and one copy per segment. Passes over disjoint row ranges touch disjoint
+// segments and row lengths, which is what lets ATMULT split a tile's row
+// range across team workers without locking.
 type SpAcc struct {
 	Rows, Cols int
-	rows       []accRow
-	spa        *SPA // ToCSR's own accumulator, allocated only if it must combine
+	rowLen     []int32  // entries in each row; 0 for rows no pass wrote
+	segs       []accSeg // in use; capacity (and each buffer's) retained
+}
+
+// accSeg is one pass's output: target rows [lo, hi), back to back.
+type accSeg struct {
+	lo, hi int
+	cols   []int32
+	vals   []float64
 }
 
 // NewSpAcc returns an empty sparse accumulation target of the given tile
 // shape.
 func NewSpAcc(rows, cols int) *SpAcc {
-	return &SpAcc{Rows: rows, Cols: cols, rows: make([]accRow, rows)}
+	return &SpAcc{Rows: rows, Cols: cols, rowLen: make([]int32, rows)}
 }
 
-// Reset prepares the accumulator for a new rows×cols target, clearing all
-// pending entries while retaining the per-row entry capacity accumulated by
-// earlier uses — the grow-only reuse contract of the worker Scratch.
+// Reset prepares the accumulator for a new rows×cols target, dropping every
+// written row while retaining the segments' capacity — the grow-only reuse
+// contract of the worker Scratch.
 func (s *SpAcc) Reset(rows, cols int) {
 	s.Rows, s.Cols = rows, cols
-	if rows <= cap(s.rows) {
-		s.rows = s.rows[:rows]
+	if cap(s.rowLen) < rows {
+		s.rowLen = make([]int32, rows)
 	} else {
-		grown := make([]accRow, rows)
-		copy(grown, s.rows[:cap(s.rows)])
-		s.rows = grown
+		s.rowLen = s.rowLen[:rows]
+		clear(s.rowLen)
 	}
-	for i := range s.rows {
-		r := &s.rows[i]
-		r.cols, r.vals, r.unsorted = r.cols[:0], r.vals[:0], false
+	s.segs = s.segs[:0]
+}
+
+// Split readies the target for passes on segments 0 … n−1, which may run
+// concurrently over disjoint row ranges. Segments added since the last Reset
+// start empty, and stay so if no pass writes them; every segment buffer
+// keeps its capacity.
+func (s *SpAcc) Split(n int) {
+	from := len(s.segs)
+	if n > cap(s.segs) {
+		grown := make([]accSeg, n)
+		copy(grown, s.segs[:cap(s.segs)])
+		s.segs = grown
+	}
+	s.segs = s.segs[:n]
+	for i := from; i < n; i++ {
+		g := &s.segs[i]
+		g.lo, g.hi, g.cols, g.vals = 0, 0, g.cols[:0], g.vals[:0]
 	}
 }
 
-// FlushRow appends the SPA contents as one sorted contribution run for tile
-// row r and resets nothing (the caller Resets the SPA for the next row).
-// The entries land directly in the row's grow-only storage — no
-// intermediate allocation, which matters because this runs once per row per
-// task.
+// Pass writes target rows [lo, hi) into segment seg: each row is the sum of
+// the terms' window rows of the same index, computed with the executing
+// worker's scratch. Every term's product spans the whole target. Passes on
+// different segments may run concurrently if their row ranges are
+// disjoint.
+func (s *SpAcc) Pass(seg, lo, hi int, terms []Term, scr *Scratch) {
+	if cap(scr.terms) < len(terms) {
+		scr.terms = make([]termRows, len(terms))
+	}
+	p := rowPass{total: &scr.spa, part: &scr.part, ms: &scr.merge, terms: scr.terms[:len(terms)]}
+	for i := range terms {
+		t := &terms[i]
+		// Of each operand's sparse and dense windows only one is set.
+		checkDims(s.Rows, s.Cols, t.A.Rows+t.AD.Rows, t.A.Cols+t.AD.Cols, t.B.Rows+t.BD.Rows, t.B.Cols+t.BD.Cols)
+		p.terms[i] = newTermRows(t.A, t.B, &t.AD, &t.BD, t.Outer, 0)
+	}
+	s.pass(&s.segs[seg], 0, lo, hi, &p)
+	clear(p.terms) // a parked arena must not pin the task's operand tiles
+}
+
+// single is the one-contribution pass of the kernel entry points: window
+// rows [0, rows) of t become target rows r0 … r0+rows−1, in a segment of
+// their own. A target row is written once; several contributions to it are
+// terms of one Pass, so a call that reaches rows an earlier one wrote
+// panics.
+func (s *SpAcc) single(r0, rows int, t termRows, spa *SPA, ms *MergeScratch) {
+	for i := range s.segs {
+		if g := &s.segs[i]; max(g.lo, r0) < min(g.hi, r0+rows) {
+			panic(fmt.Sprintf("kernels: target rows [%d,%d) overlap rows [%d,%d) already written", r0, r0+rows, g.lo, g.hi))
+		}
+	}
+	n := len(s.segs)
+	s.Split(n + 1)
+	terms := [1]termRows{t}
+	s.pass(&s.segs[n], r0, 0, rows, &rowPass{total: spa, ms: ms, terms: terms[:]})
+}
+
+// rowPass is what a pass works with: the SPA each row's total is summed in,
+// the SPA a later Gustavson-family contribution is scattered into before it
+// is folded into the total (unused, and nil, with one term), the merge
+// arena, and the terms.
+type rowPass struct {
+	total, part *SPA
+	ms          *MergeScratch
+	terms       []termRows
+}
+
+// pass writes window rows [lo, hi) of the sum of p's terms into g as target
+// rows r0+lo … r0+hi−1.
+//
+// A row is the left fold, in term order, of the terms' non-zero partial
+// sums: the first term that reaches the row scatters straight into the
+// total SPA, every later one into the part SPA, folded in with the zero
+// skip. A merge-kernel row is already sorted and zero-free, so it is
+// written straight into the segment and stays there when nothing else
+// reaches the row; otherwise it is added into the total like a fold. The
+// bits are those of emitting every term's row alone (ascending, zero-free)
+// and adding the emitted rows column by column in term order: adding ±0
+// leaves a non-zero value unchanged, and a zero total is dropped at the
+// emit either way.
 //
 //atlint:hotpath
-func (s *SpAcc) FlushRow(r int, spa *SPA) {
-	if len(spa.touched) == 0 {
+func (s *SpAcc) pass(g *accSeg, r0, lo, hi int, p *rowPass) {
+	g.lo, g.hi = r0+lo, r0+hi
+	g.cols, g.vals = g.cols[:0], g.vals[:0]
+	lens := s.rowLen[r0+lo : r0+hi]
+	if len(p.terms) == 1 && p.terms[0].kind == outerTerm {
+		p.ms.merge(&p.terms[0], lo, hi, g, lens)
 		return
 	}
-	row := &s.rows[r]
-	cols, vals := spa.AppendSorted(row.cols, row.vals)
-	row.commit(cols, vals, len(row.cols), len(cols))
-}
-
-// CombineRows brings tile rows [lo, hi) into final form: strictly ascending
-// columns, duplicates summed, exact zeros dropped. A row whose runs already
-// concatenate in order is left as it is; any other is re-scattered through
-// spa in stored order and emitted back in place. Duplicates are therefore
-// summed in contribution order whatever the run shapes — the guarantee that
-// keeps a product independent of how its rows were chunked over workers.
-// Callers on different goroutines may combine disjoint row ranges
-// concurrently, each with its own SPA.
-//
-//atlint:hotpath
-func (s *SpAcc) CombineRows(lo, hi int, spa *SPA) {
-	for r := lo; r < hi; r++ {
-		row := &s.rows[r]
-		if !row.unsorted {
-			continue
+	total, part := p.total, p.part
+	total.Reset(s.Cols)
+	if len(p.terms) > 1 {
+		part.Reset(s.Cols)
+	}
+	for i := lo; i < hi; i++ {
+		w0 := len(g.cols)
+		for j := range p.terms {
+			t := &p.terms[j]
+			first := len(g.cols) == w0 && len(total.touched) == 0
+			if t.kind == outerTerm {
+				start := len(g.cols)
+				p.ms.merge(t, i, i+1, g, lens[i-lo:i-lo+1])
+				if len(g.cols) > start && !first {
+					total.addRun(g.cols[w0:], g.vals[w0:])
+					g.cols, g.vals = g.cols[:w0], g.vals[:w0]
+				}
+				continue
+			}
+			if first {
+				t.scatter(i, total)
+				continue
+			}
+			total.addRun(g.cols[w0:], g.vals[w0:]) // a merge row written so far
+			g.cols, g.vals = g.cols[:w0], g.vals[:w0]
+			t.scatter(i, part)
+			total.fold(part)
 		}
-		spa.Reset(s.Cols)
-		vals := row.vals[:len(row.cols)]
-		for i, c := range row.cols {
-			spa.Add(c, vals[i])
+		if len(total.touched) > 0 {
+			g.cols, g.vals = total.AppendSorted(g.cols, g.vals)
+			total.Reset(s.Cols)
 		}
-		n := spa.EmitSorted(row.cols, row.vals)
-		row.cols, row.vals, row.unsorted = row.cols[:n], row.vals[:n], false
+		lens[i-lo] = int32(len(g.cols) - w0)
 	}
 }
 
-// scratchBytes sums the row storage capacities for scratch accounting.
-func (s *SpAcc) scratchBytes() int64 {
-	rows := s.rows[:cap(s.rows)]
-	b := int64(cap(s.rows)) * int64(unsafe.Sizeof(accRow{}))
-	for i := range rows {
-		b += int64(cap(rows[i].cols))*4 + int64(cap(rows[i].vals))*8
-	}
-	if s.spa != nil {
-		b += s.spa.bytes()
+// bytes is the accumulator's resident footprint for scratch accounting.
+func (s *SpAcc) bytes() int64 {
+	segs := s.segs[:cap(s.segs)]
+	b := int64(cap(s.rowLen))*4 + int64(cap(segs))*int64(unsafe.Sizeof(accSeg{}))
+	for i := range segs {
+		b += int64(cap(segs[i].cols))*4 + int64(cap(segs[i].vals))*8
 	}
 	return b
 }
 
-// AddDense accumulates an already-computed dense block at tile offset
-// (r0, c0); used when a tile is converted from a dense intermediate.
-func (s *SpAcc) AddDense(d *mat.Dense, r0, c0 int) {
-	for r := 0; r < d.Rows; r++ {
-		row := &s.rows[r0+r]
-		n0 := len(row.cols)
-		cols, vals := row.cols, row.vals
-		for c, v := range d.RowSlice(r) {
-			if v != 0 {
-				cols = append(cols, int32(c0+c))
-				vals = append(vals, v)
-			}
-		}
-		row.commit(cols, vals, n0, len(cols))
-	}
-}
-
-// ToCSR returns the tile in CSR with sorted column ids, duplicates summed
-// and exact zeros dropped. Rows still holding interleaved runs — nobody
-// called CombineRows on them — are combined first, by the same routine;
-// what remains is a prefix sum over the row lengths and one copy per row
-// into the exact-size result arrays, the only allocations.
+// ToCSR returns the tile in CSR: a prefix sum over the row lengths and one
+// copy per segment into the exact-size result arrays, the only allocations.
 func (s *SpAcc) ToCSR() *mat.CSR {
-	for r := range s.rows {
-		if s.rows[r].unsorted {
-			if s.spa == nil {
-				s.spa = NewSPA(s.Cols)
-			}
-			s.CombineRows(r, s.Rows, s.spa)
-			break
-		}
-	}
 	out := mat.NewCSR(s.Rows, s.Cols)
 	var nnz int64
-	for r := range s.rows {
-		nnz += int64(len(s.rows[r].cols))
+	for r, l := range s.rowLen {
+		nnz += int64(l)
 		out.RowPtr[r+1] = nnz
 	}
 	out.ColIdx = make([]int32, nnz)
 	out.Val = make([]float64, nnz)
-	for r := range s.rows {
-		q := out.RowPtr[r]
-		copy(out.ColIdx[q:], s.rows[r].cols)
-		copy(out.Val[q:], s.rows[r].vals)
+	for i := range s.segs {
+		g := &s.segs[i]
+		q := out.RowPtr[g.lo]
+		copy(out.ColIdx[q:], g.cols)
+		copy(out.Val[q:], g.vals)
 	}
 	return out
 }
 
-// ToDense combines all contribution runs into a dense tile.
-func (s *SpAcc) ToDense() *mat.Dense {
-	d := mat.NewDense(s.Rows, s.Cols)
-	for r := range s.rows {
-		row := d.RowSlice(r)
-		vals := s.rows[r].vals
-		for i, c := range s.rows[r].cols {
-			row[c] += vals[i]
-		}
-	}
-	return d
-}
+// ToDense returns the tile as a dense array.
+func (s *SpAcc) ToDense() *mat.Dense { return s.ToCSR().ToDense() }

@@ -11,23 +11,38 @@ import (
 	"atmatrix/internal/mat"
 )
 
-// oracleCSR is the finalize this package shipped before sorted runs: gather
-// every buffered (col, val) pair of a row, comparison-sort the pairs by
-// column, sum duplicates in sorted order, drop exact zeros. It reads the
-// accumulator without changing it and is kept as the reference the
-// sort-free combine is tested against.
-func oracleCSR(s *SpAcc) *mat.CSR {
-	type entry struct {
-		col int32
-		val float64
-	}
-	out := mat.NewCSR(s.Rows, s.Cols)
-	for r := range s.rows {
-		run := make([]entry, len(s.rows[r].cols))
-		for i, c := range s.rows[r].cols {
-			run[i] = entry{c, s.rows[r].vals[i]}
+// oracleCSR is the finalize this package shipped before sorted runs, run
+// on a scenario: gather every (col, val) pair a row receives — one per
+// column per contribution, summed in scatter order as the SPA does —
+// comparison-sort the pairs by column, sum duplicates in sorted order, drop
+// exact zeros. It is kept as the reference the sort-free row pass is tested
+// against.
+func oracleCSR(sc accScenario) *mat.CSR {
+	out := mat.NewCSR(sc.rows, sc.cols)
+	for r := 0; r < sc.rows; r++ {
+		var run []scenEntry
+		for _, ct := range sc.contribs {
+			if ct.dense == nil {
+				at := map[int32]int{}
+				for _, e := range ct.runs[r] {
+					if i, ok := at[e.col]; ok {
+						run[i].val += e.val
+						continue
+					}
+					at[e.col] = len(run)
+					run = append(run, e)
+				}
+				continue
+			}
+			if i := r - ct.r0; i >= 0 && i < ct.dense.Rows {
+				for j, v := range ct.dense.RowSlice(i) {
+					if v != 0 {
+						run = append(run, scenEntry{int32(ct.c0 + j), v})
+					}
+				}
+			}
 		}
-		slices.SortFunc(run, func(a, b entry) int { return int(a.col) - int(b.col) })
+		slices.SortFunc(run, func(a, b scenEntry) int { return int(a.col) - int(b.col) })
 		for i := 0; i < len(run); {
 			sum := run[i].val
 			j := i + 1
@@ -46,19 +61,19 @@ func oracleCSR(s *SpAcc) *mat.CSR {
 }
 
 // accScenario is one randomized accumulation history: a target shape and,
-// per contribution, what each row receives. Replaying it yields identical
-// accumulators, so finalize strategies can be compared on equal input.
+// per contribution, what each row receives. Its terms feed identical
+// contributions to every pass, so chunkings can be compared on equal input.
 type accScenario struct {
 	rows, cols int
 	contribs   []accContrib
-	maxRuns    int // most runs any row receives
+	maxRuns    int // most contributions any row receives
 }
 
 type accContrib struct {
-	dense *mat.Dense // non-nil: fed through AddDense at (r0, c0)
+	dense *mat.Dense // non-nil: a dense block at (r0, c0)
 	r0    int
 	c0    int
-	runs  map[int][]scenEntry // else: row → entries in scatter order, fed through a SPA
+	runs  map[int][]scenEntry // else: row → entries in scatter order
 }
 
 type scenEntry struct {
@@ -148,24 +163,60 @@ func newScenario(r *rand.Rand, exact bool) accScenario {
 	return sc
 }
 
-// replay feeds the history into a fresh accumulator.
-func (sc accScenario) replay() *SpAcc {
-	acc := NewSpAcc(sc.rows, sc.cols)
-	spa := NewSPA(sc.cols)
+// terms turns the history into row-pass terms. A run contribution becomes a
+// SpSpSp term whose A row r holds a 1 for each entry row r receives, in
+// scatter order, and whose B row e holds entry e alone: the SPA sees
+// exactly the scenario's (col, val) sequence. A dense block becomes a SpDSp
+// term: A places block row i at target row r0+i, B is the block at column
+// offset c0.
+func (sc accScenario) terms() []Term {
+	var out []Term
 	for _, ct := range sc.contribs {
 		if ct.dense != nil {
-			acc.AddDense(ct.dense, ct.r0, ct.c0)
+			a := mat.NewCSR(sc.rows, ct.dense.Rows)
+			for r := 0; r < sc.rows; r++ {
+				if i := r - ct.r0; i >= 0 && i < ct.dense.Rows {
+					a.ColIdx, a.Val = append(a.ColIdx, int32(i)), append(a.Val, 1)
+				}
+				a.RowPtr[r+1] = int64(len(a.ColIdx))
+			}
+			b := mat.NewDense(ct.dense.Rows, sc.cols)
+			for i := 0; i < ct.dense.Rows; i++ {
+				copy(b.RowSlice(i)[ct.c0:], ct.dense.RowSlice(i))
+			}
+			out = append(out, Term{A: FullCSR(a), BD: *b})
 			continue
 		}
-		for row := 0; row < sc.rows; row++ {
-			spa.Reset(sc.cols)
-			for _, e := range ct.runs[row] {
-				spa.Add(e.col, e.val)
+		var es []scenEntry
+		a := mat.NewCSR(sc.rows, 0)
+		for r := 0; r < sc.rows; r++ {
+			for _, e := range ct.runs[r] {
+				a.ColIdx, a.Val = append(a.ColIdx, int32(len(es))), append(a.Val, 1)
+				es = append(es, e)
 			}
-			acc.FlushRow(row, spa)
+			a.RowPtr[r+1] = int64(len(a.ColIdx))
 		}
+		a.Cols = len(es)
+		b := mat.NewCSR(len(es), sc.cols)
+		for i, e := range es {
+			b.ColIdx, b.Val = append(b.ColIdx, e.col), append(b.Val, e.val)
+			b.RowPtr[i+1] = int64(i + 1)
+		}
+		out = append(out, Term{A: FullCSR(a), B: FullCSR(b)})
 	}
-	return acc
+	return out
+}
+
+// passChunks runs terms over a rows×cols target, one segment per chunk, the
+// chunks alternating between two worker arenas.
+func passChunks(rows, cols int, terms []Term, cuts [][2]int) *mat.CSR {
+	scrs := [2]*Scratch{NewScratch(), NewScratch()}
+	acc := NewSpAcc(rows, cols)
+	acc.Split(len(cuts))
+	for i, c := range cuts {
+		acc.Pass(i, c[0], c[1], terms, scrs[i%2])
+	}
+	return acc.ToCSR()
 }
 
 // sameStructure reports whether two CSR matrices hold the same pattern.
@@ -173,34 +224,22 @@ func sameStructure(a, b *mat.CSR) bool {
 	return slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.ColIdx, b.ColIdx)
 }
 
-// checkScenario runs the three finalize routes on one history: ToCSR alone,
-// CombineRows over a random chunking (each chunk with its own SPA, as the
-// row fan-out does) followed by ToCSR, and the sorting oracle.
+// checkScenario runs the row pass on one history over the whole row range
+// and over a random chunking (each chunk its own segment and arena, as the
+// row fan-out does) and compares both with the sorting oracle.
 func checkScenario(t *testing.T, r *rand.Rand, sc accScenario, exact bool) bool {
-	oracle := oracleCSR(sc.replay())
-	alone := sc.replay().ToCSR()
-
-	chunked := sc.replay()
-	for lo := 0; lo < sc.rows; {
-		hi := lo + 1 + r.Intn(sc.rows-lo)
-		chunked.CombineRows(lo, hi, NewSPA(1))
-		lo = hi
-	}
-	for i := range chunked.rows {
-		if chunked.rows[i].unsorted {
-			t.Logf("row %d still unsorted after CombineRows", i)
-			return false
-		}
-	}
-	combined := chunked.ToCSR()
+	oracle := oracleCSR(sc)
+	terms := sc.terms()
+	alone := passChunks(sc.rows, sc.cols, terms, [][2]int{{0, sc.rows}})
+	chunked := passChunks(sc.rows, sc.cols, terms, chunks(r, sc.rows))
 
 	if err := alone.Validate(); err != nil {
-		t.Logf("ToCSR result invalid: %v", err)
+		t.Logf("row pass result invalid: %v", err)
 		return false
 	}
-	// Chunking and who combines must not matter at all: bit-identical.
-	if !sameStructure(alone, combined) || !slices.Equal(alone.Val, combined.Val) {
-		t.Logf("CombineRows-then-ToCSR differs from ToCSR alone (%d×%d)", sc.rows, sc.cols)
+	// Chunking must not matter at all: bit-identical.
+	if !sameStructure(alone, chunked) || !slices.Equal(alone.Val, chunked.Val) {
+		t.Logf("chunked row pass differs from one pass (%d×%d)", sc.rows, sc.cols)
 		return false
 	}
 	if !sameStructure(alone, oracle) {
@@ -228,8 +267,9 @@ func checkScenario(t *testing.T, r *rand.Rand, sc accScenario, exact bool) bool 
 }
 
 // TestSpAccCombineMatchesOracle is the differential test of the sort-free
-// finalize: random run counts, overlapping columns, exact cancellation to
-// zero, empty rows, AddDense mixed in, widths 1, 63, 64, 65 and > 65 536.
+// row pass: random contribution counts, overlapping columns, exact
+// cancellation to zero, empty rows, dense blocks mixed in, widths 1, 63,
+// 64, 65 and > 65 536.
 func TestSpAccCombineMatchesOracle(t *testing.T) {
 	for _, exact := range []bool{true, false} {
 		f := func(seed int64) bool {
@@ -243,7 +283,7 @@ func TestSpAccCombineMatchesOracle(t *testing.T) {
 	}
 }
 
-// FuzzSpAccCombine drives the combine from raw bytes: byte 0 picks the
+// FuzzSpAccCombine drives the row pass from raw bytes: byte 0 picks the
 // width, then every 3 bytes are (row, col, value); a value byte of 0xff ends
 // the current contribution instead. Values are small integers so every
 // summation order is exact and the oracle must match bit for bit.
@@ -260,41 +300,24 @@ func FuzzSpAccCombine(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		const rows = 4
-		cols := 1 + int(data[0])%200
-		build := func() *SpAcc {
-			acc := NewSpAcc(rows, cols)
-			spas := make([]*SPA, rows)
-			flush := func() {
-				for r, spa := range spas {
-					if spa != nil {
-						acc.FlushRow(r, spa)
-						spas[r] = nil
-					}
-				}
+		sc := accScenario{rows: 4, cols: 1 + int(data[0])%200}
+		cur := accContrib{runs: map[int][]scenEntry{}}
+		for p := 1; p+2 < len(data); p += 3 {
+			if data[p+2] == 0xff {
+				sc.contribs = append(sc.contribs, cur)
+				cur = accContrib{runs: map[int][]scenEntry{}}
+				continue
 			}
-			for p := 1; p+2 < len(data); p += 3 {
-				if data[p+2] == 0xff {
-					flush()
-					continue
-				}
-				r := int(data[p]) % rows
-				if spas[r] == nil {
-					spas[r] = NewSPA(cols)
-					spas[r].Reset(cols)
-				}
-				spas[r].Add(int32(int(data[p+1])%cols), float64(int8(data[p+2])))
-			}
-			flush()
-			return acc
+			r := int(data[p]) % sc.rows
+			cur.runs[r] = append(cur.runs[r], scenEntry{int32(int(data[p+1]) % sc.cols), float64(int8(data[p+2]))})
 		}
-		want := oracleCSR(build())
-		alone := build().ToCSR()
-		chunked := build()
-		chunked.CombineRows(0, rows/2, NewSPA(cols))
-		chunked.CombineRows(rows/2, rows, NewSPA(1))
-		combined := chunked.ToCSR()
-		for name, got := range map[string]*mat.CSR{"ToCSR": alone, "CombineRows+ToCSR": combined} {
+		sc.contribs = append(sc.contribs, cur)
+		want := oracleCSR(sc)
+		terms := sc.terms()
+		for name, got := range map[string]*mat.CSR{
+			"one pass":   passChunks(sc.rows, sc.cols, terms, [][2]int{{0, sc.rows}}),
+			"two chunks": passChunks(sc.rows, sc.cols, terms, [][2]int{{0, sc.rows / 2}, {sc.rows / 2, sc.rows}}),
+		} {
 			if err := got.Validate(); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -413,26 +436,31 @@ func TestSPAResetLeavesNoStaleBit(t *testing.T) {
 	}
 }
 
-// TestSparseFinalizeSteadyStateAllocs pins the hot routines — kernel flush
-// (ordered emit), a second overlapping contribution, and the per-chunk
-// combine — at zero allocations once the worker arena has warmed up.
+// TestSparseFinalizeSteadyStateAllocs pins the row pass — a first
+// contribution scattered into the total SPA, a merge row folded in, a third
+// contribution through the second SPA, two segments — at zero allocations
+// once the worker arena has warmed up.
 func TestSparseFinalizeSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 300
 	a := mat.RandomCOO(rng, n, n, 6*n).ToCSR()
 	b := mat.RandomCOO(rng, n, n, 6*n).ToCSR()
+	terms := []Term{
+		{A: FullCSR(a), B: FullCSR(b)},
+		{A: FullCSR(b), B: FullCSR(a), Outer: true},
+		{A: FullCSR(a), B: FullCSR(b)},
+	}
 	scr := NewScratch()
 	run := func() {
 		scr.BeginTask()
 		acc := scr.Acc(n, n)
-		SpSpSp(acc, 0, 0, FullCSR(a), FullCSR(b), scr.SPA())
-		OuterSpSp(acc, 0, 0, FullCSR(b), FullCSR(a), scr.Merge())
-		SpSpSp(acc, 0, 0, FullCSR(a), FullCSR(b), scr.SPA())
-		acc.CombineRows(0, n, scr.SPA())
+		acc.Split(2)
+		acc.Pass(0, 0, n/2, terms, scr)
+		acc.Pass(1, n/2, n, terms, scr)
 	}
 	run()
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Fatalf("steady-state flush+combine allocates %.1f times per tile", allocs)
+		t.Fatalf("steady-state row pass allocates %.1f times per tile", allocs)
 	}
 }
 
@@ -474,15 +502,16 @@ func TestScratchBytesCoversSliceCaps(t *testing.T) {
 	a := mat.RandomCOO(rng, n, n, 8*n).ToCSR()
 	b := mat.RandomCOO(rng, n, n, 8*n).ToCSR()
 	scr := NewScratch()
-	for _, rows := range []int{n, n / 2} { // second pass leaves rows beyond len, still resident
+	for _, rows := range []int{n, n / 2} { // second pass leaves row lengths beyond len, still resident
 		scr.BeginTask()
 		acc := scr.Acc(rows, n)
 		aw := CSRWin{M: a, Rows: rows, Cols: n}
-		SpSpSp(acc, 0, 0, aw, FullCSR(b), scr.SPA())
-		OuterSpSp(acc, 0, 0, aw, FullCSR(b), scr.Merge())
-		acc.ToCSR() // interleaved runs nobody combined: allocates the accumulator's own SPA
+		terms := []Term{{A: aw, B: FullCSR(b)}, {A: aw, B: FullCSR(b), Outer: true}}
+		acc.Split(2)
+		acc.Pass(0, 0, rows/2, terms, scr)
+		acc.Pass(1, rows/2, rows, terms, scr)
+		acc.ToCSR()
 		aw.ToDenseScratch(scr)
-		DenseToCSRScratch(mat.RandomDense(rng, 9, 9), scr)
 	}
 	held := sliceCapBytes(reflect.ValueOf(scr))
 	if got := scr.Bytes(); got < held {
