@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -88,19 +89,8 @@ func (g *mergeGate) peakBytes() int64 {
 	return g.peak
 }
 
-// bandRange resolves the contiguous run of bands a [lo, hi) span overlaps;
-// bands are induced by tile cuts, so the span is exact.
-func bandRange(bands []core.Band, lo, hi int) (int, int) {
-	first := sort.Search(len(bands), func(i int) bool { return bands[i].Hi > lo })
-	last := first
-	for last+1 < len(bands) && bands[last+1].Lo < hi {
-		last++
-	}
-	return first, last
-}
-
-// collectShardTiles gathers the whole original tiles overlapping any of
-// the owned tile-row bands, in the matrix's canonical tile order — whole
+// collectShardTiles gathers the whole original tiles covering any of the
+// owned tile-row bands, in the matrix's canonical tile order — whole
 // tiles, never split at band cuts (a split tile would steer the dynamic
 // optimizer differently than a local run and break byte-identity), and a
 // deterministic order so a shard's serialized bytes
@@ -108,22 +98,18 @@ func bandRange(bands []core.Band, lo, hi int) (int, int) {
 // collected tile's index in m.Tiles — the canonical-order key a worker
 // needs to splice several shards back together bit-identically.
 func collectShardTiles(m *core.ATMatrix, bands []int) ([]*core.Tile, []int) {
-	owned := make(map[int]bool, len(bands))
-	for _, b := range bands {
-		owned[b] = true
-	}
-	rowBands := m.RowBands()
-	var tiles []*core.Tile
 	var idx []int
-	for i, t := range m.Tiles {
-		first, last := bandRange(rowBands, t.Row0, t.Row0+t.Rows)
-		for band := first; band <= last; band++ {
-			if owned[band] {
-				tiles = append(tiles, t)
-				idx = append(idx, i)
-				break
-			}
+	for _, b := range bands {
+		for _, i := range m.RowBandTileIDs(b) {
+			idx = append(idx, int(i))
 		}
+	}
+	// A tile spanning several owned bands is listed once per band.
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+	tiles := make([]*core.Tile, len(idx))
+	for k, i := range idx {
+		tiles[k] = m.Tiles[i]
 	}
 	return tiles, idx
 }
@@ -256,7 +242,7 @@ func cutShards(m *core.ATMatrix, workers int) ([]shardCut, error) {
 			bands[i] = int(b)
 		}
 		sort.Ints(bands)
-		if ts, _ := collectShardTiles(m, bands); len(ts) == 0 {
+		if !slices.ContainsFunc(bands, func(b int) bool { return len(m.RowBandTileIDs(b)) > 0 }) {
 			// All owned bands are empty: nothing to hold, nothing to
 			// compute — the shard map simply does not list them.
 			continue

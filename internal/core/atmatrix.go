@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -20,11 +20,11 @@ type ATMatrix struct {
 	BAtomic int
 	Tiles   []*Tile
 
-	// blockIdx maps each atomic block (block-row-major) to the index of
-	// the tile covering it, or -1 when the block is empty.
-	blockIdx []int32
 	// BR, BC are the block-grid dimensions ⌈Rows/BAtomic⌉ × ⌈Cols/BAtomic⌉.
 	BR, BC int
+
+	idxOnce sync.Once
+	idx     tileIndex
 
 	mapOnce sync.Once
 	dmap    *density.Map
@@ -40,23 +40,10 @@ type ATMatrix struct {
 	tileSums []uint32
 }
 
-// newATMatrix allocates an empty AT MATRIX shell with an unpopulated
-// block index.
+// newATMatrix allocates an empty AT MATRIX shell.
 func newATMatrix(rows, cols, bAtomic int) *ATMatrix {
-	br := (rows + bAtomic - 1) / bAtomic
-	bc := (cols + bAtomic - 1) / bAtomic
-	if br < 1 {
-		br = 1
-	}
-	if bc < 1 {
-		bc = 1
-	}
-	a := &ATMatrix{Rows: rows, Cols: cols, BAtomic: bAtomic, BR: br, BC: bc}
-	a.blockIdx = make([]int32, br*bc)
-	for i := range a.blockIdx {
-		a.blockIdx[i] = -1
-	}
-	return a
+	return &ATMatrix{Rows: rows, Cols: cols, BAtomic: bAtomic,
+		BR: max(1, (rows+bAtomic-1)/bAtomic), BC: max(1, (cols+bAtomic-1)/bAtomic)}
 }
 
 // NewFromTiles assembles an AT MATRIX of the given dimensions directly
@@ -66,25 +53,11 @@ func newATMatrix(rows, cols, bAtomic int) *ATMatrix {
 // the structural invariants are validated.
 func NewFromTiles(rows, cols, bAtomic int, tiles []*Tile) (*ATMatrix, error) {
 	out := newATMatrix(rows, cols, bAtomic)
-	for _, t := range tiles {
-		out.addTile(t)
-	}
+	out.Tiles = append(out.Tiles, tiles...)
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// addTile registers a tile and indexes the atomic blocks it covers.
-func (a *ATMatrix) addTile(t *Tile) {
-	idx := int32(len(a.Tiles))
-	a.Tiles = append(a.Tiles, t)
-	b := a.BAtomic
-	for br := t.Row0 / b; br*b < t.Row0+t.Rows && br < a.BR; br++ {
-		for bc := t.Col0 / b; bc*b < t.Col0+t.Cols && bc < a.BC; bc++ {
-			a.blockIdx[br*a.BC+bc] = idx
-		}
-	}
 }
 
 // NNZ returns the total number of structural non-zeros.
@@ -127,11 +100,12 @@ func (a *ATMatrix) TileAt(r, c int) *Tile {
 	if r < 0 || r >= a.Rows || c < 0 || c >= a.Cols {
 		return nil
 	}
-	idx := a.blockIdx[r/a.BAtomic*a.BC+c/a.BAtomic]
-	if idx < 0 {
-		return nil
+	for _, t := range a.RowTiles(r) {
+		if c >= t.Col0 && c < t.Col0+t.Cols {
+			return t
+		}
 	}
-	return a.Tiles[idx]
+	return nil
 }
 
 // At returns the matrix element at (r, c).
@@ -143,68 +117,128 @@ func (a *ATMatrix) At(r, c int) float64 {
 	return t.At(r, c)
 }
 
-// RowBands returns the sorted distinct row intervals induced by the tile
-// boundaries — the "tile-rows" ti that ATMULT iterates over (Alg. 2).
-// For a matrix without tiles the single band [0, Rows) is returned.
-func (a *ATMatrix) RowBands() []Band {
-	cuts := map[int]bool{0: true, a.Rows: true}
-	for _, t := range a.Tiles {
-		cuts[t.Row0] = true
-		cuts[t.Row0+t.Rows] = true
-	}
-	return bandsFromCuts(cuts, a.Rows)
-}
-
-// ColBands returns the analogous column intervals (the "tile-cols" tj).
-func (a *ATMatrix) ColBands() []Band {
-	cuts := map[int]bool{0: true, a.Cols: true}
-	for _, t := range a.Tiles {
-		cuts[t.Col0] = true
-		cuts[t.Col0+t.Cols] = true
-	}
-	return bandsFromCuts(cuts, a.Cols)
-}
-
 // Band is a half-open index interval [Lo, Hi).
 type Band struct{ Lo, Hi int }
 
 func (b Band) Len() int { return b.Hi - b.Lo }
 
-func bandsFromCuts(cuts map[int]bool, limit int) []Band {
-	xs := make([]int, 0, len(cuts))
-	for x := range cuts {
-		if x >= 0 && x <= limit {
-			xs = append(xs, x)
-		}
-	}
-	sort.Ints(xs)
-	bands := make([]Band, 0, len(xs)-1)
-	for i := 1; i < len(xs); i++ {
-		if xs[i] > xs[i-1] {
-			bands = append(bands, Band{Lo: xs[i-1], Hi: xs[i]})
-		}
-	}
-	if len(bands) == 0 {
-		bands = append(bands, Band{0, limit})
-	}
-	return bands
+// tileIndex is the band structure of an AT MATRIX: the tile-rows and
+// tile-cols ATMULT walks (Alg. 2) and the tiles of each. It is built once,
+// on first use, and only read after: O(tiles + bands + BR), nothing in it
+// sized by the block grid.
+type tileIndex struct {
+	rows, cols bandAxis
+	// bandOfBlockRow maps an atomic block-row to the row band holding it.
+	// Band cuts are tile edges, which are block-aligned, so a block-row
+	// lies in exactly one band.
+	bandOfBlockRow []int32
 }
 
-// tilesInRowBand returns the tiles whose row extent contains the band.
-// Because bands are induced by tile boundaries, a tile either contains a
-// band completely or not at all.
-func (a *ATMatrix) tilesInRowBand(b Band) []*Tile {
-	seen := map[int32]bool{}
-	var out []*Tile
-	row := b.Lo
-	for bc := 0; bc < a.BC; bc++ {
-		idx := a.blockIdx[row/a.BAtomic*a.BC+bc]
-		if idx >= 0 && !seen[idx] {
-			seen[idx] = true
-			out = append(out, a.Tiles[idx])
+// bandAxis is one axis of the index: the sorted distinct intervals induced
+// by the tile edges, and for band i the tiles covering it — a tile either
+// contains a band or misses it — as ids[off[i]:off[i+1]] (their positions
+// in Tiles, ascending) and the same run of tiles.
+type bandAxis struct {
+	bands []Band
+	off   []int32
+	ids   []int32
+	tiles []*Tile
+}
+
+func (x *bandAxis) tilesOf(i int) []*Tile { return x.tiles[x.off[i]:x.off[i+1]] }
+func (x *bandAxis) idsOf(i int) []int32   { return x.ids[x.off[i]:x.off[i+1]] }
+
+// newBandAxis indexes tiles along the axis of length limit whose extent
+// span returns. Without tiles the single band [0, limit) is returned (an
+// empty one when limit is 0).
+func newBandAxis(tiles []*Tile, limit int, span func(*Tile) (lo, hi int)) bandAxis {
+	cuts := make([]int, 0, 2*len(tiles)+2)
+	cuts = append(cuts, 0, limit)
+	for _, t := range tiles {
+		lo, hi := span(t)
+		cuts = append(cuts, lo, hi)
+	}
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
+	x := bandAxis{bands: make([]Band, max(1, len(cuts)-1))}
+	for i := 1; i < len(cuts); i++ {
+		x.bands[i-1] = Band{cuts[i-1], cuts[i]}
+	}
+	// bandsOf returns the run [f, l) of bands tile t covers.
+	bandsOf := func(t *Tile) (f, l int) {
+		lo, hi := span(t)
+		f, _ = slices.BinarySearch(cuts, lo)
+		l, _ = slices.BinarySearch(cuts, hi)
+		return f, l
+	}
+	// off and ids share one array, sized by a first pass. Then count each
+	// band's tiles, sum the counts up to band ends, and fill back to front:
+	// each band keeps Tiles order, and off[i] steps down to band i's start.
+	n := 0
+	for _, t := range tiles {
+		f, l := bandsOf(t)
+		n += l - f
+	}
+	nb := len(x.bands) + 1
+	buf := make([]int32, nb+n)
+	x.off, x.ids, x.tiles = buf[:nb:nb], buf[nb:], make([]*Tile, n)
+	for _, t := range tiles {
+		f, l := bandsOf(t)
+		for i := f; i < l; i++ {
+			x.off[i]++
 		}
 	}
-	return out
+	for i := 1; i < nb; i++ {
+		x.off[i] += x.off[i-1]
+	}
+	for ti := len(tiles) - 1; ti >= 0; ti-- {
+		f, l := bandsOf(tiles[ti])
+		for i := f; i < l; i++ {
+			x.off[i]--
+			x.ids[x.off[i]], x.tiles[x.off[i]] = int32(ti), tiles[ti]
+		}
+	}
+	return x
+}
+
+func rowSpan(t *Tile) (lo, hi int) { return t.Row0, t.Row0 + t.Rows }
+func colSpan(t *Tile) (lo, hi int) { return t.Col0, t.Col0 + t.Cols }
+
+// index returns the matrix's tile index, building it on first use. Tiles
+// must not change once it has been asked for.
+func (a *ATMatrix) index() *tileIndex {
+	a.idxOnce.Do(func() {
+		x := &a.idx
+		x.rows = newBandAxis(a.Tiles, a.Rows, rowSpan)
+		x.cols = newBandAxis(a.Tiles, a.Cols, colSpan)
+		x.bandOfBlockRow = make([]int32, a.BR)
+		for i, band := range x.rows.bands {
+			for br := band.Lo / a.BAtomic; br*a.BAtomic < band.Hi; br++ {
+				x.bandOfBlockRow[br] = int32(i)
+			}
+		}
+	})
+	return &a.idx
+}
+
+// RowBands returns the sorted distinct row intervals induced by the tile
+// boundaries — the "tile-rows" ti that ATMULT iterates over (Alg. 2).
+// For a matrix without tiles the single band [0, Rows) is returned. The
+// slice is shared and must not be modified.
+func (a *ATMatrix) RowBands() []Band { return a.index().rows.bands }
+
+// ColBands returns the analogous column intervals (the "tile-cols" tj).
+func (a *ATMatrix) ColBands() []Band { return a.index().cols.bands }
+
+// RowBandTileIDs returns the positions in Tiles of the tiles covering row
+// band i, ascending. The slice is shared and must not be modified.
+func (a *ATMatrix) RowBandTileIDs(i int) []int32 { return a.index().rows.idsOf(i) }
+
+// RowTiles returns the tiles covering row r, in Tiles order. The slice is
+// shared and must not be modified.
+func (a *ATMatrix) RowTiles(r int) []*Tile {
+	x := a.index()
+	return x.rows.tilesOf(int(x.bandOfBlockRow[r/a.BAtomic]))
 }
 
 // DensityMap returns the exact atomic-block density map of the matrix,
@@ -359,14 +393,12 @@ func (a *ATMatrix) ToDense() *mat.Dense {
 }
 
 // Validate checks the AT MATRIX invariants: every tile is internally
-// valid, tiles lie inside the matrix and do not overlap, tile boundaries
-// are aligned to the atomic block grid (except at the matrix edges), and
-// the block index agrees with the tiles.
+// valid, tiles lie inside the matrix and do not overlap, and tile
+// boundaries are aligned to the atomic block grid (except at the matrix
+// edges). Overlap is checked per row band, on bands built here rather than
+// by the index: a decoder validates before anything has vouched for the
+// header, whose block-row count sizes the index's table.
 func (a *ATMatrix) Validate() error {
-	covered := make([]int32, a.BR*a.BC)
-	for i := range covered {
-		covered[i] = -1
-	}
 	for ti, t := range a.Tiles {
 		if err := t.Validate(); err != nil {
 			return fmt.Errorf("core: tile %d: %w", ti, err)
@@ -381,23 +413,22 @@ func (a *ATMatrix) Validate() error {
 			(t.Cols%a.BAtomic != 0 && t.Col0+t.Cols != a.Cols) {
 			return fmt.Errorf("core: tile %d extent %d×%d not block-aligned", ti, t.Rows, t.Cols)
 		}
-		b := a.BAtomic
-		for br := t.Row0 / b; br*b < t.Row0+t.Rows; br++ {
-			for bc := t.Col0 / b; bc*b < t.Col0+t.Cols; bc++ {
-				cell := br*a.BC + bc
-				if covered[cell] >= 0 {
-					return fmt.Errorf("core: tiles %d and %d overlap at block (%d,%d)", covered[cell], ti, br, bc)
-				}
-				covered[cell] = int32(ti)
-				if a.blockIdx[cell] != int32(ti) {
-					return fmt.Errorf("core: block index at (%d,%d) = %d, want %d", br, bc, a.blockIdx[cell], ti)
-				}
-			}
-		}
 	}
-	for cell, idx := range a.blockIdx {
-		if idx >= 0 && covered[cell] != idx {
-			return fmt.Errorf("core: block index points to tile %d at cell %d but no tile covers it", idx, cell)
+	if len(a.Tiles) < 2 {
+		return nil
+	}
+	// Two tiles overlap exactly when they share a row band and their
+	// column extents intersect: sorted by Col0, a band's tiles must each
+	// end before the next begins.
+	rows := newBandAxis(a.Tiles, a.Rows, rowSpan)
+	var ids []int32
+	for i, band := range rows.bands {
+		ids = append(ids[:0], rows.idsOf(i)...)
+		slices.SortFunc(ids, func(p, q int32) int { return a.Tiles[p].Col0 - a.Tiles[q].Col0 })
+		for k := 1; k < len(ids); k++ {
+			if p, q := a.Tiles[ids[k-1]], a.Tiles[ids[k]]; q.Col0 < p.Col0+p.Cols {
+				return fmt.Errorf("core: tiles %d and %d overlap in rows %d–%d", ids[k-1], ids[k], band.Lo, band.Hi)
+			}
 		}
 	}
 	return nil
@@ -408,28 +439,23 @@ func (a *ATMatrix) Validate() error {
 // tiles a grayscale by density, and empty regions a space.
 func (a *ATMatrix) LayoutString() string {
 	const shades = " .:-=+*%"
+	scale := a.tileShadeScale()
 	var sb strings.Builder
+	line := make([]byte, a.BC)
 	for br := 0; br < a.BR; br++ {
-		for bc := 0; bc < a.BC; bc++ {
-			idx := a.blockIdx[br*a.BC+bc]
-			if idx < 0 {
-				sb.WriteByte(' ')
-				continue
-			}
-			t := a.Tiles[idx]
-			if t.Kind == mat.DenseKind {
-				sb.WriteByte('#')
-				continue
-			}
-			s := int(t.Density() / a.tileShadeScale() * float64(len(shades)))
-			if s >= len(shades) {
-				s = len(shades) - 1
-			}
-			if s < 1 {
-				s = 1
-			}
-			sb.WriteByte(shades[s])
+		for i := range line {
+			line[i] = ' '
 		}
+		for _, t := range a.RowTiles(br * a.BAtomic) {
+			ch := byte('#')
+			if t.Kind == mat.Sparse {
+				ch = shades[max(1, min(len(shades)-1, int(t.Density()/scale*float64(len(shades)))))]
+			}
+			for bc := t.Col0 / a.BAtomic; bc*a.BAtomic < t.Col0+t.Cols; bc++ {
+				line[bc] = ch
+			}
+		}
+		sb.Write(line)
 		sb.WriteByte('\n')
 	}
 	return sb.String()
@@ -453,7 +479,7 @@ func (a *ATMatrix) tileShadeScale() float64 {
 func FromCSR(m *mat.CSR, bAtomic int) *ATMatrix {
 	a := newATMatrix(m.Rows, m.Cols, bAtomic)
 	if m.NNZ() > 0 {
-		a.addTile(&Tile{Rows: m.Rows, Cols: m.Cols, Kind: mat.Sparse, Sp: m, NNZ: m.NNZ()})
+		a.Tiles = append(a.Tiles, &Tile{Rows: m.Rows, Cols: m.Cols, Kind: mat.Sparse, Sp: m, NNZ: m.NNZ()})
 	}
 	return a
 }
@@ -461,6 +487,6 @@ func FromCSR(m *mat.CSR, bAtomic int) *ATMatrix {
 // FromDense wraps a plain dense matrix as a single-tile AT MATRIX.
 func FromDense(m *mat.Dense, bAtomic int) *ATMatrix {
 	a := newATMatrix(m.Rows, m.Cols, bAtomic)
-	a.addTile(&Tile{Rows: m.Rows, Cols: m.Cols, Kind: mat.DenseKind, D: m, NNZ: m.NNZ()})
+	a.Tiles = append(a.Tiles, &Tile{Rows: m.Rows, Cols: m.Cols, Kind: mat.DenseKind, D: m, NNZ: m.NNZ()})
 	return a
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -69,7 +71,7 @@ func TestATMatrixBandsAlignedAndCovering(t *testing.T) {
 	}
 	// Every tile in a row band must fully contain the band.
 	for _, b := range rows {
-		for _, tile := range am.tilesInRowBand(b) {
+		for _, tile := range am.RowTiles(b.Lo) {
 			if tile.Row0 > b.Lo || tile.Row0+tile.Rows < b.Hi {
 				t.Fatalf("tile [%d+%d] does not contain band %+v", tile.Row0, tile.Rows, b)
 			}
@@ -265,4 +267,181 @@ func TestTileValidateCatchesMismatch(t *testing.T) {
 	if err := tile.Validate(); err == nil {
 		t.Fatal("degenerate tile accepted")
 	}
+}
+
+// TestTileIndexMatchesScan checks the tile index against brute-force scans
+// of Tiles on every kind of layout its consumers see: partitioned stand-ins,
+// ATMULT results (cut on the operands' band grid), transposes, and
+// tile-row shards reassembled with NewFromTiles as the cluster cuts them.
+// Each band's tiles must be exactly the tiles covering it, in Tiles order,
+// and TileAt must agree with a scan at every atomic block.
+func TestTileIndexMatchesScan(t *testing.T) {
+	cfg := benchLayoutConfig()
+	for _, id := range []string{"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "G9"} {
+		am, _, err := Partition(standIn(t, id), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTileIndex(t, id, am)
+		checkTileIndex(t, id+"'", am.Transpose(cfg))
+		for w := 0; w < 2; w++ {
+			var tiles []*Tile
+			bands := am.RowBands()
+			for i, tile := range am.Tiles {
+				for b := w; b < len(bands); b += 2 {
+					if tile.Row0 <= bands[b].Lo && bands[b].Hi <= tile.Row0+tile.Rows {
+						tiles = append(tiles, am.Tiles[i])
+						break
+					}
+				}
+			}
+			shard, err := NewFromTiles(am.Rows, am.Cols, am.BAtomic, tiles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkTileIndex(t, fmt.Sprintf("%s shard %d", id, w), shard)
+		}
+		if id == "R3" || id == "R7" || id == "G9" {
+			c, _, err := Multiply(am, am, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkTileIndex(t, id+"²", c)
+		}
+	}
+}
+
+func checkTileIndex(t *testing.T, name string, m *ATMatrix) {
+	t.Helper()
+	x := m.index()
+	for _, ax := range []struct {
+		axis  string
+		x     *bandAxis
+		limit int
+		span  func(*Tile) (int, int)
+	}{{"row", &x.rows, m.Rows, rowSpan}, {"col", &x.cols, m.Cols, colSpan}} {
+		cuts := map[int]bool{0: true, ax.limit: true}
+		for _, tile := range m.Tiles {
+			lo, hi := ax.span(tile)
+			cuts[lo], cuts[hi] = true, true
+		}
+		var edges []int
+		for c := range cuts {
+			edges = append(edges, c)
+		}
+		slices.Sort(edges)
+		if len(ax.x.bands) != len(edges)-1 {
+			t.Fatalf("%s: %d %s bands, want %d", name, len(ax.x.bands), ax.axis, len(edges)-1)
+		}
+		for i, band := range ax.x.bands {
+			if band != (Band{edges[i], edges[i+1]}) {
+				t.Fatalf("%s: %s band %d = %+v, want [%d, %d)", name, ax.axis, i, band, edges[i], edges[i+1])
+			}
+			var ids []int32
+			for ti, tile := range m.Tiles {
+				lo, hi := ax.span(tile)
+				if lo <= band.Lo && band.Hi <= hi {
+					ids = append(ids, int32(ti))
+				} else if lo < band.Hi && band.Lo < hi {
+					t.Fatalf("%s: tile %d straddles %s band %+v", name, ti, ax.axis, band)
+				}
+			}
+			if !slices.Equal(ax.x.idsOf(i), ids) {
+				t.Fatalf("%s: %s band %d tiles %v, scan finds %v", name, ax.axis, i, ax.x.idsOf(i), ids)
+			}
+			for k, tile := range ax.x.tilesOf(i) {
+				if tile != m.Tiles[ids[k]] {
+					t.Fatalf("%s: %s band %d tile %d is not Tiles[%d]", name, ax.axis, i, k, ids[k])
+				}
+			}
+		}
+	}
+	layout := strings.Split(m.LayoutString(), "\n")
+	for br := 0; br < m.BR; br++ {
+		r := br * m.BAtomic
+		var inRow []*Tile
+		for _, tile := range m.Tiles {
+			if tile.Row0 <= r && r < tile.Row0+tile.Rows {
+				inRow = append(inRow, tile)
+			}
+		}
+		if !slices.Equal(m.RowTiles(r), inRow) {
+			t.Fatalf("%s: RowTiles(%d) differs from a scan of Tiles", name, r)
+		}
+		for bc := 0; bc < m.BC; bc++ {
+			c := bc * m.BAtomic
+			var want *Tile
+			for _, tile := range inRow {
+				if tile.Col0 <= c && c < tile.Col0+tile.Cols {
+					want = tile
+				}
+			}
+			if got := m.TileAt(r, c); got != want {
+				t.Fatalf("%s: TileAt(%d, %d) = %p, scan finds %p", name, r, c, got, want)
+			}
+			if ch := layout[br][bc]; (ch == ' ') != (want == nil) || (ch == '#') != (want != nil && want.Kind == mat.DenseKind) {
+				t.Fatalf("%s: layout shows %q at block (%d,%d)", name, ch, br, bc)
+			}
+		}
+	}
+}
+
+// TestValidateRejectsOverlap: tiles overlapping partly by row, partly by
+// column, or one inside the other are rejected; edge-adjacent ones are not.
+func TestValidateRejectsOverlap(t *testing.T) {
+	tile := func(r0, c0, rows, cols int) *Tile {
+		return &Tile{Row0: r0, Col0: c0, Rows: rows, Cols: cols, Kind: mat.Sparse, Sp: mat.NewCSR(rows, cols)}
+	}
+	for _, tc := range []struct {
+		name    string
+		second  *Tile
+		overlap bool
+	}{
+		{"partly by row", tile(4, 0, 8, 8), true},
+		{"partly by column", tile(0, 4, 8, 8), true},
+		{"fully", tile(4, 4, 4, 4), true},
+		{"below", tile(8, 0, 8, 8), false},
+		{"beside", tile(0, 8, 8, 8), false},
+	} {
+		_, err := NewFromTiles(16, 16, 4, []*Tile{tile(0, 0, 8, 8), tile(12, 12, 4, 4), tc.second})
+		if got := err != nil && strings.Contains(err.Error(), "overlap"); got != tc.overlap {
+			t.Errorf("%s: NewFromTiles error %v, want overlap %v", tc.name, err, tc.overlap)
+		}
+	}
+}
+
+// TestTileIndexConcurrentFirstUse: goroutines asking a fresh matrix for its
+// index at once all see the one build (the race detector runs this one).
+func TestTileIndexConcurrentFirstUse(t *testing.T) {
+	cfg := benchLayoutConfig()
+	am, _, err := Partition(standIn(t, "G9"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]Band, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch g % 4 {
+			case 0:
+				am.RowBands()
+			case 1:
+				am.TileAt(am.Rows-1, am.Cols-1)
+			case 2:
+				am.ToCSR()
+			default:
+				am.RowTiles(g)
+			}
+			got[g] = am.RowBands()
+		}()
+	}
+	wg.Wait()
+	for _, bands := range got {
+		if &bands[0] != &got[0][0] {
+			t.Fatal("concurrent first users got different indexes")
+		}
+	}
+	checkTileIndex(t, "G9", am)
 }

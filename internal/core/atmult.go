@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,28 +165,20 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 		stats.WriteThreshold = opts.WriteThreshold
 	}
 
-	rowBands := a.RowBands()
-	colBands := b.ColBands()
+	aRows, bCols := &a.index().rows, &b.index().cols
+	rowBands, colBands := aRows.bands, bCols.bands
 	c := newATMatrix(a.Rows, b.Cols, cfg.BAtomic)
-
-	// Pre-resolve the contributing tiles per band. The flat grouping costs
-	// a handful of allocations regardless of band count, unlike per-band
-	// map-and-append (which used to dominate steady-state allocations for
-	// finely banded operands).
-	aTilesPerBand := groupTilesByBand(a.Tiles, rowBands, rowSpan)
-	bTilesPerBand := groupTilesByBand(b.Tiles, colBands, colSpan)
 
 	// Pre-index the sparse B tiles against each column band once:
 	// Gustavson revisits B rows per contributing A element, and the same
 	// (tile, band) window recurs in every row-band pair, so the
 	// referenced-window column spans are computed one time here and
 	// row-sliced per contribution. All spans share one backing array.
-	bWinsPerBand := indexColBandWindows(bTilesPerBand, colBands)
+	bWinsPerBand := indexColBandWindows(bCols)
 
 	mc := &mulCtx{
 		cfg: cfg, opts: opts, est: est, stats: stats, cache: newConvCache(),
-		rowBands: rowBands, colBands: colBands,
-		aTilesPerBand: aTilesPerBand, bTilesPerBand: bTilesPerBand,
+		aRows: aRows, bCols: bCols,
 		bWinsPerBand: bWinsPerBand,
 		// One result slot (tile + dense header) per pair; tasks fill them
 		// in place, assembly compacts the produced ones. NNZ > 0 marks a
@@ -201,11 +192,11 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 	ncb := len(colBands)
 	pairs := make([]int32, 0, len(rowBands)*ncb)
 	for ti := range rowBands {
-		if len(aTilesPerBand[ti]) == 0 {
+		if len(aRows.tilesOf(ti)) == 0 {
 			continue // structurally zero target tile-row
 		}
 		for tj := range colBands {
-			if len(bTilesPerBand[tj]) != 0 {
+			if len(bCols.tilesOf(tj)) != 0 {
 				pairs = append(pairs, int32(ti*ncb+tj))
 			}
 		}
@@ -255,7 +246,7 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 			d := *t.D
 			t.D = &d
 		}
-		c.addTile(&t)
+		c.Tiles = append(c.Tiles, &t)
 		produced++
 	}
 	stats.TargetTiles = int64(produced)
@@ -290,70 +281,19 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 // (reproducible runs) that still gives a retried job fresh probe vectors.
 var verifySeq atomic.Int64
 
-// rowSpan and colSpan are the axis accessors of groupTilesByBand.
-func rowSpan(t *Tile) (lo, hi int) { return t.Row0, t.Row0 + t.Rows }
-func colSpan(t *Tile) (lo, hi int) { return t.Col0, t.Col0 + t.Cols }
-
-// groupTilesByBand buckets tiles into the bands they span along one axis.
-// Bands are induced by tile cuts, so every tile covers a contiguous run of
-// bands; the buckets are subslices of one flat backing array built with a
-// counting pass.
-func groupTilesByBand(tiles []*Tile, bands []Band, span func(*Tile) (lo, hi int)) [][]*Tile {
-	bandRange := func(t *Tile) (int, int) {
-		lo, hi := span(t)
-		first := sort.Search(len(bands), func(i int) bool { return bands[i].Lo >= lo })
-		last := first
-		for last < len(bands) && bands[last].Lo < hi {
-			last++
-		}
-		return first, last
-	}
-	offs := make([]int32, len(bands)+1)
-	for _, t := range tiles {
-		f, l := bandRange(t)
-		for i := f; i < l; i++ {
-			offs[i+1]++
-		}
-	}
-	for i := 0; i < len(bands); i++ {
-		offs[i+1] += offs[i]
-	}
-	flat := make([]*Tile, offs[len(bands)])
-	cur := make([]int32, len(bands))
-	copy(cur, offs[:len(bands)])
-	for _, t := range tiles {
-		f, l := bandRange(t)
-		for i := f; i < l; i++ {
-			flat[cur[i]] = t
-			cur[i]++
-		}
-	}
-	out := make([][]*Tile, len(bands))
-	for i := range bands {
-		out[i] = flat[offs[i]:offs[i+1]]
-	}
-	return out
-}
-
 // indexColBandWindows builds the pre-indexed (sparse tile × column band)
 // windows, carving every window's row spans from a single backing array.
-func indexColBandWindows(tilesPerBand [][]*Tile, bands []Band) [][]kernels.CSRWin {
-	total := 0
-	for _, tiles := range tilesPerBand {
-		total += len(tiles)
-	}
-	flat := make([]kernels.CSRWin, total)
-	out := make([][]kernels.CSRWin, len(bands))
+func indexColBandWindows(x *bandAxis) [][]kernels.CSRWin {
+	flat := make([]kernels.CSRWin, len(x.tiles))
+	out := make([][]kernels.CSRWin, len(x.bands))
 	spanRows := 0
-	pos := 0
-	for j, tiles := range tilesPerBand {
-		wins := flat[pos : pos+len(tiles) : pos+len(tiles)]
-		pos += len(tiles)
-		for ti, tile := range tiles {
+	for j, band := range x.bands {
+		wins := flat[x.off[j]:x.off[j+1]:x.off[j+1]]
+		for ti, tile := range x.tilesOf(j) {
 			if tile.Kind != mat.Sparse {
 				continue
 			}
-			w := kernels.CSRWin{M: tile.Sp, Col0: bands[j].Lo - tile.Col0, Rows: tile.Rows, Cols: bands[j].Len()}
+			w := kernels.CSRWin{M: tile.Sp, Col0: band.Lo - tile.Col0, Rows: tile.Rows, Cols: band.Len()}
 			if w.NeedsIndex() {
 				spanRows += tile.Rows
 			}
@@ -383,9 +323,10 @@ type mulCtx struct {
 	stats *MultStats
 	cache *convCache
 
-	rowBands, colBands           []Band
-	aTilesPerBand, bTilesPerBand [][]*Tile
-	bWinsPerBand                 [][]kernels.CSRWin
+	// aRows and bCols are A's row axis and B's column axis of the operands'
+	// tile indexes: the bands and the tiles of each.
+	aRows, bCols *bandAxis
+	bWinsPerBand [][]kernels.CSRWin
 
 	tiles  []Tile
 	denses []mat.Dense
@@ -399,9 +340,9 @@ type mulCtx struct {
 // runPair dispatches one pair id (row-major over the band grid) to
 // multiplyPair with its slot pointers.
 func (mc *mulCtx) runPair(team *sched.Team, idx int32) {
-	ti, tj := int(idx)/len(mc.colBands), int(idx)%len(mc.colBands)
-	mc.multiplyPair(team, mc.rowBands[ti], mc.colBands[tj],
-		mc.aTilesPerBand[ti], mc.bTilesPerBand[tj], mc.bWinsPerBand[tj],
+	ti, tj := int(idx)/len(mc.bCols.bands), int(idx)%len(mc.bCols.bands)
+	mc.multiplyPair(team, mc.aRows.bands[ti], mc.bCols.bands[tj],
+		mc.aRows.tilesOf(ti), mc.bCols.tilesOf(tj), mc.bWinsPerBand[tj],
 		&mc.tiles[idx], &mc.denses[idx])
 }
 
@@ -521,10 +462,11 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 
 		mc.resolveOperand(ct, true, kindA, ws.scratch)
 		mc.resolveOperand(ct, false, kindB, ws.scratch)
-		// A sparse A tile feeding a dense target is read through its row
-		// band's column view; building one is conversion time, not a
-		// conversion.
-		if targetKind == mat.DenseKind && kindA == mat.Sparse && kindB == mat.Sparse && ct.aTile.Kind == mat.Sparse {
+		// A sparse A tile feeding a dense target with a sparse B is read
+		// through its row band's column view; building one is conversion
+		// time, not a conversion. (No dense tile is ever chosen sparse, so
+		// every sparse×sparse contribution into a dense target has one.)
+		if targetKind == mat.DenseKind && kindA == mat.Sparse && kindB == mat.Sparse {
 			t0 := time.Now()
 			var hit bool
 			if ct.aView, hit = mc.cache.view(ct.aTile, ct.aR0, ct.aR0+m); !hit {
@@ -785,8 +727,6 @@ func runDenseTarget(cw *mat.Dense, ct *contribution, lo, hi int) {
 	switch {
 	case ct.aView != nil:
 		kernels.SpSpDCols(cw, ct.aView, lo, ct.aC0, ct.B)
-	case ct.aKind == mat.Sparse && ct.bKind == mat.Sparse:
-		kernels.SpSpD(cw, aSp, ct.B)
 	case ct.aKind == mat.Sparse && ct.bKind == mat.DenseKind:
 		kernels.SpDD(cw, aSp, &ct.BD)
 	case ct.aKind == mat.DenseKind && ct.bKind == mat.Sparse:

@@ -192,7 +192,7 @@ func refPartition(t testing.TB, src *mat.COO, cfg Config) *ATMatrix {
 				tile.Sp.RowPtr[r+1] += tile.Sp.RowPtr[r]
 			}
 		}
-		p.out.addTile(tile)
+		p.out.Tiles = append(p.out.Tiles, tile)
 	}
 	return p.out
 }

@@ -24,7 +24,7 @@ func (a *ATMatrix) Transpose(cfg Config) *ATMatrix {
 		} else {
 			nt.Sp = t.Sp.Transpose()
 		}
-		out.addTile(nt)
+		out.Tiles = append(out.Tiles, nt)
 	}
 	return out
 }

@@ -92,7 +92,7 @@ func buildLayout(rows, cols int, cfg Config, plan func(*partitioner) []tileBox, 
 		return nil, nil, err
 	}
 	for _, t := range tiles {
-		p.out.addTile(t) // in plan order
+		p.out.Tiles = append(p.out.Tiles, t) // in plan order
 	}
 	stats.BuildTime = time.Since(t0)
 	return p.out, stats, nil

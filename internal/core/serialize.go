@@ -152,7 +152,8 @@ func readATMatrix(cr *mmio.Reader) (*ATMatrix, uint32, error) {
 	if bAtomic&(bAtomic-1) != 0 {
 		return nil, 0, fmt.Errorf("core: b_atomic %d not a power of two", bAtomic)
 	}
-	// Bound the block-index allocation against corrupt headers.
+	// Bound the block grid against corrupt headers: DensityMap allocates it
+	// on first use.
 	br2 := (rows + bAtomic - 1) / bAtomic
 	bc2 := (cols + bAtomic - 1) / bAtomic
 	if br2*bc2 > 1<<28 {
@@ -161,10 +162,6 @@ func readATMatrix(cr *mmio.Reader) (*ATMatrix, uint32, error) {
 	if nTiles > br2*bc2 {
 		return nil, 0, fmt.Errorf("core: header claims %d tiles for a %d-block grid", nTiles, br2*bc2)
 	}
-	// Tiles are collected first and indexed only once the footer has
-	// verified: the block index is sized by the header (up to 1 GiB at the
-	// grid bound above), so a corrupt or truncated stream must fail before
-	// it is allocated.
 	var tiles []*Tile
 	for ti := int64(0); ti < nTiles; ti++ {
 		th, err := cr.Next(37)
@@ -227,9 +224,7 @@ func readATMatrix(cr *mmio.Reader) (*ATMatrix, uint32, error) {
 		return nil, 0, err
 	}
 	out := newATMatrix(int(rows), int(cols), int(bAtomic))
-	for _, t := range tiles {
-		out.addTile(t)
-	}
+	out.Tiles = tiles
 	if err := out.Validate(); err != nil {
 		return nil, 0, err
 	}

@@ -133,10 +133,13 @@ func stageBlocks(rows, cols int, cfg Config, fill func(lo, hi int, b *rowBlock))
 // overlap, so the columns ascend. Stored zeros (a tile scaled to zero, a
 // cancellation) are dropped.
 func (a *ATMatrix) rowGatherer() func(lo, hi int, b *rowBlock) {
-	bands := a.RowBands()
+	x := &a.index().rows
+	bands := x.bands
+	byCol := slices.Clone(x.tiles)
 	tiles := make([][]*Tile, len(bands))
-	for i, band := range bands {
-		tiles[i] = a.tilesInRowBand(band)
+	for i := range bands {
+		tiles[i] = byCol[x.off[i]:x.off[i+1]]
+		slices.SortFunc(tiles[i], func(p, q *Tile) int { return p.Col0 - q.Col0 })
 	}
 	return func(lo, hi int, b *rowBlock) {
 		for bi := sort.Search(len(bands), func(i int) bool { return bands[i].Hi > lo }); bi < len(bands) && bands[bi].Lo < hi; bi++ {

@@ -197,6 +197,35 @@ func TestTileRowFramesLengthIsNotAnAllocation(t *testing.T) {
 	}
 }
 
+// TestReadATMatrixGridIsNotAnAllocation pins the decoder's memory to the
+// tiles a stream holds, not to the block grid its header declares: a valid
+// stream of one small tile in a 2^12 × 2^12 grid decodes within the
+// decoders' shared bound.
+func TestReadATMatrixGridIsNotAnAllocation(t *testing.T) {
+	const dim = 1 << 12
+	sp := mat.NewCSR(2, 3)
+	sp.RowPtr[1], sp.RowPtr[2] = 1, 1
+	sp.ColIdx, sp.Val = []int32{2}, []float64{1.5}
+	m, err := NewFromTiles(dim, dim, 1, []*Tile{{Row0: 7, Col0: 9, Rows: 2, Cols: 3, Kind: mat.Sparse, Sp: sp, NNZ: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, _, err := m.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got *ATMatrix
+	alloccheck.Bound(t, buf.Len(), alloccheck.DecodeFactor, alloccheck.DecodeFixed, func() {
+		got, err = ReadATMatrix(bytes.NewReader(buf.Bytes()))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.BR != dim || got.BC != dim || len(got.Tiles) != 1 || got.At(7, 11) != 1.5 {
+		t.Fatalf("decoded a %d×%d-block grid with %d tiles, At(7, 11) = %g", got.BR, got.BC, len(got.Tiles), got.At(7, 11))
+	}
+}
+
 // TestTileRowFramesTrailingBytes rejects a frame whose declared length
 // runs past its matrix: the bytes in between belong to nobody.
 func TestTileRowFramesTrailingBytes(t *testing.T) {

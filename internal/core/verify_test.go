@@ -603,7 +603,7 @@ func TestVerifySweepFailureIsNotAVerdict(t *testing.T) {
 		if i == len(c.Tiles)-1 {
 			tile = &Tile{Row0: tile.Row0, Col0: tile.Col0, Rows: tile.Rows, Cols: tile.Cols, Kind: mat.DenseKind, NNZ: 1}
 		}
-		bad.addTile(tile)
+		bad.Tiles = append(bad.Tiles, tile)
 	}
 	err := VerifyProductOn(TeamSweeper(nil, cfg, 0), a, a, bad, 2, 1)
 	var tpe *sched.TaskPanicError

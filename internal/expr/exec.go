@@ -495,7 +495,6 @@ func seedPanel(m *core.ATMatrix, dst []float64, w int, coef float64) {
 // applyPanel computes dst = m · src over the panel, one RunHomed item per
 // block-row of m, run where the block-row's tiles live.
 func (e *exec) applyPanel(m *core.ATMatrix, src, dst []float64, w int) error {
-	byBand := indexRows(m).byBlockRow
 	b := m.BAtomic
 	_, err := core.RunHomed(e.opts.Mult.Ctx, e.cfg, e.opts.Mult.Watchdog, (m.Rows+b-1)/b,
 		func(br int) int { return br * b },
@@ -503,7 +502,7 @@ func (e *exec) applyPanel(m *core.ATMatrix, src, dst []float64, w int) error {
 			lo, hi := br*b, min(br*b+b, m.Rows)
 			team.ParallelRows(hi-lo, func(rlo, rhi, _ int) {
 				zeroRows(dst, w, lo+rlo, lo+rhi)
-				for _, t := range byBand[br] {
+				for _, t := range m.RowTiles(lo) {
 					tilePanelRows(t, src, dst, w, lo+rlo, lo+rhi)
 				}
 			})
@@ -607,10 +606,8 @@ func (e *exec) runRowStream(v *chainNode, mats []*core.ATMatrix) (*core.ATMatrix
 	n := mats[0].Rows
 	b := e.cfg.BAtomic
 	nb := (n + b - 1) / b
-	infos := make([]*matRows, len(mats))
 	maxW := 0
-	for i, m := range mats {
-		infos[i] = indexRows(m)
+	for _, m := range mats {
 		if m.Cols > maxW {
 			maxW = m.Cols
 		}
@@ -642,7 +639,7 @@ func (e *exec) runRowStream(v *chainNode, mats []*core.ATMatrix) (*core.ATMatrix
 				piece := &pieces[br]
 				piece.rowNNZ = make([]int32, hi-lo)
 				for i := lo; i < hi; i++ {
-					streamRow(sc, infos, mats, i, coef)
+					streamRow(sc, mats, i, coef)
 					flushStreamRow(piece, i-lo, sc.a)
 				}
 			})
@@ -669,14 +666,14 @@ func (e *exec) runRowStream(v *chainNode, mats []*core.ATMatrix) (*core.ATMatrix
 // remaining factor, ping-ponging between the two accumulators.
 //
 //atlint:hotpath
-func streamRow(sc *streamScratch, infos []*matRows, mats []*core.ATMatrix, i int, coef float64) {
+func streamRow(sc *streamScratch, mats []*core.ATMatrix, i int, coef float64) {
 	cur, nxt := sc.a, sc.b
 	cur.Reset(mats[0].Cols)
-	spreadRow(cur, infos[0], i, coef)
+	spreadRow(cur, mats[0], i, coef)
 	for s := 1; s < len(mats); s++ {
 		nxt.Reset(mats[s].Cols)
 		for _, c := range cur.Touched() {
-			spreadRow(nxt, infos[s], int(c), cur.Value(c))
+			spreadRow(nxt, mats[s], int(c), cur.Value(c))
 		}
 		cur, nxt = nxt, cur
 	}
@@ -687,12 +684,9 @@ func streamRow(sc *streamScratch, infos []*matRows, mats []*core.ATMatrix, i int
 // straight out of the operand's tiles.
 //
 //atlint:hotpath
-func spreadRow(spa *kernels.SPA, ri *matRows, r int, w float64) {
-	for _, t := range ri.byBlockRow[r/ri.b] {
+func spreadRow(spa *kernels.SPA, m *core.ATMatrix, r int, w float64) {
+	for _, t := range m.RowTiles(r) {
 		lr := r - t.Row0
-		if lr < 0 || lr >= t.Rows {
-			continue
-		}
 		if t.Kind == mat.Sparse {
 			lo, hi := t.Sp.RowRange(lr)
 			for p := lo; p < hi; p++ {
@@ -729,27 +723,4 @@ func assemblePieces(pieces []bandPiece, rows, cols int, cfg core.Config) (*core.
 	}
 	out, _, err := core.PartitionRows(rows, cols, nnz, col, val, cfg)
 	return out, err
-}
-
-// matRows indexes a matrix's tiles by atomic block-row for O(1) row scans.
-type matRows struct {
-	b          int
-	byBlockRow [][]*core.Tile
-}
-
-// indexRows builds the block-row tile index of a matrix.
-func indexRows(m *core.ATMatrix) *matRows {
-	nb := (m.Rows + m.BAtomic - 1) / m.BAtomic
-	if nb == 0 {
-		nb = 1
-	}
-	ri := &matRows{b: m.BAtomic, byBlockRow: make([][]*core.Tile, nb)}
-	for _, t := range m.Tiles {
-		br0 := t.Row0 / m.BAtomic
-		br1 := (t.Row0 + t.Rows - 1) / m.BAtomic
-		for br := br0; br <= br1 && br < nb; br++ {
-			ri.byBlockRow[br] = append(ri.byBlockRow[br], t)
-		}
-	}
-	return ri
 }
