@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,7 +87,7 @@ type MultStats struct {
 	Conversions   int64 // number of operand windows converted
 	Contributions int64 // tile-multiplication tasks executed
 	TargetTiles   int64 // result tiles produced (before dropping empties)
-	TasksStolen   int64 // tasks executed by a team other than their home socket's
+	TasksStolen   int64 // tasks (a tile pair, or a row chunk of one) executed by a team other than their home socket's
 	ScratchBytes  int64 // process-wide persistent worker-scratch high-water mark
 
 	// Kernel-choice counts for sparse×sparse→sparse contributions: how
@@ -132,7 +133,9 @@ func Multiply(a, b *ATMatrix, cfg Config) (*ATMatrix, *MultStats, error) {
 // MultiplyOpt is Alg. 2: it estimates the result-density map, derives the
 // effective write threshold with the water-level method, forms tile-row ×
 // tile-col pairs — each pair producing one target tile C_{ti,tj} — and
-// executes the pairs on per-socket worker teams. Every pair accumulates
+// executes the pairs on per-socket worker teams (a product with fewer pairs
+// than teams cuts its dense-target pairs into row chunks, splitPairs).
+// Every pair accumulates
 // the referenced submatrix multiplications of the matching A and B tiles,
 // with the dynamic optimizer converting operand windows just in time when
 // the cost model predicts a cheaper kernel.
@@ -177,7 +180,7 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 	bWinsPerBand := indexColBandWindows(bCols)
 
 	mc := &mulCtx{
-		cfg: cfg, opts: opts, est: est, stats: stats, cache: newConvCache(),
+		cfg: cfg, opts: opts, stats: stats, cache: newConvCache(),
 		aRows: aRows, bCols: bCols,
 		bWinsPerBand: bWinsPerBand,
 		// One result slot (tile + dense header) per pair; tasks fill them
@@ -188,25 +191,33 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 	}
 
 	// The pairs with work, row-major over the band grid; a pair is homed
-	// with its A tile-row.
+	// with its A tile-row. Each target's representation is decided here,
+	// once, from its *final* estimated density (Alg. 2 line 6).
 	ncb := len(colBands)
-	pairs := make([]int32, 0, len(rowBands)*ncb)
-	for ti := range rowBands {
+	tasks := make([]pairTask, 0, len(rowBands)*ncb)
+	for ti, rb := range rowBands {
 		if len(aRows.tilesOf(ti)) == 0 {
 			continue // structurally zero target tile-row
 		}
-		for tj := range colBands {
-			if len(bCols.tilesOf(tj)) != 0 {
-				pairs = append(pairs, int32(ti*ncb+tj))
+		for tj, cb := range colBands {
+			if len(bCols.tilesOf(tj)) == 0 {
+				continue
 			}
+			t := pairTask{idx: int32(ti*ncb + tj), pair: int32(len(tasks)), hi: int32(rb.Len())}
+			if est != nil {
+				t.estRho = regionDensity(est, rb.Lo, rb.Hi, cb.Lo, cb.Hi)
+				t.dense = t.estRho >= stats.WriteThreshold
+			}
+			tasks = append(tasks, t)
 		}
 	}
+	tasks = mc.splitPairs(tasks)
 	if err := opts.ctxErr(); err != nil {
 		return nil, nil, err
 	}
-	rs, runErr := RunHomed(opts.Ctx, cfg, opts.Watchdog, len(pairs),
-		func(i int) int { return rowBands[int(pairs[i])/ncb].Lo },
-		func(team *sched.Team, i int) { mc.runPair(team, pairs[i]) })
+	rs, runErr := RunHomed(opts.Ctx, cfg, opts.Watchdog, len(tasks),
+		func(i int) int { return rowBands[int(tasks[i].idx)/ncb].Lo + int(tasks[i].lo) },
+		func(team *sched.Team, i int) { mc.runTask(team, &tasks[i]) })
 	stats.TasksStolen = rs.Stolen
 	stats.ScratchBytes = scratchFootprint.Load()
 	// A cancelled run may have skipped arbitrary pairs; the partial slot
@@ -217,10 +228,13 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 	if runErr != nil {
 		// A panicking tile task fails only this multiplication; annotate
 		// the scheduler's error with the target-tile coordinates of the
-		// pair it names.
+		// pair it names. A row chunk's item is mapped back to its pair's
+		// index, so the error names the same pair however it was cut.
 		var tpe *sched.TaskPanicError
 		if errors.As(runErr, &tpe) {
-			ti, tj := int(pairs[tpe.Item])/ncb, int(pairs[tpe.Item])%ncb
+			t := tasks[tpe.Item]
+			tpe.Item = t.pair
+			ti, tj := int(t.idx)/ncb, int(t.idx)%ncb
 			return nil, nil, fmt.Errorf("core: ATMULT task panic at target tile (%d,%d) [rows %d–%d × cols %d–%d]: %w",
 				ti, tj, rowBands[ti].Lo, rowBands[ti].Hi, colBands[tj].Lo, colBands[tj].Hi, runErr)
 		}
@@ -319,7 +333,6 @@ func indexColBandWindows(x *bandAxis) [][]kernels.CSRWin {
 type mulCtx struct {
 	cfg   Config
 	opts  MultOptions
-	est   *density.Map
 	stats *MultStats
 	cache *convCache
 
@@ -330,6 +343,9 @@ type mulCtx struct {
 
 	tiles  []Tile
 	denses []mat.Dense
+	// splits holds, by pair position, the state the row chunks of a split
+	// pair share (splitPairs); nil unless some pair is split.
+	splits []splitPair
 
 	optNanos, convNanos, mulNanos, finNanos atomic.Int64
 	// The MultStats counters every pair task bumps; copied into stats once
@@ -337,13 +353,100 @@ type mulCtx struct {
 	contributions, conversions, outerCalls, gustavsonCalls atomic.Int64
 }
 
-// runPair dispatches one pair id (row-major over the band grid) to
-// multiplyPair with its slot pointers.
-func (mc *mulCtx) runPair(team *sched.Team, idx int32) {
-	ti, tj := int(idx)/len(mc.bCols.bands), int(idx)%len(mc.bCols.bands)
-	mc.multiplyPair(team, mc.aRows.bands[ti], mc.bCols.bands[tj],
-		mc.aRows.tilesOf(ti), mc.bCols.tilesOf(tj), mc.bWinsPerBand[tj],
-		&mc.tiles[idx], &mc.denses[idx])
+// pairTask is one task of a product: a tile pair, or one row chunk of a
+// dense-target pair that splitPairs cut across the teams.
+type pairTask struct {
+	idx  int32 // the pair's result slot, row-major over the band grid
+	pair int32 // the pair's position in the pair list
+	// lo and hi bound the task's target rows: the whole tile-row, or one
+	// chunk of it when split is set (the chunks share mulCtx.splits[pair]).
+	lo, hi int32
+	split  bool
+	// dense and estRho are the target's representation and estimated
+	// density, decided once when the pair list is built.
+	dense  bool
+	estRho float64
+}
+
+// splitPair is the state the row chunks of one split pair share: the first
+// chunk to arrive plans the pair, every chunk runs its rows, and the last
+// to finish them (the countdown in left) fills the result slot.
+type splitPair struct {
+	plan     sync.Once
+	contribs []contribution
+	// arena holds the plan's ad hoc window conversions. The planning
+	// worker's arena is reset at that worker's next task, which may start
+	// while other chunks still read them.
+	arena kernels.Scratch
+	left  atomic.Int32
+	nnz   atomic.Int64
+}
+
+// splitPairs cuts each dense-target pair into ⌈Sockets / pairs⌉ row chunks
+// when the product has fewer pairs than teams. A whole pair cannot be
+// partly taken by a dry team, so a one-pair product would otherwise run on
+// one team while the others idle. Sparse targets stay whole: a chunk would
+// need accumulator segments of its own instead of a worker's warm
+// grow-only ones, and that costs more than the team it gains. A product
+// with enough pairs is returned as it is.
+func (mc *mulCtx) splitPairs(pairs []pairTask) []pairTask {
+	sockets := mc.cfg.Topology.Sockets
+	if len(pairs) >= sockets || !slices.ContainsFunc(pairs, func(p pairTask) bool { return p.dense }) {
+		return pairs
+	}
+	per := int32((sockets + len(pairs) - 1) / len(pairs))
+	mc.splits = make([]splitPair, len(pairs))
+	tasks := make([]pairTask, 0, len(pairs)*int(per))
+	for _, p := range pairs {
+		c := min(per, p.hi)
+		if !p.dense || c < 2 {
+			tasks = append(tasks, p)
+			continue
+		}
+		p.split = true
+		mc.splits[p.pair].left.Store(c)
+		m := int64(p.hi)
+		for k := range int64(c) {
+			p.lo, p.hi = int32(k*m/int64(c)), int32((k+1)*m/int64(c))
+			tasks = append(tasks, p)
+		}
+	}
+	return tasks
+}
+
+// runTask runs one task. A whole pair is planned, multiplied and finished
+// in one go on the worker's scratch; a row chunk of a split pair runs its
+// rows and leaves the plan to the first chunk and the finish to the last.
+func (mc *mulCtx) runTask(team *sched.Team, t *pairTask) {
+	ws := stateFor(team, 0, mc.cfg.EphemeralWorkers)
+	ws.scratch.BeginTask()
+	defer func() {
+		ws.releaseContribs()
+		ws.syncFootprint()
+	}()
+	if !t.split {
+		ws.contribs = mc.plan(team, t, ws.contribs[:0], ws.scratch)
+		if len(ws.contribs) == 0 {
+			return
+		}
+		if t.dense {
+			mc.finish(team, t, mc.denseRows(team, ws, t, ws.contribs), nil)
+		} else {
+			csr := mc.sparseRows(team, ws, ws.contribs)
+			mc.finish(team, t, csr.NNZ(), csr)
+		}
+		return
+	}
+	sp := &mc.splits[t.pair]
+	// A chunk whose plan panicked finds no contributions and runs nothing;
+	// the panic has already failed the run.
+	sp.plan.Do(func() { sp.contribs = mc.plan(team, t, nil, &sp.arena) })
+	if len(sp.contribs) != 0 {
+		sp.nnz.Add(mc.denseRows(team, ws, t, sp.contribs))
+	}
+	if sp.left.Add(-1) == 0 {
+		mc.finish(team, t, sp.nnz.Load(), nil)
+	}
 }
 
 // contribution is one referenced submatrix multiplication feeding a target
@@ -379,36 +482,33 @@ type contribution struct {
 	aView *kernels.ColView
 }
 
-// multiplyPair computes one target tile C_{ti,tj} (Alg. 2 lines 6–10) into
-// the pair's result slot. All transient state — the contribution list,
-// converted operand windows, the sparse accumulator, the row fan-out
-// closures and each worker's SPA — comes from the executing workers'
-// persistent scratch arenas, so the steady-state allocation cost of a task
-// is only the escaping result payload itself.
-func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*Tile,
-	bWins []kernels.CSRWin, out *Tile, dHdr *mat.Dense) {
-
-	cfg, opts, est, stats := mc.cfg, mc.opts, mc.est, mc.stats
+// plan is the first step of computing one target tile C_{ti,tj} (Alg. 2
+// lines 6–10): it appends the pair's contributions to cts, decides each
+// one's kernel with the whole pair's dimensions and estimated density,
+// resolves its operands — converting windows just in time, ad hoc ones into
+// arena — records the NUMA reads and, for a dense target, allocates the
+// tile's buffer. It returns the contributions; none means the pair produces
+// nothing. Every transient buffer comes from the caller, so the
+// steady-state allocation cost of a pair is only the escaping result
+// payload itself.
+func (mc *mulCtx) plan(team *sched.Team, t *pairTask, cts []contribution, arena *kernels.Scratch) []contribution {
+	cfg, opts, stats := mc.cfg, mc.opts, mc.stats
+	ti, tj := int(t.idx)/len(mc.bCols.bands), int(t.idx)%len(mc.bCols.bands)
+	rb, cb := mc.aRows.bands[ti], mc.bCols.bands[tj]
+	bWins := mc.bWinsPerBand[tj]
 	m, n := rb.Len(), cb.Len()
-	ws := stateFor(team, 0, cfg.EphemeralWorkers)
-	ws.scratch.BeginTask()
-	defer func() {
-		ws.releaseContribs()
-		ws.syncFootprint()
-	}()
 
 	// Collect the referenced submatrix multiplications with matching
 	// contraction ranges (CALCULATEREFWINDOW, Alg. 2 line 8).
-	contribs := ws.contribs[:0]
-	for _, ta := range aTiles {
+	for _, ta := range mc.aRows.tilesOf(ti) {
 		ak0, ak1 := ta.Col0, ta.Col0+ta.Cols
-		for bi, tb := range bTiles {
+		for bi, tb := range mc.bCols.tilesOf(tj) {
 			bk0, bk1 := tb.Row0, tb.Row0+tb.Rows
 			k0, k1 := max(ak0, bk0), min(ak1, bk1)
 			if k1 <= k0 {
 				continue
 			}
-			contribs = append(contribs, contribution{
+			cts = append(cts, contribution{
 				aTile: ta, bTile: tb, bWin: bWins[bi],
 				aR0: rb.Lo - ta.Row0, aC0: k0 - ta.Col0,
 				bR0: k0 - tb.Row0, bC0: cb.Lo - tb.Col0,
@@ -416,33 +516,25 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 			})
 		}
 	}
-	ws.contribs = contribs // retain grown capacity for the next task
-	if len(contribs) == 0 {
-		return
+	if len(cts) == 0 {
+		return cts
 	}
-	mc.contributions.Add(int64(len(contribs)))
+	mc.contributions.Add(int64(len(cts)))
 
-	// Decide the physical representation of the target tile from its
-	// *final* estimated density (Alg. 2 line 6).
 	targetKind := mat.Sparse
-	var estRho float64
-	if est != nil {
-		estRho = regionDensity(est, rb.Lo, rb.Hi, cb.Lo, cb.Hi)
-		if estRho >= stats.WriteThreshold {
-			targetKind = mat.DenseKind
-		}
+	if t.dense {
+		targetKind = mat.DenseKind
 	}
-
 	// Dynamic optimizer (OPTIMIZE, Alg. 2 line 9): pick the operand
 	// representations per contribution, converting windows just in time.
-	for i := range contribs {
-		ct := &contribs[i]
+	for i := range cts {
+		ct := &cts[i]
 		t0 := time.Now()
 		kindA, kindB := ct.aTile.Kind, ct.bTile.Kind
 		rhoA := windowDensityApprox(ct.aTile)
 		rhoB := windowDensityApprox(ct.bTile)
 		if opts.DynOpt {
-			plan := cfg.Cost.ChooseKernel(kindA, kindB, targetKind, m, ct.k, n, rhoA, rhoB, estRho)
+			plan := cfg.Cost.ChooseKernel(kindA, kindB, targetKind, m, ct.k, n, rhoA, rhoB, t.estRho)
 			kindA, kindB = plan.KindA, plan.KindB
 		}
 		// Algorithm choice for sparse×sparse→sparse: outer-product merge
@@ -460,8 +552,8 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 		mc.optNanos.Add(time.Since(t0).Nanoseconds())
 		ct.aKind, ct.bKind = kindA, kindB
 
-		mc.resolveOperand(ct, true, kindA, ws.scratch)
-		mc.resolveOperand(ct, false, kindB, ws.scratch)
+		mc.resolveOperand(ct, true, kindA, arena)
+		mc.resolveOperand(ct, false, kindB, arena)
 		// A sparse A tile feeding a dense target with a sparse B is read
 		// through its row band's column view; building one is conversion
 		// time, not a conversion. (No dense tile is ever chosen sparse, so
@@ -479,58 +571,79 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 		stats.Numa.RecordAccess(team.Socket, ct.aTile.Home, windowBytes(ct.aTile, m, ct.k))
 		stats.Numa.RecordAccess(team.Socket, ct.bTile.Home, windowBytes(ct.bTile, ct.k, n))
 	}
-
-	// Execute: intra-tile parallelization over the target rows; each
-	// worker processes its row slice through all contributions. The row
-	// bodies are the worker state's reusable closures reading the cur*
-	// fields set here.
-	t0 := time.Now()
-	denseFn, sparseFn := ws.rowFns()
-	ws.curTeam, ws.curEph = team, cfg.EphemeralWorkers
-	if targetKind == mat.DenseKind {
-		*dHdr = mat.Dense{Rows: m, Cols: n, Stride: n, Data: make([]float64, m*n)}
-		ws.curD = dHdr
-		team.ParallelRows(m, denseFn)
+	if t.dense {
+		t0 := time.Now()
+		mc.denses[t.idx] = mat.Dense{Rows: m, Cols: n, Stride: n, Data: make([]float64, m*n)}
 		mc.mulNanos.Add(time.Since(t0).Nanoseconds())
-		nnz := dHdr.NNZ()
-		if nnz == 0 {
-			dHdr.Data = nil
-			return
-		}
-		*out = Tile{Row0: rb.Lo, Col0: cb.Lo, Rows: m, Cols: n, Kind: mat.DenseKind, D: dHdr, NNZ: nnz}
-	} else {
-		// One row pass per chunk of the fan-out, each into its own segment
-		// and stamping its own time (busy time, summed across workers); the
-		// leader adds the assembly of the finished rows into the result CSR.
-		for i := range contribs {
-			ws.terms = append(ws.terms, contribs[i].Term)
-		}
-		acc := ws.scratch.Acc(m, n)
-		acc.Split(team.Workers)
-		ws.curAcc, ws.curMC = acc, mc
-		team.ParallelRows(m, sparseFn)
-		t0 = time.Now()
-		csr := acc.ToCSR()
-		mc.finNanos.Add(time.Since(t0).Nanoseconds())
-		if csr.NNZ() == 0 {
-			return
-		}
-		*out = Tile{Row0: rb.Lo, Col0: cb.Lo, Rows: m, Cols: n, Kind: mat.Sparse, Sp: csr, NNZ: csr.NNZ()}
+	}
+	return cts
+}
+
+// denseRows runs the contributions over the task's target rows of the
+// pair's dense tile — intra-tile parallelization: each worker of the team
+// processes its row slice through all contributions — and returns the
+// non-zeros of those rows. The row body is the worker state's reusable
+// closure reading the cur* fields set here.
+func (mc *mulCtx) denseRows(team *sched.Team, ws *workerState, t *pairTask, cts []contribution) int64 {
+	t0 := time.Now()
+	d, lo, hi := &mc.denses[t.idx], int(t.lo), int(t.hi)
+	denseFn, _ := ws.rowFns()
+	ws.curD, ws.curCts, ws.curLo = d, cts, lo
+	team.ParallelRows(hi-lo, denseFn)
+	mc.mulNanos.Add(time.Since(t0).Nanoseconds())
+	rows := d.View(lo, hi, 0, d.Cols)
+	return rows.NNZ()
+}
+
+// sparseRows finishes every row of a sparse target in one row pass per
+// chunk of the fan-out, each into its own segment and stamping its own time
+// (busy time, summed across workers), and assembles the finished rows into
+// the result CSR, which the leader's time covers.
+func (mc *mulCtx) sparseRows(team *sched.Team, ws *workerState, cts []contribution) *mat.CSR {
+	m, n := cts[0].mRows, cts[0].nCols
+	for i := range cts {
+		ws.terms = append(ws.terms, cts[i].Term)
+	}
+	_, sparseFn := ws.rowFns()
+	acc := ws.scratch.Acc(m, n)
+	acc.Split(team.Workers)
+	ws.curTeam, ws.curEph, ws.curAcc, ws.curMC = team, mc.cfg.EphemeralWorkers, acc, mc
+	team.ParallelRows(m, sparseFn)
+	t0 := time.Now()
+	csr := acc.ToCSR()
+	mc.finNanos.Add(time.Since(t0).Nanoseconds())
+	return csr
+}
+
+// finish fills the pair's result slot with a tile of nnz non-zeros: the
+// dense slot's buffer, or sp for a sparse target. An empty tile is dropped.
+func (mc *mulCtx) finish(team *sched.Team, t *pairTask, nnz int64, sp *mat.CSR) {
+	d := &mc.denses[t.idx]
+	if nnz == 0 {
+		d.Data = nil
+		return
+	}
+	ti, tj := int(t.idx)/len(mc.bCols.bands), int(t.idx)%len(mc.bCols.bands)
+	rb, cb := mc.aRows.bands[ti], mc.bCols.bands[tj]
+	out := &mc.tiles[t.idx]
+	*out = Tile{Row0: rb.Lo, Col0: cb.Lo, Rows: rb.Len(), Cols: cb.Len(), Kind: mat.DenseKind, D: d, NNZ: nnz}
+	if sp != nil {
+		out.Kind, out.D, out.Sp = mat.Sparse, nil, sp
 	}
 	// The tile is homed where its tile-row is placed, not where it was
 	// computed: Home is serialized, and which team ran the pair depends on
 	// timing. The allocation is charged to the team that made it, so a
 	// pair run away from home shows up in the NUMA statistics instead.
-	out.Home = cfg.HomeOfRow(rb.Lo)
-	stats.Numa.RecordAlloc(team.Socket, out.Bytes())
+	out.Home = mc.cfg.HomeOfRow(rb.Lo)
+	mc.stats.Numa.RecordAlloc(team.Socket, out.Bytes())
 }
 
 // resolveOperand fills the kernel operand fields of a contribution for the
 // requested representation, converting a sparse window to dense when the
 // optimizer asks for it (costmodel.ChooseKernel never proposes the reverse).
-// Ad-hoc window conversions land in the task's scratch arena (valid until
-// the task ends); full-tile dense conversions go through the shared cache
-// instead, because they outlive the task.
+// Ad-hoc window conversions land in the plan's arena (valid until the pair
+// is done); full-tile dense conversions go through the shared cache
+// instead, because they outlive the pair.
 func (mc *mulCtx) resolveOperand(ct *contribution, isA bool, want mat.Kind, scr *kernels.Scratch) {
 	var tile *Tile
 	var r0, c0, rows, cols int

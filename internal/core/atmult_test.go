@@ -349,7 +349,7 @@ func TestATMULTMixedGranularityOperands(t *testing.T) {
 // left — and must not show in the product. Ten runs of the same
 // multiplication serialize to the same bytes, and every result tile is
 // homed where its tile-row is placed, on skewed inputs that leave most
-// teams dry.
+// teams dry — and on a one-pair product whose pair is cut into row chunks.
 func TestATMULTBytesIndependentOfExecutor(t *testing.T) {
 	var stolen int64
 	for _, tp := range []numa.Topology{{Sockets: 2, CoresPerSocket: 2}, {Sockets: 4, CoresPerSocket: 1}} {
@@ -398,6 +398,89 @@ func TestATMULTBytesIndependentOfExecutor(t *testing.T) {
 	if stolen == 0 && runtime.GOMAXPROCS(0) > 1 {
 		t.Fatal("no pair ever ran away from home: the test inspected nothing")
 	}
+	t.Run("one dense-target pair", bytesIndependentOfRowChunks)
+}
+
+// decisions are the counters of a product that must not depend on which
+// team ran which task, or on how a pair was cut into row chunks.
+type decisions struct {
+	contributions, conversions, outer, gustavson, targets int64
+}
+
+func decisionsOf(s *MultStats) decisions {
+	return decisions{s.Contributions, s.Conversions, s.OuterKernelCalls, s.GustavsonKernelCalls, s.TargetTiles}
+}
+
+// bytesIndependentOfRowChunks: a product with fewer tile pairs than teams
+// runs its dense-target pair as one row chunk per team. One dense tile
+// times one sparse tile — one pair, a dense target, the shape of a dense
+// stored product read back against a sparse operand — serializes to the
+// same bytes, homes its tile on the same socket and makes the same
+// decisions whole on 1×1 and cut into chunks on 2×1, 2×2 and 4×1, in every
+// one of ten runs.
+func bytesIndependentOfRowChunks(t *testing.T) {
+	cfg := testConfig()
+	a, b := onePairDenseTarget(t, cfg, rand.New(rand.NewSource(53)))
+	var first []byte
+	var want decisions
+	for _, tp := range []numa.Topology{{Sockets: 1, CoresPerSocket: 1}, {Sockets: 2, CoresPerSocket: 1},
+		{Sockets: 2, CoresPerSocket: 2}, {Sockets: 4, CoresPerSocket: 1}} {
+		cfg.Topology = tp
+		for run := 0; run < 10; run++ {
+			c, stats, err := MultiplyOpt(a, b, cfg, DefaultMultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(c.Tiles) != 1 || c.Tiles[0].Kind != mat.DenseKind {
+				t.Fatalf("%dx%d: product has %d tiles, want one dense tile: the test inspects no split pair",
+					tp.Sockets, tp.CoresPerSocket, len(c.Tiles))
+			}
+			if got, want := c.Tiles[0].NNZ, c.Tiles[0].D.NNZ(); got != want {
+				t.Fatalf("%dx%d run %d: tile NNZ %d, its cells hold %d", tp.Sockets, tp.CoresPerSocket, run, got, want)
+			}
+			if home := c.Tiles[0].Home; home != cfg.HomeOfRow(0) {
+				t.Fatalf("%dx%d run %d: tile homed on %d, its tile-row is placed on %d",
+					tp.Sockets, tp.CoresPerSocket, run, home, cfg.HomeOfRow(0))
+			}
+			var buf bytes.Buffer
+			if _, err := c.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first, want = buf.Bytes(), decisionsOf(stats)
+				continue
+			}
+			if !bytes.Equal(first, buf.Bytes()) {
+				t.Fatalf("%dx%d run %d: serialized differently from 1x1 run 0", tp.Sockets, tp.CoresPerSocket, run)
+			}
+			if got := decisionsOf(stats); got != want {
+				t.Fatalf("%dx%d run %d: decisions %+v, 1x1 run 0 made %+v", tp.Sockets, tp.CoresPerSocket, run, got, want)
+			}
+		}
+	}
+}
+
+// onePairDenseTarget builds an A of one dense tile and a B of one sparse
+// tile whose product is one pair with a dense target.
+func onePairDenseTarget(t *testing.T, cfg Config, rng *rand.Rand) (a, b *ATMatrix) {
+	t.Helper()
+	const m, k, n = 174, 100, 90
+	d := mat.NewDense(m, k)
+	for i := range d.Data {
+		if rng.Intn(8) != 0 {
+			d.Data[i] = rng.NormFloat64()
+		}
+	}
+	sp := mat.RandomCOO(rng, k, n, k*n/20).ToCSR()
+	a, err := NewFromTiles(m, k, cfg.BAtomic, []*Tile{{Rows: m, Cols: k, Kind: mat.DenseKind, D: d, NNZ: d.NNZ()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err = NewFromTiles(k, n, cfg.BAtomic, []*Tile{{Rows: k, Cols: n, Kind: mat.Sparse, Sp: sp, NNZ: sp.NNZ()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
 }
 
 func TestATMULTChained(t *testing.T) {

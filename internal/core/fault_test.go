@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"atmatrix/internal/faultinject"
+	"atmatrix/internal/numa"
 	"atmatrix/internal/sched"
 )
 
@@ -56,5 +58,48 @@ func TestMultiplyPanicReportsTargetTile(t *testing.T) {
 	}
 	if !got.ToDense().EqualApprox(want.ToDense(), 0) {
 		t.Fatal("multiply after recovered panic computed a different product")
+	}
+	t.Run("split pair", panicInSplitPair)
+}
+
+// panicInSplitPair: a one-pair product on four teams runs its pair as four
+// row chunks. Whichever chunk panics — the k-th task to start, for every
+// k — the error names the pair (Item 0) and its target tile, never the
+// chunk, and the next multiplication is bit-identical to a clean one: no
+// plan or countdown of the failed run is left for it to trip over.
+func panicInSplitPair(t *testing.T) {
+	cfg := testConfig()
+	cfg.Topology = numa.Topology{Sockets: 4, CoresPerSocket: 1}
+	a, b := onePairDenseTarget(t, cfg, rand.New(rand.NewSource(59)))
+	serialized := func() []byte {
+		t.Helper()
+		c, _, err := Multiply(a, b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := c.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := serialized()
+	for k := int64(1); k <= int64(cfg.Topology.Sockets); k++ {
+		reset := faultinject.Enable(1, faultinject.Rule{Site: "sched.task", Kind: faultinject.KindPanic, After: k})
+		_, _, err := Multiply(a, b, cfg)
+		reset()
+		var tpe *sched.TaskPanicError
+		if !errors.As(err, &tpe) {
+			t.Fatalf("task %d panicking: Multiply error = %v, want wrapped *TaskPanicError", k, err)
+		}
+		if tpe.Item != 0 {
+			t.Errorf("task %d panicking: Item = %d, want the pair's index 0", k, tpe.Item)
+		}
+		if !strings.Contains(err.Error(), "target tile (0,0)") {
+			t.Errorf("task %d panicking: error %q does not name target tile (0,0)", k, err)
+		}
+		if !bytes.Equal(serialized(), want) {
+			t.Fatalf("multiply after a panic in task %d serialized differently", k)
+		}
 	}
 }

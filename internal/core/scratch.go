@@ -28,13 +28,15 @@ type workerState struct {
 
 	// denseFn and sparseFn are the reusable ParallelRows bodies of the two
 	// target branches; they close over the state once and read the cur*
-	// fields, so multiplyPair allocates no closure per tile pair. The
+	// fields, so a task allocates no closure per tile pair. The
 	// fields are written by the task (leader) before the fan-out and read
 	// by the helpers — the runtime's channel handoff orders the accesses.
 	denseFn  func(lo, hi, worker int)
 	sparseFn func(lo, hi, worker int)
 	curTeam  *sched.Team
 	curD     *mat.Dense
+	curCts   []contribution // the dense target's contributions
+	curLo    int            // the first target row of the fan-out's range
 	curAcc   *kernels.SpAcc
 	curMC    *mulCtx
 	curEph   bool
@@ -79,8 +81,9 @@ func (ws *workerState) syncFootprint() {
 func (ws *workerState) rowFns() (dense, sparse func(lo, hi, worker int)) {
 	if ws.denseFn == nil {
 		ws.denseFn = func(lo, hi, _ int) {
+			lo, hi = lo+ws.curLo, hi+ws.curLo
 			cw := ws.curD.View(lo, hi, 0, ws.curD.Cols)
-			cts := ws.contribs
+			cts := ws.curCts
 			for i := range cts {
 				runDenseTarget(&cw, &cts[i], lo, hi)
 			}
@@ -113,5 +116,5 @@ func (ws *workerState) releaseContribs() {
 	ws.contribs = ws.contribs[:0]
 	clear(ws.terms[:cap(ws.terms)])
 	ws.terms = ws.terms[:0]
-	ws.curTeam, ws.curD, ws.curAcc, ws.curMC = nil, nil, nil, nil
+	ws.curTeam, ws.curD, ws.curCts, ws.curAcc, ws.curMC = nil, nil, nil, nil, nil
 }

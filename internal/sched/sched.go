@@ -1,11 +1,13 @@
 // Package sched implements the two-level parallelization of ATMULT
 // (paper §III-F): one worker *team* per (simulated) socket, each team
-// processing the tile-row/tile-column pairs whose A tile-row is homed on
-// its socket (inter-tile parallelization), and the workers inside a team
-// splitting the rows of a single tile multiplication among themselves
-// (intra-tile parallelization). Spawning exactly one team per socket
-// avoids last-level-cache pollution from unrelated tiles, which is the
-// paper's stated reason for this resource split.
+// processing the tasks whose A tile-row is homed on its socket
+// (inter-tile parallelization), and the workers inside a team splitting
+// the rows of a single task among themselves (intra-tile parallelization).
+// A task is a tile-row/tile-column pair, or a row chunk of one: a product
+// with fewer pairs than teams cuts its dense-target pairs into chunks so
+// that every team has one (core.MultiplyOpt). Spawning exactly one team
+// per socket avoids last-level-cache pollution from unrelated tiles, which
+// is the paper's stated reason for this resource split.
 //
 // There is one scheduling policy and it deviates from the paper in one
 // stated way: the paper pins a pair strictly to the socket owning its A
