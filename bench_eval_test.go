@@ -305,15 +305,16 @@ func BenchmarkEval_Assemble(b *testing.B) {
 
 // BenchmarkEval_Codec: the binary codec every stream goes through — an .atm
 // stream written and read back (catalog write-through and reload, shard
-// bodies), the binary COO upload written and read, and the per-tile seals
-// the catalog and the workers verify — on the dense R3, the hypersparse R9
-// and ingest_store's T1 (the R2 stand-in at 1/32).
+// bodies), the binary COO upload written and read, the per-tile seals
+// the catalog and the workers verify, and the MatrixMarket upload read —
+// on the dense R3, the hypersparse R9 and ingest_store's T1 (the R2
+// stand-in at 1/32).
 func BenchmarkEval_Codec(b *testing.B) {
 	cfg := serverCfg()
 	type operand struct {
-		coo      *mat.COO
-		m        *core.ATMatrix
-		atm, bin []byte
+		coo           *mat.COO
+		m             *core.ATMatrix
+		atm, bin, mtx []byte
 	}
 	ops := map[string]*operand{}
 	for _, c := range []struct {
@@ -323,14 +324,17 @@ func BenchmarkEval_Codec(b *testing.B) {
 	}{{"R3", "R3", 0, 1.0 / 16}, {"R9", "R9", 0, 1.0 / 16}, {"T1", "R2", 1, 1.0 / 32}} {
 		op := &operand{coo: serverStandIn(b, c.src, c.variant, c.scale)}
 		op.m = mustPartition(b, op.coo, cfg)
-		var atm, bin bytes.Buffer
+		var atm, bin, mtx bytes.Buffer
 		if _, err := op.m.WriteTo(&atm); err != nil {
 			b.Fatal(err)
 		}
 		if err := mmio.WriteBinary(&bin, op.coo); err != nil {
 			b.Fatal(err)
 		}
-		op.atm, op.bin = atm.Bytes(), bin.Bytes()
+		if err := mmio.WriteMatrixMarket(&mtx, op.coo); err != nil {
+			b.Fatal(err)
+		}
+		op.atm, op.bin, op.mtx = atm.Bytes(), bin.Bytes(), mtx.Bytes()
 		ops[c.id] = op
 	}
 	for _, step := range []struct {
@@ -342,6 +346,7 @@ func BenchmarkEval_Codec(b *testing.B) {
 		{"coo_write", func(op *operand) error { return mmio.WriteBinary(io.Discard, op.coo) }},
 		{"coo_read", func(op *operand) error { _, err := mmio.ReadBinary(bytes.NewReader(op.bin)); return err }},
 		{"seal", func(op *operand) error { op.m.SealChecksums(); return nil }},
+		{"mtx_read", func(op *operand) error { _, err := mmio.ReadMatrixMarket(bytes.NewReader(op.mtx)); return err }},
 	} {
 		for _, id := range []string{"R3", "R9", "T1"} {
 			op := ops[id]

@@ -110,9 +110,13 @@ func BenchmarkKernel_SpDD(b *testing.B) {
 	})
 }
 
+// BenchmarkKernel_DSpD: every class is taller than DSpD's 128-row cut. The
+// calls share one worker arena, as ATMULT's do, which holds the column form
+// of B when the dot walk is taken (the dense class).
 func BenchmarkKernel_DSpD(b *testing.B) {
+	scr := kernels.NewScratch()
 	benchDenseTarget(b, []string{"dense", "sparse", "hyper"}, func(c, ad, bd *mat.Dense, as, bs *mat.CSR) {
-		kernels.DSpD(c, ad, kernels.FullCSR(bs))
+		kernels.DSpDScratch(c, ad, kernels.FullCSR(bs), scr)
 	})
 }
 

@@ -588,7 +588,7 @@ func (mc *mulCtx) denseRows(team *sched.Team, ws *workerState, t *pairTask, cts 
 	t0 := time.Now()
 	d, lo, hi := &mc.denses[t.idx], int(t.lo), int(t.hi)
 	denseFn, _ := ws.rowFns()
-	ws.curD, ws.curCts, ws.curLo = d, cts, lo
+	ws.curTeam, ws.curEph, ws.curD, ws.curCts, ws.curLo = team, mc.cfg.EphemeralWorkers, d, cts, lo
 	team.ParallelRows(hi-lo, denseFn)
 	mc.mulNanos.Add(time.Since(t0).Nanoseconds())
 	rows := d.View(lo, hi, 0, d.Cols)
@@ -832,10 +832,10 @@ func windowBytes(t *Tile, h, w int) int64 {
 }
 
 // runDenseTarget executes one contribution into a dense target row slice
-// [lo, hi) of the target tile.
+// [lo, hi) of the target tile, on the arena of the worker running it.
 //
 //atlint:hotpath
-func runDenseTarget(cw *mat.Dense, ct *contribution, lo, hi int) {
+func runDenseTarget(cw *mat.Dense, ct *contribution, lo, hi int, scr *kernels.Scratch) {
 	aSp, aD := sliceA(ct, lo, hi)
 	switch {
 	case ct.aView != nil:
@@ -843,7 +843,7 @@ func runDenseTarget(cw *mat.Dense, ct *contribution, lo, hi int) {
 	case ct.aKind == mat.Sparse && ct.bKind == mat.DenseKind:
 		kernels.SpDD(cw, aSp, &ct.BD)
 	case ct.aKind == mat.DenseKind && ct.bKind == mat.Sparse:
-		kernels.DSpD(cw, &aD, ct.B)
+		kernels.DSpDScratch(cw, &aD, ct.B, scr)
 	default:
 		kernels.DDD(cw, &aD, &ct.BD)
 	}

@@ -107,8 +107,9 @@ func MulDSpD(a *mat.Dense, b *mat.CSR, cfg Config) (*mat.Dense, error) {
 		return nil, contractionErr(a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	c := mat.NewDense(a.Rows, b.Cols)
-	err := forRowChunks(cfg, a.Rows, func(_ *sched.Team, _ int, ch Band) {
-		kernels.DSpD(c.Window(ch.Lo, ch.Hi, 0, c.Cols), a.Window(ch.Lo, ch.Hi, 0, a.Cols), kernels.FullCSR(b))
+	err := forRowChunks(cfg, a.Rows, func(team *sched.Team, _ int, ch Band) {
+		kernels.DSpDScratch(c.Window(ch.Lo, ch.Hi, 0, c.Cols), a.Window(ch.Lo, ch.Hi, 0, a.Cols), kernels.FullCSR(b),
+			stateFor(team, 0, cfg.EphemeralWorkers).scratch)
 	})
 	if err != nil {
 		return nil, err

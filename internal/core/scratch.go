@@ -80,12 +80,19 @@ func (ws *workerState) syncFootprint() {
 // rowFns lazily builds the two reusable ParallelRows bodies.
 func (ws *workerState) rowFns() (dense, sparse func(lo, hi, worker int)) {
 	if ws.denseFn == nil {
-		ws.denseFn = func(lo, hi, _ int) {
+		ws.denseFn = func(lo, hi, worker int) {
 			lo, hi = lo+ws.curLo, hi+ws.curLo
 			cw := ws.curD.View(lo, hi, 0, ws.curD.Cols)
 			cts := ws.curCts
+			// The worker's own arena holds DSpD's column form of B; the
+			// leader's panels, which converted operands live in, are
+			// only read.
+			wst := stateFor(ws.curTeam, worker, ws.curEph)
 			for i := range cts {
-				runDenseTarget(&cw, &cts[i], lo, hi)
+				runDenseTarget(&cw, &cts[i], lo, hi, wst.scratch)
+			}
+			if worker != 0 {
+				wst.syncFootprint()
 			}
 		}
 		ws.sparseFn = func(lo, hi, worker int) {

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"slices"
 
 	"atmatrix/internal/mat"
@@ -21,31 +22,81 @@ type ColView struct {
 // NewColView builds the column view of rows [r0, r1) of m by one counting
 // pass; stored zeros are kept, as SpSpD multiplies them through too.
 func NewColView(m *mat.CSR, r0, r1 int) *ColView {
-	lo, hi := m.RowPtr[r0], m.RowPtr[r1]
+	v := &ColView{}
+	v.fill(CSRWin{M: m, Row0: r0, Rows: r1 - r0, Cols: m.Cols}, nil)
+	return v
+}
+
+// fill makes v the column view of window w, reusing v's storage. pos is
+// the column counter, one entry per window column plus one; it is grown as
+// needed and returned, so an arena can keep it.
+func (v *ColView) fill(w CSRWin, pos []int64) []int64 {
+	n := w.Cols
 	// pos[c] is column c's fill cursor: its start after the prefix sum, its
 	// end after the fill.
-	pos := make([]int64, m.Cols+1)
-	for _, c := range m.ColIdx[lo:hi] {
-		pos[c+1]++
+	pos = slices.Grow(pos[:0], n+1)[:n+1]
+	clear(pos)
+	wr := w.rows()
+	c0 := int32(w.Col0)
+	for r := 0; r < w.Rows; r++ {
+		cols, _ := wr.row(r)
+		for _, c := range cols {
+			pos[c-c0+1]++
+		}
 	}
-	for c := 1; c <= m.Cols; c++ {
+	for c := 1; c <= n; c++ {
 		pos[c] += pos[c-1]
 	}
-	v := &ColView{Rows: r1 - r0, Ptr: []int64{0}, Row: make([]int32, hi-lo), Val: make([]float64, hi-lo)}
-	for r := r0; r < r1; r++ {
-		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			at := &pos[m.ColIdx[p]]
-			v.Row[*at], v.Val[*at] = int32(r-r0), m.Val[p]
+	v.Rows = w.Rows
+	nnz := int(pos[n])
+	v.Row, v.Val = slices.Grow(v.Row[:0], nnz)[:nnz], slices.Grow(v.Val[:0], nnz)[:nnz]
+	for r := 0; r < w.Rows; r++ {
+		cols, vals := wr.row(r)
+		for p, c := range cols {
+			at := &pos[c-c0]
+			v.Row[*at], v.Val[*at] = int32(r), vals[p]
 			*at++
 		}
 	}
-	for c := 0; c < m.Cols; c++ {
+	v.Col, v.Ptr = v.Col[:0], append(v.Ptr[:0], 0)
+	for c := 0; c < n; c++ {
 		if pos[c] != v.Ptr[len(v.Ptr)-1] {
 			v.Col = append(v.Col, int32(c))
 			v.Ptr = append(v.Ptr, pos[c])
 		}
 	}
-	return v
+	return pos
+}
+
+// bColumns is the column form DSpD's tall-window walk reads B by: the B
+// window's column view (its row ids are k) and, per non-empty column,
+// whether it holds ±Inf or NaN. It lives in a worker's Scratch.
+type bColumns struct {
+	ColView
+	odd []bool
+	pos []int64
+}
+
+// bColumns builds the column form of the window b in the arena.
+func (s *Scratch) bColumns(b CSRWin) *bColumns {
+	bc := &s.bcols
+	bc.pos = bc.fill(b, bc.pos)
+	bc.odd = slices.Grow(bc.odd[:0], len(bc.Col))[:len(bc.Col)]
+	for p := range bc.Col {
+		bc.odd[p] = false
+		for _, x := range bc.Val[bc.Ptr[p]:bc.Ptr[p+1]] {
+			if math.IsInf(x, 0) || math.IsNaN(x) {
+				bc.odd[p] = true
+				break
+			}
+		}
+	}
+	return bc
+}
+
+func (bc *bColumns) bytes() int64 {
+	return int64(cap(bc.Col))*4 + int64(cap(bc.Ptr))*8 + int64(cap(bc.Row))*4 +
+		int64(cap(bc.Val))*8 + int64(cap(bc.odd)) + int64(cap(bc.pos))*8
 }
 
 // SpSpDCols is SpSpD with a the columns [c0, c0+b.Rows) of the view's rows

@@ -122,6 +122,47 @@ func TestPropertyDSpDContractionMajorBits(t *testing.T) {
 	}
 }
 
+// TestPropertyDSpDTallWindowBits: on windows taller than the cut, the dot
+// walk gives the row walk's bits, and so does DSpDScratch whichever walk it
+// picks, on one arena reused across cases and fan-out chunks. A is a
+// contraction sub-range of a wider tile; ±0, NaN and ±Inf are among the
+// values of A and B, and some target cells start at −0, whole columns of
+// them too.
+func TestPropertyDSpDTallWindowBits(t *testing.T) {
+	scr := NewScratch()
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		m := contractionMajorRows + 1 + r.Intn(1024-contractionMajorRows)
+		k, n := 1+r.Intn(40), 1+r.Intn(40)
+		kc0 := r.Intn(8)
+		tile := oddDense(r, m, kc0+k+r.Intn(8), 5+r.Intn(96))
+		a := tile.View(0, m, kc0, kc0+k)
+		b := oddWindow(r, k, n)
+		c0 := oddDense(r, m, n, 50)
+		for j := 0; j < n; j++ {
+			whole := r.Intn(8) == 0
+			for i := 0; i < m; i++ {
+				if whole || r.Intn(16) == 0 {
+					c0.Set(i, j, math.Copysign(0, -1))
+				}
+			}
+		}
+		want, dots, picked := c0.Clone(), c0.Clone(), c0.Clone()
+		dspdRows(want, &a, b)
+		dspdDots(dots, &a, b, scr.bColumns(b))
+		DSpDScratch(picked, &a, b, scr)
+		chunked := c0.Clone()
+		for _, ch := range chunks(r, m) {
+			cv, av := chunked.View(ch[0], ch[1], 0, n), a.View(ch[0], ch[1], 0, k)
+			DSpDScratch(&cv, &av, b, scr)
+		}
+		return sameBits(dots, want) && sameBits(picked, want) && sameBits(chunked, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(64))}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestPropertySpSpDColsBits(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -183,14 +224,18 @@ func validView(v *ColView, a *mat.CSR, r0, r1 int) bool {
 	return true
 }
 
-// BenchmarkDSpDHeight is the sweep behind contractionMajorRows: both walks
-// of DSpD on windows 32 to 1024 rows tall, in two shapes. window is what
-// ATMULT forms on R1–R3: a dense A tile 1024 wide at 50 % fill times a
-// 64-column window of a sparse 1024² B tile, pre-indexed, about 1.5
+// BenchmarkDSpDHeight is the sweep behind contractionMajorRows: DSpD's
+// three walks on windows 32 to 1024 rows tall, in two shapes. window is
+// what ATMULT forms on R1–R3: a dense A tile 1024 wide at 50 % fill times
+// a 64-column window of a sparse 1024² B tile, pre-indexed, about 1.5
 // entries per window row. tile is ingest_store's mult_read, TP·B0: A 696
 // wide at 92 % fill times a whole 696² B tile with 32 entries per row.
+// dots includes building B's column form in a reused arena, as DSpD pays
+// it on every call.
 func BenchmarkDSpDHeight(b *testing.B) {
 	r := rand.New(rand.NewSource(63))
+	scr := NewScratch()
+	dots := func(c, a *mat.Dense, b CSRWin) { dspdDots(c, a, b, scr.bColumns(b)) }
 	for _, s := range []struct {
 		name              string
 		k, bCols, n, perK int
@@ -209,7 +254,7 @@ func BenchmarkDSpDHeight(b *testing.B) {
 			for _, walk := range []struct {
 				name string
 				run  func(c, a *mat.Dense, b CSRWin)
-			}{{"rows", dspdRows}, {"cols", dspdCols}} {
+			}{{"rows", dspdRows}, {"cols", dspdCols}, {"dots", dots}} {
 				b.Run(s.name+"/"+walk.name+"/"+strconv.Itoa(h), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						walk.run(c, a, bw)

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 
 	"atmatrix/internal/mat"
 )
@@ -257,24 +258,68 @@ func SpDD(c *mat.Dense, a CSRWin, b *mat.Dense) {
 
 // DSpD computes c += a·b for dense a, sparse b (dspd_gemm) — one of the
 // kernels the paper notes vendors offer no reference implementation for.
-// Windows of at most contractionMajorRows rows walk A by column
-// (dspdCols); taller ones walk it by row (dspdRows). Both add every output
-// element's products in ascending k, so the two give the same bits.
+// It is DSpDScratch with a throwaway arena, which only a tall window of a
+// dense enough A allocates.
+func DSpD(c *mat.Dense, a *mat.Dense, b CSRWin) {
+	DSpDScratch(c, a, b, nil)
+}
+
+// DSpDScratch computes c += a·b for dense a, sparse b. Windows of at most
+// contractionMajorRows rows walk A by column (dspdCols). Taller ones walk
+// B by column (dspdDots) when dotsPay says A is dense enough, and A by row
+// (dspdRows) otherwise. The dot walk reads a column form of the B window,
+// built once per call into s — a worker's arena, so the call allocates
+// nothing once the arena has grown; a nil s allocates a fresh one. Every
+// walk adds each output element's products in ascending k, so all three
+// give the same bits.
 //
 //atlint:hotpath
-func DSpD(c *mat.Dense, a *mat.Dense, b CSRWin) {
+func DSpDScratch(c *mat.Dense, a *mat.Dense, b CSRWin, s *Scratch) {
 	checkDims(c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
 	if a.Rows <= contractionMajorRows {
 		dspdCols(c, a, b)
 		return
 	}
-	dspdRows(c, a, b)
+	if !dotsPay(a, b) {
+		dspdRows(c, a, b)
+		return
+	}
+	if s == nil {
+		s = NewScratch()
+	}
+	dspdDots(c, a, b, s.bColumns(b))
+}
+
+// dotsPay reports whether the dot walk beats the row walk on a tall
+// window, by a cost model in units of one scattered multiply-add, the row
+// walk's step. For four rows the row walk pays one unit per k (the test
+// of four A scalars) and one per multiply-add: the B row length of every
+// non-zero A scalar. The dot walk pays two units per window column and per
+// stored B entry (four multiply-adds held in registers, zero A scalars
+// included). Four rows spread over the window stand in for every block.
+//
+//atlint:hotpath
+func dotsPay(a *mat.Dense, b CSRWin) bool {
+	br := b.rows()
+	rowWalk, nnz := a.Cols, 0
+	for k := 0; k < a.Cols; k++ {
+		lo, hi := br.span(k)
+		l := int(hi - lo)
+		nnz += l
+		for q := 0; q < 4; q++ {
+			if a.Data[q*(a.Rows/4)*a.Stride+k] != 0 {
+				rowWalk += l
+			}
+		}
+	}
+	return 2*(nnz+b.Cols) <= rowWalk
 }
 
 // contractionMajorRows is the tallest window DSpD walks by column. Every
 // DSpD window ATMULT forms on R1–R3 and G9 fits; ingest_store's 696-row
 // TP·B0 tile does not, and there the column walk, which sweeps the whole
-// target once per k, loses 2–3× (DESIGN.md §4d has the sweep).
+// target once per k, loses 2–3×; the dot walk, which wins there, leaves
+// the products whose windows are short where they were (DESIGN.md §4d).
 const contractionMajorRows = 128
 
 // dspdCols is DSpD's contraction-major walk: one B-row lookup per k.
@@ -306,7 +351,50 @@ func dspdCols(c *mat.Dense, a *mat.Dense, b CSRWin) {
 	}
 }
 
-// dspdRows is DSpD's row walk. The A row is consumed in 4-blocks with a
+// dspdDots is DSpD's tall-window walk, over bv, the column form of b. For
+// every four target rows and every non-empty column j of B it holds the
+// four sums of column j in registers over the column's entries, k
+// ascending, and stores each once. It multiplies zero A scalars through:
+// that leaves a sum's bits as they are when the B value is finite and the
+// sum is not −0. A column holding ±Inf or NaN, and a block whose four
+// cells of the column include a −0, keep the a == 0 test of the other walk
+// instead (dotSkip). The one to three rows left over go through dspdCols.
+//
+//atlint:hotpath
+func dspdDots(c *mat.Dense, a *mat.Dense, b CSRWin, bv *bColumns) {
+	m := a.Rows &^ 3
+	for i := 0; i < m; i += 4 {
+		a0, a1, a2, a3 := a.RowSlice(i), a.RowSlice(i+1), a.RowSlice(i+2), a.RowSlice(i+3)
+		a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
+		c0, c1, c2, c3 := c.RowSlice(i), c.RowSlice(i+1), c.RowSlice(i+2), c.RowSlice(i+3)
+		c1, c2, c3 = c1[:len(c0)], c2[:len(c0)], c3[:len(c0)]
+		for p, j := range bv.Col {
+			lo, hi := bv.Ptr[p], bv.Ptr[p+1]
+			ks, vs := bv.Row[lo:hi], bv.Val[lo:hi]
+			s0, s1, s2, s3 := c0[j], c1[j], c2[j], c3[j]
+			if bv.odd[p] || negZero(s0) || negZero(s1) || negZero(s2) || negZero(s3) {
+				c0[j], c1[j], c2[j], c3[j] = dotSkip(s0, a0, ks, vs), dotSkip(s1, a1, ks, vs), dotSkip(s2, a2, ks, vs), dotSkip(s3, a3, ks, vs)
+				continue
+			}
+			vs = vs[:len(ks)]
+			for q, k := range ks {
+				v := vs[q]
+				s0 += a0[k] * v
+				s1 += a1[k] * v
+				s2 += a2[k] * v
+				s3 += a3[k] * v
+			}
+			c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
+		}
+	}
+	if m < a.Rows {
+		cw, aw := c.View(m, c.Rows, 0, c.Cols), a.View(m, a.Rows, 0, a.Cols)
+		dspdCols(&cw, &aw, b)
+	}
+}
+
+// dspdRows is DSpD's row walk, for tall windows whose A is mostly zero,
+// and the oracle of the other two. The A row is consumed in 4-blocks with a
 // hoisted all-zero test (one branch per four scalars instead of one per
 // scalar); each contributing scalar scatters its B row through the
 // unrolled scatter4. Unlike DDD, a per-scalar zero test is kept inside
@@ -352,6 +440,23 @@ func dspdRows(c *mat.Dense, a *mat.Dense, b CSRWin) {
 		}
 	}
 }
+
+// dotSkip is s plus the products of one A row with one B column, k
+// ascending, skipping zero A scalars as dspdCols does.
+//
+//atlint:hotpath
+func dotSkip(s float64, a []float64, ks []int32, vs []float64) float64 {
+	vs = vs[:len(ks)]
+	for q, k := range ks {
+		if x := a[k]; x != 0 {
+			s += x * vs[q]
+		}
+	}
+	return s
+}
+
+// negZero reports whether x is −0.
+func negZero(x float64) bool { return math.Float64bits(x) == 1<<63 }
 
 // SpSpD computes c += a·b for sparse a, sparse b into a dense target
 // (spspd_gemm): Gustavson's row algorithm with the dense C row acting as

@@ -23,6 +23,7 @@ type Scratch struct {
 	acc       SpAcc
 	merge     MergeScratch
 	terms     []termRows // a pass's terms, cleared after it
+	bcols     bColumns   // DSpD's tall-window column form of B
 
 	panels    []*mat.Dense
 	panelUsed int
@@ -77,7 +78,7 @@ func (s *Scratch) Dense(rows, cols int) *mat.Dense {
 // Bytes returns the arena's resident footprint — the scratch high-water
 // mark, since buffers only grow.
 func (s *Scratch) Bytes() int64 {
-	b := s.spa.bytes() + s.part.bytes() + s.acc.bytes() + s.merge.bytes()
+	b := s.spa.bytes() + s.part.bytes() + s.acc.bytes() + s.merge.bytes() + s.bcols.bytes()
 	b += int64(cap(s.terms)) * int64(unsafe.Sizeof(termRows{}))
 	b += int64(cap(s.panels)) * 8 // the panel arena's pointer slice
 	for _, p := range s.panels {

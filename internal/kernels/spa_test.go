@@ -501,6 +501,7 @@ func TestScratchBytesCoversSliceCaps(t *testing.T) {
 	const n = 257
 	a := mat.RandomCOO(rng, n, n, 8*n).ToCSR()
 	b := mat.RandomCOO(rng, n, n, 8*n).ToCSR()
+	ad := mat.RandomDense(rng, n, n)
 	scr := NewScratch()
 	for _, rows := range []int{n, n / 2} { // second pass leaves row lengths beyond len, still resident
 		scr.BeginTask()
@@ -512,6 +513,7 @@ func TestScratchBytesCoversSliceCaps(t *testing.T) {
 		acc.Pass(1, rows/2, rows, terms, scr)
 		acc.ToCSR()
 		aw.ToDenseScratch(scr)
+		DSpDScratch(mat.NewDense(n, n), ad, FullCSR(b), scr) // B's column form
 	}
 	held := sliceCapBytes(reflect.ValueOf(scr))
 	if got := scr.Bytes(); got < held {

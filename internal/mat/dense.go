@@ -185,23 +185,6 @@ func (a *Dense) Transpose() *Dense {
 	return t
 }
 
-// MatVec computes y = A·x.
-func (a *Dense) MatVec(x []float64) []float64 {
-	if len(x) != a.Cols {
-		panic(fmt.Sprintf("mat: MatVec dimension mismatch: %d columns, %d vector entries", a.Cols, len(x)))
-	}
-	y := make([]float64, a.Rows)
-	for r := 0; r < a.Rows; r++ {
-		row := a.RowSlice(r)
-		var s float64
-		for c, v := range row {
-			s += v * x[c]
-		}
-		y[r] = s
-	}
-	return y
-}
-
 // EqualApprox reports whether a and b have the same shape and all elements
 // agree within tol (absolute or relative, whichever is looser).
 func (a *Dense) EqualApprox(b *Dense, tol float64) bool {

@@ -111,17 +111,6 @@ func TestDenseOpsRespectWindows(t *testing.T) {
 	}
 }
 
-func TestDenseMatVec(t *testing.T) {
-	a := NewDense(2, 3)
-	a.Set(0, 0, 1)
-	a.Set(0, 2, 2)
-	a.Set(1, 1, 3)
-	y := a.MatVec([]float64{1, 2, 3})
-	if y[0] != 7 || y[1] != 6 {
-		t.Fatalf("MatVec = %v", y)
-	}
-}
-
 func TestEqualApproxTolerance(t *testing.T) {
 	a := NewDense(1, 1)
 	b := NewDense(1, 1)

@@ -13,6 +13,16 @@
 // general|symmetric|skew-symmetric` and `matrix array real general`.
 // Symmetric inputs are expanded to their full (general) form on read,
 // matching what the multiplication operators expect.
+//
+// The reader takes the lines after the size line in place from its read
+// buffer. An entry line whose fields are a row and a column of plain digits
+// and one value is parsed where it lies, with no allocation; any other line
+// (a sign, an extra field, a byte ≥ 0x80, which may belong to a Unicode
+// space) is split by strings.Fields, as every line was before. Array values
+// are split in place on ' ', '\t', '\r' and '\n', the four bytes they were
+// always split on. So the reader accepts exactly the inputs it accepted when
+// it built a string per line and per token, and reads the same matrix from
+// them.
 package mmio
 
 import (
@@ -24,13 +34,23 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 
 	"atmatrix/internal/mat"
 )
 
+// mtxReaders holds the 1 MiB read buffers of finished ReadMatrixMarket
+// calls, so an upload does not allocate and clear a fresh one.
+var mtxReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<20) }}
+
 // ReadMatrixMarket parses a MatrixMarket stream into a COO staging matrix.
 func ReadMatrixMarket(r io.Reader) (*mat.COO, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := mtxReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	defer func() {
+		br.Reset(nil)
+		mtxReaders.Put(br)
+	}()
 	header, err := readLine(br)
 	if err != nil {
 		return nil, fmt.Errorf("mmio: reading header: %w", err)
@@ -99,13 +119,14 @@ func ReadMatrixMarket(r io.Reader) (*mat.COO, error) {
 
 	if layout == "array" {
 		// Column-major dense enumeration.
+		ls := lineScanner{br: br}
 		for c := 0; c < cols; c++ {
 			for r := 0; r < rows; r++ {
-				tok, err := nextToken(br)
+				tok, err := ls.token()
 				if err != nil {
 					return nil, fmt.Errorf("mmio: array entry (%d,%d): %w", r, c, err)
 				}
-				v, err := strconv.ParseFloat(tok, 64)
+				v, err := strconv.ParseFloat(string(tok), 64)
 				if err != nil {
 					return nil, fmt.Errorf("mmio: array value %q: %w", tok, err)
 				}
@@ -124,32 +145,36 @@ func ReadMatrixMarket(r io.Reader) (*mat.COO, error) {
 	if nnz < 0 || int64(nnz) > int64(rows)*int64(cols) {
 		return nil, fmt.Errorf("mmio: header claims %d entries for a %d×%d matrix", nnz, rows, cols)
 	}
+	want := 3
+	if valType == "pattern" {
+		want = 2
+	}
+	// Room for the header's entries is reserved only as far as the input
+	// already buffered can hold them, at four bytes a line ("1 1\n"), so
+	// the header alone cannot make the reader allocate.
+	out.Ent = make([]mat.Entry, 0, min(nnz, br.Buffered()/4))
+	ls := lineScanner{br: br}
 	for i := 0; i < nnz; i++ {
-		line, err := readLine(br)
+		line, err := ls.next()
 		if err != nil {
 			return nil, fmt.Errorf("mmio: entry %d/%d: %w", i+1, nnz, err)
 		}
-		f := strings.Fields(line)
-		want := 3
-		if valType == "pattern" {
-			want = 2
-		}
-		if len(f) < want {
-			return nil, fmt.Errorf("mmio: entry %d: malformed line %q", i+1, line)
-		}
-		r, err := strconv.Atoi(f[0])
-		if err != nil {
-			return nil, fmt.Errorf("mmio: entry %d: bad row %q", i+1, f[0])
-		}
-		c, err := strconv.Atoi(f[1])
-		if err != nil {
-			return nil, fmt.Errorf("mmio: entry %d: bad column %q", i+1, f[1])
-		}
-		v := 1.0
-		if valType != "pattern" {
-			v, err = strconv.ParseFloat(f[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("mmio: entry %d: bad value %q", i+1, f[2])
+		r, c, v, ok := plainEntry(line, want == 3)
+		if !ok {
+			f := strings.Fields(string(line))
+			if len(f) < want {
+				return nil, fmt.Errorf("mmio: entry %d: malformed line %q", i+1, strings.TrimRight(string(line), "\r\n"))
+			}
+			if r, err = strconv.Atoi(f[0]); err != nil {
+				return nil, fmt.Errorf("mmio: entry %d: bad row %q", i+1, f[0])
+			}
+			if c, err = strconv.Atoi(f[1]); err != nil {
+				return nil, fmt.Errorf("mmio: entry %d: bad column %q", i+1, f[1])
+			}
+			if want == 3 {
+				if v, err = strconv.ParseFloat(f[2], 64); err != nil {
+					return nil, fmt.Errorf("mmio: entry %d: bad value %q", i+1, f[2])
+				}
 			}
 		}
 		r-- // MatrixMarket is 1-based
@@ -269,24 +294,110 @@ func readLine(br *bufio.Reader) (string, error) {
 	return strings.TrimRight(line, "\r\n"), nil
 }
 
-// nextToken reads the next whitespace-delimited token, skipping newlines.
-func nextToken(br *bufio.Reader) (string, error) {
-	var sb strings.Builder
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			if sb.Len() > 0 && errors.Is(err, io.EOF) {
-				return sb.String(), nil
-			}
-			return "", err
-		}
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			if sb.Len() > 0 {
-				return sb.String(), nil
-			}
-		default:
-			sb.WriteByte(b)
-		}
+// lineScanner reads the lines after the size line in place: a line is a
+// slice of the bufio.Reader's buffer, valid until the next read, so it
+// costs no allocation unless it is longer than the buffer.
+type lineScanner struct {
+	br   *bufio.Reader
+	long []byte // a line longer than br's buffer, assembled
+	rest []byte // the array values left on the current line
+}
+
+// next returns the next line, its newline included; the last line may end
+// without one.
+func (ls *lineScanner) next() ([]byte, error) {
+	line, err := ls.br.ReadSlice('\n')
+	if err == nil {
+		return line, nil
 	}
+	if errors.Is(err, bufio.ErrBufferFull) {
+		ls.long = append(ls.long[:0], line...)
+		for errors.Is(err, bufio.ErrBufferFull) {
+			line, err = ls.br.ReadSlice('\n')
+			ls.long = append(ls.long, line...)
+		}
+		line = ls.long
+	}
+	if err != nil && (len(line) == 0 || !errors.Is(err, io.EOF)) {
+		return nil, err
+	}
+	return line, nil
+}
+
+// token returns the next array value, reading lines as needed.
+func (ls *lineScanner) token() ([]byte, error) {
+	for {
+		line := ls.rest
+		i := 0
+		for i < len(line) && arraySpace[line[i]] {
+			i++
+		}
+		j := i
+		for j < len(line) && !arraySpace[line[j]] {
+			j++
+		}
+		ls.rest = line[j:]
+		if i < j {
+			return line[i:j], nil
+		}
+		next, err := ls.next()
+		if err != nil {
+			return nil, err
+		}
+		ls.rest = next
+	}
+}
+
+// fieldSpace holds the bytes strings.Fields splits an ASCII line on;
+// arraySpace the four the array layout has always split its values on.
+var (
+	fieldSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+	arraySpace = [256]bool{'\t': true, '\n': true, '\r': true, ' ': true}
+)
+
+// plainEntry parses the common entry line in place: a row and a column of
+// 1–18 plain digits, each ended by an ASCII space or the line's end, then,
+// when value is set, everything up to the trailing spaces as one value.
+// ParseFloat accepts no space and no byte ≥ 0x80, so when it accepts that
+// value the line's fields were exactly these three, all ASCII, and
+// strings.Fields would have split it the same way. ok is false for any
+// other line; the caller then splits it with strings.Fields, as it did
+// every line before. A pattern entry's value is 1, and the rest of its
+// line is not read: no byte there changes what strings.Fields makes of
+// the two fields before it.
+func plainEntry(line []byte, value bool) (r, c int, v float64, ok bool) {
+	p := 0
+	if r, p, ok = digits(line, p); !ok {
+		return 0, 0, 0, false
+	}
+	if c, p, ok = digits(line, p); !ok {
+		return 0, 0, 0, false
+	}
+	if !value {
+		return r, c, 1, true
+	}
+	e := len(line)
+	for e > p && fieldSpace[line[e-1]] {
+		e--
+	}
+	for p < e && fieldSpace[line[p]] {
+		p++
+	}
+	v, err := strconv.ParseFloat(string(line[p:e]), 64)
+	return r, c, v, err == nil
+}
+
+// digits reads the field at line[p:], after any ASCII space: it must be 1
+// to 18 plain digits, which cannot overflow, ended by a space or the line's
+// end.
+func digits(line []byte, p int) (n, end int, ok bool) {
+	for p < len(line) && fieldSpace[line[p]] {
+		p++
+	}
+	start := p
+	for ; p < len(line) && line[p]-'0' <= 9; p++ {
+		n = n*10 + int(line[p]-'0')
+	}
+	ok = p > start && p-start <= 18 && (p == len(line) || fieldSpace[line[p]])
+	return n, p, ok
 }

@@ -302,3 +302,23 @@ func TestResidue(t *testing.T) {
 		}
 	}
 }
+
+// TestReadLongLinesMatchOracle: a line longer than the 1 MiB read buffer is
+// assembled whole, in both layouts, and read as the oracle reads it.
+func TestReadLongLinesMatchOracle(t *testing.T) {
+	pad := strings.Repeat(" ", 1<<20+100)
+	for _, src := range []string{
+		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1" + pad + "2.5\n2 2 1\n",
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 2.5" + pad + "x\n",
+		"%%MatrixMarket matrix array real general\n300000 1\n" + strings.Repeat("1.5 ", 300000) + "\n",
+	} {
+		got, err := ReadMatrixMarket(strings.NewReader(src))
+		want, werr := oracleReadMatrixMarket(strings.NewReader(src))
+		if err != nil || werr != nil {
+			t.Fatalf("reader error %v, oracle error %v", err, werr)
+		}
+		if !sameCOO(got, want) || len(got.Ent) == 0 {
+			t.Fatalf("%d-byte input: reader read %d entries, oracle %d", len(src), len(got.Ent), len(want.Ent))
+		}
+	}
+}
