@@ -17,6 +17,7 @@ import (
 	"atmatrix/internal/core"
 	"atmatrix/internal/expr"
 	"atmatrix/internal/gen"
+	"atmatrix/internal/kernels"
 	"atmatrix/internal/mat"
 	"atmatrix/internal/mmio"
 	"atmatrix/internal/numa"
@@ -269,9 +270,9 @@ func BenchmarkEval_Plan(b *testing.B) {
 	}
 }
 
-// BenchmarkEval_Assemble: PartitionRows of the rows of R9·R9, handed over
-// in blocks of b_atomic rows — what a row-streamed chain pays to turn its
-// band pieces into an AT MATRIX (expr's assemblePieces): the staging join,
+// BenchmarkEval_Assemble: PartitionRows of the rows of R9·R9, filled in
+// by row ranges cut over R9 — what a row-streamed chain pays to turn its
+// rows into an AT MATRIX beyond computing them: the stage's tasks and join,
 // the block counts and the quadtree over a grid that is almost empty.
 func BenchmarkEval_Assemble(b *testing.B) {
 	cfg := serverCfg()
@@ -281,22 +282,17 @@ func BenchmarkEval_Assemble(b *testing.B) {
 		b.Fatal(err)
 	}
 	csr := sq.ToCSR()
-	var nnz, col [][]int32
-	var val [][]float64
-	for lo := 0; lo < csr.Rows; lo += cfg.BAtomic {
-		hi := min(lo+cfg.BAtomic, csr.Rows)
-		n := make([]int32, hi-lo)
+	fill := func(_ *kernels.Scratch, lo, hi int, blk *core.RowBlock) {
 		for r := lo; r < hi; r++ {
-			n[r-lo] = int32(csr.RowPtr[r+1] - csr.RowPtr[r])
+			blk.NNZ = append(blk.NNZ, int32(csr.RowPtr[r+1]-csr.RowPtr[r]))
 		}
-		nnz = append(nnz, n)
-		col = append(col, csr.ColIdx[csr.RowPtr[lo]:csr.RowPtr[hi]])
-		val = append(val, csr.Val[csr.RowPtr[lo]:csr.RowPtr[hi]])
+		blk.Col = append(blk.Col, csr.ColIdx[csr.RowPtr[lo]:csr.RowPtr[hi]]...)
+		blk.Val = append(blk.Val, csr.Val[csr.RowPtr[lo]:csr.RowPtr[hi]]...)
 	}
 	b.Run("R9sq", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.PartitionRows(csr.Rows, csr.Cols, nnz, col, val, cfg); err != nil {
+			if _, _, err := core.PartitionRows(nil, cfg, 0, csr.Rows, csr.Cols, r9, fill); err != nil {
 				b.Fatal(err)
 			}
 		}

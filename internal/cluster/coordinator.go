@@ -29,13 +29,10 @@ type Coordinator struct {
 	teams []*RemoteTeam
 
 	// Sharded-catalog state: the attached catalog (shard maps persist in
-	// its manifest), the in-memory map cache, and the opportunistic
-	// holder cache filled when a worker executes against an uploaded
-	// missing shard. Guarded by shardMu.
+	// its manifest) and the in-memory map cache. Guarded by shardMu.
 	shardMu      sync.Mutex
 	cat          *catalog.Catalog
 	shardMaps    map[string]*catalog.ShardMap
-	cached       map[ShardKey]map[string]bool
 	repairCancel context.CancelFunc
 	repairDone   chan struct{}
 	repairKick   chan struct{}
@@ -80,7 +77,6 @@ func NewCoordinator(cfg core.Config, opts Options, peers []string) *Coordinator 
 		cfg:        cfg,
 		opts:       opts.withDefaults(),
 		shardMaps:  make(map[string]*catalog.ShardMap),
-		cached:     make(map[ShardKey]map[string]bool),
 		repairKick: make(chan struct{}, 1),
 		hbDone:     make(chan struct{}),
 	}

@@ -355,11 +355,6 @@ func (c *Coordinator) shipShard(ctx context.Context, rt *RemoteTeam, key ShardKe
 func (c *Coordinator) DropShards(ctx context.Context, name string) {
 	c.shardMu.Lock()
 	delete(c.shardMaps, name)
-	for key := range c.cached {
-		if key.Name == name {
-			delete(c.cached, key)
-		}
-	}
 	c.shardMu.Unlock()
 	c.mu.Lock()
 	teams := append([]*RemoteTeam(nil), c.teams...)
@@ -379,37 +374,6 @@ func (c *Coordinator) shardMapFor(name string) *catalog.ShardMap {
 	c.shardMu.Lock()
 	defer c.shardMu.Unlock()
 	return c.shardMaps[name].Clone()
-}
-
-// noteHolder records that a worker verifiably holds a shard of a recorded
-// map's current generation (its store accepted an upload of it) without
-// promoting it to the durable replica set — RepairPass does that after
-// re-verifying the copy. Ephemeral shards never match a recorded
-// generation and are not noted.
-func (c *Coordinator) noteHolder(key ShardKey, addr string) {
-	c.shardMu.Lock()
-	defer c.shardMu.Unlock()
-	if sm, ok := c.shardMaps[key.Name]; !ok || sm.Generation != key.Gen {
-		return
-	}
-	set := c.cached[key]
-	if set == nil {
-		set = make(map[string]bool)
-		c.cached[key] = set
-	}
-	set[addr] = true
-}
-
-// cachedHolders snapshots the opportunistic holder set of one shard.
-func (c *Coordinator) cachedHolders(key ShardKey) []string {
-	c.shardMu.Lock()
-	defer c.shardMu.Unlock()
-	out := make([]string, 0, len(c.cached[key]))
-	for addr := range c.cached[key] {
-		out = append(out, addr)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RepairPass runs one anti-entropy round over every recorded shard map:
@@ -556,17 +520,12 @@ func (c *Coordinator) repairOne(ctx context.Context, cat *catalog.Catalog, name 
 		}
 		// Promote verified opportunistic copies (fills of workers that
 		// reported the shard missing) to full replicas — durability for
-		// free.
-		for _, addr := range c.cachedHolders(key) {
-			if holder[addr] {
-				continue
-			}
-			if held, ok := inv[addr]; ok {
-				if e, ok := held[key]; ok && e.CRC32C == meta.CRC32C && e.Bytes == meta.Bytes {
-					kept = append(kept, addr)
-					holder[addr] = true
-					changed = true
-				}
+		// free. The inventories just polled are the record of them.
+		for _, rt := range teams {
+			if e, ok := inv[rt.addr][key]; ok && !holder[rt.addr] && e.CRC32C == meta.CRC32C && e.Bytes == meta.Bytes {
+				kept = append(kept, rt.addr)
+				holder[rt.addr] = true
+				changed = true
 			}
 		}
 		healthy := 0
@@ -673,7 +632,8 @@ func (s *shardSource) bytes(key ShardKey) ([]byte, error) {
 // fillShards uploads the shards a worker reported missing and reports
 // whether any of them had not been sent to it by this attempt before (the
 // caller's bound on re-sends). A worker whose store accepted a recorded
-// shard is a verified holder of it; RepairPass may promote it.
+// shard is a verified holder of it; RepairPass finds it in the worker's
+// inventory and may promote it.
 func (c *Coordinator) fillShards(ctx context.Context, rt *RemoteTeam, src *shardSource, keys []ShardKey, filled map[ShardKey]bool) (bool, error) {
 	fresh := false
 	for _, key := range keys {
@@ -701,7 +661,6 @@ func (c *Coordinator) fillShards(ctx context.Context, rt *RemoteTeam, src *shard
 		if err := c.shipShard(context.WithoutCancel(ctx), rt, key, src.specs[key].crc, data); err != nil {
 			return false, err
 		}
-		c.noteHolder(key, rt.addr)
 		filled[key], fresh = true, true
 	}
 	return fresh, nil

@@ -365,9 +365,9 @@ func (a *ATMatrix) ToCOO() *mat.COO {
 // ToCSR converts the whole matrix to a single CSR structure (the row
 // gather of Repartition, on the calling goroutine); stored zeros drop out.
 func (a *ATMatrix) ToCSR() *mat.CSR {
-	var b rowBlock
-	a.rowGatherer()(0, a.Rows, &b)
-	return joinBlocks(a.Rows, a.Cols, []rowBlock{b})
+	var b RowBlock
+	a.rowGatherer()(nil, 0, a.Rows, &b)
+	return joinBlocks(a.Rows, a.Cols, []RowBlock{b})
 }
 
 // ToDense materializes the whole matrix densely. Use only for small

@@ -37,6 +37,6 @@ func (a *ATMatrix) Transpose(cfg Config) *ATMatrix {
 // serializes to the bytes partitioning a.ToCOO() gives.
 func (a *ATMatrix) Repartition(cfg Config) (*ATMatrix, *PartitionStats, error) {
 	return buildLayout(a.Rows, a.Cols, cfg, (*partitioner).quadtree, func() (*mat.CSR, error) {
-		return stageBlocks(a.Rows, a.Cols, cfg, a.rowGatherer())
+		return stageRows(nil, cfg, 0, a.Rows, a.Cols, a, a.rowGatherer())
 	})
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math/bits"
 	"slices"
 	"time"
 
+	"atmatrix/internal/kernels"
 	"atmatrix/internal/mat"
 	"atmatrix/internal/morton"
 	"atmatrix/internal/numa"
@@ -40,17 +42,18 @@ func Partition(src *mat.COO, cfg Config) (*ATMatrix, *PartitionStats, error) {
 	return buildLayout(src.Rows, src.Cols, cfg, (*partitioner).quadtree, func() (*mat.CSR, error) { return stageCOO(src) })
 }
 
-// PartitionRows is Partition for a producer that already holds the matrix
-// row-major, as consecutive blocks of rows: block i carries nnz[i][k]
-// entries for its k-th row, back to back in col[i]/val[i], columns strictly
-// ascending, no zero values. The slices are read, not kept.
-func PartitionRows(rows, cols int, nnz, col [][]int32, val [][]float64, cfg Config) (*ATMatrix, *PartitionStats, error) {
+// PartitionRows is Partition for a producer that computes the matrix row by
+// row: fill appends rows [lo, hi) to b — columns strictly ascending, no zero
+// values — using scr, the arena of the worker that runs it. The row ranges
+// are cut over the rows of by, the rows-tall matrix whose rows are being
+// produced (nil: equal ranges), and run on the worker teams like any stage;
+// ctx and watchdog bound them as they bound a multiplication's tasks.
+func PartitionRows(ctx context.Context, cfg Config, watchdog time.Duration, rows, cols int, by *ATMatrix, fill func(scr *kernels.Scratch, lo, hi int, b *RowBlock)) (*ATMatrix, *PartitionStats, error) {
 	return buildLayout(rows, cols, cfg, (*partitioner).quadtree, func() (*mat.CSR, error) {
-		blocks := make([]rowBlock, len(nnz))
-		for i := range blocks {
-			blocks[i] = rowBlock{nnz: nnz[i], col: col[i], val: val[i]}
+		s, err := stageRows(ctx, cfg, watchdog, rows, cols, by, fill)
+		if err != nil {
+			return nil, err
 		}
-		s := joinBlocks(rows, cols, blocks)
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("core: staged rows: %w", err)
 		}

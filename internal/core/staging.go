@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"math/bits"
 	"slices"
 	"sort"
+	"time"
 
 	"atmatrix/internal/kernels"
 	"atmatrix/internal/mat"
@@ -17,10 +19,11 @@ import (
 // counts, so only those are Z-ordered (zBlockCounts) and no producer sorts
 // what it already emits in row order: an upload is radix-sorted once
 // (stageCOO), an AT MATRIX is gathered band by band (rowGatherer), a sum
-// merges two gathers (stageSum), and internal/expr hands its fused rows
-// over as they are (PartitionRows). The layout is a function of the entry
-// set alone, so all of them serialize to the bytes the Z-sorted table gave
-// (DESIGN.md §4, "One staging form").
+// merges two gathers (stageSum), and internal/expr fills in its fused rows
+// as it computes them (PartitionRows). All but the upload fill their rows
+// through one stage (stageRows), cut into tasks by one rule (rowCuts). The
+// layout is a function of the entry set alone, so all of them serialize to
+// the bytes the Z-sorted table gave (DESIGN.md §4, "One staging form").
 
 // sortRowMajor returns src ordered by (row, col) in a fresh slice; src is
 // only read. It is a stable LSD radix sort over the significant bytes of
@@ -89,39 +92,74 @@ func stageCOO(src *mat.COO) (*mat.CSR, error) {
 	return s, nil
 }
 
-// rowBlock is a run of consecutive rows as one producer task delivers it:
-// nnz[i] entries for its i-th row, back to back in col/val.
-type rowBlock struct {
-	nnz, col []int32
-	val      []float64
+// RowBlock is a run of consecutive rows as one producer task delivers it:
+// NNZ[i] entries for its i-th row, back to back in Col/Val.
+type RowBlock struct {
+	NNZ, Col []int32
+	Val      []float64
+}
+
+// AppendSPA appends the accumulated row as the block's next row: its
+// columns ascending, exact zeros dropped.
+func (b *RowBlock) AppendSPA(spa *kernels.SPA) {
+	start := len(b.Col)
+	b.Col, b.Val = spa.AppendSorted(b.Col, b.Val)
+	b.NNZ = append(b.NNZ, int32(len(b.Col)-start))
 }
 
 // joinBlocks concatenates blocks that cover rows 0..rows-1 in order.
-func joinBlocks(rows, cols int, blocks []rowBlock) *mat.CSR {
+func joinBlocks(rows, cols int, blocks []RowBlock) *mat.CSR {
 	var n int
 	for i := range blocks {
-		n += len(blocks[i].col)
+		n += len(blocks[i].Col)
 	}
 	s := &mat.CSR{Rows: rows, Cols: cols, RowPtr: make([]int64, 1, rows+1), ColIdx: make([]int32, 0, n), Val: make([]float64, 0, n)}
 	for i := range blocks {
-		for _, cnt := range blocks[i].nnz {
+		for _, cnt := range blocks[i].NNZ {
 			s.RowPtr = append(s.RowPtr, s.RowPtr[len(s.RowPtr)-1]+int64(cnt))
 		}
-		s.ColIdx, s.Val = append(s.ColIdx, blocks[i].col...), append(s.Val, blocks[i].val...)
+		s.ColIdx, s.Val = append(s.ColIdx, blocks[i].Col...), append(s.Val, blocks[i].Val...)
 	}
 	return s
 }
 
-// stageBlocks builds a stage on the worker teams: fill appends rows [lo, hi)
-// to its block, one task per row range, homed by its first row. Several
-// ranges per core let a dry team take what a skewed matrix piles on another.
-func stageBlocks(rows, cols int, cfg Config, fill func(lo, hi int, b *rowBlock)) (*mat.CSR, error) {
-	parts := 4 * cfg.Topology.TotalCores()
+// rowCuts is the one rule that cuts work on a matrix's rows into tasks —
+// the stages below and the verify sweep: sweepChunksPerCore ranges per core,
+// balanced by the stored cells of by's rows (the matrix whose rows are being
+// produced or swept, rows tall), or of equal height when there is none.
+// Several ranges per core let a dry team take what a skewed matrix piles on
+// another.
+func rowCuts(rows int, by *ATMatrix, cfg Config) []int {
+	parts := sweepChunksPerCore * cfg.Topology.TotalCores()
+	if by != nil {
+		return by.cellBalancedCuts(parts)
+	}
 	step := max(1, (rows+parts-1)/parts)
-	blocks := make([]rowBlock, (rows+step-1)/step)
-	_, err := RunHomed(nil, cfg, 0, len(blocks),
-		func(i int) int { return i * step },
-		func(_ *sched.Team, i int) { fill(i*step, min(rows, (i+1)*step), &blocks[i]) })
+	cuts := make([]int, 0, parts+1)
+	for lo := 0; lo < rows; lo += step {
+		cuts = append(cuts, lo)
+	}
+	return append(cuts, rows)
+}
+
+// stageRows builds a stage on the worker teams: fill appends rows [lo, hi)
+// to its block (NNZ sized for them), one task per range of rowCuts, homed by
+// its first row, on the arena of the worker that runs it. A cancelled ctx
+// ends the stage with its error.
+func stageRows(ctx context.Context, cfg Config, watchdog time.Duration, rows, cols int, by *ATMatrix, fill func(scr *kernels.Scratch, lo, hi int, b *RowBlock)) (*mat.CSR, error) {
+	cuts := rowCuts(rows, by, cfg)
+	blocks := make([]RowBlock, len(cuts)-1)
+	_, err := RunHomed(ctx, cfg, watchdog, len(blocks),
+		func(i int) int { return cuts[i] },
+		func(team *sched.Team, i int) {
+			ws := stateFor(team, 0, cfg.EphemeralWorkers)
+			defer ws.syncFootprint()
+			blocks[i].NNZ = make([]int32, 0, cuts[i+1]-cuts[i])
+			fill(ws.scratch, cuts[i], cuts[i+1], &blocks[i])
+		})
+	if ctx != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +170,7 @@ func stageBlocks(rows, cols int, cfg Config, fill func(lo, hi int, b *rowBlock))
 // row is its pieces in the tiles of its row band, left to right; tiles do not
 // overlap, so the columns ascend. Stored zeros (a tile scaled to zero, a
 // cancellation) are dropped.
-func (a *ATMatrix) rowGatherer() func(lo, hi int, b *rowBlock) {
+func (a *ATMatrix) rowGatherer() func(_ *kernels.Scratch, lo, hi int, b *RowBlock) {
 	x := &a.index().rows
 	bands := x.bands
 	byCol := slices.Clone(x.tiles)
@@ -141,7 +179,7 @@ func (a *ATMatrix) rowGatherer() func(lo, hi int, b *rowBlock) {
 		tiles[i] = byCol[x.off[i]:x.off[i+1]]
 		slices.SortFunc(tiles[i], func(p, q *Tile) int { return p.Col0 - q.Col0 })
 	}
-	return func(lo, hi int, b *rowBlock) {
+	return func(_ *kernels.Scratch, lo, hi int, b *RowBlock) {
 		for bi := sort.Search(len(bands), func(i int) bool { return bands[i].Hi > lo }); bi < len(bands) && bands[bi].Lo < hi; bi++ {
 			r0, r1 := max(lo, bands[bi].Lo), min(hi, bands[bi].Hi)
 			need := 0 // upper bound: the appends below never reallocate
@@ -152,7 +190,7 @@ func (a *ATMatrix) rowGatherer() func(lo, hi int, b *rowBlock) {
 					need += (r1 - r0) * t.Cols
 				}
 			}
-			col, val := slices.Grow(b.col, need), slices.Grow(b.val, need) // locals: no write barrier per entry
+			col, val := slices.Grow(b.Col, need), slices.Grow(b.Val, need) // locals: no write barrier per entry
 			for r := r0; r < r1; r++ {
 				start := len(col)
 				for _, t := range tiles[bi] {
@@ -171,17 +209,19 @@ func (a *ATMatrix) rowGatherer() func(lo, hi int, b *rowBlock) {
 						}
 					}
 				}
-				b.nnz = append(b.nnz, int32(len(col)-start))
+				b.NNZ = append(b.NNZ, int32(len(col)-start))
 			}
-			b.col, b.val = col, val
+			b.Col, b.Val = col, val
 		}
 	}
 }
 
 // stageSum stages α·a + β·b: each task gathers its rows of both operands and
-// sums them through the multiply kernels' sparse accumulator, whose ordered
-// emit drops zero sums. A zero weight contributes nothing, whatever a holds.
+// sums them through its worker's sparse accumulator, whose ordered emit
+// drops zero sums. A zero weight contributes nothing, whatever a holds. The
+// tasks are cut over a's rows.
 func stageSum(a, b *ATMatrix, alpha, beta float64, cfg Config) (*mat.CSR, error) {
+	by := a
 	if alpha == 0 {
 		a = newATMatrix(a.Rows, a.Cols, a.BAtomic)
 	}
@@ -189,23 +229,21 @@ func stageSum(a, b *ATMatrix, alpha, beta float64, cfg Config) (*mat.CSR, error)
 		b = newATMatrix(b.Rows, b.Cols, b.BAtomic)
 	}
 	rowsOfA, rowsOfB := a.rowGatherer(), b.rowGatherer()
-	return stageBlocks(a.Rows, a.Cols, cfg, func(lo, hi int, out *rowBlock) {
-		var ta, tb rowBlock
-		rowsOfA(lo, hi, &ta)
-		rowsOfB(lo, hi, &tb)
-		spa := kernels.NewSPA(a.Cols)
+	return stageRows(nil, cfg, 0, a.Rows, a.Cols, by, func(scr *kernels.Scratch, lo, hi int, out *RowBlock) {
+		var ta, tb RowBlock
+		rowsOfA(scr, lo, hi, &ta)
+		rowsOfB(scr, lo, hi, &tb)
+		spa := scr.SPA()
 		i, j := 0, 0
-		for k := range ta.nnz {
-			start := len(out.col)
+		for k := range ta.NNZ {
 			spa.Reset(a.Cols)
-			for ie := i + int(ta.nnz[k]); i < ie; i++ {
-				spa.Add(ta.col[i], alpha*ta.val[i])
+			for ie := i + int(ta.NNZ[k]); i < ie; i++ {
+				spa.Add(ta.Col[i], alpha*ta.Val[i])
 			}
-			for je := j + int(tb.nnz[k]); j < je; j++ {
-				spa.Add(tb.col[j], beta*tb.val[j])
+			for je := j + int(tb.NNZ[k]); j < je; j++ {
+				spa.Add(tb.Col[j], beta*tb.Val[j])
 			}
-			out.col, out.val = spa.AppendSorted(out.col, out.val)
-			out.nnz = append(out.nnz, int32(len(out.col)-start))
+			out.AppendSPA(spa)
 		}
 	})
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"atmatrix/internal/kernels"
 	"atmatrix/internal/mat"
 )
 
@@ -115,30 +118,30 @@ func BenchmarkSortRowMajor(b *testing.B) {
 	})
 }
 
-// blocksOf cuts m's rows into blocks of at most step rows, the form
-// PartitionRows takes.
-func blocksOf(m *ATMatrix, step int) (nnz, col [][]int32, val [][]float64) {
-	csr := m.ToCSR()
-	for lo := 0; lo < m.Rows; lo += step {
-		hi := min(lo+step, m.Rows)
-		n := make([]int32, hi-lo)
+// csrFill is a PartitionRows fill that hands over the rows of csr.
+func csrFill(csr *mat.CSR) func(_ *kernels.Scratch, lo, hi int, b *RowBlock) {
+	return func(_ *kernels.Scratch, lo, hi int, b *RowBlock) {
 		for r := lo; r < hi; r++ {
-			n[r-lo] = int32(csr.RowPtr[r+1] - csr.RowPtr[r])
+			b.NNZ = append(b.NNZ, int32(csr.RowPtr[r+1]-csr.RowPtr[r]))
 		}
-		nnz = append(nnz, n)
-		col = append(col, csr.ColIdx[csr.RowPtr[lo]:csr.RowPtr[hi]])
-		val = append(val, csr.Val[csr.RowPtr[lo]:csr.RowPtr[hi]])
+		b.Col = append(b.Col, csr.ColIdx[csr.RowPtr[lo]:csr.RowPtr[hi]]...)
+		b.Val = append(b.Val, csr.Val[csr.RowPtr[lo]:csr.RowPtr[hi]]...)
 	}
-	return nnz, col, val
 }
 
+// TestPartitionRowsMatchesOldRoute: rows filled in by row ranges, cut
+// cell-balanced over the matrix (odd cases) or in equal ranges (even ones),
+// give the layout of Partition(ToCOO()).
 func TestPartitionRowsMatchesOldRoute(t *testing.T) {
 	for _, topo := range layoutTopologies {
 		cfg := testConfig()
 		cfg.Topology = topo
 		for i, c := range layoutCases(t, cfg) {
-			nnz, col, val := blocksOf(c.m, 1+i*7%40)
-			got, _, err := PartitionRows(c.m.Rows, c.m.Cols, nnz, col, val, cfg)
+			var by *ATMatrix
+			if i%2 == 1 {
+				by = c.m
+			}
+			got, _, err := PartitionRows(nil, cfg, 0, c.m.Rows, c.m.Cols, by, csrFill(c.m.ToCSR()))
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
@@ -151,8 +154,13 @@ func TestPartitionRowsMatchesOldRoute(t *testing.T) {
 
 func TestPartitionRowsRejectsBadRows(t *testing.T) {
 	cfg := testConfig()
+	// The task of the first range hands over every row; the others none.
 	one := func(nnz, col []int32, val []float64) error {
-		_, _, err := PartitionRows(2, 4, [][]int32{nnz}, [][]int32{col}, [][]float64{val}, cfg)
+		_, _, err := PartitionRows(nil, cfg, 0, 2, 4, nil, func(_ *kernels.Scratch, lo, _ int, b *RowBlock) {
+			if lo == 0 {
+				b.NNZ, b.Col, b.Val = nnz, col, val
+			}
+		})
 		return err
 	}
 	if err := one([]int32{2, 1}, []int32{0, 3, 2}, []float64{1, 2, 3}); err != nil {
@@ -170,7 +178,22 @@ func TestPartitionRowsRejectsBadRows(t *testing.T) {
 			t.Errorf("%s rows: err = %v", name, err)
 		}
 	}
-	if _, _, err := PartitionRows(0, 4, nil, nil, nil, cfg); err == nil {
+	if _, _, err := PartitionRows(nil, cfg, 0, 0, 4, nil, func(*kernels.Scratch, int, int, *RowBlock) {}); err == nil {
 		t.Error("0×4 matrix accepted")
+	}
+}
+
+// TestPartitionRowsCancelled: a cancelled context ends the stage with the
+// context's error, not with a layout of whatever rows were filled.
+func TestPartitionRowsCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := PartitionRows(ctx, testConfig(), 0, 8, 8, nil, func(_ *kernels.Scratch, lo, hi int, b *RowBlock) {
+		for r := lo; r < hi; r++ {
+			b.NNZ = append(b.NNZ, 0)
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -156,7 +156,7 @@ func (s Sweeper) sweep(m *ATMatrix, trans bool, in, out Panel, probesOnly bool) 
 	case s.cfg == nil || m.storedCellsBefore(m.Rows) < teamSweepCells:
 		m.gatherRows(in, out, probesOnly, 0, m.Rows)
 	default:
-		cuts := m.cellBalancedCuts(sweepChunksPerCore * s.cfg.Topology.TotalCores())
+		cuts := rowCuts(m.Rows, m, *s.cfg)
 		_, runErr = RunHomed(s.ctx, *s.cfg, s.watchdog, len(cuts)-1,
 			func(i int) int { return cuts[i] },
 			func(team *sched.Team, i int) {

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"atmatrix/internal/core"
@@ -460,7 +459,7 @@ func (e *exec) runPanel(v *chainNode, mats []*core.ATMatrix) (*core.ATMatrix, er
 			Wall:  time.Since(stepStart),
 		})
 	}
-	return panelToMatrix(cur, curRows, w, e.cfg)
+	return e.panelToMatrix(cur, curRows, w)
 }
 
 // seedPanel scatters the rightmost factor into the dense panel buffer,
@@ -468,9 +467,7 @@ func (e *exec) runPanel(v *chainNode, mats []*core.ATMatrix) (*core.ATMatrix, er
 //
 //atlint:hotpath
 func seedPanel(m *core.ATMatrix, dst []float64, w int, coef float64) {
-	for i := 0; i < m.Rows*w; i++ {
-		dst[i] = 0
-	}
+	clear(dst[:m.Rows*w])
 	for _, t := range m.Tiles {
 		if t.Kind == mat.Sparse {
 			for r := 0; r < t.Rows; r++ {
@@ -501,7 +498,7 @@ func (e *exec) applyPanel(m *core.ATMatrix, src, dst []float64, w int) error {
 		func(team *sched.Team, br int) {
 			lo, hi := br*b, min(br*b+b, m.Rows)
 			team.ParallelRows(hi-lo, func(rlo, rhi, _ int) {
-				zeroRows(dst, w, lo+rlo, lo+rhi)
+				clear(dst[(lo+rlo)*w : (lo+rhi)*w])
 				for _, t := range m.RowTiles(lo) {
 					tilePanelRows(t, src, dst, w, lo+rlo, lo+rhi)
 				}
@@ -511,15 +508,6 @@ func (e *exec) applyPanel(m *core.ATMatrix, src, dst []float64, w int) error {
 		return err
 	}
 	return e.ctxErr()
-}
-
-// zeroRows clears panel rows [r0, r1).
-//
-//atlint:hotpath
-func zeroRows(dst []float64, w, r0, r1 int) {
-	for i := r0 * w; i < r1*w; i++ {
-		dst[i] = 0
-	}
 }
 
 // tilePanelRows accumulates rows [r0, r1) (matrix coordinates) of one
@@ -566,108 +554,74 @@ func tilePanelRows(t *core.Tile, src, dst []float64, w, r0, r1 int) {
 }
 
 // panelToMatrix partitions the final panel into an adaptive AT MATRIX: the
-// panel is row-major already, so its non-zeros are one piece.
-func panelToMatrix(buf []float64, rows, w int, cfg core.Config) (*core.ATMatrix, error) {
-	piece := bandPiece{rowNNZ: make([]int32, rows), cols: make([]int32, 0, rows*w), vals: make([]float64, 0, rows*w)}
-	for r := 0; r < rows; r++ {
-		for c, v := range buf[r*w : (r+1)*w] {
-			if v != 0 {
-				piece.cols, piece.vals = append(piece.cols, int32(c)), append(piece.vals, v)
-				piece.rowNNZ[r]++
+// panel is row-major already, so each stage task reads its rows off it, into
+// a block sized for its rows all dense.
+func (e *exec) panelToMatrix(buf []float64, rows, w int) (*core.ATMatrix, error) {
+	out, _, err := core.PartitionRows(e.opts.Mult.Ctx, e.cfg, e.opts.Mult.Watchdog, rows, w, nil,
+		func(_ *kernels.Scratch, lo, hi int, b *core.RowBlock) {
+			b.Col, b.Val = make([]int32, 0, (hi-lo)*w), make([]float64, 0, (hi-lo)*w)
+			for r := lo; r < hi; r++ {
+				start := len(b.Col)
+				for c, v := range buf[r*w : (r+1)*w] {
+					if v != 0 {
+						b.Col, b.Val = append(b.Col, int32(c)), append(b.Val, v)
+					}
+				}
+				b.NNZ = append(b.NNZ, int32(len(b.Col)-start))
 			}
-		}
-	}
-	return assemblePieces([]bandPiece{piece}, rows, w, cfg)
+		})
+	return out, err
 }
 
 // ---------------------------------------------------------------------
 // Row-stream fusion: left-to-right chained Gustavson passes.
 
-// streamScratch is the per-task scratch of row streaming: two ping-pong
-// sparse accumulators.
-type streamScratch struct {
-	a, b *kernels.SPA
-}
-
-// bandPiece collects the final CSR rows of one block-row band; bands are
-// written by exactly one task each, so assembly needs no locking.
-type bandPiece struct {
-	rowNNZ []int32
-	cols   []int32
-	vals   []float64
-}
-
 // runRowStream evaluates a wide chain row by row: each result row is the
 // left-to-right product of the row of the first factor with the remaining
-// factors, computed by chained SPA passes. No intermediate matrix is ever
-// materialized; the per-worker footprint is two accumulators of the widest
-// stage.
+// factors, computed by chained SPA passes on the two accumulators of the
+// worker that runs it, and handed to core.PartitionRows as it is finished.
+// No intermediate matrix is ever materialized; the per-worker footprint is
+// two accumulators of the widest stage.
 func (e *exec) runRowStream(v *chainNode, mats []*core.ATMatrix) (*core.ATMatrix, error) {
 	n := mats[0].Rows
-	b := e.cfg.BAtomic
-	nb := (n + b - 1) / b
 	maxW := 0
 	for _, m := range mats {
-		if m.Cols > maxW {
-			maxW = m.Cols
-		}
+		maxW = max(maxW, m.Cols)
 	}
 	// Scratch accounting: one pair of accumulators per concurrently
 	// running task, bounded by the core count.
-	workers := e.cfg.Topology.TotalCores()
-	if workers > nb {
-		workers = nb
-	}
-	scratchBytes := int64(workers) * 2 * kernels.SPABytes(maxW)
+	scratchBytes := int64(min(e.cfg.Topology.TotalCores(), n)) * 2 * kernels.SPABytes(maxW)
 	e.alloc(scratchBytes)
 	defer e.release(scratchBytes)
 
-	scratch := sync.Pool{New: func() any {
-		return &streamScratch{a: kernels.NewSPA(maxW), b: kernels.NewSPA(maxW)}
-	}}
-	pieces := make([]bandPiece, nb)
-	coef := v.coef
-
+	var out *core.ATMatrix
 	t0 := time.Now()
 	err := e.stage(v.label(), func() error {
-		_, rerr := core.RunHomed(e.opts.Mult.Ctx, e.cfg, e.opts.Mult.Watchdog, nb,
-			func(br int) int { return br * b },
-			func(_ *sched.Team, br int) {
-				lo, hi := br*b, min(br*b+b, n)
-				sc := scratch.Get().(*streamScratch)
-				defer scratch.Put(sc)
-				piece := &pieces[br]
-				piece.rowNNZ = make([]int32, hi-lo)
+		var perr error
+		out, _, perr = core.PartitionRows(e.opts.Mult.Ctx, e.cfg, e.opts.Mult.Watchdog, n, mats[len(mats)-1].Cols, mats[0],
+			func(scr *kernels.Scratch, lo, hi int, b *core.RowBlock) {
+				cur, nxt := scr.SPAs()
 				for i := lo; i < hi; i++ {
-					streamRow(sc, mats, i, coef)
-					flushStreamRow(piece, i-lo, sc.a)
+					b.AppendSPA(streamRow(cur, nxt, mats, i, v.coef))
 				}
 			})
-		if rerr != nil {
-			return rerr
-		}
-		return e.ctxErr()
+		return perr
 	})
 	if err != nil {
 		return nil, err
 	}
 	e.stats.FusedStages += len(mats) - 1
-
-	out, err := assemblePieces(pieces, n, mats[len(mats)-1].Cols, e.cfg)
-	if err != nil {
-		return nil, err
-	}
 	e.step(v.label(), out, time.Since(t0))
 	return out, nil
 }
 
-// streamRow computes result row i into sc.a: seed with row i of the first
-// factor (scaled by the chain coefficient), then one Gustavson pass per
-// remaining factor, ping-ponging between the two accumulators.
+// streamRow computes result row i and returns the accumulator holding it:
+// seed with row i of the first factor (scaled by the chain coefficient),
+// then one Gustavson pass per remaining factor, ping-ponging between the
+// two accumulators.
 //
 //atlint:hotpath
-func streamRow(sc *streamScratch, mats []*core.ATMatrix, i int, coef float64) {
-	cur, nxt := sc.a, sc.b
+func streamRow(cur, nxt *kernels.SPA, mats []*core.ATMatrix, i int, coef float64) *kernels.SPA {
 	cur.Reset(mats[0].Cols)
 	spreadRow(cur, mats[0], i, coef)
 	for s := 1; s < len(mats); s++ {
@@ -677,7 +631,7 @@ func streamRow(sc *streamScratch, mats []*core.ATMatrix, i int, coef float64) {
 		}
 		cur, nxt = nxt, cur
 	}
-	sc.a, sc.b = cur, nxt
+	return cur
 }
 
 // spreadRow accumulates w · M[r, :] into the SPA, streaming the row
@@ -701,26 +655,4 @@ func spreadRow(spa *kernels.SPA, m *core.ATMatrix, r int, w float64) {
 			}
 		}
 	}
-}
-
-// flushStreamRow appends the accumulated row, ascending by column with
-// exact zeros dropped, to the band's output piece.
-//
-//atlint:hotpath
-func flushStreamRow(piece *bandPiece, r int, spa *kernels.SPA) {
-	n0 := len(piece.cols)
-	piece.cols, piece.vals = spa.AppendSorted(piece.cols, piece.vals)
-	piece.rowNNZ[r] = int32(len(piece.cols) - n0)
-}
-
-// assemblePieces concatenates the band outputs into the final adaptive
-// AT MATRIX. Every piece holds its rows in order with ascending, zero-free
-// columns (flushStreamRow) — the form core.PartitionRows cuts tiles from.
-func assemblePieces(pieces []bandPiece, rows, cols int, cfg core.Config) (*core.ATMatrix, error) {
-	nnz, col, val := make([][]int32, len(pieces)), make([][]int32, len(pieces)), make([][]float64, len(pieces))
-	for i, p := range pieces {
-		nnz[i], col[i], val[i] = p.rowNNZ, p.cols, p.vals
-	}
-	out, _, err := core.PartitionRows(rows, cols, nnz, col, val, cfg)
-	return out, err
 }

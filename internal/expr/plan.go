@@ -26,14 +26,15 @@ import (
 //     planned in that order too (planPanel): there is no association to
 //     choose, and no power of A to estimate that is never formed.
 //   - FusionRowStream: ≥ 3 wide factors. Result rows are produced one at
-//     a time by chained Gustavson passes (two ping-pong SPAs per worker),
-//     so no intermediate matrix is ever materialized or repartitioned.
+//     a time by chained Gustavson passes (the two SPAs of the worker's
+//     arena, ping-ponged) and filled straight into core.PartitionRows, so
+//     no intermediate matrix is ever materialized or repartitioned.
 //     Row streaming is inherently left-associated, so it is only chosen
 //     when the cost model prices the left-associated order within
 //     fuseCostSlack of the DP optimum.
 //   - FusionNone: per-step materialized execution through
-//     core.MultiplyChainOpt in DP order (also the explicit baseline the
-//     bench-eval target compares fusion against).
+//     core.ExecuteChain in the planner's DP order (runMaterialized; also the
+//     explicit baseline the bench-eval target compares fusion against).
 
 // DefaultPanelMaxWidth is the widest right-end factor the planner will
 // stream as a dense panel. 32 columns × 8 bytes = 256 B per row keeps a
@@ -85,7 +86,7 @@ type Options struct {
 	// node — the HTTP "iterations" knob.
 	Iterations int
 	// Materialize disables fusion: every chain executes per-step through
-	// core.MultiplyChainOpt. The benchmark baseline.
+	// core.ExecuteChain in the planner's order. The benchmark baseline.
 	Materialize bool
 	// Mult carries the per-step multiplication options (context,
 	// watchdog) for materialized steps; fused stages honor

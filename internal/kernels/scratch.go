@@ -43,6 +43,10 @@ func (s *Scratch) BeginTask() {
 // per row, growing it to the current target width as needed.
 func (s *Scratch) SPA() *SPA { return &s.spa }
 
+// SPAs returns the worker's two reusable sparse accumulators — a row pass's
+// total and part — for a caller that ping-pongs rows between them.
+func (s *Scratch) SPAs() (*SPA, *SPA) { return &s.spa, &s.part }
+
 // Merge returns the worker's reusable loser-tree merge arena for the
 // outer-product SpGEMM kernel. Grow-only, like every other arena here.
 func (s *Scratch) Merge() *MergeScratch { return &s.merge }
