@@ -43,10 +43,12 @@ type MultOptions struct {
 	// Verify, when positive, runs that many Freivalds rounds over the
 	// assembled result and fails the multiplication with a *VerifyError
 	// (matching ErrVerifyFailed) when C ≠ A·B. The rounds' probes sweep A,
-	// B and the result together, two rounds per sweep, on the worker teams;
-	// the cost is O(stored cells) — non-zeros of sparse tiles, every cell
-	// of dense ones — per round. A wrong product escapes k rounds with
-	// probability at most 2^-k. Zero disables verification.
+	// B and the result's sparse tiles together, two rounds per sweep, on
+	// the worker teams; the result's dense tiles are probed by the row
+	// bodies that wrote them, while they are in cache. The cost is
+	// O(stored cells) — non-zeros of sparse tiles, every cell of dense
+	// ones — per round. A wrong product escapes k rounds with probability
+	// at most 2^-k. Zero disables verification.
 	Verify int
 	// WriteThreshold, when positive, replaces the water-level derivation
 	// with a precomputed effective write threshold ρ_D^W. The water level
@@ -79,9 +81,9 @@ type MultStats struct {
 	EstimateTime time.Duration // density estimation + water level
 	OptimizeTime time.Duration // cost-model decisions (wall time, summed over tasks)
 	ConvertTime  time.Duration // just-in-time operand conversions
-	MultiplyTime time.Duration // kernel execution; sparse targets: the row passes, emit of every finished row included, summed over the fan-out's row chunks
+	MultiplyTime time.Duration // kernel execution; sparse targets: the row passes, emit of every finished row included, summed over the fan-out's row chunks; dense targets: the row bodies, each with its epilogue (the rows' non-zero count and, verifying, their probe sums)
 	FinalizeTime time.Duration // sparse targets: the leader's assembly of the finished rows into the result CSR
-	VerifyTime   time.Duration // Freivalds result verification (opts.Verify)
+	VerifyTime   time.Duration // Freivalds result verification (opts.Verify): drawing the probes, the sweeps of B, A and the result's sparse tiles, and the comparison; the dense tiles' probe sums are in MultiplyTime
 	WallTime     time.Duration // end-to-end operator time
 
 	Conversions   int64 // number of operand windows converted
@@ -192,9 +194,12 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 
 	// The pairs with work, row-major over the band grid; a pair is homed
 	// with its A tile-row. Each target's representation is decided here,
-	// once, from its *final* estimated density (Alg. 2 line 6).
+	// once, from its *final* estimated density (Alg. 2 line 6). A dense
+	// target's probe sums, when verifying, start after the rows of the dense
+	// targets before it.
 	ncb := len(colBands)
 	tasks := make([]pairTask, 0, len(rowBands)*ncb)
+	denseTargetRows := 0
 	for ti, rb := range rowBands {
 		if len(aRows.tilesOf(ti)) == 0 {
 			continue // structurally zero target tile-row
@@ -208,6 +213,10 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 				t.estRho = regionDensity(est, rb.Lo, rb.Hi, cb.Lo, cb.Hi)
 				t.dense = t.estRho >= stats.WriteThreshold
 			}
+			if t.dense {
+				t.sums = int32(denseTargetRows)
+				denseTargetRows += rb.Len()
+			}
 			tasks = append(tasks, t)
 		}
 	}
@@ -215,6 +224,20 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 	if err := opts.ctxErr(); err != nil {
 		return nil, nil, err
 	}
+	// The check is set up before C exists: its probes are drawn and the
+	// dense row bodies take their sums as they finish (finishRows).
+	var checkSetup time.Duration
+	if opts.Verify > 0 {
+		t0 := time.Now()
+		mc.check = newProductCheck(a, b, opts.Verify, verifySeq.Add(1), denseTargetRows)
+		checkSetup = time.Since(t0)
+	}
+	// Chaos hook: an armed bitflip rule silently corrupts one result value,
+	// modeling a wrong product handed back by a kernel — exactly what
+	// Freivalds verification must catch. It lands in a dense row before the
+	// row's sums are taken, or, when no dense row takes it, in the assembled
+	// product.
+	mc.flip.Store(faultinject.Bitflip("core.mult.result"))
 	rs, runErr := RunHomed(opts.Ctx, cfg, opts.Watchdog, len(tasks),
 		func(i int) int { return rowBands[int(tasks[i].idx)/ncb].Lo + int(tasks[i].lo) },
 		func(team *sched.Team, i int) { mc.runTask(team, &tasks[i]) })
@@ -249,19 +272,34 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 	// to the collector when it scans a preempted frame conservatively, and
 	// with all tiles in one backing array such a pointer kept a whole
 	// dropped product (83 MB for G9·G9) alive through the next cycle,
-	// doubling the heap goal (DESIGN.md §7).
+	// doubling the heap goal (DESIGN.md §7). The tasks are in slot order; a
+	// split pair's slot is taken with its first chunk. Only headers are
+	// copied, so the rows a check took its sums from are the rows returned.
 	produced := 0
-	for i := range mc.tiles {
-		if mc.tiles[i].NNZ == 0 {
+	for i := range tasks {
+		if tasks[i].lo == 0 && mc.tiles[tasks[i].idx].NNZ != 0 {
+			produced++
+		}
+	}
+	c.Tiles = make([]*Tile, 0, produced)
+	var sumsAt []int32
+	if mc.check.k > 0 {
+		sumsAt = make([]int32, 0, produced)
+	}
+	for i := range tasks {
+		pt := &tasks[i]
+		if pt.lo != 0 || mc.tiles[pt.idx].NNZ == 0 {
 			continue
 		}
-		t := mc.tiles[i]
+		t := mc.tiles[pt.idx]
 		if t.Kind == mat.DenseKind {
 			d := *t.D
 			t.D = &d
 		}
 		c.Tiles = append(c.Tiles, &t)
-		produced++
+		if sumsAt != nil {
+			sumsAt = append(sumsAt, pt.sums)
+		}
 	}
 	stats.TargetTiles = int64(produced)
 
@@ -274,18 +312,16 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 	stats.OuterKernelCalls = mc.outerCalls.Load()
 	stats.GustavsonKernelCalls = mc.gustavsonCalls.Load()
 
-	// Chaos hook: an armed bitflip rule silently corrupts one result value
-	// at the accumulation boundary, modeling a wrong product handed back by
-	// a kernel — exactly what Freivalds verification must catch.
-	if faultinject.Bitflip("core.mult.result") {
+	if mc.flip.Load() {
 		c.FlipOneBit()
 	}
-	if opts.Verify > 0 {
+	if ck := &mc.check; ck.k > 0 {
 		t0 := time.Now()
-		if err := VerifyProductOn(TeamSweeper(opts.Ctx, cfg, opts.Watchdog), a, b, c, opts.Verify, verifySeq.Add(1)); err != nil {
+		ck.sums.off = sumsAt
+		if err := ck.run(TeamSweeper(opts.Ctx, cfg, opts.Watchdog), a, b, c); err != nil {
 			return nil, nil, err
 		}
-		stats.VerifyTime = time.Since(t0)
+		stats.VerifyTime = checkSetup + time.Since(t0)
 	}
 	stats.WallTime = time.Since(wallStart)
 	return c, stats, nil
@@ -346,6 +382,11 @@ type mulCtx struct {
 	// splits holds, by pair position, the state the row chunks of a split
 	// pair share (splitPairs); nil unless some pair is split.
 	splits []splitPair
+	// check is the product's Freivalds check (k = opts.Verify), whose sums
+	// the dense row bodies fill; flip is an armed chaos bitflip not yet
+	// planted.
+	check productCheck
+	flip  atomic.Bool
 
 	optNanos, convNanos, mulNanos, finNanos atomic.Int64
 	// The MultStats counters every pair task bumps; copied into stats once
@@ -364,7 +405,9 @@ type pairTask struct {
 	split  bool
 	// dense and estRho are the target's representation and estimated
 	// density, decided once when the pair list is built.
-	dense  bool
+	dense bool
+	// sums is where a dense target's rows start in the check's tile sums.
+	sums   int32
 	estRho float64
 }
 
@@ -581,18 +624,58 @@ func (mc *mulCtx) plan(team *sched.Team, t *pairTask, cts []contribution, arena 
 
 // denseRows runs the contributions over the task's target rows of the
 // pair's dense tile — intra-tile parallelization: each worker of the team
-// processes its row slice through all contributions — and returns the
-// non-zeros of those rows. The row body is the worker state's reusable
-// closure reading the cur* fields set here.
+// processes its row slice through all contributions, then finishes it
+// (finishRows) — and returns the non-zeros of those rows. The row body is
+// the worker state's reusable closure reading the cur* fields set here.
 func (mc *mulCtx) denseRows(team *sched.Team, ws *workerState, t *pairTask, cts []contribution) int64 {
 	t0 := time.Now()
 	d, lo, hi := &mc.denses[t.idx], int(t.lo), int(t.hi)
 	denseFn, _ := ws.rowFns()
 	ws.curTeam, ws.curEph, ws.curD, ws.curCts, ws.curLo = team, mc.cfg.EphemeralWorkers, d, cts, lo
+	ws.curMC, ws.curTask = mc, t
+	ws.curNNZ.Store(0)
 	team.ParallelRows(hi-lo, denseFn)
 	mc.mulNanos.Add(time.Since(t0).Nanoseconds())
-	rows := d.View(lo, hi, 0, d.Cols)
-	return rows.NNZ()
+	return ws.curNNZ.Load()
+}
+
+// finishRows is the epilogue of a dense target's row body, on rows [lo,
+// lo+cw.Rows) of the tile once the task's last contribution is in them.
+// Nothing writes those rows again — assembly copies headers — so what it
+// reads is what the product returns. It plants an armed chaos flip, takes
+// the rows' probe sums when the product is verified, and returns their
+// non-zeros.
+//
+//atlint:hotpath
+func (mc *mulCtx) finishRows(t *pairTask, cw *mat.Dense, lo int) int64 {
+	if mc.flip.Load() {
+		mc.plantFlip(cw)
+	}
+	ck, c0 := &mc.check, mc.bCols.bands[int(t.idx)%len(mc.bCols.bands)].Lo
+	var nnz int64
+	for i := 0; i < cw.Rows; i++ {
+		row := cw.Data[i*cw.Stride : i*cw.Stride+cw.Cols]
+		if ck.k > 0 {
+			nnz += ck.takeSums(row, c0, int(t.sums)+lo+i)
+		} else {
+			nnz += countNonZero(row)
+		}
+	}
+	return nnz
+}
+
+// plantFlip flips a bit of the first non-zero of cw's rows, unless another
+// row body planted the armed flip first.
+func (mc *mulCtx) plantFlip(cw *mat.Dense) {
+	for i := 0; i < cw.Rows; i++ {
+		row := cw.RowSlice(i)
+		if j := slices.IndexFunc(row, func(v float64) bool { return v != 0 }); j >= 0 {
+			if mc.flip.CompareAndSwap(true, false) {
+				row[j] = flipped(row[j])
+			}
+			return
+		}
+	}
 }
 
 // sparseRows finishes every row of a sparse target in one row pass per

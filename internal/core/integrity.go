@@ -72,17 +72,20 @@ func (a *ATMatrix) FlipOneBit() bool {
 		}
 		for i, v := range vals {
 			if v != 0 {
-				vals[i] = math.Float64frombits(math.Float64bits(v) ^ (1 << 51))
+				vals[i] = flipped(v)
 				return true
 			}
 		}
 	}
 	if fallback != nil {
-		fallback[0] = math.Float64frombits(math.Float64bits(fallback[0]) ^ (1 << 51))
+		fallback[0] = flipped(fallback[0])
 		return true
 	}
 	return false
 }
+
+// flipped is v with its top mantissa bit flipped.
+func flipped(v float64) float64 { return math.Float64frombits(math.Float64bits(v) ^ (1 << 51)) }
 
 // payloadSum is the CRC-32C of the tile's payload: the bytes WriteTo writes
 // for it after its kind, home and nnz, hashed by the codec writer w.

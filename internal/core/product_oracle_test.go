@@ -3,9 +3,12 @@ package core
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
+	"math/rand"
 	"testing"
 
 	"atmatrix/internal/gen"
+	"atmatrix/internal/mat"
 	"atmatrix/internal/numa"
 )
 
@@ -156,5 +159,111 @@ func TestProductGoldenCrossCheck(t *testing.T) {
 		if got := productGoldens[key].crc; got != want {
 			t.Errorf("%s: table has 0x%08x, cross-check 0x%08x", key, got, want)
 		}
+	}
+}
+
+// TestProbePartialsMatchSweep is the oracle of a verified multiply's result
+// side: the probe panel MultiplyOpt builds from the sums its dense row
+// bodies took, plus a sweep of the sparse tiles, is bit for bit the sweep of
+// every tile of the C it returns, slab by slab, and every dense tile's
+// non-zero count, taken in the same row bodies, is what its cells hold. It
+// covers the golden products, on one to four teams, and a one-pair product
+// cut into row chunks, with odd and even round counts.
+func TestProbePartialsMatchSweep(t *testing.T) {
+	var slabs, denseTiles int
+	what := ""
+	resultPanelHook = func(c *ATMatrix, x, got Panel) {
+		slabs++
+		want := NewPanel(c.Rows)
+		c.gatherRows(x, want, true, tileSums{}, 0, c.Rows)
+		for j := 1; j < panelWidth; j++ {
+			w, g := want.Col(j), got.Col(j)
+			for i := range w {
+				if math.Float64bits(w[i]) != math.Float64bits(g[i]) {
+					t.Fatalf("%s slab %d: column %d row %d from the sums is %g, the sweep of C %g", what, slabs, j, i, g[i], w[i])
+				}
+			}
+		}
+	}
+	defer func() { resultPanelHook = nil }()
+	check := func(a, b *ATMatrix, cfg Config, k int) *ATMatrix {
+		t.Helper()
+		opts := DefaultMultOptions()
+		opts.Verify = k
+		before := slabs
+		c, _, err := MultiplyOpt(a, b, cfg, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got, want := slabs-before, (k+probeSlab-1)/probeSlab; got != want {
+			t.Fatalf("%s: %d slabs checked from sums, want %d", what, got, want)
+		}
+		for _, tile := range c.Tiles {
+			if tile.Kind != mat.DenseKind {
+				continue
+			}
+			denseTiles++
+			if got, want := tile.NNZ, tile.D.NNZ(); got != want {
+				t.Fatalf("%s: dense tile at (%d,%d) counted %d non-zeros, its cells hold %d", what, tile.Row0, tile.Col0, got, want)
+			}
+		}
+		return c
+	}
+	topos := []numa.Topology{{Sockets: 1, CoresPerSocket: 1}, {Sockets: 2, CoresPerSocket: 1},
+		{Sockets: 2, CoresPerSocket: 2}, {Sockets: 4, CoresPerSocket: 1}}
+	ks := []int{1, 2, 3, 5}
+	// The operands are partitioned once; only the product's run changes
+	// with the topology.
+	operands := map[string]*ATMatrix{}
+	operand := func(id string, seed, variant int64, scale float64) *ATMatrix {
+		key := fmt.Sprintf("%s/%d/%d", id, seed, variant)
+		if operands[key] == nil {
+			operands[key] = productCase(t, id, seed, variant, scale, benchLayoutConfig())
+		}
+		return operands[key]
+	}
+	for ti, topo := range topos {
+		cfg := benchLayoutConfig()
+		cfg.Topology = topo
+		// Each product meets every round count once over the four
+		// topologies, and each topology every round count.
+		n := ti
+		for seed := int64(1); seed <= 2; seed++ {
+			prefix := fmt.Sprintf("%dx%d/%d/", topo.Sockets, topo.CoresPerSocket, seed)
+			for _, id := range []string{"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "G9"} {
+				k := ks[n%len(ks)]
+				n++
+				what = fmt.Sprintf("%s%s² k=%d", prefix, id, k)
+				a := operand(id, seed, 0, 1.0/16)
+				check(a, a, cfg, k)
+			}
+			b0 := operand("R2", seed, 1, 1.0/32)
+			t1 := operand("R2", seed, 2, 1.0/32)
+			t2 := operand("R2", seed, 3, 1.0/32)
+			k := ks[n%len(ks)]
+			n++
+			what = fmt.Sprintf("%sT1·T2 k=%d", prefix, k)
+			tp, _, err := check(t1, t2, cfg, k).Repartition(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k = ks[n%len(ks)]
+			n++
+			what = fmt.Sprintf("%sTP·B0 k=%d", prefix, k)
+			check(tp, b0, cfg, k)
+		}
+		// The one-pair product of TestATMULTBytesIndependentOfExecutor: its
+		// pair is cut into one row chunk per team, every chunk taking the
+		// sums of its own rows.
+		cfg = testConfig()
+		cfg.Topology = topo
+		a, b := onePairDenseTarget(t, cfg, rand.New(rand.NewSource(53)))
+		for _, k := range ks {
+			what = fmt.Sprintf("%dx%d one pair k=%d", topo.Sockets, topo.CoresPerSocket, k)
+			check(a, b, cfg, k)
+		}
+	}
+	if denseTiles == 0 {
+		t.Fatal("no product had a dense tile: the test compared no sums")
 	}
 }

@@ -37,6 +37,8 @@ type workerState struct {
 	curD     *mat.Dense
 	curCts   []contribution // the dense target's contributions
 	curLo    int            // the first target row of the fan-out's range
+	curTask  *pairTask      // the dense target's task
+	curNNZ   atomic.Int64   // the non-zeros the dense fan-out's workers counted
 	curAcc   *kernels.SpAcc
 	curMC    *mulCtx
 	curEph   bool
@@ -91,6 +93,7 @@ func (ws *workerState) rowFns() (dense, sparse func(lo, hi, worker int)) {
 			for i := range cts {
 				runDenseTarget(&cw, &cts[i], lo, hi, wst.scratch)
 			}
+			ws.curNNZ.Add(ws.curMC.finishRows(ws.curTask, &cw, lo))
 			if worker != 0 {
 				wst.syncFootprint()
 			}
@@ -123,5 +126,5 @@ func (ws *workerState) releaseContribs() {
 	ws.contribs = ws.contribs[:0]
 	clear(ws.terms[:cap(ws.terms)])
 	ws.terms = ws.terms[:0]
-	ws.curTeam, ws.curD, ws.curCts, ws.curAcc, ws.curMC = nil, nil, nil, nil, nil
+	ws.curTeam, ws.curD, ws.curCts, ws.curAcc, ws.curMC, ws.curTask = nil, nil, nil, nil, nil, nil
 }

@@ -84,22 +84,6 @@ func (p Panel) Width() int { return panelWidth }
 // Col returns column j.
 func (p Panel) Col(j int) []float64 { return p.data[j*p.n : (j+1)*p.n : (j+1)*p.n] }
 
-// carvePanels cuts one panel per entry of rows out of a single allocation:
-// on a hypersparse operand the O(n) bookkeeping is the check.
-func carvePanels(rows ...int) []Panel {
-	total := 0
-	for _, n := range rows {
-		total += n * panelWidth
-	}
-	buf := make([]float64, total)
-	out := make([]Panel, len(rows))
-	for i, n := range rows {
-		out[i] = Panel{n: n, data: buf[: n*panelWidth : n*panelWidth]}
-		buf = buf[n*panelWidth:]
-	}
-	return out
-}
-
 // Sweeper says where the matrix sweeps of a verification run. The zero
 // value runs them on the calling goroutine; TeamSweeper puts the sweep of a
 // matrix of teamSweepCells stored cells or more on the worker teams.
@@ -136,6 +120,12 @@ func (s Sweeper) Mul(m *ATMatrix, trans bool, in, out Panel) error {
 // sweep is Mul, or with probesOnly Mul of the probe columns alone: the
 // result's sweep has no use for a magnitude column.
 func (s Sweeper) sweep(m *ATMatrix, trans bool, in, out Panel, probesOnly bool) error {
+	return s.sweepSums(m, trans, in, out, probesOnly, tileSums{})
+}
+
+// sweepSums is sweep, reading the dense tiles sums holds them for: their
+// sums are added instead.
+func (s Sweeper) sweepSums(m *ATMatrix, trans bool, in, out Panel, probesOnly bool, sums tileSums) error {
 	rows, cols := m.Rows, m.Cols
 	if trans {
 		rows, cols = cols, rows
@@ -154,18 +144,18 @@ func (s Sweeper) sweep(m *ATMatrix, trans bool, in, out Panel, probesOnly bool) 
 		// the caller.
 		m.scatter(in, out)
 	case s.cfg == nil || m.storedCellsBefore(m.Rows) < teamSweepCells:
-		m.gatherRows(in, out, probesOnly, 0, m.Rows)
+		m.gatherRows(in, out, probesOnly, sums, 0, m.Rows)
 	default:
 		cuts := rowCuts(m.Rows, m, *s.cfg)
 		_, runErr = RunHomed(s.ctx, *s.cfg, s.watchdog, len(cuts)-1,
 			func(i int) int { return cuts[i] },
 			func(team *sched.Team, i int) {
 				if team.Workers <= 1 {
-					m.gatherRows(in, out, probesOnly, cuts[i], cuts[i+1])
+					m.gatherRows(in, out, probesOnly, sums, cuts[i], cuts[i+1])
 					return
 				}
 				team.ParallelRows(cuts[i+1]-cuts[i], func(lo, hi, _ int) {
-					m.gatherRows(in, out, probesOnly, cuts[i]+lo, cuts[i]+hi)
+					m.gatherRows(in, out, probesOnly, sums, cuts[i]+lo, cuts[i]+hi)
 				})
 			})
 	}
@@ -218,7 +208,8 @@ func (m *ATMatrix) cellBalancedCuts(parts int) []int {
 // column 0 through |M| — or, with probesOnly, of the probe columns alone.
 // Each row is zeroed and then receives one sum per tile that covers it, in
 // Tiles order, so its value does not depend on how the rows were chunked.
-func (m *ATMatrix) gatherRows(in, out Panel, probesOnly bool, r0, r1 int) {
+// A dense tile's sum is read from sums when it holds them: the same bits.
+func (m *ATMatrix) gatherRows(in, out Panel, probesOnly bool, sums tileSums, r0, r1 int) {
 	var x, y [panelWidth][]float64
 	for j := range x {
 		x[j], y[j] = in.Col(j), out.Col(j)
@@ -226,7 +217,7 @@ func (m *ATMatrix) gatherRows(in, out Panel, probesOnly bool, r0, r1 int) {
 			clear(y[j][r0:r1])
 		}
 	}
-	for _, t := range m.Tiles {
+	for i, t := range m.Tiles {
 		lo, hi := max(r0, t.Row0), min(r1, t.Row0+t.Rows)
 		if lo >= hi {
 			continue
@@ -237,6 +228,9 @@ func (m *ATMatrix) gatherRows(in, out Panel, probesOnly bool, r0, r1 int) {
 			gatherSparseProbes(t.Sp, lo-t.Row0, x[1][c0:c1], x[2][c0:c1], y[1][lo:hi], y[2][lo:hi])
 		case t.Kind == mat.Sparse:
 			gatherSparse(t.Sp, lo-t.Row0, x[0][c0:c1], x[1][c0:c1], x[2][c0:c1], y[0][lo:hi], y[1][lo:hi], y[2][lo:hi])
+		case probesOnly && sums.off != nil:
+			o := int(sums.off[i]) + lo - t.Row0
+			addSums(sums.data[o:], sums.data[sums.stride+o:], y[1][lo:hi], y[2][lo:hi])
 		case probesOnly:
 			gatherDenseProbes(t.D.Data[(lo-t.Row0)*t.D.Stride:], t.D.Stride, t.D.Cols, x[1][c0:c1], x[2][c0:c1], y[1][lo:hi], y[2][lo:hi])
 		default:
@@ -354,6 +348,15 @@ func gatherDenseProbes(data []float64, stride, cols int, x1, x2, y1, y2 []float6
 	}
 }
 
+//atlint:hotpath
+func addSums(s1, s2, y1, y2 []float64) {
+	s1, s2, y2 = s1[:len(y1)], s2[:len(y1)], y2[:len(y1)]
+	for i := range y1 {
+		y1[i] += s1[i]
+		y2[i] += s2[i]
+	}
+}
+
 // scatter is the scatter form of the kernel, out = Mᵀ·in: every stored
 // cell (r, c) adds to out[c], so probes pass through a transposed leaf
 // without the transpose being built. One pass per column.
@@ -430,14 +433,176 @@ func VerifyProductOn(s Sweeper, a, b, c *ATMatrix, k int, seed int64) error {
 		return fmt.Errorf("core: verify shape mismatch: A %d×%d, B %d×%d, C %d×%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
 	}
-	p := carvePanels(b.Cols, c.Rows, b.Rows, a.Rows)
-	y, z := p[2], p[3]
-	return s.freivalds(c, k, seed, 1e-9, p[0], p[1], func(x Panel) (Panel, error) {
-		if err := s.Mul(b, false, x, y); err != nil {
-			return z, err
+	ck := newProductCheck(a, b, k, seed, 0)
+	return ck.run(s, a, b, c)
+}
+
+// productCheck is one Freivalds check of C = A·B: k rounds of a seed's
+// probes, the panels the sweeps of B and A fill and C·x's panel.
+// VerifyProductOn sweeps all of C. MultiplyOpt sets its check up before C
+// exists, so that the row bodies finishing C's dense tiles take their probe
+// sums (tileSums) while the rows are in cache; its sweep of C then reads the
+// sparse tiles only.
+type productCheck struct {
+	k         int
+	x         probes
+	got, y, z Panel
+	sums      tileSums
+}
+
+// newProductCheck sets up a check of k rounds of seed over A·B, with room
+// for the sums of denseRows dense result rows, from one allocation.
+func newProductCheck(a, b *ATMatrix, k int, seed int64, denseRows int) productCheck {
+	slabs := (k + probeSlab - 1) / probeSlab
+	buf := make([]float64, (slabs*b.Cols+2*a.Rows+b.Rows)*panelWidth+slabs*probeSlab*denseRows)
+	take := func(n int) []float64 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	return productCheck{
+		k:    k,
+		x:    drawProbes(seed, k, b.Cols, take(slabs*b.Cols*panelWidth)),
+		got:  Panel{n: a.Rows, data: take(a.Rows * panelWidth)},
+		y:    Panel{n: b.Rows, data: take(b.Rows * panelWidth)},
+		z:    Panel{n: a.Rows, data: take(a.Rows * panelWidth)},
+		sums: tileSums{data: buf, stride: denseRows},
+	}
+}
+
+// run checks c against A·B, reading the sums of c's dense tiles once
+// MultiplyOpt has said where they are (sums.off).
+func (ck *productCheck) run(s Sweeper, a, b, c *ATMatrix) error {
+	return s.freivalds(c, ck.sums, ck.k, 1e-9, ck.x, ck.got, func(x Panel) (Panel, error) {
+		if err := s.Mul(b, false, x, ck.y); err != nil {
+			return ck.z, err
 		}
-		return z, s.Mul(a, false, y, z)
+		return ck.z, s.Mul(a, false, ck.y, ck.z)
 	})
+}
+
+// takeSums writes the probe sums of one finished row of a dense result tile
+// whose columns start at c0, and returns the row's non-zeros; at is the
+// row's place in the sums, its tile's start plus its tile-local row. The
+// sums are probeRow's, one slab of probe columns at a time.
+//
+//atlint:hotpath
+func (ck *productCheck) takeSums(row []float64, c0, at int) int64 {
+	c1, st := c0+len(row), ck.sums.stride
+	var nnz int64
+	for done := 0; done < ck.k; done += probeSlab {
+		x := ck.x.slab(done)
+		y := ck.sums.data[done*st+at:]
+		var n int64
+		y[0], y[st], n = probeRow(row, x.Col(1)[c0:c1], x.Col(2)[c0:c1])
+		if done == 0 {
+			nnz = n
+		}
+	}
+	return nnz
+}
+
+// probeRow returns a dense row's sums against two probe columns, formed as
+// gatherDenseProbes forms them — two accumulators per column over the even
+// and the odd cells, added at the end — so they are the same bits, and the
+// row's non-zeros, counted in the same pass.
+//
+//atlint:hotpath
+func probeRow(row, x1, x2 []float64) (s1, s2 float64, nnz int64) {
+	x1, x2 = x1[:len(row)], x2[:len(row)]
+	var a1, a2, b1, b2 float64
+	c := 0
+	for ; c+1 < len(row); c += 2 {
+		v, u := row[c], row[c+1]
+		a1 += v * x1[c]
+		b1 += u * x1[c+1]
+		a2 += v * x2[c]
+		b2 += u * x2[c+1]
+		if v != 0 {
+			nnz++
+		}
+		if u != 0 {
+			nnz++
+		}
+	}
+	if c < len(row) {
+		a1 += row[c] * x1[c]
+		a2 += row[c] * x2[c]
+		if row[c] != 0 {
+			nnz++
+		}
+	}
+	return a1 + b1, a2 + b2, nnz
+}
+
+// countNonZero returns the non-zeros of a row.
+//
+//atlint:hotpath
+func countNonZero(row []float64) int64 {
+	var n int64
+	for _, v := range row {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// tileSums are the probe sums of a product's dense tiles, taken by
+// MultiplyOpt's row bodies once a tile's rows hold their final values:
+// round j's sum over row r of the tile whose sums start at off is
+// data[j·stride + off + r], formed as gatherDenseProbes forms it, so a
+// sweep that adds them fills the panel a sweep of the tile would. They are
+// read once off, set when the product is assembled, says where each tile's
+// sums start; the zero value holds none.
+type tileSums struct {
+	data   []float64
+	stride int
+	off    []int32 // by the product's tile: where its sums start (dense tiles)
+}
+
+// from returns the sums of the rounds from done+1 on.
+func (s tileSums) from(done int) tileSums {
+	s.data = s.data[done*s.stride:]
+	return s
+}
+
+// probes are a check's ±1 vectors over the result's columns, all drawn
+// before the check starts: one panel per slab of probeSlab rounds, column 0
+// all ones, a slab with one round left leaving its second column zero.
+type probes struct {
+	n    int
+	data []float64
+}
+
+// drawProbes draws k rounds of seed over n columns into buf, round-major
+// from one generator: round r of a seed is the same vector whatever the
+// slab width.
+func drawProbes(seed int64, k, n int, buf []float64) probes {
+	p := probes{n: n, data: buf}
+	rng := rand.New(rand.NewSource(seed))
+	for done := 0; done < k; done += probeSlab {
+		x := p.slab(done)
+		for j := range panelWidth {
+			col := x.Col(j)
+			for i := range col {
+				switch {
+				case j == 0:
+					col[i] = 1
+				case done+j <= k:
+					col[i] = float64(rng.Intn(2)*2 - 1) // ±1
+				}
+			}
+		}
+	}
+	return p
+}
+
+// slab returns the panel of the rounds from done+1 on.
+func (p probes) slab(done int) Panel {
+	w := p.n * panelWidth
+	s := done / probeSlab * w
+	return Panel{n: p.n, data: p.data[s : s+w : s+w]}
 }
 
 // Freivalds checks result against an operator E given only as apply, which
@@ -450,38 +615,31 @@ func (s Sweeper) Freivalds(result *ATMatrix, k int, seed int64, relTol float64, 
 	if k <= 0 {
 		return nil
 	}
-	p := carvePanels(result.Cols, result.Rows)
-	return s.freivalds(result, k, seed, relTol, p[0], p[1], apply)
+	w := (k + probeSlab - 1) / probeSlab * result.Cols * panelWidth
+	buf := make([]float64, w+result.Rows*panelWidth)
+	return s.freivalds(result, tileSums{}, k, relTol, drawProbes(seed, k, result.Cols, buf[:w:w]), Panel{n: result.Rows, data: buf[w:]}, apply)
 }
 
-// freivalds is the one Freivalds loop. x and got are scratch panels over
-// result's columns and rows. The probes are drawn round-major from one
-// generator, so round r of a seed sees the same vector whatever the slab
-// width.
-func (s Sweeper) freivalds(result *ATMatrix, k int, seed int64, relTol float64, x, got Panel, apply func(x Panel) (Panel, error)) error {
-	rng := rand.New(rand.NewSource(seed))
-	ones := x.Col(0)
-	for i := range ones {
-		ones[i] = 1
-	}
+// resultPanelHook, when set, is shown every slab of C·x a check built from
+// tile sums, with the probes it was taken against.
+var resultPanelHook func(c *ATMatrix, x, got Panel)
+
+// freivalds is the one Freivalds loop, over the probes xs drawn for
+// result's columns; got is a scratch panel over its rows; the sweep of
+// result reads sums in place of the dense tiles it holds them for.
+func (s Sweeper) freivalds(result *ATMatrix, sums tileSums, k int, relTol float64, xs probes, got Panel, apply func(x Panel) (Panel, error)) error {
 	for done := 0; done < k; done += probeSlab {
 		rounds := min(probeSlab, k-done)
-		for j := 1; j <= probeSlab; j++ {
-			col := x.Col(j)
-			if j > rounds {
-				clear(col)
-				continue
-			}
-			for i := range col {
-				col[i] = float64(rng.Intn(2)*2 - 1) // ±1
-			}
-		}
+		x := xs.slab(done)
 		want, err := apply(x)
 		if err != nil {
 			return err
 		}
-		if err := s.sweep(result, false, x, got, true); err != nil {
+		if err := s.sweepSums(result, false, x, got, true, sums.from(done)); err != nil {
 			return err
+		}
+		if sums.off != nil && resultPanelHook != nil {
+			resultPanelHook(result, x, got)
 		}
 		if ve := comparePanels(want, got, relTol, done, rounds); ve != nil {
 			return ve

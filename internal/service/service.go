@@ -444,7 +444,6 @@ func (m *Manager) worker() {
 // matrix (see QuarantinePanic for the escalation rule).
 func (m *Manager) run(job *Job) {
 	m.m.inflight.Add(1)
-	defer m.m.inflight.Add(-1)
 	defer job.cancel()
 	queueWait := time.Since(job.enqueued)
 
@@ -482,6 +481,11 @@ func (m *Manager) run(job *Job) {
 			break
 		}
 	}
+	// The job leaves the in-flight gauge before it enters an outcome
+	// counter, which Metrics reads first: a snapshot may miss the job in
+	// that handoff but never counts it twice, and once Done is closed the
+	// counters add up.
+	m.m.inflight.Add(-1)
 	if err == nil {
 		res.Queue = queueWait
 		job.Result = res
