@@ -360,24 +360,40 @@ func BenchmarkEval_Codec(b *testing.B) {
 
 // benchMultiply times MultiplyOpt of a·b as the server runs it: default
 // options with two Freivalds rounds, at the benchmark server's
-// configuration.
-func benchMultiply(b *testing.B, x, y *core.ATMatrix) {
+// configuration. With recycle, every product is recycled once done, as the
+// server does with a multiply's product once its reply is built, so each
+// product's dense targets reuse the buffers of the one before; without it
+// the products are kept, as a library caller does, and every dense target
+// is fresh memory. One untimed product first puts the pool in that steady
+// state, so allocs/op does not depend on b.N.
+func benchMultiply(b *testing.B, x, y *core.ATMatrix, recycle bool) {
 	cfg, opts := serverCfg(), core.DefaultMultOptions()
 	opts.Verify = 2
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.MultiplyOpt(x, y, cfg, opts); err != nil {
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			b.ResetTimer()
+		}
+		c, _, err := core.MultiplyOpt(x, y, cfg, opts)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if recycle {
+			core.Recycle(c)
 		}
 	}
 }
 
 // BenchmarkEval_MultDense: mult_dense's three requests, A·A on the R1, R2
-// and R3 stand-ins — dense targets fed by DSpD and SpSpD windows.
+// and R3 stand-ins — dense targets fed by DSpD and SpSpD windows. R3-kept
+// is R3 for a caller that keeps its products.
 func BenchmarkEval_MultDense(b *testing.B) {
 	for _, id := range []string{"R1", "R2", "R3"} {
 		a := mustPartition(b, serverStandIn(b, id, 0, 1.0/16), serverCfg())
-		b.Run(id, func(b *testing.B) { benchMultiply(b, a, a) })
+		b.Run(id, func(b *testing.B) { benchMultiply(b, a, a, true) })
+		if id == "R3" {
+			b.Run(id+"-kept", func(b *testing.B) { benchMultiply(b, a, a, false) })
+		}
 	}
 }
 
@@ -398,8 +414,8 @@ func BenchmarkEval_IngestProducts(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("store", func(b *testing.B) { benchMultiply(b, t1, t2) })
-	b.Run("read", func(b *testing.B) { benchMultiply(b, tp, b0) })
+	b.Run("store", func(b *testing.B) { benchMultiply(b, t1, t2, true) })
+	b.Run("read", func(b *testing.B) { benchMultiply(b, tp, b0, true) })
 }
 
 // BenchmarkEval_MultSparse: mult_sparse's four requests, A·A on the R7, R8,
@@ -408,6 +424,6 @@ func BenchmarkEval_IngestProducts(b *testing.B) {
 func BenchmarkEval_MultSparse(b *testing.B) {
 	for _, id := range []string{"R7", "R8", "R9", "G9"} {
 		a := mustPartition(b, serverStandIn(b, id, 0, 1.0/16), serverCfg())
-		b.Run(id, func(b *testing.B) { benchMultiply(b, a, a) })
+		b.Run(id, func(b *testing.B) { benchMultiply(b, a, a, true) })
 	}
 }

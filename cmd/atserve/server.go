@@ -638,6 +638,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("atserve_mult_contributions_total", m.Mult.Contributions)
 	p("atserve_mult_target_tiles_total", m.Mult.TargetTiles)
 	p("atserve_mult_tasks_stolen_total", m.Mult.TasksStolen)
+	rs := core.Recycled()
+	p("atserve_recycled_bytes", rs.HeldBytes)
+	p("atserve_recycle_hits_total", rs.Hits)
+	p("atserve_recycle_misses_total", rs.Misses)
 	if s.coord != nil {
 		st := s.coord.Stats()
 		p("atserve_cluster_workers_healthy", st.WorkersHealthy)

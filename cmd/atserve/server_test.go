@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -236,6 +237,36 @@ func TestServeE2E(t *testing.T) {
 // TestServeCorruptUpload: an upload of either binary format whose stream
 // fails verification — a flipped payload bit, a foreign magic, a footer cut
 // off — answers 422 and quarantines the name.
+// TestServeRecycleMetrics: /metrics reports the dense result pool. A
+// multiply's dense targets miss on an empty pool and its product is
+// recycled once its reply is built; the same multiply again takes those
+// buffers. The collector is off, so it cannot drop the pool in between.
+func TestServeRecycleMetrics(t *testing.T) {
+	_, ts := newTestServer(t, 0, service.Options{})
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if resp := upload(t, ts.URL, "D", rmatStream(t, 128, 128*40, 7)); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: status %d", resp.StatusCode)
+	} else {
+		resp.Body.Close()
+	}
+	hits := metricValue(t, ts.URL, "atserve_recycle_hits_total")
+	misses := metricValue(t, ts.URL, "atserve_recycle_misses_total")
+	for i := 0; i < 2; i++ {
+		if resp, out := multiply(t, ts.URL, map[string]any{"a": "D", "b": "D"}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("multiply %d: status %d (%v)", i, resp.StatusCode, out)
+		}
+		if got := metricValue(t, ts.URL, "atserve_recycled_bytes"); got <= 0 {
+			t.Fatalf("after multiply %d: recycled bytes %v, want the product's dense bytes", i, got)
+		}
+	}
+	if got := metricValue(t, ts.URL, "atserve_recycle_misses_total"); got <= misses {
+		t.Fatalf("misses %v → %v: the first product's dense targets were not counted", misses, got)
+	}
+	if got := metricValue(t, ts.URL, "atserve_recycle_hits_total"); got <= hits {
+		t.Fatalf("hits %v → %v: the second product took no recycled buffer", hits, got)
+	}
+}
+
 func TestServeCorruptUpload(t *testing.T) {
 	s, ts := newTestServer(t, 0, service.Options{})
 	coo, err := rmat.Generate(64, 640, rmat.Uniform(), 7)

@@ -81,7 +81,7 @@ type MultStats struct {
 	EstimateTime time.Duration // density estimation + water level
 	OptimizeTime time.Duration // cost-model decisions (wall time, summed over tasks)
 	ConvertTime  time.Duration // just-in-time operand conversions
-	MultiplyTime time.Duration // kernel execution; sparse targets: the row passes, emit of every finished row included, summed over the fan-out's row chunks; dense targets: the row bodies, each with its epilogue (the rows' non-zero count and, verifying, their probe sums)
+	MultiplyTime time.Duration // kernel execution; sparse targets: the row passes, emit of every finished row included, summed over the fan-out's row chunks; dense targets: the row bodies — on a recycled buffer the clear of their rows first, then the kernels and the epilogue (the rows' non-zero count and, verifying, their probe sums)
 	FinalizeTime time.Duration // sparse targets: the leader's assembly of the finished rows into the result CSR
 	VerifyTime   time.Duration // Freivalds result verification (opts.Verify): drawing the probes, the sweeps of B, A and the result's sparse tiles, and the comparison; the dense tiles' probe sums are in MultiplyTime
 	WallTime     time.Duration // end-to-end operator time
@@ -190,6 +190,7 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 		// produced slot.
 		tiles:  make([]Tile, len(rowBands)*len(colBands)),
 		denses: make([]mat.Dense, len(rowBands)*len(colBands)),
+		dirty:  make([]bool, len(rowBands)*len(colBands)),
 	}
 
 	// The pairs with work, row-major over the band grid; a pair is homed
@@ -379,6 +380,9 @@ type mulCtx struct {
 
 	tiles  []Tile
 	denses []mat.Dense
+	// dirty marks, by slot, a dense target whose buffer came from the
+	// pool holding an old product: its row bodies clear their rows first.
+	dirty []bool
 	// splits holds, by pair position, the state the row chunks of a split
 	// pair share (splitPairs); nil unless some pair is split.
 	splits []splitPair
@@ -529,11 +533,11 @@ type contribution struct {
 // lines 6–10): it appends the pair's contributions to cts, decides each
 // one's kernel with the whole pair's dimensions and estimated density,
 // resolves its operands — converting windows just in time, ad hoc ones into
-// arena — records the NUMA reads and, for a dense target, allocates the
-// tile's buffer. It returns the contributions; none means the pair produces
-// nothing. Every transient buffer comes from the caller, so the
-// steady-state allocation cost of a pair is only the escaping result
-// payload itself.
+// arena — records the NUMA reads and, for a dense target, takes the tile's
+// buffer from the dense result pool (recycle.go). It returns the
+// contributions; none means the pair produces nothing. Every transient
+// buffer comes from the caller, so the steady-state allocation cost of a
+// pair is only the result payload the pool cannot supply.
 func (mc *mulCtx) plan(team *sched.Team, t *pairTask, cts []contribution, arena *kernels.Scratch) []contribution {
 	cfg, opts, stats := mc.cfg, mc.opts, mc.stats
 	ti, tj := int(t.idx)/len(mc.bCols.bands), int(t.idx)%len(mc.bCols.bands)
@@ -615,9 +619,9 @@ func (mc *mulCtx) plan(team *sched.Team, t *pairTask, cts []contribution, arena 
 		stats.Numa.RecordAccess(team.Socket, ct.bTile.Home, windowBytes(ct.bTile, ct.k, n))
 	}
 	if t.dense {
-		t0 := time.Now()
-		mc.denses[t.idx] = mat.Dense{Rows: m, Cols: n, Stride: n, Data: make([]float64, m*n)}
-		mc.mulNanos.Add(time.Since(t0).Nanoseconds())
+		buf, dirty := takeDense(m * n)
+		mc.denses[t.idx] = mat.Dense{Rows: m, Cols: n, Stride: n, Data: buf}
+		mc.dirty[t.idx] = dirty
 	}
 	return cts
 }
@@ -632,6 +636,7 @@ func (mc *mulCtx) denseRows(team *sched.Team, ws *workerState, t *pairTask, cts 
 	d, lo, hi := &mc.denses[t.idx], int(t.lo), int(t.hi)
 	denseFn, _ := ws.rowFns()
 	ws.curTeam, ws.curEph, ws.curD, ws.curCts, ws.curLo = team, mc.cfg.EphemeralWorkers, d, cts, lo
+	ws.curDirty = mc.dirty[t.idx]
 	ws.curMC, ws.curTask = mc, t
 	ws.curNNZ.Store(0)
 	team.ParallelRows(hi-lo, denseFn)
@@ -699,10 +704,14 @@ func (mc *mulCtx) sparseRows(team *sched.Team, ws *workerState, cts []contributi
 }
 
 // finish fills the pair's result slot with a tile of nnz non-zeros: the
-// dense slot's buffer, or sp for a sparse target. An empty tile is dropped.
+// dense slot's buffer, or sp for a sparse target. An empty tile is dropped,
+// its dense buffer straight back to the pool.
 func (mc *mulCtx) finish(team *sched.Team, t *pairTask, nnz int64, sp *mat.CSR) {
 	d := &mc.denses[t.idx]
 	if nnz == 0 {
+		if d.Data != nil {
+			giveDense(d.Data)
+		}
 		d.Data = nil
 		return
 	}

@@ -39,6 +39,7 @@ type workerState struct {
 	curLo    int            // the first target row of the fan-out's range
 	curTask  *pairTask      // the dense target's task
 	curNNZ   atomic.Int64   // the non-zeros the dense fan-out's workers counted
+	curDirty bool           // the dense target's buffer holds an old product
 	curAcc   *kernels.SpAcc
 	curMC    *mulCtx
 	curEph   bool
@@ -85,6 +86,13 @@ func (ws *workerState) rowFns() (dense, sparse func(lo, hi, worker int)) {
 		ws.denseFn = func(lo, hi, worker int) {
 			lo, hi = lo+ws.curLo, hi+ws.curLo
 			cw := ws.curD.View(lo, hi, 0, ws.curD.Cols)
+			if ws.curDirty {
+				// A recycled target: these rows, and only these, are
+				// cleared just before their first contribution, while
+				// the chunk is in cache. The view is full width, so its
+				// Data is exactly its rows.
+				clear(cw.Data)
+			}
 			cts := ws.curCts
 			// The worker's own arena holds DSpD's column form of B; the
 			// leader's panels, which converted operands live in, are

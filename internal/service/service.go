@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -724,6 +725,8 @@ func (m *Manager) execute(job *Job) (*Result, error) {
 	if job.ast != nil {
 		return m.executeEval(job, operands, opts, t0)
 	}
+	// Read once the job holds its operands, any reload admitted.
+	room := m.poolRoom()
 	opts.Verify = m.opts.Verify
 	mult := m.opts.Distribute
 	if mult == nil {
@@ -736,7 +739,7 @@ func (m *Manager) execute(job *Job) (*Result, error) {
 		return nil, err
 	}
 	m.m.aggregate([]*core.MultStats{mst})
-	return m.finish(job, out, &Result{}, t0)
+	return m.finish(job, out, &Result{}, t0, room)
 }
 
 // executeEval runs an expression or chain job through the expression
@@ -782,21 +785,40 @@ func (m *Manager) executeEval(job *Job, operands []*core.ATMatrix, opts core.Mul
 		PlanTime:              plan.PlanTime,
 		PeakIntermediateBytes: est.PeakIntermediateBytes,
 	}
-	return m.finish(job, out, res, t0)
+	return m.finish(job, out, res, t0, -1)
 }
 
 // finish fills the shape fields of the result, stores the product in the
-// catalog when the request asked for it, and stamps Wall — last, so that it
-// covers everything the job did since t0 (verification, repartitioning and
-// the catalog write included), which is what the latency quantiles record.
-func (m *Manager) finish(job *Job, out *core.ATMatrix, res *Result, t0 time.Time) (*Result, error) {
+// catalog when the request asked for it, hands the product to the dense
+// result pool when it fits in room bytes (poolRoom; an eval passes -1), and
+// stamps Wall — last, so that it covers everything the job did since t0
+// (verification, repartitioning and the catalog write included), which is
+// what the latency quantiles record.
+func (m *Manager) finish(job *Job, out *core.ATMatrix, res *Result, t0 time.Time, room int64) (*Result, error) {
 	res.Rows, res.Cols = out.Rows, out.Cols
 	res.NNZ, res.Bytes = out.NNZ(), out.Bytes()
 	res.TilesSparse, res.TilesDense = out.TileCount()
-	if job.req.Store != "" {
+	if job.req.Store == "" {
+		if res.Bytes <= room {
+			recycleProduct(out)
+		}
+	} else {
 		// Stored results become first-class operands of later jobs, so
-		// rebuild the band-grid result into an adaptive layout.
-		re, _, err := out.Repartition(m.cfg)
+		// rebuild the band-grid result into an adaptive layout. The copy
+		// is admitted after the product is recycled, so it is counted at
+		// the product's size. A product that is not recycled must not be
+		// referenced after the Repartition call: that drops it once its
+		// rows are staged, and keeping it would keep its bytes resident
+		// through the layout build and the catalog write.
+		var re *core.ATMatrix
+		var err error
+		if 2*res.Bytes <= room {
+			if re, _, err = out.Repartition(m.cfg); err == nil {
+				recycleProduct(out)
+			}
+		} else {
+			re, _, err = out.Repartition(m.cfg)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -810,6 +832,22 @@ func (m *Manager) finish(job *Job, out *core.ATMatrix, res *Result, t0 time.Time
 	res.Wall = time.Since(t0)
 	return res, nil
 }
+
+// poolRoom returns how many bytes of a multiply's product the dense result
+// pool (core.Recycle) may take once finish has read it: on a budgeted
+// catalog the budget's headroom — the pool is resident memory the budget
+// does not see — and otherwise all of it. Eval results are not recycled.
+func (m *Manager) poolRoom() int64 {
+	cs := m.cat.Stats()
+	if cs.BudgetBytes == 0 {
+		return math.MaxInt64
+	}
+	return cs.BudgetBytes - cs.ResidentBytes
+}
+
+// recycleProduct is core.Recycle; a test wraps it to see what is recycled,
+// and when.
+var recycleProduct = core.Recycle
 
 // observeLatency records one completed-job latency in the ring buffer.
 func (mm *metrics) observeLatency(d time.Duration) {
