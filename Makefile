@@ -13,7 +13,7 @@ TOLERANCE ?= 25
 # fuzz-smoke budget per target.
 FUZZTIME ?= 5s
 
-.PHONY: check fmt build test vet lint race chaos fuzz-smoke bench bench-kernels bench-eval bench-compare serve-smoke cluster-smoke atload-build size
+.PHONY: check fmt build test vet lint race chaos fuzz-smoke purego bench bench-kernels bench-eval bench-compare serve-smoke cluster-smoke atload-build size
 
 ## check: the pre-PR gate — formatting, static analysis (vet + atlint),
 ## build, full test suite, the lock-bearing packages under the race
@@ -64,6 +64,14 @@ fuzz-smoke:
 		echo "fuzz $$(dirname $$file) $${fn#func }"; \
 		$(GO) test "$$(dirname $$file)" -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s || exit 1; \
 	done
+
+## purego: the Go bodies that the amd64 assembly of internal/kernels
+## replaces, which other architectures and CPUs without AVX2 run: the
+## kernel and core suites under -tags purego, golden digests included, and
+## a vet of the package's fallback file set on arm64.
+purego:
+	$(GO) test -tags purego ./internal/kernels ./internal/core -count=1
+	GOARCH=arm64 $(GO) vet ./internal/kernels
 
 ## chaos: the fault-injection suite — injected kernel panics, hung tasks,
 ## transient failures, corrupt streams, double releases, bit flips, crash
@@ -130,8 +138,11 @@ cluster-smoke:
 atload-build:
 	cd atload && $(GO) vet ./... && $(GO) test -short ./...
 
-## size: print the root module's non-test Go line count, the number
-## ROADMAP aim 2 tracks: every tracked .go file except _test.go files,
-## testdata/ and atload/ (a module of its own). A report, not a gate.
+## size: print the root module's non-test line count, the number ROADMAP
+## aim 2 tracks: every tracked .go file except _test.go files, then every
+## tracked assembly (.s) file, then their total; testdata/ and atload/ (a
+## module of its own) are left out. A report, not a gate.
 size:
-	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e 'testdata/' -e '^atload/' | xargs cat | wc -l
+	@go=$$(git ls-files '*.go' | grep -v -e '_test\.go$$' -e 'testdata/' -e '^atload/' | xargs cat | wc -l); \
+	asm=$$(git ls-files '*.s' | grep -v -e 'testdata/' -e '^atload/' | xargs -r cat | wc -l); \
+	echo "go $$go"; echo "asm $$asm"; echo "total $$((go + asm))"
