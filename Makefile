@@ -13,7 +13,7 @@ TOLERANCE ?= 25
 # fuzz-smoke budget per target.
 FUZZTIME ?= 5s
 
-.PHONY: check fmt build test vet lint race chaos fuzz-smoke purego bench bench-kernels bench-eval bench-compare serve-smoke cluster-smoke atload-build size
+.PHONY: check fmt build test vet lint race chaos fuzz-smoke purego bench bench-kernels bench-eval bench-compare serve-smoke cluster-smoke atload-build size figures
 
 ## check: the pre-PR gate — formatting, static analysis (vet + atlint),
 ## build, full test suite, the lock-bearing packages under the race
@@ -86,6 +86,12 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchmem
 
+## figures: regenerate every table EXPERIMENTS.md records (Table I to
+## Fig. 10) at the recorded settings, under the server's cost table
+## (costmodel.Default()). Prints to stdout; several minutes.
+figures:
+	$(GO) run ./cmd/atbench -exp all -reps 3
+
 ## bench-kernels: run the nine tile kernels across the hyper/sparse/dense
 ## operand classes and serialize the results (name, ns/op, B/op, allocs/op)
 ## to BENCH_kernels.json via cmd/benchjson. BENCHTIME=1x for a quick smoke.
@@ -119,7 +125,8 @@ bench-compare:
 
 ## serve-smoke: build the real atserve binary and drive it over HTTP — one
 ## multiply + clean SIGTERM shutdown, then the kill -9 crash-recovery drill
-## against a durable data dir.
+## against a durable data dir — and check that -sockets without -cores
+## exits with status 2 instead of serving.
 serve-smoke:
 	ATSERVE_SMOKE=1 $(GO) test ./cmd/atserve -run 'TestServeSmoke|TestRecoverSmoke' -count=1 -v
 

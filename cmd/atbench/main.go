@@ -24,31 +24,37 @@ import (
 
 func main() {
 	var (
-		expName   = flag.String("exp", "all", "experiment: tab1, fig2, fig5, fig7, fig8, fig9, fig10, or all")
-		scale     = flag.Float64("scale", 1.0/16, "linear scale factor relative to paper-size matrices")
-		matrices  = flag.String("matrices", "", "comma-separated Table I ids (default: experiment-specific)")
-		flopCap   = flag.Float64("flopcap", 6e9, "skip dense approaches above this m·k·n budget (0 = never skip)")
-		sockets   = flag.Int("sockets", 0, "simulated sockets (0 = detect)")
-		cores     = flag.Int("cores", 0, "simulated cores per socket (0 = detect)")
-		reps      = flag.Int("reps", 1, "repeat each timed measurement, keeping the fastest")
-		csvDir    = flag.String("csv", "", "also export every table as CSV into this directory")
-		calibrate = flag.Bool("calibrate", true, "refit the cost model to this machine (derives ρ0^W)")
-		memFrac   = flag.Float64("memlimit", 0, "flexible result memory limit as a fraction of the dense footprint (0 = unlimited)")
+		expName  = flag.String("exp", "all", "experiment: tab1, fig2, fig5, fig7, fig8, fig9, fig10, or all")
+		scale    = flag.Float64("scale", 1.0/16, "linear scale factor relative to paper-size matrices")
+		matrices = flag.String("matrices", "", "comma-separated Table I ids (default: experiment-specific)")
+		flopCap  = flag.Float64("flopcap", 6e9, "skip dense approaches above this m·k·n budget (0 = never skip)")
+		sockets  = flag.Int("sockets", 0, "simulated sockets (0 = detect)")
+		cores    = flag.Int("cores", 0, "simulated cores per socket (0 = detect)")
+		reps     = flag.Int("reps", 1, "repeat each timed measurement, keeping the fastest")
+		csvDir   = flag.String("csv", "", "also export every table as CSV into this directory")
+		memFrac  = flag.Float64("memlimit", 0, "flexible result memory limit as a fraction of the dense footprint (0 = unlimited)")
 	)
 	flag.Parse()
+	if (*sockets > 0) != (*cores > 0) {
+		missing := "-sockets"
+		if *sockets > 0 {
+			missing = "-cores"
+		}
+		fmt.Fprintf(os.Stderr, "atbench: %s missing: a simulated topology takes both -sockets and -cores\n", missing)
+		os.Exit(2)
+	}
 
 	o := exp.DefaultOptions()
 	o.Scale = *scale
 	o.FlopCap = *flopCap
 	o.Reps = *reps
 	o.CSVDir = *csvDir
-	o.Calibrate = *calibrate
 	o.MemLimitFrac = *memFrac
 	o.Out = os.Stdout
 	if *matrices != "" {
 		o.IDs = strings.Split(*matrices, ",")
 	}
-	if *sockets > 0 && *cores > 0 {
+	if *sockets > 0 {
 		o.Topology = numa.Topology{Sockets: *sockets, CoresPerSocket: *cores}
 	}
 

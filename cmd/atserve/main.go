@@ -75,6 +75,14 @@ func main() {
 		mergeWindow = flag.Int64("merge-window", 0, "coordinator only: bytes of in-flight partial-product frames buffered during the streaming merge (0 = default of 64 MiB)")
 	)
 	flag.Parse()
+	if (*sockets > 0) != (*cores > 0) {
+		missing := "-sockets"
+		if *sockets > 0 {
+			missing = "-cores"
+		}
+		fmt.Fprintf(os.Stderr, "atserve: %s missing: a simulated topology takes both -sockets and -cores\n", missing)
+		os.Exit(2)
+	}
 
 	cfg := core.DefaultConfig()
 	if *paper {
@@ -83,7 +91,7 @@ func main() {
 	if *bAtomic > 0 {
 		cfg.BAtomic = *bAtomic
 	}
-	if *sockets > 0 && *cores > 0 {
+	if *sockets > 0 {
 		cfg.Topology = numa.Topology{Sockets: *sockets, CoresPerSocket: *cores}
 	}
 

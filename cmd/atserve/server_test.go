@@ -594,3 +594,39 @@ func TestServeSmoke(t *testing.T) {
 	}
 	fmt.Println("smoke ok:", out)
 }
+
+// TestServeSmokeRejectsLoneSockets starts the real binary with -sockets but
+// no -cores: a simulated topology takes both, so it must exit with status 2
+// naming the missing flag rather than serve the detected topology.
+// Gated behind ATSERVE_SMOKE=1 (run via `make serve-smoke`).
+func TestServeSmokeRejectsLoneSockets(t *testing.T) {
+	if os.Getenv("ATSERVE_SMOKE") != "1" {
+		t.Skip("set ATSERVE_SMOKE=1 to run the binary smoke test")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "atserve")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-sockets", "2")
+	var logs bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &logs, &logs
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		if code := cmd.ProcessState.ExitCode(); code != 2 {
+			t.Fatalf("exit %v (status %d), want status 2; logs:\n%s", err, code, logs.String())
+		}
+		if !strings.Contains(logs.String(), "-cores missing") {
+			t.Fatalf("message does not name the missing -cores:\n%s", logs.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("atserve -sockets 2 is still running after 10 s; logs:\n%s", logs.String())
+	}
+}

@@ -14,8 +14,9 @@
 //     multiplication granularity.
 //
 // Costs are in abstract time units (roughly nanoseconds on the reference
-// machine); only ratios matter for the decisions. The constants can be
-// re-fitted to a concrete machine with core.CalibrateCostModel.
+// machine); only ratios matter for the decisions. The server and the
+// figure harness both decide by one committed table, Default;
+// core.CalibrateCostModel's refit serves only the benchmark's regret probe.
 package costmodel
 
 import (

@@ -19,11 +19,9 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sync"
 	"time"
 
 	"atmatrix/internal/core"
-	"atmatrix/internal/costmodel"
 	"atmatrix/internal/gen"
 	"atmatrix/internal/mat"
 	"atmatrix/internal/numa"
@@ -51,12 +49,6 @@ type Options struct {
 	// CSVDir, when non-empty, additionally exports every rendered table
 	// as a CSV file into this directory.
 	CSVDir string
-	// Calibrate refits the kernel cost-model constants to this machine
-	// (core.CalibrateCostModel, cached per process) and derives ρ0^W
-	// from them. ρ0^R stays at the paper's 0.25 — it is a named paper
-	// parameter — but the write threshold is implementation-dependent
-	// and the paper gives no number for it.
-	Calibrate bool
 	// Out receives the rendered tables (nil = io.Discard).
 	Out io.Writer
 }
@@ -65,9 +57,8 @@ type Options struct {
 // EXPERIMENTS.md.
 func DefaultOptions() Options {
 	return Options{
-		Scale:     1.0 / 16,
-		FlopCap:   6e9,
-		Calibrate: true,
+		Scale:   1.0 / 16,
+		FlopCap: 6e9,
 	}
 }
 
@@ -79,7 +70,8 @@ func (o Options) out() io.Writer {
 }
 
 // Config derives the scaled system configuration: the paper's 24 MB LLC
-// scaled by s², b_atomic = 1024·s (power of two, ≥ 16), ρ0^R = 0.25.
+// scaled by s², b_atomic = 1024·s (power of two, ≥ 16), ρ0^R = 0.25, and
+// the server's cost table costmodel.Default() with its ρ0^W.
 func (o Options) Config() core.Config {
 	cfg := core.PaperConfig()
 	s := o.Scale
@@ -103,22 +95,7 @@ func (o Options) Config() core.Config {
 	} else {
 		cfg.Topology = numa.Detect()
 	}
-	if o.Calibrate {
-		cfg.Cost = calibratedParams()
-		cfg.RhoWrite = cfg.Cost.RhoWrite()
-	}
 	return cfg
-}
-
-var (
-	calOnce   sync.Once
-	calParams costmodel.Params
-)
-
-// calibratedParams runs the cost-model calibration once per process.
-func calibratedParams() costmodel.Params {
-	calOnce.Do(func() { calParams = core.CalibrateCostModel() })
-	return calParams
 }
 
 // Specs resolves the selected Table I entries.

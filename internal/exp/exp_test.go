@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"atmatrix/internal/core"
+	"atmatrix/internal/costmodel"
 	"atmatrix/internal/numa"
 )
 
@@ -15,7 +17,6 @@ func tinyOptions() Options {
 	o.Scale = 1.0 / 128
 	o.FlopCap = 5e8
 	o.Topology = numa.Topology{Sockets: 2, CoresPerSocket: 1}
-	o.Calibrate = false // deterministic thresholds in tests
 	return o
 }
 
@@ -41,6 +42,41 @@ func TestConfigScaling(t *testing.T) {
 	cfg = o.Config()
 	if cfg.BAtomic < 16 || cfg.LLCBytes < 1<<14 {
 		t.Fatalf("floors not applied: b=%d llc=%d", cfg.BAtomic, cfg.LLCBytes)
+	}
+}
+
+// TestFigureConfigIsServerCostModel pins the figure harness to the
+// server's one cost table: the recorded configuration decides by
+// costmodel.Default() and the server's ρ0^W, so two Fig. 8 runs make the
+// same decisions — conversions, write threshold, result tile kinds — and
+// store the same result bytes.
+func TestFigureConfigIsServerCostModel(t *testing.T) {
+	cfg := DefaultOptions().Config()
+	if cfg.Cost != costmodel.Default() {
+		t.Fatalf("figure cost table %+v, want costmodel.Default() %+v", cfg.Cost, costmodel.Default())
+	}
+	if want := core.PaperConfig().RhoWrite; cfg.RhoWrite != want {
+		t.Fatalf("figure ρ0^W = %g, want the server's %g", cfg.RhoWrite, want)
+	}
+
+	o := tinyOptions()
+	o.IDs = []string{"R1", "R3", "G9"}
+	first, err := RunFig8(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := RunFig8(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range first {
+		b := second[i]
+		if a.Conversions != b.Conversions || a.BytesATMatrix != b.BytesATMatrix ||
+			a.WriteThreshold != b.WriteThreshold || a.SparseTiles != b.SparseTiles || a.DenseTiles != b.DenseTiles {
+			t.Errorf("%s: decisions moved between runs: conversions %d/%d, bytes %d/%d, ρW %g/%g, tiles %d+%d/%d+%d",
+				a.ID, a.Conversions, b.Conversions, a.BytesATMatrix, b.BytesATMatrix, a.WriteThreshold, b.WriteThreshold,
+				a.SparseTiles, a.DenseTiles, b.SparseTiles, b.DenseTiles)
+		}
 	}
 }
 

@@ -23,9 +23,12 @@ type Fig8Row struct {
 	ATMult      time.Duration
 	ATTotal     time.Duration // partition + multiply (the Fig. 8a quantity)
 
-	EstimateShare float64 // Fig. 8b: density estimation fraction of ATMULT
-	OptimizeShare float64 // Fig. 8b: dynamic optimization (incl. conversions)
-	Conversions   int64
+	EstimateShare  float64 // Fig. 8b: density estimation fraction of ATMULT
+	OptimizeShare  float64 // Fig. 8b: dynamic optimization (incl. conversions)
+	Conversions    int64
+	WriteThreshold float64 // Fig. 8b: effective ρ0^W the result tiles were classified by
+	SparseTiles    int     // Fig. 8b: sparse tiles of the result
+	DenseTiles     int     // Fig. 8b: dense tiles of the result
 
 	ResultNNZ     int64
 	BytesATMatrix int64 // Fig. 8c: AT MATRIX result
@@ -54,7 +57,7 @@ func RunFig8(o Options) ([]Fig8Row, error) {
 	cfg := o.Config()
 	var rows []Fig8Row
 	ta := newTable("ID", "spspsp", "spspd", "spdd", "ddd", "ATMULT", "AT(speedup)", "spspd(x)", "spdd(x)", "ddd(x)")
-	tb := newTable("ID", "estimate%", "optimize%", "conversions")
+	tb := newTable("ID", "estimate%", "optimize%", "conversions", "ρW(eff)", "sparse tiles", "dense tiles")
 	tc := newTable("ID", "nnz(C)", "ATMatrix", "CSR", "dense")
 	for _, s := range specs {
 		a, err := o.Generate(s)
@@ -70,14 +73,15 @@ func RunFig8(o Options) ([]Fig8Row, error) {
 			fmtDur(row.ATTotal), fmtSpeedup(row.Speedup(row.ATTotal)),
 			fmtSpeedup(row.Speedup(row.SpSpD)), fmtSpeedup(row.Speedup(row.SpDD)), fmtSpeedup(row.Speedup(row.DDD)))
 		tb.addRow(row.ID, fmt.Sprintf("%.3f", 100*row.EstimateShare), fmt.Sprintf("%.2f", 100*row.OptimizeShare),
-			fmt.Sprintf("%d", row.Conversions))
+			fmt.Sprintf("%d", row.Conversions), fmt.Sprintf("%.4g", row.WriteThreshold),
+			fmt.Sprintf("%d", row.SparseTiles), fmt.Sprintf("%d", row.DenseTiles))
 		tc.addRow(row.ID, fmt.Sprintf("%d", row.ResultNNZ), fmtBytes(row.BytesATMatrix), fmtBytes(row.BytesCSR), fmtBytes(row.BytesDense))
 	}
 	ta.render(o.out(), fmt.Sprintf("Fig. 8a: C = A·A runtimes and relative performance (spspsp ≡ 1, scale %.4g)", o.Scale))
 	if err := ta.writeCSV(o.CSVDir, "fig8a"); err != nil {
 		return nil, err
 	}
-	tb.render(o.out(), "Fig. 8b: ATMULT optimization-time breakdown")
+	tb.render(o.out(), "Fig. 8b: ATMULT optimization-time breakdown and result-tile decisions")
 	if err := tb.writeCSV(o.CSVDir, "fig8b"); err != nil {
 		return nil, err
 	}
@@ -158,6 +162,8 @@ func runFig8One(o Options, cfg core.Config, id string, a *mat.COO) (Fig8Row, err
 	row.EstimateShare = mstats.EstimateShare()
 	row.OptimizeShare = mstats.OptimizeShare()
 	row.Conversions = mstats.Conversions
+	row.WriteThreshold = mstats.WriteThreshold
+	row.SparseTiles, row.DenseTiles = cm.TileCount()
 	row.BytesATMatrix = cm.Bytes()
 	if got := cm.NNZ(); got != row.ResultNNZ {
 		return row, fmt.Errorf("ATMULT result nnz %d differs from spspsp %d", got, row.ResultNNZ)
