@@ -148,8 +148,12 @@ atload-build:
 ## size: print the root module's non-test line count, the number ROADMAP
 ## aim 2 tracks: every tracked .go file except _test.go files, then every
 ## tracked assembly (.s) file, then their total; testdata/ and atload/ (a
-## module of its own) are left out. A report, not a gate.
+## module of its own) are left out. The fourth line counts the non-test
+## `go` statements in internal/ and cmd/atserve with DESIGN.md §8's grep;
+## that section's table lists each with the leak-checked test that stops
+## it. A report, not a gate.
 size:
 	@go=$$(git ls-files '*.go' | grep -v -e '_test\.go$$' -e 'testdata/' -e '^atload/' | xargs cat | wc -l); \
 	asm=$$(git ls-files '*.s' | grep -v -e 'testdata/' -e '^atload/' | xargs -r cat | wc -l); \
-	echo "go $$go"; echo "asm $$asm"; echo "total $$((go + asm))"
+	gos=$$(grep -rn 'go func\|^\s*go ' --include=*.go internal cmd/atserve | grep -v _test | wc -l); \
+	echo "go $$go"; echo "asm $$asm"; echo "total $$((go + asm))"; echo "go-statements $$gos"

@@ -652,8 +652,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p("atserve_cluster_local_tasks_total", st.LocalTasks)
 		p("atserve_cluster_rpc_retries_total", st.RPCRetries)
 		p("atserve_cluster_tiles_rerouted_total", st.TilesRerouted)
-		p("atserve_cluster_hedges_sent_total", st.HedgesSent)
-		p("atserve_cluster_hedged_wins_total", st.HedgedWins)
 		p("atserve_cluster_sharded_matrices", st.ShardedMatrices)
 		p("atserve_cluster_shards_total", st.ShardsTotal)
 		p("atserve_cluster_under_replicated_shards", st.UnderReplicatedShards)

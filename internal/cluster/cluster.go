@@ -24,12 +24,12 @@
 // (healthy → suspect → dead, revived by the next successful heartbeat),
 // per-RPC deadlines, capped exponential backoff on transient failures
 // (the service layer's Transient() marker classification), re-routing of a
-// dead worker's tile-rows to the survivors, hedged duplicate requests for
-// stragglers, and graceful degradation to single-node local execution when
-// no worker can serve a task. Corrupt wire transfers are the one failure
-// that does not degrade silently: a shard whose stream fails its checksum
-// on every candidate worker surfaces core.ErrChecksum so the service layer
-// quarantines the operand combination.
+// dead worker's tile-rows to the survivors, and graceful degradation to
+// single-node local execution when no worker can serve a task. Corrupt
+// wire transfers are the one failure that does not degrade silently: a
+// shard whose stream fails its checksum on every candidate worker surfaces
+// core.ErrChecksum so the service layer quarantines the operand
+// combination.
 package cluster
 
 import (
@@ -45,7 +45,7 @@ const (
 	// Healthy workers answer heartbeats and receive their owned tile-rows.
 	Healthy State = iota
 	// Suspect workers missed recent heartbeats; they keep their placement
-	// but are skipped as hedge targets until they answer again.
+	// and are reported as suspect until they answer again.
 	Suspect
 	// Dead workers missed DeadAfter consecutive heartbeats; their
 	// tile-rows are re-routed to survivors. A later successful heartbeat
@@ -79,7 +79,7 @@ type Options struct {
 	SuspectAfter int
 	DeadAfter    int
 	// RPCTimeout is the per-exec-RPC deadline (default 60s). Every
-	// attempt, retry and hedge gets its own.
+	// attempt and retry gets its own.
 	RPCTimeout time.Duration
 	// MaxRetries bounds per-worker re-sends of a transiently failed exec
 	// (total attempts per worker = 1 + MaxRetries; default 2). Permanent
@@ -89,11 +89,6 @@ type Options struct {
 	// retries (defaults 25ms and 1s).
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// HedgeAfter, when positive, launches a duplicate exec on another
-	// healthy worker if the first has not answered within this delay —
-	// the straggler hedge. First success wins; the loser is cancelled.
-	// Zero disables hedging.
-	HedgeAfter time.Duration
 	// Replication is the shard replication factor R of the sharded
 	// catalog: every shard is shipped to its primary and R−1 ring
 	// successors (default 2). Capped by the worker count at placement
@@ -224,8 +219,6 @@ type Stats struct {
 
 	RPCRetries    int64 `json:"rpc_retries"`
 	TilesRerouted int64 `json:"tiles_rerouted"`
-	HedgesSent    int64 `json:"hedges_sent"`
-	HedgedWins    int64 `json:"hedged_wins"`
 
 	// Sharded-catalog accounting. ShardedMatrices/ShardsTotal describe
 	// the current shard maps; UnderReplicatedShards counts shards whose

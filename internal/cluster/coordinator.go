@@ -17,9 +17,9 @@ import (
 // the distribution of multiplications: plan globally (band grid + write
 // threshold), cut one task per shard of the left operand, execute every
 // task by shard reference against the workers' stores (uploading a shard
-// only to a worker that reports it missing), dispatch with
-// retries/re-routing/hedging, and merge the streamed partial-product
-// frames under a bounded reassembly window. Install Multiply as
+// only to a worker that reports it missing), dispatch with retries and
+// re-routing, and merge the streamed partial-product frames under a
+// bounded reassembly window. Install Multiply as
 // service.Options.Distribute to put it behind the admission queue.
 type Coordinator struct {
 	cfg  core.Config
@@ -49,8 +49,6 @@ type Coordinator struct {
 	localTasks       atomic.Int64
 	rpcRetries       atomic.Int64
 	tilesRerouted    atomic.Int64
-	hedgesSent       atomic.Int64
-	hedgedWins       atomic.Int64
 
 	shardShips       atomic.Int64
 	shardShipBytes   atomic.Int64
@@ -156,8 +154,6 @@ func (c *Coordinator) Stats() Stats {
 		LocalTasks:       c.localTasks.Load(),
 		RPCRetries:       c.rpcRetries.Load(),
 		TilesRerouted:    c.tilesRerouted.Load(),
-		HedgesSent:       c.hedgesSent.Load(),
-		HedgedWins:       c.hedgedWins.Load(),
 
 		ShardShips:       c.shardShips.Load(),
 		ShardShipBytes:   c.shardShipBytes.Load(),
@@ -338,7 +334,7 @@ func (c *Coordinator) multiplyDistributed(aName, bName string, a, b *core.ATMatr
 	shardOpts.WriteThreshold = stats.WriteThreshold
 	shardOpts.Estimate = true
 
-	// Dispatch every task; each routes, retries and hedges independently,
+	// Dispatch every task; each routes and retries independently,
 	// and streams its partial product back frame by frame — kept tiles
 	// accumulate per task, spill-over is dropped the moment a frame
 	// arrives, and the merge window bounds the undecoded bytes in flight.
@@ -405,23 +401,13 @@ func (c *Coordinator) multiplyDistributed(aName, bName string, a, b *core.ATMatr
 	return out, stats, nil
 }
 
-// attemptResult is one exec attempt's outcome, tagged with the worker
-// index so hedged wins are attributable.
-type attemptResult struct {
-	tiles    []*core.Tile
-	contribs int64
-	err      error
-	idx      int
-}
-
 // runTask executes one shard task with the full failure policy: try the
 // §III-F owner first (per-attempt RPC deadline, transient re-sends with
-// capped exponential backoff), hedge a duplicate onto the next healthy
-// worker if the answer is slow, and re-route the tile-rows to the
-// survivors when a worker is exhausted. If every worker fails, the task
-// degrades to local execution — unless the failures say the transfers are
-// corrupt, which must surface to the quarantine instead of being masked
-// by a locally computed result.
+// capped exponential backoff), then re-route the tile-rows to the
+// survivors in ring order, one worker at a time, when a worker is
+// exhausted. If every worker fails, the task degrades to local execution —
+// unless the failures say the transfers are corrupt, which must surface to
+// the quarantine instead of being masked by a locally computed result.
 func (c *Coordinator) runTask(ctx context.Context, alive []*RemoteTeam, hdr execHeader, shardOpts core.MultOptions, t *task) ([]*core.Tile, int64, error) {
 	n := len(alive)
 	tried := make([]bool, n)
@@ -457,64 +443,11 @@ func (c *Coordinator) runTask(ctx context.Context, alive []*RemoteTeam, hdr exec
 			// The owner could not serve its tile-rows; account the move.
 			c.tilesRerouted.Add(int64(len(t.keepRow)))
 		}
-
-		actx, cancel := context.WithCancel(ctx)
-		results := make(chan attemptResult, 2)
-		launched := 0
-		launch := func(i int) {
-			launched++
-			go func() {
-				tiles, cn, err := c.execOnWorker(actx, alive[i], hdr, t)
-				results <- attemptResult{tiles: tiles, contribs: cn, err: err, idx: i}
-			}()
+		tiles, contribs, err := c.execOnWorker(ctx, alive[idx], hdr, t)
+		if err == nil {
+			return tiles, contribs, nil
 		}
-		launch(idx)
-
-		var hedgeCh <-chan time.Time
-		var hedgeTimer *time.Timer
-		if c.opts.HedgeAfter > 0 {
-			hedgeTimer = time.NewTimer(c.opts.HedgeAfter)
-			hedgeCh = hedgeTimer.C
-		}
-		var won *attemptResult
-		for launched > 0 && won == nil {
-			select {
-			case r := <-results:
-				launched--
-				if r.err == nil {
-					won = &r
-				} else {
-					lastErr = r.err
-				}
-			case <-hedgeCh:
-				hedgeCh = nil
-				if h := next(); h >= 0 {
-					tried[h] = true
-					c.hedgesSent.Add(1)
-					launch(h)
-				}
-			}
-		}
-		cancel()
-		if hedgeTimer != nil {
-			hedgeTimer.Stop()
-		}
-		// Collect stragglers so no attempt goroutine outlives the
-		// multiply (their contexts are cancelled, so this is prompt; only
-		// a shard upload already in flight runs to its end first).
-		for launched > 0 {
-			r := <-results
-			launched--
-			if won == nil && r.err == nil {
-				won = &r
-			}
-		}
-		if won != nil {
-			if won.idx != idx {
-				c.hedgedWins.Add(1)
-			}
-			return won.tiles, won.contribs, nil
-		}
+		lastErr = err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -602,7 +535,7 @@ func (c *Coordinator) execOnWorker(ctx context.Context, rt *RemoteTeam, hdr exec
 			return kept, contribs, nil
 		}
 		if ctx.Err() != nil {
-			// The parent was cancelled (hedge lost, multiply aborted):
+			// The parent was cancelled (multiply aborted, deadline):
 			// the failure says nothing about the worker.
 			return nil, 0, ctx.Err()
 		}

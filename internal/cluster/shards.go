@@ -657,7 +657,7 @@ func (c *Coordinator) fillShards(ctx context.Context, rt *RemoteTeam, src *shard
 		}
 		// An upload abandoned mid-flight could land after the multiply's
 		// cleanup drop, so it runs to its own deadline even when the
-		// attempt is cancelled (a lost hedge, an aborted multiply).
+		// attempt is cancelled (an aborted multiply).
 		if err := c.shipShard(context.WithoutCancel(ctx), rt, key, src.specs[key].crc, data); err != nil {
 			return false, err
 		}

@@ -169,7 +169,7 @@ func (w *Worker) HandleExec(rw http.ResponseWriter, r *http.Request) {
 	out, stats, err := core.MultiplyOpt(operands[0], operands[1], cfg, opts)
 	if err != nil {
 		if r.Context().Err() != nil {
-			// The coordinator cancelled (hedge lost, deadline): nobody is
+			// The coordinator cancelled (multiply aborted, deadline): nobody is
 			// reading the response.
 			return
 		}

@@ -24,7 +24,6 @@ func CalibrateCostModel() costmodel.Params {
 	nnz := int(rho * float64(cells))
 	ac := mat.RandomCOO(rng, n, n, nnz)
 	bc := mat.RandomCOO(rng, n, n, nnz)
-	ad, bd := ac.ToDense(), bc.ToDense()
 	full := mat.RandomDense(rng, n, n)
 	as, bs := ac.ToCSR(), bc.ToCSR()
 
@@ -51,8 +50,6 @@ func CalibrateCostModel() costmodel.Params {
 		kernels.SpSpSp(acc, 0, 0, kernels.FullCSR(as), kernels.FullCSR(bs), spa)
 		outNNZ = acc.ToCSR().NNZ()
 	}, 1)
-	_ = ad
-	_ = bd
 
 	// Normalize to FlopDD = 1.
 	if dddFlop > 0 {

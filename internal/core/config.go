@@ -31,12 +31,6 @@ type Config struct {
 	// LLCBytes is the last-level cache size the tile-size formulas
 	// (Eqs. 1–2) are derived from.
 	LLCBytes int64
-	// Alpha is the number of tiles that must fit in the LLC concurrently
-	// (α ≥ 3 for binary operations; paper uses 3).
-	Alpha float64
-	// Beta is the number of tile-width accumulator arrays that must fit
-	// in the LLC (β, paper uses 3).
-	Beta float64
 	// BAtomic is the atomic (logical) block side length b_atomic = 2^k,
 	// the granularity of the AT MATRIX (§II-B2).
 	BAtomic int
@@ -68,6 +62,15 @@ type Config struct {
 	EphemeralWorkers bool
 }
 
+// llcAlpha is the paper's α, the number of tiles that must fit in the LLC
+// concurrently (α ≥ 3 for binary operations), and llcBeta its β, the
+// number of tile-width accumulator arrays that must fit there. The paper
+// uses 3 for both (§II-B2, Eqs. 1–2).
+const (
+	llcAlpha = 3
+	llcBeta  = 3
+)
+
 // DefaultRowGrain is the default minimum rows-per-worker of the intra-tile
 // split: small enough to keep every core busy on a full b_atomic tile,
 // large enough that a worker's chunk amortizes the fan-out handoff.
@@ -81,15 +84,13 @@ func DefaultConfig() Config {
 	cost := costmodel.Default()
 	cfg := Config{
 		LLCBytes: DetectLLC(),
-		Alpha:    3,
-		Beta:     3,
 		RhoRead:  cost.RhoRead(),
 		RhoWrite: cost.RhoWrite(),
 		Topology: numa.Detect(),
 		Cost:     cost,
 		RowGrain: DefaultRowGrain,
 	}
-	cfg.BAtomic = deriveBAtomic(cfg.LLCBytes, cfg.Alpha)
+	cfg.BAtomic = deriveBAtomic(cfg.LLCBytes)
 	return cfg
 }
 
@@ -109,9 +110,6 @@ func PaperConfig() Config {
 func (c Config) Validate() error {
 	if c.LLCBytes <= 0 {
 		return fmt.Errorf("core: non-positive LLC size %d", c.LLCBytes)
-	}
-	if c.Alpha < 1 || c.Beta < 1 {
-		return fmt.Errorf("core: alpha/beta must be ≥ 1, got %g/%g", c.Alpha, c.Beta)
 	}
 	if c.BAtomic < 1 || c.BAtomic&(c.BAtomic-1) != 0 {
 		return fmt.Errorf("core: b_atomic %d must be a positive power of two", c.BAtomic)
@@ -163,7 +161,7 @@ func RunHomed(ctx context.Context, cfg Config, watchdog time.Duration, n int, ro
 // MaxDenseTileDim returns τ^d_max from Eq. 1: the dense tile side length
 // such that α dense tiles fit in the LLC.
 func (c Config) MaxDenseTileDim() int {
-	d := int(math.Sqrt(float64(c.LLCBytes) / (c.Alpha * mat.SizeDense)))
+	d := int(math.Sqrt(float64(c.LLCBytes) / (llcAlpha * mat.SizeDense)))
 	if d < 1 {
 		d = 1
 	}
@@ -175,13 +173,13 @@ func (c Config) MaxDenseTileDim() int {
 // occupy more than LLC/α) and the dimension-based bound (β accumulator
 // arrays of one tile-width must fit in the LLC).
 func (c Config) MaxSparseTileDim(rho float64) int {
-	dimBound := float64(c.LLCBytes) / (c.Beta * mat.SizeDense)
+	dimBound := float64(c.LLCBytes) / (llcBeta * mat.SizeDense)
 	if rho <= 0 {
 		// An empty tile has no memory bound; only the dimension bound
 		// applies.
 		return clampDim(dimBound)
 	}
-	memBound := math.Sqrt(float64(c.LLCBytes) / (c.Alpha * rho * mat.SizeSparse))
+	memBound := math.Sqrt(float64(c.LLCBytes) / (llcAlpha * rho * mat.SizeSparse))
 	return clampDim(math.Min(memBound, dimBound))
 }
 
@@ -198,8 +196,8 @@ func clampDim(v float64) int {
 // deriveBAtomic chooses b_atomic = 2^k equal to the largest power of two
 // not exceeding τ^d_max, which reproduces the paper's b_atomic = 1024 for
 // a 24 MB LLC (§II-B2).
-func deriveBAtomic(llc int64, alpha float64) int {
-	tau := int(math.Sqrt(float64(llc) / (alpha * mat.SizeDense)))
+func deriveBAtomic(llc int64) int {
+	tau := int(math.Sqrt(float64(llc) / (llcAlpha * mat.SizeDense)))
 	if tau < 2 {
 		return 1
 	}

@@ -23,7 +23,7 @@ func TestPaperTileSizeFormulas(t *testing.T) {
 		t.Fatalf("τ^d_max = %d, want 1024", got)
 	}
 	// b_atomic derived from the LLC equals τ^d_max (§II-B2, k = 10).
-	if got := deriveBAtomic(cfg.LLCBytes, cfg.Alpha); got != 1024 {
+	if got := deriveBAtomic(cfg.LLCBytes); got != 1024 {
 		t.Fatalf("derived b_atomic = %d, want 1024", got)
 	}
 	// Eq. 2 dimension bound: LLC/(β·S_d) = 24·2^20/24 = 2^20.
@@ -83,11 +83,6 @@ func TestConfigValidate(t *testing.T) {
 	bad.MemLimit = -1
 	if err := bad.Validate(); err == nil {
 		t.Fatal("negative memory limit accepted")
-	}
-	bad = good
-	bad.Alpha = 0.5
-	if err := bad.Validate(); err == nil {
-		t.Fatal("alpha < 1 accepted")
 	}
 }
 

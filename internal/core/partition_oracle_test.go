@@ -155,7 +155,7 @@ func countsOf(t *testing.T, m *ATMatrix, b int) []int64 {
 // b_atomic = 8 > τ^sp_max(0) = 4, so no empty quadrant ever fits.
 func tinyLLCConfig() Config {
 	cfg := testConfig()
-	cfg.LLCBytes = int64(cfg.Beta) * 8 * 4
+	cfg.LLCBytes = llcBeta * 8 * 4
 	return cfg
 }
 

@@ -124,8 +124,6 @@ func runFig8One(o Options, cfg core.Config, id string, a *mat.COO) (Fig8Row, err
 		if err != nil {
 			return row, err
 		}
-		bd = nil
-		_ = bd
 	}
 	// ddd: both operands dense.
 	if !o.skipDense(n, n, n) && !o.byteCapExceeded(n, 3*n) {
@@ -134,8 +132,6 @@ func runFig8One(o Options, cfg core.Config, id string, a *mat.COO) (Fig8Row, err
 		if err != nil {
 			return row, err
 		}
-		ad = nil
-		_ = ad
 	}
 
 	// ATMULT: partition once, multiply, keep the stats. An optional
@@ -146,12 +142,10 @@ func runFig8One(o Options, cfg core.Config, id string, a *mat.COO) (Fig8Row, err
 		mcfg.MemLimit = int64(o.MemLimitFrac * float64(mat.DenseBytes(n, n)))
 	}
 	var am *core.ATMatrix
-	var pstats *core.PartitionStats
-	row.ATPartition = o.timedBest(func() { am, pstats, err = core.Partition(a, mcfg) })
+	row.ATPartition = o.timedBest(func() { am, _, err = core.Partition(a, mcfg) })
 	if err != nil {
 		return row, err
 	}
-	_ = pstats
 	var cm *core.ATMatrix
 	var mstats *core.MultStats
 	row.ATMult = o.timedBest(func() { cm, mstats, err = core.Multiply(am, am, mcfg) })
