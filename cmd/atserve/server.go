@@ -614,6 +614,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p(`atserve_job_latency_seconds{quantile="0.99"}`, secs(m.LatencyP99))
 	p("atserve_catalog_matrices", cs.Matrices)
 	p("atserve_catalog_resident_bytes", cs.ResidentBytes)
+	p("atserve_catalog_index_bytes", cs.IndexBytes)
 	p("atserve_catalog_budget_bytes", cs.BudgetBytes)
 	p("atserve_catalog_evictions_total", cs.Evictions)
 	p("atserve_catalog_hits_total", cs.Hits)

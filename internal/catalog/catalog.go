@@ -537,6 +537,11 @@ type Stats struct {
 	Reloads       int64 `json:"reloads"`
 	Recovered     int64 `json:"recovered"`
 
+	// IndexBytes sums IndexBytes over the resident matrices: the indexes
+	// that products build and keep with their operands. The budget does
+	// not count them.
+	IndexBytes int64 `json:"index_bytes"`
+
 	ScrubPasses     int64 `json:"scrub_passes"`
 	ScrubScanned    int64 `json:"scrub_scanned"`
 	ScrubErrors     int64 `json:"scrub_errors"`
@@ -548,15 +553,19 @@ type Stats struct {
 func (c *Catalog) Stats() Stats {
 	c.mu.Lock()
 	spilled := 0
+	var index int64
 	for _, e := range c.entries {
 		if e.m == nil {
 			spilled++
+		} else {
+			index += e.m.IndexBytes()
 		}
 	}
 	s := Stats{
 		Matrices:      len(c.entries),
 		Spilled:       spilled,
 		ResidentBytes: c.resident,
+		IndexBytes:    index,
 		BudgetBytes:   c.budget,
 		Evictions:     c.evictions,
 		Hits:          c.hits,

@@ -21,7 +21,8 @@ func Add(a, b *ATMatrix, alpha, beta float64, cfg Config) (*ATMatrix, error) {
 }
 
 // Scale multiplies every stored value by s in place, preserving the tile
-// structure (density is unchanged except when s == 0).
+// structure (density is unchanged except when s == 0). The column views of
+// the operand index hold copies of the old values, so they are dropped.
 func (a *ATMatrix) Scale(s float64) {
 	for _, t := range a.Tiles {
 		if t.Kind == mat.DenseKind {
@@ -30,4 +31,5 @@ func (a *ATMatrix) Scale(s float64) {
 			t.Sp.Scale(s)
 		}
 	}
+	a.dropViews()
 }

@@ -5,8 +5,11 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"atmatrix/internal/density"
+	"atmatrix/internal/kernels"
 	"atmatrix/internal/mat"
 )
 
@@ -25,6 +28,10 @@ type ATMatrix struct {
 
 	idxOnce sync.Once
 	idx     tileIndex
+	// ops is what ATMULT builds from this matrix alone (operandIndex).
+	// idxBytes counts what idx and ops hold: each build adds its bytes.
+	ops      operandIndex
+	idxBytes atomic.Int64
 
 	mapOnce sync.Once
 	dmap    *density.Map
@@ -201,6 +208,11 @@ func newBandAxis(tiles []*Tile, limit int, span func(*Tile) (lo, hi int)) bandAx
 	return x
 }
 
+func (x *bandAxis) bytes() int64 {
+	return int64(cap(x.bands))*int64(unsafe.Sizeof(Band{})) + int64(cap(x.off)+cap(x.ids))*4 +
+		int64(cap(x.tiles))*int64(unsafe.Sizeof((*Tile)(nil)))
+}
+
 func rowSpan(t *Tile) (lo, hi int) { return t.Row0, t.Row0 + t.Rows }
 func colSpan(t *Tile) (lo, hi int) { return t.Col0, t.Col0 + t.Cols }
 
@@ -217,8 +229,128 @@ func (a *ATMatrix) index() *tileIndex {
 				x.bandOfBlockRow[br] = int32(i)
 			}
 		}
+		a.idxBytes.Add(x.rows.bytes() + x.cols.bytes() + int64(cap(x.bandOfBlockRow))*4)
 	})
 	return &a.idx
+}
+
+// operandIndex is what ATMULT reads a matrix by besides its tiles, built
+// from the matrix alone and so kept with it, to be reused by every product
+// it takes part in (the paper's build once, multiply many times): as B,
+// its sparse tiles windowed to each column band; as A, the column view of
+// each sparse tile's rows in each row band, for SpSpDCols. Each is built on
+// first use — every view under its own Once, so concurrent products build
+// it once and others wait only for that entry — and only read after. Views
+// copy the tile's cells and windows point into the tile, so nothing here
+// refers to a product's buffers; it goes when the matrix goes.
+type operandIndex struct {
+	winOnce sync.Once
+	wins    [][]kernels.CSRWin // by column band: the band's tiles' windows (sparse tiles only)
+
+	viewsOnce sync.Once
+	views     []colViewEntry // by position in the row axis's tile runs
+}
+
+type colViewEntry struct {
+	once sync.Once
+	v    *kernels.ColView
+}
+
+// operandIndexHook, when set, is called after every build of an operand
+// index entry: the column-band windows of a, or one of its views.
+var operandIndexHook func(a *ATMatrix)
+
+// IndexBytes returns the bytes the matrix's indexes hold on top of its
+// tiles: the band index and what ATMULT has built of the operand index so
+// far, counted from slice capacities. It grows as products build entries and
+// may be called while they do. Bytes does not count it.
+func (a *ATMatrix) IndexBytes() int64 { return a.idxBytes.Load() }
+
+// colBandWindows returns the matrix's sparse tiles windowed to each column
+// band, by band and in the band's tile order, building them on first use.
+func (a *ATMatrix) colBandWindows() [][]kernels.CSRWin {
+	a.ops.winOnce.Do(func() {
+		var n int64
+		a.ops.wins, n = indexColBandWindows(&a.index().cols)
+		a.idxBytes.Add(n)
+		if operandIndexHook != nil {
+			operandIndexHook(a)
+		}
+	})
+	return a.ops.wins
+}
+
+// rowBandView returns the column view of the k-th tile of row band i,
+// which must be sparse, and whether this call built it.
+func (a *ATMatrix) rowBandView(i, k int) (*kernels.ColView, bool) {
+	x := &a.index().rows
+	a.ops.viewsOnce.Do(func() {
+		a.ops.views = make([]colViewEntry, len(x.tiles))
+		a.idxBytes.Add(int64(cap(a.ops.views)) * int64(unsafe.Sizeof(colViewEntry{})))
+	})
+	p := int(x.off[i]) + k
+	e, built := &a.ops.views[p], false
+	e.once.Do(func() {
+		t, band := x.tiles[p], x.bands[i]
+		e.v = kernels.NewColView(t.Sp, band.Lo-t.Row0, band.Hi-t.Row0)
+		a.idxBytes.Add(e.v.Bytes())
+		built = true
+		if operandIndexHook != nil {
+			operandIndexHook(a)
+		}
+	})
+	return e.v, built
+}
+
+// dropViews forgets the operand index's column views, for a matrix whose
+// values changed in place; they are rebuilt on next use. The caller must
+// hold the only reference to the matrix.
+func (a *ATMatrix) dropViews() {
+	n := int64(cap(a.ops.views)) * int64(unsafe.Sizeof(colViewEntry{}))
+	for i := range a.ops.views {
+		if v := a.ops.views[i].v; v != nil {
+			n += v.Bytes()
+		}
+	}
+	a.ops.viewsOnce, a.ops.views = sync.Once{}, nil
+	a.idxBytes.Add(-n)
+}
+
+// indexColBandWindows builds the (sparse tile × column band) windows of an
+// axis, carving every window's row spans from a single backing array, and
+// returns them with the bytes they hold. Gustavson revisits B rows per
+// contributing A element, and the same window recurs in every row-band pair
+// of every product, so the spans are computed once and row-sliced per
+// contribution.
+func indexColBandWindows(x *bandAxis) ([][]kernels.CSRWin, int64) {
+	flat := make([]kernels.CSRWin, len(x.tiles))
+	out := make([][]kernels.CSRWin, len(x.bands))
+	spanRows := 0
+	for j, band := range x.bands {
+		wins := flat[x.off[j]:x.off[j+1]:x.off[j+1]]
+		for ti, tile := range x.tilesOf(j) {
+			if tile.Kind != mat.Sparse {
+				continue
+			}
+			w := kernels.CSRWin{M: tile.Sp, Col0: band.Lo - tile.Col0, Rows: tile.Rows, Cols: band.Len()}
+			if w.NeedsIndex() {
+				spanRows += tile.Rows
+			}
+			wins[ti] = w
+		}
+		out[j] = wins
+	}
+	buf := make([]int64, 2*spanRows)
+	n := int64(cap(flat))*int64(unsafe.Sizeof(kernels.CSRWin{})) +
+		int64(cap(out))*int64(unsafe.Sizeof([]kernels.CSRWin(nil))) + int64(cap(buf))*8
+	for _, wins := range out {
+		for ti := range wins {
+			if wins[ti].M != nil && wins[ti].NeedsIndex() {
+				buf = wins[ti].BuildIndexIn(buf)
+			}
+		}
+	}
+	return out, n
 }
 
 // RowBands returns the sorted distinct row intervals induced by the tile

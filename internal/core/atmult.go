@@ -174,17 +174,10 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 	rowBands, colBands := aRows.bands, bCols.bands
 	c := newATMatrix(a.Rows, b.Cols, cfg.BAtomic)
 
-	// Pre-index the sparse B tiles against each column band once:
-	// Gustavson revisits B rows per contributing A element, and the same
-	// (tile, band) window recurs in every row-band pair, so the
-	// referenced-window column spans are computed one time here and
-	// row-sliced per contribution. All spans share one backing array.
-	bWinsPerBand := indexColBandWindows(bCols)
-
 	mc := &mulCtx{
 		cfg: cfg, opts: opts, stats: stats, cache: newConvCache(),
-		aRows: aRows, bCols: bCols,
-		bWinsPerBand: bWinsPerBand,
+		a: a, aRows: aRows, bCols: bCols,
+		bWinsPerBand: b.colBandWindows(),
 		// One result slot (tile + dense header) per pair; tasks fill them
 		// in place, assembly compacts the produced ones. NNZ > 0 marks a
 		// produced slot.
@@ -332,37 +325,6 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 // (reproducible runs) that still gives a retried job fresh probe vectors.
 var verifySeq atomic.Int64
 
-// indexColBandWindows builds the pre-indexed (sparse tile × column band)
-// windows, carving every window's row spans from a single backing array.
-func indexColBandWindows(x *bandAxis) [][]kernels.CSRWin {
-	flat := make([]kernels.CSRWin, len(x.tiles))
-	out := make([][]kernels.CSRWin, len(x.bands))
-	spanRows := 0
-	for j, band := range x.bands {
-		wins := flat[x.off[j]:x.off[j+1]:x.off[j+1]]
-		for ti, tile := range x.tilesOf(j) {
-			if tile.Kind != mat.Sparse {
-				continue
-			}
-			w := kernels.CSRWin{M: tile.Sp, Col0: band.Lo - tile.Col0, Rows: tile.Rows, Cols: band.Len()}
-			if w.NeedsIndex() {
-				spanRows += tile.Rows
-			}
-			wins[ti] = w
-		}
-		out[j] = wins
-	}
-	buf := make([]int64, 2*spanRows)
-	for _, wins := range out {
-		for ti := range wins {
-			if wins[ti].M != nil && wins[ti].NeedsIndex() {
-				buf = wins[ti].BuildIndexIn(buf)
-			}
-		}
-	}
-	return out
-}
-
 // mulCtx is the per-invocation state of one MultiplyOpt shared by every
 // pair task: the band structure, the pre-resolved operand tiles, the result
 // slot arenas and the time counters. Bundling it lets the scheduler run
@@ -374,7 +336,9 @@ type mulCtx struct {
 	cache *convCache
 
 	// aRows and bCols are A's row axis and B's column axis of the operands'
-	// tile indexes: the bands and the tiles of each.
+	// tile indexes: the bands and the tiles of each. A's column views and
+	// B's windows (bWinsPerBand) come from the operands' own indexes.
+	a            *ATMatrix
 	aRows, bCols *bandAxis
 	bWinsPerBand [][]kernels.CSRWin
 
@@ -500,6 +464,8 @@ func (mc *mulCtx) runTask(team *sched.Team, t *pairTask) {
 // tile: a window of an A tile times a window of a B tile.
 type contribution struct {
 	aTile, bTile *Tile
+	// aAt is the A tile's place in its row band's tiles.
+	aAt int
 	// Tile-local window bounds. The A window spans rows
 	// [aR0, aR0+m) × cols [aC0, aC0+k); the B window rows
 	// [bR0, bR0+k) × cols [bC0, bC0+n), where m and n are the target
@@ -547,7 +513,7 @@ func (mc *mulCtx) plan(team *sched.Team, t *pairTask, cts []contribution, arena 
 
 	// Collect the referenced submatrix multiplications with matching
 	// contraction ranges (CALCULATEREFWINDOW, Alg. 2 line 8).
-	for _, ta := range mc.aRows.tilesOf(ti) {
+	for ak, ta := range mc.aRows.tilesOf(ti) {
 		ak0, ak1 := ta.Col0, ta.Col0+ta.Cols
 		for bi, tb := range mc.bCols.tilesOf(tj) {
 			bk0, bk1 := tb.Row0, tb.Row0+tb.Rows
@@ -556,7 +522,7 @@ func (mc *mulCtx) plan(team *sched.Team, t *pairTask, cts []contribution, arena 
 				continue
 			}
 			cts = append(cts, contribution{
-				aTile: ta, bTile: tb, bWin: bWins[bi],
+				aTile: ta, bTile: tb, bWin: bWins[bi], aAt: ak,
 				aR0: rb.Lo - ta.Row0, aC0: k0 - ta.Col0,
 				bR0: k0 - tb.Row0, bC0: cb.Lo - tb.Col0,
 				k: k1 - k0, mRows: m, nCols: n,
@@ -602,13 +568,14 @@ func (mc *mulCtx) plan(team *sched.Team, t *pairTask, cts []contribution, arena 
 		mc.resolveOperand(ct, true, kindA, arena)
 		mc.resolveOperand(ct, false, kindB, arena)
 		// A sparse A tile feeding a dense target with a sparse B is read
-		// through its row band's column view; building one is conversion
-		// time, not a conversion. (No dense tile is ever chosen sparse, so
-		// every sparse×sparse contribution into a dense target has one.)
+		// through its row band's column view, which A keeps; building one is
+		// conversion time, not a conversion. (No dense tile is ever chosen
+		// sparse, so every sparse×sparse contribution into a dense target
+		// has one.)
 		if targetKind == mat.DenseKind && kindA == mat.Sparse && kindB == mat.Sparse {
 			t0 := time.Now()
-			var hit bool
-			if ct.aView, hit = mc.cache.view(ct.aTile, ct.aR0, ct.aR0+m); !hit {
+			var built bool
+			if ct.aView, built = mc.a.rowBandView(ti, ct.aAt); built {
 				mc.convNanos.Add(time.Since(t0).Nanoseconds())
 			}
 		}
@@ -663,7 +630,7 @@ func (mc *mulCtx) finishRows(t *pairTask, cw *mat.Dense, lo int) int64 {
 		if ck.k > 0 {
 			nnz += ck.takeSums(row, c0, int(t.sums)+lo+i)
 		} else {
-			nnz += countNonZero(row)
+			nnz += kernels.NonZeros(row)
 		}
 	}
 	return nnz
@@ -794,53 +761,27 @@ func (mc *mulCtx) resolveOperand(ct *contribution, isA bool, want mat.Kind, scr 
 }
 
 // convCache memoizes, for one ATMULT invocation, the full-tile
-// sparse→dense conversions and the column views of sparse tiles' row
-// bands. Each entry owns a sync.Once, so concurrent teams neither
+// sparse→dense conversions: they stay per product, because the cost model
+// prices them. Each entry owns a sync.Once, so concurrent teams neither
 // serialize on a global lock during the (potentially large) build nor
 // duplicate it and throw one copy away — the map mutex is held only for
 // the entry lookup. Very large tiles are not converted through the cache,
-// to bound the extra memory; a view holds O(nnz) and always is.
+// to bound the extra memory.
 type convCache struct {
 	mu      sync.Mutex
-	entries map[convKey]*convEntry
+	entries map[*Tile]*convEntry
 	maxTile int64
 }
 
-// convKey names one memoized form: a tile's dense form (row0 < 0) or the
-// column view of its row band starting at tile-local row row0.
-type convKey struct {
-	t    *Tile
-	row0 int
-}
-
-// convEntry is the per-key shard: the first caller through the Once runs
+// convEntry is the per-tile shard: the first caller through the Once runs
 // the build, everyone else blocks only on this entry.
 type convEntry struct {
 	once sync.Once
 	d    *mat.Dense
-	v    *kernels.ColView
 }
 
 func newConvCache() *convCache {
-	return &convCache{entries: make(map[convKey]*convEntry), maxTile: 64 << 20}
-}
-
-// do runs build once per key, however many teams ask concurrently, and
-// reports whether an earlier call ran it.
-func (c *convCache) do(k convKey, build func(e *convEntry)) (*convEntry, bool) {
-	c.mu.Lock()
-	e := c.entries[k]
-	if e == nil {
-		e = &convEntry{}
-		c.entries[k] = e
-	}
-	c.mu.Unlock()
-	hit := true
-	e.once.Do(func() {
-		build(e)
-		hit = false
-	})
-	return e, hit
+	return &convCache{entries: make(map[*Tile]*convEntry), maxTile: 64 << 20}
 }
 
 // dense returns the dense form of a sparse tile and whether it was cached.
@@ -848,15 +789,19 @@ func (c *convCache) dense(t *Tile) (*mat.Dense, bool) {
 	if mat.DenseBytes(t.Rows, t.Cols) > c.maxTile {
 		return t.Sp.ToDense(), false
 	}
-	e, hit := c.do(convKey{t, -1}, func(e *convEntry) { e.d = t.Sp.ToDense() })
+	c.mu.Lock()
+	e := c.entries[t]
+	if e == nil {
+		e = &convEntry{}
+		c.entries[t] = e
+	}
+	c.mu.Unlock()
+	hit := true
+	e.once.Do(func() {
+		e.d = t.Sp.ToDense()
+		hit = false
+	})
 	return e.d, hit
-}
-
-// view returns the column view of a sparse tile's row band [r0, r1) and
-// whether it was cached.
-func (c *convCache) view(t *Tile, r0, r1 int) (*kernels.ColView, bool) {
-	e, hit := c.do(convKey{t, r0}, func(e *convEntry) { e.v = kernels.NewColView(t.Sp, r0, r1) })
-	return e.v, hit
 }
 
 // regionDensity aggregates the estimated map over a pixel region as the

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"atmatrix/internal/kernels"
 	"atmatrix/internal/mat"
 	"atmatrix/internal/sched"
 )
@@ -242,8 +243,9 @@ func (m *ATMatrix) gatherRows(in, out Panel, probesOnly bool, sums tileSums, r0,
 // The row bodies below compute y[i] += Σ v·x[col] over tile-local rows
 // lo, lo+1, … (one per element of y) with one accumulator per panel column:
 // the sums of a row are independent add chains, which is where the time
-// goes — the sweeps are cache-resident. Column 0 sums |v|. Dense rows are
-// unrolled two ways for the same reason.
+// goes — the sweeps are cache-resident. Column 0 sums |v|. gatherDense's
+// rows are unrolled two ways for the same reason; the probe columns of a
+// dense row are kernels.ProbeRow's four lanes.
 
 //atlint:hotpath
 func gatherSparse(sp *mat.CSR, lo int, x0, x1, x2, y0, y1, y2 []float64) {
@@ -324,27 +326,16 @@ func gatherDense(data []float64, stride, cols int, x0, x1, x2, y0, y1, y2 []floa
 	}
 }
 
+// gatherDenseProbes takes a dense row's probe sums as the row bodies of a
+// verified multiply take them (takeSums): kernels.ProbeRow's.
+//
 //atlint:hotpath
 func gatherDenseProbes(data []float64, stride, cols int, x1, x2, y1, y2 []float64) {
 	y2 = y2[:len(y1)]
 	for i := range y1 {
-		row := data[i*stride : i*stride+cols]
-		x1, x2 := x1[:len(row)], x2[:len(row)]
-		var a1, a2, b1, b2 float64
-		c := 0
-		for ; c+1 < len(row); c += 2 {
-			v, u := row[c], row[c+1]
-			a1 += v * x1[c]
-			b1 += u * x1[c+1]
-			a2 += v * x2[c]
-			b2 += u * x2[c+1]
-		}
-		if c < len(row) {
-			a1 += row[c] * x1[c]
-			a2 += row[c] * x2[c]
-		}
-		y1[i] += a1 + b1
-		y2[i] += a2 + b2
+		s1, s2, _ := kernels.ProbeRow(data[i*stride:i*stride+cols], x1, x2)
+		y1[i] += s1
+		y2[i] += s2
 	}
 }
 
@@ -484,7 +475,7 @@ func (ck *productCheck) run(s Sweeper, a, b, c *ATMatrix) error {
 // takeSums writes the probe sums of one finished row of a dense result tile
 // whose columns start at c0, and returns the row's non-zeros; at is the
 // row's place in the sums, its tile's start plus its tile-local row. The
-// sums are probeRow's, one slab of probe columns at a time.
+// sums are kernels.ProbeRow's, one slab of probe columns at a time.
 //
 //atlint:hotpath
 func (ck *productCheck) takeSums(row []float64, c0, at int) int64 {
@@ -494,58 +485,12 @@ func (ck *productCheck) takeSums(row []float64, c0, at int) int64 {
 		x := ck.x.slab(done)
 		y := ck.sums.data[done*st+at:]
 		var n int64
-		y[0], y[st], n = probeRow(row, x.Col(1)[c0:c1], x.Col(2)[c0:c1])
+		y[0], y[st], n = kernels.ProbeRow(row, x.Col(1)[c0:c1], x.Col(2)[c0:c1])
 		if done == 0 {
 			nnz = n
 		}
 	}
 	return nnz
-}
-
-// probeRow returns a dense row's sums against two probe columns, formed as
-// gatherDenseProbes forms them — two accumulators per column over the even
-// and the odd cells, added at the end — so they are the same bits, and the
-// row's non-zeros, counted in the same pass.
-//
-//atlint:hotpath
-func probeRow(row, x1, x2 []float64) (s1, s2 float64, nnz int64) {
-	x1, x2 = x1[:len(row)], x2[:len(row)]
-	var a1, a2, b1, b2 float64
-	c := 0
-	for ; c+1 < len(row); c += 2 {
-		v, u := row[c], row[c+1]
-		a1 += v * x1[c]
-		b1 += u * x1[c+1]
-		a2 += v * x2[c]
-		b2 += u * x2[c+1]
-		if v != 0 {
-			nnz++
-		}
-		if u != 0 {
-			nnz++
-		}
-	}
-	if c < len(row) {
-		a1 += row[c] * x1[c]
-		a2 += row[c] * x2[c]
-		if row[c] != 0 {
-			nnz++
-		}
-	}
-	return a1 + b1, a2 + b2, nnz
-}
-
-// countNonZero returns the non-zeros of a row.
-//
-//atlint:hotpath
-func countNonZero(row []float64) int64 {
-	var n int64
-	for _, v := range row {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // tileSums are the probe sums of a product's dense tiles, taken by

@@ -27,6 +27,11 @@ func NewColView(m *mat.CSR, r0, r1 int) *ColView {
 	return v
 }
 
+// Bytes returns what the view's slices hold, counted from their capacities.
+func (v *ColView) Bytes() int64 {
+	return int64(cap(v.Col))*4 + int64(cap(v.Ptr))*8 + int64(cap(v.Row))*4 + int64(cap(v.Val))*8
+}
+
 // fill makes v the column view of window w, reusing v's storage. pos is
 // the column counter, one entry per window column plus one; it is grown as
 // needed and returned, so an arena can keep it.
@@ -58,7 +63,16 @@ func (v *ColView) fill(w CSRWin, pos []int64) []int64 {
 			*at++
 		}
 	}
-	v.Col, v.Ptr = v.Col[:0], append(v.Ptr[:0], 0)
+	// pos[c] is now column c's end; the non-empty columns are sized first,
+	// so a view is allocated once, to length.
+	cols, prev := 0, int64(0)
+	for _, end := range pos[:n] {
+		if end != prev {
+			cols++
+		}
+		prev = end
+	}
+	v.Col, v.Ptr = slices.Grow(v.Col[:0], cols), append(slices.Grow(v.Ptr[:0], cols+1), 0)
 	for c := 0; c < n; c++ {
 		if pos[c] != v.Ptr[len(v.Ptr)-1] {
 			v.Col = append(v.Col, int32(c))
@@ -95,8 +109,7 @@ func (s *Scratch) bColumns(b CSRWin) *bColumns {
 }
 
 func (bc *bColumns) bytes() int64 {
-	return int64(cap(bc.Col))*4 + int64(cap(bc.Ptr))*8 + int64(cap(bc.Row))*4 +
-		int64(cap(bc.Val))*8 + int64(cap(bc.odd)) + int64(cap(bc.pos))*8
+	return bc.ColView.Bytes() + int64(cap(bc.odd)) + int64(cap(bc.pos))*8
 }
 
 // SpSpDCols is SpSpD with a the columns [c0, c0+b.Rows) of the view's rows

@@ -18,3 +18,14 @@ func axpy4Vec(y, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) int
 
 //go:noescape
 func axpyVec(y, x []float64, alpha float64) int
+
+// probeVec runs ProbeRow's 4-aligned prefix at vector width: it leaves the
+// lane partials of the two sums in lanes (x1's, then x2's) and returns the
+// cells done and their non-zeros; 0, 0 and lanes untouched when useAVX2 is
+// false. nonZerosVec is its count alone, for NonZeros.
+
+//go:noescape
+func probeVec(row, x1, x2 []float64, lanes *[8]float64) (int, int64)
+
+//go:noescape
+func nonZerosVec(row []float64) (int, int64)

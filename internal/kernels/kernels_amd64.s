@@ -2,7 +2,8 @@
 
 #include "textflag.h"
 
-// The vector bodies of axpy4 and axpy (kernels.go). Each computes every
+// The vector bodies of axpy4 and axpy (kernels.go) and of ProbeRow and
+// NonZeros (probe.go). Each computes every
 // element with the multiplies and adds of the Go body, in its order and
 // with its operand order, one VMULPD or VADDPD per scalar MULSD or ADDSD,
 // and never fuses them (no FMA): each lane's result has the Go body's
@@ -156,4 +157,99 @@ addloop:
 
 axpydone:
 	MOVQ AX, ret+56(FP)
+	RET
+
+// func probeVec(row, x1, x2 []float64, lanes *[8]float64) (int, int64)
+//
+// ProbeRow's lanes over the cells below the shortest length rounded down to
+// 4: lane k of a sum adds row[c]·x[c] for the cells c ≡ k mod 4, in
+// ascending c, as s + (x·v) from s = 0 (the Go body's operand order). The
+// count compares each cell not-equal-or-unordered with zero, so a NaN
+// counts and −0 does not, and subtracts the all-ones mask from four
+// counters.
+TEXT ·probeVec(SB), NOSPLIT, $0-96
+	XORQ    AX, AX
+	XORQ    BX, BX
+	CMPB    ·useAVX2(SB), $0
+	JEQ     probedone
+	MOVQ    row_len+8(FP), CX
+	MOVQ    x1_len+32(FP), DX
+	CMPQ    DX, CX
+	CMOVQLT DX, CX
+	MOVQ    x2_len+56(FP), DX
+	CMPQ    DX, CX
+	CMOVQLT DX, CX
+	ANDQ    $~3, CX
+	JZ      probedone
+
+	MOVQ   row_base+0(FP), SI
+	MOVQ   x1_base+24(FP), R8
+	MOVQ   x2_base+48(FP), R9
+	VXORPD Y0, Y0, Y0 // x1's lanes
+	VXORPD Y1, Y1, Y1 // x2's lanes
+	VPXOR  Y2, Y2, Y2 // counts
+	VXORPD Y3, Y3, Y3 // zero
+
+probeloop:
+	VMOVUPD (SI)(AX*8), Y4
+	VMOVUPD (R8)(AX*8), Y5
+	VMULPD  Y4, Y5, Y5         // x1·v
+	VADDPD  Y5, Y0, Y0         // s1 + p
+	VMOVUPD (R9)(AX*8), Y6
+	VMULPD  Y4, Y6, Y6         // x2·v
+	VADDPD  Y6, Y1, Y1         // s2 + p
+	VCMPPD  $4, Y3, Y4, Y7     // v != 0 (NEQ_UQ): all ones
+	VPSUBQ  Y7, Y2, Y2         // count − (−1)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     probeloop
+
+	MOVQ         lanes+72(FP), DI
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y1, 32(DI)
+	VEXTRACTI128 $1, Y2, X3
+	VPADDQ       X3, X2, X2
+	VPSHUFD      $0x4e, X2, X3
+	VPADDQ       X3, X2, X2
+	VZEROUPPER
+	MOVQ         X2, BX
+
+probedone:
+	MOVQ AX, ret+80(FP)
+	MOVQ BX, ret1+88(FP)
+	RET
+
+// func nonZerosVec(row []float64) (int, int64)
+//
+// probeVec's count alone, over row's length rounded down to 4.
+TEXT ·nonZerosVec(SB), NOSPLIT, $0-40
+	XORQ AX, AX
+	XORQ BX, BX
+	CMPB ·useAVX2(SB), $0
+	JEQ  nzdone
+	MOVQ row_len+8(FP), CX
+	ANDQ $~3, CX
+	JZ   nzdone
+
+	MOVQ   row_base+0(FP), SI
+	VPXOR  Y2, Y2, Y2 // counts
+	VXORPD Y3, Y3, Y3 // zero
+
+nzloop:
+	VCMPPD $4, (SI)(AX*8), Y3, Y7 // v != 0 (NEQ_UQ): all ones
+	VPSUBQ Y7, Y2, Y2
+	ADDQ   $4, AX
+	CMPQ   AX, CX
+	JLT    nzloop
+
+	VEXTRACTI128 $1, Y2, X3
+	VPADDQ       X3, X2, X2
+	VPSHUFD      $0x4e, X2, X3
+	VPADDQ       X3, X2, X2
+	VZEROUPPER
+	MOVQ         X2, BX
+
+nzdone:
+	MOVQ AX, ret+24(FP)
+	MOVQ BX, ret1+32(FP)
 	RET

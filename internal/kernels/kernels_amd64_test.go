@@ -129,6 +129,41 @@ func runVec(vec bool, backing []float64, off, n int, call func([]float64)) []flo
 	return y
 }
 
+// probeCase draws one call of ProbeRow or NonZeros from data, makes it with
+// the vector bodies and with the Go bodies, and reports a difference in the
+// sums' bits or the count. Header bytes: kernel, length (0–67), then the
+// offsets (0–3) of the row and of the two probe columns in their backing
+// slices, whose lengths run past the row's. Two NaN sums agree whatever
+// their payloads: probe sums are not product bytes, and which NaN the Go
+// body's add of two returns is the compiler's operand order, which differs
+// between a plain and a fuzzing build.
+func probeCase(data []byte) error {
+	s := &vecSrc{data}
+	kind, n := s.byte()%2, s.byte()%68
+	ro, o1, o2 := s.byte()%4, s.byte()%4, s.byte()%4
+	row := s.floats(n + ro + 3)[ro : ro+n]
+	x1 := s.floats(n + o1 + 3)[o1:]
+	x2 := s.floats(n + o2 + 3)[o2:]
+	run := func(vec bool) (s1, s2 float64, nnz int64) {
+		defer func(v bool) { useAVX2 = v }(useAVX2)
+		useAVX2 = vec
+		if kind == 0 {
+			return ProbeRow(row, x1, x2)
+		}
+		return 0, 0, NonZeros(row)
+	}
+	g1, g2, gn := run(true)
+	w1, w2, wn := run(false)
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	if !same(g1, w1) || !same(g2, w2) || gn != wn {
+		return fmt.Errorf("probe kernel %d, n %d, offsets %d/%d/%d: (%v %#x, %v %#x, %d) in assembly, (%v %#x, %v %#x, %d) in Go",
+			kind, n, ro, o1, o2, g1, math.Float64bits(g1), g2, math.Float64bits(g2), gn, w1, math.Float64bits(w1), w2, math.Float64bits(w2), wn)
+	}
+	return nil
+}
+
 func TestVectorKernelsBitIdentical(t *testing.T) {
 	if !hasAVX2() {
 		t.Skip("no AVX2: the Go bodies are the only ones")
@@ -164,6 +199,48 @@ func TestVectorKernelsBitIdentical(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000, Rand: rand.New(rand.NewSource(41))}); err != nil {
+		t.Fatal(err)
+	}
+	// ProbeRow and NonZeros at every length 0–67 and every offset of the
+	// row and the probe columns, on rows drawn half from vecSpecials; then
+	// on rows of one special, each with a ±1 probe.
+	pr := rand.New(rand.NewSource(43))
+	for kind := 0; kind < 2; kind++ {
+		for n := 0; n < 68; n++ {
+			for offs := 0; offs < 64; offs++ {
+				pr.Read(data)
+				data[0], data[1] = byte(kind), byte(n)
+				data[2], data[3], data[4] = byte(offs%4), byte(offs/4%4), byte(offs/16)
+				if err := probeCase(data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for a := range vecSpecials {
+				data[0], data[1], data[2], data[3], data[4] = byte(kind), byte(n), byte(a%4), 0, byte(a%3)
+				rowEnd := 5 + n + a%4 + 3
+				for i := 5; i < len(data); i++ {
+					data[i] = byte(a) // the row's cells, one byte each
+					if i >= rowEnd {
+						data[i] = byte(160 + 7*(i%2*2-1)) // ±1, float's small values
+					}
+				}
+				if err := probeCase(data); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	g := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		data := make([]byte, 256+r.Intn(1024))
+		r.Read(data)
+		if err := probeCase(data); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(g, &quick.Config{MaxCount: 5000, Rand: rand.New(rand.NewSource(44))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -212,5 +289,43 @@ func FuzzVectorKernels(f *testing.F) {
 		if err := vectorCase(data); err != nil {
 			t.Fatal(err)
 		}
+		if err := probeCase(data); err != nil {
+			t.Fatal(err)
+		}
 	})
+}
+
+var probeSink int64
+
+// BenchmarkProbeRow times the dense epilogue's kernels on a row of 512
+// cells (a 512-wide dense result tile) and of 4096, at 60 % fill against ±1
+// probes, with the vector bodies and with the Go bodies alone.
+func BenchmarkProbeRow(b *testing.B) {
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	r := rand.New(rand.NewSource(47))
+	for _, n := range []int{512, 4096} {
+		row, x1, x2 := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range row {
+			if r.Intn(10) < 6 {
+				row[i] = r.NormFloat64()
+			}
+			x1[i], x2[i] = float64(r.Intn(2)*2-1), float64(r.Intn(2)*2-1)
+		}
+		for _, vec := range []bool{true, false} {
+			body := map[bool]string{true: "avx2", false: "go"}[vec]
+			b.Run(fmt.Sprintf("probe/%s/%d", body, n), func(b *testing.B) {
+				useAVX2 = vec && hasAVX2()
+				for i := 0; i < b.N; i++ {
+					_, _, n := ProbeRow(row, x1, x2)
+					probeSink += n
+				}
+			})
+			b.Run(fmt.Sprintf("count/%s/%d", body, n), func(b *testing.B) {
+				useAVX2 = vec && hasAVX2()
+				for i := 0; i < b.N; i++ {
+					probeSink += NonZeros(row)
+				}
+			})
+		}
+	}
 }
