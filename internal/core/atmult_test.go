@@ -352,7 +352,7 @@ func TestATMULTMixedGranularityOperands(t *testing.T) {
 // teams dry — and on a one-pair product whose pair is cut into row chunks.
 func TestATMULTBytesIndependentOfExecutor(t *testing.T) {
 	var stolen int64
-	for _, tp := range []numa.Topology{{Sockets: 2, CoresPerSocket: 2}, {Sockets: 4, CoresPerSocket: 1}} {
+	for _, tp := range []numa.Topology{{Sockets: 2, CoresPerSocket: 2}, {Sockets: 4, CoresPerSocket: 1}, {Sockets: 1, CoresPerSocket: 2}} {
 		for _, id := range []string{"G9", "R2"} {
 			spec, err := gen.Lookup(id)
 			if err != nil {
@@ -416,15 +416,15 @@ func decisionsOf(s *MultStats) decisions {
 // times one sparse tile — one pair, a dense target, the shape of a dense
 // stored product read back against a sparse operand — serializes to the
 // same bytes, homes its tile on the same socket and makes the same
-// decisions whole on 1×1 and cut into chunks on 2×1, 2×2 and 4×1, in every
-// one of ten runs.
+// decisions whole on 1×1 as on 2×1, 2×2, 4×1 and 1×2, whose workers share
+// its rows, in every one of ten runs.
 func bytesIndependentOfRowChunks(t *testing.T) {
 	cfg := testConfig()
 	a, b := onePairDenseTarget(t, cfg, rand.New(rand.NewSource(53)))
 	var first []byte
 	var want decisions
 	for _, tp := range []numa.Topology{{Sockets: 1, CoresPerSocket: 1}, {Sockets: 2, CoresPerSocket: 1},
-		{Sockets: 2, CoresPerSocket: 2}, {Sockets: 4, CoresPerSocket: 1}} {
+		{Sockets: 2, CoresPerSocket: 2}, {Sockets: 4, CoresPerSocket: 1}, {Sockets: 1, CoresPerSocket: 2}} {
 		cfg.Topology = tp
 		for run := 0; run < 10; run++ {
 			c, stats, err := MultiplyOpt(a, b, cfg, DefaultMultOptions())

@@ -27,7 +27,9 @@ type productGolden struct {
 
 // productGoldens is keyed "topology/seed/product". 2x1 is the server's
 // configuration (2 sockets × 1 core); 2x2 runs every dense target's rows in
-// two fan-out chunks.
+// two fan-out chunks; 1x2 is the topology numa.Detect gives a 2-CPU host, one
+// socket of two cores, whose digests differ from 2x1's only by the serialized
+// tile homes.
 var productGoldens = map[string]productGolden{
 	"2x1/1/R1²":   {0x4c019216, 2453, 4, 41, 235, 233},
 	"2x1/1/R2²":   {0xb83e3582, 613, 2, 0, 0, 81},
@@ -77,6 +79,30 @@ var productGoldens = map[string]productGolden{
 	"2x2/2/G9²":   {0x1c34ea4e, 421, 0, 0, 47, 64},
 	"2x2/2/T1·T2": {0xb6590923, 19, 0, 0, 0, 5},
 	"2x2/2/TP·B0": {0x70ecbb8f, 1, 0, 0, 0, 1},
+	"1x2/1/R1²":   {0x9de587b8, 2453, 4, 41, 235, 233},
+	"1x2/1/R2²":   {0x23fd436a, 613, 2, 0, 0, 81},
+	"1x2/1/R3²":   {0xff8ebeed, 3875, 0, 0, 0, 400},
+	"1x2/1/R4²":   {0xc818987e, 1, 0, 0, 0, 1},
+	"1x2/1/R5²":   {0x459723ef, 8631, 8, 6, 592, 927},
+	"1x2/1/R6²":   {0x629e6555, 99016, 13, 3047, 43230, 1994},
+	"1x2/1/R7²":   {0xbac5788a, 1, 0, 1, 0, 1},
+	"1x2/1/R8²":   {0x8c691863, 1, 0, 0, 1, 1},
+	"1x2/1/R9²":   {0xf1527850, 1, 0, 0, 1, 1},
+	"1x2/1/G9²":   {0x73ae62bd, 421, 0, 0, 51, 64},
+	"1x2/1/T1·T2": {0xc535bf13, 19, 0, 0, 0, 5},
+	"1x2/1/TP·B0": {0x50cef2f3, 1, 0, 0, 0, 1},
+	"1x2/2/R1²":   {0x7c41ae7f, 2329, 2, 41, 219, 233},
+	"1x2/2/R2²":   {0xa10ab0d1, 815, 4, 0, 0, 99},
+	"1x2/2/R3²":   {0x15b2caa6, 3875, 0, 0, 0, 400},
+	"1x2/2/R4²":   {0x6e12b240, 1, 0, 0, 0, 1},
+	"1x2/2/R5²":   {0x295341ac, 11016, 8, 67, 2023, 890},
+	"1x2/2/R6²":   {0x8fec0e66, 69856, 27, 1404, 29542, 1994},
+	"1x2/2/R7²":   {0x679f1759, 1, 0, 1, 0, 1},
+	"1x2/2/R8²":   {0xbc153ccb, 1, 0, 0, 1, 1},
+	"1x2/2/R9²":   {0x4ef2d0c7, 1, 0, 0, 1, 1},
+	"1x2/2/G9²":   {0x567e1f7d, 421, 0, 0, 47, 64},
+	"1x2/2/T1·T2": {0xb6590923, 19, 0, 0, 0, 5},
+	"1x2/2/TP·B0": {0x70ecbb8f, 1, 0, 0, 0, 1},
 }
 
 // productCase generates the Table I stand-in id at scale as atload does for
@@ -123,6 +149,7 @@ func TestProductGoldenDigests(t *testing.T) {
 		{numa.Topology{Sockets: 2, CoresPerSocket: 1}, false},
 		{numa.Topology{Sockets: 2, CoresPerSocket: 2}, false},
 		{numa.Topology{Sockets: 2, CoresPerSocket: 2}, true},
+		{numa.Topology{Sockets: 1, CoresPerSocket: 2}, false},
 	} {
 		topo := run.topo
 		cfg := benchLayoutConfig()

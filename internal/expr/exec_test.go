@@ -14,9 +14,10 @@ import (
 
 // TestExprResultDigests pins the bytes of the benchmark's three eval_chain
 // results — a row-streamed chain, a panel chain and a transpose/scale/sum —
-// on its seed-1 operands (Table I stand-ins at 1/16, b_atomic 64) at three
+// on its seed-1 operands (Table I stand-ins at 1/16, b_atomic 64) at four
 // topologies. The digests are the Encode CRC-32C recorded before fused
-// results were staged through core.PartitionRows; never edit them. The
+// results were staged through core.PartitionRows (1x2's before a socket's
+// second core took tasks of its own); never edit them. The
 // panel result's bytes differ between one socket and two because tile
 // homes are serialized.
 func TestExprResultDigests(t *testing.T) {
@@ -48,6 +49,7 @@ func TestExprResultDigests(t *testing.T) {
 		{Sockets: 1, CoresPerSocket: 1}: {"R9*R9*R9": 0x4e57a4cd, "pow(G9,10)*x": 0x25a6763e, "0.5*R8'*R8+0.5*R8": 0x8557a4da},
 		{Sockets: 2, CoresPerSocket: 1}: {"R9*R9*R9": 0x4e57a4cd, "pow(G9,10)*x": 0xc8014c33, "0.5*R8'*R8+0.5*R8": 0x8557a4da},
 		{Sockets: 2, CoresPerSocket: 2}: {"R9*R9*R9": 0x4e57a4cd, "pow(G9,10)*x": 0xc8014c33, "0.5*R8'*R8+0.5*R8": 0x8557a4da},
+		{Sockets: 1, CoresPerSocket: 2}: {"R9*R9*R9": 0x4e57a4cd, "pow(G9,10)*x": 0x25a6763e, "0.5*R8'*R8+0.5*R8": 0x8557a4da},
 	}
 	for topo, digests := range want {
 		cfg := core.PaperConfig()
