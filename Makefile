@@ -47,11 +47,14 @@ test:
 ## running the code, not inferred from it. core's one such struct
 ## (convCache) is on the path of the tests its filter selects; unfiltered,
 ## core adds about as long again as the other five together. The product
-## digests (48 products, 4 min under the detector) are skipped: the
-## executor test covers the same shared views and fan-out chunks.
+## digests (72 products, over 4 min under the detector) are skipped: the
+## executor test covers the same shared views and row chunks. expr's panel
+## and row-stream tasks run side by side on a socket's workers; its filter
+## keeps the executor, digest and verify tests.
 race:
 	$(GO) test -race ./internal/sched ./internal/catalog ./internal/service ./internal/cluster ./cmd/atserve -count=1
 	$(GO) test -race ./internal/core -run 'Concurrent|Cancel|Scrub|Recover|Spill|Verify|Bitflip|Distributed|BytesIndependentOfExecutor|Golden|MatchesOldRoute' -skip 'ProductGoldenDigests'
+	$(GO) test -race ./internal/expr -run 'EvalMatchesReference|ExprResultDigests|FusedPeak|VerifyExpression'
 
 ## fuzz-smoke: run every Fuzz* target in the module for FUZZTIME. The seven
 ## decoder targets (core, cluster, catalog, mmio) assert an allocation

@@ -29,14 +29,14 @@ type MultOptions struct {
 	// with just-in-time operand conversions (§III-C).
 	DynOpt bool
 	// Ctx, when non-nil, cancels the multiplication: the operator checks
-	// it between phases and the worker teams check it between tile-task
+	// it between phases and the workers check it between tile-task
 	// batches, so a cancelled or deadline-exceeded run aborts promptly
 	// without interrupting a tile multiplication mid-flight. The operator
 	// returns ctx.Err() (context.Canceled or context.DeadlineExceeded)
 	// and no result. A nil Ctx means the run cannot be cancelled.
 	Ctx context.Context
 	// Watchdog, when positive, bounds every tile task: a task running
-	// longer marks its worker team degraded and fails the multiplication
+	// longer marks its worker degraded and fails the multiplication
 	// with a *sched.WatchdogError instead of blocking forever on a hung
 	// kernel. Zero disables the watchdog.
 	Watchdog time.Duration
@@ -44,7 +44,7 @@ type MultOptions struct {
 	// assembled result and fails the multiplication with a *VerifyError
 	// (matching ErrVerifyFailed) when C ≠ A·B. The rounds' probes sweep A,
 	// B and the result's sparse tiles together, two rounds per sweep, on
-	// the worker teams; the result's dense tiles are probed by the row
+	// the workers; the result's dense tiles are probed by the row
 	// bodies that wrote them, while they are in cache. The cost is
 	// O(stored cells) — non-zeros of sparse tiles, every cell of dense
 	// ones — per round. A wrong product escapes k rounds with probability
@@ -81,15 +81,15 @@ type MultStats struct {
 	EstimateTime time.Duration // density estimation + water level
 	OptimizeTime time.Duration // cost-model decisions (wall time, summed over tasks)
 	ConvertTime  time.Duration // just-in-time operand conversions
-	MultiplyTime time.Duration // kernel execution; sparse targets: the row passes, emit of every finished row included, summed over the fan-out's row chunks; dense targets: the row bodies — on a recycled buffer the clear of their rows first, then the kernels and the epilogue (the rows' non-zero count and, verifying, their probe sums)
-	FinalizeTime time.Duration // sparse targets: the leader's assembly of the finished rows into the result CSR
+	MultiplyTime time.Duration // kernel execution; sparse targets: the row pass, emit of every finished row included; dense targets: the row bodies — on a recycled buffer the clear of their rows first, then the kernels and the epilogue (the rows' non-zero count and, verifying, their probe sums)
+	FinalizeTime time.Duration // sparse targets: the assembly of the finished rows into the result CSR
 	VerifyTime   time.Duration // Freivalds result verification (opts.Verify): drawing the probes, the sweeps of B, A and the result's sparse tiles, and the comparison; the dense tiles' probe sums are in MultiplyTime
 	WallTime     time.Duration // end-to-end operator time
 
 	Conversions   int64 // number of operand windows converted
 	Contributions int64 // tile-multiplication tasks executed
 	TargetTiles   int64 // result tiles produced (before dropping empties)
-	TasksStolen   int64 // tasks (a tile pair, or a row chunk of one) executed by a team other than their home socket's
+	TasksStolen   int64 // tasks (a tile pair, or a row chunk of one) executed by a worker of another socket than their home
 	ScratchBytes  int64 // process-wide persistent worker-scratch high-water mark
 
 	// Kernel-choice counts for sparse×sparse→sparse contributions: how
@@ -135,8 +135,8 @@ func Multiply(a, b *ATMatrix, cfg Config) (*ATMatrix, *MultStats, error) {
 // MultiplyOpt is Alg. 2: it estimates the result-density map, derives the
 // effective write threshold with the water-level method, forms tile-row ×
 // tile-col pairs — each pair producing one target tile C_{ti,tj} — and
-// executes the pairs on per-socket worker teams (a product with fewer pairs
-// than teams cuts its dense-target pairs into row chunks, splitPairs).
+// executes the pairs on the per-socket workers (a product with fewer pairs
+// than cores cuts its dense-target pairs into row chunks, splitPairs).
 // Every pair accumulates
 // the referenced submatrix multiplications of the matching A and B tiles,
 // with the dynamic optimizer converting operand windows just in time when
@@ -363,7 +363,7 @@ type mulCtx struct {
 }
 
 // pairTask is one task of a product: a tile pair, or one row chunk of a
-// dense-target pair that splitPairs cut across the teams.
+// dense-target pair that splitPairs cut across the workers.
 type pairTask struct {
 	idx  int32 // the pair's result slot, row-major over the band grid
 	pair int32 // the pair's position in the pair list
@@ -393,19 +393,20 @@ type splitPair struct {
 	nnz   atomic.Int64
 }
 
-// splitPairs cuts each dense-target pair into ⌈Sockets / pairs⌉ row chunks
-// when the product has fewer pairs than teams. A whole pair cannot be
-// partly taken by a dry team, so a one-pair product would otherwise run on
-// one team while the others idle. Sparse targets stay whole: a chunk would
-// need accumulator segments of its own instead of a worker's warm
-// grow-only ones, and that costs more than the team it gains. A product
-// with enough pairs is returned as it is.
+// splitPairs cuts each dense-target pair into ⌈TotalCores / pairs⌉ row
+// chunks when the product has fewer pairs than cores. A whole pair runs on
+// one worker, so a one-pair product would otherwise keep one core busy
+// while the others idle; the chunks are how the rows of one tile are
+// shared. Sparse targets stay whole: a chunk would need accumulator
+// segments of its own instead of a worker's warm grow-only ones, and that
+// costs more than the core it gains. A product with enough pairs is
+// returned as it is.
 func (mc *mulCtx) splitPairs(pairs []pairTask) []pairTask {
-	sockets := mc.cfg.Topology.Sockets
-	if len(pairs) >= sockets || !slices.ContainsFunc(pairs, func(p pairTask) bool { return p.dense }) {
+	cores := mc.cfg.Topology.TotalCores()
+	if len(pairs) >= cores || !slices.ContainsFunc(pairs, func(p pairTask) bool { return p.dense }) {
 		return pairs
 	}
-	per := int32((sockets + len(pairs) - 1) / len(pairs))
+	per := int32((cores + len(pairs) - 1) / len(pairs))
 	mc.splits = make([]splitPair, len(pairs))
 	tasks := make([]pairTask, 0, len(pairs)*int(per))
 	for _, p := range pairs {
@@ -429,7 +430,7 @@ func (mc *mulCtx) splitPairs(pairs []pairTask) []pairTask {
 // in one go on the worker's scratch; a row chunk of a split pair runs its
 // rows and leaves the plan to the first chunk and the finish to the last.
 func (mc *mulCtx) runTask(team *sched.Team, t *pairTask) {
-	ws := stateFor(team, 0, mc.cfg.EphemeralWorkers)
+	ws := stateFor(team, mc.cfg.EphemeralWorkers)
 	ws.scratch.BeginTask()
 	defer func() {
 		ws.releaseContribs()
@@ -441,9 +442,9 @@ func (mc *mulCtx) runTask(team *sched.Team, t *pairTask) {
 			return
 		}
 		if t.dense {
-			mc.finish(team, t, mc.denseRows(team, ws, t, ws.contribs), nil)
+			mc.finish(team, t, mc.denseRows(ws, t, ws.contribs), nil)
 		} else {
-			csr := mc.sparseRows(team, ws, ws.contribs)
+			csr := mc.sparseRows(ws, ws.contribs)
 			mc.finish(team, t, csr.NNZ(), csr)
 		}
 		return
@@ -453,7 +454,7 @@ func (mc *mulCtx) runTask(team *sched.Team, t *pairTask) {
 	// the panic has already failed the run.
 	sp.plan.Do(func() { sp.contribs = mc.plan(team, t, nil, &sp.arena) })
 	if len(sp.contribs) != 0 {
-		sp.nnz.Add(mc.denseRows(team, ws, t, sp.contribs))
+		sp.nnz.Add(mc.denseRows(ws, t, sp.contribs))
 	}
 	if sp.left.Add(-1) == 0 {
 		mc.finish(team, t, sp.nnz.Load(), nil)
@@ -552,8 +553,7 @@ func (mc *mulCtx) plan(team *sched.Team, t *pairTask, cts []contribution, arena 
 		}
 		// Algorithm choice for sparse×sparse→sparse: outer-product merge
 		// vs. Gustavson, per the cost model's crossover. Decided here, once
-		// per contribution, so every row slice of the fan-out runs the same
-		// kernel.
+		// per contribution.
 		if targetKind == mat.Sparse && kindA == mat.Sparse && kindB == mat.Sparse {
 			ct.Outer = cfg.Cost.PreferOuter(m, ct.k, n, runDensity(ct), rhoB)
 			if ct.Outer {
@@ -580,7 +580,7 @@ func (mc *mulCtx) plan(team *sched.Team, t *pairTask, cts []contribution, arena 
 			}
 		}
 
-		// Simulated NUMA accounting: the team reads both operand
+		// Simulated NUMA accounting: the worker's socket reads both operand
 		// windows from their home nodes.
 		stats.Numa.RecordAccess(team.Socket, ct.aTile.Home, windowBytes(ct.aTile, m, ct.k))
 		stats.Numa.RecordAccess(team.Socket, ct.bTile.Home, windowBytes(ct.bTile, ct.k, n))
@@ -594,21 +594,25 @@ func (mc *mulCtx) plan(team *sched.Team, t *pairTask, cts []contribution, arena 
 }
 
 // denseRows runs the contributions over the task's target rows of the
-// pair's dense tile — intra-tile parallelization: each worker of the team
-// processes its row slice through all contributions, then finishes it
-// (finishRows) — and returns the non-zeros of those rows. The row body is
-// the worker state's reusable closure reading the cur* fields set here.
-func (mc *mulCtx) denseRows(team *sched.Team, ws *workerState, t *pairTask, cts []contribution) int64 {
+// pair's dense tile on the worker's own scratch, which holds DSpD's column
+// form of B, then finishes them (finishRows), and returns the non-zeros of
+// those rows.
+func (mc *mulCtx) denseRows(ws *workerState, t *pairTask, cts []contribution) int64 {
 	t0 := time.Now()
 	d, lo, hi := &mc.denses[t.idx], int(t.lo), int(t.hi)
-	denseFn, _ := ws.rowFns()
-	ws.curTeam, ws.curEph, ws.curD, ws.curCts, ws.curLo = team, mc.cfg.EphemeralWorkers, d, cts, lo
-	ws.curDirty = mc.dirty[t.idx]
-	ws.curMC, ws.curTask = mc, t
-	ws.curNNZ.Store(0)
-	team.ParallelRows(hi-lo, denseFn)
+	cw := d.View(lo, hi, 0, d.Cols)
+	if mc.dirty[t.idx] {
+		// A recycled target: these rows, and only these, are cleared just
+		// before their first contribution. The view is full width, so its
+		// Data is exactly its rows.
+		clear(cw.Data)
+	}
+	for i := range cts {
+		runDenseTarget(&cw, &cts[i], lo, hi, ws.scratch)
+	}
+	nnz := mc.finishRows(t, &cw, lo)
 	mc.mulNanos.Add(time.Since(t0).Nanoseconds())
-	return ws.curNNZ.Load()
+	return nnz
 }
 
 // finishRows is the epilogue of a dense target's row body, on rows [lo,
@@ -650,23 +654,22 @@ func (mc *mulCtx) plantFlip(cw *mat.Dense) {
 	}
 }
 
-// sparseRows finishes every row of a sparse target in one row pass per
-// chunk of the fan-out, each into its own segment and stamping its own time
-// (busy time, summed across workers), and assembles the finished rows into
-// the result CSR, which the leader's time covers.
-func (mc *mulCtx) sparseRows(team *sched.Team, ws *workerState, cts []contribution) *mat.CSR {
+// sparseRows finishes every row of a sparse target in one row pass, each
+// row summed over all contributions and written once, then assembles the
+// finished rows into the result CSR.
+func (mc *mulCtx) sparseRows(ws *workerState, cts []contribution) *mat.CSR {
 	m, n := cts[0].mRows, cts[0].nCols
 	for i := range cts {
 		ws.terms = append(ws.terms, cts[i].Term)
 	}
-	_, sparseFn := ws.rowFns()
 	acc := ws.scratch.Acc(m, n)
-	acc.Split(team.Workers)
-	ws.curTeam, ws.curEph, ws.curAcc, ws.curMC = team, mc.cfg.EphemeralWorkers, acc, mc
-	team.ParallelRows(m, sparseFn)
+	acc.Split(1)
 	t0 := time.Now()
+	acc.Pass(0, 0, m, ws.terms, ws.scratch)
+	t1 := time.Now()
+	mc.mulNanos.Add(t1.Sub(t0).Nanoseconds())
 	csr := acc.ToCSR()
-	mc.finNanos.Add(time.Since(t0).Nanoseconds())
+	mc.finNanos.Add(time.Since(t1).Nanoseconds())
 	return csr
 }
 
@@ -690,8 +693,8 @@ func (mc *mulCtx) finish(team *sched.Team, t *pairTask, nnz int64, sp *mat.CSR) 
 		out.Kind, out.D, out.Sp = mat.Sparse, nil, sp
 	}
 	// The tile is homed where its tile-row is placed, not where it was
-	// computed: Home is serialized, and which team ran the pair depends on
-	// timing. The allocation is charged to the team that made it, so a
+	// computed: Home is serialized, and which worker ran the pair depends on
+	// timing. The allocation is charged to the socket that made it, so a
 	// pair run away from home shows up in the NUMA statistics instead.
 	out.Home = mc.cfg.HomeOfRow(rb.Lo)
 	mc.stats.Numa.RecordAlloc(team.Socket, out.Bytes())
@@ -762,7 +765,7 @@ func (mc *mulCtx) resolveOperand(ct *contribution, isA bool, want mat.Kind, scr 
 
 // convCache memoizes, for one ATMULT invocation, the full-tile
 // sparse→dense conversions: they stay per product, because the cost model
-// prices them. Each entry owns a sync.Once, so concurrent teams neither
+// prices them. Each entry owns a sync.Once, so concurrent workers neither
 // serialize on a global lock during the (potentially large) build nor
 // duplicate it and throw one copy away — the map mutex is held only for
 // the entry lookup. Very large tiles are not converted through the cache,

@@ -521,18 +521,18 @@ func TestScratchBytesCoversWorkerArenas(t *testing.T) {
 	b := mat.RandomCOO(rng, n, n, 3*n)
 	stats := multAndCheck(t, cfg, DefaultMultOptions(), a, b, "scratch accounting")
 
-	// One item per team; each waits for all to have started, so every team
-	// is held by its own item and each arena is inspected exactly once.
+	// One item per worker; each waits for all to have started, so every
+	// worker is held by its own item and each arena is inspected exactly
+	// once.
 	var held atomic.Int64
 	var arrived sync.WaitGroup
-	arrived.Add(cfg.Topology.Sockets)
-	_, err := RunHomed(context.Background(), cfg, 0, cfg.Topology.Sockets, func(i int) int { return i * cfg.BAtomic }, func(team *sched.Team, _ int) {
+	cores := cfg.Topology.TotalCores()
+	arrived.Add(cores)
+	_, err := RunHomed(context.Background(), cfg, 0, cores, func(i int) int { return i * cfg.BAtomic }, func(team *sched.Team, _ int) {
 		arrived.Done()
 		arrived.Wait()
-		for w := 0; w < team.Workers; w++ {
-			if ws, ok := (*team.WorkerLocal(w)).(*workerState); ok {
-				held.Add(ws.scratch.Bytes() + int64(cap(ws.contribs))*int64(unsafe.Sizeof(contribution{})))
-			}
+		if ws, ok := (*team.WorkerLocal()).(*workerState); ok {
+			held.Add(ws.scratch.Bytes() + int64(cap(ws.contribs))*int64(unsafe.Sizeof(contribution{})))
 		}
 	})
 	if err != nil {

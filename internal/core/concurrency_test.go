@@ -138,7 +138,7 @@ func TestConcurrentMultiplySharedOperands(t *testing.T) {
 }
 
 // TestConcurrentMultiplyMixedConfigs runs concurrent multiplications with
-// different topologies and row grains against shared operands, exercising
+// different topologies and scratch modes against shared operands, exercising
 // several persistent runtimes at once.
 func TestConcurrentMultiplyMixedConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
@@ -157,7 +157,6 @@ func TestConcurrentMultiplyMixedConfigs(t *testing.T) {
 	}
 	cfgs[1].Topology.Sockets = 1
 	cfgs[1].Topology.CoresPerSocket = 4
-	cfgs[1].RowGrain = 1
 	cfgs[2].EphemeralWorkers = true
 
 	var wg sync.WaitGroup

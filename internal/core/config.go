@@ -6,7 +6,8 @@
 // operator (§III), which processes such matrices as cost-optimized tile
 // multiplications with result-density estimation, a memory-bounded write
 // threshold (water-level method), just-in-time tile conversions, and
-// two-level NUMA-aware parallelization.
+// NUMA-aware parallelization: one task queue per socket, drained by that
+// socket's workers.
 package core
 
 import (
@@ -44,20 +45,17 @@ type Config struct {
 	// the effective write threshold to honor it.
 	MemLimit int64
 	// Topology is the (simulated) NUMA topology used for tile placement
-	// and worker teams.
+	// and the workers.
 	Topology numa.Topology
 	// Cost holds the kernel cost-model constants.
 	Cost costmodel.Params
-	// RowGrain is the minimum number of target-tile rows handed to each
-	// team worker during intra-tile parallelization; ranges shorter than
-	// 2·RowGrain run inline on the leader. It guards against the
-	// over-parallelization the paper notes for small, very sparse blocks.
-	// Zero or one means no constraint; DefaultConfig uses DefaultRowGrain.
+	// RowGrain is read by nothing. It stays only because the benchmark
+	// driver's scheduler probe (atload) passes it on, and goes with ROADMAP
+	// item 0(d).
 	RowGrain int
-	// EphemeralWorkers gives every task and fan-out chunk a throwaway
-	// scratch arena instead of its worker's persistent one; the tasks still
-	// run on the same persistent teams, under the same watchdog and panic
-	// boundary. It exists as the baseline for the scratch-reuse ablation
+	// EphemeralWorkers gives every task a throwaway scratch arena instead
+	// of its worker's persistent one; the tasks still run on the same
+	// persistent workers, under the same watchdog and panic boundary. It exists as the baseline for the scratch-reuse ablation
 	// (BenchmarkAblation_Runtime); production paths leave it false.
 	EphemeralWorkers bool
 }
@@ -71,11 +69,6 @@ const (
 	llcBeta  = 3
 )
 
-// DefaultRowGrain is the default minimum rows-per-worker of the intra-tile
-// split: small enough to keep every core busy on a full b_atomic tile,
-// large enough that a worker's chunk amortizes the fan-out handoff.
-const DefaultRowGrain = 16
-
 // DefaultConfig returns a configuration for the current machine: detected
 // LLC (fallback: the paper's 24 MB), α = β = 3, b_atomic derived from the
 // LLC per §II-B2, ρ0^R and ρ0^W from the cost model, and a detected
@@ -88,7 +81,6 @@ func DefaultConfig() Config {
 		RhoWrite: cost.RhoWrite(),
 		Topology: numa.Detect(),
 		Cost:     cost,
-		RowGrain: DefaultRowGrain,
 	}
 	cfg.BAtomic = deriveBAtomic(cfg.LLCBytes)
 	return cfg
@@ -123,9 +115,6 @@ func (c Config) Validate() error {
 	if c.MemLimit < 0 {
 		return fmt.Errorf("core: negative memory limit %d", c.MemLimit)
 	}
-	if c.RowGrain < 0 {
-		return fmt.Errorf("core: negative row grain %d", c.RowGrain)
-	}
 	return c.Topology.Validate()
 }
 
@@ -139,15 +128,15 @@ func (c Config) HomeOfRow(row int) numa.Node {
 }
 
 // RunHomed runs fn(team, i) once for every item i in [0, n) on the
-// configuration's worker teams and returns when all have run. Item i is
-// queued on the team that homes matrix row rowOf(i) — the first row the
-// item works on — and runs there unless that team falls behind and a dry
-// one takes it (sched.Runtime.RunIndexedCtx); team tells fn which. A nil
-// ctx cannot be cancelled. A cancelled one stops the teams from picking up
-// further items; the caller learns that from ctx, not from the error, which
-// reports a failed run: *sched.TaskPanicError (its Item is i),
-// *sched.WatchdogError (a positive watchdog bounds every item) or
-// sched.ErrNoHealthyTeams.
+// configuration's workers and returns when all have run. Item i is queued
+// on the socket that homes matrix row rowOf(i) — the first row the item
+// works on — and runs on one of that socket's workers unless they fall
+// behind and a dry worker of another socket takes it
+// (sched.Runtime.RunIndexedCtx); team tells fn which. A nil ctx cannot be
+// cancelled. A cancelled one stops the workers from picking up further
+// items; the caller learns that from ctx, not from the error, which reports
+// a failed run: *sched.TaskPanicError (its Item is i), *sched.WatchdogError
+// (a positive watchdog bounds every item) or sched.ErrNoHealthyTeams.
 func RunHomed(ctx context.Context, cfg Config, watchdog time.Duration, n int, rowOf func(i int) int, fn func(team *sched.Team, i int)) (sched.RunStats, error) {
 	queues := make([][]int32, cfg.Topology.Sockets)
 	for i := 0; i < n; i++ {
@@ -155,7 +144,7 @@ func RunHomed(ctx context.Context, cfg Config, watchdog time.Duration, n int, ro
 		queues[home] = append(queues[home], int32(i))
 	}
 	return sched.RuntimeFor(cfg.Topology).RunIndexedCtx(ctx, queues, func(team *sched.Team, item int32) { fn(team, int(item)) },
-		sched.RunOpts{Grain: cfg.RowGrain, Watchdog: watchdog})
+		sched.RunOpts{Watchdog: watchdog})
 }
 
 // MaxDenseTileDim returns τ^d_max from Eq. 1: the dense tile side length

@@ -46,7 +46,7 @@ func Partition(src *mat.COO, cfg Config) (*ATMatrix, *PartitionStats, error) {
 // row: fill appends rows [lo, hi) to b — columns strictly ascending, no zero
 // values — using scr, the arena of the worker that runs it. The row ranges
 // are cut over the rows of by, the rows-tall matrix whose rows are being
-// produced (nil: equal ranges), and run on the worker teams like any stage;
+// produced (nil: equal ranges), and run on the workers like any stage;
 // ctx and watchdog bound them as they bound a multiplication's tasks.
 func PartitionRows(ctx context.Context, cfg Config, watchdog time.Duration, rows, cols int, by *ATMatrix, fill func(scr *kernels.Scratch, lo, hi int, b *RowBlock)) (*ATMatrix, *PartitionStats, error) {
 	return buildLayout(rows, cols, cfg, (*partitioner).quadtree, func() (*mat.CSR, error) {
@@ -67,7 +67,7 @@ func PartitionRows(ctx context.Context, cfg Config, watchdog time.Duration, rows
 // buildLayout is the one routine behind every layout build: stage produces
 // the rows (its duration is SortTime), one pass counts them per atomic
 // block, plan turns the counts into tile boxes — it only *plans* — and the
-// boxes are cut out of the stage, one task per tile on the worker teams.
+// boxes are cut out of the stage, one task per tile on the workers.
 func buildLayout(rows, cols int, cfg Config, plan func(*partitioner) []tileBox, stage func() (*mat.CSR, error)) (*ATMatrix, *PartitionStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err

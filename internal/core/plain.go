@@ -57,10 +57,9 @@ func MulSpSpSp(a, b *mat.CSR, cfg Config) (*mat.CSR, error) {
 	acc.Split(cfg.Topology.TotalCores())
 	terms := []kernels.Term{{A: kernels.FullCSR(a), B: kernels.FullCSR(b)}}
 	err := forRowChunks(cfg, a.Rows, func(team *sched.Team, i int, ch Band) {
-		// Tasks execute on the team leader, so its persistent scratch is
-		// exclusively ours for the duration of the task; each chunk writes
-		// its own segment.
-		acc.Pass(i, ch.Lo, ch.Hi, terms, stateFor(team, 0, cfg.EphemeralWorkers).scratch)
+		// The worker's persistent scratch is exclusively ours for the
+		// duration of the task; each chunk writes its own segment.
+		acc.Pass(i, ch.Lo, ch.Hi, terms, stateFor(team, cfg.EphemeralWorkers).scratch)
 	})
 	if err != nil {
 		return nil, err
@@ -109,7 +108,7 @@ func MulDSpD(a *mat.Dense, b *mat.CSR, cfg Config) (*mat.Dense, error) {
 	c := mat.NewDense(a.Rows, b.Cols)
 	err := forRowChunks(cfg, a.Rows, func(team *sched.Team, _ int, ch Band) {
 		kernels.DSpDScratch(c.Window(ch.Lo, ch.Hi, 0, c.Cols), a.Window(ch.Lo, ch.Hi, 0, a.Cols), kernels.FullCSR(b),
-			stateFor(team, 0, cfg.EphemeralWorkers).scratch)
+			stateFor(team, cfg.EphemeralWorkers).scratch)
 	})
 	if err != nil {
 		return nil, err

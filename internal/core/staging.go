@@ -127,7 +127,7 @@ func joinBlocks(rows, cols int, blocks []RowBlock) *mat.CSR {
 // the stages below and the verify sweep: sweepChunksPerCore ranges per core,
 // balanced by the stored cells of by's rows (the matrix whose rows are being
 // produced or swept, rows tall), or of equal height when there is none.
-// Several ranges per core let a dry team take what a skewed matrix piles on
+// Several ranges per core let a dry worker take what a skewed matrix piles on
 // another.
 func rowCuts(rows int, by *ATMatrix, cfg Config) []int {
 	parts := sweepChunksPerCore * cfg.Topology.TotalCores()
@@ -142,7 +142,7 @@ func rowCuts(rows int, by *ATMatrix, cfg Config) []int {
 	return append(cuts, rows)
 }
 
-// stageRows builds a stage on the worker teams: fill appends rows [lo, hi)
+// stageRows builds a stage on the workers: fill appends rows [lo, hi)
 // to its block (NNZ sized for them), one task per range of rowCuts, homed by
 // its first row, on the arena of the worker that runs it. A cancelled ctx
 // ends the stage with its error.
@@ -152,7 +152,7 @@ func stageRows(ctx context.Context, cfg Config, watchdog time.Duration, rows, co
 	_, err := RunHomed(ctx, cfg, watchdog, len(blocks),
 		func(i int) int { return cuts[i] },
 		func(team *sched.Team, i int) {
-			ws := stateFor(team, 0, cfg.EphemeralWorkers)
+			ws := stateFor(team, cfg.EphemeralWorkers)
 			defer ws.syncFootprint()
 			blocks[i].NNZ = make([]int32, 0, cuts[i+1]-cuts[i])
 			fill(ws.scratch, cuts[i], cuts[i+1], &blocks[i])

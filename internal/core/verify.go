@@ -38,11 +38,11 @@ const (
 	probeSlab  = 2
 	panelWidth = probeSlab + 1
 	// teamSweepCells is the number of stored cells from which a matrix is
-	// swept by the worker teams; below it the fan-out costs more than the
+	// swept by the workers; below it the dispatch costs more than the
 	// sweep, which then runs on the calling goroutine.
 	teamSweepCells = 1 << 19
-	// sweepChunksPerCore is how many row chunks a team sweep cuts per core,
-	// so that a dry team finds work left on the other's queue.
+	// sweepChunksPerCore is how many row chunks a worker sweep cuts per
+	// core, so that a dry worker finds work left on another's queue.
 	sweepChunksPerCore = 4
 )
 
@@ -97,7 +97,7 @@ type Sweeper struct {
 }
 
 // TeamSweeper returns a Sweeper that runs large sweeps through RunHomed on
-// cfg's teams under ctx (nil: not cancellable) and the per-item watchdog.
+// cfg's workers under ctx (nil: not cancellable) and the per-item watchdog.
 func TeamSweeper(ctx context.Context, cfg Config, watchdog time.Duration) Sweeper {
 	return Sweeper{ctx: ctx, cfg: &cfg, watchdog: watchdog}
 }
@@ -150,15 +150,7 @@ func (s Sweeper) sweepSums(m *ATMatrix, trans bool, in, out Panel, probesOnly bo
 		cuts := rowCuts(m.Rows, m, *s.cfg)
 		_, runErr = RunHomed(s.ctx, *s.cfg, s.watchdog, len(cuts)-1,
 			func(i int) int { return cuts[i] },
-			func(team *sched.Team, i int) {
-				if team.Workers <= 1 {
-					m.gatherRows(in, out, probesOnly, sums, cuts[i], cuts[i+1])
-					return
-				}
-				team.ParallelRows(cuts[i+1]-cuts[i], func(lo, hi, _ int) {
-					m.gatherRows(in, out, probesOnly, sums, cuts[i]+lo, cuts[i]+hi)
-				})
-			})
+			func(_ *sched.Team, i int) { m.gatherRows(in, out, probesOnly, sums, cuts[i], cuts[i+1]) })
 	}
 	// A cancelled run skipped items: report that, not a verdict on a
 	// half-filled panel.

@@ -495,14 +495,12 @@ func (e *exec) applyPanel(m *core.ATMatrix, src, dst []float64, w int) error {
 	b := m.BAtomic
 	_, err := core.RunHomed(e.opts.Mult.Ctx, e.cfg, e.opts.Mult.Watchdog, (m.Rows+b-1)/b,
 		func(br int) int { return br * b },
-		func(team *sched.Team, br int) {
+		func(_ *sched.Team, br int) {
 			lo, hi := br*b, min(br*b+b, m.Rows)
-			team.ParallelRows(hi-lo, func(rlo, rhi, _ int) {
-				clear(dst[(lo+rlo)*w : (lo+rhi)*w])
-				for _, t := range m.RowTiles(lo) {
-					tilePanelRows(t, src, dst, w, lo+rlo, lo+rhi)
-				}
-			})
+			clear(dst[lo*w : hi*w])
+			for _, t := range m.RowTiles(lo) {
+				tilePanelRows(t, src, dst, w, lo, hi)
+			}
 		})
 	if err != nil {
 		return err

@@ -113,7 +113,7 @@ func (bc *bColumns) bytes() int64 {
 }
 
 // SpSpDCols is SpSpD with a the columns [c0, c0+b.Rows) of the view's rows
-// [r0, r0+c.Rows), so a fan-out chunk touches only its own rows. It walks A
+// [r0, r0+c.Rows), so a row chunk touches only its own rows. It walks A
 // by column: B row k is fetched once and scattered into every target row
 // with a stored A entry in column k. Each output element still receives
 // its products in ascending k, one c += a·b each, so the bits are SpSpD's.

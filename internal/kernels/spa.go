@@ -8,8 +8,8 @@
 // multiply tiles of mismatching sizes.
 //
 // The kernels are deliberately sequential: ATMULT parallelizes *around*
-// them by splitting target-tile row ranges across the workers of a team
-// (intra-tile parallelization, §III-F), so each kernel invocation touches a
+// them, by tile pair and, when a product has fewer pairs than cores, by
+// row chunks of a target tile (§III-F), so each kernel invocation touches a
 // disjoint row range of the target.
 package kernels
 
@@ -189,8 +189,8 @@ func (p *SPA) fold(q *SPA) {
 // into the pass's segment — one contiguous grow-only buffer holding the
 // pass's rows back to back. ToCSR is then a prefix sum over the row lengths
 // and one copy per segment. Passes over disjoint row ranges touch disjoint
-// segments and row lengths, which is what lets ATMULT split a tile's row
-// range across team workers without locking.
+// segments and row lengths, which is what lets a tile's row range be split
+// across workers without locking.
 type SpAcc struct {
 	Rows, Cols int
 	rowLen     []int32  // entries in each row; 0 for rows no pass wrote

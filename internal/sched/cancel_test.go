@@ -9,11 +9,12 @@ import (
 )
 
 // TestCancelStopsDrain checks that a run whose context is cancelled from
-// inside a task stops picking up further tasks: with a single team and a
-// queue of N tasks where task K cancels, at most K+1 tasks may execute.
+// inside a task stops picking up further tasks: with a single worker and a
+// queue of N tasks where task K cancels, exactly K tasks execute. (A
+// second worker could have started task K+1 before task K cancels.)
 func TestCancelStopsDrain(t *testing.T) {
 	t.Run("persistent", func(t *testing.T) {
-		rt := RuntimeFor(numa.Topology{Sockets: 1, CoresPerSocket: 2})
+		rt := RuntimeFor(numa.Topology{Sockets: 1, CoresPerSocket: 1})
 		const total, cancelAt = 64, 5
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,7 +49,7 @@ func TestTaskPanicBecomesTypedError(t *testing.T) {
 	if panicsAfter, _ := Counters(); panicsAfter <= panicsBefore {
 		t.Errorf("task panic counter did not advance: %d -> %d", panicsBefore, panicsAfter)
 	}
-	// The runtime survives: a healthy run on the same teams succeeds.
+	// The runtime survives: a healthy run on the same workers succeeds.
 	total := make([]int, 2)
 	healthy := [][]func(*Team){
 		{func(team *Team) { total[0]++ }},
@@ -79,52 +80,56 @@ func TestIndexedTaskPanicCarriesItem(t *testing.T) {
 	}
 }
 
-func TestFanoutHelperPanicIsolated(t *testing.T) {
-	rt := faultRuntime(t, 1, 4)
-	for _, worker := range []int{0, 2} { // leader chunk and a helper chunk
-		_, err := runTasks(rt, [][]func(*Team){{func(team *Team) {
-			team.ParallelRows(64, func(lo, hi, w int) {
-				if w == worker {
-					panic("chunk down")
-				}
-			})
+// TestTaskPanicSparesSocketsOtherWorker: at 1×2 a panicking task fails only
+// its own run, and the socket's other worker, busy with another run's task
+// while the panic is recovered, finishes that task and its run.
+func TestTaskPanicSparesSocketsOtherWorker(t *testing.T) {
+	rt := faultRuntime(t, 1, 2)
+	panicked := make(chan struct{})
+	otherErr := make(chan error, 1)
+	finished := false
+	go func() {
+		_, err := runTasks(rt, [][]func(*Team){{func(*Team) {
+			<-panicked
+			finished = true
 		}}})
-		var tpe *TaskPanicError
-		if !errors.As(err, &tpe) {
-			t.Fatalf("worker %d: error = %v, want *TaskPanicError", worker, err)
-		}
-		if tpe.Value != "chunk down" {
-			t.Errorf("worker %d: Value = %v, want \"chunk down\"", worker, tpe.Value)
-		}
-		// The team's reusable barrier must have survived: a full fan-out
-		// over the same helpers still covers every row exactly once.
-		seen := make([]int32, 256)
-		if _, err := runTasks(rt, [][]func(*Team){{func(team *Team) {
-			team.ParallelRows(len(seen), func(lo, hi, w int) {
-				for i := lo; i < hi; i++ {
-					seen[i]++
-				}
-			})
-		}}}); err != nil {
-			t.Fatalf("worker %d: fan-out after panic failed: %v", worker, err)
-		}
-		for i, n := range seen {
-			if n != 1 {
-				t.Fatalf("worker %d: row %d ran %d times, want 1", worker, i, n)
-			}
-		}
+		otherErr <- err
+	}()
+	_, err := runTasks(rt, [][]func(*Team){{func(*Team) {
+		close(panicked)
+		panic("task down")
+	}}})
+	var tpe *TaskPanicError
+	if !errors.As(err, &tpe) || tpe.Value != "task down" {
+		t.Fatalf("panicking run: error = %v, want *TaskPanicError \"task down\"", err)
+	}
+	if err := <-otherErr; err != nil {
+		t.Fatalf("the other worker's run failed: %v", err)
+	}
+	if !finished {
+		t.Fatal("the other worker's task did not finish")
+	}
+	// Both workers survive: a run whose two tasks need both at once completes.
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	both := func(*Team) { arrived.Done(); arrived.Wait() }
+	if _, err := runTasks(rt, [][]func(*Team){{both, both}}); err != nil {
+		t.Fatalf("run after the panic failed: %v", err)
 	}
 }
 
+// TestWatchdogDegradesTeamAndSelfHeals and the two watchdog tests after it
+// run one worker per socket: a task that must run on socket 0 keeps socket
+// 1's one worker busy until it is there.
 func TestWatchdogDegradesTeamAndSelfHeals(t *testing.T) {
-	rt := faultRuntime(t, 2, 2)
+	rt := faultRuntime(t, 2, 1)
 	wd := RunOpts{Watchdog: 30 * time.Millisecond}
 	release := make(chan struct{})
 	started := make(chan struct{})
 	blocked := [][]func(*Team){
 		{func(team *Team) { close(started); <-release }},
-		// Keeps team 1 busy until team 0 holds the blocking task: a dry
-		// team would otherwise be free to take it.
+		// Keeps socket 1's worker busy until socket 0's holds the blocking
+		// task: a dry worker would otherwise be free to take it.
 		{func(team *Team) { <-started }},
 	}
 	_, err := runTasksOpts(rt, wd, blocked)
@@ -142,8 +147,8 @@ func TestWatchdogDegradesTeamAndSelfHeals(t *testing.T) {
 	if ds := rt.DegradedSockets(); len(ds) != 1 || ds[0] != 0 {
 		t.Fatalf("DegradedSockets = %v, want [0]", ds)
 	}
-	// While team 0 is stuck, new runs route its queue onto healthy teams
-	// and succeed.
+	// While socket 0's worker is stuck, socket 1's takes its queue too, and
+	// new runs succeed.
 	ran := 0
 	if _, err := runTasksOpts(rt, wd, [][]func(*Team){
 		{func(team *Team) { ran++ }},
@@ -154,12 +159,12 @@ func TestWatchdogDegradesTeamAndSelfHeals(t *testing.T) {
 	if ran != 2 {
 		t.Errorf("degraded-mode run executed %d tasks, want 2", ran)
 	}
-	// Unstick the task; the leader finishes and self-heals the team.
+	// Unstick the task; the worker finishes and self-heals.
 	close(release)
 	deadline := time.Now().Add(2 * time.Second)
 	for len(rt.DegradedSockets()) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("team did not self-heal; DegradedSockets = %v", rt.DegradedSockets())
+			t.Fatalf("worker did not self-heal; DegradedSockets = %v", rt.DegradedSockets())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -169,25 +174,25 @@ func TestWatchdogDegradesTeamAndSelfHeals(t *testing.T) {
 }
 
 // TestWatchdogDegradedTeamHealsWithoutRedelivery guards the self-heal path
-// when the degrading run was never delivered to the stuck leader: its
-// dispatch handoff is abandoned once the watchdog retires the team, so
-// healing must not depend on the leader ever seeing that request — the
-// leader finishing any request is the proof of life.
+// when the degrading run was never delivered to the stuck worker: its
+// dispatch handoff is abandoned once the watchdog retires the worker, so
+// healing must not depend on the worker ever seeing that request — the
+// worker finishing any request is the proof of life.
 func TestWatchdogDegradedTeamHealsWithoutRedelivery(t *testing.T) {
-	rt := faultRuntime(t, 2, 2)
+	rt := faultRuntime(t, 2, 1)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	blockedErr := make(chan error, 1)
-	// Run 1 wedges socket 0's leader.
+	// Run 1 wedges socket 0's worker.
 	go func() {
 		_, err := runTasks(rt, [][]func(*Team){
 			{func(team *Team) { close(started); <-release }},
-			{func(team *Team) { <-started }}, // team 1 must not take team 0's task
+			{func(team *Team) { <-started }}, // socket 1's worker must not take socket 0's task
 		})
 		blockedErr <- err
 	}()
 	<-started
-	// Run 2 parks in the leader's size-1 channel buffer so run 3's handoff
+	// Run 2 parks in the worker's size-1 channel buffer so run 3's handoff
 	// must go through the abandonable async path.
 	queuedErr := make(chan error, 1)
 	go func() {
@@ -205,7 +210,7 @@ func TestWatchdogDegradedTeamHealsWithoutRedelivery(t *testing.T) {
 	if ds := rt.DegradedSockets(); len(ds) != 1 || ds[0] != 0 {
 		t.Fatalf("DegradedSockets = %v, want [0]", ds)
 	}
-	// Unwedge the leader. It finishes runs 1 and 2 — neither of which is
+	// Unwedge the worker. It finishes runs 1 and 2 — neither of which is
 	// the run that degraded it — and must still self-heal.
 	close(release)
 	if err := <-blockedErr; err != nil {
@@ -217,7 +222,7 @@ func TestWatchdogDegradedTeamHealsWithoutRedelivery(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for len(rt.DegradedSockets()) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("team never healed; DegradedSockets = %v (degrading request was never redelivered)", rt.DegradedSockets())
+			t.Fatalf("worker never healed; DegradedSockets = %v (degrading request was never redelivered)", rt.DegradedSockets())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -229,16 +234,16 @@ func TestWatchdogDegradedTeamHealsWithoutRedelivery(t *testing.T) {
 // TestWatchdogIgnoresEarlierRunsTask guards against misattribution: a run's
 // watchdog measures stuck time from the later of the task's start and the
 // run's own dispatch, so a legitimate long task belonging to an earlier run
-// must not degrade a healthy team out from under a freshly dispatched run.
+// must not degrade a healthy worker out from under a freshly dispatched run.
 func TestWatchdogIgnoresEarlierRunsTask(t *testing.T) {
-	rt := faultRuntime(t, 2, 2)
+	rt := faultRuntime(t, 2, 1)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	earlier := make(chan error, 1)
 	go func() {
 		_, err := runTasks(rt, [][]func(*Team){
 			{func(team *Team) { close(started); <-release }},
-			{func(team *Team) { <-started }}, // team 1 must not take team 0's task
+			{func(team *Team) { <-started }}, // socket 1's worker must not take socket 0's task
 		})
 		earlier <- err
 	}()
@@ -255,7 +260,7 @@ func TestWatchdogIgnoresEarlierRunsTask(t *testing.T) {
 		defer close(done)
 		_, runErr = runTasksOpts(rt, wd, [][]func(*Team){{func(team *Team) {}}, {func(team *Team) {}}})
 	}()
-	// Free the leader well past the watchdog's first polls but well before
+	// Free the worker well past the watchdog's first polls but well before
 	// a full deadline has elapsed since the run's dispatch.
 	time.Sleep(200 * time.Millisecond)
 	close(release)
@@ -271,8 +276,10 @@ func TestWatchdogIgnoresEarlierRunsTask(t *testing.T) {
 	}
 }
 
+// TestAllTeamsDegradedIsTransientError runs on one worker, so the one stuck
+// task degrades every worker there is.
 func TestAllTeamsDegradedIsTransientError(t *testing.T) {
-	rt := faultRuntime(t, 1, 3)
+	rt := faultRuntime(t, 1, 1)
 	wd := RunOpts{Watchdog: 20 * time.Millisecond}
 	release := make(chan struct{})
 	if _, err := runTasksOpts(rt, wd, [][]func(*Team){{func(team *Team) { <-release }}}); err == nil {
@@ -280,7 +287,7 @@ func TestAllTeamsDegradedIsTransientError(t *testing.T) {
 	}
 	_, err := runTasksOpts(rt, wd, [][]func(*Team){{func(team *Team) {}}})
 	if !errors.Is(err, ErrNoHealthyTeams) {
-		t.Fatalf("run with all teams degraded: error = %v, want ErrNoHealthyTeams", err)
+		t.Fatalf("run with every worker degraded: error = %v, want ErrNoHealthyTeams", err)
 	}
 	var tr transient
 	if !errors.As(err, &tr) || !tr.Transient() {
@@ -290,7 +297,7 @@ func TestAllTeamsDegradedIsTransientError(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for len(rt.DegradedSockets()) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("team did not self-heal")
+			t.Fatal("worker did not self-heal")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -324,7 +331,7 @@ func TestRuntimeCloseReleasesWorkers(t *testing.T) {
 	tp := topo(3, 3)
 	rt := RuntimeFor(tp)
 	if _, err := runTasks(rt, [][]func(*Team){
-		{func(team *Team) { team.ParallelRows(32, func(lo, hi, w int) {}) }},
+		{func(team *Team) {}},
 		{func(team *Team) {}},
 		{func(team *Team) {}},
 	}); err != nil {

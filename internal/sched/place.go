@@ -1,9 +1,9 @@
 package sched
 
 // This file lifts the §III-F placement policy out of the concrete socket
-// scheduler so both levels of the system share one rule. Locally, the
-// Runtime homes tile-rows on socket teams round-robin and dispatch refolds the
-// queues of degraded teams onto healthy ones; one level up, the cluster
+// scheduler so both levels of the system share one rule. Locally, tile-rows
+// are homed on socket queues round-robin, and the healthy workers drain the
+// queues of a socket whose workers are degraded; one level up, the cluster
 // coordinator (internal/cluster) homes catalog tile-rows on worker nodes —
 // its RemoteTeams — and reroutes the queues of dead workers onto the
 // survivors. Keeping the placement arithmetic here means the distributed
@@ -17,8 +17,7 @@ func OwnerRoundRobin(i, n int) int { return i % n }
 
 // PlaceRoundRobin distributes items 0..n-1 round-robin across homes,
 // skipping homes for which alive reports false: an item whose owner is
-// down lands on the next alive home after it in ring order, which is
-// exactly how Runtime.dispatch refolds a degraded team's queue. The second
+// down lands on the next alive home after it in ring order. The second
 // return is false when no home is alive (the caller's cue to degrade to
 // local execution); a nil alive means every home is up.
 func PlaceRoundRobin(n, homes int, alive func(int) bool) ([][]int32, bool) {

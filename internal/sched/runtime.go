@@ -11,122 +11,95 @@ import (
 	"atmatrix/internal/numa"
 )
 
-// Runtime is the persistent incarnation of the two-level scheduler: it
-// starts Sockets × CoresPerSocket long-lived worker goroutines once and
-// serves every subsequent run and ParallelRows over channels, the way the
-// paper's SAP HANA task framework keeps socket-pinned worker teams alive
-// across operator invocations (§III-F). A run or a fan-out costs one channel
-// handoff, not a goroutine, and every worker has a stable identity that
-// per-worker scratch arenas key off (see Team.WorkerLocal). It is the only
-// scheduler.
+// Runtime is the persistent incarnation of the scheduler: it starts
+// Sockets × CoresPerSocket long-lived worker goroutines once and serves
+// every subsequent run over channels, the way the paper's SAP HANA task
+// framework keeps socket-pinned workers alive across operator invocations
+// (§III-F). A run costs one channel handoff per worker, not a goroutine, and
+// every worker has a stable identity that per-worker scratch arenas key off
+// (see Team.WorkerLocal). It is the only scheduler.
+//
+// There is one kind of worker. Each belongs to a socket and drains that
+// socket's queue of every run, then takes what is left in the other
+// sockets' queues, so the workers of one socket share its tasks and several
+// of them run at once.
 //
 // The runtime is also the process's panic domain boundary: a panic inside a
-// task body (including its ParallelRows fan-out) is recovered on the worker,
-// converted to a *TaskPanicError, and fails only the run that owned the
-// task. A run may additionally arm a per-task watchdog; a task monopolizing
-// a leader past the deadline — measured from the later of the task's start
-// and the run's dispatch, so backlog from concurrent runs does not count —
-// marks the owning team degraded and fails the run with a *WatchdogError
-// instead of blocking the caller forever. Degraded teams are skipped by
-// later runs (their queues are refolded onto healthy teams) and self-heal
-// as soon as their leader finishes any request, the proof that the stuck
-// task has returned.
+// task body is recovered on the worker, converted to a *TaskPanicError, and
+// fails only the run that owned the task. A run may additionally arm a
+// per-task watchdog; a task monopolizing a worker past the deadline —
+// measured from the later of the task's start and the run's dispatch, so
+// backlog from concurrent runs does not count — marks that worker degraded
+// and fails the run with a *WatchdogError instead of blocking the caller
+// forever. Degraded workers are skipped by later runs (the healthy ones
+// take their socket's queue) and self-heal as soon as they finish any
+// request, the proof that the stuck task has returned.
 //
-// Tasks must not start a run from inside a task: the leader executing the
+// Tasks must not start a run from inside a task: the worker executing the
 // outer task would never pick up the nested request. None of the operators
 // in this repository nest runs.
 type Runtime struct {
-	topo   numa.Topology
-	teams  []*workerTeam
-	closed atomic.Bool
+	topo    numa.Topology
+	workers []*worker // socket-major: worker w serves socket w / CoresPerSocket
+	closed  atomic.Bool
 
 	// handoffs tracks the async dispatch senders (see dispatch). Close
-	// drains it before closing the leader channels, so an abandoned
+	// drains it before closing the request channels, so an abandoned
 	// handoff can never race a channel close: once its request is done,
 	// a sender exits promptly.
 	handoffs sync.WaitGroup
 }
 
-// workerTeam is the persistent backing of one socket's team: a leader
-// goroutine that drains task queues and size-1 helper goroutines that serve
-// the leader's intra-tile row fan-outs.
-type workerTeam struct {
-	rt     *Runtime
-	socket numa.Node
-	size   int
+// worker is one persistent worker goroutine of a socket.
+type worker struct {
+	reqCh chan *runReq
+	// team is what the worker's tasks receive; its local slot is owned by
+	// this worker alone.
+	team Team
 
-	leaderCh chan *runReq
-	jobCh    chan rowJob
-
-	// wg is the reusable intra-tile barrier. Only this team's leader runs
-	// ParallelRows (tasks execute on the leader, one at a time), so the
-	// WaitGroup is never used by two fan-outs concurrently.
-	wg sync.WaitGroup
-
-	// locals holds one arbitrary per-worker storage slot per team worker.
-	// Slot w is owned exclusively by whichever goroutine currently executes
-	// worker w's chunk; the channel/WaitGroup handoffs order all accesses.
-	locals []any
-
-	// taskStart is the UnixNano start time of the leader's in-flight task,
-	// 0 while idle; run watchdogs read it to detect stuck tasks.
+	// taskStart is the UnixNano start time of the worker's in-flight
+	// task, 0 while idle; run watchdogs read it to detect stuck tasks.
 	taskStart atomic.Int64
 
-	// degraded marks a team abandoned by a watchdog. Dispatch skips
-	// degraded teams; the leader clears the flag whenever it finishes a
-	// request — proof that it is alive — so a team heals even when the
-	// run that degraded it was abandoned in dispatch and never reached
-	// this leader.
+	// degraded marks a worker abandoned by a watchdog. Dispatch skips
+	// degraded workers; the worker clears the flag whenever it finishes a
+	// request — proof that it is alive — so it heals even when the run
+	// that degraded it was abandoned in dispatch and never reached it.
 	degraded atomic.Bool
 
-	// fanoutPanic holds the first panic of the current ParallelRows
-	// fan-out's helper chunks. Only one fan-out runs per team at a time,
-	// so a single slot suffices.
-	fanoutPanic atomic.Pointer[fanoutPanic]
-
-	// leaderDone is closed when the leader goroutine exits (Close);
-	// helpersDone tracks the helper goroutines.
-	leaderDone  chan struct{}
-	helpersDone sync.WaitGroup
-}
-
-// rowJob is one intra-tile work item: a row chunk of the current tile
-// multiplication, executed by a helper worker.
-type rowJob struct {
-	lo, hi, worker int
-	f              func(lo, hi, worker int)
-	wg             *sync.WaitGroup
+	// done is closed when the worker goroutine exits (Close).
+	done chan struct{}
 }
 
 // RunOpts tunes one run on the persistent runtime.
 type RunOpts struct {
-	// Grain is the minimum number of rows per worker in ParallelRows
-	// (see Team.Grain).
+	// Grain is read by nothing. It stays only because the benchmark
+	// driver's scheduler probe (atload) sets it, and goes with ROADMAP
+	// item 0(d).
 	Grain int
 	// Watchdog, when positive, is the per-task deadline: a task running
-	// longer marks its team degraded and fails the run with a
+	// longer marks its worker degraded and fails the run with a
 	// *WatchdogError instead of blocking the caller. Zero disables the
 	// watchdog.
 	Watchdog time.Duration
 }
 
-// runReq is one run handed to the leaders: the per-socket queues of item
+// runReq is one run handed to the workers: the per-socket queues of item
 // ids (folded onto the socket count), the one task function they execute
 // through — a caller with thousands of homogeneous tasks per invocation
-// allocates no closure per task — and the cursors every team shares:
+// allocates no closure per task — and the cursors every worker shares:
 // next[s] is the next undrained entry of socket s's queue, advanced by the
-// home team and by any dry team taking the rest.
+// socket's own workers and by any other worker taking the rest.
 type runReq struct {
 	items    [][]int32
 	run      func(team *Team, item int32)
 	next     []atomic.Int64
-	grain    int
 	watchdog time.Duration
 	// dispatched is the UnixNano time the request was handed to the
-	// leaders. The watchdog measures stuck time from the later of this and
+	// workers. The watchdog measures stuck time from the later of this and
 	// the in-flight task's start, so a task (or a backlog of tasks)
 	// belonging to an earlier run cannot fail this run until it has
-	// monopolized a leader for a full deadline of this run's lifetime.
+	// monopolized a worker for a full deadline of this run's lifetime.
 	dispatched int64
 	// ctx, when non-nil, aborts the run between task executions: a
 	// cancelled request stops draining its queues but never interrupts a
@@ -134,16 +107,16 @@ type runReq struct {
 	ctx    context.Context
 	stolen atomic.Int64
 
-	// done closes when every participating team has finished or been
-	// abandoned; finished[s] flips exactly once per socket (by the leader
+	// done closes when every participating worker has finished or been
+	// abandoned; finished[w] flips exactly once per worker (by the worker
 	// on completion or by the watchdog on abandonment) and pending counts
-	// the sockets still outstanding.
+	// the workers still outstanding.
 	done     chan struct{}
 	pending  atomic.Int64
 	finished []atomic.Bool
 
-	// failed flips on the first task panic so all teams stop draining this
-	// request's queues; err holds the first failure.
+	// failed flips on the first task panic so all workers stop draining
+	// this request's queues; err holds the first failure.
 	failed atomic.Bool
 	errMu  sync.Mutex
 	err    error
@@ -154,7 +127,7 @@ func (req *runReq) cancelled() bool {
 	return req.ctx != nil && req.ctx.Err() != nil
 }
 
-// aborted reports whether leaders should stop picking up this request's
+// aborted reports whether workers should stop picking up this request's
 // tasks: the context was cancelled or a task already failed the run.
 func (req *runReq) aborted() bool {
 	return req.failed.Load() || req.cancelled()
@@ -177,37 +150,24 @@ func (req *runReq) firstErr() error {
 	return req.err
 }
 
-// markDone retires socket s's participation exactly once, whether called by
-// the leader on completion or by the watchdog on abandonment. It reports
-// whether this call was the one that retired the socket.
-func (req *runReq) markDone(s int) bool {
-	if !req.finished[s].CompareAndSwap(false, true) {
-		return false
-	}
-	if req.pending.Add(-1) == 0 {
+// markDone retires worker w's participation unless the watchdog already
+// abandoned it.
+func (req *runReq) markDone(w int) {
+	if req.finished[w].CompareAndSwap(false, true) && req.pending.Add(-1) == 0 {
 		close(req.done)
 	}
-	return true
 }
 
 // safeExec runs entry i of socket s's queue on the given team behind the
 // panic boundary: a panicking task (or an injected fault) is converted into
-// a *TaskPanicError that fails only this request. Panics surfacing from
-// ParallelRows helper chunks arrive as *fanoutPanic values carrying the
-// original goroutine's stack.
+// a *TaskPanicError that fails only this request.
 func (req *runReq) safeExec(s, i int, team *Team) {
 	item := req.items[s][i]
 	defer func() {
-		p := recover()
-		if p == nil {
-			return
+		if p := recover(); p != nil {
+			taskPanics.Add(1)
+			req.fail(&TaskPanicError{Socket: team.Socket, Item: item, Value: p, Stack: debug.Stack()})
 		}
-		stack := debug.Stack()
-		if fp, ok := p.(*fanoutPanic); ok {
-			p, stack = fp.value, fp.stack
-		}
-		taskPanics.Add(1)
-		req.fail(&TaskPanicError{Socket: team.Socket, Item: item, Value: p, Stack: stack})
 	}()
 	if err := faultinject.Do("sched.task"); err != nil {
 		// Tasks have no error return; an armed error rule at this site
@@ -219,8 +179,8 @@ func (req *runReq) safeExec(s, i int, team *Team) {
 
 // RunStats reports scheduling counters of one run.
 type RunStats struct {
-	// Stolen is the number of tasks executed by a team other than the one
-	// owning the task's home queue.
+	// Stolen is the number of tasks executed by a worker of another socket
+	// than the one owning the task's home queue.
 	Stolen int64
 }
 
@@ -243,22 +203,14 @@ func RuntimeFor(topo numa.Topology) *Runtime {
 		panic(err)
 	}
 	r := &Runtime{topo: topo}
-	for s := 0; s < topo.Sockets; s++ {
-		t := &workerTeam{
-			rt:         r,
-			socket:     numa.Node(s),
-			size:       topo.CoresPerSocket,
-			leaderCh:   make(chan *runReq, 1),
-			jobCh:      make(chan rowJob, topo.CoresPerSocket),
-			locals:     make([]any, topo.CoresPerSocket),
-			leaderDone: make(chan struct{}),
+	for i := 0; i < topo.TotalCores(); i++ {
+		w := &worker{
+			reqCh: make(chan *runReq, 1),
+			team:  Team{Socket: numa.Node(i / topo.CoresPerSocket)},
+			done:  make(chan struct{}),
 		}
-		r.teams = append(r.teams, t)
-		go r.leaderLoop(t)
-		t.helpersDone.Add(t.size - 1)
-		for w := 1; w < t.size; w++ {
-			go t.helperLoop()
-		}
+		r.workers = append(r.workers, w)
+		go r.workerLoop(i, w)
 	}
 	runtimes[topo] = r
 	return r
@@ -268,12 +220,12 @@ func RuntimeFor(topo numa.Topology) *Runtime {
 // before the Runtime escapes; runtimeMu guards the registry, not the field.
 func (r *Runtime) Topology() numa.Topology { return r.topo }
 
-// DegradedSockets returns the sockets currently marked degraded by a
-// watchdog, in ascending order.
+// DegradedSockets returns the sockets with a worker currently marked
+// degraded by a watchdog, in ascending order.
 func (r *Runtime) DegradedSockets() []int {
 	var out []int
-	for s, t := range r.teams {
-		if t.degraded.Load() {
+	for _, w := range r.workers {
+		if s := int(w.team.Socket); w.degraded.Load() && (len(out) == 0 || out[len(out)-1] != s) {
 			out = append(out, s)
 		}
 	}
@@ -282,9 +234,9 @@ func (r *Runtime) DegradedSockets() []int {
 
 // Close shuts the runtime's workers down and unregisters it from the
 // process-wide registry, so a later RuntimeFor starts fresh. It blocks
-// until every leader and helper exited — a leader stuck in a task delays
-// Close until that task returns. Close must not race with in-flight Run
-// calls; it exists for tests (leak checks) and controlled teardown.
+// until every worker exited — a worker stuck in a task delays Close until
+// that task returns. Close must not race with in-flight Run calls; it
+// exists for tests (leak checks) and controlled teardown.
 func (r *Runtime) Close() {
 	if !r.closed.CompareAndSwap(false, true) {
 		return
@@ -298,41 +250,38 @@ func (r *Runtime) Close() {
 	// exit promptly — before closing the channels they may still be
 	// trying to send on.
 	r.handoffs.Wait()
-	for _, t := range r.teams {
-		close(t.leaderCh)
+	for _, w := range r.workers {
+		close(w.reqCh)
 	}
-	for _, t := range r.teams {
-		<-t.leaderDone
-	}
-	// Helpers only receive jobs from their (now exited) leader, so the job
-	// channels are quiescent and safe to close.
-	for _, t := range r.teams {
-		close(t.jobCh)
-	}
-	for _, t := range r.teams {
-		t.helpersDone.Wait()
+	for _, w := range r.workers {
+		<-w.done
 	}
 }
 
 // RunIndexedCtx executes queues of item ids through one shared task
-// function on the persistent teams: queues[s] holds the items homed on
+// function on the persistent workers: queues[s] holds the items homed on
 // socket s (indexes beyond the socket count fold back round-robin). Every
-// team drains its own queue first and then whatever is left in the others',
-// so every item runs exactly once — on its home team while that team keeps
-// up, on a dry one otherwise — unless the run is cancelled or fails, and the
-// call blocks until all teams finished. A nil ctx means an uncancellable
-// run. Concurrent calls on the same runtime are safe; their tasks are
-// serialized per leader, which bounds the process-wide parallelism to the
-// topology — the point of a persistent worker pool. A non-nil error reports
-// the run's first failure: a *TaskPanicError, a *WatchdogError, or
-// ErrNoHealthyTeams. Cancellation is reported by the caller inspecting ctx,
-// not through the returned error.
+// worker drains its own socket's queue first and then whatever is left in
+// the others', so every item runs exactly once — on its home socket while
+// that socket's workers keep up, elsewhere otherwise — unless the run is
+// cancelled or fails, and the call blocks until all workers finished. A nil
+// ctx means an uncancellable run. Concurrent calls on the same runtime are
+// safe; their tasks are serialized per worker, which bounds the
+// process-wide parallelism to the topology — the point of a persistent
+// worker pool. A non-nil error reports the run's first failure: a
+// *TaskPanicError, a *WatchdogError, or ErrNoHealthyTeams. Cancellation is
+// reported by the caller inspecting ctx, not through the returned error.
+// The runtime only reads the queues.
 func (r *Runtime) RunIndexedCtx(ctx context.Context, queues [][]int32, run func(team *Team, item int32), opts RunOpts) (RunStats, error) {
-	return r.dispatch(&runReq{items: foldQueues(queues, len(r.teams)), run: run, grain: opts.Grain, watchdog: opts.Watchdog, ctx: ctx})
+	return r.dispatch(&runReq{items: foldQueues(queues, r.topo.Sockets), run: run, watchdog: opts.Watchdog, ctx: ctx})
 }
 
-// foldQueues folds queue i onto socket i mod s.
+// foldQueues folds queue i onto socket i mod s. Queues already one per
+// socket are returned as they are.
 func foldQueues(queues [][]int32, s int) [][]int32 {
+	if len(queues) == s {
+		return queues
+	}
 	folded := make([][]int32, s)
 	for i, q := range queues {
 		folded[i%s] = append(folded[i%s], q...)
@@ -341,56 +290,43 @@ func foldQueues(queues [][]int32, s int) [][]int32 {
 }
 
 func (r *Runtime) dispatch(req *runReq) (RunStats, error) {
-	n := len(r.teams)
-	req.next = make([]atomic.Int64, n)
-	req.finished = make([]atomic.Bool, n)
+	req.next = make([]atomic.Int64, r.topo.Sockets)
+	req.finished = make([]atomic.Bool, len(r.workers))
 	req.done = make(chan struct{})
 
-	// Degraded teams do not participate: their queues are refolded onto
-	// healthy teams so no task is lost, and their finished slots are
-	// pre-retired.
-	healthy := make([]int, 0, n)
-	for s, t := range r.teams {
-		if !t.degraded.Load() {
-			healthy = append(healthy, s)
+	// Degraded workers do not participate. Every queue is drained by
+	// whichever healthy workers reach it, so none is lost.
+	healthy := make([]int, 0, len(r.workers))
+	for i, w := range r.workers {
+		if !w.degraded.Load() {
+			healthy = append(healthy, i)
 		}
 	}
 	if len(healthy) == 0 {
 		return RunStats{}, ErrNoHealthyTeams
 	}
-	if len(healthy) < n {
-		for s, t := range r.teams {
-			if !t.degraded.Load() {
-				continue
-			}
-			dst := healthy[s%len(healthy)]
-			req.items[dst] = append(req.items[dst], req.items[s]...)
-			req.items[s] = nil
-			req.finished[s].Store(true)
-		}
-	}
 	req.pending.Store(int64(len(healthy)))
 	req.dispatched = time.Now().UnixNano()
 
-	for _, s := range healthy {
-		t := r.teams[s]
+	for _, i := range healthy {
+		w := r.workers[i]
 		select {
-		case t.leaderCh <- req:
+		case w.reqCh <- req:
 		default:
-			// The leader is backed up behind an earlier request. Hand off
-			// asynchronously so a team hung in another run cannot wedge
+			// The worker is backed up behind an earlier request. Hand off
+			// asynchronously so a worker hung in another run cannot wedge
 			// this dispatch; the send is abandoned once this run finishes
-			// (e.g. the watchdog retired the team). A leader receiving a
+			// (e.g. the watchdog retired the worker). A worker receiving a
 			// request that is already done skips all of its queues and
 			// merely re-proves its liveness.
 			r.handoffs.Add(1)
-			go func(t *workerTeam) {
+			go func(w *worker) {
 				defer r.handoffs.Done()
 				select {
-				case t.leaderCh <- req:
+				case w.reqCh <- req:
 				case <-req.done:
 				}
-			}(t)
+			}(w)
 		}
 	}
 	if req.watchdog > 0 {
@@ -400,17 +336,17 @@ func (r *Runtime) dispatch(req *runReq) (RunStats, error) {
 	return RunStats{Stolen: req.stolen.Load()}, req.firstErr()
 }
 
-// watchdogLoop polls the participating teams' in-flight task start times
-// and abandons any team one task has monopolized for the request's watchdog
-// deadline: the team is marked degraded, the run fails with a
-// *WatchdogError, and the run's completion no longer waits on that team.
+// watchdogLoop polls the participating workers' in-flight task start times
+// and abandons any worker one task has monopolized for the request's
+// watchdog deadline: the worker is marked degraded, the run fails with a
+// *WatchdogError, and the run's completion no longer waits on that worker.
 // Stuck time is measured from the later of the task's start and this
 // request's dispatch, so a task legitimately started under an earlier run —
 // or a backlog of short tasks queued ahead of this one — never degrades a
-// team that keeps making progress. The stuck leader itself keeps running;
-// the degraded mark clears when the leader next finishes a request, or
-// right here if the task turns out to have completed while the team was
-// being retired.
+// worker that keeps making progress. The stuck worker itself keeps running;
+// the degraded mark clears when it next finishes a request, or right here
+// if the task turns out to have completed while the worker was being
+// retired.
 func (r *Runtime) watchdogLoop(req *runReq, participants []int) {
 	interval := req.watchdog / 4
 	if interval < time.Millisecond {
@@ -424,14 +360,14 @@ func (r *Runtime) watchdogLoop(req *runReq, participants []int) {
 			return
 		case <-ticker.C:
 			now := time.Now().UnixNano()
-			for _, s := range participants {
-				if req.finished[s].Load() {
+			for _, i := range participants {
+				if req.finished[i].Load() {
 					continue
 				}
-				t := r.teams[s]
-				start := t.taskStart.Load()
+				w := r.workers[i]
+				start := w.taskStart.Load()
 				if start == 0 {
-					// The leader is idle: this request is merely queued
+					// The worker is idle: this request is merely queued
 					// (or still in handoff), not stuck.
 					continue
 				}
@@ -442,87 +378,67 @@ func (r *Runtime) watchdogLoop(req *runReq, participants []int) {
 				if time.Duration(now-eff) < req.watchdog {
 					continue
 				}
-				// Mark degraded before retiring the socket so a caller
-				// retrying right after the error skips this team. Retire
-				// via CAS rather than markDone so the error is recorded
-				// before done closes.
-				t.degraded.Store(true)
-				if !req.finished[s].CompareAndSwap(false, true) {
-					// The leader retired the socket concurrently — it is
+				// Mark degraded before retiring the worker so a caller
+				// retrying right after the error skips it. Retire via CAS
+				// rather than markDone so the error is recorded before
+				// done closes.
+				w.degraded.Store(true)
+				if !req.finished[i].CompareAndSwap(false, true) {
+					// The worker retired itself concurrently — it is
 					// alive after all.
-					t.degraded.Store(false)
+					w.degraded.Store(false)
 					continue
 				}
 				watchdogTimeouts.Add(1)
-				req.fail(&WatchdogError{Socket: t.socket, Elapsed: time.Duration(now - eff)})
+				req.fail(&WatchdogError{Socket: w.team.Socket, Elapsed: time.Duration(now - eff)})
 				if req.pending.Add(-1) == 0 {
 					close(req.done)
 				}
-				if t.taskStart.Load() != start {
-					// The task judged stuck completed while the team was
-					// being retired: the leader proved itself alive and
-					// may already be idle, so heal now instead of waiting
-					// for a request that might never be delivered.
-					t.degraded.Store(false)
+				if w.taskStart.Load() != start {
+					// The task judged stuck completed while the worker was
+					// being retired: it proved itself alive and may
+					// already be idle, so heal now instead of waiting for
+					// a request that might never be delivered.
+					w.degraded.Store(false)
 				}
 			}
 		}
 	}
 }
 
-// leaderLoop is the per-socket leader. For every request it drains its own
+// workerLoop is worker i of its socket. For every request it drains its own
 // socket's queue — the paper's placement (§III-F): a pair runs where its A
-// tile-row lives — and then, instead of idling while another team still has
-// a backlog, what is left in the other sockets' queues, round-robin from
-// its neighbour on. Quadtree cuts routinely home most tile-rows of a matrix
-// on one socket, so strict pinning leaves the other teams idle for most of
-// a multiplication (EXPERIMENTS.md, "Dry teams take the rest"); the remote
-// reads a taken task costs show up in numa.Stats, not in the result, whose
-// tiles are homed by placement (core.Config.HomeOfRow). Tasks run on the
-// leader goroutine itself; only ParallelRows fans out to the helpers.
-func (r *Runtime) leaderLoop(t *workerTeam) {
-	defer close(t.leaderDone)
-	sock := int(t.socket)
-	for req := range t.leaderCh {
-		team := &Team{Socket: t.socket, Workers: t.size, Grain: req.grain, home: t}
-		for off := 0; off < len(r.teams); off++ {
-			victim := (sock + off) % len(r.teams)
-			for !req.aborted() && !req.finished[sock].Load() {
-				i := int(req.next[victim].Add(1) - 1)
-				if i >= len(req.items[victim]) {
+// tile-row lives — and then, instead of idling while another socket still
+// has a backlog, what is left in the other sockets' queues, round-robin
+// from its neighbour on. Quadtree cuts routinely home most tile-rows of a
+// matrix on one socket, so strict pinning leaves the other sockets idle for
+// most of a multiplication (EXPERIMENTS.md, "Dry teams take the rest"); the
+// remote reads a taken task costs show up in numa.Stats, not in the result,
+// whose tiles are homed by placement (core.Config.HomeOfRow).
+func (r *Runtime) workerLoop(i int, w *worker) {
+	defer close(w.done)
+	n, home := r.topo.Sockets, int(w.team.Socket)
+	for req := range w.reqCh {
+		for off := 0; off < n; off++ {
+			q := (home + off) % n
+			for !req.aborted() && !req.finished[i].Load() {
+				k := int(req.next[q].Add(1) - 1)
+				if k >= len(req.items[q]) {
 					break
 				}
-				t.taskStart.Store(time.Now().UnixNano())
-				req.safeExec(victim, i, team)
-				t.taskStart.Store(0)
+				w.taskStart.Store(time.Now().UnixNano())
+				req.safeExec(q, k, &w.team)
+				w.taskStart.Store(0)
 				if off > 0 {
 					req.stolen.Add(1)
 				}
 			}
 		}
-		req.markDone(sock)
-		// Finishing a request — any request — proves this leader is alive:
+		req.markDone(i)
+		// Finishing a request — any request — proves this worker is alive:
 		// clear a degraded mark left by a watchdog, including one from a
 		// run whose dispatch handoff was abandoned before ever reaching
-		// this leader (that run can never be redelivered to heal us).
-		t.degraded.Store(false)
-	}
-}
-
-// helperLoop serves the intra-tile row chunks of this team's leader.
-func (t *workerTeam) helperLoop() {
-	defer t.helpersDone.Done()
-	for j := range t.jobCh {
-		t.runJob(j)
-	}
-}
-
-// runJob executes one row chunk behind the fan-out panic boundary: a panic
-// is parked in the team's fanoutPanic slot (first one wins) for the leader
-// to re-raise after the barrier, and the WaitGroup is always released.
-func (t *workerTeam) runJob(j rowJob) {
-	defer j.wg.Done()
-	if fp := runChunk(j.f, j.lo, j.hi, j.worker); fp != nil {
-		t.fanoutPanic.CompareAndSwap(nil, fp)
+		// this worker (that run can never be redelivered to heal it).
+		w.degraded.Store(false)
 	}
 }

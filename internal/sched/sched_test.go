@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"atmatrix/internal/numa"
 )
@@ -16,7 +17,7 @@ func runTasks(rt *Runtime, queues [][]func(*Team)) (RunStats, error) {
 	return runTasksOpts(rt, RunOpts{}, queues)
 }
 
-// runTasksOpts is runTasks with run options (grain, watchdog).
+// runTasksOpts is runTasks with run options (the watchdog).
 func runTasksOpts(rt *Runtime, opts RunOpts, queues [][]func(*Team)) (RunStats, error) {
 	var tasks []func(*Team)
 	items := make([][]int32, len(queues))
@@ -27,17 +28,6 @@ func runTasksOpts(rt *Runtime, opts RunOpts, queues [][]func(*Team)) (RunStats, 
 		}
 	}
 	return rt.RunIndexedCtx(nil, items, func(team *Team, item int32) { tasks[item](team) }, opts)
-}
-
-// withTeam runs f as the one item of a run on a one-socket runtime of the
-// given team size and row grain: f receives a leader's team, the only kind
-// there is. f runs on a worker goroutine, so it reports with t.Error, not
-// t.Fatal.
-func withTeam(t *testing.T, workers, grain int, f func(*Team)) {
-	t.Helper()
-	if _, err := runTasksOpts(RuntimeFor(topo(1, workers)), RunOpts{Grain: grain}, [][]func(*Team){{f}}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRunExecutesEveryTaskOnce(t *testing.T) {
@@ -85,11 +75,11 @@ func TestRunFoldsExtraQueues(t *testing.T) {
 }
 
 func TestTeamSocketAssignment(t *testing.T) {
-	rt := RuntimeFor(topo(3, 2))
+	rt := RuntimeFor(topo(3, 1))
 	var mu sync.Mutex
 	seen := map[numa.Node]bool{}
-	// Every task waits for all three to have started, so each team is
-	// held by its own and none is free to take another's.
+	// Every task waits for all three to have started, so each socket's one
+	// worker is held by its own and none is free to take another's.
 	var arrived sync.WaitGroup
 	arrived.Add(3)
 	queues := make([][]func(*Team), 3)
@@ -100,9 +90,6 @@ func TestTeamSocketAssignment(t *testing.T) {
 			arrived.Wait()
 			if team.Socket != want {
 				t.Errorf("task on socket %d, want %d", team.Socket, want)
-			}
-			if team.Workers != 2 {
-				t.Errorf("team workers %d, want 2", team.Workers)
 			}
 			mu.Lock()
 			seen[team.Socket] = true
@@ -115,55 +102,31 @@ func TestTeamSocketAssignment(t *testing.T) {
 	}
 }
 
-func TestParallelRowsCoversRange(t *testing.T) {
-	withTeam(t, 4, 0, func(team *Team) {
-		for _, n := range []int{0, 1, 3, 4, 5, 17, 100} {
-			covered := make([]atomic.Int32, n)
-			team.ParallelRows(n, func(lo, hi, w int) {
-				for i := lo; i < hi; i++ {
-					covered[i].Add(1)
-				}
-			})
-			for i := range covered {
-				if covered[i].Load() != 1 {
-					t.Errorf("n=%d: row %d covered %d times", n, i, covered[i].Load())
-					return
-				}
-			}
+// TestSocketWorkersShareItsQueue: at 1×2 both of socket 0's workers take
+// tasks from its queue, so two tasks queued there meet at a two-party
+// rendezvous. One worker running both in turn would wait out the timeout in
+// the first.
+func TestSocketWorkersShareItsQueue(t *testing.T) {
+	rt := RuntimeFor(topo(1, 2))
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	met := make(chan struct{})
+	go func() { arrived.Wait(); close(met) }()
+	var finished atomic.Int32
+	meet := func(*Team) {
+		arrived.Done()
+		select {
+		case <-met:
+			finished.Add(1)
+		case <-time.After(5 * time.Second):
+			t.Error("the other task never started: one worker ran the socket's queue alone")
 		}
-	})
-}
-
-func TestParallelRowsInlineForSingleWorker(t *testing.T) {
-	ran := false
-	withTeam(t, 1, 0, func(team *Team) {
-		team.ParallelRows(10, func(lo, hi, w int) {
-			if lo != 0 || hi != 10 || w != 0 {
-				t.Errorf("inline split [%d,%d) worker %d", lo, hi, w)
-			}
-			ran = true
-		})
-	})
-	if !ran {
-		t.Fatal("function not invoked")
 	}
-}
-
-func TestParallelRowsWorkerIDsDisjoint(t *testing.T) {
-	var mu sync.Mutex
-	workers := map[int]bool{}
-	withTeam(t, 3, 0, func(team *Team) {
-		team.ParallelRows(30, func(lo, hi, w int) {
-			mu.Lock()
-			if workers[w] {
-				t.Errorf("worker id %d reused", w)
-			}
-			workers[w] = true
-			mu.Unlock()
-		})
-	})
-	if len(workers) != 3 {
-		t.Fatalf("used %d workers, want 3", len(workers))
+	if _, err := runTasks(rt, [][]func(*Team){{meet, meet}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := finished.Load(); n != 2 {
+		t.Fatalf("%d of 2 tasks finished at the rendezvous", n)
 	}
 }
 

@@ -3,9 +3,9 @@
 // expression engine (internal/expr). Requests against cataloged matrices
 // are admitted into a bounded queue (rejected with backpressure when
 // full), executed under per-job deadlines by a fixed worker pool — at
-// most one in-flight multiplication per simulated socket team, since
-// every ATMULT fans out across all teams and the persistent runtime
-// serializes excess requests per leader anyway — and accounted in
+// most one in-flight multiplication per simulated socket by default, since
+// every ATMULT spreads over all workers and the persistent runtime
+// serializes excess requests per worker anyway — and accounted in
 // aggregate metrics the HTTP front-end exposes. Multi-operand chains and
 // expressions share one planning code path: both lower to an expression
 // plan whose chains are association-ordered by the density DP and
@@ -87,10 +87,10 @@ type Options struct {
 	// ErrQueueFull. Zero defaults to 4 × Workers.
 	QueueDepth int
 	// Workers is the number of jobs executed concurrently. Zero defaults
-	// to the topology's socket count: each ATMULT spreads over all socket
-	// teams and the persistent runtime serializes per leader, so more
-	// in-flight multiplies than teams only adds queueing inside the
-	// scheduler.
+	// to the topology's socket count: each ATMULT spreads over every
+	// socket's queue and the persistent runtime runs one task at a time
+	// per worker, so many more in-flight multiplies only add queueing
+	// inside the scheduler.
 	Workers int
 	// DefaultTimeout is applied to jobs that do not carry their own
 	// deadline; zero means no deadline.
