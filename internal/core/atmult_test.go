@@ -399,6 +399,7 @@ func TestATMULTBytesIndependentOfExecutor(t *testing.T) {
 		t.Fatal("no pair ever ran away from home: the test inspected nothing")
 	}
 	t.Run("one dense-target pair", bytesIndependentOfRowChunks)
+	t.Run("one sparse-target pair", bytesIndependentOfSparseRowChunks)
 }
 
 // decisions are the counters of a product that must not depend on which
@@ -481,6 +482,77 @@ func onePairDenseTarget(t *testing.T, cfg Config, rng *rand.Rand) (a, b *ATMatri
 		t.Fatal(err)
 	}
 	return a, b
+}
+
+// bytesIndependentOfSparseRowChunks: a product with fewer tile pairs than
+// cores runs its sparse-target pair as row chunks on one accumulator. One
+// sparse tile squared — a Gustavson pair at four entries a row (R8's
+// shape) and a merge-kernel pair at one (R7's) — serializes to the same
+// bytes, homes its tile on the same socket and makes the same decisions
+// whole on 1×1 as on 2×1, 2×2, 4×1 and 1×2, in every one of ten runs.
+func bytesIndependentOfSparseRowChunks(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		perRow int
+		outer  bool
+	}{{"gustavson", 4, false}, {"merge", 1, true}} {
+		cfg := testConfig()
+		a := onePairSparseTarget(t, cfg, rand.New(rand.NewSource(61)), tc.perRow)
+		var first []byte
+		var want decisions
+		for _, tp := range []numa.Topology{{Sockets: 1, CoresPerSocket: 1}, {Sockets: 2, CoresPerSocket: 1},
+			{Sockets: 2, CoresPerSocket: 2}, {Sockets: 4, CoresPerSocket: 1}, {Sockets: 1, CoresPerSocket: 2}} {
+			cfg.Topology = tp
+			for run := 0; run < 10; run++ {
+				c, stats, err := MultiplyOpt(a, a, cfg, DefaultMultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(c.Tiles) != 1 || c.Tiles[0].Kind != mat.Sparse {
+					t.Fatalf("%s %dx%d: product has %d tiles, want one sparse tile: the test inspects no split pair",
+						tc.name, tp.Sockets, tp.CoresPerSocket, len(c.Tiles))
+				}
+				if got := stats.OuterKernelCalls > 0; got != tc.outer {
+					t.Fatalf("%s %dx%d: %d merge-kernel and %d Gustavson contributions: the test inspects the other kernel",
+						tc.name, tp.Sockets, tp.CoresPerSocket, stats.OuterKernelCalls, stats.GustavsonKernelCalls)
+				}
+				if got, want := c.Tiles[0].NNZ, c.Tiles[0].Sp.NNZ(); got != want {
+					t.Fatalf("%s %dx%d run %d: tile NNZ %d, its rows hold %d", tc.name, tp.Sockets, tp.CoresPerSocket, run, got, want)
+				}
+				if home := c.Tiles[0].Home; home != cfg.HomeOfRow(0) {
+					t.Fatalf("%s %dx%d run %d: tile homed on %d, its tile-row is placed on %d",
+						tc.name, tp.Sockets, tp.CoresPerSocket, run, home, cfg.HomeOfRow(0))
+				}
+				var buf bytes.Buffer
+				if _, err := c.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first, want = buf.Bytes(), decisionsOf(stats)
+					continue
+				}
+				if !bytes.Equal(first, buf.Bytes()) {
+					t.Fatalf("%s %dx%d run %d: serialized differently from 1x1 run 0", tc.name, tp.Sockets, tp.CoresPerSocket, run)
+				}
+				if got := decisionsOf(stats); got != want {
+					t.Fatalf("%s %dx%d run %d: decisions %+v, 1x1 run 0 made %+v", tc.name, tp.Sockets, tp.CoresPerSocket, run, got, want)
+				}
+			}
+		}
+	}
+}
+
+// onePairSparseTarget builds an A of one sparse tile, about perRow entries
+// in each of its rows, whose square is one pair with a sparse target.
+func onePairSparseTarget(t *testing.T, cfg Config, rng *rand.Rand, perRow int) *ATMatrix {
+	t.Helper()
+	const n = 300
+	sp := mat.RandomCOO(rng, n, n, n*perRow).ToCSR()
+	a, err := NewFromTiles(n, n, cfg.BAtomic, []*Tile{{Rows: n, Cols: n, Kind: mat.Sparse, Sp: sp, NNZ: sp.NNZ()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 func TestATMULTChained(t *testing.T) {

@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"atmatrix/internal/faultinject"
+	"atmatrix/internal/mat"
 	"atmatrix/internal/numa"
 	"atmatrix/internal/sched"
 )
@@ -60,6 +62,57 @@ func TestMultiplyPanicReportsTargetTile(t *testing.T) {
 		t.Fatal("multiply after recovered panic computed a different product")
 	}
 	t.Run("split pair", panicInSplitPair)
+	t.Run("split sparse pair", panicInSplitSparsePair)
+}
+
+// panicInSplitSparsePair: a one-pair product with a sparse target on four
+// teams runs its row pass as row chunks on one accumulator. Whichever of
+// the product's tasks panics — the k-th to start, for every k up to the
+// number a clean run starts — the error names the pair (Item 0) and its
+// target tile, and the next multiplication is bit-identical to a clean
+// one: no accumulator the failed run left half written is handed to it.
+func panicInSplitSparsePair(t *testing.T) {
+	cfg := testConfig()
+	cfg.Topology = numa.Topology{Sockets: 4, CoresPerSocket: 1}
+	a := onePairSparseTarget(t, cfg, rand.New(rand.NewSource(67)), 4)
+	serialized := func() []byte {
+		t.Helper()
+		c, _, err := Multiply(a, a, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Tiles) != 1 || c.Tiles[0].Kind != mat.Sparse {
+			t.Fatalf("product has %d tiles, want one sparse tile: the test inspects no sparse pair", len(c.Tiles))
+		}
+		var buf bytes.Buffer
+		if _, err := c.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// A clean run counts the tasks it starts.
+	reset := faultinject.Enable(1, faultinject.Rule{Site: "sched.task", Kind: faultinject.KindDelay, Delay: time.Nanosecond, Count: -1})
+	want := serialized()
+	tasks := faultinject.Fired("sched.task")
+	reset()
+	for k := int64(1); k <= tasks; k++ {
+		reset := faultinject.Enable(1, faultinject.Rule{Site: "sched.task", Kind: faultinject.KindPanic, After: k})
+		_, _, err := Multiply(a, a, cfg)
+		reset()
+		var tpe *sched.TaskPanicError
+		if !errors.As(err, &tpe) {
+			t.Fatalf("task %d panicking: Multiply error = %v, want wrapped *TaskPanicError", k, err)
+		}
+		if tpe.Item != 0 {
+			t.Errorf("task %d panicking: Item = %d, want the pair's index 0", k, tpe.Item)
+		}
+		if !strings.Contains(err.Error(), "target tile (0,0)") {
+			t.Errorf("task %d panicking: error %q does not name target tile (0,0)", k, err)
+		}
+		if !bytes.Equal(serialized(), want) {
+			t.Fatalf("multiply after a panic in task %d serialized differently", k)
+		}
+	}
 }
 
 // panicInSplitPair: a one-pair product on four teams runs its pair as four
