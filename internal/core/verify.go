@@ -514,7 +514,8 @@ type probes struct {
 
 // drawProbes draws k rounds of seed over n columns into buf, round-major
 // from one generator: round r of a seed is the same vector whatever the
-// slab width.
+// slab width. Each entry's sign is one bit of a 64-bit draw, a round's
+// column taking a new draw at every 64th entry from its first.
 func drawProbes(seed int64, k, n int, buf []float64) probes {
 	p := probes{n: n, data: buf}
 	rng := rand.New(rand.NewSource(seed))
@@ -522,12 +523,19 @@ func drawProbes(seed int64, k, n int, buf []float64) probes {
 		x := p.slab(done)
 		for j := range panelWidth {
 			col := x.Col(j)
-			for i := range col {
-				switch {
-				case j == 0:
+			switch {
+			case j == 0:
+				for i := range col {
 					col[i] = 1
-				case done+j <= k:
-					col[i] = float64(rng.Intn(2)*2 - 1) // ±1
+				}
+			case done+j <= k:
+				var bits uint64
+				for i := range col {
+					if i&63 == 0 {
+						bits = rng.Uint64()
+					}
+					col[i] = float64(int(bits&1)*2 - 1) // ±1
+					bits >>= 1
 				}
 			}
 		}

@@ -215,8 +215,13 @@ func oracleVerify(a, b, c *ATMatrix, k int, seed int64) (bound []float64, rounds
 	oracleMulVec(a, y, bound, true)
 	for round := 1; round <= k; round++ {
 		r := oracleRound{x: make([]float64, b.Cols), z: make([]float64, a.Rows), w: make([]float64, c.Rows)}
+		var bits uint64
 		for i := range r.x {
-			r.x[i] = float64(rng.Intn(2)*2 - 1)
+			if i&63 == 0 {
+				bits = rng.Uint64()
+			}
+			r.x[i] = float64(int(bits&1)*2 - 1)
+			bits >>= 1
 		}
 		oracleMulVec(b, r.x, y, false)
 		oracleMulVec(a, y, r.z, false)

@@ -105,8 +105,13 @@ func oracleVerify(n Node, ops map[string]oracleOperand, result *core.ATMatrix, k
 	relTol := 1e-9 * float64(nodeDepth(n))
 	for round := 1; round <= k; round++ {
 		r := oracleRound{x: make([]float64, result.Cols)}
+		var bits uint64
 		for i := range r.x {
-			r.x[i] = float64(rng.Intn(2)*2 - 1)
+			if i&63 == 0 {
+				bits = rng.Uint64()
+			}
+			r.x[i] = float64(int(bits&1)*2 - 1)
+			bits >>= 1
 		}
 		r.z = oracleApply(n, ops, r.x, false, false)
 		r.w = res.MatVec(r.x)
