@@ -44,16 +44,17 @@ test:
 
 ## race: every test of the five packages that own a mutex-guarded struct
 ## runs under the race detector — which field a lock guards is checked by
-## running the code, not inferred from it. core's one such struct
-## (convCache) is on the path of the tests its filter selects; unfiltered,
-## core adds about as long again as the other five together. The product
-## digests (72 products, over 4 min under the detector) are skipped: the
-## executor test covers the same shared views and row chunks. expr's panel
+## running the code, not inferred from it. core's convCache and sparse
+## accumulator list are on the path of the tests its filter selects;
+## unfiltered, core adds about as long again as the other five together.
+## The product digests (72 products, over 4 min under the detector) are
+## skipped: the executor and panic tests cover the same shared views and
+## row chunks, sparse segments written side by side included. expr's panel
 ## and row-stream tasks run side by side on a socket's workers; its filter
 ## keeps the executor, digest and verify tests.
 race:
 	$(GO) test -race ./internal/sched ./internal/catalog ./internal/service ./internal/cluster ./cmd/atserve -count=1
-	$(GO) test -race ./internal/core -run 'Concurrent|Cancel|Scrub|Recover|Spill|Verify|Bitflip|Distributed|BytesIndependentOfExecutor|Golden|MatchesOldRoute' -skip 'ProductGoldenDigests'
+	$(GO) test -race ./internal/core -run 'Concurrent|Cancel|Scrub|Recover|Spill|Verify|Bitflip|Distributed|BytesIndependentOfExecutor|PanicReportsTargetTile|AccRetention|Golden|MatchesOldRoute' -skip 'ProductGoldenDigests'
 	$(GO) test -race ./internal/expr -run 'EvalMatchesReference|ExprResultDigests|FusedPeak|VerifyExpression'
 
 ## fuzz-smoke: run every Fuzz* target in the module for FUZZTIME. The seven

@@ -90,7 +90,7 @@ type MultStats struct {
 	Contributions int64 // tile-multiplication tasks executed
 	TargetTiles   int64 // result tiles produced (before dropping empties)
 	TasksStolen   int64 // tasks (a tile pair, or a row chunk of one) executed by a worker of another socket than their home
-	ScratchBytes  int64 // process-wide persistent worker-scratch high-water mark
+	ScratchBytes  int64 // process-wide persistent worker-scratch high-water mark, the sparse accumulator list's (recycle.go) included
 
 	// Kernel-choice counts for sparse×sparse→sparse contributions: how
 	// many the cost model routed to the outer-product merge kernel vs.
@@ -136,7 +136,7 @@ func Multiply(a, b *ATMatrix, cfg Config) (*ATMatrix, *MultStats, error) {
 // effective write threshold with the water-level method, forms tile-row ×
 // tile-col pairs — each pair producing one target tile C_{ti,tj} — and
 // executes the pairs on the per-socket workers (a product with fewer pairs
-// than cores cuts its dense-target pairs into row chunks, splitPairs).
+// than cores cuts its pairs into row chunks, splitPairs).
 // Every pair accumulates
 // the referenced submatrix multiplications of the matching A and B tiles,
 // with the dynamic optimizer converting operand windows just in time when
@@ -236,7 +236,7 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 		func(i int) int { return rowBands[int(tasks[i].idx)/ncb].Lo + int(tasks[i].lo) },
 		func(team *sched.Team, i int) { mc.runTask(team, &tasks[i]) })
 	stats.TasksStolen = rs.Stolen
-	stats.ScratchBytes = scratchFootprint.Load()
+	stats.ScratchBytes = scratchFootprint.Load() + accFree.peakBytes()
 	// A cancelled run may have skipped arbitrary pairs; the partial slot
 	// grid is not a valid product, so abort before assembly.
 	if err := opts.ctxErr(); err != nil {
@@ -363,13 +363,16 @@ type mulCtx struct {
 }
 
 // pairTask is one task of a product: a tile pair, or one row chunk of a
-// dense-target pair that splitPairs cut across the workers.
+// pair that splitPairs cut across the workers.
 type pairTask struct {
 	idx  int32 // the pair's result slot, row-major over the band grid
 	pair int32 // the pair's position in the pair list
-	// lo and hi bound the task's target rows: the whole tile-row, or one
-	// chunk of it when split is set (the chunks share mulCtx.splits[pair]).
+	// lo and hi bound the task's target rows: the whole tile-row, or chunk
+	// number chunk of it when split is set (the chunks share
+	// mulCtx.splits[pair]; a sparse target's chunk writes the segment of
+	// that number).
 	lo, hi int32
+	chunk  int32
 	split  bool
 	// dense and estRho are the target's representation and estimated
 	// density, decided once when the pair list is built.
@@ -388,22 +391,27 @@ type splitPair struct {
 	// arena holds the plan's ad hoc window conversions. The planning
 	// worker's arena is reset at that worker's next task, which may start
 	// while other chunks still read them.
-	arena kernels.Scratch
-	left  atomic.Int32
-	nnz   atomic.Int64
+	arena  kernels.Scratch
+	chunks int32
+	left   atomic.Int32
+	nnz    atomic.Int64
+	// A sparse target's chunks each pass their rows into their own segment
+	// of acc over the pair's terms; the plan sets both.
+	acc   *kernels.SpAcc
+	terms []kernels.Term
 }
 
-// splitPairs cuts each dense-target pair into ⌈TotalCores / pairs⌉ row
-// chunks when the product has fewer pairs than cores. A whole pair runs on
-// one worker, so a one-pair product would otherwise keep one core busy
-// while the others idle; the chunks are how the rows of one tile are
-// shared. Sparse targets stay whole: a chunk would need accumulator
-// segments of its own instead of a worker's warm grow-only ones, and that
-// costs more than the core it gains. A product with enough pairs is
-// returned as it is.
+// splitPairs cuts each pair into ⌈TotalCores / pairs⌉ row chunks when the
+// product has fewer pairs than cores. A whole pair runs on one worker, so a
+// one-pair product would otherwise keep one core busy while the others
+// idle; the chunks are how the rows of one tile are shared (§III-F). A
+// sparse target's chunks share one accumulator from the free list
+// (recycle.go), each writing a segment of its own; every row is summed
+// alone, in term order, so its bits do not depend on the cut. A product
+// with enough pairs, or none, is returned as it is.
 func (mc *mulCtx) splitPairs(pairs []pairTask) []pairTask {
 	cores := mc.cfg.Topology.TotalCores()
-	if len(pairs) >= cores || !slices.ContainsFunc(pairs, func(p pairTask) bool { return p.dense }) {
+	if len(pairs) == 0 || len(pairs) >= cores {
 		return pairs
 	}
 	per := int32((cores + len(pairs) - 1) / len(pairs))
@@ -411,15 +419,18 @@ func (mc *mulCtx) splitPairs(pairs []pairTask) []pairTask {
 	tasks := make([]pairTask, 0, len(pairs)*int(per))
 	for _, p := range pairs {
 		c := min(per, p.hi)
-		if !p.dense || c < 2 {
+		if c < 2 {
 			tasks = append(tasks, p)
 			continue
 		}
 		p.split = true
-		mc.splits[p.pair].left.Store(c)
+		sp := &mc.splits[p.pair]
+		sp.chunks = c
+		sp.left.Store(c)
 		m := int64(p.hi)
-		for k := range int64(c) {
-			p.lo, p.hi = int32(k*m/int64(c)), int32((k+1)*m/int64(c))
+		for k := range c {
+			p.chunk = k
+			p.lo, p.hi = int32(int64(k)*m/int64(c)), int32(int64(k+1)*m/int64(c))
 			tasks = append(tasks, p)
 		}
 	}
@@ -452,13 +463,43 @@ func (mc *mulCtx) runTask(team *sched.Team, t *pairTask) {
 	sp := &mc.splits[t.pair]
 	// A chunk whose plan panicked finds no contributions and runs nothing;
 	// the panic has already failed the run.
-	sp.plan.Do(func() { sp.contribs = mc.plan(team, t, nil, &sp.arena) })
-	if len(sp.contribs) != 0 {
+	sp.plan.Do(func() {
+		sp.contribs = mc.plan(team, t, nil, &sp.arena)
+		if !t.dense && len(sp.contribs) != 0 {
+			sp.terms = make([]kernels.Term, len(sp.contribs))
+			for i := range sp.contribs {
+				sp.terms[i] = sp.contribs[i].Term
+			}
+			m, n := sp.contribs[0].mRows, sp.contribs[0].nCols
+			if mc.cfg.EphemeralWorkers {
+				sp.acc = kernels.NewSpAcc(m, n)
+			} else {
+				sp.acc = accFree.take(m, n)
+			}
+			sp.acc.Split(int(sp.chunks))
+		}
+	})
+	switch {
+	case len(sp.contribs) == 0:
+	case t.dense:
 		sp.nnz.Add(mc.denseRows(ws, t, sp.contribs))
+	default:
+		t0 := time.Now()
+		sp.acc.Pass(int(t.chunk), int(t.lo), int(t.hi), sp.terms, ws.scratch)
+		mc.mulNanos.Add(time.Since(t0).Nanoseconds())
 	}
-	if sp.left.Add(-1) == 0 {
+	if sp.left.Add(-1) != 0 {
+		return
+	}
+	if sp.acc == nil {
 		mc.finish(team, t, sp.nnz.Load(), nil)
+		return
 	}
+	csr := mc.toCSR(sp.acc)
+	if !mc.cfg.EphemeralWorkers {
+		accFree.give(sp.acc)
+	}
+	mc.finish(team, t, csr.NNZ(), csr)
 }
 
 // contribution is one referenced submatrix multiplication feeding a target
@@ -666,10 +707,15 @@ func (mc *mulCtx) sparseRows(ws *workerState, cts []contribution) *mat.CSR {
 	acc.Split(1)
 	t0 := time.Now()
 	acc.Pass(0, 0, m, ws.terms, ws.scratch)
-	t1 := time.Now()
-	mc.mulNanos.Add(t1.Sub(t0).Nanoseconds())
+	mc.mulNanos.Add(time.Since(t0).Nanoseconds())
+	return mc.toCSR(acc)
+}
+
+// toCSR assembles a sparse target's finished rows into the result CSR.
+func (mc *mulCtx) toCSR(acc *kernels.SpAcc) *mat.CSR {
+	t0 := time.Now()
 	csr := acc.ToCSR()
-	mc.finNanos.Add(time.Since(t1).Nanoseconds())
+	mc.finNanos.Add(time.Since(t0).Nanoseconds())
 	return csr
 }
 

@@ -348,8 +348,9 @@ func (s *SpAcc) pass(g *accSeg, r0, lo, hi int, p *rowPass) {
 	}
 }
 
-// bytes is the accumulator's resident footprint for scratch accounting.
-func (s *SpAcc) bytes() int64 {
+// Bytes is the accumulator's resident footprint: its row lengths and every
+// segment's buffers, counted from their capacities.
+func (s *SpAcc) Bytes() int64 {
 	segs := s.segs[:cap(s.segs)]
 	b := int64(cap(s.rowLen))*4 + int64(cap(segs))*int64(unsafe.Sizeof(accSeg{}))
 	for i := range segs {
