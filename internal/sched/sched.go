@@ -2,9 +2,9 @@
 // one task queue per (simulated) socket, holding the tasks whose A tile-row
 // is homed on that socket, and CoresPerSocket workers per socket that drain
 // it. A task is a tile-row/tile-column pair, or a row chunk of one: a
-// product with fewer pairs than cores cuts its dense-target pairs into
-// chunks so that every worker has one (core.MultiplyOpt), which is how the
-// rows of one tile are shared. Keeping one queue per socket avoids
+// product with fewer pairs than cores cuts its pairs into chunks so that
+// every worker has one (core.MultiplyOpt), which is how the rows of one
+// tile are shared. Keeping one queue per socket avoids
 // last-level-cache pollution from unrelated tiles, which is the paper's
 // stated reason for this resource split.
 //
