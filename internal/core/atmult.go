@@ -90,7 +90,7 @@ type MultStats struct {
 	Contributions int64 // tile-multiplication tasks executed
 	TargetTiles   int64 // result tiles produced (before dropping empties)
 	TasksStolen   int64 // tasks (a tile pair, or a row chunk of one) executed by a worker of another socket than their home
-	ScratchBytes  int64 // process-wide persistent worker-scratch high-water mark, the sparse accumulator list's (recycle.go) included
+	ScratchBytes  int64 // process-wide persistent worker-scratch high-water mark, plus the sparse accumulator slot (recycle.go)
 
 	// Kernel-choice counts for sparse×sparse→sparse contributions: how
 	// many the cost model routed to the outer-product merge kernel vs.
@@ -236,7 +236,7 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 		func(i int) int { return rowBands[int(tasks[i].idx)/ncb].Lo + int(tasks[i].lo) },
 		func(team *sched.Team, i int) { mc.runTask(team, &tasks[i]) })
 	stats.TasksStolen = rs.Stolen
-	stats.ScratchBytes = scratchFootprint.Load() + accFree.peakBytes()
+	stats.ScratchBytes = scratchFootprint.Load() + accFree.bytes()
 	// A cancelled run may have skipped arbitrary pairs; the partial slot
 	// grid is not a valid product, so abort before assembly.
 	if err := opts.ctxErr(); err != nil {

@@ -126,105 +126,75 @@ func (f *freeDense) give(buf []float64) {
 	f.used = true
 }
 
-// dropIdle empties the list if nothing was taken from or given to it since
-// the last call; the limit stays. The collection tick calls it.
-func (f *freeDense) dropIdle() {
-	f.mu.Lock()
-	if !f.used {
-		f.bufs, f.held = nil, 0
-	}
-	f.used = false
-	f.mu.Unlock()
-}
-
 func cellBytes(n int) int64 { return int64(n) * mat.SizeDense }
 
-// The sparse accumulator list. The row chunks of a split sparse-target pair
-// (splitPairs) write one shared kernels.SpAcc, a segment each; the chunk
-// that plans the pair takes it from here and the chunk that assembles it
-// gives it back, so its grow-only segments stay warm from product to
+// The sparse accumulator slot. The row chunks of a split sparse-target
+// pair (splitPairs) write one shared kernels.SpAcc, a segment each; the
+// chunk that plans the pair takes it from here and the chunk that assembles
+// it gives it back, so its grow-only segments stay warm from product to
 // product the way a worker's own accumulator does for a whole pair. The
-// list holds at most as many accumulators as were ever in use at once, and
-// a collection that finds it untouched since the collection before trims it
-// to one: the one a worker's scratch would keep. The dense pool's rule, a
-// drop to none, made a caller that allocates between its products grow a
-// fresh accumulator for every one (0.5*A'*A+0.5*A on R8 runs three
-// collections per expression). The most it has held counts in
-// MultStats.ScratchBytes, a high-water mark.
-var accFree freeAccs
+// slot holds one accumulator: a product that finds it taken makes a fresh
+// one, and a give that finds it full drops its own. Collections leave it
+// alone, like a worker's scratch: the dense pool's idle drop made a caller
+// that allocates between its products grow a fresh accumulator for every
+// one (0.5*A'*A+0.5*A on R8 runs three collections per expression). What it
+// holds counts in MultStats.ScratchBytes.
+var accFree accSlot
 
-type freeAccs struct {
-	mu   sync.Mutex
-	accs []*kernels.SpAcc
-	held int64 // bytes of the accumulators in accs
-	peak int64 // the most held ever
-	used bool  // taken from or given to since the last collection
+type accSlot struct {
+	mu  sync.Mutex
+	acc *kernels.SpAcc
 }
 
 // take returns an accumulator for a rows×cols target with no row written:
-// a recycled one, segment capacity retained, or a fresh one.
-func (f *freeAccs) take(rows, cols int) *kernels.SpAcc {
+// the slot's, segment capacity retained, or a fresh one.
+func (f *accSlot) take(rows, cols int) *kernels.SpAcc {
 	f.mu.Lock()
-	f.used = true
-	n := len(f.accs)
-	if n == 0 {
-		f.mu.Unlock()
+	acc := f.acc
+	f.acc = nil
+	f.mu.Unlock()
+	if acc == nil {
 		return kernels.NewSpAcc(rows, cols)
 	}
-	acc := f.accs[n-1]
-	f.accs[n-1] = nil
-	f.accs = f.accs[:n-1]
-	f.held -= acc.Bytes()
-	f.mu.Unlock()
 	acc.Reset(rows, cols)
 	return acc
 }
 
 // give hands back an accumulator no pass writes any more.
-func (f *freeAccs) give(acc *kernels.SpAcc) {
-	b := acc.Bytes()
+func (f *accSlot) give(acc *kernels.SpAcc) {
 	f.mu.Lock()
-	f.accs = append(f.accs, acc)
-	f.held += b
-	f.peak = max(f.peak, f.held)
-	f.used = true
+	if f.acc == nil {
+		f.acc = acc
+	}
 	f.mu.Unlock()
 }
 
-// peakBytes returns the most bytes the list has held.
-func (f *freeAccs) peakBytes() int64 {
+// bytes returns the resident bytes of the accumulator the slot holds.
+func (f *accSlot) bytes() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.peak
-}
-
-// trimIdle keeps only the accumulator take would return next if nothing
-// was taken from or given to the list since the last call; the peak stays.
-// The collection tick calls it.
-func (f *freeAccs) trimIdle() {
-	f.mu.Lock()
-	if n := len(f.accs); !f.used && n > 1 {
-		keep := f.accs[n-1]
-		clear(f.accs)
-		f.accs = append(f.accs[:0], keep)
-		f.held = keep.Bytes()
+	if f.acc == nil {
+		return 0
 	}
-	f.used = false
-	f.mu.Unlock()
+	return f.acc.Bytes()
 }
 
 // collectionTick is garbage as soon as it is made; its finalizer runs
-// after the next collection, drops the dense list and trims the
-// accumulator list if nothing was taken from or given to it since the
-// collection before, and arms the next tick. The
+// after the next collection, drops the dense list if nothing was taken from
+// or given to it since the collection before, and arms the next tick. The
 // pointer field keeps it out of the tiny allocator, whose objects may
 // never be finalized.
 type collectionTick struct{ _ *int }
 
 func armCollectionTick() {
 	runtime.SetFinalizer(&collectionTick{}, func(*collectionTick) {
-		denseFree.dropIdle()
-		accFree.trimIdle()
+		f := &denseFree
+		f.mu.Lock()
+		if !f.used {
+			f.bufs, f.held = nil, 0
+		}
+		f.used = false
+		f.mu.Unlock()
 		armCollectionTick()
 	})
 }

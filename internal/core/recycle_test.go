@@ -243,36 +243,28 @@ func TestRecycleRetention(t *testing.T) {
 	}
 }
 
-// resetAccList empties the sparse accumulator list.
-func resetAccList() {
-	f := &accFree
-	f.mu.Lock()
-	f.accs, f.held, f.used = nil, 0, false // the peak stays: it is a high-water mark
-	f.mu.Unlock()
-}
-
-// accsHeld returns how many accumulators the list holds, and their bytes.
-func accsHeld() (int, int64) {
+// slotHolds returns the accumulator the sparse accumulator slot holds.
+func slotHolds() *kernels.SpAcc {
 	f := &accFree
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.accs), f.held
+	return f.acc
 }
 
-// TestAccRetention: a split sparse pair takes its accumulator from the list
-// and gives it back, so the list holds the one accumulator a product had in
-// use — the same one, no larger, after every repeat — and
-// MultStats.ScratchBytes counts it. EphemeralWorkers leaves the list alone.
-// Idle collections trim what a burst left to the one accumulator take
-// would return next, and keep that one warm.
+// TestAccRetention: a split sparse pair takes its accumulator from the slot
+// and gives it back, so the slot holds the one accumulator the product used
+// — the same one, no larger, after every repeat — and MultStats.ScratchBytes
+// counts it. EphemeralWorkers leaves the slot alone, a give that finds it
+// full drops its accumulator, and idle collections keep it, as they keep a
+// worker's scratch.
 func TestAccRetention(t *testing.T) {
-	defer resetAccList()
-	resetAccList()
+	defer accFree.take(0, 0)
+	accFree.take(0, 0) // empty the slot
 	cfg := testConfig()
 	cfg.Topology = numa.Topology{Sockets: 2, CoresPerSocket: 1}
 	a := onePairSparseTarget(t, cfg, rand.New(rand.NewSource(71)), 4)
-	gc := debug.SetGCPercent(-1) // no idle collection inside the loop
-	var held int64
+	var held *kernels.SpAcc
+	var bytes int64
 	for run := range 3 {
 		c, stats, err := Multiply(a, a, cfg)
 		if err != nil {
@@ -281,47 +273,35 @@ func TestAccRetention(t *testing.T) {
 		if len(c.Tiles) != 1 || c.Tiles[0].Kind != mat.Sparse {
 			t.Fatalf("product has %d tiles, want one sparse tile: the test inspects no sparse pair", len(c.Tiles))
 		}
-		n, b := accsHeld()
-		if n != 1 || b == 0 {
-			t.Fatalf("run %d: list holds %d accumulators of %d bytes, want the one the product used", run, n, b)
+		acc := slotHolds()
+		if acc == nil || acc.Bytes() == 0 {
+			t.Fatalf("run %d: the slot holds no accumulator after a split sparse pair", run)
 		}
-		if run > 0 && b != held {
-			t.Fatalf("run %d: list holds %d bytes, %d after run 0: the same product grew its accumulator", run, b, held)
+		if run > 0 && (acc != held || acc.Bytes() != bytes) {
+			t.Fatalf("run %d: the slot holds another accumulator or a grown one (%d bytes, %d after run 0)", run, acc.Bytes(), bytes)
 		}
-		if stats.ScratchBytes < b {
-			t.Fatalf("run %d: MultStats.ScratchBytes = %d, the list holds %d", run, stats.ScratchBytes, b)
+		if stats.ScratchBytes < acc.Bytes() {
+			t.Fatalf("run %d: MultStats.ScratchBytes = %d, the slot holds %d", run, stats.ScratchBytes, acc.Bytes())
 		}
-		held = b
+		held, bytes = acc, acc.Bytes()
 	}
 	ephemeral := cfg
 	ephemeral.EphemeralWorkers = true
 	if _, _, err := Multiply(a, a, ephemeral); err != nil {
 		t.Fatal(err)
 	}
-	if n, b := accsHeld(); n != 1 || b != held {
-		t.Fatalf("an ephemeral multiply left %d accumulators of %d bytes on the list, want 1 of %d", n, b, held)
+	if acc := slotHolds(); acc != held || acc.Bytes() != bytes {
+		t.Fatal("an ephemeral multiply changed the slot's accumulator")
 	}
-	// A burst: two more accumulators were in use at once.
-	next := kernels.NewSpAcc(8, 8)
 	accFree.give(kernels.NewSpAcc(8, 8))
-	accFree.give(next)
-	debug.SetGCPercent(gc)
-	for i := 0; ; i++ {
-		n, b := accsHeld()
-		if n == 1 {
-			break
-		}
-		if i == 100 {
-			t.Fatalf("list still holds %d accumulators of %d bytes after %d idle collections", n, b, i)
-		}
+	if slotHolds() != held {
+		t.Fatal("a give to a full slot replaced its accumulator")
+	}
+	for range 5 {
 		runtime.GC()
 		time.Sleep(5 * time.Millisecond)
 	}
-	for range 3 {
-		runtime.GC()
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n, b := accsHeld(); n != 1 || b != next.Bytes() || accFree.take(8, 8) != next {
-		t.Fatalf("after idle collections the list holds %d accumulators of %d bytes, want the last one given (%d bytes)", n, b, next.Bytes())
+	if acc := slotHolds(); acc != held || acc.Bytes() != bytes {
+		t.Fatal("idle collections dropped or changed the slot's accumulator")
 	}
 }
