@@ -405,7 +405,7 @@ type splitPair struct {
 // product has fewer pairs than cores. A whole pair runs on one worker, so a
 // one-pair product would otherwise keep one core busy while the others
 // idle; the chunks are how the rows of one tile are shared (§III-F). A
-// sparse target's chunks share one accumulator from the free list
+// sparse target's chunks share one accumulator, kept warm in a slot
 // (recycle.go), each writing a segment of its own; every row is summed
 // alone, in term order, so its bits do not depend on the cut. A product
 // with enough pairs, or none, is returned as it is.
