@@ -386,15 +386,43 @@ func benchMultiply(b *testing.B, x, y *core.ATMatrix, recycle bool) {
 
 // BenchmarkEval_MultDense: mult_dense's three requests, A·A on the R1, R2
 // and R3 stand-ins — dense targets fed by DSpD and SpSpD windows. R3-kept
-// is R3 for a caller that keeps its products.
+// is R3 for a caller that keeps its products. cycle is the workload's own
+// order, R1 → R2 → R3 per op, every product recycled as the server recycles
+// it; it reports how many dense targets per cycle the result pool served
+// (hits/op) and how many were made fresh (misses/op), so a pool that
+// empties between products shows.
 func BenchmarkEval_MultDense(b *testing.B) {
+	var cycle []*core.ATMatrix
 	for _, id := range []string{"R1", "R2", "R3"} {
 		a := mustPartition(b, serverStandIn(b, id, 0, 1.0/16), serverCfg())
+		cycle = append(cycle, a)
 		b.Run(id, func(b *testing.B) { benchMultiply(b, a, a, true) })
 		if id == "R3" {
 			b.Run(id+"-kept", func(b *testing.B) { benchMultiply(b, a, a, false) })
 		}
 	}
+	b.Run("cycle", func(b *testing.B) {
+		cfg, opts := serverCfg(), core.DefaultMultOptions()
+		opts.Verify = 2
+		b.ReportAllocs()
+		var start core.RecycleStats
+		for i := -1; i < b.N; i++ {
+			if i == 0 { // one untimed cycle puts the pool in its steady state
+				start = core.Recycled()
+				b.ResetTimer()
+			}
+			for _, a := range cycle {
+				c, _, err := core.MultiplyOpt(a, a, cfg, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				core.Recycle(c)
+			}
+		}
+		end := core.Recycled()
+		b.ReportMetric(float64(end.Hits-start.Hits)/float64(b.N), "hits/op")
+		b.ReportMetric(float64(end.Misses-start.Misses)/float64(b.N), "misses/op")
+	})
 }
 
 // BenchmarkEval_IngestProducts: ingest_store's two products on the R2

@@ -39,7 +39,8 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.BAtomic = 32
 
-	// Partition: row-major staging → ZBlockCnts → recursive quadtree.
+	// Partition: row-major staging → ZBlockCnts (the non-empty atomic
+	// blocks, in Z-order) → recursive quadtree → tiles cut from the stage.
 	am, pstats, err := core.Partition(a, cfg)
 	if err != nil {
 		log.Fatal(err)

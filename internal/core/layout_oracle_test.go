@@ -141,7 +141,7 @@ func TestGoldenLayoutDigests(t *testing.T) {
 
 // refPartition rebuilds the layout the Z-sorting pipeline gives src: the
 // deduplicated table is counted per atomic block in Z-order, the full
-// quadtree descent (refQuadtree) plans the tiles, and each tile is filled
+// quadtree descent (refPlanner) plans the tiles, and each tile is filled
 // from the entries inside its bounding box.
 func refPartition(t testing.TB, src *mat.COO, cfg Config) *ATMatrix {
 	t.Helper()
@@ -159,8 +159,8 @@ func refPartition(t testing.TB, src *mat.COO, cfg Config) *ATMatrix {
 	for _, e := range c.Ent {
 		cnts[morton.Encode(uint32(int(e.Row)/b), uint32(int(e.Col)/b))]++
 	}
-	p := &partitioner{cfg: cfg, cnts: cnts, out: newATMatrix(c.Rows, c.Cols, b)}
-	for _, bx := range refQuadtree(p) {
+	p := newRefPlanner(cfg, c.Rows, c.Cols, cnts)
+	for _, bx := range p.quadtree() {
 		r0, c0, h, w := bx.r0, bx.c0, bx.h, bx.w
 		lo := sort.Search(len(c.Ent), func(i int) bool { return int(c.Ent[i].Row) >= r0 })
 		hi := sort.Search(len(c.Ent), func(i int) bool { return int(c.Ent[i].Row) >= r0+h })
@@ -316,6 +316,42 @@ func TestRepartitionMatchesOldRoute(t *testing.T) {
 				t.Errorf("%dx%d %s: Repartition differs from Partition(ToCOO())", topo.Sockets, topo.CoresPerSocket, c.name)
 			}
 		}
+	}
+}
+
+// TestRepartitionAdoptsOneTileStage: when the plan is one sparse tile over
+// the whole matrix, the tile is the stage itself, not a copy of it.
+// Repartition is still a deep copy — scaling the copy leaves the source's
+// bytes as they were — and the adopted slices are exactly sized, so a tile
+// holds the SparseBytes(NNZ) the catalog accounts for it.
+func TestRepartitionAdoptsOneTileStage(t *testing.T) {
+	cfg := benchLayoutConfig()
+	src, _, err := Partition(standIn(t, "R9"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, _, err := src.Repartition(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*ATMatrix{"Partition": src, "Repartition": cp} {
+		if len(m.Tiles) != 1 || m.Tiles[0].Kind != mat.Sparse || m.Tiles[0].Rows != m.Rows || m.Tiles[0].Cols != m.Cols {
+			t.Fatalf("%s: %d tiles, not one sparse tile over the matrix; the case is not covered", name, len(m.Tiles))
+		}
+		sp := m.Tiles[0].Sp
+		if cap(sp.RowPtr) != len(sp.RowPtr) || cap(sp.ColIdx) != len(sp.ColIdx) || cap(sp.Val) != len(sp.Val) {
+			t.Errorf("%s: tile slices hold (%d, %d, %d) of capacity (%d, %d, %d)", name,
+				len(sp.RowPtr), len(sp.ColIdx), len(sp.Val), cap(sp.RowPtr), cap(sp.ColIdx), cap(sp.Val))
+		}
+	}
+	want := layoutDigest(t, src)
+	if got := layoutDigest(t, cp); got != want {
+		t.Fatalf("the copy's digest 0x%08x, the source's 0x%08x", got, want)
+	}
+	cp.Scale(2)
+	cp.Tiles[0].Sp.ColIdx[0]++
+	if got := layoutDigest(t, src); got != want {
+		t.Errorf("writing into the copy moved the source's digest 0x%08x → 0x%08x", want, got)
 	}
 }
 

@@ -8,40 +8,45 @@ import (
 	"sort"
 	"testing"
 
+	"atmatrix/internal/gen"
 	"atmatrix/internal/mat"
 	"atmatrix/internal/morton"
 	"atmatrix/internal/numa"
 )
 
 // refPlanner is the quadtree planner as it stood before it learned to skip
-// empty quadrants: blocks outside the matrix are marked -1 in the counts
-// and the recursion visits every cell of the padded grid. partitioner.rec
-// must plan the same tiles, in the same order.
-type refPlanner struct{ *partitioner }
+// empty quadrants: the counts are a dense Z-ordered grid, blocks outside
+// the matrix are marked -1 in it, and the recursion visits every cell of
+// the padded grid. partitioner.rec, over the sparse list of non-empty
+// blocks, must plan the same tiles, in the same order.
+type refPlanner struct {
+	*partitioner
+	cnts []int64
+}
 
-// newRefPlanner marks the out-of-bounds blocks of a copy of p's counts.
-func newRefPlanner(p *partitioner) refPlanner {
-	b := p.cfg.BAtomic
-	cnts := slices.Clone(p.cnts)
+// newRefPlanner plans a copy of the dense grid cnts of a rows×cols matrix,
+// its out-of-bounds blocks marked.
+func newRefPlanner(cfg Config, rows, cols int, cnts []int64) refPlanner {
+	b := cfg.BAtomic
+	cnts = slices.Clone(cnts)
 	for zb := range cnts {
 		br, bc := morton.Decode(uint64(zb))
-		if int(br)*b >= p.out.Rows || int(bc)*b >= p.out.Cols {
+		if int(br)*b >= rows || int(bc)*b >= cols {
 			if cnts[zb] != 0 {
 				panic(fmt.Sprintf("reference: out-of-bounds block (%d,%d) counts %d", br, bc, cnts[zb]))
 			}
 			cnts[zb] = -1
 		}
 	}
-	return refPlanner{&partitioner{cfg: p.cfg, cnts: cnts, out: p.out}}
+	return refPlanner{&partitioner{cfg: cfg, out: newATMatrix(rows, cols, b)}, cnts}
 }
 
-// refQuadtree plans p's counts by the full descent. p is left untouched.
-func refQuadtree(p *partitioner) []tileBox {
-	ref := newRefPlanner(p)
-	if status, nnz := ref.rec(0, uint64(len(ref.cnts))); status == stForward {
-		ref.materialize(0, uint64(len(ref.cnts)), nnz)
+// quadtree plans the tiles by the full descent.
+func (p refPlanner) quadtree() []tileBox {
+	if status, nnz := p.rec(0, uint64(len(p.cnts))); status == stForward {
+		p.materialize(0, uint64(len(p.cnts)), nnz)
 	}
-	return ref.boxes
+	return p.boxes
 }
 
 func (p refPlanner) rec(zs, ze uint64) (int, int64) {
@@ -114,41 +119,79 @@ func (p refPlanner) rec(zs, ze uint64) (int, int64) {
 	return stMaterialized, 0
 }
 
-// samePlan fails unless the planner and the full descent plan the same
-// boxes — position, size, nnz and kind — in the same order, and return the
-// same status and count for every quadrant of every level.
+// sparseCounts is the list zBlockCounts keeps of a dense count grid: its
+// non-empty blocks in Z-order.
+func sparseCounts(cnts []int64) []blockCount {
+	var out []blockCount
+	for z, n := range cnts {
+		if n != 0 {
+			out = append(out, blockCount{uint64(z), n})
+		}
+	}
+	return out
+}
+
+// samePlan fails unless the planner over the sparse list and the full
+// descent over the dense grid cnts plan the same boxes — position, size,
+// nnz and kind — in the same order, and return the same status and count
+// for every quadrant of every level.
 func samePlan(t *testing.T, name string, cfg Config, rows, cols int, cnts []int64) {
 	t.Helper()
-	p := &partitioner{cfg: cfg, cnts: cnts, out: newATMatrix(rows, cols, cfg.BAtomic)}
-	want := refQuadtree(p)
+	list := sparseCounts(cnts)
+	p := &partitioner{cfg: cfg, cnts: list, cells: gridCells(rows, cols, cfg.BAtomic), out: newATMatrix(rows, cols, cfg.BAtomic)}
+	if p.cells != uint64(len(cnts)) {
+		t.Fatalf("%s: the grid has %d cells, the planner %d", name, len(cnts), p.cells)
+	}
+	want := newRefPlanner(cfg, rows, cols, cnts).quadtree()
 	if got := p.quadtree(); !slices.Equal(got, want) {
 		t.Errorf("%s (%d×%d, b=%d): planned %d tiles %v, full descent %d tiles %v", name, rows, cols, cfg.BAtomic, len(got), clip(got), len(want), clip(want))
 		return
 	}
-	ref := newRefPlanner(p)
+	ref := newRefPlanner(cfg, rows, cols, cnts)
 	for size := uint64(1); size <= uint64(len(cnts)); size *= 4 {
+		lo := 0
 		for zs := uint64(0); zs < uint64(len(cnts)); zs += size {
+			hi := lo
+			for hi < len(list) && list[hi].z < zs+size {
+				hi++
+			}
 			p.boxes, ref.boxes = nil, nil
-			st, n := p.rec(zs, zs+size)
+			st, n := p.rec(zs, zs+size, lo, hi)
 			wantSt, wantN := ref.rec(zs, zs+size)
 			if st != wantSt || n != wantN || !slices.Equal(p.boxes, ref.boxes) {
 				t.Errorf("%s (%d×%d, b=%d): quadrant [%d,%d) returns (%d, %d) and %d tiles, full descent (%d, %d) and %d",
 					name, rows, cols, cfg.BAtomic, zs, zs+size, st, n, len(p.boxes), wantSt, wantN, len(ref.boxes))
 				return
 			}
+			lo = hi
 		}
 	}
 }
 
 func clip(boxes []tileBox) []tileBox { return boxes[:min(len(boxes), 6)] }
 
-func countsOf(t *testing.T, m *ATMatrix, b int) []int64 {
+// denseCountsOf counts the entries of m's stage per atomic block into the
+// dense Z-ordered grid the full descent reads, entry by entry, and fails
+// unless zBlockCounts of that stage keeps exactly the grid's non-empty
+// blocks.
+func denseCountsOf(t *testing.T, m *ATMatrix, b int) []int64 {
 	t.Helper()
 	s, err := stageCOO(m.ToCOO())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return zBlockCounts(s, b)
+	grid := max(1, morton.SideLen(m.Rows, m.Cols)/b)
+	cnts := make([]int64, grid*grid)
+	for r := 0; r < s.Rows; r++ {
+		lo, hi := s.RowRange(r)
+		for _, c := range s.ColIdx[lo:hi] {
+			cnts[morton.Encode(uint32(r/b), uint32(int(c)/b))]++
+		}
+	}
+	if got, want := zBlockCounts(s, b), sparseCounts(cnts); !slices.Equal(got, want) {
+		t.Fatalf("%d×%d, b=%d: zBlockCounts keeps %d blocks, the grid %d", m.Rows, m.Cols, b, len(got), len(want))
+	}
+	return cnts
 }
 
 // tinyLLCConfig cannot hold even one atomic block as a sparse tile:
@@ -164,9 +207,32 @@ func TestQuadtreeMatchesFullDescent(t *testing.T) {
 		cfg := testConfig()
 		cfg.Topology = topo
 		for _, c := range layoutCases(t, cfg) {
-			samePlan(t, c.name, cfg, c.m.Rows, c.m.Cols, countsOf(t, c.m, cfg.BAtomic))
+			samePlan(t, c.name, cfg, c.m.Rows, c.m.Cols, denseCountsOf(t, c.m, cfg.BAtomic))
 		}
 	}
+	// R9³ at the benchmark's scale and configuration: eval_chain's chain3
+	// result, 198 414 entries in 1 199 of the 512² padded grid's blocks.
+	bench := benchLayoutConfig()
+	spec, err := gen.Lookup("R9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Seed += 1000
+	r9coo, err := spec.Generate(1.0 / 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r9, _, err := Partition(r9coo, bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube := r9
+	for range 2 {
+		if cube, _, err = Multiply(cube, r9, bench); err != nil {
+			t.Fatal(err)
+		}
+	}
+	samePlan(t, "R9³", bench, cube.Rows, cube.Cols, denseCountsOf(t, cube, bench.BAtomic))
 	tiny := tinyLLCConfig()
 	if tiny.BAtomic <= tiny.MaxSparseTileDim(0) {
 		t.Fatalf("b_atomic %d fits τ^sp_max(0) = %d; the case is not covered", tiny.BAtomic, tiny.MaxSparseTileDim(0))
@@ -190,7 +256,7 @@ func TestQuadtreeMatchesFullDescent(t *testing.T) {
 			}
 			for _, nnz := range []int{0, 1, 7, rows + cols, 40 * (rows + cols)} {
 				m := part(nnz)
-				samePlan(t, fmt.Sprintf("random nnz=%d", nnz), cfg, rows, cols, countsOf(t, m, b))
+				samePlan(t, fmt.Sprintf("random nnz=%d", nnz), cfg, rows, cols, denseCountsOf(t, m, b))
 			}
 		}
 	}

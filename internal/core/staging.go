@@ -100,9 +100,15 @@ type RowBlock struct {
 }
 
 // AppendSPA appends the accumulated row as the block's next row: its
-// columns ascending, exact zeros dropped.
+// columns ascending, exact zeros dropped. A block that must grow doubles:
+// it is copied once into the stage, so the append's own growth (about
+// 1.25× for large slices) would allocate several times what it keeps.
 func (b *RowBlock) AppendSPA(spa *kernels.SPA) {
 	start := len(b.Col)
+	if t := len(spa.Touched()); cap(b.Col)-start < t {
+		grow := max(cap(b.Col), t)
+		b.Col, b.Val = slices.Grow(b.Col, grow), slices.Grow(b.Val, grow)
+	}
 	b.Col, b.Val = spa.AppendSorted(b.Col, b.Val)
 	b.NNZ = append(b.NNZ, int32(len(b.Col)-start))
 }
@@ -216,10 +222,11 @@ func (a *ATMatrix) rowGatherer() func(_ *kernels.Scratch, lo, hi int, b *RowBloc
 	}
 }
 
-// stageSum stages α·a + β·b: each task gathers its rows of both operands and
-// sums them through its worker's sparse accumulator, whose ordered emit
-// drops zero sums. A zero weight contributes nothing, whatever a holds. The
-// tasks are cut over a's rows.
+// stageSum stages α·a + β·b: each task gathers its rows of both operands
+// and merges each pair of rows, whose columns ascend. A column in both sums
+// α·a + β·b, each product rounded on its own, as a sparse accumulator adds
+// them; a zero sum is dropped. A zero weight contributes nothing, whatever a
+// holds. The tasks are cut over a's rows.
 func stageSum(a, b *ATMatrix, alpha, beta float64, cfg Config) (*mat.CSR, error) {
 	by := a
 	if alpha == 0 {
@@ -233,17 +240,31 @@ func stageSum(a, b *ATMatrix, alpha, beta float64, cfg Config) (*mat.CSR, error)
 		var ta, tb RowBlock
 		rowsOfA(scr, lo, hi, &ta)
 		rowsOfB(scr, lo, hi, &tb)
-		spa := scr.SPA()
+		n := len(ta.Col) + len(tb.Col) // no sum row is longer than its two rows
+		col, val := slices.Grow(out.Col, n), slices.Grow(out.Val, n)
 		i, j := 0, 0
 		for k := range ta.NNZ {
-			spa.Reset(a.Cols)
-			for ie := i + int(ta.NNZ[k]); i < ie; i++ {
-				spa.Add(ta.Col[i], alpha*ta.Val[i])
+			start := len(col)
+			for ie, je := i+int(ta.NNZ[k]), j+int(tb.NNZ[k]); i < ie || j < je; {
+				var c int32
+				var v float64
+				switch {
+				case j == je || i < ie && ta.Col[i] < tb.Col[j]:
+					c, v = ta.Col[i], alpha*ta.Val[i]
+					i++
+				case i == ie || tb.Col[j] < ta.Col[i]:
+					c, v = tb.Col[j], beta*tb.Val[j]
+					j++
+				default:
+					c, v = ta.Col[i], float64(alpha*ta.Val[i])+float64(beta*tb.Val[j]) // no fused multiply-add
+					i, j = i+1, j+1
+				}
+				if v != 0 {
+					col, val = append(col, c), append(val, v)
+				}
 			}
-			for je := j + int(tb.NNZ[k]); j < je; j++ {
-				spa.Add(tb.Col[j], beta*tb.Val[j])
-			}
-			out.AppendSPA(spa)
+			out.NNZ = append(out.NNZ, int32(len(col)-start))
 		}
+		out.Col, out.Val = col, val
 	})
 }

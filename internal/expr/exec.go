@@ -220,25 +220,38 @@ func (e *exec) evalScale(v *scaleNode) (*core.ATMatrix, bool, error) {
 	return out, true, nil
 }
 
+// addend evaluates one operand of a sum and returns the weight it enters
+// core.Add with. A scale by s ≠ 0 becomes that weight — s·v rounds as
+// 1·(v·s) does, and as −(s·v) under negation — so an operand is not copied
+// only to be scaled. A zero scale keeps its own stage: 0·NaN is NaN, but Add
+// drops a zero-weight operand whole.
+func (e *exec) addend(n planNode) (*core.ATMatrix, bool, float64, error) {
+	if v, ok := n.(*scaleNode); ok && v.s != 0 {
+		m, owned, err := e.eval(v.x)
+		return m, owned, v.s, err
+	}
+	m, owned, err := e.eval(n)
+	return m, owned, 1, err
+}
+
 func (e *exec) evalAdd(v *addNode) (*core.ATMatrix, bool, error) {
-	l, lOwned, err := e.eval(v.l)
+	l, lOwned, alpha, err := e.addend(v.l)
 	if err != nil {
 		return nil, false, err
 	}
-	r, rOwned, err := e.eval(v.r)
+	r, rOwned, beta, err := e.addend(v.r)
 	if err != nil {
 		e.freeIf(l, lOwned)
 		return nil, false, err
 	}
-	beta := 1.0
 	if v.sub {
-		beta = -1
+		beta = -beta
 	}
 	var out *core.ATMatrix
 	t0 := time.Now()
 	err = e.stage(v.label(), func() error {
 		var aerr error
-		out, aerr = core.Add(l, r, 1, beta, e.cfg)
+		out, aerr = core.Add(l, r, alpha, beta, e.cfg)
 		return aerr
 	})
 	if err != nil {

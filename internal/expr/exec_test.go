@@ -1,7 +1,9 @@
 package expr
 
 import (
+	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -78,5 +80,63 @@ func TestExprResultDigests(t *testing.T) {
 			}
 		}
 		sched.RuntimeFor(topo).Close()
+	}
+}
+
+// TestScalarsFoldIntoAdd: an operand of a sum scaled by s ≠ 0 enters
+// core.Add with s as its weight (negated under '-') instead of being scaled
+// first. Every result must be bit-equal to the route that scales first — a
+// Repartition copy of a bound operand, a sub-result in place — and then adds
+// with weights 1 and ±1. N stores NaN and ±Inf: under a zero scalar it keeps
+// the copy route (0·NaN and 0·Inf are NaN, and a zero weight would drop N
+// whole); under a non-zero one NaN and the infinities are scaled either way.
+func TestScalarsFoldIntoAdd(t *testing.T) {
+	for _, topo := range []numa.Topology{{Sockets: 1, CoresPerSocket: 1}, {Sockets: 2, CoresPerSocket: 1}} {
+		cfg := testCfg()
+		cfg.Topology = topo
+		bind := testBindings(t, cfg)
+		rng := rand.New(rand.NewSource(11))
+		n := mat.RandomCOO(rng, 128, 128, 600)
+		n.Ent[5].Val, n.Ent[300].Val, n.Ent[len(n.Ent)-1].Val = math.NaN(), math.Inf(1), math.Inf(-1)
+		nm, _, err := core.Partition(n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bind["N"] = nm
+		scaled := func(m *core.ATMatrix, s float64, owned bool) *core.ATMatrix {
+			if !owned {
+				if m, _, err = m.Repartition(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.Scale(s)
+			return m
+		}
+		add := func(l, r *core.ATMatrix, beta float64) *core.ATMatrix {
+			out, err := core.Add(l, r, 1, beta, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		a, b, c := bind["A"], bind["B"], bind["C"]
+		for _, tc := range []struct {
+			src  string
+			want func() *core.ATMatrix
+		}{
+			{"0*N+B", func() *core.ATMatrix { return add(scaled(nm, 0, false), b, 1) }},
+			{"B-0*N", func() *core.ATMatrix { return add(b, scaled(nm, 0, false), -1) }},
+			{"-0.5*A - 2*B", func() *core.ATMatrix { return add(scaled(a, -0.5, false), scaled(b, 2, false), -1) }},
+			{"0.5*(A+B)+C", func() *core.ATMatrix { return add(scaled(add(a, b, 1), 0.5, true), c, 1) }},
+			{"3*N - 0.25*N", func() *core.ATMatrix { return add(scaled(nm, 3, false), scaled(nm, 0.25, false), -1) }},
+		} {
+			got, _, _, err := Eval(tc.src, bind, cfg, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.src, err)
+			}
+			if !bytes.Equal(atmBytes(t, got), atmBytes(t, tc.want())) {
+				t.Errorf("%dx%d %s: differs from the route that scales a copy first", topo.Sockets, topo.CoresPerSocket, tc.src)
+			}
+		}
 	}
 }
