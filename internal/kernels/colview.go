@@ -115,8 +115,9 @@ func (bc *bColumns) bytes() int64 {
 // SpSpDCols is SpSpD with a the columns [c0, c0+b.Rows) of the view's rows
 // [r0, r0+c.Rows), so a row chunk touches only its own rows. It walks A
 // by column: B row k is fetched once and scattered into every target row
-// with a stored A entry in column k. Each output element still receives
-// its products in ascending k, one c += a·b each, so the bits are SpSpD's.
+// with a stored A entry in column k, four rows per pass (scatterRows4).
+// Each output element still receives its products in ascending k, one
+// c += a·b each, so the bits are SpSpD's.
 //
 //atlint:hotpath
 func SpSpDCols(c *mat.Dense, a *ColView, r0, c0 int, b CSRWin) {
@@ -134,12 +135,20 @@ func SpSpDCols(c *mat.Dense, a *ColView, r0, c0 int, b CSRWin) {
 		if len(bcols) == 0 {
 			continue
 		}
+		q, end := a.Ptr[p], a.Ptr[p+1]
+		for q < end && a.Row[q] < lo {
+			q++
+		}
+		// The column's in-chunk rows ascend, so rows q..q+3 are one group
+		// when the fourth is still below hi.
+		for ; q+3 < end && a.Row[q+3] < hi; q += 4 {
+			scatterRows4(c.RowSlice(int(a.Row[q]-lo)), c.RowSlice(int(a.Row[q+1]-lo)),
+				c.RowSlice(int(a.Row[q+2]-lo)), c.RowSlice(int(a.Row[q+3]-lo)),
+				bcols, bvals, a.Val[q], a.Val[q+1], a.Val[q+2], a.Val[q+3], bc0)
+		}
 		long := len(bcols) >= scatterUnrollMin
-		for q := a.Ptr[p]; q < a.Ptr[p+1]; q++ {
+		for ; q < end; q++ {
 			r := a.Row[q]
-			if r < lo {
-				continue
-			}
 			if r >= hi {
 				break
 			}

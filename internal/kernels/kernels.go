@@ -322,24 +322,37 @@ func dotsPay(a *mat.Dense, b CSRWin) bool {
 // the products whose windows are short where they were (DESIGN.md §4d).
 const contractionMajorRows = 128
 
-// dspdCols is DSpD's contraction-major walk: one B-row lookup per k.
+// dspdCols is DSpD's contraction-major walk: one B-row lookup per k,
+// scattered into the rows of the non-zero A scalars of column k four at a
+// time (scatterRows4); the zero to three left over go one by one.
 //
 //atlint:hotpath
 func dspdCols(c *mat.Dense, a *mat.Dense, b CSRWin) {
 	bc0 := int32(b.Col0)
 	br := b.rows()
+	var rows [4]int
+	var as [4]float64
 	for k := 0; k < a.Cols; k++ {
 		bcols, bvals := br.row(k)
 		if len(bcols) == 0 {
 			continue
 		}
-		long := len(bcols) >= scatterUnrollMin
+		n := 0
 		for i := 0; i < a.Rows; i++ {
 			av := a.Data[i*a.Stride+k]
 			if av == 0 {
 				continue
 			}
-			crow := c.RowSlice(i)
+			rows[n], as[n] = i, av
+			if n++; n == 4 {
+				scatterRows4(c.RowSlice(rows[0]), c.RowSlice(rows[1]), c.RowSlice(rows[2]), c.RowSlice(rows[3]),
+					bcols, bvals, as[0], as[1], as[2], as[3], bc0)
+				n = 0
+			}
+		}
+		long := len(bcols) >= scatterUnrollMin
+		for g := 0; g < n; g++ {
+			crow, av := c.RowSlice(rows[g]), as[g]
 			if long {
 				scatter4(crow, bcols, bvals, av, bc0)
 				continue
@@ -735,6 +748,24 @@ func scatter4(y []float64, cols []int32, vals []float64, alpha float64, c0 int32
 	}
 	for ; p < len(cols); p++ {
 		y[cols[p]-c0] += alpha * vals[p]
+	}
+}
+
+// scatterRows4 accumulates one sparse row into four dense rows:
+// y_r[cols[p]-c0] += a_r·vals[p] for r = 0..3, so each column id and value
+// is loaded once for the four. The rows are distinct target rows, so no
+// two read-modify-writes alias.
+//
+//atlint:hotpath
+func scatterRows4(y0, y1, y2, y3 []float64, cols []int32, vals []float64, a0, a1, a2, a3 float64, c0 int32) {
+	vals = vals[:len(cols)]
+	y1, y2, y3 = y1[:len(y0)], y2[:len(y0)], y3[:len(y0)] // bounds hint: one check per entry
+	for p, col := range cols {
+		j, v := col-c0, vals[p]
+		y0[j] += a0 * v
+		y1[j] += a1 * v
+		y2[j] += a2 * v
+		y3[j] += a3 * v
 	}
 }
 
