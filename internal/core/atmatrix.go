@@ -447,6 +447,8 @@ func coarsen(fine *density.Map, block int) *density.Map {
 	return coarse
 }
 
+// countTileBlocks adds the tile's non-zeros (v != 0: a NaN counts, −0 does
+// not) to cnt, the row-major counts of the b-sided block grid bc blocks wide.
 func countTileBlocks(t *Tile, b, bc int, cnt []int64) {
 	if t.Kind == mat.Sparse {
 		for r := 0; r < t.Rows; r++ {
@@ -458,13 +460,16 @@ func countTileBlocks(t *Tile, b, bc int, cnt []int64) {
 		}
 		return
 	}
+	// A dense row is counted a block segment at a time: the cells
+	// [c, end) share one block column.
 	for r := 0; r < t.Rows; r++ {
 		row := t.D.RowSlice(r)
 		base := (t.Row0 + r) / b * bc
-		for c, v := range row {
-			if v != 0 {
-				cnt[base+(t.Col0+c)/b]++
-			}
+		for c := 0; c < len(row); {
+			blk := (t.Col0 + c) / b
+			end := min(len(row), (blk+1)*b-t.Col0)
+			cnt[base+blk] += kernels.NonZeros(row[c:end])
+			c = end
 		}
 	}
 }

@@ -101,6 +101,74 @@ func TestATMatrixDensityMapMatchesExact(t *testing.T) {
 	}
 }
 
+// densityMapByCell is DensityMap with each dense tile counted cell by cell,
+// one v != 0 test and one block division per cell: the oracle of the
+// segment count in countTileBlocks.
+func densityMapByCell(a *ATMatrix) *density.Map {
+	m := density.NewMap(a.Rows, a.Cols, a.BAtomic)
+	cnt := make([]int64, a.BR*a.BC)
+	for _, t := range a.Tiles {
+		if t.Kind == mat.Sparse {
+			countTileBlocks(t, a.BAtomic, a.BC, cnt)
+			continue
+		}
+		for r := 0; r < t.Rows; r++ {
+			base := (t.Row0 + r) / a.BAtomic * a.BC
+			for c, v := range t.D.RowSlice(r) {
+				if v != 0 {
+					cnt[base+(t.Col0+c)/a.BAtomic]++
+				}
+			}
+		}
+	}
+	for i := 0; i < a.BR; i++ {
+		for j := 0; j < a.BC; j++ {
+			if area := m.CellArea(i, j); area > 0 {
+				m.Set(i, j, float64(cnt[i*a.BC+j])/float64(area))
+			}
+		}
+	}
+	return m
+}
+
+// TestDensityMapDenseTileBlockCounts: the density map counts a dense tile
+// a block segment at a time and gets the cell-by-cell map's bits, on dense
+// tiles at any Row0/Col0, of any width, with a stride past their width,
+// holding ±0, NaN and ±Inf.
+func TestDensityMapDenseTileBlockCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	odd := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1}
+	for trial := 0; trial < 300; trial++ {
+		b := []int{1, 4, 8, 16, 64}[rng.Intn(5)]
+		rows, cols := 1+rng.Intn(200), 1+rng.Intn(200)
+		a := &ATMatrix{Rows: rows, Cols: cols, BAtomic: b, BR: (rows + b - 1) / b, BC: (cols + b - 1) / b}
+		fill := rng.Intn(101)
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			r0, c0 := rng.Intn(rows), rng.Intn(cols)
+			h, w := 1+rng.Intn(rows-r0), 1+rng.Intn(cols-c0)
+			big := mat.NewDense(h, w+rng.Intn(3))
+			for i := range big.Data {
+				if rng.Intn(100) < fill {
+					big.Data[i] = rng.NormFloat64()
+				} else {
+					big.Data[i] = odd[rng.Intn(len(odd))]
+				}
+			}
+			d := big.View(0, h, 0, w)
+			a.Tiles = append(a.Tiles, &Tile{Row0: r0, Col0: c0, Rows: h, Cols: w, Kind: mat.DenseKind, D: &d})
+		}
+		got, want := a.DensityMap(), densityMapByCell(a)
+		if got.BR != want.BR || got.BC != want.BC || len(got.Rho) != len(want.Rho) {
+			t.Fatalf("trial %d: map %dx%d, want %dx%d", trial, got.BR, got.BC, want.BR, want.BC)
+		}
+		for i := range want.Rho {
+			if math.Float64bits(got.Rho[i]) != math.Float64bits(want.Rho[i]) {
+				t.Fatalf("trial %d (b %d, %dx%d): cell %d = %v, want %v", trial, b, rows, cols, i, got.Rho[i], want.Rho[i])
+			}
+		}
+	}
+}
+
 // TestDensityMapAtCached: the coarse maps DensityMapAt caches are, bit for
 // bit, the aggregation every multiply used to redo — on every benchmark
 // operand, at every grid from 2·b_atomic up to the coarsest one the product

@@ -94,19 +94,3 @@ func (t *Tile) window(r0, r1, c0, c1 int) (kernels.CSRWin, mat.Dense) {
 	}
 	return kernels.CSRWin{M: t.Sp, Row0: r0, Col0: c0, Rows: r1 - r0, Cols: c1 - c0}, mat.Dense{}
 }
-
-// ToDense converts the whole tile payload to a dense array (a copy).
-func (t *Tile) ToDense() *mat.Dense {
-	if t.Kind == mat.DenseKind {
-		return t.D.Clone()
-	}
-	return t.Sp.ToDense()
-}
-
-// ToCSR converts the whole tile payload to CSR (a copy for dense tiles).
-func (t *Tile) ToCSR() *mat.CSR {
-	if t.Kind == mat.Sparse {
-		return t.Sp.Clone()
-	}
-	return t.D.ToCSR()
-}

@@ -84,17 +84,20 @@ func (v *ColView) fill(w CSRWin, pos []int64) []int64 {
 
 // bColumns is the column form DSpD's tall-window walk reads B by: the B
 // window's column view (its row ids are k) and, per non-empty column,
-// whether it holds ±Inf or NaN. It lives in a worker's Scratch.
+// whether it holds ±Inf or NaN. It lives in a worker's Scratch, with the
+// walk's panel of eight A rows (eight cells per window row of B).
 type bColumns struct {
 	ColView
-	odd []bool
-	pos []int64
+	odd   []bool
+	pos   []int64
+	panel []float64
 }
 
 // bColumns builds the column form of the window b in the arena.
 func (s *Scratch) bColumns(b CSRWin) *bColumns {
 	bc := &s.bcols
 	bc.pos = bc.fill(b, bc.pos)
+	bc.panel = slices.Grow(bc.panel[:0], 8*b.Rows)[:8*b.Rows]
 	bc.odd = slices.Grow(bc.odd[:0], len(bc.Col))[:len(bc.Col)]
 	for p := range bc.Col {
 		bc.odd[p] = false
@@ -109,7 +112,7 @@ func (s *Scratch) bColumns(b CSRWin) *bColumns {
 }
 
 func (bc *bColumns) bytes() int64 {
-	return bc.ColView.Bytes() + int64(cap(bc.odd)) + int64(cap(bc.pos))*8
+	return bc.ColView.Bytes() + int64(cap(bc.odd)) + int64(cap(bc.pos))*8 + int64(cap(bc.panel))*8
 }
 
 // SpSpDCols is SpSpD with a the columns [c0, c0+b.Rows) of the view's rows

@@ -364,46 +364,83 @@ func dspdCols(c *mat.Dense, a *mat.Dense, b CSRWin) {
 	}
 }
 
-// dspdDots is DSpD's tall-window walk, over bv, the column form of b. For
-// every four target rows and every non-empty column j of B it holds the
-// four sums of column j in registers over the column's entries, k
-// ascending, and stores each once. It multiplies zero A scalars through:
+// dspdDots is DSpD's tall-window walk, over bv, the column form of b. It
+// takes the target rows eight at a time: the block's A rows are packed
+// k-major into bv's panel (panel[k*8+r]), and for every non-empty column j
+// of B the eight sums of column j are held in lanes over the column's
+// entries, k ascending (dots8), and the real rows' sums stored once. A
+// last block of one to seven rows packs zeros into its spare lanes, which
+// are computed and never stored. It multiplies zero A scalars through:
 // that leaves a sum's bits as they are when the B value is finite and the
-// sum is not −0. A column holding ±Inf or NaN, and a block whose four
-// cells of the column include a −0, keep the a == 0 test of the other walk
-// instead (dotSkip). The one to three rows left over go through dspdCols.
+// sum is not −0. A column holding ±Inf or NaN, and a block whose real
+// cells of the column include a −0, keep the a == 0 test of the other
+// walks instead (dotSkip). b is the window bv was built from; the walk
+// reads bv alone.
 //
 //atlint:hotpath
 func dspdDots(c *mat.Dense, a *mat.Dense, b CSRWin, bv *bColumns) {
-	m := a.Rows &^ 3
-	for i := 0; i < m; i += 4 {
-		a0, a1, a2, a3 := a.RowSlice(i), a.RowSlice(i+1), a.RowSlice(i+2), a.RowSlice(i+3)
-		a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
-		c0, c1, c2, c3 := c.RowSlice(i), c.RowSlice(i+1), c.RowSlice(i+2), c.RowSlice(i+3)
-		c1, c2, c3 = c1[:len(c0)], c2[:len(c0)], c3[:len(c0)]
+	panel := bv.panel[:8*a.Cols]
+	var crow [8][]float64
+	var acc [8]float64
+	for i := 0; i < a.Rows; i += 8 {
+		n := min(8, a.Rows-i)
+		for r := 0; r < n; r++ {
+			for k, x := range a.RowSlice(i + r) {
+				panel[k*8+r] = x
+			}
+			crow[r] = c.RowSlice(i + r)
+		}
+		for r := n; r < 8; r++ {
+			for k := 0; k < a.Cols; k++ {
+				panel[k*8+r] = 0
+			}
+			acc[r] = 0
+		}
 		for p, j := range bv.Col {
 			lo, hi := bv.Ptr[p], bv.Ptr[p+1]
 			ks, vs := bv.Row[lo:hi], bv.Val[lo:hi]
-			s0, s1, s2, s3 := c0[j], c1[j], c2[j], c3[j]
-			if bv.odd[p] || negZero(s0) || negZero(s1) || negZero(s2) || negZero(s3) {
-				c0[j], c1[j], c2[j], c3[j] = dotSkip(s0, a0, ks, vs), dotSkip(s1, a1, ks, vs), dotSkip(s2, a2, ks, vs), dotSkip(s3, a3, ks, vs)
+			skip := bv.odd[p]
+			for r := 0; r < n; r++ {
+				acc[r] = crow[r][j]
+				skip = skip || negZero(acc[r])
+			}
+			if skip {
+				for r := 0; r < n; r++ {
+					crow[r][j] = dotSkip(acc[r], a.RowSlice(i+r), ks, vs)
+				}
 				continue
 			}
-			vs = vs[:len(ks)]
-			for q, k := range ks {
-				v := vs[q]
-				s0 += a0[k] * v
-				s1 += a1[k] * v
-				s2 += a2[k] * v
-				s3 += a3[k] * v
+			dots8(panel, ks, vs, &acc)
+			for r := 0; r < n; r++ {
+				crow[r][j] = acc[r]
 			}
-			c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
 		}
 	}
-	if m < a.Rows {
-		cw, aw := c.View(m, c.Rows, 0, c.Cols), a.View(m, a.Rows, 0, a.Cols)
-		dspdCols(&cw, &aw, b)
+}
+
+// dots8 adds panel[k*8+r]·v into acc[r], r = 0..7, for every entry (k, v)
+// of one B column in order, as acc[r] + (a·v). Where the vector body runs
+// (dots8Vec) it does the entries it can; Go does the rest, so the bits do
+// not depend on which body ran.
+//
+//atlint:hotpath
+func dots8(panel []float64, ks []int32, vs []float64, acc *[8]float64) {
+	vs = vs[:len(ks)]
+	q := dots8Vec(panel, ks, vs, acc)
+	s0, s1, s2, s3, s4, s5, s6, s7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
+	for ; q < len(ks); q++ {
+		k, v := int(ks[q])*8, vs[q]
+		x := panel[k : k+8 : k+8]
+		s0 += x[0] * v
+		s1 += x[1] * v
+		s2 += x[2] * v
+		s3 += x[3] * v
+		s4 += x[4] * v
+		s5 += x[5] * v
+		s6 += x[6] * v
+		s7 += x[7] * v
 	}
+	acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7] = s0, s1, s2, s3, s4, s5, s6, s7
 }
 
 // dspdRows is DSpD's row walk, for tall windows whose A is mostly zero,

@@ -29,3 +29,10 @@ func probeVec(row, x1, x2 []float64, lanes *[8]float64) (int, int64)
 
 //go:noescape
 func nonZerosVec(row []float64) (int, int64)
+
+// dots8Vec runs dots8's loop at vector width and returns the entries done
+// (0 when useAVX2 is false). It stops before an entry whose panel row lies
+// outside panel; the Go body does the rest.
+
+//go:noescape
+func dots8Vec(panel []float64, ks []int32, vs []float64, acc *[8]float64) int

@@ -2,8 +2,8 @@
 
 #include "textflag.h"
 
-// The vector bodies of axpy4 and axpy (kernels.go) and of ProbeRow and
-// NonZeros (probe.go). Each computes every
+// The vector bodies of axpy4, axpy and dots8 (kernels.go) and of ProbeRow
+// and NonZeros (probe.go). Each computes every
 // element with the multiplies and adds of the Go body, in its order and
 // with its operand order, one VMULPD or VADDPD per scalar MULSD or ADDSD,
 // and never fuses them (no FMA): each lane's result has the Go body's
@@ -12,7 +12,8 @@
 // operation returns when both are NaN, as it is for the destination of the
 // scalar ADDSD.
 //
-// Each body does the 4-aligned prefix of its loop and returns the number of
+// Each body does the 4-aligned prefix of its loop (dots8Vec: the entries
+// whose panel row lies inside the panel) and returns the number of
 // elements done, 0 when useAVX2 is false; the Go body does the rest. Each
 // bounds itself by its own slices' lengths.
 
@@ -252,4 +253,56 @@ nzloop:
 nzdone:
 	MOVQ AX, ret+24(FP)
 	MOVQ BX, ret1+32(FP)
+	RET
+
+// func dots8Vec(panel []float64, ks []int32, vs []float64, acc *[8]float64) int
+//
+// dots8's lanes: for each entry q below the shorter of ks and vs, in order,
+// acc[r] + (panel[k*8+r]·vs[q]) for the eight lanes r, with k = ks[q]; lanes
+// 0–3 in one register, 4–7 in another. It stops before the first k whose
+// panel row is not wholly inside panel (a negative k too, compared
+// unsigned).
+TEXT ·dots8Vec(SB), NOSPLIT, $0-88
+	XORQ    AX, AX
+	CMPB    ·useAVX2(SB), $0
+	JEQ     dotsdone
+	MOVQ    ks_len+32(FP), CX
+	MOVQ    vs_len+56(FP), DX
+	CMPQ    DX, CX
+	CMOVQLT DX, CX
+	TESTQ   CX, CX
+	JZ      dotsdone
+
+	MOVQ    panel_base+0(FP), SI
+	MOVQ    panel_len+8(FP), R8
+	SHRQ    $3, R8 // whole panel rows
+	MOVQ    ks_base+24(FP), R9
+	MOVQ    vs_base+48(FP), R10
+	MOVQ    acc+72(FP), DI
+	VMOVUPD (DI), Y0   // lanes 0–3
+	VMOVUPD 32(DI), Y1 // lanes 4–7
+
+dotsloop:
+	MOVLQSX      (R9)(AX*4), BX
+	CMPQ         BX, R8
+	JCC          dotsstore // k ≥ rows, unsigned
+	SHLQ         $6, BX    // k·8 cells of 8 bytes
+	VBROADCASTSD (R10)(AX*8), Y2
+	VMOVUPD      (SI)(BX*1), Y3
+	VMULPD       Y2, Y3, Y3 // a·v
+	VADDPD       Y3, Y0, Y0 // s + p
+	VMOVUPD      32(SI)(BX*1), Y4
+	VMULPD       Y2, Y4, Y4
+	VADDPD       Y4, Y1, Y1
+	INCQ         AX
+	CMPQ         AX, CX
+	JLT          dotsloop
+
+dotsstore:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VZEROUPPER
+
+dotsdone:
+	MOVQ AX, ret+80(FP)
 	RET

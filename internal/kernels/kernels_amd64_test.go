@@ -164,6 +164,41 @@ func probeCase(data []byte) error {
 	return nil
 }
 
+// dotsCase draws one call of dots8 from data, makes it with the vector body
+// and with the Go body on copies of one set of lanes, and reports the first
+// difference in the lanes' bits. Header bytes: entries (0–67) and panel
+// rows (1–16), then each entry's k, the panel's cells, the entries' B
+// values and the lanes. Two NaN lanes agree whatever their payloads, as in
+// probeCase: which NaN the Go body's product of two returns differs between
+// a plain and a fuzzing build.
+func dotsCase(data []byte) error {
+	s := &vecSrc{data}
+	n, rows := s.byte()%68, 1+s.byte()%16
+	ks := make([]int32, n)
+	for q := range ks {
+		ks[q] = int32(s.byte() % rows)
+	}
+	panel := s.floats(rows * 8)
+	vs := s.floats(n)
+	var lanes [8]float64
+	copy(lanes[:], s.floats(8))
+	run := func(vec bool) [8]float64 {
+		defer func(v bool) { useAVX2 = v }(useAVX2)
+		useAVX2 = vec
+		acc := lanes
+		dots8(panel, ks, vs, &acc)
+		return acc
+	}
+	got, want := run(true), run(false)
+	for r := range want {
+		if math.Float64bits(got[r]) != math.Float64bits(want[r]) && !(math.IsNaN(got[r]) && math.IsNaN(want[r])) {
+			return fmt.Errorf("dots, n %d, panel rows %d: lane %d = %v (%#x) in assembly, %v (%#x) in Go",
+				n, rows, r, got[r], math.Float64bits(got[r]), want[r], math.Float64bits(want[r]))
+		}
+	}
+	return nil
+}
+
 func TestVectorKernelsBitIdentical(t *testing.T) {
 	if !hasAVX2() {
 		t.Skip("no AVX2: the Go bodies are the only ones")
@@ -243,12 +278,42 @@ func TestVectorKernelsBitIdentical(t *testing.T) {
 	if err := quick.Check(g, &quick.Config{MaxCount: 5000, Rand: rand.New(rand.NewSource(44))}); err != nil {
 		t.Fatal(err)
 	}
+	// dots8 at every length 0–67 on panels of one special, then on panels
+	// drawn half from vecSpecials.
+	dr := rand.New(rand.NewSource(48))
+	for n := 0; n < 68; n++ {
+		for a := range vecSpecials {
+			dr.Read(data)
+			rows := 1 + a%16
+			data[0], data[1] = byte(n), byte(rows-1)
+			for i := 2 + n; i < 2+n+rows*8; i++ {
+				data[i] = byte(a) // the panel's cells, one byte each
+			}
+			if err := dotsCase(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	h := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		data := make([]byte, 256+r.Intn(1024))
+		r.Read(data)
+		if err := dotsCase(data); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(h, &quick.Config{MaxCount: 5000, Rand: rand.New(rand.NewSource(49))}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestVectorBodiesBoundThemselves calls the assembly directly with operands
-// of unequal length, which axpy4 and axpy never pass it: each
-// body stops at its own shortest operand, and does nothing when useAVX2 is
-// false.
+// of unequal length, which axpy4, axpy and dots8 never pass it: each body
+// stops at its own shortest operand, dots8Vec also before a k whose panel
+// row is not wholly inside the panel, and each does nothing when useAVX2
+// is false.
 func TestVectorBodiesBoundThemselves(t *testing.T) {
 	if !hasAVX2() {
 		t.Skip("no AVX2: the Go bodies are the only ones")
@@ -268,6 +333,27 @@ func TestVectorBodiesBoundThemselves(t *testing.T) {
 		}
 		if got := axpyVec(y[:11], x, 2); got != want(8) {
 			t.Errorf("useAVX2 %v: axpyVec with an 11-long y did %d, want %d", vec, got, want(8))
+		}
+		var acc [8]float64
+		for _, c := range []struct {
+			name  string
+			panel int
+			ks    []int32
+			vs    int
+			done  int
+		}{
+			{"k 3 of a 3-row panel", 24, []int32{0, 1, 3, 2}, 4, 2},
+			{"k −1", 24, []int32{0, -1, 1}, 3, 1},
+			{"k 2 of a 20-cell panel", 20, []int32{1, 0, 2}, 3, 2},
+			{"a 3-long vs", 24, []int32{0, 1, 2, 2, 1}, 3, 3},
+		} {
+			if got := dots8Vec(x[:0:0], c.ks, x[:c.vs], &acc); got != 0 {
+				t.Errorf("useAVX2 %v: dots8Vec on an empty panel did %d, want 0", vec, got)
+			}
+			panel := make([]float64, c.panel)
+			if got := dots8Vec(panel, c.ks, x[:c.vs], &acc); got != want(c.done) {
+				t.Errorf("useAVX2 %v: dots8Vec with %s did %d, want %d", vec, c.name, got, want(c.done))
+			}
 		}
 	}
 }
@@ -290,6 +376,9 @@ func FuzzVectorKernels(f *testing.F) {
 			t.Fatal(err)
 		}
 		if err := probeCase(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := dotsCase(data); err != nil {
 			t.Fatal(err)
 		}
 	})
