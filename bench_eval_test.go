@@ -173,6 +173,29 @@ func BenchmarkEval_StoreRepartition(b *testing.B) {
 	}
 }
 
+// BenchmarkEval_Repartition: Repartition of the squares of R9 and G9 at
+// 1/16 (mult_sparse's operands) — the sparse and mixed cuts beside
+// StoreRepartition's dense one. R9² is one sparse tile; G9² is sparse and
+// dense band tiles, cut into a mix of both.
+func BenchmarkEval_Repartition(b *testing.B) {
+	cfg := serverCfg()
+	for _, id := range []string{"R9", "G9"} {
+		a := mustPartition(b, serverStandIn(b, id, 0, 1.0/16), cfg)
+		sq, _, err := core.Multiply(a, a, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(id+"sq", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sq.Repartition(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEval_Upload: Partition of an upload whose entries arrive in no
 // particular order — the dense-ish R2 and the hypersparse R9 stand-in.
 func BenchmarkEval_Upload(b *testing.B) {

@@ -16,7 +16,7 @@ func Add(a, b *ATMatrix, alpha, beta float64, cfg Config) (*ATMatrix, error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return nil, fmt.Errorf("core: Add shape mismatch: %d×%d vs %d×%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	out, _, err := buildLayout(a.Rows, a.Cols, cfg, (*partitioner).quadtree, func() (*mat.CSR, error) { return stageSum(a, b, alpha, beta, cfg) })
+	out, _, err := buildLayout(a.Rows, a.Cols, cfg, (*partitioner).quadtree, staged(func() (*mat.CSR, error) { return stageSum(a, b, alpha, beta, cfg) }))
 	return out, err
 }
 

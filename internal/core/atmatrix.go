@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -447,31 +448,60 @@ func coarsen(fine *density.Map, block int) *density.Map {
 	return coarse
 }
 
-// countTileBlocks adds the tile's non-zeros (v != 0: a NaN counts, −0 does
-// not) to cnt, the row-major counts of the b-sided block grid bc blocks wide.
+// countTileBlocks adds the tile's non-zeros to cnt, the row-major counts of
+// the b-sided block grid bc blocks wide, one block row at a time (blockRow).
 func countTileBlocks(t *Tile, b, bc int, cnt []int64) {
+	br := blockRow{shift: bits.TrailingZeros(uint(b))}
+	for r := 0; r < t.Rows; {
+		blk := (t.Row0 + r) >> br.shift
+		end := min(t.Rows, (blk+1)<<br.shift-t.Row0)
+		br.cnt, br.touched = cnt[blk*bc:(blk+1)*bc], br.touched[:0]
+		br.addTileRows(t, r, end)
+		r = end
+	}
+}
+
+// blockRow holds the non-zero counts of one row of blocks of side 1<<shift:
+// cnt by block column, and touched, the block columns whose count has left
+// zero, in the order they did. It is the one block-count rule: the density
+// map and Repartition's counts both add tile rows through it.
+type blockRow struct {
+	shift   int
+	cnt     []int64
+	touched []int
+}
+
+// addTileRows adds the non-zeros of rows [lo, hi) of tile t, which lie in
+// the one block row: v != 0, so a NaN counts and a −0 or any other stored
+// zero does not. A dense row is counted a block segment at a time: the
+// cells [c, end) share one block column.
+func (br *blockRow) addTileRows(t *Tile, lo, hi int) {
 	if t.Kind == mat.Sparse {
-		for r := 0; r < t.Rows; r++ {
-			lo, hi := t.Sp.RowRange(r)
-			base := (t.Row0 + r) / b * bc
-			for p := lo; p < hi; p++ {
-				cnt[base+(t.Col0+int(t.Sp.ColIdx[p]))/b]++
+		p0, p1 := t.Sp.RowPtr[lo], t.Sp.RowPtr[hi]
+		vals := t.Sp.Val[p0:p1]
+		for i, c := range t.Sp.ColIdx[p0:p1] {
+			if vals[i] != 0 {
+				br.add((t.Col0+int(c))>>br.shift, 1)
 			}
 		}
 		return
 	}
-	// A dense row is counted a block segment at a time: the cells
-	// [c, end) share one block column.
-	for r := 0; r < t.Rows; r++ {
+	for r := lo; r < hi; r++ {
 		row := t.D.RowSlice(r)
-		base := (t.Row0 + r) / b * bc
 		for c := 0; c < len(row); {
-			blk := (t.Col0 + c) / b
-			end := min(len(row), (blk+1)*b-t.Col0)
-			cnt[base+blk] += kernels.NonZeros(row[c:end])
+			blk := (t.Col0 + c) >> br.shift
+			end := min(len(row), (blk+1)<<br.shift-t.Col0)
+			br.add(blk, kernels.NonZeros(row[c:end]))
 			c = end
 		}
 	}
+}
+
+func (br *blockRow) add(bc int, n int64) {
+	if n != 0 && br.cnt[bc] == 0 {
+		br.touched = append(br.touched, bc)
+	}
+	br.cnt[bc] += n
 }
 
 // ToCOO flattens the AT MATRIX back into a staging table.
@@ -500,7 +530,7 @@ func (a *ATMatrix) ToCOO() *mat.COO {
 }
 
 // ToCSR converts the whole matrix to a single CSR structure (the row
-// gather of Repartition, on the calling goroutine); stored zeros drop out.
+// gather of Add's stage, on the calling goroutine); stored zeros drop out.
 func (a *ATMatrix) ToCSR() *mat.CSR {
 	var b RowBlock
 	a.rowGatherer()(nil, 0, a.Rows, &b)

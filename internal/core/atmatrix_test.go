@@ -513,3 +513,27 @@ func TestTileIndexConcurrentFirstUse(t *testing.T) {
 	}
 	checkTileIndex(t, "G9", am)
 }
+
+// TestDensityMapScaledToZero: a matrix scaled to zero keeps its sparse
+// tiles' entries and its dense tiles' cells, every one a stored zero, so
+// its density map is zero everywhere — for the sparse tiles too.
+func TestDensityMapScaledToZero(t *testing.T) {
+	cfg := testConfig()
+	src, err := genHeterogeneous(rand.New(rand.NewSource(80)), 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	am, _, err := Partition(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp, dn := am.TileCount(); sp == 0 || dn == 0 {
+		t.Fatalf("%d sparse and %d dense tiles; both kinds are needed", sp, dn)
+	}
+	am.Scale(0)
+	for i, rho := range am.DensityMap().Rho {
+		if rho != 0 {
+			t.Fatalf("cell %d of a scaled-to-zero matrix has density %g", i, rho)
+		}
+	}
+}

@@ -362,17 +362,16 @@ func executeChain(chain []*ATMatrix, plan *ChainPlan, cfg Config, opts MultOptio
 	isRoot := i == 0 && j == plan.n-1
 	if !isRoot {
 		band := out.Bytes()
-		stage := out.NNZ()*12 + int64(out.Rows+1)*8 // the staged CSR: int32 column + float64 value per entry, one pointer per row
 		re, _, err := out.Repartition(cfg)
 		if err != nil {
 			return nil, err
 		}
 		stats.Partitions++
-		// The compaction transiently holds both layouts plus the staged
-		// rows on top of whatever inputs are still live — that allocation
-		// spike is part of the materializing executor's real footprint, so
-		// it counts toward the high-water mark.
-		if spike := *live + band + stage + re.Bytes(); spike > stats.PeakIntermediateBytes {
+		// The compaction transiently holds both layouts on top of whatever
+		// inputs are still live — that allocation spike is part of the
+		// materializing executor's real footprint, so it counts toward the
+		// high-water mark.
+		if spike := *live + band + re.Bytes(); spike > stats.PeakIntermediateBytes {
 			stats.PeakIntermediateBytes = spike
 		}
 		out = re

@@ -36,6 +36,10 @@ var frameDigests = map[string]uint32{
 	"standin R1": 0xb902d3b0, "standin R2": 0x97bce267, "standin R3": 0xbc77f26d,
 	"standin R4": 0x6c1928eb, "standin R5": 0xe3b75506, "standin R6": 0x93c0b620,
 	"standin R7": 0xd15d5f77, "standin R8": 0x314c8c6a, "standin R9": 0xd1392170,
+	// Recorded later, by the unchanged codec, for the special-value and
+	// fine-b_atomic layout cases.
+	"dense specials": 0xe6288709, "sparse specials": 0x1521caf9,
+	"foreign b_atomic, mixed": 0xc3abe628, "foreign b_atomic, mixed²": 0xd7c94de9,
 }
 
 // sealDigests: the matrix's tile seals, little-endian in tile order.
@@ -53,6 +57,9 @@ var sealDigests = map[string]uint32{
 	"standin R1": 0x2929aa92, "standin R2": 0x38e424ff, "standin R3": 0xe0232707,
 	"standin R4": 0x309a8620, "standin R5": 0x2c908f23, "standin R6": 0x6178123f,
 	"standin R7": 0x0173229c, "standin R8": 0xb56bf921, "standin R9": 0xc746edec,
+	// Recorded later, as frameDigests' last four.
+	"dense specials": 0xeb30761f, "sparse specials": 0x1baf26df,
+	"foreign b_atomic, mixed": 0x780030c6, "foreign b_atomic, mixed²": 0x33f54d61,
 }
 
 // cooDigests: WriteBinary of the Table I stand-ins at 1/32 (seed 1), and of

@@ -296,7 +296,53 @@ func layoutCases(t *testing.T, cfg Config) []layoutCase {
 	coarse.BAtomic = 4 * cfg.BAtomic
 	add("foreign b_atomic", part(het, coarse))
 	add("plain CSR", FromCSR(g3.ToCSR(), cfg.BAtomic))
+
+	// Special values, poked into the tiles after the fact: a dense tile may
+	// hold NaN, ±Inf, −0 and subnormals, a sparse one a stored −0 and a NaN.
+	// Only v != 0 is an entry, whatever the tile kind.
+	odd := rand.New(rand.NewSource(194))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, -2.5e-310, math.Copysign(0, -1)}
+	denseOdd := mul(part(r2, cfg), part(r2, cfg))
+	for _, tile := range denseOdd.Tiles {
+		if tile.Kind == mat.DenseKind {
+			for _, v := range specials {
+				tile.D.Data[odd.Intn(len(tile.D.Data))] = v
+			}
+		}
+	}
+	add("dense specials", mustHaveKinds(t, denseOdd, false, true))
+	sparseOdd := part(g3, cfg)
+	for _, tile := range sparseOdd.Tiles {
+		if n := int(tile.NNZ); tile.Kind == mat.Sparse && n >= 2 {
+			tile.Sp.Val[odd.Intn(n/2)] = math.Copysign(0, -1)
+			tile.Sp.Val[n/2+odd.Intn(n-n/2)] = math.NaN()
+		}
+	}
+	add("sparse specials", mustHaveKinds(t, sparseOdd, true, false))
+	// Tiles of both kinds at a finer b_atomic than cfg's: band edges fall
+	// inside cfg's block rows.
+	fine := cfg
+	fine.BAtomic = max(1, cfg.BAtomic/2)
+	hetFine := part(het, fine)
+	mixedFine, _, err := Multiply(hetFine, hetFine, fine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("foreign b_atomic, mixed", mustHaveKinds(t, hetFine, true, true))
+	add("foreign b_atomic, mixed²", mustHaveKinds(t, mixedFine, true, true))
 	return cases
+}
+
+// mustHaveKinds returns m, failing unless it holds a sparse tile (when
+// sparse) and a dense one (when dense): a case built to cover a tile kind
+// must hold one.
+func mustHaveKinds(t *testing.T, m *ATMatrix, sparse, dense bool) *ATMatrix {
+	t.Helper()
+	sp, dn := m.TileCount()
+	if sparse && sp == 0 || dense && dn == 0 {
+		t.Fatalf("the case holds %d sparse and %d dense tiles; a kind it should cover is missing", sp, dn)
+	}
+	return m
 }
 
 func TestRepartitionMatchesOldRoute(t *testing.T) {
@@ -320,10 +366,11 @@ func TestRepartitionMatchesOldRoute(t *testing.T) {
 }
 
 // TestRepartitionAdoptsOneTileStage: when the plan is one sparse tile over
-// the whole matrix, the tile is the stage itself, not a copy of it.
-// Repartition is still a deep copy — scaling the copy leaves the source's
-// bytes as they were — and the adopted slices are exactly sized, so a tile
-// holds the SparseBytes(NNZ) the catalog accounts for it.
+// the whole matrix, Partition's tile is its stage itself and Repartition's
+// is cut from the source's tiles into slices of exactly its count.
+// Repartition is a deep copy — scaling the copy leaves the source's bytes
+// as they were — and both tiles' slices are exactly sized, so a tile holds
+// the SparseBytes(NNZ) the catalog accounts for it.
 func TestRepartitionAdoptsOneTileStage(t *testing.T) {
 	cfg := benchLayoutConfig()
 	src, _, err := Partition(standIn(t, "R9"), cfg)
@@ -352,6 +399,27 @@ func TestRepartitionAdoptsOneTileStage(t *testing.T) {
 	cp.Tiles[0].Sp.ColIdx[0]++
 	if got := layoutDigest(t, src); got != want {
 		t.Errorf("writing into the copy moved the source's digest 0x%08x → 0x%08x", want, got)
+	}
+}
+
+// TestTileBlockCountsMatchStage: Repartition's counts, read from the tiles,
+// are the list zBlockCounts keeps of the staged route — the source's rows
+// gathered into one CSR — entry for entry.
+func TestTileBlockCountsMatchStage(t *testing.T) {
+	for _, topo := range layoutTopologies {
+		cfg := testConfig()
+		cfg.Topology = topo
+		for _, c := range layoutCases(t, cfg) {
+			s, err := stageRows(nil, cfg, 0, c.m.Rows, c.m.Cols, c.m, c.m.rowGatherer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := c.m.tileLayout().blockCounts(cfg.BAtomic), zBlockCounts(s, cfg.BAtomic)
+			if !slices.Equal(got, want) {
+				t.Errorf("%dx%d %s: the tiles count %d blocks, the stage %d (first %v, %v)", topo.Sockets, topo.CoresPerSocket,
+					c.name, len(got), len(want), got[:min(len(got), 3)], want[:min(len(want), 3)])
+			}
+		}
 	}
 }
 

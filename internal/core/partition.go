@@ -40,7 +40,7 @@ func (s PartitionStats) Total() time.Duration { return s.SortTime + s.CountTime 
 // sum to zero are dropped — they would corrupt the density accounting. src
 // is not modified.
 func Partition(src *mat.COO, cfg Config) (*ATMatrix, *PartitionStats, error) {
-	return buildLayout(src.Rows, src.Cols, cfg, (*partitioner).quadtree, func() (*mat.CSR, error) { return stageCOO(src) })
+	return buildLayout(src.Rows, src.Cols, cfg, (*partitioner).quadtree, staged(func() (*mat.CSR, error) { return stageCOO(src) }))
 }
 
 // PartitionRows is Partition for a producer that computes the matrix row by
@@ -50,7 +50,7 @@ func Partition(src *mat.COO, cfg Config) (*ATMatrix, *PartitionStats, error) {
 // produced (nil: equal ranges), and run on the workers like any stage;
 // ctx and watchdog bound them as they bound a multiplication's tasks.
 func PartitionRows(ctx context.Context, cfg Config, watchdog time.Duration, rows, cols int, by *ATMatrix, fill func(scr *kernels.Scratch, lo, hi int, b *RowBlock)) (*ATMatrix, *PartitionStats, error) {
-	return buildLayout(rows, cols, cfg, (*partitioner).quadtree, func() (*mat.CSR, error) {
+	return buildLayout(rows, cols, cfg, (*partitioner).quadtree, staged(func() (*mat.CSR, error) {
 		s, err := stageRows(ctx, cfg, watchdog, rows, cols, by, fill)
 		if err != nil {
 			return nil, err
@@ -62,14 +62,24 @@ func PartitionRows(ctx context.Context, cfg Config, watchdog time.Duration, rows
 			return nil, fmt.Errorf("core: staged rows store a zero")
 		}
 		return s, nil
-	})
+	}))
 }
 
-// buildLayout is the one routine behind every layout build: stage produces
-// the rows (its duration is SortTime), one pass counts them per atomic
-// block, plan turns the counts into tile boxes — it only *plans* — and the
-// boxes are cut out of the stage, one task per tile on the workers.
-func buildLayout(rows, cols int, cfg Config, plan func(*partitioner) []tileBox, stage func() (*mat.CSR, error)) (*ATMatrix, *PartitionStats, error) {
+// layoutSource is what a layout is built from: the non-empty atomic blocks
+// of side b in ascending Z-order with their non-zero counts, and the tile a
+// planned box becomes. cut runs on the workers, one box per task, and
+// panics when the box does not hold the entries its count says.
+type layoutSource interface {
+	blockCounts(b int) []blockCount
+	cut(bx tileBox, home numa.Node) *Tile
+}
+
+// buildLayout is the one routine behind every layout build: open readies
+// the source (a row producer stages its rows, timed as SortTime), one pass
+// counts its entries per atomic block, plan turns the counts into tile
+// boxes — it only *plans* — and the boxes are cut out of the source, one
+// task per tile on the workers.
+func buildLayout(rows, cols int, cfg Config, plan func(*partitioner) []tileBox, open func(*PartitionStats) (layoutSource, error)) (*ATMatrix, *PartitionStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -77,26 +87,24 @@ func buildLayout(rows, cols int, cfg Config, plan func(*partitioner) []tileBox, 
 		return nil, nil, fmt.Errorf("core: cannot partition %d×%d matrix", rows, cols)
 	}
 	stats := &PartitionStats{}
-	t0 := time.Now()
-	s, err := stage()
+	src, err := open(stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.SortTime = time.Since(t0)
-	t0 = time.Now()
-	p := &partitioner{cfg: cfg, cnts: zBlockCounts(s, cfg.BAtomic), cells: gridCells(rows, cols, cfg.BAtomic), out: newATMatrix(rows, cols, cfg.BAtomic)}
+	t0 := time.Now()
+	p := &partitioner{cfg: cfg, cnts: src.blockCounts(cfg.BAtomic), cells: gridCells(rows, cols, cfg.BAtomic), out: newATMatrix(rows, cols, cfg.BAtomic)}
 	stats.CountTime = time.Since(t0)
 	t0 = time.Now()
 	boxes := plan(p)
 	tiles := make([]*Tile, len(boxes))
-	if len(boxes) == 1 && boxes[0].kind == mat.Sparse && boxes[0].h == rows && boxes[0].w == cols {
-		// One sparse tile over the whole matrix is the stage itself, which
-		// is fresh and exactly sized: it is adopted, not copied.
-		tiles[0] = &Tile{Rows: rows, Cols: cols, Kind: mat.Sparse, NNZ: boxes[0].nnz, Home: cfg.HomeOfRow(0), Sp: s}
+	if len(boxes) == 1 && boxes[0].wholeSparse(rows, cols) {
+		// One sparse tile over the whole matrix is one exact-size CSR of
+		// the source's entries, or a stage itself: nothing to spread.
+		tiles[0] = src.cut(boxes[0], cfg.HomeOfRow(0))
 	} else {
 		_, err = RunHomed(nil, cfg, 0, len(boxes),
 			func(i int) int { return boxes[i].r0 },
-			func(_ *sched.Team, i int) { tiles[i] = cutTile(s, boxes[i], cfg.HomeOfRow(boxes[i].r0)) })
+			func(_ *sched.Team, i int) { tiles[i] = src.cut(boxes[i], cfg.HomeOfRow(boxes[i].r0)) })
 		if err != nil {
 			return nil, nil, err
 		}
@@ -104,6 +112,31 @@ func buildLayout(rows, cols int, cfg Config, plan func(*partitioner) []tileBox, 
 	p.out.Tiles = append(p.out.Tiles, tiles...) // in plan order
 	stats.BuildTime = time.Since(t0)
 	return p.out, stats, nil
+}
+
+// stagedCSR is the layout source of a row producer: the whole matrix staged
+// as one row-major CSR that stores no zero (staging.go).
+type stagedCSR struct{ s *mat.CSR }
+
+// staged opens the stage that stage produces as a layout source.
+func staged(stage func() (*mat.CSR, error)) func(*PartitionStats) (layoutSource, error) {
+	return func(stats *PartitionStats) (layoutSource, error) {
+		t0 := time.Now()
+		s, err := stage()
+		stats.SortTime = time.Since(t0)
+		return stagedCSR{s}, err
+	}
+}
+
+func (st stagedCSR) blockCounts(b int) []blockCount { return zBlockCounts(st.s, b) }
+
+func (st stagedCSR) cut(bx tileBox, home numa.Node) *Tile {
+	if bx.wholeSparse(st.s.Rows, st.s.Cols) {
+		// One sparse tile over the whole matrix is the stage itself, which
+		// is fresh and exactly sized: it is adopted, not copied.
+		return &Tile{Rows: bx.h, Cols: bx.w, Kind: mat.Sparse, NNZ: bx.nnz, Home: home, Sp: st.s}
+	}
+	return cutTile(st.s, bx, home)
 }
 
 // gridCells is the number of atomic blocks in the padded square block grid
@@ -394,10 +427,21 @@ func cutTile(s *mat.CSR, bx tileBox, home numa.Node) *Tile {
 			tile.Sp.RowPtr[r+1] = n
 		}
 	}
+	bx.mustHold(n)
+	return tile
+}
+
+// wholeSparse reports whether the box is one sparse tile over the whole
+// rows×cols matrix.
+func (bx tileBox) wholeSparse(rows, cols int) bool {
+	return bx.kind == mat.Sparse && bx.h == rows && bx.w == cols
+}
+
+// mustHold panics unless n, the entries cut into the box, is its count.
+func (bx tileBox) mustHold(n int64) {
 	if n != bx.nnz {
 		panic(fmt.Sprintf("core: tile (%d,%d) holds %d entries, counts say %d", bx.r0, bx.c0, n, bx.nnz))
 	}
-	return tile
 }
 
 // PartitionFixed tiles the matrix into a naive fixed grid of
@@ -419,5 +463,5 @@ func PartitionFixed(src *mat.COO, cfg Config, mixed bool) (*ATMatrix, *Partition
 		slices.SortFunc(p.boxes, func(x, y tileBox) int { return cmp.Or(cmp.Compare(x.r0, y.r0), cmp.Compare(x.c0, y.c0)) })
 		return p.boxes // block-row-major
 	}
-	return buildLayout(src.Rows, src.Cols, cfg, grid, func() (*mat.CSR, error) { return stageCOO(src) })
+	return buildLayout(src.Rows, src.Cols, cfg, grid, staged(func() (*mat.CSR, error) { return stageCOO(src) }))
 }

@@ -12,18 +12,20 @@ import (
 	"atmatrix/internal/sched"
 )
 
-// Every layout build goes through one staging form: the whole matrix as a
-// *mat.CSR — row-major, columns ascending within a row, no duplicate
-// coordinates — that stores no exact zero. The paper Z-sorts its staging
-// table (§II-C1), but the quadtree recursion reads only the per-block
-// counts, so only those are Z-ordered (zBlockCounts) and no producer sorts
-// what it already emits in row order: an upload is radix-sorted once
-// (stageCOO), an AT MATRIX is gathered band by band (rowGatherer), a sum
-// merges two gathers (stageSum), and internal/expr fills in its fused rows
-// as it computes them (PartitionRows). All but the upload fill their rows
-// through one stage (stageRows), cut into tasks by one rule (rowCuts). The
-// layout is a function of the entry set alone, so all of them serialize to
-// the bytes the Z-sorted table gave (DESIGN.md §4, "One staging form").
+// Every layout build by a row producer goes through one staging form: the
+// whole matrix as a *mat.CSR — row-major, columns ascending within a row,
+// no duplicate coordinates — that stores no exact zero. The paper Z-sorts
+// its staging table (§II-C1), but the quadtree recursion reads only the
+// per-block counts, so only those are Z-ordered (zBlockCounts) and no
+// producer sorts what it already emits in row order: an upload is
+// radix-sorted once (stageCOO), a sum merges two row gathers (stageSum),
+// and internal/expr fills in its fused rows as it computes them
+// (PartitionRows). All but the upload fill their rows through one stage
+// (stageRows), cut into tasks by one rule (rowCuts). Repartition stages
+// nothing: it counts and cuts straight from the AT MATRIX's tiles
+// (tileLayout), reading each row as the row gather does. The layout is a
+// function of the entry set alone, so all of them serialize to the bytes
+// the Z-sorted table gave (DESIGN.md §4, "One staging form").
 
 // sortRowMajor returns src ordered by (row, col) in a fresh slice; src is
 // only read. It is a stable LSD radix sort over the significant bytes of
@@ -172,19 +174,59 @@ func stageRows(ctx context.Context, cfg Config, watchdog time.Duration, rows, co
 	return joinBlocks(rows, cols, blocks), nil
 }
 
-// rowGatherer returns the function that appends rows [lo, hi) of a to b. A
-// row is its pieces in the tiles of its row band, left to right; tiles do not
-// overlap, so the columns ascend. Stored zeros (a tile scaled to zero, a
-// cancellation) are dropped.
-func (a *ATMatrix) rowGatherer() func(_ *kernels.Scratch, lo, hi int, b *RowBlock) {
+// rowBands returns a's row bands and the tiles of each, ordered by Col0: a
+// row is its pieces in its band's tiles in this order, and tiles do not
+// overlap, so the columns ascend.
+func (a *ATMatrix) rowBands() ([]Band, [][]*Tile) {
 	x := &a.index().rows
-	bands := x.bands
 	byCol := slices.Clone(x.tiles)
-	tiles := make([][]*Tile, len(bands))
-	for i := range bands {
+	tiles := make([][]*Tile, len(x.bands))
+	for i := range x.bands {
 		tiles[i] = byCol[x.off[i]:x.off[i+1]]
 		slices.SortFunc(tiles[i], func(p, q *Tile) int { return p.Col0 - q.Col0 })
 	}
+	return x.bands, tiles
+}
+
+// appendRow appends the entries of row r in columns [c0, c1) of tiles — a
+// row band's tiles by Col0 — to col and val, columns rebased by c0. Stored
+// zeros (a tile scaled to zero, a cancellation) are dropped: v != 0, so a
+// NaN stays and a −0 goes.
+func appendRow(col []int32, val []float64, tiles []*Tile, r, c0, c1 int) ([]int32, []float64) {
+	for _, t := range tiles {
+		if t.Col0 >= c1 {
+			break
+		}
+		lo, hi := max(c0, t.Col0)-t.Col0, min(c1, t.Col0+t.Cols)-t.Col0 // the piece, in t's columns
+		if lo >= hi {
+			continue
+		}
+		base := int32(t.Col0 - c0)
+		if t.Kind == mat.Sparse {
+			plo, phi := t.Sp.RowRange(r - t.Row0)
+			if lo > 0 || hi < t.Cols {
+				plo, phi = t.Sp.ColSpan(r-t.Row0, int32(lo), int32(hi))
+			}
+			for p := plo; p < phi; p++ {
+				if v := t.Sp.Val[p]; v != 0 {
+					col, val = append(col, base+t.Sp.ColIdx[p]), append(val, v)
+				}
+			}
+			continue
+		}
+		for c, v := range t.D.RowSlice(r - t.Row0)[lo:hi] {
+			if v != 0 {
+				col, val = append(col, base+int32(lo+c)), append(val, v)
+			}
+		}
+	}
+	return col, val
+}
+
+// rowGatherer returns the function that appends rows [lo, hi) of a to b,
+// each row whole (appendRow over the full width).
+func (a *ATMatrix) rowGatherer() func(_ *kernels.Scratch, lo, hi int, b *RowBlock) {
+	bands, tiles := a.rowBands()
 	return func(_ *kernels.Scratch, lo, hi int, b *RowBlock) {
 		for bi := sort.Search(len(bands), func(i int) bool { return bands[i].Hi > lo }); bi < len(bands) && bands[bi].Lo < hi; bi++ {
 			r0, r1 := max(lo, bands[bi].Lo), min(hi, bands[bi].Hi)
@@ -199,22 +241,7 @@ func (a *ATMatrix) rowGatherer() func(_ *kernels.Scratch, lo, hi int, b *RowBloc
 			col, val := slices.Grow(b.Col, need), slices.Grow(b.Val, need) // locals: no write barrier per entry
 			for r := r0; r < r1; r++ {
 				start := len(col)
-				for _, t := range tiles[bi] {
-					if t.Kind == mat.Sparse {
-						plo, phi := t.Sp.RowRange(r - t.Row0)
-						for p := plo; p < phi; p++ {
-							if v := t.Sp.Val[p]; v != 0 {
-								col, val = append(col, int32(t.Col0)+t.Sp.ColIdx[p]), append(val, v)
-							}
-						}
-						continue
-					}
-					for c, v := range t.D.RowSlice(r - t.Row0) {
-						if v != 0 {
-							col, val = append(col, int32(t.Col0+c)), append(val, v)
-						}
-					}
-				}
+				col, val = appendRow(col, val, tiles[bi], r, 0, a.Cols)
 				b.NNZ = append(b.NNZ, int32(len(col)-start))
 			}
 			b.Col, b.Val = col, val

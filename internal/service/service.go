@@ -807,9 +807,9 @@ func (m *Manager) finish(job *Job, out *core.ATMatrix, res *Result, t0 time.Time
 		// rebuild the band-grid result into an adaptive layout. The copy
 		// is admitted after the product is recycled, so it is counted at
 		// the product's size. A product that is not recycled must not be
-		// referenced after the Repartition call: that drops it once its
-		// rows are staged, and keeping it would keep its bytes resident
-		// through the layout build and the catalog write.
+		// referenced after the Repartition call, which cuts the copy
+		// straight from its tiles: keeping it would keep its bytes
+		// resident through the catalog write.
 		var re *core.ATMatrix
 		var err error
 		if 2*res.Bytes <= room {
